@@ -25,7 +25,7 @@ from conepde.calculus import (
     quadrature_weights,
 )
 from conepde.geometry import ConeDomain, ConePoint
-from conepde.operators import PDEProblem
+from conepde.operators import PDEProblem, gradient_powers
 
 __all__ = [
     "AbpReport",
@@ -55,22 +55,10 @@ _CHUNK = int(5e6)
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _ball_sup_forcing(grid: LogGrid, weight_values: np.ndarray, p: float,
-                      radius_field: np.ndarray) -> float:
-    """sup over nodes z of the sup of ``weight_values`` over the metric ball
-    of per-node radius around z, raised to 1/(p-1)."""
-    pts = grid.log_points
-    w = weight_values.ravel()
-    r = radius_field.ravel()
-    m = pts.shape[0]
-    best = 0.0
-    chunk = max(1, _CHUNK // max(m, 1))
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
-        d2 = np.sum((pts[start:stop, None, :] - pts[None, :, :]) ** 2, axis=2)
-        inside = d2 <= (r[start:stop, None]) ** 2
-        sup = np.max(np.where(inside, w[None, :], -np.inf), axis=1)
-        best = max(best, float(np.max(sup)))
+def _sup_forcing(weight_values: np.ndarray, p: float) -> float:
+    """Global sup of ``weight_values`` (t^p f) over the grid, raised to
+    1/(p-1); 0 when it is not positive."""
+    best = float(np.max(weight_values))
     return best ** (1.0 / (p - 1.0)) if best > 0.0 else 0.0
 
 
@@ -94,9 +82,10 @@ class AbpReport:
     """Constituents of the interior-sup estimate for one orientation.
 
     ``variant`` is "subsolution" (positive part against the negative part of
-    the forcing) or "two-sided" (absolute values on both sides).  The
-    empirical constant makes the inequality an equality; ``holds_with``
-    re-evaluates it for any reference constant.
+    the forcing) or "two-sided" (absolute values on both sides).  ``forcing``
+    is the global sup over the grid of the matching part of t^p f, raised to
+    1/(p-1).  The empirical constant makes the inequality an equality;
+    ``holds_with`` re-evaluates it for any reference constant.
     """
 
     variant: str
@@ -136,9 +125,7 @@ def _abp_variant(v: GridFunction, prob: PDEProblem, domain: ConeDomain,
     if not np.any(bmask):
         raise ValueError("the grid carries no analytic boundary nodes")
     K0, d0 = domain.g_params.K0, domain.g_params.d0
-    radius = 2.0 * K0 * np.minimum(grid.boundary_distance_field, d0)
-    tpf = grid.t_field ** prob.p * forcing_part
-    forcing = _ball_sup_forcing(grid, tpf, prob.p, radius)
+    forcing = _sup_forcing(grid.t_field ** prob.p * forcing_part, prob.p)
     geometry = (K0 * d0) ** (prob.p / (prob.p - 1.0))
     interior_sup = float(np.max(signed_part[interior]))
     boundary_sup = float(np.max(signed_part[bmask]))
@@ -192,17 +179,15 @@ class HoelderReport:
 def hoelder_check(v: GridFunction, prob: PDEProblem, rho: float,
                   domain: ConeDomain) -> HoelderReport:
     """Ratio of the weighted Hoelder norm of a zero-boundary solve to the
-    two-sided forcing supremum.
+    two-sided forcing supremum, the global sup of |t^p f| over the grid
+    raised to 1/(p-1).
 
     Boundary-attached pairs enter through the grid's boundary nodes, where a
     zero-boundary solve stores exact zeros.
     """
     grid = v.grid
     norm = float(hoelder_norm(v, rho))
-    K0, d0 = domain.g_params.K0, domain.g_params.d0
-    radius = 2.0 * K0 * np.minimum(grid.boundary_distance_field, d0)
-    tpf = grid.t_field ** prob.p * np.abs(prob.f_values(grid))
-    forcing = _ball_sup_forcing(grid, tpf, prob.p, radius)
+    forcing = _sup_forcing(grid.t_field ** prob.p * np.abs(prob.f_values(grid)), prob.p)
     vacuous = norm == 0.0
     inconsistent = forcing == 0.0 and norm > 0.0
     ratio = None if forcing == 0.0 else norm / forcing
@@ -394,7 +379,8 @@ def comparison_check(u: GridFunction, v: GridFunction, prob: PDEProblem,
                      tol: float) -> ComparisonReport:
     """Count interior nodes where the subsolution exceeds the supersolution
     beyond tol; the boundary ordering and the forcing floor are preconditions."""
-    if u.grid is not v.grid and u.grid.shape != v.grid.shape:
+    if u.grid is not v.grid and (u.grid.shape != v.grid.shape or not all(
+            np.array_equal(a, b) for a, b in zip(u.grid.axes, v.grid.axes))):
         raise ValueError("fields must share a grid")
     grid = u.grid
     if prob.omega <= 0.0:
@@ -572,13 +558,8 @@ def weak_form_residual(u: GridFunction, prob: PDEProblem,
     """
     grid = u.grid
     g = gradient_field(u)
-    s2 = np.sum(g * g, axis=0) + eps_reg ** 2
     p, n = prob.p, prob.n
-    if p == 2.0:
-        coef = np.ones(grid.shape)
-    else:
-        coef = np.where(s2 > 0.0, s2 ** ((p - 2.0) / 2.0), 0.0)
-    flux = coef * g                       # |g|^(p-2) g, shape (n, ...)
+    flux = gradient_powers(g, p, eps_reg)[1] * g      # |g|^(p-2) g, shape (n, ...)
     f = prob.f_values(grid)
     t = grid.t_field
     tpf = t ** p * f

@@ -16,6 +16,7 @@ from itertools import product
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from conepde.geometry import ConeDomain, ConePoint
 
@@ -30,6 +31,7 @@ __all__ = [
     "b_hessian",
     "gradient_field",
     "hessian_field",
+    "drift_field",
     "cone_integral",
     "weighted_Lp_norm",
     "weighted_sobolev_norm",
@@ -153,6 +155,36 @@ class LogGrid:
             mask[tuple(sl)] = True
         return mask
 
+    def _stencil_op(self, axis: int, stencil: Callable) -> sp.csr_matrix:
+        m = self.shape[axis]
+        return _along_axis(self.shape, axis, sp.csr_matrix(stencil(np.eye(m), 0, self.h[axis])))
+
+    @cached_property
+    def first_diff_ops(self) -> tuple:
+        """First-difference operators on the flattened values, one per axis."""
+        return tuple(self._stencil_op(k, first_diff) for k in range(self.n))
+
+    @cached_property
+    def hessian_ops(self) -> dict:
+        """Operators for the Hessian entries (k, l) with k <= l: second
+        differences on the diagonal, D_k D_l off it."""
+        D = self.first_diff_ops
+        ops = {}
+        for k in range(self.n):
+            ops[(k, k)] = self._stencil_op(k, second_diff)
+            ops.update({(k, l): D[k] @ D[l] for l in range(k + 1, self.n)})
+        return ops
+
+    @cached_property
+    def drift_ops(self) -> dict:
+        """Radial first-difference operator per drift mode."""
+        m, h = self.shape[0], self.h[0]
+        return {
+            "central": self.first_diff_ops[0],
+            "upwind-forward": _along_axis(self.shape, 0, _upwind_matrix(m, h, True)),
+            "upwind-backward": _along_axis(self.shape, 0, _upwind_matrix(m, h, False)),
+        }
+
     @cached_property
     def boundary_distance_field(self) -> np.ndarray:
         """Distance of each node to the analytic boundary, in the cone metric."""
@@ -196,6 +228,11 @@ class GridFunction:
 
 # ---------------------------------------------------------------------------
 # stencils
+#
+# first_diff and second_diff define the difference stencils once.  The grid
+# turns each into a sparse matrix on the flattened values (LogGrid.*_ops,
+# by applying it to the identity and tensorizing per axis), and every
+# derivative in the package applies one of those cached matrices.
 
 def first_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Second-order first derivative: central inside, one-sided at the faces."""
@@ -216,109 +253,70 @@ def second_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
+def _upwind_matrix(m: int, h: float, forward: bool) -> sp.csr_matrix:
+    """First-order one-sided first derivative; the end without a neighbour
+    on that side repeats the adjacent difference."""
+    F = np.diff(np.eye(m), axis=0) / h  # row i: (v[i+1] - v[i]) / h
+    i = np.arange(m - 1)
+    return sp.csr_matrix(F[np.append(i, m - 2) if forward else np.insert(i, 0, 0)])
+
+
+def _along_axis(shape: tuple, axis: int, D) -> sp.csr_matrix:
+    """The 1D operator D applied along one axis of row-major flattened values."""
+    inner = sp.kron(D, sp.identity(int(np.prod(shape[axis + 1:]))))
+    return sp.kron(sp.identity(int(np.prod(shape[:axis]))), inner, format="csr")
+
+
 def gradient_field(u: GridFunction) -> np.ndarray:
     """Discrete cone gradient at every node, shape (n, *grid.shape).
 
     Component 0 is the radial derivative t du/dt = du/da.  Face nodes use
     one-sided second-order stencils; ``grid.boundary_mask`` flags them.
     """
-    h = u.grid.h
-    return np.stack([first_diff(u.values, k, h[k]) for k in range(u.grid.n)])
+    v = u.values.ravel()
+    return np.stack([(D @ v).reshape(u.grid.shape) for D in u.grid.first_diff_ops])
 
 
 def hessian_field(u: GridFunction) -> np.ndarray:
     """Discrete cone Hessian at every node, shape (n, n, *grid.shape).
 
-    Cross derivatives are symmetrized compositions of first-difference
-    operators, so the matrix is symmetric by construction.
+    Cross derivatives compose the two axes' first-difference operators,
+    which commute, so the matrix is symmetric by construction.
     """
     n = u.grid.n
-    h = u.grid.h
+    v = u.values.ravel()
     out = np.empty((n, n) + u.grid.shape)
-    firsts = [first_diff(u.values, k, h[k]) for k in range(n)]
-    for k in range(n):
-        out[k, k] = second_diff(u.values, k, h[k])
-        for l in range(k + 1, n):
-            cross = 0.5 * (
-                first_diff(firsts[l], k, h[k]) + first_diff(firsts[k], l, h[l])
-            )
-            out[k, l] = cross
-            out[l, k] = cross
+    for (k, l), D in u.grid.hessian_ops.items():
+        out[k, l] = out[l, k] = (D @ v).reshape(u.grid.shape)
     return out
 
 
-def _line(values: np.ndarray, node, axis: int) -> tuple:
-    idx = list(node)
-    idx[axis] = slice(None)
-    return values[tuple(idx)], node[axis]
+def drift_field(u: GridFunction, drift: str) -> np.ndarray:
+    """Radial first derivative: central, or one-sided against the drift sign."""
+    if drift not in u.grid.drift_ops:
+        raise ValueError(f"unknown drift mode {drift!r}")
+    return (u.grid.drift_ops[drift] @ u.values.ravel()).reshape(u.grid.shape)
 
 
-def _first_diff_at(values: np.ndarray, node, axis: int, h: float) -> float:
-    line, i = _line(values, node, axis)
-    m = line.size
-    if 0 < i < m - 1:
-        return (line[i + 1] - line[i - 1]) / (2.0 * h)
-    if i == 0:
-        return (-3.0 * line[0] + 4.0 * line[1] - line[2]) / (2.0 * h)
-    return (3.0 * line[-1] - 4.0 * line[-2] + line[-3]) / (2.0 * h)
-
-
-def _second_diff_at(values: np.ndarray, node, axis: int, h: float) -> float:
-    line, i = _line(values, node, axis)
-    m = line.size
-    if 0 < i < m - 1:
-        return (line[i + 1] - 2.0 * line[i] + line[i - 1]) / h**2
-    if m < 4:
-        j = 1 if i == 0 else m - 2
-        return (line[j + 1] - 2.0 * line[j] + line[j - 1]) / h**2
-    if i == 0:
-        return (2.0 * line[0] - 5.0 * line[1] + 4.0 * line[2] - line[3]) / h**2
-    return (2.0 * line[-1] - 5.0 * line[-2] + 4.0 * line[-3] - line[-4]) / h**2
-
-
-def _cross_diff_at(values: np.ndarray, node, ax1: int, ax2: int, h1: float, h2: float) -> float:
-    # D1(D2 u) evaluated by applying the ax1 first-difference stencil to
-    # pointwise ax2 first differences (mirrors the field composition).
-    shape = values.shape
-    i = node[ax1]
-    m = shape[ax1]
-
-    def d2_at(j):
-        nd = list(node)
-        nd[ax1] = j
-        return _first_diff_at(values, tuple(nd), ax2, h2)
-
-    if 0 < i < m - 1:
-        return (d2_at(i + 1) - d2_at(i - 1)) / (2.0 * h1)
-    if i == 0:
-        return (-3.0 * d2_at(0) + 4.0 * d2_at(1) - d2_at(2)) / (2.0 * h1)
-    return (3.0 * d2_at(m - 1) - 4.0 * d2_at(m - 2) + d2_at(m - 3)) / (2.0 * h1)
+def _at_node(ops, u: GridFunction, node) -> np.ndarray:
+    """Each operator's row at one node applied to the values: that node's
+    entry of the field the operator produces, without the rest of the field."""
+    r = int(np.ravel_multi_index(tuple(node), u.grid.shape))
+    v = u.values.ravel()
+    rows = [slice(D.indptr[r], D.indptr[r + 1]) for D in ops]
+    return np.array([D.data[row] @ v[D.indices[row]] for D, row in zip(ops, rows)])
 
 
 def b_gradient(u: GridFunction, node) -> np.ndarray:
     """Discrete cone gradient at one node (length n, radial component first)."""
-    node = tuple(node)
-    h = u.grid.h
-    return np.array(
-        [_first_diff_at(u.values, node, k, h[k]) for k in range(u.grid.n)]
-    )
+    return _at_node(u.grid.first_diff_ops, u, node)
 
 
 def b_hessian(u: GridFunction, node) -> np.ndarray:
     """Discrete cone Hessian at one node; symmetric by construction."""
-    node = tuple(node)
-    n = u.grid.n
-    h = u.grid.h
-    H = np.empty((n, n))
-    for k in range(n):
-        H[k, k] = _second_diff_at(u.values, node, k, h[k])
-        for l in range(k + 1, n):
-            c = 0.5 * (
-                _cross_diff_at(u.values, node, k, l, h[k], h[l])
-                + _cross_diff_at(u.values, node, l, k, h[l], h[k])
-            )
-            H[k, l] = c
-            H[l, k] = c
+    H = np.empty((u.grid.n, u.grid.n))
+    for (k, l), h in zip(u.grid.hessian_ops, _at_node(u.grid.hessian_ops.values(), u, node)):
+        H[k, l] = H[l, k] = h
     return H
 
 
@@ -416,18 +414,14 @@ def weighted_Lp_norm(u: GridFunction, params: NormParams) -> NormReport:
 
 def _derivative_field(u: GridFunction, alpha: int, beta: tuple) -> np.ndarray:
     """(t d/dt)^alpha d_x^beta u via the log-chart stencils."""
-    h = u.grid.h
-    vals = u.values
-    if alpha == 2:
-        vals = second_diff(vals, 0, h[0])
-    elif alpha == 1:
-        vals = first_diff(vals, 0, h[0])
-    for k, bk in enumerate(beta):
-        if bk == 2:
-            vals = second_diff(vals, 1 + k, h[1 + k])
-        elif bk == 1:
-            vals = first_diff(vals, 1 + k, h[1 + k])
-    return vals
+    grid = u.grid
+    vals = u.values.ravel()
+    for k, order in enumerate((alpha, *beta)):
+        if order == 1:
+            vals = grid.first_diff_ops[k] @ vals
+        elif order == 2:
+            vals = grid.hessian_ops[(k, k)] @ vals
+    return vals.reshape(grid.shape)
 
 
 def weighted_sobolev_norm(u: GridFunction, params: NormParams) -> NormReport:

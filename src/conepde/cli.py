@@ -165,7 +165,7 @@ def build_domain(cfg: RunConfig) -> ConeDomain:
         raise ConfigError(f"domain: {exc}") from exc
 
 
-def _parse_field_spec(spec: str, label: str):
+def _parse_field_spec(spec: str, label: str, n: int):
     name, _, args = spec.partition(":")
     name = name.strip().lower()
     try:
@@ -181,22 +181,8 @@ def _parse_field_spec(spec: str, label: str):
             return log_polynomial_field(terms)
         if name == "gridfile":
             return gridfunction_field(read_gridfunction(args.strip()))
-        if name == "tpower":
-            kappa = float(args)
-            def fn(t, xs):
-                return np.asarray(t, dtype=float) ** kappa
-            return fn
-        if name == "logt":
-            def fn(t, xs):
-                return np.log(np.asarray(t, dtype=float))
-            return fn
-        if name == "quadratic":
-            def fn(t, xs):
-                out = np.log(np.asarray(t, dtype=float)) ** 2
-                for x in xs:
-                    out = out + np.asarray(x, dtype=float) ** 2
-                return out
-            return fn
+        if name in ("tpower", "logt", "quadratic"):
+            return _parse_exact_spec(spec, n, p=None).as_txy()
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"{label}: malformed spec {spec!r} ({exc})") from exc
     raise ConfigError(f"{label}: unknown field kind {name!r}")
@@ -218,8 +204,9 @@ def _parse_exact_spec(spec: str, n: int, p: float):
 
 def build_problem(cfg: RunConfig, domain: ConeDomain) -> PDEProblem:
     p = cfg.get_float("problem.p", required=True)
-    f = _parse_field_spec(cfg.get("problem.f", "zero"), "problem.f")
-    g = _parse_field_spec(cfg.get("problem.dirichlet", "zero"), "problem.dirichlet")
+    f = _parse_field_spec(cfg.get("problem.f", "zero"), "problem.f", domain.n)
+    g = _parse_field_spec(cfg.get("problem.dirichlet", "zero"), "problem.dirichlet",
+                          domain.n)
     omega = cfg.get_float("problem.omega", 0.0)
     try:
         return PDEProblem(p=p, n=domain.n, f=f, dirichlet=g, omega=omega)
@@ -462,6 +449,24 @@ def _solve_or_raise(prob, grid, scfg):
     return u, report
 
 
+def _shifted_pair(cfg: RunConfig, prob: PDEProblem, grid: LogGrid,
+                  scfg: SolverConfig) -> tuple:
+    """Solves with the forcing raised by margin t^-p and with the problem's
+    own forcing.  A larger forcing gives a smaller solution, so the first is
+    the subsolution of the pair."""
+    margin = cfg.get_float("verify.margin", 0.5)
+    f_low = prob.f
+
+    def f_high(t, xs):
+        return f_low(t, xs) + margin * np.asarray(t, dtype=float) ** (-prob.p)
+
+    prob_high = PDEProblem(p=prob.p, n=prob.n, f=f_high,
+                           dirichlet=prob.dirichlet, omega=prob.omega + margin)
+    u_sub, _ = _solve_or_raise(prob_high, grid, scfg)
+    v_super, _ = _solve_or_raise(prob, grid, scfg)
+    return u_sub, v_super
+
+
 def _ball_from_config(cfg: RunConfig, grid: LogGrid) -> tuple:
     spec = cfg.get_floats("verify.ball")
     if spec is None:
@@ -547,16 +552,7 @@ def _cmd_verify(check: str, cfg: RunConfig, seed: int) -> int:
                   ["radius", "oscillation"], rep.rows, cfg.config_hash)
 
     elif check == "comparison":
-        margin = cfg.get_float("verify.margin", 0.5)
-        f_low = prob.f
-
-        def f_high(t, xs):
-            return f_low(t, xs) + margin * np.asarray(t, dtype=float) ** (-prob.p)
-
-        prob_high = PDEProblem(p=prob.p, n=prob.n, f=f_high,
-                               dirichlet=prob.dirichlet, omega=prob.omega + margin)
-        u_sub, _ = _solve_or_raise(prob_high, grid, scfg)   # larger forcing: subsolution
-        v_super, _ = _solve_or_raise(prob, grid, scfg)
+        u_sub, v_super = _shifted_pair(cfg, prob, grid, scfg)
         rep = analysis.comparison_check(u_sub, v_super, prob, tol=slack)
         payload["comparison"] = rep.to_json_dict()
         verdict = rep.violations == 0
@@ -565,16 +561,7 @@ def _cmd_verify(check: str, cfg: RunConfig, seed: int) -> int:
                   [(rep.violations, rep.worst_gap)], cfg.config_hash)
 
     elif check == "doubling":
-        margin = cfg.get_float("verify.margin", 0.5)
-        f_low = prob.f
-
-        def f_high(t, xs):
-            return f_low(t, xs) + margin * np.asarray(t, dtype=float) ** (-prob.p)
-
-        prob_high = PDEProblem(p=prob.p, n=prob.n, f=f_high,
-                               dirichlet=prob.dirichlet, omega=prob.omega + margin)
-        u1, _ = _solve_or_raise(prob_high, grid, scfg)
-        u2, _ = _solve_or_raise(prob, grid, scfg)
+        u1, u2 = _shifted_pair(cfg, prob, grid, scfg)
         bound = max(float(np.max(np.abs(u1.values))),
                     float(np.max(np.abs(u2.values))), 1e-6)
         params = TransformParams.from_bound(bound)

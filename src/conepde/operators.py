@@ -1,6 +1,8 @@
-"""Pointwise residuals of the degenerate p-Laplace operator, the direction
-matrix Q, Pucci extremal operators, sub/supersolution classification, and the
-exponential substitution used by the comparison machinery.
+"""The residual algebra of the degenerate p-Laplace operator and everything
+built on it: the residual fields the solver drives to zero, the pointwise
+residuals (the same algebra at one node), the direction matrix Q, Pucci
+extremal operators, sub/supersolution classification, and the exponential
+substitution used by the comparison machinery.
 
 The strong operator, acting on u(t, x) with cone gradient g and cone
 Hessian H, is
@@ -31,7 +33,7 @@ from conepde.calculus import (
     LogGrid,
     b_gradient,
     b_hessian,
-    first_diff,
+    drift_field,
     gradient_field,
     hessian_field,
 )
@@ -51,6 +53,8 @@ __all__ = [
     "psi",
     "psi_inverse",
     "transformed_residual",
+    "gradient_powers",
+    "operator_terms",
     "full_residual_from_derivs",
     "log_residual_from_derivs",
     "transformed_residual_from_derivs",
@@ -200,57 +204,88 @@ def _check_symmetric(X: np.ndarray) -> np.ndarray:
     return X
 
 
+def _pucci(eigs: np.ndarray, params: PucciParams, upper: bool) -> np.ndarray:
+    """Pucci value from eigenvalues stacked on the last axis."""
+    pos = np.sum(np.where(eigs > 0, eigs, 0.0), axis=-1)
+    neg = np.sum(np.where(eigs < 0, eigs, 0.0), axis=-1)
+    if upper:
+        return params.Lam * pos + params.lam * neg
+    return params.lam * pos + params.Lam * neg
+
+
 def pucci_plus(X: np.ndarray, params: PucciParams) -> float:
     """sup of tr(A X) over lam I <= A <= Lam I, via the eigenvalues of X."""
-    e = np.linalg.eigvalsh(_check_symmetric(X))
-    return float(params.Lam * e[e > 0].sum() + params.lam * e[e < 0].sum())
+    return float(_pucci(np.linalg.eigvalsh(_check_symmetric(X)), params, True))
 
 
 def pucci_minus(X: np.ndarray, params: PucciParams) -> float:
     """inf of tr(A X) over lam I <= A <= Lam I."""
-    e = np.linalg.eigvalsh(_check_symmetric(X))
-    return float(params.lam * e[e > 0].sum() + params.Lam * e[e < 0].sum())
+    return float(_pucci(np.linalg.eigvalsh(_check_symmetric(X)), params, False))
 
 
 # ---------------------------------------------------------------------------
-# residual algebra on explicit derivatives
+# residual algebra
 
-def _diffusion(grad: np.ndarray, hess: np.ndarray, p: float, eps_reg: float,
-               extremal: str | None = None) -> tuple:
-    """Return (|g|_d^(p-2) * tr-like term, |g|_d^(p-2)).
+def gradient_powers(g, p: float, eps_reg: float = 0.0) -> tuple:
+    """(s2, |g|_d^(p-2), |g|_d^(p-4)) for g of shape (n, ...), where
+    s2 = |g|_d^2 = |g|^2 + eps_reg^2; |g|_d^(p-2) g is the divergence-form flux.
 
-    tr-like is tr(Q_d H) for extremal None, or the Pucci upper/lower value
-    of H.  Zero regularized gradient with p > 2 kills both factors; p == 2
-    keeps the unit coefficient (the operator is linear there).
+    A zero regularized gradient with p > 2 kills both powers; p == 2 keeps
+    the unit coefficient (the operator is linear there) and a zero second one.
     """
-    g = np.asarray(grad, dtype=float)
-    H = np.asarray(hess, dtype=float)
-    s2 = float(g @ g) + eps_reg ** 2
+    g = np.asarray(g, dtype=float)
+    s2 = np.einsum("k...,k...->...", g, g) + eps_reg ** 2
     if p == 2.0:
-        coef = 1.0
-    elif s2 == 0.0:
-        return 0.0, 0.0
-    else:
-        coef = s2 ** ((p - 2.0) / 2.0)
+        return s2, np.ones_like(s2), np.zeros_like(s2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.where(s2 > 0.0, s2 ** ((p - 2.0) / 2.0), 0.0)
+        return s2, coef, np.where(s2 > 0.0, coef / s2, 0.0)
+
+
+def operator_terms(g, H, drift, p: float, n: int, eps_reg: float = 0.0,
+                   extremal: str | None = None, slopes: bool = False) -> tuple:
+    """The operator R = sum_kl A_kl H_kl + B drift (no forcing) and its
+    partial derivatives, as (R, A, B, C), from derivative arrays g (n, ...),
+    H (n, n, ...) and the radial drift derivative (...).
+
+    A = |g|_d^(p-2) Q_d weighs the Hessian entries (it is also the derivative
+    of the flux) and B = (n-p) |g|_d^(p-2) the drift.  C = dR/dg is None
+    unless ``slopes`` is set, and at p == 2, where it vanishes.  Under an
+    ``extremal`` mode ("upper"/"lower") R carries |g|_d^(p-2) times the Pucci
+    value of H instead of sum A_kl H_kl.
+    """
+    g = np.asarray(g, dtype=float)
+    H = np.asarray(H, dtype=float)
+    nd = g.shape[0]
+    s2, coef, inv = gradient_powers(g, p, eps_reg)
+    eye = np.eye(nd).reshape((nd, nd) + (1,) * s2.ndim)
+    A = coef * eye + (p - 2.0) * inv * g[:, None] * g[None, :]
+    B = (n - p) * coef
     if extremal is None:
-        tr_like = float(np.trace(H))
-        if p != 2.0:
-            tr_like += (p - 2.0) * float(g @ H @ g) / s2
-    elif extremal == "upper":
-        tr_like = pucci_plus(H, PucciParams.from_p(p))
-    elif extremal == "lower":
-        tr_like = pucci_minus(H, PucciParams.from_p(p))
+        diffusion = np.einsum("kl...,kl...->...", A, H)
+    elif extremal in ("upper", "lower"):
+        eigs = np.linalg.eigvalsh(np.moveaxis(H, (0, 1), (-2, -1)))
+        diffusion = coef * _pucci(eigs, PucciParams.from_p(p), extremal == "upper")
     else:
         raise ValueError(f"unknown extremal mode {extremal!r}")
-    return coef * tr_like, coef
+    C = None
+    if slopes and p != 2.0:
+        trH = np.einsum("kk...->...", H)
+        Hg = np.einsum("kl...,l...->k...", H, g)
+        gHg = np.einsum("k...,k...->...", g, Hg)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g_over_s2 = np.where(s2 > 0.0, g / s2, 0.0)
+        C = (p - 2.0) * inv * (g * (trH + (n - p) * drift)
+                               + (p - 4.0) * g_over_s2 * gHg + 2.0 * Hg)
+    return diffusion + B * drift, A, B, C
 
 
 def full_residual_from_derivs(t: float, grad, hess, p: float, n: int,
                               f_value: float, eps_reg: float = 0.0,
                               extremal: str | None = None) -> float:
     """Strong-form residual from explicit derivatives at one point."""
-    diff, coef = _diffusion(grad, hess, p, eps_reg, extremal)
-    return t ** (-p) * (diff + (n - p) * coef * float(grad[0])) - f_value
+    R = operator_terms(grad, hess, grad[0], p, n, eps_reg, extremal)[0]
+    return float(t ** (-p) * R - f_value)
 
 
 def log_residual_from_derivs(a: float, grad, hess, p: float, n: int,
@@ -258,8 +293,8 @@ def log_residual_from_derivs(a: float, grad, hess, p: float, n: int,
                              extremal: str | None = None) -> float:
     """Log-chart residual from explicit derivatives at one point; equals
     t^p times the strong residual."""
-    diff, coef = _diffusion(grad, hess, p, eps_reg, extremal)
-    return diff + (n - p) * coef * float(grad[0]) - f_value * math.exp(a * p)
+    R = operator_terms(grad, hess, grad[0], p, n, eps_reg, extremal)[0]
+    return float(R - f_value * math.exp(a * p))
 
 
 def transformed_residual_from_derivs(t: float, z_value: float, grad, hess,
@@ -267,13 +302,10 @@ def transformed_residual_from_derivs(t: float, z_value: float, grad, hess,
                                      K: float, eps_reg: float = 0.0) -> float:
     """Residual of the exponentially substituted equation from explicit
     derivatives of the substituted field z."""
-    g = np.asarray(grad, dtype=float)
-    s2 = float(g @ g) + eps_reg ** 2
-    diff, coef = _diffusion(grad, hess, p, eps_reg)
-    return (
-        diff
+    s2 = gradient_powers(grad, p, eps_reg)[0]
+    return float(
+        operator_terms(grad, hess, grad[0], p, n, eps_reg)[0]
         - (p - 1.0) * s2 ** (p / 2.0)
-        + (n - p) * coef * float(g[0])
         - f_value * t ** p * math.exp(z_value * (p - 1.0)) / K ** (p - 1.0)
     )
 
@@ -281,50 +313,39 @@ def transformed_residual_from_derivs(t: float, z_value: float, grad, hess,
 # ---------------------------------------------------------------------------
 # pointwise residuals on grid functions
 
-def _point_data(u: GridFunction, node, prob: PDEProblem):
-    node = tuple(node)
+def _point_data(u: GridFunction, node, prob: PDEProblem) -> tuple:
+    """(a, f, g, H) at one node: the log-chart coordinate, the forcing, and
+    the node's rows of the gradient and Hessian operators."""
     coords = u.grid.node_coords(node)
-    a = float(coords[0])
-    t = math.exp(a)
     xs = tuple(np.asarray(c) for c in coords[1:])
-    fval = float(np.asarray(prob.f(np.asarray(t), xs)))
-    return node, a, t, fval
+    fval = float(np.asarray(prob.f(np.asarray(math.exp(coords[0])), xs)))
+    return float(coords[0]), fval, b_gradient(u, node), b_hessian(u, node)
 
 
 def residual_full(u: GridFunction, node, prob: PDEProblem,
                   eps_reg: float = 0.0) -> float:
     """Strong-form residual at a node using the log-chart stencils."""
-    node, a, t, fval = _point_data(u, node, prob)
-    g = b_gradient(u, node)
-    H = b_hessian(u, node)
-    return full_residual_from_derivs(t, g, H, prob.p, prob.n, fval, eps_reg)
+    a, f, g, H = _point_data(u, node, prob)
+    return full_residual_from_derivs(math.exp(a), g, H, prob.p, prob.n, f, eps_reg)
 
 
 def residual_log(u: GridFunction, node, prob: PDEProblem,
                  eps_reg: float = 0.0) -> float:
     """Log-chart residual at a node; t^p times ``residual_full`` there."""
-    node, a, t, fval = _point_data(u, node, prob)
-    g = b_gradient(u, node)
-    H = b_hessian(u, node)
-    return log_residual_from_derivs(a, g, H, prob.p, prob.n, fval, eps_reg)
+    a, f, g, H = _point_data(u, node, prob)
+    return log_residual_from_derivs(a, g, H, prob.p, prob.n, f, eps_reg)
 
 
 def pucci_lower_residual(u: GridFunction, node, prob: PDEProblem,
                          eps_reg: float = 0.0) -> float:
-    node, a, t, fval = _point_data(u, node, prob)
-    g = b_gradient(u, node)
-    H = b_hessian(u, node)
-    return full_residual_from_derivs(t, g, H, prob.p, prob.n, fval, eps_reg,
-                                     extremal="lower")
+    a, f, g, H = _point_data(u, node, prob)
+    return full_residual_from_derivs(math.exp(a), g, H, prob.p, prob.n, f, eps_reg, "lower")
 
 
 def pucci_upper_residual(u: GridFunction, node, prob: PDEProblem,
                          eps_reg: float = 0.0) -> float:
-    node, a, t, fval = _point_data(u, node, prob)
-    g = b_gradient(u, node)
-    H = b_hessian(u, node)
-    return full_residual_from_derivs(t, g, H, prob.p, prob.n, fval, eps_reg,
-                                     extremal="upper")
+    a, f, g, H = _point_data(u, node, prob)
+    return full_residual_from_derivs(math.exp(a), g, H, prob.p, prob.n, f, eps_reg, "upper")
 
 
 SUPER_CONSISTENT = "supersolution-consistent"
@@ -389,51 +410,20 @@ def psi_inverse(v, params: TransformParams):
 def transformed_residual(z: GridFunction, node, prob: PDEProblem,
                          params: TransformParams, eps_reg: float = 0.0) -> float:
     """Residual of the substituted equation at a node of the z field."""
-    node, a, t, fval = _point_data(z, node, prob)
-    g = b_gradient(z, node)
-    H = b_hessian(z, node)
-    return transformed_residual_from_derivs(
-        t, float(z.values[node]), g, H, prob.p, prob.n, fval, params.K, eps_reg
-    )
+    a, f, g, H = _point_data(z, node, prob)
+    return transformed_residual_from_derivs(math.exp(a), float(z.values[tuple(node)]), g, H,
+                                            prob.p, prob.n, f, params.K, eps_reg)
 
 
 # ---------------------------------------------------------------------------
 # vectorized residual fields (shared with the solver)
 
-def _drift_field(u: GridFunction, drift: str) -> np.ndarray:
-    """Radial first derivative: central, or one-sided against the drift sign."""
-    h = u.grid.h[0]
-    v = u.values
-    if drift == "central":
-        return first_diff(v, 0, h)
-    out = np.empty_like(v)
-    if drift == "upwind-forward":
-        out[:-1] = (v[1:] - v[:-1]) / h
-        out[-1] = (v[-1] - v[-2]) / h
-    elif drift == "upwind-backward":
-        out[1:] = (v[1:] - v[:-1]) / h
-        out[0] = (v[1] - v[0]) / h
-    else:
-        raise ValueError(f"unknown drift mode {drift!r}")
-    return out
-
-
 def divergence_part_field(u: GridFunction, p: float, n: int,
                           eps_reg: float = 0.0,
                           drift: str = "central") -> np.ndarray:
     """|g|_d^(p-2) (tr(Q_d H) + (n-p) g_a) at every node (no forcing term)."""
-    g = gradient_field(u)
-    H = hessian_field(u)
-    nd = u.grid.n
-    s2 = np.sum(g * g, axis=0) + eps_reg ** 2
-    trH = np.einsum("kk...->...", H)
-    gHg = np.einsum("k...,kl...,l...->...", g, H, g)
-    if p == 2.0:
-        return trH + (n - p) * _drift_field(u, drift)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.where(s2 > 0.0, s2 ** ((p - 2.0) / 2.0), 0.0)
-        aniso = np.where(s2 > 0.0, gHg / s2, 0.0)
-    return coef * (trH + (p - 2.0) * aniso) + (n - p) * coef * _drift_field(u, drift)
+    return operator_terms(gradient_field(u), hessian_field(u), drift_field(u, drift),
+                          p, n, eps_reg)[0]
 
 
 def residual_log_field(u: GridFunction, prob: PDEProblem, eps_reg: float = 0.0,
@@ -451,8 +441,5 @@ def residual_full_field(u: GridFunction, prob: PDEProblem, eps_reg: float = 0.0,
                         drift: str = "central",
                         f_values: np.ndarray | None = None) -> np.ndarray:
     """Strong-form residual at every node; the log residual scaled by t^-p."""
-    if f_values is None:
-        f_values = prob.f_values(u.grid)
-    A = u.grid.mesh[0]
-    scale = np.exp(-A * prob.p)
-    return scale * divergence_part_field(u, prob.p, prob.n, eps_reg, drift) - f_values
+    return np.exp(-u.grid.mesh[0] * prob.p) * residual_log_field(u, prob, eps_reg, drift,
+                                                                 f_values)

@@ -20,9 +20,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conepde.calculus import GridFunction, LogGrid
+from conepde.calculus import GridFunction, LogGrid, drift_field, gradient_field, hessian_field
 from conepde.geometry import ConeDomain, exhaustion
-from conepde.operators import PDEProblem, divergence_part_field
+from conepde.operators import PDEProblem, divergence_part_field, operator_terms
 
 __all__ = [
     "SolverConfig",
@@ -90,7 +90,6 @@ class SolveReport:
     wall_time: float
     drift: str
     final_residual: float
-    final_eps_reg: float
 
     def to_json_dict(self, include_timing: bool = False) -> dict:
         d = {
@@ -102,7 +101,6 @@ class SolveReport:
             "converged": self.converged,
             "drift": self.drift,
             "final_residual": self.final_residual,
-            "final_eps_reg": self.final_eps_reg,
         }
         if include_timing:
             d["wall_time"] = self.wall_time
@@ -206,20 +204,6 @@ def make_exact_solution(p: float, n: int) -> AnalyticField:
     return power_of_t_field((p - n) / (p - 1.0), n)
 
 
-def _divergence_part_from_derivs(g: np.ndarray, H: np.ndarray, p: float,
-                                 n: int) -> np.ndarray:
-    """Vectorized |g|^(p-2) (tr(Q H) + (n-p) g_a) on explicit derivatives."""
-    s2 = np.sum(g * g, axis=0)
-    trH = np.einsum("kk...->...", H)
-    if p == 2.0:
-        return trH + (n - p) * g[0]
-    gHg = np.einsum("k...,kl...,l...->...", g, H, g)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.where(s2 > 0.0, s2 ** ((p - 2.0) / 2.0), 0.0)
-        aniso = np.where(s2 > 0.0, gHg / np.where(s2 > 0.0, s2, 1.0), 0.0)
-    return coef * (trH + (p - 2.0) * aniso + (n - p) * g[0])
-
-
 def manufactured_problem(u_star: AnalyticField, p: float, n: int) -> PDEProblem:
     """Problem whose exact solution is ``u_star``: the forcing is the analytic
     strong-form residual of the field and the Dirichlet data is its trace."""
@@ -228,7 +212,7 @@ def manufactured_problem(u_star: AnalyticField, p: float, n: int) -> PDEProblem:
         a = np.log(t)
         g = u_star.grad(a, xs)
         H = u_star.hess(a, xs)
-        return _divergence_part_from_derivs(g, H, p, n) * t ** (-p)
+        return operator_terms(g, H, g[0], p, n)[0] * t ** (-p)
 
     return PDEProblem(p=p, n=n, f=forcing, dirichlet=u_star.as_txy(), omega=0.0)
 
@@ -247,142 +231,39 @@ def _drift_mode(p: float, n: int, h_a: float, threshold: float | None) -> str:
     return "upwind-forward" if n > p else "upwind-backward"
 
 
-def _interior_shift(values: np.ndarray, offset) -> np.ndarray:
-    sl = tuple(
-        slice(1 + o, s - 1 + o if s - 1 + o != 0 else None)
-        for o, s in zip(offset, values.shape)
-    )
-    return values[sl]
-
-
 def _assemble_jacobian(values: np.ndarray, grid: LogGrid, p: float, n: int,
                        eps_reg: float, drift: str) -> sp.csr_matrix:
     """Jacobian of the log-chart residual w.r.t. all node values; boundary
-    rows are identities."""
-    nd = grid.n
-    shape = grid.shape
-    h = grid.h
-    ntot = int(np.prod(shape))
-    zero = (0,) * nd
+    rows are identities.
 
-    def e(k, s=1):
-        off = [0] * nd
-        off[k] = s
-        return tuple(off)
-
-    center = _interior_shift(values, zero)
-    g = [
-        (_interior_shift(values, e(k, +1)) - _interior_shift(values, e(k, -1)))
-        / (2.0 * h[k])
-        for k in range(nd)
-    ]
-    D2 = [
-        (_interior_shift(values, e(k, +1)) - 2.0 * center
-         + _interior_shift(values, e(k, -1))) / h[k] ** 2
-        for k in range(nd)
-    ]
-
-    def cross(k, l):
-        okl = [0] * nd
-        okl[k], okl[l] = 1, 1
-        okml = [0] * nd
-        okml[k], okml[l] = 1, -1
-        return (
-            _interior_shift(values, tuple(okl))
-            - _interior_shift(values, tuple(okml))
-            - _interior_shift(values, tuple(-o for o in okml))
-            + _interior_shift(values, tuple(-o for o in okl))
-        ) / (4.0 * h[k] * h[l])
-
-    Dx = {(k, l): cross(k, l) for k in range(nd) for l in range(k + 1, nd)}
-
-    if drift == "central":
-        drift_val = g[0]
-    elif drift == "upwind-forward":
-        drift_val = (_interior_shift(values, e(0, +1)) - center) / h[0]
-    else:
-        drift_val = (center - _interior_shift(values, e(0, -1))) / h[0]
-
-    s2 = sum(gk * gk for gk in g) + eps_reg**2
-    trH = sum(D2)
-    Hg = [
-        D2[k] * g[k]
-        + sum(Dx[(min(k, l), max(k, l))] * g[l] for l in range(nd) if l != k)
-        for k in range(nd)
-    ]
-    gHg = sum(Hg[k] * g[k] for k in range(nd))
-
-    if p == 2.0:
-        coef = np.ones_like(s2)
-        inv = np.zeros_like(s2)
-    else:
-        coef = s2 ** ((p - 2.0) / 2.0)
-        inv = coef / s2
-
-    A_kk = [coef + (p - 2.0) * inv * g[k] ** 2 for k in range(nd)]
-    A_kl = {kl: 2.0 * (p - 2.0) * inv * g[kl[0]] * g[kl[1]] for kl in Dx}
-    B = (n - p) * coef
-    C = [
-        (p - 2.0) * inv * (
-            g[k] * trH
-            + (p - 4.0) * np.where(s2 > 0, g[k] / s2, 0.0) * gHg
-            + 2.0 * Hg[k]
-            + (n - p) * g[k] * drift_val
-        )
-        for k in range(nd)
-    ]
-
-    coeffs: dict = {}
-
-    def add(offset, arr):
-        if offset in coeffs:
-            coeffs[offset] = coeffs[offset] + arr
-        else:
-            coeffs[offset] = arr.copy() if isinstance(arr, np.ndarray) else arr
-
-    for k in range(nd):
-        add(e(k, +1), A_kk[k] / h[k] ** 2 + C[k] / (2.0 * h[k]))
-        add(e(k, -1), A_kk[k] / h[k] ** 2 - C[k] / (2.0 * h[k]))
-        add(zero, -2.0 * A_kk[k] / h[k] ** 2)
-    for (k, l), arr in A_kl.items():
-        q = 1.0 / (4.0 * h[k] * h[l])
-        for sk in (+1, -1):
-            for sl_ in (+1, -1):
-                off = [0] * nd
-                off[k], off[l] = sk, sl_
-                add(tuple(off), (sk * sl_ * q) * arr)
-    if drift == "central":
-        add(e(0, +1), B / (2.0 * h[0]))
-        add(e(0, -1), -B / (2.0 * h[0]))
-    elif drift == "upwind-forward":
-        add(e(0, +1), B / h[0])
-        add(zero, -B / h[0])
-    else:
-        add(e(0, -1), -B / h[0])
-        add(zero, B / h[0])
-
-    interior_idx = np.meshgrid(*[np.arange(1, s - 1) for s in shape], indexing="ij")
-    rows_int = np.ravel_multi_index([ix.ravel() for ix in interior_idx], shape)
-
-    rows, cols, data = [], [], []
-    for offset, arr in coeffs.items():
-        neigh = [ix + o for ix, o in zip(interior_idx, offset)]
-        cols_off = np.ravel_multi_index([ix.ravel() for ix in neigh], shape)
-        rows.append(rows_int)
-        cols.append(cols_off)
-        data.append(np.broadcast_to(arr, interior_idx[0].shape).ravel())
-
+    Interior rows are sum_kl A_kl H_kl + sum_k C_k G_k + B Drift: the
+    residual's own operators weighted by the partial derivatives of the
+    residual algebra, so the matrix is its exact linearization.  At p == 2
+    the terms carrying a (p-2) factor are left out rather than stored as
+    zeros.
+    """
+    u = GridFunction(grid, values, check_finite=False)
+    _, A, B, C = operator_terms(gradient_field(u), hessian_field(u), drift_field(u, drift),
+                                p, n, eps_reg, slopes=True)
+    pairs = [(op, A[k, l] * (1.0 if k == l else 2.0))
+             for (k, l), op in grid.hessian_ops.items() if p != 2.0 or k == l]
+    if p != 2.0:
+        pairs += list(zip(grid.first_diff_ops, C))
+    pairs.append((grid.drift_ops[drift], B))
     bmask = grid.boundary_mask.ravel()
-    bidx = np.nonzero(bmask)[0]
-    rows.append(bidx)
-    cols.append(bidx)
-    data.append(np.ones(bidx.size))
-
-    J = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ntot, ntot),
-    )
-    return J.tocsr()
+    interior, boundary = np.flatnonzero(~bmask), np.flatnonzero(bmask)
+    # on interior rows each operator is one stencil translated along the
+    # grid: read its column offsets and weights off the first interior row
+    stencils = [op[interior[0]].tocoo() for op, _ in pairs]
+    offsets = np.unique(np.concatenate([st.col for st in stencils]))
+    W = np.zeros((len(pairs), offsets.size))
+    for t, st in enumerate(stencils):
+        W[t, np.searchsorted(offsets, st.col)] = st.data
+    rows = np.concatenate([boundary, np.repeat(interior, offsets.size)])
+    cols = np.concatenate([boundary, (interior[:, None] + (offsets - interior[0])).ravel()])
+    data = np.stack([c.ravel()[interior] for _, c in pairs], axis=1) @ W
+    return sp.csr_matrix((np.concatenate([np.ones(boundary.size), data.ravel()]), (rows, cols)),
+                         shape=(bmask.size, bmask.size))
 
 
 def _interior_residual(values: np.ndarray, grid: LogGrid, p: float, n: int,
@@ -478,7 +359,6 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid,
         wall_time=time.perf_counter() - t_start,
         drift=drift,
         final_residual=norm,
-        final_eps_reg=cfg.eps_reg_schedule[-1],
     )
     return GridFunction(grid, values), report
 

@@ -1,0 +1,141 @@
+"""Slow reference implementations that the tests compare the package against.
+
+They are the pointwise forms of code the package evaluates on whole fields or
+in closed form: per-node difference stencils, the per-point residual algebra,
+and the all-pairs ball supremum of the forcing.  Nothing here is imported by
+the package itself.
+"""
+
+import math
+
+import numpy as np
+
+from conepde.operators import PucciParams, pucci_minus, pucci_plus
+
+
+# ---------------------------------------------------------------------------
+# per-node difference stencils
+
+def _line(values, node, axis):
+    idx = list(node)
+    idx[axis] = slice(None)
+    return values[tuple(idx)], node[axis]
+
+
+def first_diff_at(values, node, axis, h):
+    line, i = _line(values, node, axis)
+    m = line.size
+    if 0 < i < m - 1:
+        return (line[i + 1] - line[i - 1]) / (2.0 * h)
+    if i == 0:
+        return (-3.0 * line[0] + 4.0 * line[1] - line[2]) / (2.0 * h)
+    return (3.0 * line[-1] - 4.0 * line[-2] + line[-3]) / (2.0 * h)
+
+
+def second_diff_at(values, node, axis, h):
+    line, i = _line(values, node, axis)
+    m = line.size
+    if 0 < i < m - 1:
+        return (line[i + 1] - 2.0 * line[i] + line[i - 1]) / h**2
+    if m < 4:
+        j = 1 if i == 0 else m - 2
+        return (line[j + 1] - 2.0 * line[j] + line[j - 1]) / h**2
+    if i == 0:
+        return (2.0 * line[0] - 5.0 * line[1] + 4.0 * line[2] - line[3]) / h**2
+    return (2.0 * line[-1] - 5.0 * line[-2] + 4.0 * line[-3] - line[-4]) / h**2
+
+
+def cross_diff_at(values, node, ax1, ax2, h1, h2):
+    """D1(D2 u): the ax1 first-difference stencil applied to pointwise ax2
+    first differences."""
+    i = node[ax1]
+    m = values.shape[ax1]
+
+    def d2_at(j):
+        nd = list(node)
+        nd[ax1] = j
+        return first_diff_at(values, tuple(nd), ax2, h2)
+
+    if 0 < i < m - 1:
+        return (d2_at(i + 1) - d2_at(i - 1)) / (2.0 * h1)
+    if i == 0:
+        return (-3.0 * d2_at(0) + 4.0 * d2_at(1) - d2_at(2)) / (2.0 * h1)
+    return (3.0 * d2_at(m - 1) - 4.0 * d2_at(m - 2) + d2_at(m - 3)) / (2.0 * h1)
+
+
+def pointwise_gradient(u, node):
+    node = tuple(node)
+    h = u.grid.h
+    return np.array([first_diff_at(u.values, node, k, h[k]) for k in range(u.grid.n)])
+
+
+def pointwise_hessian(u, node):
+    node = tuple(node)
+    n, h = u.grid.n, u.grid.h
+    H = np.empty((n, n))
+    for k in range(n):
+        H[k, k] = second_diff_at(u.values, node, k, h[k])
+        for l in range(k + 1, n):
+            H[k, l] = H[l, k] = 0.5 * (
+                cross_diff_at(u.values, node, k, l, h[k], h[l])
+                + cross_diff_at(u.values, node, l, k, h[l], h[k]))
+    return H
+
+
+# ---------------------------------------------------------------------------
+# per-point residual algebra
+
+def pointwise_diffusion(grad, hess, p, eps_reg, extremal=None):
+    """(|g|_d^(p-2) * tr-like term, |g|_d^(p-2)); tr-like is tr(Q_d H) or the
+    upper/lower Pucci value of H."""
+    g = np.asarray(grad, dtype=float)
+    H = np.asarray(hess, dtype=float)
+    s2 = float(g @ g) + eps_reg ** 2
+    if p == 2.0:
+        coef = 1.0
+    elif s2 == 0.0:
+        return 0.0, 0.0
+    else:
+        coef = s2 ** ((p - 2.0) / 2.0)
+    if extremal is None:
+        tr_like = float(np.trace(H))
+        if p != 2.0:
+            tr_like += (p - 2.0) * float(g @ H @ g) / s2
+    elif extremal == "upper":
+        tr_like = pucci_plus(H, PucciParams.from_p(p))
+    else:
+        tr_like = pucci_minus(H, PucciParams.from_p(p))
+    return coef * tr_like, coef
+
+
+def pointwise_residual_log(u, node, prob, eps_reg=0.0, extremal=None):
+    """Log-chart residual at one node from the per-node stencils."""
+    node = tuple(node)
+    a = float(u.grid.a[node[0]])
+    xs = tuple(np.asarray(ax[i]) for ax, i in zip(u.grid.xs, node[1:]))
+    fval = float(np.asarray(prob.f(np.asarray(math.exp(a)), xs)))
+    g = pointwise_gradient(u, node)
+    diff, coef = pointwise_diffusion(g, pointwise_hessian(u, node), prob.p, eps_reg,
+                                     extremal)
+    return diff + (prob.n - prob.p) * coef * float(g[0]) - fval * math.exp(a * prob.p)
+
+
+# ---------------------------------------------------------------------------
+# forcing supremum over per-node balls
+
+def ball_sup_forcing(grid, weight_values, p, radius_field, chunk=int(5e6)):
+    """sup over nodes z of the sup of ``weight_values`` over the metric ball
+    of per-node radius around z, raised to 1/(p-1); all node pairs."""
+    pts = grid.log_points
+    w = weight_values.ravel()
+    r = radius_field.ravel()
+    m = pts.shape[0]
+    best = 0.0
+    step = max(1, chunk // max(m, 1))
+    for start in range(0, m, step):
+        stop = min(start + step, m)
+        d2 = np.sum((pts[start:stop, None, :] - pts[None, :, :]) ** 2, axis=2)
+        inside = d2 <= (r[start:stop, None]) ** 2
+        sup = np.max(np.where(inside, w[None, :], -np.inf), axis=1)
+        best = max(best, float(np.max(sup)))
+    return best ** (1.0 / (p - 1.0)) if best > 0.0 else 0.0

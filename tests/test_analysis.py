@@ -19,7 +19,7 @@ from conepde.analysis import (
     weak_harnack_check,
 )
 from conepde.calculus import GridFunction, LogGrid
-from conepde.geometry import ConeDomain, ConePoint
+from conepde.geometry import ConeDomain, ConePoint, GConditionParams
 from conepde.operators import PDEProblem, constant_field
 from conepde.solver import (
     exact_solution_values,
@@ -27,6 +27,7 @@ from conepde.solver import (
     manufactured_problem,
     solve_dirichlet,
 )
+from oracles import ball_sup_forcing
 
 
 def unit_domain(n=2, t_min=math.exp(-1.0)):
@@ -94,6 +95,32 @@ class TestAbp:
         one, _ = abp_check(GridFunction(grid, bump), prob, grid.domain)
         assert one.forcing_zero
         assert one.interior_sup_vplus > one.boundary_sup_vplus + 10.0 * max(grid.h) ** 2
+
+
+class TestForcingSup:
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.5])
+    @pytest.mark.parametrize("K0,d0", [(2.0, 1.0), (0.1, 0.05), (0.01, 0.01)])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_global_sup_equals_ball_sup_oracle(self, n, K0, d0, p):
+        # every node lies in its own ball, so the per-ball sup over all balls
+        # is the global sup of t^p f, bit for bit
+        dom = ConeDomain(n=n, base_lo=[0.0] * (n - 1), base_hi=[1.0] * (n - 1),
+                         t_min=math.exp(-1.0), g_params=GConditionParams(K0, d0, 0.5))
+        grid = LogGrid.build(dom, (9, 8, 7)[:n])
+        rng = np.random.default_rng(int(100 * K0) + 10 * n + int(p))
+        f_vals = rng.standard_normal(grid.shape)
+        prob = PDEProblem(p=p, n=n, f=lambda t, xs: f_vals, dirichlet=zero_field)
+        u = GridFunction(grid, rng.standard_normal(grid.shape))
+        radius = 2.0 * K0 * np.minimum(grid.boundary_distance_field, d0)
+        tp = grid.t_field ** p
+        one, two = abp_check(u, prob, dom)
+        assert one.forcing == ball_sup_forcing(grid, tp * np.maximum(-f_vals, 0.0), p, radius)
+        assert two.forcing == ball_sup_forcing(grid, tp * np.abs(f_vals), p, radius)
+        rep = hoelder_check(u, prob, 0.5, dom)
+        assert rep.forcing == ball_sup_forcing(grid, tp * np.abs(f_vals), p, radius)
+        # a zero radius keeps only the node itself in each ball
+        assert rep.forcing == ball_sup_forcing(grid, tp * np.abs(f_vals), p,
+                                               np.zeros(grid.shape))
 
 
 class TestHoelder:
@@ -305,6 +332,19 @@ class TestComparison:
         v = GridFunction.zeros(grid)
         with pytest.raises(ValueError):
             comparison_check(u, v, prob, tol=1e-8)
+
+    def test_grids_with_equal_shapes_but_different_axes_rejected(self):
+        grid = LogGrid.build(unit_domain(), (17, 17))
+        other = LogGrid.build(unit_domain(t_min=math.exp(-2.0)), (17, 17))
+        prob = PDEProblem(p=2.0, n=2, f=tp_floor_field(0.3, 2.0),
+                          dirichlet=zero_field, omega=0.3)
+        with pytest.raises(ValueError, match="share a grid"):
+            comparison_check(GridFunction.zeros(grid), GridFunction.zeros(other),
+                             prob, tol=1e-8)
+        twin = LogGrid.build(unit_domain(), (17, 17))
+        rep = comparison_check(GridFunction.zeros(grid), GridFunction.zeros(twin),
+                               prob, tol=1e-8)
+        assert rep.violations == 0
 
     def test_omega_floor_validated(self):
         grid = LogGrid.build(unit_domain(), (17, 17))

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conepde.calculus import (
@@ -23,6 +25,8 @@ from conepde.calculus import (
     write_gridfunction,
 )
 from conepde.geometry import ConeDomain
+from conepde.operators import PDEProblem, constant_field, residual_log, residual_log_field
+from oracles import pointwise_gradient, pointwise_hessian, pointwise_residual_log
 
 
 def unit_grid(counts=(17, 17), t_min=math.exp(-1.0), n=2):
@@ -81,11 +85,38 @@ class TestStencils:
         g_field = gradient_field(u)
         h_field = hessian_field(u)
         for node in [(0, 0), (0, 5), (4, 0), (4, 5), (8, 10), (8, 3), (1, 1)]:
-            np.testing.assert_allclose(b_gradient(u, node),
+            np.testing.assert_allclose(pointwise_gradient(u, node),
                                        g_field[(slice(None),) + node], rtol=1e-13, atol=1e-13)
-            np.testing.assert_allclose(b_hessian(u, node),
+            np.testing.assert_allclose(pointwise_hessian(u, node),
                                        h_field[(slice(None), slice(None)) + node],
                                        rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(b_gradient(u, node), g_field[(slice(None),) + node],
+                                       rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(b_hessian(u, node),
+                                       h_field[(slice(None), slice(None)) + node],
+                                       rtol=1e-14, atol=1e-12)
+
+    @given(n=st.sampled_from([2, 3]), counts=st.lists(st.integers(3, 7), min_size=3, max_size=3),
+           lengths=st.lists(st.floats(0.2, 3.0), min_size=3, max_size=3),
+           p=st.sampled_from([2.0, 2.5, 3.0, 4.5]), seed=st.integers(0, 2**32 - 1))
+    def test_field_kernel_matches_pointwise_oracle(self, n, counts, lengths, p, seed):
+        # every node, faces included; a 3-node axis takes second_diff's fallback
+        dom = ConeDomain(n=n, base_lo=[0.0] * (n - 1), base_hi=lengths[1:n],
+                         t_min=math.exp(-lengths[0]))
+        grid = LogGrid.build(dom, counts[:n])
+        u = GridFunction(grid, np.random.default_rng(seed).standard_normal(grid.shape))
+        prob = PDEProblem(p=p, n=n, f=constant_field(0.3), dirichlet=constant_field(0.0))
+        g, H = gradient_field(u), hessian_field(u)
+        res = residual_log_field(u, prob, eps_reg=1e-3)
+        scale = 1.0 / min(grid.h) ** 2
+        for node in np.ndindex(grid.shape):
+            np.testing.assert_allclose(g[(slice(None),) + node], pointwise_gradient(u, node),
+                                       rtol=0, atol=1e-13 * scale)
+            np.testing.assert_allclose(H[(slice(None), slice(None)) + node],
+                                       pointwise_hessian(u, node), rtol=0, atol=1e-13 * scale)
+            oracle = pointwise_residual_log(u, node, prob, eps_reg=1e-3)
+            for got in (res[node], residual_log(u, node, prob, eps_reg=1e-3)):
+                assert got == pytest.approx(oracle, rel=1e-11, abs=1e-12 * scale ** (p / 2))
 
     def test_second_order_convergence_incl_boundary(self):
         # smooth analytic field: observed order under halving >= 1.9

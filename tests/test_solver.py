@@ -5,9 +5,11 @@ import pytest
 
 from conepde.calculus import GridFunction, LogGrid
 from conepde.geometry import ConeDomain
-from conepde.operators import PDEProblem, constant_field, residual_log
+from conepde.operators import PDEProblem, constant_field
 from conepde.solver import (
     SolverConfig,
+    _assemble_jacobian,
+    _interior_residual,
     convergence_study,
     default_eps_schedule,
     exact_solution_values,
@@ -19,6 +21,7 @@ from conepde.solver import (
     solve_by_exhaustion,
     solve_dirichlet,
 )
+from oracles import pointwise_residual_log
 
 
 def unit_domain(n=2, t_min=math.exp(-1.0)):
@@ -77,11 +80,12 @@ class TestSolveDirichlet:
         prob = manufactured_problem(u_star, 3.0, 2)
         u, rep = solve_dirichlet(prob, grid)
         assert rep.drift == "central"
+        eps_floor = SolverConfig().eps_reg_schedule[-1]
         worst = 0.0
         for i in range(1, 16):
             for j in range(1, 16):
-                worst = max(worst, abs(residual_log(u, (i, j), prob,
-                                                    eps_reg=rep.final_eps_reg)))
+                worst = max(worst, abs(pointwise_residual_log(u, (i, j), prob,
+                                                              eps_reg=eps_floor)))
         assert worst == pytest.approx(rep.final_residual, abs=1e-13)
 
     def test_exact_power_recovery_order(self):
@@ -148,6 +152,53 @@ class TestSolveDirichlet:
         assert 3.0 in ps and 3.5 in ps and 4.0 in ps
         exact = exact_solution_values(u_star, grid)
         assert np.max(np.abs(u.values - exact.values)) <= 5.0 * max(grid.h) ** 2
+
+
+class TestJacobian:
+    """The assembled Jacobian is the exact linearization of the residual the
+    Newton solve drives to zero."""
+
+    @staticmethod
+    def _state(p, n):
+        grid = LogGrid.build(unit_domain(n=n), (7, 6, 5)[:n])
+        rng = np.random.default_rng(0)
+        A = grid.mesh[0]
+        v = np.sin(2.0 * A) + 0.1 * rng.standard_normal(grid.shape)
+        for k, X in enumerate(grid.mesh[1:]):
+            v = v + np.cos(3.0 * X + k)
+        return grid, v, rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
+
+    @pytest.mark.parametrize("drift", ["central", "upwind-forward", "upwind-backward"])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.5])
+    def test_taylor_against_residual(self, p, n, drift):
+        # central differences of the residual along w converge to J w at
+        # O(h^2); at p = 2 the residual is linear and they agree to rounding
+        grid, v, w, F_log = self._state(p, n)
+        eps = 1e-2
+        J = _assemble_jacobian(v, grid, p, n, eps, drift)
+        Jw = (J @ w.ravel()).reshape(grid.shape)
+        bmask = grid.boundary_mask
+        np.testing.assert_array_equal(Jw[bmask], w[bmask])
+        scale = float(np.max(np.abs(Jw)))
+        rel = []
+        for h in (1e-3, 1e-4, 1e-5):
+            fd = (_interior_residual(v + h * w, grid, p, n, F_log, eps, drift)
+                  - _interior_residual(v - h * w, grid, p, n, F_log, eps, drift)) / (2.0 * h)
+            rel.append(float(np.max(np.abs((Jw - fd)[~bmask]))) / scale)
+        assert rel[-1] < 1e-8
+        for coarse, fine in zip(rel, rel[1:]):
+            # truncation-dominated pairs shrink like h^2; rounding-level ones stay put
+            assert fine <= max(coarse / 50.0, 1e-10)
+
+    @pytest.mark.parametrize("drift", ["central", "upwind-forward", "upwind-backward"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_linear_jacobian_stores_no_zeros(self, n, drift):
+        # at p = 2 the terms carrying a (p-2) factor are left out, not stored as zeros
+        grid, v, _, _ = self._state(2.0, n)
+        J = _assemble_jacobian(v, grid, 2.0, n, 1e-2, drift)
+        assert np.all(J.data != 0.0)
+        assert J.nnz == J.count_nonzero()
 
 
 class TestDiscreteComparison:
