@@ -26,6 +26,7 @@ from conepde.calculus import (
 )
 from conepde.geometry import ConeDomain, ConePoint
 from conepde.operators import PDEProblem, gradient_powers
+from conepde.regularization import _min_plus
 
 __all__ = [
     "AbpReport",
@@ -49,8 +50,6 @@ __all__ = [
     "weak_form_residual",
 ]
 
-_CHUNK = int(5e6)
-
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -67,6 +66,12 @@ def _ball_mask(grid: LogGrid, center: ConePoint, radius: float) -> np.ndarray:
     c = center.as_log()
     d2 = np.sum((pts - c[None, :]) ** 2, axis=1)
     return (d2 < radius * radius).reshape(grid.shape)
+
+
+def _require_same_grid(u: GridFunction, v: GridFunction) -> None:
+    if u.grid is not v.grid and (u.grid.shape != v.grid.shape or not all(
+            np.array_equal(a, b) for a, b in zip(u.grid.axes, v.grid.axes))):
+        raise ValueError("fields must share a grid")
 
 
 def _require_ball_resolved(mask: np.ndarray, what: str) -> None:
@@ -176,8 +181,7 @@ class HoelderReport:
                 "inconsistent": self.inconsistent}
 
 
-def hoelder_check(v: GridFunction, prob: PDEProblem, rho: float,
-                  domain: ConeDomain) -> HoelderReport:
+def hoelder_check(v: GridFunction, prob: PDEProblem, rho: float) -> HoelderReport:
     """Ratio of the weighted Hoelder norm of a zero-boundary solve to the
     two-sided forcing supremum, the global sup of |t^p f| over the grid
     raised to 1/(p-1).
@@ -195,9 +199,8 @@ def hoelder_check(v: GridFunction, prob: PDEProblem, rho: float,
                          vacuous=vacuous, inconsistent=inconsistent)
 
 
-def hoelder_sweep(v: GridFunction, prob: PDEProblem, rhos: Sequence[float],
-                  domain: ConeDomain) -> list:
-    return [hoelder_check(v, prob, rho, domain) for rho in rhos]
+def hoelder_sweep(v: GridFunction, prob: PDEProblem, rhos: Sequence[float]) -> list:
+    return [hoelder_check(v, prob, rho) for rho in rhos]
 
 
 def empirical_alpha1(coarse: Sequence[HoelderReport], fine: Sequence[HoelderReport],
@@ -379,9 +382,7 @@ def comparison_check(u: GridFunction, v: GridFunction, prob: PDEProblem,
                      tol: float) -> ComparisonReport:
     """Count interior nodes where the subsolution exceeds the supersolution
     beyond tol; the boundary ordering and the forcing floor are preconditions."""
-    if u.grid is not v.grid and (u.grid.shape != v.grid.shape or not all(
-            np.array_equal(a, b) for a, b in zip(u.grid.axes, v.grid.axes))):
-        raise ValueError("fields must share a grid")
+    _require_same_grid(u, v)
     grid = u.grid
     if prob.omega <= 0.0:
         raise ValueError("comparison requires a positive forcing floor omega")
@@ -425,45 +426,30 @@ def doubling_diagnostic(z1: GridFunction, z2: GridFunction,
                         alphas: Sequence[float]) -> list:
     """Maximize z1(z) - z2(w) - (alpha/2) d(z, w)^2 over node pairs.
 
-    The search is windowed: a pair can only beat the diagonal supremum D
-    when (alpha/2) d^2 < (max z1 - min z2) - D, so pairs beyond twice that
-    radius are skipped exactly.  Ties break lexicographically in (z, w).
+    The best partner w*(z) of each z minimizes z2(w) + d(z, w)^2 / (2 eps)
+    at eps = 1/alpha, the min-plus kernel of the infimal convolution.  The
+    objective at (z, w*(z)) then picks the first maximizing z, so ties break
+    lexicographically in (z, w) as in a search over all pairs.
     """
-    if z1.grid.shape != z2.grid.shape:
-        raise ValueError("fields must share a grid")
+    _require_same_grid(z1, z2)
     grid = z1.grid
     pts = grid.log_points
     a1 = z1.values.ravel()
     a2 = z2.values.ravel()
-    diag_sup = float(np.max(a1 - a2))
-    headroom = max(float(np.max(a1) - np.min(a2)) - diag_sup, 0.0)
     out = []
-    m = pts.shape[0]
-    chunk = max(1, _CHUNK // max(m, 1))
     for alpha in alphas:
         if alpha <= 0.0:
             raise ValueError("alpha must be positive")
-        r2 = 4.0 * 2.0 * headroom / alpha  # (2 sqrt(2 headroom / alpha))^2
-        best = -math.inf
-        best_pair = (0, 0)
-        for start in range(0, m, chunk):
-            stop = min(start + chunk, m)
-            d2 = np.sum((pts[start:stop, None, :] - pts[None, :, :]) ** 2, axis=2)
-            val = a1[start:stop, None] - a2[None, :] - 0.5 * alpha * d2
-            val[d2 > r2] = -math.inf
-            i, j = np.unravel_index(int(np.argmax(val)), val.shape)
-            if val[i, j] > best:
-                best = float(val[i, j])
-                best_pair = (start + int(i), int(j))
-        zi, wi = best_pair
-        d = float(np.linalg.norm(pts[zi] - pts[wi]))
+        _, partner = _min_plus(z2.values, grid.axes, 1.0 / alpha)
+        w = np.ravel_multi_index(partner, grid.shape).ravel()
+        val = a1 - a2[w] - 0.5 * alpha * np.sum((pts - pts[w]) ** 2, axis=1)
+        zi = int(np.argmax(val))
+        d = float(np.linalg.norm(pts[zi] - pts[w[zi]]))
         out.append(DoublingDiagnostic(
             alpha=float(alpha),
-            M_alpha=best,
-            argmax_pair=(
-                tuple(int(k) for k in np.unravel_index(zi, grid.shape)),
-                tuple(int(k) for k in np.unravel_index(wi, grid.shape)),
-            ),
+            M_alpha=float(val[zi]),
+            argmax_pair=tuple(tuple(int(k) for k in np.unravel_index(i, grid.shape))
+                              for i in (zi, w[zi])),
             penalty=0.5 * alpha * d * d,
             diagonal_gap=d,
         ))

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from conepde.geometry import ConeDomain, ConePoint
+from conepde.geometry import ConeDomain
 
 __all__ = [
     "LogGrid",
@@ -104,13 +104,6 @@ class LogGrid:
     def node_coords(self, node) -> np.ndarray:
         node = tuple(node)
         return np.array([ax[i] for ax, i in zip(self.axes, node)])
-
-    def node_point(self, node) -> ConePoint:
-        c = self.node_coords(node)
-        return ConePoint(t=math.exp(c[0]), x=c[1:])
-
-    def is_interior(self, node) -> bool:
-        return all(0 < i < s - 1 for i, s in zip(node, self.shape))
 
     @cached_property
     def boundary_mask(self) -> np.ndarray:
@@ -451,8 +444,7 @@ def _subsample_flat(n_total: int, cap: int) -> np.ndarray:
     return np.arange(0, n_total, stride)
 
 
-def hoelder_norm(u: GridFunction, rho: float, node_cap: int = HOELDER_NODE_CAP,
-                 with_detail: bool = False):
+def hoelder_norm(u: GridFunction, rho: float, node_cap: int = HOELDER_NODE_CAP) -> float:
     """sup |u| plus the rho-Hoelder seminorm in the cone metric.
 
     The seminorm maximizes |u(z) - u(w)| / d(z, w)^rho over node pairs;
@@ -469,7 +461,6 @@ def hoelder_norm(u: GridFunction, rho: float, node_cap: int = HOELDER_NODE_CAP,
     vals = vals[keep]
     m = pts.shape[0]
     semi = 0.0
-    arg = (0, 0)
     chunk = max(1, int(5e6 / max(m, 1)))
     for start in range(0, m - 1, chunk):
         stop = min(start + chunk, m - 1)
@@ -479,12 +470,7 @@ def hoelder_norm(u: GridFunction, rho: float, node_cap: int = HOELDER_NODE_CAP,
         with np.errstate(divide="ignore", invalid="ignore"):
             q = dv / np.sqrt(d2) ** rho
         q[d2 == 0.0] = 0.0
-        i, j = np.unravel_index(np.argmax(q), q.shape)
-        if q[i, j] > semi:
-            semi = float(q[i, j])
-            arg = (int(keep[start + i]), int(keep[j]))
-    if with_detail:
-        return sup + semi, {"sup": sup, "seminorm": semi, "argmax_flat_pair": arg}
+        semi = max(semi, float(np.max(q)))
     return sup + semi
 
 

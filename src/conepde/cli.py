@@ -509,7 +509,7 @@ def _cmd_verify(check: str, cfg: RunConfig, seed: int) -> int:
     elif check == "hoelder":
         u = _get_solution(cfg, prob, grid, scfg)
         rhos = cfg.get_floats("verify.rhos", [cfg.get_float("verify.rho", 0.25)])
-        reports = analysis.hoelder_sweep(u, prob, rhos, domain)
+        reports = analysis.hoelder_sweep(u, prob, rhos)
         payload["sweep"] = [r.to_json_dict() for r in reports]
         verdict = not any(r.inconsistent for r in reports)
         write_csv(os.path.join(outdir, "verify_hoelder.csv"),

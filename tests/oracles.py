@@ -2,7 +2,8 @@
 
 They are the pointwise forms of code the package evaluates on whole fields or
 in closed form: per-node difference stencils, the per-point residual algebra,
-and the all-pairs ball supremum of the forcing.  Nothing here is imported by
+the all-pairs ball supremum of the forcing, and the all-pairs loops of the
+regularizations and the doubling diagnostic.  Nothing here is imported by
 the package itself.
 """
 
@@ -139,3 +140,76 @@ def ball_sup_forcing(grid, weight_values, p, radius_field, chunk=int(5e6)):
         sup = np.max(np.where(inside, w[None, :], -np.inf), axis=1)
         best = max(best, float(np.max(sup)))
     return best ** (1.0 / (p - 1.0)) if best > 0.0 else 0.0
+
+
+# ---------------------------------------------------------------------------
+# all-pairs regularizations and pair maximization
+
+def pair_points(grid, metric):
+    """Node coordinates in the pairing metric, shape (N, n)."""
+    pts = grid.log_points.copy()
+    if metric == "literal":
+        pts[:, 0] = np.exp(np.exp(pts[:, 0]))
+    return pts
+
+
+def _pair_d2(pts, start, stop):
+    return np.sum((pts[start:stop, None, :] - pts[None, :, :]) ** 2, axis=2)
+
+
+def inf_convolution(u, eps, metric="log", window=None, chunk=int(5e6)):
+    """min over nodes w within ``window`` (default: the lossless support
+    radius 2 sqrt(sup|u| eps)) of u(w) + d(z, w)^2 / (2 eps), flattened."""
+    pts = pair_points(u.grid, metric)
+    vals = u.values.ravel()
+    r = 2.0 * math.sqrt(float(np.max(np.abs(vals))) * eps) if window is None else window
+    out = np.empty_like(vals)
+    m = pts.shape[0]
+    step = max(1, chunk // max(m, 1))
+    for start in range(0, m, step):
+        stop = min(start + step, m)
+        d2 = _pair_d2(pts, start, stop)
+        cand = vals[None, :] + d2 / (2.0 * eps)
+        cand[d2 > r * r] = np.inf
+        out[start:stop] = np.min(cand, axis=1)
+    return out.reshape(u.grid.shape)
+
+
+def ball_max(grid, values, radius, metric="log", cap=False, chunk=int(5e6)):
+    """Per node z, the max over nodes w with d(z, w) <= radius of values(w),
+    plus sqrt(radius^2 - d^2) with ``cap``, and d(z, w) at the first
+    maximizing w in flat order."""
+    pts = pair_points(grid, metric)
+    vals = values.ravel()
+    m = pts.shape[0]
+    out = np.empty(m)
+    offs = np.empty(m)
+    step = max(1, chunk // max(m, 1))
+    for start in range(0, m, step):
+        stop = min(start + step, m)
+        d2 = _pair_d2(pts, start, stop)
+        bonus = np.sqrt(np.maximum(radius * radius - d2, 0.0)) if cap else 0.0
+        cand = np.where(d2 <= radius * radius, vals[None, :] + bonus, -np.inf)
+        best = np.argmax(cand, axis=1)
+        rows = np.arange(stop - start)
+        out[start:stop] = cand[rows, best]
+        offs[start:stop] = np.sqrt(d2[rows, best])
+    return out.reshape(grid.shape), offs.reshape(grid.shape)
+
+
+def doubling(z1, z2, alpha, chunk=int(5e6)):
+    """(M_alpha, (z flat index, w flat index)): the max over all node pairs
+    of z1(z) - z2(w) - (alpha/2) d(z, w)^2, ties broken lexicographically."""
+    pts = z1.grid.log_points
+    a1 = z1.values.ravel()
+    a2 = z2.values.ravel()
+    m = pts.shape[0]
+    step = max(1, chunk // max(m, 1))
+    best, pair = -math.inf, (0, 0)
+    for start in range(0, m, step):
+        stop = min(start + step, m)
+        val = a1[start:stop, None] - a2[None, :] - 0.5 * alpha * _pair_d2(pts, start, stop)
+        i, j = np.unravel_index(int(np.argmax(val)), val.shape)
+        if val[i, j] > best:
+            best, pair = float(val[i, j]), (start + int(i), int(j))
+    return best, pair

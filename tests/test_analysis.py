@@ -116,7 +116,7 @@ class TestForcingSup:
         one, two = abp_check(u, prob, dom)
         assert one.forcing == ball_sup_forcing(grid, tp * np.maximum(-f_vals, 0.0), p, radius)
         assert two.forcing == ball_sup_forcing(grid, tp * np.abs(f_vals), p, radius)
-        rep = hoelder_check(u, prob, 0.5, dom)
+        rep = hoelder_check(u, prob, 0.5)
         assert rep.forcing == ball_sup_forcing(grid, tp * np.abs(f_vals), p, radius)
         # a zero radius keeps only the node itself in each ball
         assert rep.forcing == ball_sup_forcing(grid, tp * np.abs(f_vals), p,
@@ -127,14 +127,14 @@ class TestHoelder:
     def test_zero_solution_is_vacuous(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
         prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
-        rep = hoelder_check(GridFunction.zeros(grid), prob, 0.25, grid.domain)
+        rep = hoelder_check(GridFunction.zeros(grid), prob, 0.25)
         assert rep.vacuous and not rep.inconsistent
 
     def test_nonzero_field_zero_forcing_flagged(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
         prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
         u = GridFunction(grid, np.ones(grid.shape))
-        rep = hoelder_check(u, prob, 0.25, grid.domain)
+        rep = hoelder_check(u, prob, 0.25)
         assert rep.inconsistent
 
     def test_solve_ratio_finite_and_stable(self):
@@ -143,7 +143,7 @@ class TestHoelder:
         for c in (17, 33):
             grid = LogGrid.build(unit_domain(), (c, c))
             u, _ = solve_dirichlet(prob, grid)
-            rep = hoelder_check(u, prob, 0.25, grid.domain)
+            rep = hoelder_check(u, prob, 0.25)
             assert rep.ratio is not None and math.isfinite(rep.ratio)
             ratios.append(rep.ratio)
         assert abs(ratios[1] / ratios[0] - 1.0) <= 0.2
@@ -155,7 +155,7 @@ class TestHoelder:
         for c in (17, 33):
             grid = LogGrid.build(unit_domain(), (c, c))
             u, _ = solve_dirichlet(prob, grid)
-            tables.append(hoelder_sweep(u, prob, rhos, grid.domain))
+            tables.append(hoelder_sweep(u, prob, rhos))
         alpha1 = empirical_alpha1(tables[0], tables[1])
         assert alpha1 is not None and alpha1 > 0.0
 
@@ -372,6 +372,14 @@ class TestDoubling:
         for d in diags:
             assert d.M_alpha == pytest.approx(0.7, abs=1e-14)
             assert d.diagonal_gap == 0.0
+
+    def test_grids_with_equal_shapes_but_different_axes_rejected(self):
+        # a 9x9 field on [-1,0]x[0,1] against one on [-2,0]x[0,3]
+        grid = LogGrid.build(unit_domain(), (9, 9))
+        other = LogGrid.build(ConeDomain(n=2, base_lo=[0.0], base_hi=[3.0],
+                                         t_min=math.exp(-2.0)), (9, 9))
+        with pytest.raises(ValueError, match="share a grid"):
+            doubling_diagnostic(GridFunction.zeros(grid), GridFunction.zeros(other), [1.0])
 
     def test_brute_force_oracle_agreement(self):
         # independent full-pair maximization on a 13^2 grid

@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conepde.analysis import doubling_diagnostic
 from conepde.calculus import GridFunction, LogGrid, gradient_field
 from conepde.geometry import ConeDomain
 from conepde.operators import PDEProblem
 from conepde.regularization import (
     EnvelopeParams,
+    _axis_coords,
+    _ball_max,
+    _boundary_margin,
     convolution_supersolution_check,
     inf_convolution,
     semiconvexity_check,
@@ -15,6 +21,8 @@ from conepde.regularization import (
     upper_envelope,
 )
 from conepde.solver import exact_solution_values, make_exact_solution, manufactured_problem
+
+import oracles
 
 
 def unit_grid(counts=(33, 33), t_min=math.exp(-1.0)):
@@ -61,9 +69,12 @@ class TestInfConvolution:
         rng = np.random.default_rng(1)
         u = GridFunction(grid, rng.standard_normal(grid.shape))
         eps = 0.07
-        windowed = inf_convolution(u, eps)
-        full = inf_convolution(u, eps, window=1e9)
-        np.testing.assert_array_equal(windowed.values, full.values)
+        windowed = oracles.inf_convolution(u, eps)
+        full = oracles.inf_convolution(u, eps, window=1e9)
+        np.testing.assert_array_equal(windowed, full)
+        # and the package, which searches all nodes, matches it up to rounding
+        np.testing.assert_allclose(inf_convolution(u, eps).values, full, rtol=0.0,
+                                   atol=1e-15 * max(1.0, float(np.max(np.abs(u.values)))))
 
     def test_translation_compatibility(self):
         grid = unit_grid((17, 17))
@@ -239,3 +250,52 @@ class TestSupersolutionCheck:
         out = convolution_supersolution_check(u, prob, eps=0.002,
                                               tol=10.0 * max(grid.h) ** 2)
         assert out["violations"] > 0
+
+
+@st.composite
+def kernel_cases(draw):
+    """A random 2D or 3D grid (5-11 nodes per axis, random base box), two
+    fields, in half the cases with deliberate ties, and a metric."""
+    n = draw(st.sampled_from([2, 3]))
+    counts = tuple(draw(st.integers(5, 11)) for _ in range(n))
+    lo = [draw(st.sampled_from([-1.0, 0.0, 0.5])) for _ in range(n - 1)]
+    hi = [x + draw(st.sampled_from([0.5, 1.0, 3.0])) for x in lo]
+    dom = ConeDomain(n=n, base_lo=lo, base_hi=hi,
+                     t_min=math.exp(-draw(st.sampled_from([0.5, 1.0, 2.0]))))
+    grid = LogGrid.build(dom, counts)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.01, 0.3, 5.0]))
+    u, v = scale * rng.standard_normal((2,) + grid.shape)
+    if draw(st.booleans()):  # few distinct values: many exact ties
+        u, v = np.round(u / scale * 2.0) * scale, np.round(v / scale * 2.0) * scale
+    metric = draw(st.sampled_from(["log", "literal"]))
+    return grid, GridFunction(grid, u), GridFunction(grid, v), metric
+
+
+@given(case=kernel_cases(), eps=st.sampled_from([0.01, 0.05, 0.2, 0.7]))
+def test_kernels_match_all_pairs_oracles(case, eps):
+    grid, u, v, metric = case
+    coords = _axis_coords(grid, metric)
+    # upper envelope: field, offsets and mask bit for bit
+    env = upper_envelope(u, eps, metric=metric)
+    field, offsets = oracles.ball_max(grid, u.values, eps, metric, cap=True)
+    mask = _boundary_margin(u, metric) > eps
+    np.testing.assert_array_equal(env.mask, mask)
+    np.testing.assert_array_equal(env.field.values, np.where(mask, field, np.nan))
+    np.testing.assert_array_equal(env.offsets, np.where(mask, offsets, np.nan))
+    # windowed forcing maximum, at the support radius the supersolution check uses
+    r = support_radius(u, eps)
+    np.testing.assert_array_equal(_ball_max(v.values, coords, r)[0],
+                                  oracles.ball_max(grid, v.values, r, metric)[0])
+    # infimal convolution: below u exactly, and the all-pairs value up to rounding
+    low = inf_convolution(u, eps, metric=metric).values
+    assert np.all(low <= u.values)
+    np.testing.assert_allclose(low, oracles.inf_convolution(u, eps, metric), rtol=0,
+                               atol=1e-15 * max(1.0, float(np.max(np.abs(u.values)))))
+    # doubling: the maximum and the lexicographically first maximizing pair
+    alpha = 1.0 / eps
+    diag, = doubling_diagnostic(v, u, [alpha])
+    M, (zi, wi) = oracles.doubling(v, u, alpha)
+    assert diag.M_alpha == M
+    assert diag.argmax_pair == (np.unravel_index(zi, grid.shape),
+                                np.unravel_index(wi, grid.shape))
