@@ -40,9 +40,6 @@ __all__ = [
     "read_gridfunction",
 ]
 
-HOELDER_NODE_CAP = 5000
-
-
 @dataclass(frozen=True, eq=False)
 class LogGrid:
     """Uniform tensor grid on [a_min, a_max] x base in the log chart."""
@@ -214,9 +211,6 @@ class GridFunction:
         A = grid.mesh[0]
         vals = np.broadcast_to(fn(A, grid.mesh[1:]), grid.shape).astype(float)
         return cls(grid, vals.copy())
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy(), check_finite=False)
 
 
 # ---------------------------------------------------------------------------
@@ -439,39 +433,45 @@ def weighted_sobolev_norm(u: GridFunction, params: NormParams) -> NormReport:
                       diverges=diverges)
 
 
-def _subsample_flat(n_total: int, cap: int) -> np.ndarray:
-    stride = max(1, int(math.ceil(n_total / cap)))
-    return np.arange(0, n_total, stride)
+def _offset_slices(axis_coords, r2: float = math.inf):
+    """Every index offset o = w - z between nodes of the tensor grid with
+    these axis coordinates, in lex order, as (o, z slices, w slices, squared
+    coordinate gaps per axis); u[w slices] - u[z slices] pairs each node z
+    with z + o.  Offsets whose nearest pair lies beyond sqrt(r2) are skipped.
+    """
+    per_axis = []
+    for c in axis_coords:
+        m = c.size
+        steps = []
+        for o in range(1 - m, m):
+            zs, ws = slice(max(0, -o), m - max(0, o)), slice(max(0, o), m - max(0, -o))
+            gap = (c[zs] - c[ws]) ** 2
+            if gap.min() <= r2:
+                steps.append((o, zs, ws, gap))
+        per_axis.append(steps)
+    for combo in product(*per_axis):
+        o, zs, ws, gaps = zip(*combo)
+        if sum(g.min() for g in gaps) <= r2:
+            yield o, zs, ws, gaps
 
 
-def hoelder_norm(u: GridFunction, rho: float, node_cap: int = HOELDER_NODE_CAP) -> float:
+def hoelder_norm(u: GridFunction, rho: float) -> float:
     """sup |u| plus the rho-Hoelder seminorm in the cone metric.
 
-    The seminorm maximizes |u(z) - u(w)| / d(z, w)^rho over node pairs;
-    when the grid exceeds ``node_cap`` nodes the pair set is restricted to
-    a deterministic stride subsample.
+    The seminorm is the exact maximum of |u(z) - u(w)| / d(z, w)^rho over
+    all node pairs: one vectorized quotient per lex-positive index offset,
+    which meets each unordered pair once.
     """
     if not (0.0 < rho <= 1.0):
         raise ValueError("rho must lie in (0, 1]")
-    sup = float(np.max(np.abs(u.values)))
-    pts = u.grid.log_points
-    vals = u.values.ravel()
-    keep = _subsample_flat(pts.shape[0], node_cap)
-    pts = pts[keep]
-    vals = vals[keep]
-    m = pts.shape[0]
+    v = u.values
     semi = 0.0
-    chunk = max(1, int(5e6 / max(m, 1)))
-    for start in range(0, m - 1, chunk):
-        stop = min(start + chunk, m - 1)
-        block = pts[start:stop]                      # (b, n)
-        d2 = np.sum((block[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-        dv = np.abs(vals[start:stop, None] - vals[None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = dv / np.sqrt(d2) ** rho
-        q[d2 == 0.0] = 0.0
-        semi = max(semi, float(np.max(q)))
-    return sup + semi
+    zero = (0,) * v.ndim
+    for o, zs, ws, gaps in _offset_slices(u.grid.axes):
+        if o > zero:
+            d2 = sum(np.ix_(*gaps))
+            semi = max(semi, float(np.max(np.abs(v[ws] - v[zs]) / np.sqrt(d2) ** rho)))
+    return float(np.max(np.abs(v))) + semi
 
 
 # ---------------------------------------------------------------------------
@@ -499,17 +499,37 @@ def write_gridfunction(path, u: GridFunction) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_header(line: str) -> tuple:
+    """(n, counts, a_min, t_min, lo, hi, a_max) from the header line, naming
+    the field that is missing or does not parse; a missing a_max reads 0."""
+    fields = line.strip().split(",")
+
+    def field(i, name, kind=float):
+        if i >= len(fields):
+            raise ValueError(f"grid-function header lacks field {name}")
+        try:
+            return kind(fields[i])
+        except ValueError:
+            raise ValueError(f"grid-function header field {name} does not parse: "
+                             f"{fields[i]!r}") from None
+
+    n = field(0, "n", int)
+    if n < 2:
+        raise ValueError(f"grid-function header field n must be >= 2, got {n}")
+    if len(fields) > 3 * n + 2:
+        raise ValueError(f"grid-function header has {len(fields)} fields, "
+                         f"at most {3 * n + 2} for n = {n}")
+    counts = [field(1 + k, f"x{k}_count" if k else "a_count", int) for k in range(n)]
+    a_min, t_min = field(1 + n, "a_min"), field(2 + n, "t_min")
+    lo = np.array([field(3 + n + 2 * k, f"base_lo{k + 1}") for k in range(n - 1)])
+    hi = np.array([field(4 + n + 2 * k, f"base_hi{k + 1}") for k in range(n - 1)])
+    a_max = field(3 * n + 1, "a_max") if len(fields) > 3 * n + 1 else 0.0
+    return n, counts, a_min, t_min, lo, hi, a_max
+
+
 def read_gridfunction(path, domain: ConeDomain | None = None) -> GridFunction:
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        n = int(header[0])
-        counts = [int(c) for c in header[1:1 + n]]
-        rest = [float(v) for v in header[1 + n:]]
-        a_min = rest[0]
-        t_min = rest[1]
-        lo = np.array(rest[2:2 + 2 * (n - 1):2])
-        hi = np.array(rest[3:3 + 2 * (n - 1):2])
-        a_max = rest[2 + 2 * (n - 1)] if len(rest) > 2 + 2 * (n - 1) else 0.0
+        n, counts, a_min, t_min, lo, hi, a_max = _read_header(fh.readline())
         values = np.array([float(line) for line in fh if line.strip()])
     if domain is None:
         domain = ConeDomain(n=n, base_lo=lo, base_hi=hi, t_min=t_min,

@@ -35,6 +35,8 @@ from conepde.regularization import inf_convolution, upper_envelope
 from conepde.solver import (
     SolverConfig,
     convergence_study,
+    default_eps_schedule,
+    exact_solution_values,
     log_t_field,
     make_exact_solution,
     manufactured_problem,
@@ -227,8 +229,6 @@ def build_grid(cfg: RunConfig, domain: ConeDomain) -> LogGrid:
 
 
 def build_solver_config(cfg: RunConfig) -> SolverConfig:
-    from conepde.solver import default_eps_schedule
-
     kwargs = {}
     tol = cfg.get_float("solver.tol")
     if tol is not None:
@@ -305,7 +305,7 @@ def _outdir(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_solve(cfg: RunConfig, seed: int) -> int:
+def _cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     domain = build_domain(cfg)
     prob = build_problem(cfg, domain)
@@ -320,14 +320,14 @@ def _cmd_solve(cfg: RunConfig, seed: int) -> int:
     return EXIT_OK if report.converged else EXIT_SOLVER
 
 
-def _cmd_manufacture(cfg: RunConfig, seed: int) -> int:
+def _cmd_manufacture(cfg: RunConfig, args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     domain = build_domain(cfg)
     p = cfg.get_float("problem.p", required=True)
     u_star = _parse_exact_spec(cfg.get("problem.exact", "auto"), domain.n, p)
     prob = manufactured_problem(u_star, p, domain.n)
     grid = build_grid(cfg, domain)
-    exact = GridFunction.from_callable(grid, lambda A, XS: u_star.value(A, XS))
+    exact = exact_solution_values(u_star, grid)
     forcing = GridFunction(grid, prob.f_values(grid))
     outdir = _outdir(cfg)
     write_gridfunction(os.path.join(outdir, "exact.gf"), exact)
@@ -341,7 +341,7 @@ def _cmd_manufacture(cfg: RunConfig, seed: int) -> int:
     return EXIT_OK
 
 
-def _cmd_exhaust(cfg: RunConfig, seed: int) -> int:
+def _cmd_exhaust(cfg: RunConfig, args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     domain = build_domain(cfg)
     prob = build_problem(cfg, domain)
@@ -365,7 +365,7 @@ def _cmd_exhaust(cfg: RunConfig, seed: int) -> int:
     return EXIT_OK
 
 
-def _cmd_convolve(cfg: RunConfig, seed: int) -> int:
+def _cmd_convolve(cfg: RunConfig, args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     direction = cfg.get("convolve.direction", "inf").lower()
     eps = cfg.get_float("convolve.eps", required=True)
@@ -393,7 +393,7 @@ def _cmd_convolve(cfg: RunConfig, seed: int) -> int:
     return EXIT_OK
 
 
-def _cmd_convergence_study(cfg: RunConfig, seed: int) -> int:
+def _cmd_convergence_study(cfg: RunConfig, args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     domain = build_domain(cfg)
     p = cfg.get_float("problem.p", required=True)
@@ -419,15 +419,15 @@ def _cmd_convergence_study(cfg: RunConfig, seed: int) -> int:
     return EXIT_OK
 
 
-def _cmd_gcondition(cfg: RunConfig, seed: int) -> int:
+def _cmd_gcondition(cfg: RunConfig, args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     domain = build_domain(cfg)
     samples = cfg.get_int("verify.samples", 200)
-    params = estimate_g_condition(domain, samples, seed)
+    params = estimate_g_condition(domain, samples, args.seed)
     outdir = _outdir(cfg)
     write_json(os.path.join(outdir, "gcondition_report.json"),
                {"K0": params.K0, "d0": params.d0, "sigma_est": params.sigma,
-                "samples": samples, "seed": seed,
+                "samples": samples, "seed": args.seed,
                 "degenerate": params.sigma == 0.0}, cfg.config_hash)
     write_meta(outdir, "gcondition", time.perf_counter() - t0, cfg.config_hash)
     return EXIT_OK
@@ -479,8 +479,9 @@ def _ball_from_config(cfg: RunConfig, grid: LogGrid) -> tuple:
     return ConePoint(t=math.exp(spec[0]), x=np.array(spec[1:-1])), spec[-1]
 
 
-def _cmd_verify(check: str, cfg: RunConfig, seed: int) -> int:
+def _cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
+    check, seed = args.check, args.seed
     domain = build_domain(cfg)
     prob = build_problem(cfg, domain)
     grid = build_grid(cfg, domain)
@@ -604,6 +605,17 @@ def _cmd_verify(check: str, cfg: RunConfig, seed: int) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+COMMANDS = {
+    "solve": _cmd_solve,
+    "manufacture": _cmd_manufacture,
+    "exhaust": _cmd_exhaust,
+    "convolve": _cmd_convolve,
+    "convergence-study": _cmd_convergence_study,
+    "gcondition": _cmd_gcondition,
+    "verify": _cmd_verify,
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conepde",
@@ -613,13 +625,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for all randomized checks")
     sub = parser.add_subparsers(dest="command")
-    for name in ("solve", "manufacture", "exhaust", "convolve",
-                 "convergence-study", "gcondition"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
+        if name == "verify":
+            p.add_argument("check", choices=VERIFY_CHECKS)
         p.add_argument("--config", required=True)
-    pv = sub.add_parser("verify")
-    pv.add_argument("check", choices=VERIFY_CHECKS)
-    pv.add_argument("--config", required=True)
     return parser
 
 
@@ -633,21 +643,7 @@ def run(argv) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG
     try:
-        cfg = parse_config(args.config)
-        if args.command == "solve":
-            return _cmd_solve(cfg, args.seed)
-        if args.command == "manufacture":
-            return _cmd_manufacture(cfg, args.seed)
-        if args.command == "exhaust":
-            return _cmd_exhaust(cfg, args.seed)
-        if args.command == "convolve":
-            return _cmd_convolve(cfg, args.seed)
-        if args.command == "convergence-study":
-            return _cmd_convergence_study(cfg, args.seed)
-        if args.command == "gcondition":
-            return _cmd_gcondition(cfg, args.seed)
-        if args.command == "verify":
-            return _cmd_verify(args.check, cfg, args.seed)
+        return COMMANDS[args.command](parse_config(args.config), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -657,8 +653,6 @@ def run(argv) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    parser.print_usage(sys.stderr)
-    return EXIT_CONFIG
 
 
 def main() -> None:

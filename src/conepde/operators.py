@@ -59,7 +59,6 @@ __all__ = [
     "log_residual_from_derivs",
     "transformed_residual_from_derivs",
     "residual_log_field",
-    "residual_full_field",
     "divergence_part_field",
     "constant_field",
     "separable_exponential_field",
@@ -427,19 +426,8 @@ def divergence_part_field(u: GridFunction, p: float, n: int,
 
 
 def residual_log_field(u: GridFunction, prob: PDEProblem, eps_reg: float = 0.0,
-                       drift: str = "central",
-                       f_values: np.ndarray | None = None) -> np.ndarray:
+                       drift: str = "central") -> np.ndarray:
     """Log-chart residual at every node (boundary rows use one-sided stencils)."""
-    if f_values is None:
-        f_values = prob.f_values(u.grid)
     A = u.grid.mesh[0]
-    forcing = f_values * np.exp(A * prob.p)
+    forcing = prob.f_values(u.grid) * np.exp(A * prob.p)
     return divergence_part_field(u, prob.p, prob.n, eps_reg, drift) - forcing
-
-
-def residual_full_field(u: GridFunction, prob: PDEProblem, eps_reg: float = 0.0,
-                        drift: str = "central",
-                        f_values: np.ndarray | None = None) -> np.ndarray:
-    """Strong-form residual at every node; the log residual scaled by t^-p."""
-    return np.exp(-u.grid.mesh[0] * prob.p) * residual_log_field(u, prob, eps_reg, drift,
-                                                                 f_values)

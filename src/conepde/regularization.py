@@ -2,7 +2,8 @@
 
 Both are exact extrema over grid nodes that never visit all node pairs: the
 infimal convolution is one 1D min-plus pass per axis, and the envelope and
-the windowed forcing maximum sweep the index offsets inside a ball.  The
+the windowed forcing maximum sweep the index offsets inside a ball with
+``calculus._offset_slices``, the sweep behind the Hoelder seminorm.  The
 default pairing distance is Euclidean in the log chart (a, x), the metric in
 which the envelope Hessian bound is stated; the literal exponentiated
 reading of the pairing distance is available behind ``metric="literal"``.
@@ -12,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from conepde.calculus import GridFunction, hessian_field
+from conepde.calculus import GridFunction, _offset_slices, hessian_field
 from conepde.operators import PDEProblem, divergence_part_field
 
 __all__ = [
@@ -128,19 +128,9 @@ def _ball_max(values: np.ndarray, axis_coords, radius: float, cap: bool = False)
     later candidate only when strictly larger.
     """
     r2 = radius * radius
-    reach = []      # per axis and offset: z slice, w slice, squared coordinate gaps
-    for c in axis_coords:
-        m = c.size
-        shifts = [(slice(max(0, -o), m - max(0, o)), slice(max(0, o), m - max(0, -o)))
-                  for o in range(1 - m, m)]
-        gaps = [(zs, ws, (c[zs] - c[ws]) ** 2) for zs, ws in shifts]
-        reach.append([g for g in gaps if g[2].min() <= r2])
     best = np.full(values.shape, -np.inf)
     best_d2 = np.full(values.shape, np.nan)
-    for combo in product(*reach):
-        zs, ws, gaps = zip(*combo)
-        if sum(g.min() for g in gaps) > r2:  # no pair at this offset is inside
-            continue
+    for _, zs, ws, gaps in _offset_slices(axis_coords, r2):
         d2 = sum(np.ix_(*gaps))
         cand = values[ws] + np.sqrt(np.maximum(r2 - d2, 0.0)) if cap else values[ws]
         better = (d2 <= r2) & (cand > best[zs])

@@ -3,8 +3,8 @@
 They are the pointwise forms of code the package evaluates on whole fields or
 in closed form: per-node difference stencils, the per-point residual algebra,
 the all-pairs ball supremum of the forcing, and the all-pairs loops of the
-regularizations and the doubling diagnostic.  Nothing here is imported by
-the package itself.
+regularizations, the doubling diagnostic and the Hoelder seminorm.  Nothing
+here is imported by the package itself.
 """
 
 import math
@@ -213,3 +213,21 @@ def doubling(z1, z2, alpha, chunk=int(5e6)):
         if val[i, j] > best:
             best, pair = float(val[i, j]), (start + int(i), int(j))
     return best, pair
+
+
+def hoelder_norm(u, rho, chunk=int(1e6)):
+    """sup |u| plus the max over all node pairs of |u(z) - u(w)| / d(z, w)^rho."""
+    pts = u.grid.log_points
+    vals = u.values.ravel()
+    m = pts.shape[0]
+    semi = 0.0
+    step = max(1, chunk // max(m, 1))
+    for start in range(0, m - 1, step):
+        stop = min(start + step, m - 1)
+        d2 = _pair_d2(pts, start, stop)
+        dv = np.abs(vals[start:stop, None] - vals[None, :])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = dv / np.sqrt(d2) ** rho
+        q[d2 == 0.0] = 0.0
+        semi = max(semi, float(np.max(q)))
+    return float(np.max(np.abs(vals))) + semi

@@ -26,6 +26,7 @@ from conepde.calculus import (
 )
 from conepde.geometry import ConeDomain
 from conepde.operators import PDEProblem, constant_field, residual_log, residual_log_field
+import oracles
 from oracles import pointwise_gradient, pointwise_hessian, pointwise_residual_log
 
 
@@ -254,6 +255,28 @@ class TestWeightedNorms:
             weighted_sobolev_norm(GridFunction.zeros(grid), NormParams(m=3))
 
 
+@st.composite
+def hoelder_cases(draw):
+    """A field on a random 2D or 3D grid (5-11 nodes per axis, random base
+    box); in half the cases it has many exact ties or is constant."""
+    n = draw(st.sampled_from([2, 3]))
+    counts = tuple(draw(st.integers(5, 11)) for _ in range(n))
+    lo = [draw(st.sampled_from([-1.0, 0.0, 0.5])) for _ in range(n - 1)]
+    hi = [x + draw(st.sampled_from([0.5, 1.0, 3.0])) for x in lo]
+    dom = ConeDomain(n=n, base_lo=lo, base_hi=hi,
+                     t_min=math.exp(-draw(st.sampled_from([0.5, 1.0, 2.0]))))
+    grid = LogGrid.build(dom, counts)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.01, 0.3, 5.0]))
+    u = scale * rng.standard_normal(grid.shape)
+    kind = draw(st.sampled_from(["plain", "plain", "ties", "constant"]))
+    if kind == "ties":
+        u = np.round(u / scale * 2.0) * scale
+    elif kind == "constant":
+        u = np.full(grid.shape, u.flat[0])
+    return GridFunction(grid, u)
+
+
 class TestHoelderNorm:
     def test_zero(self):
         grid = unit_grid((9, 9))
@@ -289,13 +312,19 @@ class TestHoelderNorm:
         norms = [hoelder_norm(u, rho) for rho in (0.25, 0.5, 0.75, 1.0)]
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
-    def test_subsampling_cap_is_deterministic(self):
-        grid = unit_grid((33, 33))
+    def test_exact_and_deterministic_above_5000_nodes(self):
+        # 5041 nodes: a stride-2 subsample would drop every nearest-neighbour
+        # pair, which carries the rho = 1 seminorm of a rough field
+        grid = unit_grid((71, 71))
         rng = np.random.default_rng(5)
         u = GridFunction(grid, rng.standard_normal(grid.shape))
-        v1 = hoelder_norm(u, 0.5, node_cap=200)
-        v2 = hoelder_norm(u, 0.5, node_cap=200)
-        assert v1 == v2
+        v1 = hoelder_norm(u, 1.0)
+        assert v1 == oracles.hoelder_norm(u, 1.0)
+        assert hoelder_norm(u, 1.0) == v1
+
+    @given(case=hoelder_cases(), rho=st.floats(0.0, 1.0, exclude_min=True))
+    def test_matches_all_pairs_oracle(self, case, rho):
+        assert hoelder_norm(case, rho) == oracles.hoelder_norm(case, rho)
 
 
 class TestSummationByParts:

@@ -51,6 +51,15 @@ class TestConfigValidation:
         assert run(["solve", "--config", cfg]) == 2
         assert "problem.p" in capsys.readouterr().err
 
+    def test_truncated_gridfunction_header_names_field(self, tmp_path, capsys):
+        src = os.path.join(tmp_path, "short.gf")
+        with open(src, "w") as fh:
+            fh.write("2,5\n0.0\n")
+        body = BASE_CONFIG + f"convolve.eps = 0.05\nconvolve.input = {src}\n"
+        cfg = write_config(tmp_path, body.format(outdir=tmp_path))
+        assert run(["convolve", "--config", cfg]) == 2
+        assert "x1_count" in capsys.readouterr().err
+
     def test_unknown_subcommand(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG.format(outdir=tmp_path))
         assert run(["frobnicate", "--config", cfg]) == 2
