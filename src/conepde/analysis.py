@@ -69,8 +69,7 @@ def _ball_mask(grid: LogGrid, center: ConePoint, radius: float) -> np.ndarray:
 
 
 def _require_same_grid(u: GridFunction, v: GridFunction) -> None:
-    if u.grid is not v.grid and (u.grid.shape != v.grid.shape or not all(
-            np.array_equal(a, b) for a, b in zip(u.grid.axes, v.grid.axes))):
+    if not u.grid.same_nodes(v.grid):
         raise ValueError("fields must share a grid")
 
 
@@ -106,19 +105,6 @@ class AbpReport:
     def holds_with(self, C: float, slack: float = 0.0) -> bool:
         rhs = self.boundary_sup_vplus + C * self.geometry_factor * self.forcing
         return self.interior_sup_vplus <= rhs + slack
-
-    def to_json_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "interior_sup_vplus": self.interior_sup_vplus,
-            "boundary_sup_vplus": self.boundary_sup_vplus,
-            "forcing": self.forcing,
-            "geometry_factor": self.geometry_factor,
-            "C_emp": self.C_emp,
-            "forcing_zero": self.forcing_zero,
-            "bottom_face_active": self.bottom_face_active,
-            "vacuous": self.vacuous,
-        }
 
 
 def _abp_variant(v: GridFunction, prob: PDEProblem, domain: ConeDomain,
@@ -175,11 +161,6 @@ class HoelderReport:
     vacuous: bool
     inconsistent: bool
 
-    def to_json_dict(self) -> dict:
-        return {"rho": self.rho, "norm": self.norm, "forcing": self.forcing,
-                "ratio": self.ratio, "vacuous": self.vacuous,
-                "inconsistent": self.inconsistent}
-
 
 def hoelder_check(v: GridFunction, prob: PDEProblem, rho: float) -> HoelderReport:
     """Ratio of the weighted Hoelder norm of a zero-boundary solve to the
@@ -225,10 +206,6 @@ class HarnackReport:
     inf: float
     forcing: float
     C_emp: float
-
-    def to_json_dict(self) -> dict:
-        return {"sup": self.sup, "inf": self.inf, "forcing": self.forcing,
-                "C_emp": self.C_emp}
 
 
 def harnack_ratio(u: GridFunction, prob: PDEProblem, center: ConePoint,
@@ -284,10 +261,6 @@ class WeakHarnackRow:
     C_emp_minus: float
     C_emp_plus: float
 
-    def to_json_dict(self) -> dict:
-        return {"p0": self.p0, "mean": self.mean, "inf": self.inf,
-                "C_emp_minus": self.C_emp_minus, "C_emp_plus": self.C_emp_plus}
-
 
 def weak_harnack_check(u: GridFunction, prob: PDEProblem,
                        cfg: WeakHarnackConfig, domain: ConeDomain) -> list:
@@ -336,10 +309,6 @@ class OscillationReport:
     exponent: float | None
     vacuous: bool
 
-    def to_json_dict(self) -> dict:
-        return {"rows": [{"radius": r, "oscillation": o} for r, o in self.rows],
-                "exponent": self.exponent, "vacuous": self.vacuous}
-
 
 def oscillation_decay(v: GridFunction, center: ConePoint,
                       radii: Sequence[float]) -> OscillationReport:
@@ -372,10 +341,6 @@ class ComparisonReport:
     violations: int
     worst_gap: float
     location: tuple | None
-
-    def to_json_dict(self) -> dict:
-        return {"violations": self.violations, "worst_gap": self.worst_gap,
-                "location": list(self.location) if self.location else None}
 
 
 def comparison_check(u: GridFunction, v: GridFunction, prob: PDEProblem,
@@ -415,11 +380,6 @@ class DoublingDiagnostic:
     argmax_pair: tuple
     penalty: float
     diagonal_gap: float
-
-    def to_json_dict(self) -> dict:
-        return {"alpha": self.alpha, "M_alpha": self.M_alpha,
-                "argmax_pair": [list(self.argmax_pair[0]), list(self.argmax_pair[1])],
-                "penalty": self.penalty, "diagonal_gap": self.diagonal_gap}
 
 
 def doubling_diagnostic(z1: GridFunction, z2: GridFunction,

@@ -98,6 +98,11 @@ class LogGrid:
         """All node coordinates, shape (N, n), row-major with the a-axis slowest."""
         return np.stack([m.ravel() for m in self.mesh], axis=1)
 
+    def same_nodes(self, other: "LogGrid") -> bool:
+        """Whether both grids have the same nodes on every axis."""
+        return self is other or (self.shape == other.shape and all(
+            np.array_equal(a, b) for a, b in zip(self.axes, other.axes)))
+
     def node_coords(self, node) -> np.ndarray:
         node = tuple(node)
         return np.array([ax[i] for ax, i in zip(self.axes, node)])
@@ -527,13 +532,12 @@ def _read_header(line: str) -> tuple:
     return n, counts, a_min, t_min, lo, hi, a_max
 
 
-def read_gridfunction(path, domain: ConeDomain | None = None) -> GridFunction:
+def read_gridfunction(path) -> GridFunction:
     with open(path) as fh:
         n, counts, a_min, t_min, lo, hi, a_max = _read_header(fh.readline())
         values = np.array([float(line) for line in fh if line.strip()])
-    if domain is None:
-        domain = ConeDomain(n=n, base_lo=lo, base_hi=hi, t_min=t_min,
-                            t_max=min(math.exp(a_max), 1.0))
+    domain = ConeDomain(n=n, base_lo=lo, base_hi=hi, t_min=t_min,
+                        t_max=min(math.exp(a_max), 1.0))
     # the header axis endpoints are authoritative so the round trip is exact
     grid = LogGrid(
         domain=domain,

@@ -4,18 +4,24 @@ The config is a line-oriented ``section.key = value`` text file.  Exit codes:
 0 success, 2 validation error, 3 solver non-convergence, 4 verification
 verdict failure.  Reports are byte-deterministic for a fixed config and
 seed; wall-clock metadata goes to a separate ``*_meta.json`` file.
+
+The CLI is two tables.  ``COMMANDS`` maps each subcommand to its handler
+and ``VERIFY_CHECKS`` maps each verify check to a function returning its
+report fields, verdict and CSV table; both feed the argument parser and the
+dispatch.  Report dataclasses are serialized field by field, and ``run``
+alone times a command and writes its meta file.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,17 +57,12 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERDICT = 4
 
-VERIFY_CHECKS = (
-    "abp", "hoelder", "harnack", "weakharnack", "oscillation",
-    "comparison", "doubling", "weakform",
-)
-
 
 class ConfigError(Exception):
     pass
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     entries: dict
     lines: dict
@@ -71,11 +72,6 @@ class RunConfig:
     def config_hash(self) -> str:
         return hashlib.sha256(self.text.encode()).hexdigest()[:16]
 
-    def _fail(self, key: str, message: str):
-        line = self.lines.get(key)
-        where = f"line {line}: " if line else ""
-        raise ConfigError(f"{where}{key}: {message}")
-
     def get(self, key: str, default=None, required: bool = False) -> str | None:
         if key in self.entries:
             return self.entries[key]
@@ -83,41 +79,32 @@ class RunConfig:
             raise ConfigError(f"missing required key {key}")
         return default
 
-    def get_float(self, key: str, default=None, required: bool = False):
+    def _parse(self, key: str, default, required: bool, kind, what: str):
         raw = self.get(key, None, required)
         if raw is None:
             return default
         try:
-            return float(raw)
+            return kind(raw)
         except ValueError:
-            self._fail(key, f"expected a number, got {raw!r}")
+            line = self.lines.get(key)
+            where = f"line {line}: " if line else ""
+            raise ConfigError(f"{where}{key}: expected {what}, got {raw!r}") from None
+
+    def get_float(self, key: str, default=None, required: bool = False):
+        return self._parse(key, default, required, float, "a number")
 
     def get_int(self, key: str, default=None, required: bool = False):
-        raw = self.get(key, None, required)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            self._fail(key, f"expected an integer, got {raw!r}")
+        return self._parse(key, default, required, int, "an integer")
 
     def get_floats(self, key: str, default=None):
-        raw = self.get(key)
-        if raw is None:
-            return default
-        try:
-            return [float(v) for v in raw.split(",") if v.strip()]
-        except ValueError:
-            self._fail(key, f"expected a comma list of numbers, got {raw!r}")
+        return self._parse(key, default, False, _listof(float), "a comma list of numbers")
 
     def get_ints(self, key: str, default=None):
-        raw = self.get(key)
-        if raw is None:
-            return default
-        try:
-            return [int(v) for v in raw.split(",") if v.strip()]
-        except ValueError:
-            self._fail(key, f"expected a comma list of integers, got {raw!r}")
+        return self._parse(key, default, False, _listof(int), "a comma list of integers")
+
+
+def _listof(kind):
+    return lambda raw: [kind(v) for v in raw.split(",") if v.strip()]
 
 
 def parse_config(path: str) -> RunConfig:
@@ -230,21 +217,13 @@ def build_grid(cfg: RunConfig, domain: ConeDomain) -> LogGrid:
 
 def build_solver_config(cfg: RunConfig) -> SolverConfig:
     kwargs = {}
-    tol = cfg.get_float("solver.tol")
-    if tol is not None:
-        kwargs["tol"] = tol
-    max_iter = cfg.get_int("solver.max_iter")
-    if max_iter is not None:
-        kwargs["max_iter"] = max_iter
-    damping = cfg.get_float("solver.damping")
-    if damping is not None:
-        kwargs["damping"] = damping
-    start = cfg.get_float("solver.eps_reg_start", 1e-1)
-    floor = cfg.get_float("solver.eps_reg_floor", 1e-6)
-    kwargs["eps_reg_schedule"] = default_eps_schedule(start, floor)
-    thr = cfg.get_float("solver.drift_upwind_threshold")
-    if thr is not None:
-        kwargs["drift_upwind_threshold"] = thr
+    for key, get in (("tol", cfg.get_float), ("max_iter", cfg.get_int),
+                     ("damping", cfg.get_float), ("drift_upwind_threshold", cfg.get_float)):
+        value = get(f"solver.{key}")
+        if value is not None:
+            kwargs[key] = value
+    kwargs["eps_reg_schedule"] = default_eps_schedule(
+        cfg.get_float("solver.eps_reg_start", 1e-1), cfg.get_float("solver.eps_reg_floor", 1e-6))
     try:
         return SolverConfig(**kwargs)
     except ValueError as exc:
@@ -255,6 +234,8 @@ def build_solver_config(cfg: RunConfig) -> SolverConfig:
 # output plumbing
 
 def _py(obj):
+    if dataclasses.is_dataclass(obj):
+        return _py(dataclasses.asdict(obj))
     if isinstance(obj, dict):
         return {k: _py(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -268,11 +249,10 @@ def _py(obj):
     return obj
 
 
-def write_json(path: str, payload: dict, config_hash: str) -> None:
-    payload = dict(payload)
-    payload["config_hash"] = config_hash
+def write_json(path: str, payload, config_hash: str) -> None:
+    """``payload`` is a dict or a dataclass; dataclasses serialize by field."""
     with open(path, "w") as fh:
-        json.dump(_py(payload), fh, indent=2, sort_keys=True)
+        json.dump({**_py(payload), "config_hash": config_hash}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -283,6 +263,11 @@ def write_csv(path: str, header: list, rows: list, config_hash: str) -> None:
                               else str(v) for v in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _columns(records, header: list) -> list:
+    """CSV rows holding the ``header`` attributes of each record."""
+    return [[getattr(r, k) for k in header] for r in records]
 
 
 def write_meta(outdir: str, name: str, wall: float, config_hash: str) -> None:
@@ -306,7 +291,6 @@ def _outdir(cfg: RunConfig) -> str:
 # subcommands
 
 def _cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
     domain = build_domain(cfg)
     prob = build_problem(cfg, domain)
     grid = build_grid(cfg, domain)
@@ -314,14 +298,11 @@ def _cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> int:
     u, report = solve_dirichlet(prob, grid, scfg)
     outdir = _outdir(cfg)
     write_gridfunction(os.path.join(outdir, "solution.gf"), u)
-    write_json(os.path.join(outdir, "solve_report.json"),
-               report.to_json_dict(include_timing=False), cfg.config_hash)
-    write_meta(outdir, "solve", time.perf_counter() - t0, cfg.config_hash)
+    write_json(os.path.join(outdir, "solve_report.json"), report, cfg.config_hash)
     return EXIT_OK if report.converged else EXIT_SOLVER
 
 
 def _cmd_manufacture(cfg: RunConfig, args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
     domain = build_domain(cfg)
     p = cfg.get_float("problem.p", required=True)
     u_star = _parse_exact_spec(cfg.get("problem.exact", "auto"), domain.n, p)
@@ -337,22 +318,16 @@ def _cmd_manufacture(cfg: RunConfig, args: argparse.Namespace) -> int:
                 "max_abs_exact": float(np.max(np.abs(exact.values))),
                 "max_abs_forcing": float(np.max(np.abs(forcing.values)))},
                cfg.config_hash)
-    write_meta(outdir, "manufacture", time.perf_counter() - t0, cfg.config_hash)
     return EXIT_OK
 
 
 def _cmd_exhaust(cfg: RunConfig, args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
     domain = build_domain(cfg)
     prob = build_problem(cfg, domain)
     scfg = build_solver_config(cfg)
     j_max = cfg.get_int("exhaust.j_max", 4)
     density = cfg.get_float("exhaust.density", 16.0)
-    try:
-        report = solve_by_exhaustion(prob, domain, j_max, density, scfg)
-    except RuntimeError as exc:
-        print(f"exhaustion failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    report = solve_by_exhaustion(prob, domain, j_max, density, scfg)
     outdir = _outdir(cfg)
     for j, (dom_j, u_j) in enumerate(report.members, start=1):
         write_gridfunction(os.path.join(outdir, f"exhaust_u{j}.gf"), u_j)
@@ -361,12 +336,10 @@ def _cmd_exhaust(cfg: RunConfig, args: argparse.Namespace) -> int:
     write_json(os.path.join(outdir, "exhaust_report.json"),
                {"j_max": j_max, "diffs": [{"j": j, "sup_diff": g} for j, g in report.diffs],
                 "monotone": report.monotone}, cfg.config_hash)
-    write_meta(outdir, "exhaust", time.perf_counter() - t0, cfg.config_hash)
     return EXIT_OK
 
 
 def _cmd_convolve(cfg: RunConfig, args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
     direction = cfg.get("convolve.direction", "inf").lower()
     eps = cfg.get_float("convolve.eps", required=True)
     metric = cfg.get("convolve.metric", "log")
@@ -389,25 +362,19 @@ def _cmd_convolve(cfg: RunConfig, args: argparse.Namespace) -> int:
     else:
         raise ConfigError(f"convolve.direction must be inf or sup, got {direction!r}")
     write_json(os.path.join(outdir, "convolve_report.json"), payload, cfg.config_hash)
-    write_meta(outdir, "convolve", time.perf_counter() - t0, cfg.config_hash)
     return EXIT_OK
 
 
 def _cmd_convergence_study(cfg: RunConfig, args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
     domain = build_domain(cfg)
     p = cfg.get_float("problem.p", required=True)
     u_star = _parse_exact_spec(cfg.get("problem.exact", "auto"), domain.n, p)
     prob = manufactured_problem(u_star, p, domain.n)
     scfg = build_solver_config(cfg)
-    base_counts = cfg.get_ints("grid.nodes")
-    if base_counts is None:
-        raise ConfigError("missing required key grid.nodes")
+    base = build_grid(cfg, domain)
     levels = cfg.get_int("study.levels", 3)
-    grids = []
-    for lev in range(levels):
-        counts = [(c - 1) * 2**lev + 1 for c in base_counts]
-        grids.append(LogGrid.build(domain, counts))
+    grids = [LogGrid.build(domain, [(c - 1) * 2**lev + 1 for c in base.shape])
+             for lev in range(levels)]
     rows = convergence_study(prob, u_star, grids, scfg)
     outdir = _outdir(cfg)
     write_csv(os.path.join(outdir, "convergence.csv"), ["h", "max_error", "order"],
@@ -415,12 +382,10 @@ def _cmd_convergence_study(cfg: RunConfig, args: argparse.Namespace) -> int:
     write_json(os.path.join(outdir, "convergence_report.json"),
                {"rows": [{"h": r.h, "max_error": r.error, "order": r.order}
                          for r in rows]}, cfg.config_hash)
-    write_meta(outdir, "convergence-study", time.perf_counter() - t0, cfg.config_hash)
     return EXIT_OK
 
 
 def _cmd_gcondition(cfg: RunConfig, args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
     domain = build_domain(cfg)
     samples = cfg.get_int("verify.samples", 200)
     params = estimate_g_condition(domain, samples, args.seed)
@@ -429,17 +394,21 @@ def _cmd_gcondition(cfg: RunConfig, args: argparse.Namespace) -> int:
                {"K0": params.K0, "d0": params.d0, "sigma_est": params.sigma,
                 "samples": samples, "seed": args.seed,
                 "degenerate": params.sigma == 0.0}, cfg.config_hash)
-    write_meta(outdir, "gcondition", time.perf_counter() - t0, cfg.config_hash)
     return EXIT_OK
 
 
 def _get_solution(cfg: RunConfig, prob: PDEProblem, grid: LogGrid,
                   scfg: SolverConfig) -> GridFunction:
+    """The stored ``verify.solution``, which must lie on the configured
+    grid, or else a fresh solve."""
     path = cfg.get("verify.solution")
-    if path:
-        return read_gridfunction(path, domain=grid.domain)
-    u, report = _solve_or_raise(prob, grid, scfg)
-    return u
+    if not path:
+        return _solve_or_raise(prob, grid, scfg)[0]
+    stored = read_gridfunction(path)
+    if not stored.grid.same_nodes(grid):
+        raise ConfigError(f"verify.solution: its grid {stored.grid.shape} does not have "
+                          f"the nodes of the configured grid {grid.shape}")
+    return GridFunction(grid, stored.values)
 
 
 def _solve_or_raise(prob, grid, scfg):
@@ -479,126 +448,122 @@ def _ball_from_config(cfg: RunConfig, grid: LogGrid) -> tuple:
     return ConePoint(t=math.exp(spec[0]), x=np.array(spec[1:-1])), spec[-1]
 
 
+# ---------------------------------------------------------------------------
+# verify checks: each maps (cfg, prob, grid, scfg, slack, seed) to
+# (report fields, verdict, CSV header, CSV rows)
+
+def _verify_abp(cfg, prob, grid, scfg, slack, seed) -> tuple:
+    u = _get_solution(cfg, prob, grid, scfg)
+    one, two = analysis.abp_check(u, prob, grid.domain)
+    verdict = True
+    c_ref = cfg.get_float("verify.c_ref")
+    if c_ref is not None:
+        verdict = one.holds_with(c_ref, slack)
+    elif one.forcing_zero:
+        verdict = one.interior_sup_vplus <= one.boundary_sup_vplus + slack
+    rows = [(k, v) for k, v in sorted(dataclasses.asdict(one).items())
+            if isinstance(v, (int, float))]
+    return {"subsolution": one, "two_sided": two}, verdict, ["quantity", "value"], rows
+
+
+def _verify_hoelder(cfg, prob, grid, scfg, slack, seed) -> tuple:
+    u = _get_solution(cfg, prob, grid, scfg)
+    rhos = cfg.get_floats("verify.rhos", [cfg.get_float("verify.rho", 0.25)])
+    reports = analysis.hoelder_sweep(u, prob, rhos)
+    header = ["rho", "norm", "forcing", "ratio"]
+    return ({"sweep": reports}, not any(r.inconsistent for r in reports),
+            header, _columns(reports, header))
+
+
+def _verify_harnack(cfg, prob, grid, scfg, slack, seed) -> tuple:
+    u = _get_solution(cfg, prob, grid, scfg)
+    center, d = _ball_from_config(cfg, grid)
+    rep = analysis.harnack_ratio(u, prob, center, d, grid.domain)
+    header = ["sup", "inf", "forcing", "C_emp"]
+    return {"harnack": rep}, math.isfinite(rep.C_emp), header, _columns([rep], header)
+
+
+def _verify_weakharnack(cfg, prob, grid, scfg, slack, seed) -> tuple:
+    u = _get_solution(cfg, prob, grid, scfg)
+    center, d = _ball_from_config(cfg, grid)
+    p0s = cfg.get_floats("verify.p0s", [0.25, 0.5, 0.75, 1.0])
+    wcfg = analysis.WeakHarnackConfig(p0_sweep=tuple(p0s), center=center, d=d)
+    rows = analysis.weak_harnack_check(u, prob, wcfg, grid.domain)
+    verdict = any(math.isfinite(r.C_emp_minus) or math.isfinite(r.C_emp_plus)
+                  for r in rows)
+    header = ["p0", "mean", "inf", "C_emp_minus", "C_emp_plus"]
+    return {"rows": rows}, verdict, header, _columns(rows, header)
+
+
+def _verify_oscillation(cfg, prob, grid, scfg, slack, seed) -> tuple:
+    u = _get_solution(cfg, prob, grid, scfg)
+    center, d = _ball_from_config(cfg, grid)
+    radii = cfg.get_floats("verify.radii", [d, d / 2.0, d / 4.0])
+    rep = analysis.oscillation_decay(u, center, radii)
+    verdict = rep.vacuous or (rep.exponent is not None and rep.exponent > 0.0)
+    header = ["radius", "oscillation"]
+    report = {**dataclasses.asdict(rep), "rows": [dict(zip(header, r)) for r in rep.rows]}
+    return {"oscillation": report}, verdict, header, rep.rows
+
+
+def _verify_comparison(cfg, prob, grid, scfg, slack, seed) -> tuple:
+    u_sub, v_super = _shifted_pair(cfg, prob, grid, scfg)
+    rep = analysis.comparison_check(u_sub, v_super, prob, tol=slack)
+    header = ["violations", "worst_gap"]
+    return {"comparison": rep}, rep.violations == 0, header, _columns([rep], header)
+
+
+def _verify_doubling(cfg, prob, grid, scfg, slack, seed) -> tuple:
+    u1, u2 = _shifted_pair(cfg, prob, grid, scfg)
+    bound = max(float(np.max(np.abs(u1.values))),
+                float(np.max(np.abs(u2.values))), 1e-6)
+    params = TransformParams.from_bound(bound)
+    z1 = GridFunction(grid, np.asarray(psi_inverse(u1.values * 0.5, params)))
+    z2 = GridFunction(grid, np.asarray(psi_inverse(u2.values * 0.5, params)))
+    alphas = cfg.get_floats("verify.alphas", [1.0, 10.0, 100.0, 1000.0])
+    diags = analysis.doubling_diagnostic(z1, z2, alphas)
+    ms = [d.M_alpha for d in diags]
+    header = ["alpha", "M_alpha", "penalty", "diagonal_gap"]
+    return ({"diagnostics": diags}, all(b <= a + 1e-12 for a, b in zip(ms, ms[1:])),
+            header, _columns(diags, header))
+
+
+def _verify_weakform(cfg, prob, grid, scfg, slack, seed) -> tuple:
+    u = _get_solution(cfg, prob, grid, scfg)
+    count = cfg.get_int("verify.bumps", 10)
+    bumps = analysis.cosine_bumps(grid, count, seed=seed)
+    tol = cfg.get_float("verify.weakform_tol", 10.0 * max(grid.h) ** 2)
+    worst, rows = analysis.weak_form_residual(u, prob, bumps)
+    header = ["residual", "residual_divergence_form", "form_gap"]
+    return ({"max_residual": worst, "tolerance": tol, "tests": rows}, worst <= tol,
+            header, [[r[k] for k in header] for r in rows])
+
+
+VERIFY_CHECKS = {
+    "abp": _verify_abp,
+    "hoelder": _verify_hoelder,
+    "harnack": _verify_harnack,
+    "weakharnack": _verify_weakharnack,
+    "oscillation": _verify_oscillation,
+    "comparison": _verify_comparison,
+    "doubling": _verify_doubling,
+    "weakform": _verify_weakform,
+}
+
+
 def _cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    check, seed = args.check, args.seed
     domain = build_domain(cfg)
     prob = build_problem(cfg, domain)
     grid = build_grid(cfg, domain)
     scfg = build_solver_config(cfg)
     outdir = _outdir(cfg)
-    h2 = max(grid.h) ** 2
-    slack = cfg.get_float("verify.slack", 10.0 * h2)
-    payload: dict = {"check": check, "seed": seed}
-    verdict = True
-
-    if check == "abp":
-        u = _get_solution(cfg, prob, grid, scfg)
-        one, two = analysis.abp_check(u, prob, domain)
-        payload["subsolution"] = one.to_json_dict()
-        payload["two_sided"] = two.to_json_dict()
-        c_ref = cfg.get_float("verify.c_ref")
-        if c_ref is not None:
-            verdict = one.holds_with(c_ref, slack)
-        elif one.forcing_zero:
-            verdict = one.interior_sup_vplus <= one.boundary_sup_vplus + slack
-        rows = [(k, v) for k, v in sorted(one.to_json_dict().items())
-                if isinstance(v, (int, float)) and v is not None]
-        write_csv(os.path.join(outdir, "verify_abp.csv"), ["quantity", "value"],
-                  rows, cfg.config_hash)
-
-    elif check == "hoelder":
-        u = _get_solution(cfg, prob, grid, scfg)
-        rhos = cfg.get_floats("verify.rhos", [cfg.get_float("verify.rho", 0.25)])
-        reports = analysis.hoelder_sweep(u, prob, rhos)
-        payload["sweep"] = [r.to_json_dict() for r in reports]
-        verdict = not any(r.inconsistent for r in reports)
-        write_csv(os.path.join(outdir, "verify_hoelder.csv"),
-                  ["rho", "norm", "forcing", "ratio"],
-                  [(r.rho, r.norm, r.forcing, r.ratio) for r in reports],
-                  cfg.config_hash)
-
-    elif check == "harnack":
-        u = _get_solution(cfg, prob, grid, scfg)
-        center, d = _ball_from_config(cfg, grid)
-        rep = analysis.harnack_ratio(u, prob, center, d, domain)
-        payload["harnack"] = rep.to_json_dict()
-        verdict = math.isfinite(rep.C_emp)
-        write_csv(os.path.join(outdir, "verify_harnack.csv"),
-                  ["sup", "inf", "forcing", "C_emp"],
-                  [(rep.sup, rep.inf, rep.forcing, rep.C_emp)], cfg.config_hash)
-
-    elif check == "weakharnack":
-        u = _get_solution(cfg, prob, grid, scfg)
-        center, d = _ball_from_config(cfg, grid)
-        p0s = cfg.get_floats("verify.p0s", [0.25, 0.5, 0.75, 1.0])
-        wcfg = analysis.WeakHarnackConfig(p0_sweep=tuple(p0s), center=center, d=d)
-        rows = analysis.weak_harnack_check(u, prob, wcfg, domain)
-        payload["rows"] = [r.to_json_dict() for r in rows]
-        verdict = any(math.isfinite(r.C_emp_minus) or math.isfinite(r.C_emp_plus)
-                      for r in rows)
-        write_csv(os.path.join(outdir, "verify_weakharnack.csv"),
-                  ["p0", "mean", "inf", "C_emp_minus", "C_emp_plus"],
-                  [(r.p0, r.mean, r.inf, r.C_emp_minus, r.C_emp_plus) for r in rows],
-                  cfg.config_hash)
-
-    elif check == "oscillation":
-        u = _get_solution(cfg, prob, grid, scfg)
-        center, d = _ball_from_config(cfg, grid)
-        radii = cfg.get_floats("verify.radii", [d, d / 2.0, d / 4.0])
-        rep = analysis.oscillation_decay(u, center, radii)
-        payload["oscillation"] = rep.to_json_dict()
-        verdict = rep.vacuous or (rep.exponent is not None and rep.exponent > 0.0)
-        write_csv(os.path.join(outdir, "verify_oscillation.csv"),
-                  ["radius", "oscillation"], rep.rows, cfg.config_hash)
-
-    elif check == "comparison":
-        u_sub, v_super = _shifted_pair(cfg, prob, grid, scfg)
-        rep = analysis.comparison_check(u_sub, v_super, prob, tol=slack)
-        payload["comparison"] = rep.to_json_dict()
-        verdict = rep.violations == 0
-        write_csv(os.path.join(outdir, "verify_comparison.csv"),
-                  ["violations", "worst_gap"],
-                  [(rep.violations, rep.worst_gap)], cfg.config_hash)
-
-    elif check == "doubling":
-        u1, u2 = _shifted_pair(cfg, prob, grid, scfg)
-        bound = max(float(np.max(np.abs(u1.values))),
-                    float(np.max(np.abs(u2.values))), 1e-6)
-        params = TransformParams.from_bound(bound)
-        z1 = GridFunction(grid, np.asarray(psi_inverse(u1.values * 0.5, params)))
-        z2 = GridFunction(grid, np.asarray(psi_inverse(u2.values * 0.5, params)))
-        alphas = cfg.get_floats("verify.alphas", [1.0, 10.0, 100.0, 1000.0])
-        diags = analysis.doubling_diagnostic(z1, z2, alphas)
-        payload["diagnostics"] = [d.to_json_dict() for d in diags]
-        ms = [d.M_alpha for d in diags]
-        verdict = all(b <= a + 1e-12 for a, b in zip(ms, ms[1:]))
-        write_csv(os.path.join(outdir, "verify_doubling.csv"),
-                  ["alpha", "M_alpha", "penalty", "diagonal_gap"],
-                  [(d.alpha, d.M_alpha, d.penalty, d.diagonal_gap) for d in diags],
-                  cfg.config_hash)
-
-    elif check == "weakform":
-        u = _get_solution(cfg, prob, grid, scfg)
-        count = cfg.get_int("verify.bumps", 10)
-        bumps = analysis.cosine_bumps(grid, count, seed=seed)
-        tol = cfg.get_float("verify.weakform_tol", 10.0 * h2)
-        worst, rows = analysis.weak_form_residual(u, prob, bumps)
-        payload["max_residual"] = worst
-        payload["tolerance"] = tol
-        payload["tests"] = rows
-        verdict = worst <= tol
-        write_csv(os.path.join(outdir, "verify_weakform.csv"),
-                  ["residual", "residual_divergence_form", "form_gap"],
-                  [(r["residual"], r["residual_divergence_form"], r["form_gap"])
-                   for r in rows], cfg.config_hash)
-
-    else:
-        raise ConfigError(f"unknown verify check {check!r}")
-
-    payload["verdict"] = bool(verdict)
-    write_json(os.path.join(outdir, f"verify_{check}.json"), payload, cfg.config_hash)
-    write_meta(outdir, f"verify_{check}", time.perf_counter() - t0, cfg.config_hash)
+    slack = cfg.get_float("verify.slack", 10.0 * max(grid.h) ** 2)
+    fields, verdict, header, rows = VERIFY_CHECKS[args.check](
+        cfg, prob, grid, scfg, slack, args.seed)
+    stem = os.path.join(outdir, f"verify_{args.check}")
+    write_csv(stem + ".csv", header, rows, cfg.config_hash)
+    write_json(stem + ".json", {"check": args.check, "seed": args.seed, **fields,
+                                "verdict": bool(verdict)}, cfg.config_hash)
     return EXIT_OK if verdict else EXIT_VERDICT
 
 
@@ -634,6 +599,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
+    """Parses ``argv``, runs the command and, when it returns an exit code,
+    writes its wall time to ``<command>_meta.json`` (``verify_<check>_meta.json``
+    for verify); a raised error is reported and writes no meta file."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -643,7 +611,12 @@ def run(argv) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG
     try:
-        return COMMANDS[args.command](parse_config(args.config), args)
+        cfg = parse_config(args.config)
+        t0 = time.perf_counter()
+        code = COMMANDS[args.command](cfg, args)
+        name = f"verify_{args.check}" if args.command == "verify" else args.command
+        write_meta(_outdir(cfg), name, time.perf_counter() - t0, cfg.config_hash)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

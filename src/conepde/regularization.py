@@ -11,6 +11,7 @@ reading of the pairing distance is available behind ``metric="literal"``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -140,27 +141,11 @@ def _ball_max(values: np.ndarray, axis_coords, radius: float, cap: bool = False)
 
 
 def _boundary_margin(u: GridFunction, metric: str) -> np.ndarray:
-    """Distance of every node to the domain boundary in the pairing metric.
-
-    In the log chart this is the analytic cone boundary distance capped by
-    the distance to the artificial truncation face (the grid cannot see
-    beyond it, so envelope windows must not reach it)."""
-    grid = u.grid
-    if metric == "log":
-        d = grid.boundary_distance_field.copy()
-        if not grid.domain.bottom_is_boundary:
-            d = np.minimum(d, grid.mesh[0] - grid.domain.a_min)
-        return d
-    # literal metric: distances to the faces in the (e^t, x) chart
-    T = np.exp(np.exp(grid.mesh[0]))
-    lo = math.exp(grid.domain.t_min)
-    hi = math.exp(grid.domain.t_max)
-    d = np.minimum(T - lo, hi - T)
-    for k in range(grid.n - 1):
-        X = grid.mesh[1 + k]
-        d = np.minimum(d, X - grid.domain.base_lo[k])
-        d = np.minimum(d, grid.domain.base_hi[k] - X)
-    return d
+    """Distance of every node to the nearest grid face in the pairing
+    metric, the artificial truncation face included: the grid cannot see
+    beyond any face, so envelope windows must not reach one."""
+    margins = [np.minimum(c - c[0], c[-1] - c) for c in _axis_coords(u.grid, metric)]
+    return functools.reduce(np.minimum, np.ix_(*margins))
 
 
 def upper_envelope(u: GridFunction, eps: float, metric: str = "log") -> EnvelopeResult:

@@ -12,7 +12,6 @@ sign structure needed by the discrete comparison checks.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -87,24 +86,8 @@ class StageRecord:
 class SolveReport:
     stages: list
     converged: bool
-    wall_time: float
     drift: str
     final_residual: float
-
-    def to_json_dict(self, include_timing: bool = False) -> dict:
-        d = {
-            "stages": [
-                {"p": s.p, "eps_reg": s.eps_reg, "iterations": s.iterations,
-                 "residual_norm": s.residual_norm}
-                for s in self.stages
-            ],
-            "converged": self.converged,
-            "drift": self.drift,
-            "final_residual": self.final_residual,
-        }
-        if include_timing:
-            d["wall_time"] = self.wall_time
-        return d
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +297,6 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid,
     converge is reported, never raised, except for NaN residuals.
     """
     cfg = cfg or SolverConfig()
-    t_start = time.perf_counter()
     p, n = prob.p, prob.n
     F_log = prob.f_values(grid) * np.exp(grid.mesh[0] * p)
     drift = _drift_mode(p, n, grid.h[0], cfg.drift_upwind_threshold)
@@ -356,7 +338,6 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid,
     report = SolveReport(
         stages=stages,
         converged=bool(norm <= cfg.tol),
-        wall_time=time.perf_counter() - t_start,
         drift=drift,
         final_residual=norm,
     )

@@ -135,6 +135,24 @@ class TestVerifyCommands:
         cfg = write_config(tmp_path, BASE_CONFIG.format(outdir=out))
         assert run(["verify", "abp", "--config", cfg]) == 0
 
+    def test_stored_solution_on_another_grid_rejected(self, tmp_path, capsys):
+        out = os.path.join(tmp_path, "out")
+        stored = [
+            ConeDomain(n=3, base_lo=[0.0, 0.0], base_hi=[1.0, 1.0],
+                       t_min=0.36787944117144233),
+            ConeDomain(n=2, base_lo=[0.0], base_hi=[1.0], t_min=0.36787944117144233),
+        ]
+        for k, dom in enumerate(stored):
+            grid = LogGrid.build(dom, (5,) * dom.n)
+            path = os.path.join(tmp_path, f"stored{k}.gf")
+            write_gridfunction(path, GridFunction(grid, np.zeros(grid.shape)))
+            body = BASE_CONFIG + f"verify.solution = {path}\n"
+            cfg = write_config(tmp_path, body.format(outdir=out), f"s{k}.cfg")
+            assert run(["verify", "abp", "--config", cfg]) == 2
+            err = capsys.readouterr().err
+            assert "verify.solution" in err
+            assert str(grid.shape) in err and "(13, 13)" in err
+
     def test_weakform_verdict(self, tmp_path):
         out = os.path.join(tmp_path, "out")
         body = BASE_CONFIG.replace("problem.f = zero", "problem.f = constant:-1")
@@ -190,6 +208,18 @@ class TestOtherCommands:
             rep = json.load(fh)
         assert rep["monotone"] is True
 
+    def test_exhaust_failure_exits_three_without_outputs(self, tmp_path, capsys):
+        out = os.path.join(tmp_path, "out")
+        body = BASE_CONFIG + "solver.max_iter = 0\n"
+        body = body.replace("problem.f = zero", "problem.f = constant:-1")
+        body = body.replace("domain.t_min = 0.36787944117144233",
+                            "domain.t_min = 0.001")
+        cfg = write_config(tmp_path, body.format(outdir=out))
+        assert run(["exhaust", "--config", cfg]) == 3
+        assert "failed to converge" in capsys.readouterr().err
+        assert not os.path.isdir(out) or not any(
+            name.startswith("exhaust_") for name in os.listdir(out))
+
     def test_convolve_round_trip(self, tmp_path):
         out = os.path.join(tmp_path, "out")
         dom = ConeDomain(n=2, base_lo=[0.0], base_hi=[1.0],
@@ -241,3 +271,79 @@ class TestByteDeterminism:
             b1 = read_bytes(os.path.join(outs[0], name))
             b2 = read_bytes(os.path.join(outs[1], name))
             assert b1 == b2, f"{name} differs between reruns"
+
+
+def key_tree(obj):
+    """The keys of a JSON report: nested dicts keep their keys, a list of
+    objects is represented by its first element, every other value by None."""
+    if isinstance(obj, dict):
+        return {k: key_tree(v) for k, v in obj.items()}
+    if isinstance(obj, list) and obj and isinstance(obj[0], (dict, list)):
+        return [key_tree(obj[0])]
+    return None
+
+
+ABP_KEYS = dict.fromkeys(["variant", "interior_sup_vplus", "boundary_sup_vplus", "forcing",
+                          "geometry_factor", "C_emp", "forcing_zero",
+                          "bottom_face_active", "vacuous"])
+VERIFY_KEYS = dict.fromkeys(["check", "seed", "verdict", "config_hash"])
+
+
+class TestReportSchema:
+    """The JSON key tree and CSV header of every report on the base grid."""
+
+    @pytest.mark.parametrize("command, keys, header", [
+        (["solve"], {"config_hash": None, "converged": None, "drift": None,
+                     "final_residual": None,
+                     "stages": [dict.fromkeys(["p", "eps_reg", "iterations",
+                                               "residual_norm"])]}, None),
+        (["verify", "abp"], {**VERIFY_KEYS, "subsolution": ABP_KEYS,
+                             "two_sided": ABP_KEYS}, "quantity,value"),
+        (["verify", "hoelder"],
+         {**VERIFY_KEYS, "sweep": [dict.fromkeys(["rho", "norm", "forcing", "ratio",
+                                                  "vacuous", "inconsistent"])]},
+         "rho,norm,forcing,ratio"),
+        (["verify", "harnack"],
+         {**VERIFY_KEYS, "harnack": dict.fromkeys(["sup", "inf", "forcing", "C_emp"])},
+         "sup,inf,forcing,C_emp"),
+        (["verify", "weakharnack"],
+         {**VERIFY_KEYS, "rows": [dict.fromkeys(["p0", "mean", "inf", "C_emp_minus",
+                                                 "C_emp_plus"])]},
+         "p0,mean,inf,C_emp_minus,C_emp_plus"),
+        (["verify", "oscillation"],
+         {**VERIFY_KEYS, "oscillation": {"rows": [dict.fromkeys(["radius", "oscillation"])],
+                                         "exponent": None, "vacuous": None}},
+         "radius,oscillation"),
+        (["verify", "comparison"],
+         {**VERIFY_KEYS, "comparison": dict.fromkeys(["violations", "worst_gap",
+                                                      "location"])},
+         "violations,worst_gap"),
+        (["verify", "doubling"],
+         {**VERIFY_KEYS, "diagnostics": [{"alpha": None, "M_alpha": None,
+                                          "argmax_pair": [None], "penalty": None,
+                                          "diagonal_gap": None}]},
+         "alpha,M_alpha,penalty,diagonal_gap"),
+        (["verify", "weakform"],
+         {**VERIFY_KEYS, "max_residual": None, "tolerance": None,
+          "tests": [dict.fromkeys(["center", "widths", "residual",
+                                   "residual_divergence_form", "form_gap"])]},
+         "residual,residual_divergence_form,form_gap"),
+    ])
+    def test_json_keys_and_csv_header(self, tmp_path, command, keys, header):
+        out = os.path.join(tmp_path, "out")
+        if command[-1] in ("comparison", "doubling"):
+            body = BASE_CONFIG + "problem.omega = 0.3\nverify.margin = 0.4\n"
+            body = body.replace("problem.f = zero", "problem.f = exp:0.3,-2.0")
+        else:
+            body = BASE_CONFIG.replace("problem.f = zero", "problem.f = constant:-1")
+        cfg = write_config(tmp_path, body.format(outdir=out))
+        assert run([*command, "--config", cfg]) == 0
+        stem = os.path.join(out, "solve_report" if command == ["solve"]
+                            else f"verify_{command[1]}")
+        with open(stem + ".json") as fh:
+            assert key_tree(json.load(fh)) == keys
+        if header is not None:
+            with open(stem + ".csv") as fh:
+                lines = fh.read().splitlines()
+            assert lines[0].startswith("# config_hash=")
+            assert lines[1] == header

@@ -1,0 +1,144 @@
+"""CLI output parity between two source trees of conepde.
+
+    python tools/cli_parity.py OLD_SRC NEW_SRC
+
+Runs every subcommand and verify check on the same configs with each tree's
+``src/`` directory (OLD_SRC and NEW_SRC) on PYTHONPATH, each command in a
+fresh working directory with relative input and output paths, so both sides
+see identical config text and hence identical config hashes.  The cases are
+the fourteen commands of the determinism acceptance test at p = 2 and p = 3,
+``convolve`` in both directions under both pairing metrics, two verify
+checks on a stored field, and the solver-failure paths (``solver.max_iter =
+0``).  Every output except ``*_meta.json`` must be byte-identical, and the
+exit codes and the set of meta files must agree.  Prints one line per case
+and a summary; exits 1 on any difference.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+BASE = """\
+domain.n = 2
+domain.base = 0,1
+domain.t_min = 0.2
+domain.k0 = 2.0
+domain.d0 = 1.0
+problem.p = {p}
+problem.f = constant:-1
+problem.dirichlet = zero
+problem.exact = auto
+problem.omega = 0.0
+grid.nodes = 13,13
+exhaust.j_max = 3
+exhaust.density = 8
+convolve.direction = inf
+convolve.eps = 0.05
+convolve.input = src.gf
+study.levels = 2
+verify.radii = 0.3,0.15,0.075
+output.dir = out
+"""
+# t^p f = 0.1 meets the comparison pair's forcing floor omega = 0.1 at every p
+PAIR = "problem.omega = 0.1\nproblem.f = exp:0.1,-{p}\n"
+STORED = "verify.solution = src.gf\n"
+FAILING = "solver.max_iter = 0\ndomain.t_min = 0.001\n"
+CHECKS = ("abp", "hoelder", "harnack", "weakharnack", "oscillation",
+          "comparison", "doubling", "weakform")
+
+
+def cases():
+    """(label, argv, config text) for every case; later keys override."""
+    for p in ("2.0", "3.0"):
+        base = BASE.format(p=p)
+        for cmd in ("solve", "manufacture", "exhaust", "convergence-study", "gcondition"):
+            yield f"p={p} {cmd}", [cmd], base
+        for direction in ("inf", "sup"):
+            for metric in ("log", "literal"):
+                extra = f"convolve.direction = {direction}\nconvolve.metric = {metric}\n"
+                yield f"p={p} convolve {direction} {metric}", ["convolve"], base + extra
+        for check in CHECKS:
+            extra = PAIR.format(p=p) if check in ("comparison", "doubling") else ""
+            yield f"p={p} verify {check}", ["verify", check], base + extra
+        for check in ("abp", "hoelder"):
+            yield f"p={p} verify {check} stored", ["verify", check], base + STORED
+        for argv in (["solve"], ["exhaust"], ["verify", "abp"]):
+            yield f"p={p} {' '.join(argv)} max_iter=0", argv, base + FAILING
+
+
+def run_side(src: str, workdir: str, argv: list, text: str, field: str) -> int:
+    os.makedirs(workdir)
+    shutil.copy(field, os.path.join(workdir, "src.gf"))
+    with open(os.path.join(workdir, "run.cfg"), "w") as fh:
+        fh.write(text)
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    proc = subprocess.run([sys.executable, "-m", "conepde.cli", "--seed", "11", *argv,
+                           "--config", "run.cfg"], cwd=workdir, env=env,
+                          capture_output=True, text=True)
+    return proc.returncode
+
+
+def outputs(workdir: str) -> dict:
+    out = os.path.join(workdir, "out")
+    if not os.path.isdir(out):
+        return {}
+    result = {}
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            result[name] = None if name.endswith("_meta.json") else fh.read()
+    return result
+
+
+def write_field(src: str, path: str) -> None:
+    """A seeded random field on the configs' 13x13 grid, the convolve input
+    and the stored verify solution."""
+    sys.path.insert(0, os.path.abspath(src))
+    from conepde.calculus import GridFunction, LogGrid, write_gridfunction
+    from conepde.geometry import ConeDomain
+
+    grid = LogGrid.build(ConeDomain(n=2, base_lo=[0.0], base_hi=[1.0], t_min=0.2), (13, 13))
+    values = np.random.default_rng(0).standard_normal(grid.shape)
+    write_gridfunction(path, GridFunction(grid, values))
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
+        return 2
+    old_src, new_src = argv
+    differing = files = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        field = os.path.join(tmp, "src.gf")
+        write_field(new_src, field)
+        all_cases = list(cases())
+        for k, (label, cmd, text) in enumerate(all_cases):
+            codes, outs = [], []
+            for side, src in (("old", old_src), ("new", new_src)):
+                workdir = os.path.join(tmp, side, str(k))
+                codes.append(run_side(src, workdir, cmd, text, field))
+                outs.append(outputs(workdir))
+            problems = []
+            if codes[0] != codes[1]:
+                problems.append(f"exit {codes[0]} != {codes[1]}")
+            if outs[0].keys() != outs[1].keys():
+                problems.append(f"files {sorted(outs[0])} != {sorted(outs[1])}")
+            same = [n for n in outs[0] if n in outs[1] and outs[0][n] == outs[1][n]
+                    and outs[0][n] is not None]
+            problems += [f"{n} differs" for n in outs[0]
+                         if n in outs[1] and outs[0][n] != outs[1][n]]
+            files += len(same)
+            differing += bool(problems)
+            status = "DIFF" if problems else "ok  "
+            print(f"{status} {label:<36} exit {codes[1]}  {len(same)} identical"
+                  + (": " + "; ".join(problems) if problems else ""))
+    print(f"{len(all_cases) - differing} of {len(all_cases)} cases match; "
+          f"{files} non-meta files byte-identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
