@@ -132,16 +132,17 @@ def parse_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 # builders
 
+def _base_box(raw: str) -> list:
+    box = [[float(v) for v in axis.split(",")] for axis in raw.split(";")]
+    if any(len(pair) != 2 for pair in box):
+        raise ValueError(raw)
+    return box
+
+
 def build_domain(cfg: RunConfig) -> ConeDomain:
     n = cfg.get_int("domain.n", required=True)
-    base_raw = cfg.get("domain.base", required=True)
-    lo, hi = [], []
-    for axis_spec in base_raw.split(";"):
-        parts = [p.strip() for p in axis_spec.split(",")]
-        if len(parts) != 2:
-            raise ConfigError(f"domain.base: expected 'lo,hi' per axis, got {axis_spec!r}")
-        lo.append(float(parts[0]))
-        hi.append(float(parts[1]))
+    lo, hi = zip(*cfg._parse("domain.base", None, True, _base_box,
+                             "'lo,hi' per axis, axes separated by ';'"))
     t_min = cfg.get_float("domain.t_min", required=True)
     K0 = cfg.get_float("domain.k0", 2.0)
     d0 = cfg.get_float("domain.d0", 1.0)
@@ -620,7 +621,7 @@ def run(argv) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except RuntimeError as exc:
+    except (RuntimeError, FloatingPointError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (ValueError, OSError) as exc:

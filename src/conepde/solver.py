@@ -2,6 +2,9 @@
 gradient-regularization continuation, manufactured problems, a convergence
 study helper, and the domain-exhaustion existence procedure.
 
+The continuation fixes p: for p > 2 a linearized p = 2 presolve gives the
+starting field, and one queue of eps_reg stages at the target p follows.
+
 The discrete unknown is the flattened field on the full tensor grid; boundary
 rows are identities pinned to the Dirichlet data and interior rows carry the
 log-chart residual.  The radial drift term is discretized centrally unless
@@ -76,7 +79,6 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class StageRecord:
-    p: float
     eps_reg: float
     iterations: int
     residual_norm: float
@@ -311,29 +313,24 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid,
         values, _, _ = _newton_stage(values, grid, 2.0, 2 + (n - p), F_log,
                                      cfg.eps_reg_schedule[0], drift, cfg)
 
-    p_path = [p] if p <= 3.0 else [*np.arange(3.0, p, 0.5), p]
-    norm = math.inf
+    queue = [cfg.eps_reg_schedule[-1]] if p == 2.0 else list(cfg.eps_reg_schedule)
+    prev_eps = None
     insertions = 0
-    for p_cur in p_path:
-        queue = [cfg.eps_reg_schedule[-1]] if p_cur == 2.0 else list(cfg.eps_reg_schedule)
-        prev_eps = None
-        i = 0
-        while i < len(queue):
-            eps = queue[i]
-            values, iters, norm = _newton_stage(values, grid, p_cur, n, F_log,
-                                                eps, drift, cfg)
-            stages.append(StageRecord(p=p_cur, eps_reg=eps, iterations=iters,
-                                      residual_norm=norm))
-            if norm > cfg.tol:
-                # stalled stage: refine the continuation by retrying through
-                # the geometric midpoint of the last good step
-                ref = prev_eps if prev_eps is not None else 4.0 * eps
-                if insertions < 24 and ref / eps > 1.05:
-                    queue.insert(i, math.sqrt(ref * eps))
-                    insertions += 1
-                    continue
-            prev_eps = eps
-            i += 1
+    i = 0
+    while i < len(queue):
+        eps = queue[i]
+        values, iters, norm = _newton_stage(values, grid, p, n, F_log, eps, drift, cfg)
+        stages.append(StageRecord(eps_reg=eps, iterations=iters, residual_norm=norm))
+        if norm > cfg.tol:
+            # stalled stage: refine the continuation by retrying through
+            # the geometric midpoint of the last good step
+            ref = prev_eps if prev_eps is not None else 4.0 * eps
+            if insertions < 24 and ref / eps > 1.05:
+                queue.insert(i, math.sqrt(ref * eps))
+                insertions += 1
+                continue
+        prev_eps = eps
+        i += 1
 
     report = SolveReport(
         stages=stages,

@@ -51,6 +51,14 @@ class TestConfigValidation:
         assert run(["solve", "--config", cfg]) == 2
         assert "problem.p" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("base", ["0,x", "0,1,2"])
+    def test_bad_base_box_reports_key_and_line(self, tmp_path, capsys, base):
+        cfg = write_config(tmp_path, BASE_CONFIG.format(outdir=tmp_path)
+                           .replace("domain.base = 0,1", f"domain.base = {base}"))
+        assert run(["solve", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "domain.base" in err and "line 3" in err
+
     def test_truncated_gridfunction_header_names_field(self, tmp_path, capsys):
         src = os.path.join(tmp_path, "short.gf")
         with open(src, "w") as fh:
@@ -91,6 +99,15 @@ class TestSolveCommand:
         assert run(["solve", "--config", cfg]) == 3
         with open(os.path.join(out, "solve_report.json")) as fh:
             assert json.load(fh)["converged"] is False
+
+    def test_nan_forcing_exits_three_without_outputs(self, tmp_path, capsys):
+        out = os.path.join(tmp_path, "out")
+        body = BASE_CONFIG.replace("problem.f = zero", "problem.f = constant:nan")
+        cfg = write_config(tmp_path, body.format(outdir=out))
+        assert run(["solve", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "solver error" in err and "NaN" in err
+        assert not os.path.isdir(out) or not os.listdir(out)
 
     def test_solve_reports_are_deterministic(self, tmp_path):
         out1 = os.path.join(tmp_path, "o1")
@@ -295,7 +312,7 @@ class TestReportSchema:
     @pytest.mark.parametrize("command, keys, header", [
         (["solve"], {"config_hash": None, "converged": None, "drift": None,
                      "final_residual": None,
-                     "stages": [dict.fromkeys(["p", "eps_reg", "iterations",
+                     "stages": [dict.fromkeys(["eps_reg", "iterations",
                                                "residual_norm"])]}, None),
         (["verify", "abp"], {**VERIFY_KEYS, "subsolution": ABP_KEYS,
                              "two_sided": ABP_KEYS}, "quantity,value"),

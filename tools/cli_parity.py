@@ -6,14 +6,20 @@ Runs every subcommand and verify check on the same configs with each tree's
 ``src/`` directory (OLD_SRC and NEW_SRC) on PYTHONPATH, each command in a
 fresh working directory with relative input and output paths, so both sides
 see identical config text and hence identical config hashes.  The cases are
-the fourteen commands of the determinism acceptance test at p = 2 and p = 3,
-``convolve`` in both directions under both pairing metrics, two verify
-checks on a stored field, and the solver-failure paths (``solver.max_iter =
-0``).  Every output except ``*_meta.json`` must be byte-identical, and the
-exit codes and the set of meta files must agree.  Prints one line per case
-and a summary; exits 1 on any difference.
+the fourteen commands of the determinism acceptance test at p = 2, 3 and 4
+(p = 4 covers the solves above p = 3), ``convolve`` in both directions
+under both pairing metrics, two verify checks on a stored field, and the
+solver-failure paths (``solver.max_iter = 0``).  Every output except
+``*_meta.json`` must be byte-identical, and the exit codes and the set of
+meta files must agree.  Prints one line per case and a summary; exits 1 on
+any difference.  A file that differs is reported with the largest
+|old - new| / max(1, |old|) over its numbers (JSON values, CSV fields,
+``.gf`` lines), or as "structure differs" when its non-numeric text
+differs too.
 """
 
+import json
+import math
 import os
 import shutil
 import subprocess
@@ -53,7 +59,7 @@ CHECKS = ("abp", "hoelder", "harnack", "weakharnack", "oscillation",
 
 def cases():
     """(label, argv, config text) for every case; later keys override."""
-    for p in ("2.0", "3.0"):
+    for p in ("2.0", "3.0", "4.0"):
         base = BASE.format(p=p)
         for cmd in ("solve", "manufacture", "exhaust", "convergence-study", "gcondition"):
             yield f"p={p} {cmd}", [cmd], base
@@ -93,6 +99,49 @@ def outputs(workdir: str) -> dict:
     return result
 
 
+def split_numbers(name: str, data: bytes) -> tuple:
+    """(non-numeric skeleton, numbers) of an output file: the JSON value tree
+    with numbers replaced by None, or the comma- and line-separated fields of
+    a CSV or ``.gf`` file with numbers replaced by None."""
+    numbers = []
+
+    def strip(value):
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            numbers.append(float(value))
+            return None
+        if isinstance(value, dict):
+            return {k: strip(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [strip(v) for v in value]
+        return value
+
+    def field(text):
+        try:
+            numbers.append(float(text))
+            return None
+        except ValueError:
+            return text
+
+    text = data.decode()
+    if name.endswith(".json"):
+        return strip(json.loads(text)), numbers
+    return [[field(f) for f in line.split(",")] for line in text.splitlines()], numbers
+
+
+def describe_difference(name: str, old: bytes, new: bytes) -> str:
+    old_skeleton, old_nums = split_numbers(name, old)
+    new_skeleton, new_nums = split_numbers(name, new)
+    if old_skeleton != new_skeleton:
+        return "structure differs"
+    worst = 0.0
+    for a, b in zip(old_nums, new_nums):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        d = abs(a - b) / max(1.0, abs(a))
+        worst = math.inf if math.isnan(d) else max(worst, d)
+    return f"max rel diff {worst:.3g}"
+
+
 def write_field(src: str, path: str) -> None:
     """A seeded random field on the configs' 13x13 grid, the convolve input
     and the stored verify solution."""
@@ -128,8 +177,8 @@ def main(argv) -> int:
                 problems.append(f"files {sorted(outs[0])} != {sorted(outs[1])}")
             same = [n for n in outs[0] if n in outs[1] and outs[0][n] == outs[1][n]
                     and outs[0][n] is not None]
-            problems += [f"{n} differs" for n in outs[0]
-                         if n in outs[1] and outs[0][n] != outs[1][n]]
+            problems += [f"{n} differs ({describe_difference(n, outs[0][n], outs[1][n])})"
+                         for n in outs[0] if n in outs[1] and outs[0][n] != outs[1][n]]
             files += len(same)
             differing += bool(problems)
             status = "DIFF" if problems else "ok  "

@@ -1,0 +1,130 @@
+"""Dirichlet solves at p > 3 on two source trees of conepde, side by side.
+
+    python tools/solver_sweep.py OLD_SRC NEW_SRC
+
+Runs 40 solves with each tree's ``src/`` directory (OLD_SRC and NEW_SRC),
+each tree in its own subprocess.  For each p in {3.5, 4, 5, 6}, all on 41^2
+grids over the base [0, 1] with t_min = e^-1 unless stated:
+
+- manufactured u* = t^kappa for kappa in {-0.5, 0.2, 0.41, 1.0};
+- zero Dirichlet data with f = c for c in {-1, 0.3, 1};
+- zero Dirichlet data with f = 0.3 t^-p and t_min = 0.01;
+- on 13^3 grids: manufactured u* = t^0.3, and f = 0.5 with zero Dirichlet
+  data.
+
+Prints, for each case and side, whether the solve converged, its stages,
+Newton steps and seconds, and the max-norm difference of the two fields
+relative to the old field's max norm; then the totals.  Exits 1 if a case
+converges on OLD_SRC but not on NEW_SRC.
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+import time
+
+import numpy as np
+
+TOOLS = os.path.dirname(os.path.abspath(__file__))
+PS = (3.5, 4.0, 5.0, 6.0)
+
+
+def cases():
+    """(label, p, n, t_min, u* exponent or None, forcing or None) per case;
+    a case has either a manufactured exponent or a forcing with zero
+    Dirichlet data, where a forcing is (c, q) for f = c t^q."""
+    e1 = math.exp(-1.0)
+    for p in PS:
+        for kappa in (-0.5, 0.2, 0.41, 1.0):
+            yield f"p={p:g} 41^2 u*=t^{kappa:g}", p, 2, e1, kappa, None
+        for c in (-1.0, 0.3, 1.0):
+            yield f"p={p:g} 41^2 f={c:g}", p, 2, e1, None, (c, 0.0)
+        yield f"p={p:g} 41^2 f=0.3t^-p t_min=0.01", p, 2, 0.01, None, (0.3, -p)
+        yield f"p={p:g} 13^3 u*=t^0.3", p, 3, e1, 0.3, None
+        yield f"p={p:g} 13^3 f=0.5", p, 3, e1, None, (0.5, 0.0)
+
+
+def run_cases(out: str) -> None:
+    """Solves every case with the conepde found on sys.path; writes the
+    fields to ``out + '.npz'`` and the statistics to ``out + '.json'``."""
+    from conepde.calculus import LogGrid
+    from conepde.geometry import ConeDomain
+    from conepde.operators import PDEProblem
+    from conepde.solver import manufactured_problem, power_of_t_field, solve_dirichlet
+
+    stats, fields = [], {}
+    for k, (label, p, n, t_min, kappa, forcing) in enumerate(cases()):
+        domain = ConeDomain(n=n, base_lo=[0.0] * (n - 1), base_hi=[1.0] * (n - 1),
+                            t_min=t_min)
+        grid = LogGrid.build(domain, (41, 41) if n == 2 else (13, 13, 13))
+        if kappa is not None:
+            prob = manufactured_problem(power_of_t_field(kappa, n), p, n)
+        else:
+            c, q = forcing
+            prob = PDEProblem(p=p, n=n, f=lambda t, xs, c=c, q=q: c * np.asarray(t) ** q,
+                              dirichlet=lambda t, xs: np.zeros_like(np.asarray(t)))
+        t0 = time.perf_counter()
+        try:
+            u, rep = solve_dirichlet(prob, grid)
+        except FloatingPointError as exc:
+            stats.append({"converged": False, "stages": 0, "steps": 0,
+                          "seconds": time.perf_counter() - t0, "error": str(exc)})
+            continue
+        stats.append({"converged": rep.converged, "stages": len(rep.stages),
+                      "steps": sum(s.iterations for s in rep.stages),
+                      "seconds": time.perf_counter() - t0})
+        fields[f"c{k}"] = u.values
+    np.savez(out + ".npz", **fields)
+    with open(out + ".json", "w") as fh:
+        json.dump(stats, fh)
+
+
+def run_side(src: str, out: str) -> tuple:
+    code = ("import sys; sys.path[:0] = sys.argv[1:3]; import solver_sweep; "
+            "solver_sweep.run_cases(sys.argv[3])")
+    subprocess.run([sys.executable, "-c", code, os.path.abspath(src), TOOLS, out],
+                   check=True)
+    with open(out + ".json") as fh:
+        stats = json.load(fh)
+    with np.load(out + ".npz") as npz:
+        return stats, {k: npz[k] for k in npz.files}
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        (old, old_fields), (new, new_fields) = (
+            run_side(src, os.path.join(tmp, side)) for side, src in zip(("old", "new"), argv))
+    labels = [c[0] for c in cases()]
+    print(f"{'case':<34} {'old: conv stages steps s':>26}   {'new: conv stages steps s':>26}"
+          "   rel diff")
+    lost = 0
+    for k, label in enumerate(labels):
+        a, b = old[k], new[k]
+        key = f"c{k}"
+        if a["converged"] and b["converged"]:
+            ref = old_fields[key]
+            diff = f"{np.max(np.abs(new_fields[key] - ref)) / np.max(np.abs(ref)):.2e}"
+        else:
+            diff = "-"
+        lost += a["converged"] and not b["converged"]
+        row = "   ".join(f"{'yes' if s['converged'] else 'NO':>4} {s['stages']:>6} "
+                         f"{s['steps']:>6} {s['seconds']:>7.2f}" for s in (a, b))
+        print(f"{label:<34} {row}   {diff}")
+    for side, stats in (("old", old), ("new", new)):
+        print(f"{side}: {sum(s['converged'] for s in stats)} of {len(stats)} converge; "
+              f"{sum(s['stages'] for s in stats)} stages, "
+              f"{sum(s['steps'] for s in stats)} Newton steps, "
+              f"{sum(s['seconds'] for s in stats):.1f} s")
+    if lost:
+        print(f"{lost} case(s) converge on OLD_SRC but not on NEW_SRC")
+    return 1 if lost else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
