@@ -124,8 +124,8 @@ def _abp_variant(v: GridFunction, prob: PDEProblem, domain: ConeDomain,
     C_emp = None
     if not forcing_zero:
         C_emp = (interior_sup - boundary_sup) / (geometry * forcing)
-    flat = np.argmax(np.where(interior, signed_part, -np.inf))
-    bottom_active = bool(np.unravel_index(flat, grid.shape)[0] == 0)
+    bottom = grid.artificial_bottom_mask
+    bottom_active = bool(np.any(bottom) and np.max(signed_part[bottom]) > interior_sup)
     return AbpReport(
         variant=variant,
         interior_sup_vplus=interior_sup,
@@ -455,14 +455,17 @@ class CosineBump:
         return np.stack(g)
 
 
-def cosine_bumps(grid: LogGrid, count: int, seed: int = 0,
-                 min_width_cells: float = 3.0, snap: bool = True) -> list:
-    """Deterministic family of admissible bumps strictly inside the grid.
+BUMP_MIN_CELLS = 3.0
 
-    With ``snap`` the centers and widths are rounded to node multiples so
-    the support edges (where the bump curvature jumps) fall on grid nodes;
-    that keeps the quadrature error of bump integrals clean second order,
-    also on nested refinements of the same grid.
+
+def cosine_bumps(grid: LogGrid, count: int, seed: int = 0) -> list:
+    """Deterministic family of admissible bumps strictly inside the grid,
+    each at least ``BUMP_MIN_CELLS`` cells wide on every axis.
+
+    The centers and widths are rounded to node multiples so the support
+    edges (where the bump curvature jumps) fall on grid nodes; that keeps
+    the quadrature error of bump integrals clean second order, also on
+    nested refinements of the same grid.
     """
     rng = np.random.default_rng(seed)
     los = np.array([ax[0] for ax in grid.axes])
@@ -471,16 +474,14 @@ def cosine_bumps(grid: LogGrid, count: int, seed: int = 0,
     bumps = []
     for _ in range(count):
         widths = np.maximum(
-            (his - los) * (0.12 + 0.18 * rng.random(grid.n)), min_width_cells * hs
+            (his - los) * (0.12 + 0.18 * rng.random(grid.n)), BUMP_MIN_CELLS * hs
         )
         lo = los + widths + hs
         hi = his - widths - hs
         center = lo + rng.random(grid.n) * np.maximum(hi - lo, 0.0)
-        if snap:
-            widths = np.maximum(np.round(widths / hs), min_width_cells) * hs
-            center = los + np.round((center - los) / hs) * hs
-            center = np.minimum(np.maximum(center, los + widths + hs),
-                                his - widths - hs)
+        widths = np.maximum(np.round(widths / hs), BUMP_MIN_CELLS) * hs
+        center = los + np.round((center - los) / hs) * hs
+        center = np.minimum(np.maximum(center, los + widths + hs), his - widths - hs)
         bumps.append(CosineBump(center=center, widths=widths))
     return bumps
 

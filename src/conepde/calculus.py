@@ -31,7 +31,6 @@ __all__ = [
     "b_hessian",
     "gradient_field",
     "hessian_field",
-    "drift_field",
     "cone_integral",
     "weighted_Lp_norm",
     "weighted_sobolev_norm",
@@ -171,16 +170,6 @@ class LogGrid:
         return ops
 
     @cached_property
-    def drift_ops(self) -> dict:
-        """Radial first-difference operator per drift mode."""
-        m, h = self.shape[0], self.h[0]
-        return {
-            "central": self.first_diff_ops[0],
-            "upwind-forward": _along_axis(self.shape, 0, _upwind_matrix(m, h, True)),
-            "upwind-backward": _along_axis(self.shape, 0, _upwind_matrix(m, h, False)),
-        }
-
-    @cached_property
     def boundary_distance_field(self) -> np.ndarray:
         """Distance of each node to the analytic boundary, in the cone metric."""
         A = self.mesh[0]
@@ -245,14 +234,6 @@ def second_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def _upwind_matrix(m: int, h: float, forward: bool) -> sp.csr_matrix:
-    """First-order one-sided first derivative; the end without a neighbour
-    on that side repeats the adjacent difference."""
-    F = np.diff(np.eye(m), axis=0) / h  # row i: (v[i+1] - v[i]) / h
-    i = np.arange(m - 1)
-    return sp.csr_matrix(F[np.append(i, m - 2) if forward else np.insert(i, 0, 0)])
-
-
 def _along_axis(shape: tuple, axis: int, D) -> sp.csr_matrix:
     """The 1D operator D applied along one axis of row-major flattened values."""
     inner = sp.kron(D, sp.identity(int(np.prod(shape[axis + 1:]))))
@@ -281,13 +262,6 @@ def hessian_field(u: GridFunction) -> np.ndarray:
     for (k, l), D in u.grid.hessian_ops.items():
         out[k, l] = out[l, k] = (D @ v).reshape(u.grid.shape)
     return out
-
-
-def drift_field(u: GridFunction, drift: str) -> np.ndarray:
-    """Radial first derivative: central, or one-sided against the drift sign."""
-    if drift not in u.grid.drift_ops:
-        raise ValueError(f"unknown drift mode {drift!r}")
-    return (u.grid.drift_ops[drift] @ u.values.ravel()).reshape(u.grid.shape)
 
 
 def _at_node(ops, u: GridFunction, node) -> np.ndarray:

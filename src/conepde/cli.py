@@ -216,10 +216,16 @@ def build_grid(cfg: RunConfig, domain: ConeDomain) -> LogGrid:
         raise ConfigError(f"grid: {exc}") from exc
 
 
+SOLVER_KEYS = ("solver.tol", "solver.max_iter", "solver.eps_reg_start", "solver.eps_reg_floor")
+
+
 def build_solver_config(cfg: RunConfig) -> SolverConfig:
+    for key in cfg.entries:
+        if key.startswith("solver.") and key not in SOLVER_KEYS:
+            raise ConfigError(f"line {cfg.lines[key]}: unknown key {key}; the solver "
+                              f"reads {', '.join(SOLVER_KEYS)}")
     kwargs = {}
-    for key, get in (("tol", cfg.get_float), ("max_iter", cfg.get_int),
-                     ("damping", cfg.get_float), ("drift_upwind_threshold", cfg.get_float)):
+    for key, get in (("tol", cfg.get_float), ("max_iter", cfg.get_int)):
         value = get(f"solver.{key}")
         if value is not None:
             kwargs[key] = value

@@ -33,7 +33,6 @@ from conepde.calculus import (
     LogGrid,
     b_gradient,
     b_hessian,
-    drift_field,
     gradient_field,
     hessian_field,
 )
@@ -241,11 +240,11 @@ def gradient_powers(g, p: float, eps_reg: float = 0.0) -> tuple:
         return s2, coef, np.where(s2 > 0.0, coef / s2, 0.0)
 
 
-def operator_terms(g, H, drift, p: float, n: int, eps_reg: float = 0.0,
+def operator_terms(g, H, p: float, n: int, eps_reg: float = 0.0,
                    extremal: str | None = None, slopes: bool = False) -> tuple:
-    """The operator R = sum_kl A_kl H_kl + B drift (no forcing) and its
-    partial derivatives, as (R, A, B, C), from derivative arrays g (n, ...),
-    H (n, n, ...) and the radial drift derivative (...).
+    """The operator R = sum_kl A_kl H_kl + B g_a (no forcing) and its
+    partial derivatives, as (R, A, B, C), from derivative arrays g (n, ...)
+    and H (n, n, ...); the radial drift derivative g_a is g[0].
 
     A = |g|_d^(p-2) Q_d weighs the Hessian entries (it is also the derivative
     of the flux) and B = (n-p) |g|_d^(p-2) the drift.  C = dR/dg is None
@@ -274,16 +273,16 @@ def operator_terms(g, H, drift, p: float, n: int, eps_reg: float = 0.0,
         gHg = np.einsum("k...,k...->...", g, Hg)
         with np.errstate(divide="ignore", invalid="ignore"):
             g_over_s2 = np.where(s2 > 0.0, g / s2, 0.0)
-        C = (p - 2.0) * inv * (g * (trH + (n - p) * drift)
+        C = (p - 2.0) * inv * (g * (trH + (n - p) * g[0])
                                + (p - 4.0) * g_over_s2 * gHg + 2.0 * Hg)
-    return diffusion + B * drift, A, B, C
+    return diffusion + B * g[0], A, B, C
 
 
 def full_residual_from_derivs(t: float, grad, hess, p: float, n: int,
                               f_value: float, eps_reg: float = 0.0,
                               extremal: str | None = None) -> float:
     """Strong-form residual from explicit derivatives at one point."""
-    R = operator_terms(grad, hess, grad[0], p, n, eps_reg, extremal)[0]
+    R = operator_terms(grad, hess, p, n, eps_reg, extremal)[0]
     return float(t ** (-p) * R - f_value)
 
 
@@ -292,7 +291,7 @@ def log_residual_from_derivs(a: float, grad, hess, p: float, n: int,
                              extremal: str | None = None) -> float:
     """Log-chart residual from explicit derivatives at one point; equals
     t^p times the strong residual."""
-    R = operator_terms(grad, hess, grad[0], p, n, eps_reg, extremal)[0]
+    R = operator_terms(grad, hess, p, n, eps_reg, extremal)[0]
     return float(R - f_value * math.exp(a * p))
 
 
@@ -303,7 +302,7 @@ def transformed_residual_from_derivs(t: float, z_value: float, grad, hess,
     derivatives of the substituted field z."""
     s2 = gradient_powers(grad, p, eps_reg)[0]
     return float(
-        operator_terms(grad, hess, grad[0], p, n, eps_reg)[0]
+        operator_terms(grad, hess, p, n, eps_reg)[0]
         - (p - 1.0) * s2 ** (p / 2.0)
         - f_value * t ** p * math.exp(z_value * (p - 1.0)) / K ** (p - 1.0)
     )
@@ -418,16 +417,14 @@ def transformed_residual(z: GridFunction, node, prob: PDEProblem,
 # vectorized residual fields (shared with the solver)
 
 def divergence_part_field(u: GridFunction, p: float, n: int,
-                          eps_reg: float = 0.0,
-                          drift: str = "central") -> np.ndarray:
+                          eps_reg: float = 0.0) -> np.ndarray:
     """|g|_d^(p-2) (tr(Q_d H) + (n-p) g_a) at every node (no forcing term)."""
-    return operator_terms(gradient_field(u), hessian_field(u), drift_field(u, drift),
-                          p, n, eps_reg)[0]
+    return operator_terms(gradient_field(u), hessian_field(u), p, n, eps_reg)[0]
 
 
-def residual_log_field(u: GridFunction, prob: PDEProblem, eps_reg: float = 0.0,
-                       drift: str = "central") -> np.ndarray:
+def residual_log_field(u: GridFunction, prob: PDEProblem,
+                       eps_reg: float = 0.0) -> np.ndarray:
     """Log-chart residual at every node (boundary rows use one-sided stencils)."""
     A = u.grid.mesh[0]
     forcing = prob.f_values(u.grid) * np.exp(A * prob.p)
-    return divergence_part_field(u, prob.p, prob.n, eps_reg, drift) - forcing
+    return divergence_part_field(u, prob.p, prob.n, eps_reg) - forcing

@@ -7,9 +7,11 @@ starting field, and one queue of eps_reg stages at the target p follows.
 
 The discrete unknown is the flattened field on the full tensor grid; boundary
 rows are identities pinned to the Dirichlet data and interior rows carry the
-log-chart residual.  The radial drift term is discretized centrally unless
-the mesh Peclet rule requests one-sided differencing, which preserves the
-sign structure needed by the discrete comparison checks.
+log-chart residual.  The radial drift term is the central radial
+difference the gradient already holds.  Central differencing keeps the sign
+structure the discrete comparison checks need only while the mesh Peclet
+number |n-p| h_a / (p-1) stays at most 2, so a solve on a coarser radial
+grid is rejected rather than run with another scheme.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conepde.calculus import GridFunction, LogGrid, drift_field, gradient_field, hessian_field
+from conepde.calculus import GridFunction, LogGrid, gradient_field, hessian_field
 from conepde.geometry import ConeDomain, exhaustion
 from conepde.operators import PDEProblem, divergence_part_field, operator_terms
 
@@ -61,8 +63,6 @@ class SolverConfig:
     eps_reg_schedule: tuple = field(default_factory=default_eps_schedule)
     tol: float = 1e-9
     max_iter: int = 200
-    damping: float = 0.5
-    drift_upwind_threshold: float | None = None  # None: upwind iff |n-p| h_a > 2(p-1)
 
     def __post_init__(self):
         sched = tuple(self.eps_reg_schedule)
@@ -73,8 +73,6 @@ class SolverConfig:
             raise ValueError("eps_reg schedule must be strictly decreasing")
         if not self.tol > 0.0:
             raise ValueError("tolerance must be positive")
-        if not (0.0 < self.damping < 1.0):
-            raise ValueError("damping factor must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -88,7 +86,6 @@ class StageRecord:
 class SolveReport:
     stages: list
     converged: bool
-    drift: str
     final_residual: float
 
 
@@ -197,7 +194,7 @@ def manufactured_problem(u_star: AnalyticField, p: float, n: int) -> PDEProblem:
         a = np.log(t)
         g = u_star.grad(a, xs)
         H = u_star.hess(a, xs)
-        return operator_terms(g, H, g[0], p, n)[0] * t ** (-p)
+        return operator_terms(g, H, p, n)[0] * t ** (-p)
 
     return PDEProblem(p=p, n=n, f=forcing, dirichlet=u_star.as_txy(), omega=0.0)
 
@@ -209,32 +206,36 @@ def exact_solution_values(u_star: AnalyticField, grid: LogGrid) -> GridFunction:
 # ---------------------------------------------------------------------------
 # discretization
 
-def _drift_mode(p: float, n: int, h_a: float, threshold: float | None) -> str:
-    thr = 2.0 * (p - 1.0) if threshold is None else threshold
-    if abs(n - p) * h_a <= thr or n == p:
-        return "central"
-    return "upwind-forward" if n > p else "upwind-backward"
+def _check_peclet(grid: LogGrid, p: float, n: int) -> None:
+    """Reject a radial step with |n-p| h_a > 2(p-1), where the central drift
+    difference loses the M-matrix sign structure of the linearization."""
+    h_a, bound = grid.h[0], 2.0 * (p - 1.0)
+    if abs(n - p) * h_a > bound:
+        need = math.ceil(abs(n - p) * (grid.a[-1] - grid.a[0]) / bound) + 1
+        raise ValueError(f"radial step h_a = {h_a:.6g} gives |n-p| h_a = "
+                         f"{abs(n - p) * h_a:.6g} above the mesh Peclet bound "
+                         f"2(p-1) = {bound:.6g}; use at least {need} radial nodes")
 
 
 def _assemble_jacobian(values: np.ndarray, grid: LogGrid, p: float, n: int,
-                       eps_reg: float, drift: str) -> sp.csr_matrix:
+                       eps_reg: float) -> sp.csr_matrix:
     """Jacobian of the log-chart residual w.r.t. all node values; boundary
     rows are identities.
 
-    Interior rows are sum_kl A_kl H_kl + sum_k C_k G_k + B Drift: the
+    Interior rows are sum_kl A_kl H_kl + sum_k C_k G_k + B G_0: the
     residual's own operators weighted by the partial derivatives of the
     residual algebra, so the matrix is its exact linearization.  At p == 2
     the terms carrying a (p-2) factor are left out rather than stored as
     zeros.
     """
     u = GridFunction(grid, values, check_finite=False)
-    _, A, B, C = operator_terms(gradient_field(u), hessian_field(u), drift_field(u, drift),
-                                p, n, eps_reg, slopes=True)
+    _, A, B, C = operator_terms(gradient_field(u), hessian_field(u), p, n, eps_reg,
+                                slopes=True)
     pairs = [(op, A[k, l] * (1.0 if k == l else 2.0))
              for (k, l), op in grid.hessian_ops.items() if p != 2.0 or k == l]
     if p != 2.0:
         pairs += list(zip(grid.first_diff_ops, C))
-    pairs.append((grid.drift_ops[drift], B))
+    pairs.append((grid.first_diff_ops[0], B))
     bmask = grid.boundary_mask.ravel()
     interior, boundary = np.flatnonzero(~bmask), np.flatnonzero(bmask)
     # on interior rows each operator is one stencil translated along the
@@ -252,37 +253,37 @@ def _assemble_jacobian(values: np.ndarray, grid: LogGrid, p: float, n: int,
 
 
 def _interior_residual(values: np.ndarray, grid: LogGrid, p: float, n: int,
-                       F_log: np.ndarray, eps_reg: float, drift: str) -> np.ndarray:
+                       F_log: np.ndarray, eps_reg: float) -> np.ndarray:
     u = GridFunction(grid, values, check_finite=False)
-    res = divergence_part_field(u, p, n, eps_reg, drift) - F_log
+    res = divergence_part_field(u, p, n, eps_reg) - F_log
     res[grid.boundary_mask] = 0.0
     return res
 
 
 def _newton_stage(values: np.ndarray, grid: LogGrid, p: float, n: int,
-                  F_log: np.ndarray, eps_reg: float, drift: str,
-                  cfg: SolverConfig) -> tuple:
-    """Damped Newton at one continuation stage; returns (values, iters, norm)."""
-    res = _interior_residual(values, grid, p, n, F_log, eps_reg, drift)
-    if np.any(np.isnan(res)):
-        raise FloatingPointError("NaN in discrete residual")
+                  F_log: np.ndarray, eps_reg: float, cfg: SolverConfig) -> tuple:
+    """Damped Newton at one continuation stage; returns (values, iters, norm).
+    A rejected trial step halves the step length."""
+    res = _interior_residual(values, grid, p, n, F_log, eps_reg)
+    if not np.all(np.isfinite(res)):
+        raise FloatingPointError("non-finite value in discrete residual")
     norm = float(np.max(np.abs(res)))
     iters = 0
     while norm > cfg.tol and iters < cfg.max_iter:
-        J = _assemble_jacobian(values, grid, p, n, eps_reg, drift)
+        J = _assemble_jacobian(values, grid, p, n, eps_reg)
         du = spla.spsolve(J, -res.ravel()).reshape(grid.shape)
         lam = 1.0
         accepted = False
         while lam >= 1e-12:
             trial = values + lam * du
-            tres = _interior_residual(trial, grid, p, n, F_log, eps_reg, drift)
+            tres = _interior_residual(trial, grid, p, n, F_log, eps_reg)
             if np.any(np.isnan(tres)):
                 raise FloatingPointError("NaN in discrete residual")
             tnorm = float(np.max(np.abs(tres)))
             if tnorm <= (1.0 - 1e-4 * lam) * norm or tnorm <= cfg.tol:
                 accepted = True
                 break
-            lam *= cfg.damping
+            lam *= 0.5
         iters += 1
         if not accepted:
             break
@@ -296,12 +297,20 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid,
 
     Boundary values (including the artificial truncation face) are pinned to
     the problem's Dirichlet sampler.  The solve is deterministic; failure to
-    converge is reported, never raised, except for NaN residuals.
+    converge is reported, never raised.  A radial step beyond the mesh Peclet
+    bound raises ValueError; a forcing t^p f that is not finite at an
+    interior node, or a residual that turns NaN, raises FloatingPointError.
     """
     cfg = cfg or SolverConfig()
     p, n = prob.p, prob.n
-    F_log = prob.f_values(grid) * np.exp(grid.mesh[0] * p)
-    drift = _drift_mode(p, n, grid.h[0], cfg.drift_upwind_threshold)
+    _check_peclet(grid, p, n)
+    with np.errstate(all="ignore"):
+        F_log = prob.f_values(grid) * np.exp(grid.mesh[0] * p)
+    bad = F_log[~np.isfinite(F_log) & ~grid.boundary_mask]
+    if bad.size:
+        nans = int(np.isnan(bad).sum())
+        raise FloatingPointError(f"forcing t^p f is not finite at {bad.size} interior "
+                                 f"nodes ({nans} NaN, {bad.size - nans} inf)")
 
     values = np.zeros(grid.shape)
     bmask = grid.boundary_mask
@@ -311,7 +320,7 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid,
     if p > 2.0:
         # linearized presolve: unit diffusion with the target drift strength
         values, _, _ = _newton_stage(values, grid, 2.0, 2 + (n - p), F_log,
-                                     cfg.eps_reg_schedule[0], drift, cfg)
+                                     cfg.eps_reg_schedule[0], cfg)
 
     queue = [cfg.eps_reg_schedule[-1]] if p == 2.0 else list(cfg.eps_reg_schedule)
     prev_eps = None
@@ -319,7 +328,7 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid,
     i = 0
     while i < len(queue):
         eps = queue[i]
-        values, iters, norm = _newton_stage(values, grid, p, n, F_log, eps, drift, cfg)
+        values, iters, norm = _newton_stage(values, grid, p, n, F_log, eps, cfg)
         stages.append(StageRecord(eps_reg=eps, iterations=iters, residual_norm=norm))
         if norm > cfg.tol:
             # stalled stage: refine the continuation by retrying through
@@ -335,7 +344,6 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid,
     report = SolveReport(
         stages=stages,
         converged=bool(norm <= cfg.tol),
-        drift=drift,
         final_residual=norm,
     )
     return GridFunction(grid, values), report

@@ -96,6 +96,26 @@ class TestAbp:
         assert one.forcing_zero
         assert one.interior_sup_vplus > one.boundary_sup_vplus + 10.0 * max(grid.h) ** 2
 
+    @pytest.mark.parametrize("bottom, active", [(5.0, True), (1.0, False), (0.5, False)])
+    def test_bottom_face_active_iff_face_max_exceeds_interior(self, bottom, active):
+        grid = LogGrid.build(unit_domain(), (9, 9))
+        prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
+        values = np.where(grid.boundary_mask, 0.0, 1.0)
+        values[0, 1:-1] = bottom
+        one, two = abp_check(GridFunction(grid, values), prob, grid.domain)
+        assert one.interior_sup_vplus == 1.0
+        assert one.bottom_face_active is active and two.bottom_face_active is active
+
+    def test_bottom_face_inactive_when_bottom_is_boundary(self):
+        dom = ConeDomain(n=2, base_lo=[0.0], base_hi=[1.0], t_min=math.exp(-1.0),
+                         bottom_is_boundary=True)
+        grid = LogGrid.build(dom, (9, 9))
+        prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
+        values = np.where(grid.boundary_mask, 0.0, 1.0)
+        values[0, 1:-1] = 5.0
+        one, _ = abp_check(GridFunction(grid, values), prob, dom)
+        assert one.boundary_sup_vplus == 5.0 and not one.bottom_face_active
+
 
 class TestForcingSup:
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.5])

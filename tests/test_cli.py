@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,16 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, BASE_CONFIG.format(outdir=tmp_path))
         assert run(["frobnicate", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("key", ["solver.damping = 0.3",
+                                     "solver.drift_upwind_threshold = 0"])
+    def test_unknown_solver_key_reports_key_and_line(self, tmp_path, capsys, key):
+        out = os.path.join(tmp_path, "out")
+        cfg = write_config(tmp_path, (BASE_CONFIG + key + "\n").format(outdir=out))
+        assert run(["solve", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert key.split(" =")[0] in err and "line 12" in err
+        assert not os.path.isdir(out) or not os.listdir(out)
+
     def test_out_of_range_p(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG.format(outdir=tmp_path)
                            .replace("problem.p = 2.0", "problem.p = 1.5"))
@@ -108,6 +119,31 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "solver error" in err and "NaN" in err
         assert not os.path.isdir(out) or not os.listdir(out)
+
+    def test_overflowing_forcing_exits_three_naming_inf(self, tmp_path, capsys):
+        out = os.path.join(tmp_path, "out")
+        body = BASE_CONFIG.replace("problem.f = zero", "problem.f = exp:1,-800")
+        cfg = write_config(tmp_path, body.format(outdir=out))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["solve", "--config", cfg]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert "solver error" in err and "inf" in err and "RuntimeWarning" not in err
+        assert not os.path.isdir(out) or not os.listdir(out)
+
+    @pytest.mark.parametrize("p, code", [("2.0", 0), ("3.0", 2), ("4.0", 2)])
+    def test_radial_step_beyond_peclet_bound_exits_two(self, tmp_path, capsys, p, code):
+        # t_min = 1e-6 on three radial nodes: h_a = 6.9, above 2(p-1) when n != p
+        out = os.path.join(tmp_path, "out")
+        body = (BASE_CONFIG.replace("0.36787944117144233", "1e-6")
+                .replace("problem.p = 2.0", f"problem.p = {p}")
+                .replace("grid.nodes = 13,13", "grid.nodes = 3,5"))
+        cfg = write_config(tmp_path, body.format(outdir=out))
+        assert run(["solve", "--config", cfg]) == code
+        if code:
+            assert "Peclet" in capsys.readouterr().err
+            assert not os.path.isdir(out) or not os.listdir(out)
 
     def test_solve_reports_are_deterministic(self, tmp_path):
         out1 = os.path.join(tmp_path, "o1")
@@ -310,8 +346,7 @@ class TestReportSchema:
     """The JSON key tree and CSV header of every report on the base grid."""
 
     @pytest.mark.parametrize("command, keys, header", [
-        (["solve"], {"config_hash": None, "converged": None, "drift": None,
-                     "final_residual": None,
+        (["solve"], {"config_hash": None, "converged": None, "final_residual": None,
                      "stages": [dict.fromkeys(["eps_reg", "iterations",
                                                "residual_norm"])]}, None),
         (["verify", "abp"], {**VERIFY_KEYS, "subsolution": ABP_KEYS,

@@ -8,8 +8,9 @@ fresh working directory with relative input and output paths, so both sides
 see identical config text and hence identical config hashes.  The cases are
 the fourteen commands of the determinism acceptance test at p = 2, 3 and 4
 (p = 4 covers the solves above p = 3), ``convolve`` in both directions
-under both pairing metrics, two verify checks on a stored field, and the
-solver-failure paths (``solver.max_iter = 0``).  Every output except
+under both pairing metrics, two verify checks on a stored field, the
+solver-failure paths (``solver.max_iter = 0``) and a solve on a radial grid
+too coarse for the mesh Peclet bound.  Every output except
 ``*_meta.json`` must be byte-identical, and the exit codes and the set of
 meta files must agree.  Prints one line per case and a summary; exits 1 on
 any difference.  A file that differs is reported with the largest
@@ -53,6 +54,8 @@ output.dir = out
 PAIR = "problem.omega = 0.1\nproblem.f = exp:0.1,-{p}\n"
 STORED = "verify.solution = src.gf\n"
 FAILING = "solver.max_iter = 0\ndomain.t_min = 0.001\n"
+# h_a = 6.9 breaks the mesh Peclet bound |n-p| h_a <= 2(p-1) unless p = n = 2
+COARSE = "domain.t_min = 1e-6\ngrid.nodes = 3,5\n"
 CHECKS = ("abp", "hoelder", "harnack", "weakharnack", "oscillation",
           "comparison", "doubling", "weakform")
 
@@ -74,6 +77,7 @@ def cases():
             yield f"p={p} verify {check} stored", ["verify", check], base + STORED
         for argv in (["solve"], ["exhaust"], ["verify", "abp"]):
             yield f"p={p} {' '.join(argv)} max_iter=0", argv, base + FAILING
+        yield f"p={p} solve coarse", ["solve"], base + COARSE
 
 
 def run_side(src: str, workdir: str, argv: list, text: str, field: str) -> int:
