@@ -170,6 +170,10 @@ class TestSolveDirichlet:
         assert rep.converged
 
 
+# case ids name the radial drift stencil the Jacobian differentiates
+DRIFT_IDS = ["2-central", "3-central"]
+
+
 class TestJacobian:
     """The assembled Jacobian is the exact linearization of the residual the
     Newton solve drives to zero."""
@@ -184,7 +188,7 @@ class TestJacobian:
             v = v + np.cos(3.0 * X + k)
         return grid, v, rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3], ids=DRIFT_IDS)
     @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.5])
     def test_taylor_against_residual(self, p, n):
         # central differences of the residual along w converge to J w at
@@ -206,7 +210,7 @@ class TestJacobian:
             # truncation-dominated pairs shrink like h^2; rounding-level ones stay put
             assert fine <= max(coarse / 50.0, 1e-10)
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3], ids=DRIFT_IDS)
     def test_linear_jacobian_stores_no_zeros(self, n):
         # at p = 2 the terms carrying a (p-2) factor are left out, not stored as zeros
         grid, v, _, _ = self._state(2.0, n)
