@@ -142,7 +142,7 @@ def _abp_variant(v: GridFunction, prob: PDEProblem, domain: ConeDomain,
 def abp_check(v: GridFunction, prob: PDEProblem, domain: ConeDomain) -> tuple:
     """Interior-sup reports: (subsolution variant with v^+ against f^-,
     two-sided variant with |v| against |f|)."""
-    f = prob.f_values(v.grid)
+    f = prob.forcing_values(v.grid)
     one = _abp_variant(v, prob, domain, np.maximum(v.values, 0.0),
                        np.maximum(-f, 0.0), "subsolution")
     two = _abp_variant(v, prob, domain, np.abs(v.values), np.abs(f), "two-sided")
@@ -172,7 +172,8 @@ def hoelder_check(v: GridFunction, prob: PDEProblem, rho: float) -> HoelderRepor
     """
     grid = v.grid
     norm = float(hoelder_norm(v, rho))
-    forcing = _sup_forcing(grid.t_field ** prob.p * np.abs(prob.f_values(grid)), prob.p)
+    tpf = grid.t_field ** prob.p * prob.forcing_values(grid)
+    forcing = _sup_forcing(np.abs(tpf), prob.p)
     vacuous = norm == 0.0
     inconsistent = forcing == 0.0 and norm > 0.0
     ratio = None if forcing == 0.0 else norm / forcing
@@ -231,7 +232,7 @@ def harnack_ratio(u: GridFunction, prob: PDEProblem, center: ConePoint,
         raise ValueError("the field is negative inside the ball")
     sup = float(np.max(u.values[half]))
     inf = float(np.min(u.values[half]))
-    tpf = grid.t_field ** prob.p * prob.f_values(grid)
+    tpf = grid.t_field ** prob.p * prob.forcing_values(grid)
     forcing = d ** (prob.p / (prob.p - 1.0)) * float(
         np.max(np.abs(tpf[ball]))) ** (1.0 / (prob.p - 1.0))
     denom = inf + forcing
@@ -282,7 +283,7 @@ def weak_harnack_check(u: GridFunction, prob: PDEProblem,
     w = quadrature_weights(grid)
     volume = float(np.sum(w * ball))
     inf_u = float(np.min(u.values[ball]))
-    tpf = grid.t_field ** prob.p * prob.f_values(grid)
+    tpf = grid.t_field ** prob.p * prob.forcing_values(grid)
     scale = cfg.d ** (prob.p / (prob.p - 1.0))
     f_minus = scale * float(np.max(np.maximum(-tpf, 0.0)[double])) ** (1.0 / (prob.p - 1.0))
     f_plus = scale * float(np.max(np.maximum(tpf, 0.0)[double])) ** (1.0 / (prob.p - 1.0))
@@ -507,7 +508,7 @@ def weak_form_residual(u: GridFunction, prob: PDEProblem,
     g = gradient_field(u)
     p, n = prob.p, prob.n
     flux = gradient_powers(g, p, eps_reg)[1] * g      # |g|^(p-2) g, shape (n, ...)
-    f = prob.f_values(grid)
+    f = prob.forcing_values(grid)
     t = grid.t_field
     tpf = t ** p * f
     w = quadrature_weights(grid)

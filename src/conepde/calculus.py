@@ -149,14 +149,25 @@ class LogGrid:
             mask[tuple(sl)] = True
         return mask
 
+    def stencil_matrix(self, axis: int, stencil: Callable) -> np.ndarray:
+        """The 1D stencil along one axis as a dense matrix on that axis's nodes."""
+        return stencil(np.eye(self.shape[axis]), 0, self.h[axis])
+
     def _stencil_op(self, axis: int, stencil: Callable) -> sp.csr_matrix:
-        m = self.shape[axis]
-        return _along_axis(self.shape, axis, sp.csr_matrix(stencil(np.eye(m), 0, self.h[axis])))
+        return _along_axis(self.shape, axis, sp.csr_matrix(self.stencil_matrix(axis, stencil)))
 
     @cached_property
     def first_diff_ops(self) -> tuple:
         """First-difference operators on the flattened values, one per axis."""
         return tuple(self._stencil_op(k, first_diff) for k in range(self.n))
+
+    @cached_property
+    def base_eigenbases(self) -> tuple:
+        """(eigenvalues, orthonormal eigenvectors) per base axis of the
+        interior block of ``second_diff``: its rows and columns at the nodes
+        off both faces, the symmetric tridiagonal [1, -2, 1] / h^2."""
+        return tuple(np.linalg.eigh(self.stencil_matrix(k, second_diff)[1:-1, 1:-1])
+                     for k in range(1, self.n))
 
     @cached_property
     def hessian_ops(self) -> dict:

@@ -98,6 +98,24 @@ class PDEProblem:
         t = grid.t_field
         return np.broadcast_to(self.f(t, grid.mesh[1:]), grid.shape).astype(float)
 
+    def forcing_values(self, grid: LogGrid, interior_only: bool = False) -> np.ndarray:
+        """f at every node, evaluated with floating-point warnings silenced.
+
+        Raises FloatingPointError, counting the NaN and the inf nodes, when f
+        is not finite at a node (at an interior node if ``interior_only``).
+        Since t <= 1 and p >= 2, t^p f is finite exactly where f is.
+        """
+        with np.errstate(all="ignore"):
+            f = self.f_values(grid)
+        checked = ~grid.boundary_mask if interior_only else np.ones(grid.shape, bool)
+        bad = f[~np.isfinite(f) & checked]
+        if bad.size:
+            nans = int(np.isnan(bad).sum())
+            where = "interior nodes" if interior_only else "nodes"
+            raise FloatingPointError(f"forcing t^p f is not finite at {bad.size} {where} "
+                                     f"({nans} NaN, {bad.size - nans} inf)")
+        return f
+
     def dirichlet_values(self, grid: LogGrid) -> np.ndarray:
         t = grid.t_field
         return np.broadcast_to(self.dirichlet(t, grid.mesh[1:]), grid.shape).astype(float)
@@ -106,7 +124,7 @@ class PDEProblem:
         """Check t^p f >= omega at every node; no-op when omega == 0."""
         if self.omega <= 0.0:
             return
-        floor = grid.t_field ** self.p * self.f_values(grid)
+        floor = grid.t_field ** self.p * self.forcing_values(grid)
         worst = float(np.min(floor))
         if worst < self.omega - 1e-12:
             raise ValueError(
@@ -426,5 +444,5 @@ def residual_log_field(u: GridFunction, prob: PDEProblem,
                        eps_reg: float = 0.0) -> np.ndarray:
     """Log-chart residual at every node (boundary rows use one-sided stencils)."""
     A = u.grid.mesh[0]
-    forcing = prob.f_values(u.grid) * np.exp(A * prob.p)
+    forcing = prob.forcing_values(u.grid) * np.exp(A * prob.p)
     return divergence_part_field(u, prob.p, prob.n, eps_reg) - forcing

@@ -119,6 +119,21 @@ class TestStencils:
             for got in (res[node], residual_log(u, node, prob, eps_reg=1e-3)):
                 assert got == pytest.approx(oracle, rel=1e-11, abs=1e-12 * scale ** (p / 2))
 
+    @pytest.mark.parametrize("m", [3, 4, 9, 29])
+    def test_base_eigenbasis_diagonalizes_interior_stencil(self, m):
+        # orthonormal eigenvectors of the interior second-difference block,
+        # with the DST-I eigenvalues -4 sin^2(j pi / (2 (m - 1))) / h^2
+        grid = unit_grid((5, m, m + 2), n=3)
+        for k, (lam, V) in enumerate(grid.base_eigenbases, start=1):
+            h, size = grid.h[k], grid.shape[k]
+            block = grid.stencil_matrix(k, second_diff)[1:-1, 1:-1]
+            np.testing.assert_allclose(V @ np.diag(lam) @ V.T, block, rtol=0,
+                                       atol=1e-13 / h**2)
+            np.testing.assert_allclose(V.T @ V, np.eye(size - 2), rtol=0, atol=1e-13)
+            j = np.arange(1, size - 1)
+            dst = -4.0 * np.sin(j * np.pi / (2.0 * (size - 1))) ** 2 / h**2
+            np.testing.assert_allclose(lam, np.sort(dst), rtol=1e-13)
+
     def test_second_order_convergence_incl_boundary(self):
         # smooth analytic field: observed order under halving >= 1.9
         def field(A, X):

@@ -206,6 +206,27 @@ class TestVerifyCommands:
             assert "verify.solution" in err
             assert str(grid.shape) in err and "(13, 13)" in err
 
+    @pytest.mark.parametrize("check", ["abp", "hoelder"])
+    def test_overflowing_forcing_on_stored_solution_exits_three(self, tmp_path, capsys,
+                                                               check):
+        # f = -t^-800 overflows on the two lowest radial rows; these checks
+        # read the forcing of a stored field without solving, so they must
+        # reject it themselves
+        out = os.path.join(tmp_path, "out")
+        grid = LogGrid.build(ConeDomain(n=2, base_lo=[0.0], base_hi=[1.0],
+                                        t_min=0.36787944117144233), (13, 13))
+        stored = os.path.join(tmp_path, "stored.gf")
+        write_gridfunction(stored, GridFunction(grid, np.zeros(grid.shape)))
+        body = (BASE_CONFIG.replace("problem.f = zero", "problem.f = exp:-1,-800")
+                + f"verify.solution = {stored}\n")
+        cfg = write_config(tmp_path, body.format(outdir=out))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["verify", check, "--config", cfg]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "at 26 nodes (0 NaN, 26 inf)" in capsys.readouterr().err
+        assert not os.path.isdir(out) or not os.listdir(out)
+
     def test_weakform_verdict(self, tmp_path):
         out = os.path.join(tmp_path, "out")
         body = BASE_CONFIG.replace("problem.f = zero", "problem.f = constant:-1")

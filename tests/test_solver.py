@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conepde import solver
 from conepde.calculus import GridFunction, LogGrid
 from conepde.geometry import ConeDomain
 from conepde.operators import PDEProblem, constant_field
@@ -10,6 +14,7 @@ from conepde.solver import (
     SolverConfig,
     _assemble_jacobian,
     _interior_residual,
+    _solve_linear,
     convergence_study,
     default_eps_schedule,
     exact_solution_values,
@@ -219,6 +224,58 @@ class TestJacobian:
         assert J.nnz == J.count_nonzero()
 
 
+def _raise(*args, **kwargs):
+    raise AssertionError("a p = 2 solve must not assemble or factorize a Jacobian")
+
+
+class TestFastLinearSolve:
+    """At p = 2 the Newton system is solved by fast diagonalization; the
+    assembled Jacobian and a sparse direct solve are its oracle."""
+
+    @given(n=st.sampled_from([2, 3]), p=st.sampled_from([2.0, 3.0, 4.0, 6.0]),
+           counts=st.lists(st.integers(3, 9), min_size=3, max_size=3),
+           widths=st.lists(st.floats(0.1, 4.0), min_size=2, max_size=2),
+           peclet=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_direct_solve(self, n, p, counts, widths, peclet, seed):
+        # the presolve's system for target p: unit diffusion with drift n - p,
+        # on radial steps up to the mesh Peclet bound |n-p| h_a <= 2(p-1)
+        h_a = peclet * (2.0 * (p - 1.0) / abs(n - p) if n != p else 2.0)
+        dom = ConeDomain(n=n, base_lo=[0.0] * (n - 1), base_hi=widths[:n - 1],
+                         t_min=math.exp(-h_a * (counts[0] - 1)))
+        grid = LogGrid.build(dom, counts[:n])
+        res = np.random.default_rng(seed).standard_normal(grid.shape)
+        res[grid.boundary_mask] = 0.0
+        J = _assemble_jacobian(np.zeros(grid.shape), grid, 2.0, 2 + (n - p), 1e-2)
+        direct = spla.spsolve(J, -res.ravel()).reshape(grid.shape)
+        du = _solve_linear(grid, n - p, -res)
+        assert np.max(np.abs(J @ du.ravel() + res.ravel())) <= 1e-12 * np.max(np.abs(res))
+        assert np.max(np.abs(du - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    def test_p2_solve_neither_assembles_nor_factorizes(self, monkeypatch):
+        grid = LogGrid.build(unit_domain(n=3), (17, 17, 17))
+        u_star = make_exact_solution(2.0, 3)
+        prob = manufactured_problem(u_star, 2.0, 3)
+        exact = exact_solution_values(u_star, grid).values
+        # the direct solve: one Newton step from the boundary data
+        start = np.where(grid.boundary_mask, prob.dirichlet_values(grid), 0.0)
+        F_log = prob.f_values(grid) * np.exp(grid.mesh[0] * 2.0)
+        res = _interior_residual(start, grid, 2.0, 3, F_log, 1e-6)
+        J = _assemble_jacobian(start, grid, 2.0, 3, 1e-6)
+        direct = start + spla.spsolve(J, -res.ravel()).reshape(grid.shape)
+        err_direct = float(np.max(np.abs(direct - exact)))
+
+        monkeypatch.setattr(solver.spla, "spsolve", _raise)
+        monkeypatch.setattr(solver, "_assemble_jacobian", _raise)
+        u, rep = solve_dirichlet(prob, grid)
+        assert rep.converged
+        assert [s.iterations for s in rep.stages] == [1]
+        # both solves are exact up to round-off, relative to the field's size
+        scale = float(np.max(np.abs(exact)))
+        assert np.max(np.abs(u.values - direct)) <= 1e-12 * scale
+        err = float(np.max(np.abs(u.values - exact)))
+        assert abs(err - err_direct) <= 1e-12 * scale
+
+
 class TestDiscreteComparison:
     def test_linear_case_is_exact(self):
         # p = 2 assembles an M-matrix; ordering holds to solver tolerance
@@ -277,6 +334,16 @@ class TestConvergenceStudy:
         grids = [LogGrid.build(unit_domain(), (c, c)) for c in (9, 17)]
         rows = convergence_study(prob, u_star, grids)
         assert all(r.error < 1e-9 for r in rows)
+
+    def test_no_order_from_roundoff_errors(self):
+        # at p = n = 2 the scheme reproduces ln t, so both errors are
+        # round-off and their ratio is no order
+        u_star = make_exact_solution(2.0, 2)
+        prob = manufactured_problem(u_star, 2.0, 2)
+        grids = [LogGrid.build(unit_domain(), (c, c)) for c in (13, 25)]
+        rows = convergence_study(prob, u_star, grids)
+        assert all(r.error < 1e-13 for r in rows)
+        assert [r.order for r in rows] == [None, None]
 
     def test_order_two_for_power_solution(self):
         u_star = make_exact_solution(2.0, 3)

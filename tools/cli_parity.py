@@ -9,10 +9,11 @@ see identical config text and hence identical config hashes.  The cases are
 the fourteen commands of the determinism acceptance test at p = 2, 3 and 4
 (p = 4 covers the solves above p = 3), ``convolve`` in both directions
 under both pairing metrics, two verify checks on a stored field, the
-solver-failure paths (``solver.max_iter = 0``) and a solve on a radial grid
-too coarse for the mesh Peclet bound.  Every output except
-``*_meta.json`` must be byte-identical, and the exit codes and the set of
-meta files must agree.  Prints one line per case and a summary; exits 1 on
+solver-failure paths (``solver.max_iter = 0``), a solve on a radial grid
+too coarse for the mesh Peclet bound, and a 9^3 solve with n = 3 at p = 2
+and 3, which covers the 3D fast linear solve and the 3D presolve.  Every
+output except ``*_meta.json`` must be byte-identical, and the exit codes and
+the set of meta files must agree.  Prints one line per case and a summary; exits 1 on
 any difference.  A file that differs is reported with the largest
 |old - new| / max(1, |old|) over its numbers (JSON values, CSV fields,
 ``.gf`` lines), or as "structure differs" when its non-numeric text
@@ -56,6 +57,7 @@ STORED = "verify.solution = src.gf\n"
 FAILING = "solver.max_iter = 0\ndomain.t_min = 0.001\n"
 # h_a = 6.9 breaks the mesh Peclet bound |n-p| h_a <= 2(p-1) unless p = n = 2
 COARSE = "domain.t_min = 1e-6\ngrid.nodes = 3,5\n"
+SOLID = "domain.n = 3\ndomain.base = 0,1;0,1\ngrid.nodes = 9,9,9\n"
 CHECKS = ("abp", "hoelder", "harnack", "weakharnack", "oscillation",
           "comparison", "doubling", "weakform")
 
@@ -78,6 +80,8 @@ def cases():
         for argv in (["solve"], ["exhaust"], ["verify", "abp"]):
             yield f"p={p} {' '.join(argv)} max_iter=0", argv, base + FAILING
         yield f"p={p} solve coarse", ["solve"], base + COARSE
+        if p != "4.0":
+            yield f"p={p} solve 3d", ["solve"], base + SOLID
 
 
 def run_side(src: str, workdir: str, argv: list, text: str, field: str) -> int:
@@ -105,14 +109,15 @@ def outputs(workdir: str) -> dict:
 
 def split_numbers(name: str, data: bytes) -> tuple:
     """(non-numeric skeleton, numbers) of an output file: the JSON value tree
-    with numbers replaced by None, or the comma- and line-separated fields of
-    a CSV or ``.gf`` file with numbers replaced by None."""
+    with numbers replaced by "#", or the comma- and line-separated fields of
+    a CSV or ``.gf`` file with numbers replaced by "#"; a JSON null that
+    became a number, or the reverse, changes the skeleton."""
     numbers = []
 
     def strip(value):
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             numbers.append(float(value))
-            return None
+            return "#"
         if isinstance(value, dict):
             return {k: strip(v) for k, v in value.items()}
         if isinstance(value, list):
@@ -122,7 +127,7 @@ def split_numbers(name: str, data: bytes) -> tuple:
     def field(text):
         try:
             numbers.append(float(text))
-            return None
+            return "#"
         except ValueError:
             return text
 
