@@ -170,6 +170,31 @@ class LogGrid:
                      for k in range(1, self.n))
 
     @cached_property
+    def dissection_order(self) -> np.ndarray:
+        """Flat indices of the interior nodes in geometric nested-dissection
+        order (George, SIAM J. Numer. Anal. 10, 1973): the interior box is
+        split at the middle plane of its longest axis, both halves are
+        numbered recursively and then the plane, down to boxes whose longest
+        axis has fewer than 3 nodes.  Every stencil on an interior row,
+        the mixed Hessian entries included, reaches at most one step along
+        each axis, so the plane decouples the two halves."""
+        order = []
+
+        def number(box):
+            axis = int(np.argmax(box.shape))
+            if box.shape[axis] < 3:
+                order.append(box.ravel())
+                return
+            box = np.moveaxis(box, axis, 0)
+            mid = box.shape[0] // 2
+            number(box[:mid])
+            number(box[mid + 1:])
+            order.append(box[mid].ravel())
+
+        number(np.arange(math.prod(self.shape)).reshape(self.shape)[(slice(1, -1),) * self.n])
+        return np.concatenate(order)
+
+    @cached_property
     def hessian_ops(self) -> dict:
         """Operators for the Hessian entries (k, l) with k <= l: second
         differences on the diagonal, D_k D_l off it."""

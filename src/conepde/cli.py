@@ -124,6 +124,8 @@ def parse_config(path: str) -> RunConfig:
         value = value.strip()
         if "." not in key:
             raise ConfigError(f"line {lineno}: key {key!r} lacks a section prefix")
+        if key in lines:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on line {lines[key]}")
         entries[key] = value
         lines[key] = lineno
     return RunConfig(entries=entries, lines=lines, text=text)

@@ -5,7 +5,8 @@ study helper, and the domain-exhaustion existence procedure.
 The continuation fixes p: for p > 2 a linearized p = 2 presolve gives the
 starting field, and one queue of eps_reg stages at the target p follows.
 A p = 2 Newton system has constant coefficients and is solved exactly by
-fast diagonalization; at other p the Jacobian is assembled and factorized.
+fast diagonalization; at other p the Jacobian is assembled and its interior
+block is factorized in the grid's nested-dissection order.
 
 The discrete unknown is the flattened field on the full tensor grid; boundary
 rows are identities pinned to the Dirichlet data and interior rows carry the
@@ -293,6 +294,19 @@ def _solve_linear(grid: LogGrid, drift: float, rhs: np.ndarray) -> np.ndarray:
     return du
 
 
+def _solve_jacobian(J: sp.csr_matrix, grid: LogGrid, rhs: np.ndarray) -> np.ndarray:
+    """The solution du of J du = rhs for an assembled Jacobian J; ``rhs`` is
+    zero on the boundary rows, which are identities, so du is zero there and
+    the interior rows' boundary columns multiply zeros.  Only the interior
+    block is factorized, in the grid's nested-dissection order, with
+    SuperLU's partial pivoting; a singular factor raises RuntimeError."""
+    order = grid.dissection_order
+    lu = spla.splu(J[order][:, order].tocsc(), permc_spec="NATURAL")
+    du = np.zeros(grid.shape)
+    du.flat[order] = lu.solve(rhs.ravel()[order])
+    return du
+
+
 def _interior_residual(values: np.ndarray, grid: LogGrid, p: float, n: int,
                        F_log: np.ndarray, eps_reg: float) -> np.ndarray:
     u = GridFunction(grid, values, check_finite=False)
@@ -306,7 +320,8 @@ def _newton_stage(values: np.ndarray, grid: LogGrid, p: float, n: int,
     """Damped Newton at one continuation stage; returns (values, iters, norm).
     A rejected trial step halves the step length.  At p == 2 the Jacobian
     is constant and ``_solve_linear`` inverts it; otherwise it is assembled
-    at the iterate and factorized."""
+    at the iterate and ``_solve_jacobian`` factorizes its interior block.
+    The residual is zero on boundary rows, so both steps are zero there."""
     res = _interior_residual(values, grid, p, n, F_log, eps_reg)
     if not np.all(np.isfinite(res)):
         raise FloatingPointError("non-finite value in discrete residual")
@@ -316,8 +331,7 @@ def _newton_stage(values: np.ndarray, grid: LogGrid, p: float, n: int,
         if p == 2.0:
             du = _solve_linear(grid, n - p, -res)
         else:
-            J = _assemble_jacobian(values, grid, p, n, eps_reg)
-            du = spla.spsolve(J, -res.ravel()).reshape(grid.shape)
+            du = _solve_jacobian(_assemble_jacobian(values, grid, p, n, eps_reg), grid, -res)
         lam = 1.0
         accepted = False
         while lam >= 1e-12:

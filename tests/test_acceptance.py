@@ -505,7 +505,9 @@ study.levels = 2
 verify.radii = 0.3,0.15,0.075
 output.dir = out
 """
-        comparison_extra = "problem.omega = 0.1\nproblem.f = exp:0.1,-2.0\n"
+        # the comparison pair's forcing and floor, replacing the base's lines
+        comparison_lines = {"problem.omega = 0.0": "problem.omega = 0.1",
+                            "problem.f = constant:-1": "problem.f = exp:0.1,-2.0"}
         # a source field for convolve
         dom = ConeDomain(n=2, base_lo=[0.0], base_hi=[1.0], t_min=0.2)
         grid = LogGrid.build(dom, (13, 13))
@@ -527,7 +529,8 @@ output.dir = out
         for command in commands:
             body = base.format(src=src)
             if command[-1] in ("comparison", "doubling"):
-                body += comparison_extra
+                for line, replacement in comparison_lines.items():
+                    body = body.replace(line, replacement)
             cfgpath = os.path.join(tmp_path, "_".join(command) + ".cfg")
             with open(cfgpath, "w") as fh:
                 fh.write(body)

@@ -134,6 +134,14 @@ class TestStencils:
             dst = -4.0 * np.sin(j * np.pi / (2.0 * (size - 1))) ** 2 / h**2
             np.testing.assert_allclose(lam, np.sort(dst), rtol=1e-13)
 
+    @given(n=st.sampled_from([2, 3]),
+           counts=st.lists(st.integers(3, 9), min_size=3, max_size=3))
+    def test_dissection_order_permutes_interior_nodes(self, n, counts):
+        grid = unit_grid(tuple(counts[:n]), n=n)
+        order = grid.dissection_order
+        assert order.dtype.kind == "i"
+        np.testing.assert_array_equal(np.sort(order), np.flatnonzero(~grid.boundary_mask))
+
     def test_second_order_convergence_incl_boundary(self):
         # smooth analytic field: observed order under halving >= 1.9
         def field(A, X):

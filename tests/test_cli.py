@@ -46,6 +46,14 @@ class TestConfigValidation:
         assert run(["solve", "--config", cfg]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_repeated_key_reports_key_and_both_lines(self, tmp_path, capsys):
+        out = os.path.join(tmp_path, "out")
+        cfg = write_config(tmp_path, (BASE_CONFIG + "problem.p = 3.0\n").format(outdir=out))
+        assert run(["solve", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "'problem.p'" in err and "line 12" in err and "line 7" in err
+        assert not os.path.isdir(out)
+
     def test_bad_number_reports_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_CONFIG.format(outdir=tmp_path)
                            .replace("problem.p = 2.0", "problem.p = two"))

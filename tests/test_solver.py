@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from conepde.solver import (
     SolverConfig,
     _assemble_jacobian,
     _interior_residual,
+    _solve_jacobian,
     _solve_linear,
     convergence_study,
     default_eps_schedule,
@@ -274,6 +276,68 @@ class TestFastLinearSolve:
         assert np.max(np.abs(u.values - direct)) <= 1e-12 * scale
         err = float(np.max(np.abs(u.values - exact)))
         assert abs(err - err_direct) <= 1e-12 * scale
+
+
+def _direct_solve(J, grid, rhs):
+    # the full-grid sparse direct solve that ``_solve_jacobian`` replaced
+    return spla.spsolve(J, rhs.ravel()).reshape(grid.shape)
+
+
+class TestOrderedJacobianSolve:
+    """At p != 2 the interior block of the assembled Jacobian is factorized
+    in nested-dissection order; the full-grid sparse direct solve is its
+    oracle."""
+
+    @given(n=st.sampled_from([2, 3]), p=st.sampled_from([2.5, 3.0, 4.0, 6.0]),
+           counts=st.lists(st.integers(3, 9), min_size=3, max_size=3),
+           widths=st.lists(st.floats(0.5, 2.0), min_size=2, max_size=2),
+           eps=st.sampled_from([1e-1, 1e-2, 1e-6]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_direct_solve(self, n, p, counts, widths, eps, seed):
+        # a smooth iterate: a linear field with |gradient| >= 0.5 plus a
+        # wave whose gradient stays below 0.25, so no critical point
+        dom = ConeDomain(n=n, base_lo=[0.0] * (n - 1), base_hi=widths[:n - 1],
+                         t_min=math.exp(-1.0))
+        grid = LogGrid.build(dom, counts[:n])
+        rng = np.random.default_rng(seed)
+        slope = rng.standard_normal(n)
+        slope *= rng.uniform(0.5, 2.0) / np.linalg.norm(slope)
+        freq = rng.uniform(0.0, 1.0, n)
+        v = sum(s * m for s, m in zip(slope, grid.mesh))
+        v = v + 0.25 * np.sin(sum(f * m for f, m in zip(freq, grid.mesh))) / math.sqrt(n)
+        res = rng.standard_normal(grid.shape)
+        res[grid.boundary_mask] = 0.0
+        J = _assemble_jacobian(v, grid, p, n, eps)
+        direct = _direct_solve(J, grid, -res)
+        du = _solve_jacobian(J, grid, -res)
+        assert np.all(du[grid.boundary_mask] == 0.0)
+        assert np.max(np.abs(du - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    def test_singular_factor_raises(self):
+        # identity boundary rows over an all-zero interior block
+        grid = LogGrid.build(unit_domain(), (5, 6))
+        J = sp.diags(grid.boundary_mask.ravel().astype(float), format="csr")
+        rhs = np.where(grid.boundary_mask, 0.0, 1.0)
+        with pytest.raises(RuntimeError):
+            _solve_jacobian(J, grid, rhs)
+
+    def test_nonlinear_solve_never_calls_spsolve(self, monkeypatch):
+        grid = LogGrid.build(unit_domain(), (17, 17))
+        prob = manufactured_problem(power_of_t_field(0.4, 2), 3.0, 2)
+        # the same solve with every p != 2 Newton step a full-grid spsolve
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_solve_jacobian", _direct_solve)
+            u_direct, rep_direct = solve_dirichlet(prob, grid)
+
+        def no_spsolve(*args, **kwargs):
+            raise AssertionError("a p != 2 Newton step must not call spsolve")
+
+        monkeypatch.setattr(solver.spla, "spsolve", no_spsolve)
+        u, rep = solve_dirichlet(prob, grid)
+        assert rep.converged and rep_direct.converged
+        assert ([s.iterations for s in rep.stages]
+                == [s.iterations for s in rep_direct.stages])
+        scale = float(np.max(np.abs(u_direct.values)))
+        assert np.max(np.abs(u.values - u_direct.values)) <= 1e-12 * scale
 
 
 class TestDiscreteComparison:

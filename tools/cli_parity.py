@@ -62,8 +62,19 @@ CHECKS = ("abp", "hoelder", "harnack", "weakharnack", "oscillation",
           "comparison", "doubling", "weakform")
 
 
+def merged(base: str, extra: str) -> str:
+    """Config text with each key once: ``extra``'s values replace ``base``'s
+    in place and its new keys are appended, since a repeated key is a
+    config error."""
+    entries = {}
+    for line in (base + extra).splitlines():
+        key, _, value = line.partition("=")
+        entries[key.strip()] = value.strip()
+    return "".join(f"{key} = {value}\n" for key, value in entries.items())
+
+
 def cases():
-    """(label, argv, config text) for every case; later keys override."""
+    """(label, argv, config text) for every case."""
     for p in ("2.0", "3.0", "4.0"):
         base = BASE.format(p=p)
         for cmd in ("solve", "manufacture", "exhaust", "convergence-study", "gcondition"):
@@ -71,17 +82,17 @@ def cases():
         for direction in ("inf", "sup"):
             for metric in ("log", "literal"):
                 extra = f"convolve.direction = {direction}\nconvolve.metric = {metric}\n"
-                yield f"p={p} convolve {direction} {metric}", ["convolve"], base + extra
+                yield f"p={p} convolve {direction} {metric}", ["convolve"], merged(base, extra)
         for check in CHECKS:
             extra = PAIR.format(p=p) if check in ("comparison", "doubling") else ""
-            yield f"p={p} verify {check}", ["verify", check], base + extra
+            yield f"p={p} verify {check}", ["verify", check], merged(base, extra)
         for check in ("abp", "hoelder"):
-            yield f"p={p} verify {check} stored", ["verify", check], base + STORED
+            yield f"p={p} verify {check} stored", ["verify", check], merged(base, STORED)
         for argv in (["solve"], ["exhaust"], ["verify", "abp"]):
-            yield f"p={p} {' '.join(argv)} max_iter=0", argv, base + FAILING
-        yield f"p={p} solve coarse", ["solve"], base + COARSE
+            yield f"p={p} {' '.join(argv)} max_iter=0", argv, merged(base, FAILING)
+        yield f"p={p} solve coarse", ["solve"], merged(base, COARSE)
         if p != "4.0":
-            yield f"p={p} solve 3d", ["solve"], base + SOLID
+            yield f"p={p} solve 3d", ["solve"], merged(base, SOLID)
 
 
 def run_side(src: str, workdir: str, argv: list, text: str, field: str) -> int:
