@@ -104,7 +104,12 @@ class RunConfig:
 
 
 def _listof(kind):
-    return lambda raw: [kind(v) for v in raw.split(",") if v.strip()]
+    def parse(raw):
+        values = [kind(v) for v in raw.split(",") if v.strip()]
+        if not values:
+            raise ValueError("no entries")
+        return values
+    return parse
 
 
 def parse_config(path: str) -> RunConfig:
@@ -476,8 +481,12 @@ def _verify_abp(cfg, prob, grid, scfg, slack, seed) -> tuple:
 
 
 def _verify_hoelder(cfg, prob, grid, scfg, slack, seed) -> tuple:
-    u = _get_solution(cfg, prob, grid, scfg)
     rhos = cfg.get_floats("verify.rhos", [cfg.get_float("verify.rho", 0.25)])
+    if not all(0.0 < r <= 1.0 for r in rhos):
+        key = "verify.rhos" if "verify.rhos" in cfg.lines else "verify.rho"
+        raise ConfigError(f"line {cfg.lines[key]}: {key}: each rho must lie in (0, 1], "
+                          f"got {cfg.get(key)!r}")
+    u = _get_solution(cfg, prob, grid, scfg)
     reports = analysis.hoelder_sweep(u, prob, rhos)
     header = ["rho", "norm", "forcing", "ratio"]
     return ({"sweep": reports}, not any(r.inconsistent for r in reports),
@@ -523,13 +532,13 @@ def _verify_comparison(cfg, prob, grid, scfg, slack, seed) -> tuple:
 
 
 def _verify_doubling(cfg, prob, grid, scfg, slack, seed) -> tuple:
+    alphas = cfg.get_floats("verify.alphas", [1.0, 10.0, 100.0, 1000.0])
     u1, u2 = _shifted_pair(cfg, prob, grid, scfg)
     bound = max(float(np.max(np.abs(u1.values))),
                 float(np.max(np.abs(u2.values))), 1e-6)
     params = TransformParams.from_bound(bound)
     z1 = GridFunction(grid, np.asarray(psi_inverse(u1.values * 0.5, params)))
     z2 = GridFunction(grid, np.asarray(psi_inverse(u2.values * 0.5, params)))
-    alphas = cfg.get_floats("verify.alphas", [1.0, 10.0, 100.0, 1000.0])
     diags = analysis.doubling_diagnostic(z1, z2, alphas)
     ms = [d.M_alpha for d in diags]
     header = ["alpha", "M_alpha", "penalty", "diagonal_gap"]

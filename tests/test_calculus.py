@@ -280,10 +280,10 @@ class TestWeightedNorms:
 
 @st.composite
 def hoelder_cases(draw):
-    """A field on a random 2D or 3D grid (5-11 nodes per axis, random base
+    """A field on a random 2D or 3D grid (3-11 nodes per axis, random base
     box); in half the cases it has many exact ties or is constant."""
     n = draw(st.sampled_from([2, 3]))
-    counts = tuple(draw(st.integers(5, 11)) for _ in range(n))
+    counts = tuple(draw(st.integers(3, 11)) for _ in range(n))
     lo = [draw(st.sampled_from([-1.0, 0.0, 0.5])) for _ in range(n - 1)]
     hi = [x + draw(st.sampled_from([0.5, 1.0, 3.0])) for x in lo]
     dom = ConeDomain(n=n, base_lo=lo, base_hi=hi,
@@ -348,6 +348,42 @@ class TestHoelderNorm:
     @given(case=hoelder_cases(), rho=st.floats(0.0, 1.0, exclude_min=True))
     def test_matches_all_pairs_oracle(self, case, rho):
         assert hoelder_norm(case, rho) == oracles.hoelder_norm(case, rho)
+
+    @pytest.mark.parametrize("counts", [(7, 9), (5, 6, 9)])
+    @pytest.mark.parametrize("rho", [0.5, 1.0])
+    def test_steepest_pair_at_zero_leading_offset(self, counts, rho):
+        # u varies only along the last axis and jumps most between its nodes
+        # 4 and 5, so the maximizing pairs join those two nodes within one
+        # leading index, which only the zero leading offset meets
+        grid = unit_grid(counts, n=len(counts))
+        x = grid.axes[-1]
+        profile = 0.1 * x + (np.arange(x.size) >= 5)
+        u = GridFunction(grid, np.broadcast_to(profile, grid.shape).copy())
+        semi = (profile[5] - profile[4]) / (x[5] - x[4]) ** rho
+        assert hoelder_norm(u, rho) == oracles.hoelder_norm(u, rho)
+        assert hoelder_norm(u, rho) == pytest.approx(profile[-1] + semi, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("rho", [0.5, 1.0])
+    def test_steepest_pair_at_positive_leading_offset(self, n, rho):
+        # +1 at z and -1 at w = z + (1, -1, ...): the offset is lex-positive
+        # on the leading axes and negative along the last, and this diagonal
+        # pair beats every pair of a spike with a zero neighbour
+        grid = unit_grid((9,) * n, n=n)
+        z, w = (3,) * n, (4,) + (2,) * (n - 1)
+        values = np.zeros(grid.shape)
+        values[z], values[w] = 1.0, -1.0
+        u = GridFunction(grid, values)
+        d = math.sqrt(sum((ax[i] - ax[j]) ** 2 for ax, i, j in zip(grid.axes, z, w)))
+        assert hoelder_norm(u, rho) == oracles.hoelder_norm(u, rho)
+        assert hoelder_norm(u, rho) == pytest.approx(1.0 + 2.0 / d ** rho, rel=1e-12)
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0])
+    def test_matches_oracle_on_13_cubed(self, rho):
+        grid = unit_grid((13, 13, 13), n=3)
+        rng = np.random.default_rng(13)
+        u = GridFunction(grid, rng.standard_normal(grid.shape))
+        assert hoelder_norm(u, rho) == oracles.hoelder_norm(u, rho)
 
 
 class TestSummationByParts:

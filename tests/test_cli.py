@@ -37,6 +37,10 @@ def read_bytes(path):
         return fh.read()
 
 
+def refuse_solve(*args, **kwargs):
+    raise AssertionError("the config should be rejected before any solve")
+
+
 class TestConfigValidation:
     def test_missing_file(self, tmp_path, capsys):
         assert run(["solve", "--config", os.path.join(tmp_path, "nope.cfg")]) == 2
@@ -233,6 +237,33 @@ class TestVerifyCommands:
             assert run(["verify", check, "--config", cfg]) == 3
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "at 26 nodes (0 NaN, 26 inf)" in capsys.readouterr().err
+        assert not os.path.isdir(out) or not os.listdir(out)
+
+    @pytest.mark.parametrize("check, key", [("hoelder", "verify.rhos"),
+                                            ("doubling", "verify.alphas")])
+    def test_empty_list_key_exits_two_before_solving(self, tmp_path, capsys, monkeypatch,
+                                                     check, key):
+        monkeypatch.setattr("conepde.cli.solve_dirichlet", refuse_solve)
+        out = os.path.join(tmp_path, "out")
+        cfg = write_config(tmp_path, (BASE_CONFIG + f"{key} =\n").format(outdir=out))
+        assert run(["verify", check, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: line 12: ") and f"{key}: expected" in err
+        assert not os.path.isdir(out) or not os.listdir(out)
+
+    @pytest.mark.parametrize("entry", ["verify.rhos = 1.5", "verify.rhos = 0,0.5",
+                                       "verify.rhos = nan", "verify.rho = 1.5",
+                                       "verify.rho = 0"])
+    def test_out_of_range_rho_exits_two_before_solving(self, tmp_path, capsys,
+                                                       monkeypatch, entry):
+        monkeypatch.setattr("conepde.cli.solve_dirichlet", refuse_solve)
+        out = os.path.join(tmp_path, "out")
+        cfg = write_config(tmp_path, (BASE_CONFIG + entry + "\n").format(outdir=out))
+        assert run(["verify", "hoelder", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        key = entry.split(" =")[0]
+        assert err.startswith(f"config error: line 12: {key}: ")
+        assert "(0, 1]" in err
         assert not os.path.isdir(out) or not os.listdir(out)
 
     def test_weakform_verdict(self, tmp_path):
