@@ -104,11 +104,13 @@ class RunConfig:
 
 
 def _listof(kind):
+    """A comma-list parser; an empty entry (also a trailing comma or an
+    empty value) is a ValueError."""
     def parse(raw):
-        values = [kind(v) for v in raw.split(",") if v.strip()]
-        if not values:
-            raise ValueError("no entries")
-        return values
+        entries = raw.split(",")
+        if not all(v.strip() for v in entries):
+            raise ValueError("empty entry")
+        return [kind(v) for v in entries]
     return parse
 
 
@@ -414,7 +416,9 @@ def _cmd_gcondition(cfg: RunConfig, args: argparse.Namespace) -> int:
 def _get_solution(cfg: RunConfig, prob: PDEProblem, grid: LogGrid,
                   scfg: SolverConfig) -> GridFunction:
     """The stored ``verify.solution``, which must lie on the configured
-    grid, or else a fresh solve."""
+    grid, or else a fresh solve.  Every verify check reads the problem's
+    solution here, the supersolution of the shifted pair included; a stored
+    field enters as is, whether or not it solves the configured problem."""
     path = cfg.get("verify.solution")
     if not path:
         return _solve_or_raise(prob, grid, scfg)[0]
@@ -434,10 +438,13 @@ def _solve_or_raise(prob, grid, scfg):
 
 def _shifted_pair(cfg: RunConfig, prob: PDEProblem, grid: LogGrid,
                   scfg: SolverConfig) -> tuple:
-    """Solves with the forcing raised by margin t^-p and with the problem's
-    own forcing.  A larger forcing gives a smaller solution, so the first is
-    the subsolution of the pair."""
+    """The solve with the forcing raised by margin t^-p, and the solution
+    of the problem's own forcing from ``_get_solution`` (the stored
+    ``verify.solution`` when set, so only the raised forcing is solved).  A
+    larger forcing gives a smaller solution, so the first is the
+    subsolution of the pair."""
     margin = cfg.get_float("verify.margin", 0.5)
+    v_super = _get_solution(cfg, prob, grid, scfg)
     f_low = prob.f
 
     def f_high(t, xs):
@@ -446,7 +453,6 @@ def _shifted_pair(cfg: RunConfig, prob: PDEProblem, grid: LogGrid,
     prob_high = PDEProblem(p=prob.p, n=prob.n, f=f_high,
                            dirichlet=prob.dirichlet, omega=prob.omega + margin)
     u_sub, _ = _solve_or_raise(prob_high, grid, scfg)
-    v_super, _ = _solve_or_raise(prob, grid, scfg)
     return u_sub, v_super
 
 
@@ -481,7 +487,10 @@ def _verify_abp(cfg, prob, grid, scfg, slack, seed) -> tuple:
 
 
 def _verify_hoelder(cfg, prob, grid, scfg, slack, seed) -> tuple:
-    rhos = cfg.get_floats("verify.rhos", [cfg.get_float("verify.rho", 0.25)])
+    if "verify.rho" in cfg.lines and "verify.rhos" in cfg.lines:
+        raise ConfigError(f"line {cfg.lines['verify.rho']}: verify.rho: set next to "
+                          f"verify.rhos on line {cfg.lines['verify.rhos']}; give one of them")
+    rhos = cfg.get_floats("verify.rhos") or [cfg.get_float("verify.rho", 0.25)]
     if not all(0.0 < r <= 1.0 for r in rhos):
         key = "verify.rhos" if "verify.rhos" in cfg.lines else "verify.rho"
         raise ConfigError(f"line {cfg.lines[key]}: {key}: each rho must lie in (0, 1], "

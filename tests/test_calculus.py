@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -410,6 +410,12 @@ class TestSummationByParts:
             assert abs(total) < 1e-14
 
 
+# signed zeros, the smallest and largest subnormals, the smallest normal
+# and the largest finite magnitudes
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -2.2250738585072009e-308, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, -5e-324)
+
+
 class TestFileFormat:
     def test_round_trip_bit_exact(self, tmp_path):
         grid = unit_grid((9, 11), t_min=0.217)
@@ -422,6 +428,22 @@ class TestFileFormat:
         np.testing.assert_array_equal(u.grid.a, v.grid.a)
         for xs_u, xs_v in zip(u.grid.xs, v.grid.xs):
             np.testing.assert_array_equal(xs_u, xs_v)
+
+    @given(values=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                     st.sampled_from(EDGE_FLOATS)),
+                           min_size=6, max_size=6))
+    @example(values=list(EDGE_FLOATS[:6]))
+    @example(values=list(EDGE_FLOATS[2:]))
+    def test_round_trip_bit_exact_on_any_finite_field(self, tmp_path_factory, values):
+        # each drawn value sits next to its neighbour one ulp toward zero,
+        # so adjacent values differ in the 17th significant digit
+        near = np.nextafter(np.array(values), 0.0)
+        field = np.stack([values, near], axis=1).reshape(3, 4)
+        u = GridFunction(unit_grid((3, 4)), field)
+        path = os.path.join(tmp_path_factory.mktemp("gf"), "u.gf")
+        write_gridfunction(path, u)
+        back = read_gridfunction(path).values
+        np.testing.assert_array_equal(back.view(np.int64), field.view(np.int64))
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         grid = unit_grid((7, 7))

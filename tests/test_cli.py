@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conepde.calculus import GridFunction, LogGrid, read_gridfunction, write_gridfunction
-from conepde.cli import run
+from conepde.cli import run, solve_dirichlet
 from conepde.geometry import ConeDomain
 
 
@@ -265,6 +265,68 @@ class TestVerifyCommands:
         assert err.startswith(f"config error: line 12: {key}: ")
         assert "(0, 1]" in err
         assert not os.path.isdir(out) or not os.listdir(out)
+
+    def test_rho_next_to_rhos_exits_two_before_solving(self, tmp_path, capsys,
+                                                       monkeypatch):
+        monkeypatch.setattr("conepde.cli.solve_dirichlet", refuse_solve)
+        out = os.path.join(tmp_path, "out")
+        body = BASE_CONFIG + "verify.rho = 1.5\nverify.rhos = 0.5,1\n"
+        cfg = write_config(tmp_path, body.format(outdir=out))
+        assert run(["verify", "hoelder", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: line 12: verify.rho: ")
+        assert "verify.rhos on line 13" in err
+        assert not os.path.isdir(out) or not os.listdir(out)
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (["verify", "hoelder"], "verify.rhos", "0.5,,1"),
+        (["verify", "hoelder"], "verify.rhos", "0.5,1,"),
+        (["verify", "doubling"], "verify.alphas", "1,,10"),
+        (["verify", "doubling"], "verify.alphas", "1,10,"),
+        (["solve"], "grid.nodes", "13,,13"),
+        (["solve"], "grid.nodes", "13,13,"),
+    ])
+    def test_empty_list_entry_exits_two_before_solving(self, tmp_path, capsys, monkeypatch,
+                                                       argv, key, value):
+        monkeypatch.setattr("conepde.cli.solve_dirichlet", refuse_solve)
+        out = os.path.join(tmp_path, "out")
+        entry = f"{key} = {value}"
+        body = (BASE_CONFIG.replace("grid.nodes = 13,13", entry) if key == "grid.nodes"
+                else BASE_CONFIG + entry + "\n")
+        cfg = write_config(tmp_path, body.format(outdir=out))
+        assert run([*argv, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        line = body.splitlines().index(entry) + 1
+        assert err.startswith(f"config error: line {line}: {key}: ")
+        assert not os.path.isdir(out) or not os.listdir(out)
+
+    def test_shifted_pair_reads_stored_solution(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_dirichlet(*args, **kwargs)
+
+        monkeypatch.setattr("conepde.cli.solve_dirichlet", counted)
+        body = (BASE_CONFIG + "problem.omega = 0.3\n").replace(
+            "problem.f = zero", "problem.f = exp:0.3,-2.0")
+        solved = os.path.join(tmp_path, "solved")
+        assert run(["solve", "--config", write_config(
+            tmp_path, body.format(outdir=solved), "solve.cfg")]) == 0
+        stored_body = body + f"verify.solution = {os.path.join(solved, 'solution.gf')}\n"
+        for check in ("doubling", "comparison"):
+            outputs = []
+            for label, text, solves in (("fresh", body, 2), ("stored", stored_body, 1)):
+                out = os.path.join(tmp_path, label)
+                cfg = write_config(tmp_path, text.format(outdir=out), f"{label}.cfg")
+                calls.clear()
+                assert run(["verify", check, "--config", cfg]) == 0
+                assert len(calls) == solves
+                # the stored and fresh configs differ, so do their hashes
+                outputs.append([[line for line in read_bytes(
+                    os.path.join(out, f"verify_{check}.{ext}")).splitlines()
+                    if b"config_hash" not in line] for ext in ("json", "csv")])
+            assert outputs[0] == outputs[1]
 
     def test_weakform_verdict(self, tmp_path):
         out = os.path.join(tmp_path, "out")

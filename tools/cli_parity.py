@@ -5,19 +5,21 @@
 Runs every subcommand and verify check on the same configs with each tree's
 ``src/`` directory (OLD_SRC and NEW_SRC) on PYTHONPATH, each command in a
 fresh working directory with relative input and output paths, so both sides
-see identical config text and hence identical config hashes.  The cases are
-the fourteen commands of the determinism acceptance test at p = 2, 3 and 4
-(p = 4 covers the solves above p = 3), ``convolve`` in both directions
-under both pairing metrics, two verify checks on a stored field, the
-solver-failure paths (``solver.max_iter = 0``), a solve on a radial grid
+see identical config text and hence identical config hashes.  The 77 cases
+are the fourteen commands of the determinism acceptance test at p = 2, 3
+and 4 (p = 4 covers the solves above p = 3), ``convolve`` in both
+directions under both pairing metrics, ``verify abp`` and ``hoelder`` on a
+stored random field, ``verify comparison`` and ``doubling`` on the stored
+``solve`` output of their own config (a case of two commands run in turn),
+the solver-failure paths (``solver.max_iter = 0``), a solve on a radial grid
 too coarse for the mesh Peclet bound, and a 9^3 solve with n = 3 at p = 2
 and 3, which covers the 3D fast linear solve and the 3D presolve.  Every
-output except ``*_meta.json`` must be byte-identical, and the exit codes and
-the set of meta files must agree.  Prints one line per case and a summary; exits 1 on
-any difference.  A file that differs is reported with the largest
-|old - new| / max(1, |old|) over its numbers (JSON values, CSV fields,
-``.gf`` lines), or as "structure differs" when its non-numeric text
-differs too.
+output except ``*_meta.json`` must be byte-identical, and the exit codes of
+every command and the set of meta files must agree.  Prints one line per
+case and a summary; exits 1 on any difference.  A file that differs is
+reported with the largest |old - new| / max(1, |old|) over its numbers
+(JSON values, CSV fields, ``.gf`` lines), or as "structure differs" when
+its non-numeric text differs too.
 """
 
 import json
@@ -54,6 +56,8 @@ output.dir = out
 # t^p f = 0.1 meets the comparison pair's forcing floor omega = 0.1 at every p
 PAIR = "problem.omega = 0.1\nproblem.f = exp:0.1,-{p}\n"
 STORED = "verify.solution = src.gf\n"
+# the pair's own solution, written by a solve of the same config
+SOLVED = "verify.solution = out/solution.gf\n"
 FAILING = "solver.max_iter = 0\ndomain.t_min = 0.001\n"
 # h_a = 6.9 breaks the mesh Peclet bound |n-p| h_a <= 2(p-1) unless p = n = 2
 COARSE = "domain.t_min = 1e-6\ngrid.nodes = 3,5\n"
@@ -74,37 +78,42 @@ def merged(base: str, extra: str) -> str:
 
 
 def cases():
-    """(label, argv, config text) for every case."""
+    """(label, the argv of each command run in turn, config text) for every
+    case."""
     for p in ("2.0", "3.0", "4.0"):
         base = BASE.format(p=p)
         for cmd in ("solve", "manufacture", "exhaust", "convergence-study", "gcondition"):
-            yield f"p={p} {cmd}", [cmd], base
+            yield f"p={p} {cmd}", [[cmd]], base
         for direction in ("inf", "sup"):
             for metric in ("log", "literal"):
                 extra = f"convolve.direction = {direction}\nconvolve.metric = {metric}\n"
-                yield f"p={p} convolve {direction} {metric}", ["convolve"], merged(base, extra)
+                yield f"p={p} convolve {direction} {metric}", [["convolve"]], merged(base, extra)
         for check in CHECKS:
             extra = PAIR.format(p=p) if check in ("comparison", "doubling") else ""
-            yield f"p={p} verify {check}", ["verify", check], merged(base, extra)
+            yield f"p={p} verify {check}", [["verify", check]], merged(base, extra)
         for check in ("abp", "hoelder"):
-            yield f"p={p} verify {check} stored", ["verify", check], merged(base, STORED)
+            yield f"p={p} verify {check} stored", [["verify", check]], merged(base, STORED)
+        for check in ("comparison", "doubling"):
+            yield (f"p={p} verify {check} stored", [["solve"], ["verify", check]],
+                   merged(base, PAIR.format(p=p) + SOLVED))
         for argv in (["solve"], ["exhaust"], ["verify", "abp"]):
-            yield f"p={p} {' '.join(argv)} max_iter=0", argv, merged(base, FAILING)
-        yield f"p={p} solve coarse", ["solve"], merged(base, COARSE)
+            yield f"p={p} {' '.join(argv)} max_iter=0", [argv], merged(base, FAILING)
+        yield f"p={p} solve coarse", [["solve"]], merged(base, COARSE)
         if p != "4.0":
-            yield f"p={p} solve 3d", ["solve"], merged(base, SOLID)
+            yield f"p={p} solve 3d", [["solve"]], merged(base, SOLID)
 
 
-def run_side(src: str, workdir: str, argv: list, text: str, field: str) -> int:
+def run_side(src: str, workdir: str, commands: list, text: str, field: str) -> list:
+    """Runs each command in turn in ``workdir``; returns their exit codes."""
     os.makedirs(workdir)
     shutil.copy(field, os.path.join(workdir, "src.gf"))
     with open(os.path.join(workdir, "run.cfg"), "w") as fh:
         fh.write(text)
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
-    proc = subprocess.run([sys.executable, "-m", "conepde.cli", "--seed", "11", *argv,
-                           "--config", "run.cfg"], cwd=workdir, env=env,
-                          capture_output=True, text=True)
-    return proc.returncode
+    return [subprocess.run([sys.executable, "-m", "conepde.cli", "--seed", "11", *argv,
+                            "--config", "run.cfg"], cwd=workdir, env=env,
+                           capture_output=True, text=True).returncode
+            for argv in commands]
 
 
 def outputs(workdir: str) -> dict:
@@ -202,7 +211,8 @@ def main(argv) -> int:
             files += len(same)
             differing += bool(problems)
             status = "DIFF" if problems else "ok  "
-            print(f"{status} {label:<36} exit {codes[1]}  {len(same)} identical"
+            print(f"{status} {label:<36} exit {'/'.join(map(str, codes[1]))}  "
+                  f"{len(same)} identical"
                   + (": " + "; ".join(problems) if problems else ""))
     print(f"{len(all_cases) - differing} of {len(all_cases)} cases match; "
           f"{files} non-meta files byte-identical")
