@@ -112,7 +112,7 @@ def _abp_variant(v: GridFunction, prob: PDEProblem, domain: ConeDomain,
                  variant: str) -> AbpReport:
     grid = v.grid
     bmask = grid.analytic_boundary_mask
-    interior = ~bmask & ~grid.artificial_bottom_mask
+    interior = ~grid.boundary_mask
     if not np.any(bmask):
         raise ValueError("the grid carries no analytic boundary nodes")
     K0, d0 = domain.g_params.K0, domain.g_params.d0

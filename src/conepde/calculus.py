@@ -109,13 +109,8 @@ class LogGrid:
     @cached_property
     def boundary_mask(self) -> np.ndarray:
         """True at nodes on any grid face (including the artificial one)."""
-        mask = np.zeros(self.shape, dtype=bool)
-        for axis in range(self.n):
-            sl = [slice(None)] * self.n
-            sl[axis] = 0
-            mask[tuple(sl)] = True
-            sl[axis] = -1
-            mask[tuple(sl)] = True
+        mask = np.ones(self.shape, dtype=bool)
+        mask[(slice(1, -1),) * self.n] = False
         return mask
 
     @cached_property
@@ -123,30 +118,18 @@ class LogGrid:
         """True at nodes on faces of the analytic boundary.
 
         The face a = a_min is the artificial truncation and is excluded
-        unless the domain declares its bottom a true boundary.
+        unless the domain declares its bottom a true boundary; its edges
+        lie on the lateral faces and stay in.
         """
-        mask = np.zeros(self.shape, dtype=bool)
-        sl = [slice(None)] * self.n
-        sl[0] = -1
-        mask[tuple(sl)] = True
-        if self.domain.bottom_is_boundary:
-            sl[0] = 0
-            mask[tuple(sl)] = True
-        for axis in range(1, self.n):
-            sl = [slice(None)] * self.n
-            sl[axis] = 0
-            mask[tuple(sl)] = True
-            sl[axis] = -1
-            mask[tuple(sl)] = True
+        mask = self.boundary_mask.copy()
+        mask[(0,) + (slice(1, -1),) * (self.n - 1)] = self.domain.bottom_is_boundary
         return mask
 
     @cached_property
     def artificial_bottom_mask(self) -> np.ndarray:
+        """True on the face a = a_min unless it is a true boundary."""
         mask = np.zeros(self.shape, dtype=bool)
-        if not self.domain.bottom_is_boundary:
-            sl = [slice(None)] * self.n
-            sl[0] = 0
-            mask[tuple(sl)] = True
+        mask[0] = not self.domain.bottom_is_boundary
         return mask
 
     def stencil_matrix(self, axis: int, stencil: Callable) -> np.ndarray:
@@ -352,21 +335,17 @@ def _masked_integral(grid: LogGrid, integrand: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class NormParams:
-    """Weight data for the weighted Lebesgue/Sobolev norms and the
-    Hoelder exponent rho."""
+    """Weight data for the weighted Lebesgue/Sobolev norms."""
 
     m: int = 0
     gamma: float = 0.0
     p: float = 2.0
-    rho: float = 1.0
 
     def __post_init__(self):
         if self.m < 0:
             raise ValueError("derivative order m must be >= 0")
         if self.p < 1.0:
             raise ValueError("integrability exponent p must be >= 1")
-        if not (0.0 < self.rho <= 1.0):
-            raise ValueError("Hoelder exponent rho must lie in (0, 1]")
 
 
 class NormReport(NamedTuple):

@@ -103,6 +103,13 @@ class RunConfig:
         return self._parse(key, default, False, _listof(int), "a comma list of integers")
 
 
+def _require(cfg: RunConfig, key: str, ok: bool, what: str) -> None:
+    """A config error naming ``key``, its line and its value unless ``ok``;
+    the defaults all pass, so only a key the config sets can fail."""
+    if not ok:
+        raise ConfigError(f"line {cfg.lines[key]}: {key}: {what}, got {cfg.get(key)!r}")
+
+
 def _listof(kind):
     """A comma-list parser; an empty entry (also a trailing comma or an
     empty value) is a ValueError."""
@@ -389,6 +396,7 @@ def _cmd_convergence_study(cfg: RunConfig, args: argparse.Namespace) -> int:
     scfg = build_solver_config(cfg)
     base = build_grid(cfg, domain)
     levels = cfg.get_int("study.levels", 3)
+    _require(cfg, "study.levels", levels > 0, "need at least one level")
     grids = [LogGrid.build(domain, [(c - 1) * 2**lev + 1 for c in base.shape])
              for lev in range(levels)]
     rows = convergence_study(prob, u_star, grids, scfg)
@@ -491,10 +499,8 @@ def _verify_hoelder(cfg, prob, grid, scfg, slack, seed) -> tuple:
         raise ConfigError(f"line {cfg.lines['verify.rho']}: verify.rho: set next to "
                           f"verify.rhos on line {cfg.lines['verify.rhos']}; give one of them")
     rhos = cfg.get_floats("verify.rhos") or [cfg.get_float("verify.rho", 0.25)]
-    if not all(0.0 < r <= 1.0 for r in rhos):
-        key = "verify.rhos" if "verify.rhos" in cfg.lines else "verify.rho"
-        raise ConfigError(f"line {cfg.lines[key]}: {key}: each rho must lie in (0, 1], "
-                          f"got {cfg.get(key)!r}")
+    _require(cfg, "verify.rhos" if "verify.rhos" in cfg.lines else "verify.rho",
+             all(0.0 < r <= 1.0 for r in rhos), "each rho must lie in (0, 1]")
     u = _get_solution(cfg, prob, grid, scfg)
     reports = analysis.hoelder_sweep(u, prob, rhos)
     header = ["rho", "norm", "forcing", "ratio"]
@@ -511,10 +517,10 @@ def _verify_harnack(cfg, prob, grid, scfg, slack, seed) -> tuple:
 
 
 def _verify_weakharnack(cfg, prob, grid, scfg, slack, seed) -> tuple:
-    u = _get_solution(cfg, prob, grid, scfg)
     center, d = _ball_from_config(cfg, grid)
     p0s = cfg.get_floats("verify.p0s", [0.25, 0.5, 0.75, 1.0])
     wcfg = analysis.WeakHarnackConfig(p0_sweep=tuple(p0s), center=center, d=d)
+    u = _get_solution(cfg, prob, grid, scfg)
     rows = analysis.weak_harnack_check(u, prob, wcfg, grid.domain)
     verdict = any(math.isfinite(r.C_emp_minus) or math.isfinite(r.C_emp_plus)
                   for r in rows)
@@ -542,6 +548,7 @@ def _verify_comparison(cfg, prob, grid, scfg, slack, seed) -> tuple:
 
 def _verify_doubling(cfg, prob, grid, scfg, slack, seed) -> tuple:
     alphas = cfg.get_floats("verify.alphas", [1.0, 10.0, 100.0, 1000.0])
+    _require(cfg, "verify.alphas", all(a > 0.0 for a in alphas), "each alpha must be positive")
     u1, u2 = _shifted_pair(cfg, prob, grid, scfg)
     bound = max(float(np.max(np.abs(u1.values))),
                 float(np.max(np.abs(u2.values))), 1e-6)
@@ -556,8 +563,9 @@ def _verify_doubling(cfg, prob, grid, scfg, slack, seed) -> tuple:
 
 
 def _verify_weakform(cfg, prob, grid, scfg, slack, seed) -> tuple:
-    u = _get_solution(cfg, prob, grid, scfg)
     count = cfg.get_int("verify.bumps", 10)
+    _require(cfg, "verify.bumps", count > 0, "need at least one bump")
+    u = _get_solution(cfg, prob, grid, scfg)
     bumps = analysis.cosine_bumps(grid, count, seed=seed)
     tol = cfg.get_float("verify.weakform_tol", 10.0 * max(grid.h) ** 2)
     worst, rows = analysis.weak_form_residual(u, prob, bumps)

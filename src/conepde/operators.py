@@ -266,7 +266,7 @@ def operator_terms(g, H, p: float, n: int, eps_reg: float = 0.0,
 
     A = |g|_d^(p-2) Q_d weighs the Hessian entries (it is also the derivative
     of the flux) and B = (n-p) |g|_d^(p-2) the drift.  C = dR/dg is None
-    unless ``slopes`` is set, and at p == 2, where it vanishes.  Under an
+    unless ``slopes`` is set; it vanishes at p == 2.  Under an
     ``extremal`` mode ("upper"/"lower") R carries |g|_d^(p-2) times the Pucci
     value of H instead of sum A_kl H_kl.
     """
@@ -285,7 +285,7 @@ def operator_terms(g, H, p: float, n: int, eps_reg: float = 0.0,
     else:
         raise ValueError(f"unknown extremal mode {extremal!r}")
     C = None
-    if slopes and p != 2.0:
+    if slopes:
         trH = np.einsum("kk...->...", H)
         Hg = np.einsum("kl...,l...->k...", H, g)
         gHg = np.einsum("k...,k...->...", g, Hg)

@@ -5,12 +5,12 @@ study helper, and the domain-exhaustion existence procedure.
 The continuation fixes p: for p > 2 a linearized p = 2 presolve gives the
 starting field, and one queue of eps_reg stages at the target p follows.
 A p = 2 Newton system has constant coefficients and is solved exactly by
-fast diagonalization; at other p the Jacobian is assembled and its interior
-block is factorized in the grid's nested-dissection order.
+fast diagonalization; at other p the Jacobian is assembled on the interior
+nodes, in the grid's nested-dissection order, and factorized.
 
-The discrete unknown is the flattened field on the full tensor grid; boundary
-rows are identities pinned to the Dirichlet data and interior rows carry the
-log-chart residual.  The radial drift term is the central radial
+The iterate is the flattened field on the full tensor grid.  Its boundary
+values are the Dirichlet data, so the unknowns and the log-chart residual
+live on the interior nodes.  The radial drift term is the central radial
 difference the gradient already holds.  Central differencing keeps the sign
 structure the discrete comparison checks need only while the mesh Peclet
 number |n-p| h_a / (p-1) stays at most 2, so a solve on a coarser radial
@@ -223,45 +223,40 @@ def _check_peclet(grid: LogGrid, p: float, n: int) -> None:
 
 
 def _assemble_jacobian(values: np.ndarray, grid: LogGrid, p: float, n: int,
-                       eps_reg: float) -> sp.csr_matrix:
-    """Jacobian of the log-chart residual w.r.t. all node values; boundary
-    rows are identities.
-
-    Interior rows are sum_kl A_kl H_kl + sum_k C_k G_k + B G_0: the
+                       eps_reg: float) -> sp.csc_matrix:
+    """Jacobian of the log-chart residual on the interior nodes, rows and
+    columns in ``grid.dissection_order``; boundary values are data, not
+    unknowns.  Its rows are sum_kl A_kl H_kl + sum_k C_k G_k + B G_0: the
     residual's own operators weighted by the partial derivatives of the
-    residual algebra, so the matrix is its exact linearization.  At p == 2
-    the terms carrying a (p-2) factor are left out rather than stored as
-    zeros; the solver never assembles that matrix (``_solve_linear`` inverts
-    it exactly), and the tests hold the two to each other.
-    """
+    residual algebra, so the block is its exact linearization."""
     u = GridFunction(grid, values, check_finite=False)
     _, A, B, C = operator_terms(gradient_field(u), hessian_field(u), p, n, eps_reg,
                                 slopes=True)
-    pairs = [(op, A[k, l] * (1.0 if k == l else 2.0))
-             for (k, l), op in grid.hessian_ops.items() if p != 2.0 or k == l]
-    if p != 2.0:
-        pairs += list(zip(grid.first_diff_ops, C))
+    pairs = [(op, A[k, l] * (1.0 if k == l else 2.0)) for (k, l), op in grid.hessian_ops.items()]
+    pairs += list(zip(grid.first_diff_ops, C))
     pairs.append((grid.first_diff_ops[0], B))
-    bmask = grid.boundary_mask.ravel()
-    interior, boundary = np.flatnonzero(~bmask), np.flatnonzero(bmask)
+    order = grid.dissection_order
     # on interior rows each operator is one stencil translated along the
-    # grid: read its column offsets and weights off the first interior row
-    stencils = [op[interior[0]].tocoo() for op, _ in pairs]
+    # grid: read its column offsets and weights off one interior row
+    stencils = [op[order[0]].tocoo() for op, _ in pairs]
     offsets = np.unique(np.concatenate([st.col for st in stencils]))
     W = np.zeros((len(pairs), offsets.size))
     for t, st in enumerate(stencils):
         W[t, np.searchsorted(offsets, st.col)] = st.data
-    rows = np.concatenate([boundary, np.repeat(interior, offsets.size)])
-    cols = np.concatenate([boundary, (interior[:, None] + (offsets - interior[0])).ravel()])
-    data = np.stack([c.ravel()[interior] for _, c in pairs], axis=1) @ W
-    return sp.csr_matrix((np.concatenate([np.ones(boundary.size), data.ravel()]), (rows, cols)),
-                         shape=(bmask.size, bmask.size))
+    data = np.stack([c.ravel()[order] for _, c in pairs], axis=1) @ W
+    # boundary nodes keep rank -1: their columns multiply data and are dropped
+    rank = np.full(math.prod(grid.shape), -1)
+    rank[order] = np.arange(order.size)
+    cols = rank[order[:, None] + (offsets - order[0])]
+    inner = cols >= 0
+    rows = np.broadcast_to(np.arange(order.size)[:, None], cols.shape)[inner]
+    return sp.csc_matrix((data[inner], (rows, cols[inner])), shape=(order.size, order.size))
 
 
 def _solve_linear(grid: LogGrid, drift: float, rhs: np.ndarray) -> np.ndarray:
-    """The solution du of J du = rhs for the p == 2 Jacobian J, whose
-    interior rows are sum_k D2_k + drift D1_a for every iterate and eps_reg;
-    ``rhs`` is zero on the boundary rows, so du is zero there.
+    """The solution du of J du = rhs for the interior block J of the p == 2
+    Jacobian, sum_k D2_k + drift D1_a for every iterate and eps_reg; ``rhs``
+    is read on the interior nodes and du is zero on the boundary.
 
     On the interior nodes J is a Kronecker sum of one tridiagonal block per
     axis, which fast diagonalization inverts exactly (Lynch, Rice & Thomas,
@@ -294,14 +289,13 @@ def _solve_linear(grid: LogGrid, drift: float, rhs: np.ndarray) -> np.ndarray:
     return du
 
 
-def _solve_jacobian(J: sp.csr_matrix, grid: LogGrid, rhs: np.ndarray) -> np.ndarray:
-    """The solution du of J du = rhs for an assembled Jacobian J; ``rhs`` is
-    zero on the boundary rows, which are identities, so du is zero there and
-    the interior rows' boundary columns multiply zeros.  Only the interior
-    block is factorized, in the grid's nested-dissection order, with
+def _solve_jacobian(J: sp.csc_matrix, grid: LogGrid, rhs: np.ndarray) -> np.ndarray:
+    """The solution du of J du = rhs for the interior block J from
+    ``_assemble_jacobian``; du is zero on the boundary, whose values are
+    data.  J is factorized in its own (nested-dissection) order with
     SuperLU's partial pivoting; a singular factor raises RuntimeError."""
     order = grid.dissection_order
-    lu = spla.splu(J[order][:, order].tocsc(), permc_spec="NATURAL")
+    lu = spla.splu(J, permc_spec="NATURAL")
     du = np.zeros(grid.shape)
     du.flat[order] = lu.solve(rhs.ravel()[order])
     return du
@@ -319,9 +313,8 @@ def _newton_stage(values: np.ndarray, grid: LogGrid, p: float, n: int,
                   F_log: np.ndarray, eps_reg: float, cfg: SolverConfig) -> tuple:
     """Damped Newton at one continuation stage; returns (values, iters, norm).
     A rejected trial step halves the step length.  At p == 2 the Jacobian
-    is constant and ``_solve_linear`` inverts it; otherwise it is assembled
-    at the iterate and ``_solve_jacobian`` factorizes its interior block.
-    The residual is zero on boundary rows, so both steps are zero there."""
+    is constant and ``_solve_linear`` inverts it; otherwise its interior
+    block is assembled at the iterate and ``_solve_jacobian`` factorizes it."""
     res = _interior_residual(values, grid, p, n, F_log, eps_reg)
     if not np.all(np.isfinite(res)):
         raise FloatingPointError("non-finite value in discrete residual")
@@ -364,7 +357,7 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid,
     cfg = cfg or SolverConfig()
     p, n = prob.p, prob.n
     _check_peclet(grid, p, n)
-    # boundary rows are identities, so the forcing there is never read
+    # the residual lives on the interior, so the forcing on the boundary is never read
     F_log = prob.forcing_values(grid, interior_only=True) * np.exp(grid.mesh[0] * p)
 
     values = np.zeros(grid.shape)

@@ -2,7 +2,8 @@
 
 They are the pointwise forms of code the package evaluates on whole fields or
 in closed form: per-node difference stencils, the per-point residual algebra,
-the all-pairs ball supremum of the forcing, and the all-pairs loops of the
+the full-grid Newton Jacobian as a sum of weighted grid operators, the
+all-pairs ball supremum of the forcing, and the all-pairs loops of the
 regularizations, the doubling diagnostic and the Hoelder seminorm.  Nothing
 here is imported by the package itself.
 """
@@ -10,8 +11,10 @@ here is imported by the package itself.
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
-from conepde.operators import PucciParams, pucci_minus, pucci_plus
+from conepde.calculus import GridFunction, gradient_field, hessian_field
+from conepde.operators import PucciParams, operator_terms, pucci_minus, pucci_plus
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +122,25 @@ def pointwise_residual_log(u, node, prob, eps_reg=0.0, extremal=None):
     diff, coef = pointwise_diffusion(g, pointwise_hessian(u, node), prob.p, eps_reg,
                                      extremal)
     return diff + (prob.n - prob.p) * coef * float(g[0]) - fval * math.exp(a * prob.p)
+
+
+# ---------------------------------------------------------------------------
+# Newton Jacobian on the full grid
+
+def full_jacobian(values, grid, p, n, eps_reg):
+    """Jacobian of the log-chart residual w.r.t. every node value, in flat
+    node order: identity rows on the boundary, and on the interior rows
+    sum_kl diag(A_kl) H_kl + sum_k diag(C_k) G_k + diag(B) G_0 over the
+    grid's Hessian and first-difference operators.  Its interior rows and
+    columns are the block ``solver._assemble_jacobian`` returns."""
+    u = GridFunction(grid, values, check_finite=False)
+    _, A, B, C = operator_terms(gradient_field(u), hessian_field(u), p, n, eps_reg,
+                                slopes=True)
+    terms = [((1.0 if k == l else 2.0) * A[k, l], op) for (k, l), op in grid.hessian_ops.items()]
+    terms += list(zip(C, grid.first_diff_ops)) + [(B, grid.first_diff_ops[0])]
+    bmask = grid.boundary_mask.ravel()
+    J = sum(sp.diags(np.where(bmask, 0.0, c.ravel())) @ op for c, op in terms)
+    return (J + sp.diags(bmask.astype(float))).tocsr()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 
@@ -165,6 +166,51 @@ class TestStencils:
         for errs in (errs_g, errs_h):
             orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
             assert min(orders) >= 1.9
+
+
+def _face_masks(shape, bottom_is_boundary):
+    """(boundary, artificial bottom, analytic boundary) masks, node by node
+    from the faces each node lies on."""
+    masks = [np.zeros(shape, dtype=bool) for _ in range(3)]
+    for node in itertools.product(*map(range, shape)):
+        lateral = any(i in (0, m - 1) for i, m in zip(node[1:], shape[1:]))
+        bottom, top = node[0] == 0, node[0] == shape[0] - 1
+        masks[0][node] = bottom or top or lateral
+        masks[1][node] = bottom and not bottom_is_boundary
+        masks[2][node] = top or lateral or (bottom and bottom_is_boundary)
+    return masks
+
+
+class TestFaceMasks:
+    @staticmethod
+    def _grid(counts, bottom_is_boundary):
+        n = len(counts)
+        dom = ConeDomain(n=n, base_lo=[0.0] * (n - 1), base_hi=[1.0] * (n - 1),
+                         t_min=math.exp(-1.0), bottom_is_boundary=bottom_is_boundary)
+        return LogGrid.build(dom, counts)
+
+    @pytest.mark.parametrize("bottom_is_boundary", [False, True])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_masks_match_per_face_definition(self, n, bottom_is_boundary):
+        for counts in itertools.product(range(3, 7), repeat=n):
+            grid = self._grid(counts, bottom_is_boundary)
+            boundary, bottom, analytic = _face_masks(grid.shape, bottom_is_boundary)
+            np.testing.assert_array_equal(grid.boundary_mask, boundary)
+            np.testing.assert_array_equal(grid.artificial_bottom_mask, bottom)
+            np.testing.assert_array_equal(grid.analytic_boundary_mask, analytic)
+
+    @pytest.mark.parametrize("counts, edges", [
+        ((4, 5), [(0, 0), (0, 4)]),
+        ((3, 4, 5), [(0, 0, 2), (0, 3, 2), (0, 1, 0), (0, 2, 4), (0, 0, 0), (0, 3, 4)]),
+    ])
+    def test_artificial_bottom_edges_stay_analytic(self, counts, edges):
+        # where the artificial bottom meets a lateral face the node lies on
+        # the analytic boundary too; only the bottom's interior leaves it
+        grid = self._grid(counts, bottom_is_boundary=False)
+        for node in edges:
+            assert grid.artificial_bottom_mask[node] and grid.analytic_boundary_mask[node]
+        inner_bottom = (0,) + (slice(1, -1),) * (len(counts) - 1)
+        assert not np.any(grid.analytic_boundary_mask[inner_bottom])
 
 
 class TestConeIntegral:

@@ -278,6 +278,35 @@ class TestVerifyCommands:
         assert "verify.rhos on line 13" in err
         assert not os.path.isdir(out) or not os.listdir(out)
 
+    @pytest.mark.parametrize("argv, entry, what", [
+        (["verify", "weakform"], "verify.bumps = 0", "need at least one bump"),
+        (["verify", "weakform"], "verify.bumps = -2", "need at least one bump"),
+        (["convergence-study"], "study.levels = 0", "need at least one level"),
+        (["verify", "doubling"], "verify.alphas = 1,0", "each alpha must be positive"),
+        (["verify", "doubling"], "verify.alphas = -1", "each alpha must be positive"),
+        (["verify", "doubling"], "verify.alphas = 10,nan", "each alpha must be positive"),
+    ])
+    def test_vacuous_or_out_of_range_entry_exits_two_before_solving(
+            self, tmp_path, capsys, monkeypatch, argv, entry, what):
+        # no bumps or no study levels would report an empty table as a pass
+        monkeypatch.setattr("conepde.cli.solve_dirichlet", refuse_solve)
+        out = os.path.join(tmp_path, "out")
+        cfg = write_config(tmp_path, (BASE_CONFIG + entry + "\n").format(outdir=out))
+        assert run([*argv, "--config", cfg]) == 2
+        key, value = entry.split(" = ")
+        assert capsys.readouterr().err == f"config error: line 12: {key}: {what}, got {value!r}\n"
+        assert not os.path.isdir(out) or not os.listdir(out)
+
+    @pytest.mark.parametrize("p0s", ["0.5,1.5", "0", "-0.5"])
+    def test_out_of_range_p0_exits_two_before_solving(self, tmp_path, capsys, monkeypatch,
+                                                      p0s):
+        monkeypatch.setattr("conepde.cli.solve_dirichlet", refuse_solve)
+        out = os.path.join(tmp_path, "out")
+        cfg = write_config(tmp_path, (BASE_CONFIG + f"verify.p0s = {p0s}\n").format(outdir=out))
+        assert run(["verify", "weakharnack", "--config", cfg]) == 2
+        assert "p0 values must lie in (0, 1]" in capsys.readouterr().err
+        assert not os.path.isdir(out) or not os.listdir(out)
+
     @pytest.mark.parametrize("argv, key, value", [
         (["verify", "hoelder"], "verify.rhos", "0.5,,1"),
         (["verify", "hoelder"], "verify.rhos", "0.5,1,"),

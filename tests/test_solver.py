@@ -28,7 +28,7 @@ from conepde.solver import (
     solve_by_exhaustion,
     solve_dirichlet,
 )
-from oracles import pointwise_residual_log
+from oracles import full_jacobian, pointwise_residual_log
 
 
 def unit_domain(n=2, t_min=math.exp(-1.0)):
@@ -182,8 +182,8 @@ DRIFT_IDS = ["2-central", "3-central"]
 
 
 class TestJacobian:
-    """The assembled Jacobian is the exact linearization of the residual the
-    Newton solve drives to zero."""
+    """The assembled interior block is the exact linearization of the
+    residual the Newton solve drives to zero."""
 
     @staticmethod
     def _state(p, n):
@@ -193,37 +193,41 @@ class TestJacobian:
         v = np.sin(2.0 * A) + 0.1 * rng.standard_normal(grid.shape)
         for k, X in enumerate(grid.mesh[1:]):
             v = v + np.cos(3.0 * X + k)
-        return grid, v, rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
+        w = np.where(grid.boundary_mask, 0.0, rng.standard_normal(grid.shape))
+        return grid, v, w, rng.standard_normal(grid.shape)
 
     @pytest.mark.parametrize("n", [2, 3], ids=DRIFT_IDS)
     @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.5])
     def test_taylor_against_residual(self, p, n):
-        # central differences of the residual along w converge to J w at
-        # O(h^2); at p = 2 the residual is linear and they agree to rounding
+        # central differences of the residual along w, which is zero on the
+        # boundary, converge to J w at O(h^2); at p = 2 the residual is
+        # linear and they agree to rounding
         grid, v, w, F_log = self._state(p, n)
         eps = 1e-2
-        J = _assemble_jacobian(v, grid, p, n, eps)
-        Jw = (J @ w.ravel()).reshape(grid.shape)
-        bmask = grid.boundary_mask
-        np.testing.assert_array_equal(Jw[bmask], w[bmask])
+        order = grid.dissection_order
+        Jw = _assemble_jacobian(v, grid, p, n, eps) @ w.ravel()[order]
         scale = float(np.max(np.abs(Jw)))
         rel = []
         for h in (1e-3, 1e-4, 1e-5):
             fd = (_interior_residual(v + h * w, grid, p, n, F_log, eps)
                   - _interior_residual(v - h * w, grid, p, n, F_log, eps)) / (2.0 * h)
-            rel.append(float(np.max(np.abs((Jw - fd)[~bmask]))) / scale)
+            rel.append(float(np.max(np.abs(Jw - fd.ravel()[order]))) / scale)
         assert rel[-1] < 1e-8
         for coarse, fine in zip(rel, rel[1:]):
             # truncation-dominated pairs shrink like h^2; rounding-level ones stay put
             assert fine <= max(coarse / 50.0, 1e-10)
 
-    @pytest.mark.parametrize("n", [2, 3], ids=DRIFT_IDS)
-    def test_linear_jacobian_stores_no_zeros(self, n):
-        # at p = 2 the terms carrying a (p-2) factor are left out, not stored as zeros
-        grid, v, _, _ = self._state(2.0, n)
-        J = _assemble_jacobian(v, grid, 2.0, n, 1e-2)
-        assert np.all(J.data != 0.0)
-        assert J.nnz == J.count_nonzero()
+    @given(n=st.sampled_from([2, 3]), p=st.sampled_from([2.0, 2.5, 3.0, 4.0, 6.0]),
+           counts=st.lists(st.integers(3, 9), min_size=3, max_size=3),
+           eps=st.sampled_from([1e-1, 1e-2, 1e-6]), seed=st.integers(0, 2**32 - 1))
+    def test_is_interior_block_of_full_jacobian(self, n, p, counts, eps, seed):
+        grid = LogGrid.build(unit_domain(n=n), counts[:n])
+        v = np.random.default_rng(seed).standard_normal(grid.shape)
+        J = _assemble_jacobian(v, grid, p, n, eps)
+        order = grid.dissection_order
+        block = full_jacobian(v, grid, p, n, eps)[order][:, order].toarray()
+        assert J.format == "csc" and J.shape == block.shape
+        assert np.max(np.abs(J.toarray() - block)) <= 1e-14 * np.max(np.abs(block))
 
 
 def _raise(*args, **kwargs):
@@ -232,7 +236,7 @@ def _raise(*args, **kwargs):
 
 class TestFastLinearSolve:
     """At p = 2 the Newton system is solved by fast diagonalization; the
-    assembled Jacobian and a sparse direct solve are its oracle."""
+    full-grid Jacobian and a sparse direct solve are its oracle."""
 
     @given(n=st.sampled_from([2, 3]), p=st.sampled_from([2.0, 3.0, 4.0, 6.0]),
            counts=st.lists(st.integers(3, 9), min_size=3, max_size=3),
@@ -247,7 +251,7 @@ class TestFastLinearSolve:
         grid = LogGrid.build(dom, counts[:n])
         res = np.random.default_rng(seed).standard_normal(grid.shape)
         res[grid.boundary_mask] = 0.0
-        J = _assemble_jacobian(np.zeros(grid.shape), grid, 2.0, 2 + (n - p), 1e-2)
+        J = full_jacobian(np.zeros(grid.shape), grid, 2.0, 2 + (n - p), 1e-2)
         direct = spla.spsolve(J, -res.ravel()).reshape(grid.shape)
         du = _solve_linear(grid, n - p, -res)
         assert np.max(np.abs(J @ du.ravel() + res.ravel())) <= 1e-12 * np.max(np.abs(res))
@@ -262,7 +266,7 @@ class TestFastLinearSolve:
         start = np.where(grid.boundary_mask, prob.dirichlet_values(grid), 0.0)
         F_log = prob.f_values(grid) * np.exp(grid.mesh[0] * 2.0)
         res = _interior_residual(start, grid, 2.0, 3, F_log, 1e-6)
-        J = _assemble_jacobian(start, grid, 2.0, 3, 1e-6)
+        J = full_jacobian(start, grid, 2.0, 3, 1e-6)
         direct = start + spla.spsolve(J, -res.ravel()).reshape(grid.shape)
         err_direct = float(np.max(np.abs(direct - exact)))
 
@@ -279,14 +283,14 @@ class TestFastLinearSolve:
 
 
 def _direct_solve(J, grid, rhs):
-    # the full-grid sparse direct solve that ``_solve_jacobian`` replaced
+    # a sparse direct solve of the full-grid system from ``full_jacobian``
     return spla.spsolve(J, rhs.ravel()).reshape(grid.shape)
 
 
 class TestOrderedJacobianSolve:
-    """At p != 2 the interior block of the assembled Jacobian is factorized
-    in nested-dissection order; the full-grid sparse direct solve is its
-    oracle."""
+    """At p != 2 the interior block of the Jacobian is factorized in
+    nested-dissection order; the full-grid Jacobian and a sparse direct
+    solve are its oracle."""
 
     @given(n=st.sampled_from([2, 3]), p=st.sampled_from([2.5, 3.0, 4.0, 6.0]),
            counts=st.lists(st.integers(3, 9), min_size=3, max_size=3),
@@ -306,25 +310,25 @@ class TestOrderedJacobianSolve:
         v = v + 0.25 * np.sin(sum(f * m for f, m in zip(freq, grid.mesh))) / math.sqrt(n)
         res = rng.standard_normal(grid.shape)
         res[grid.boundary_mask] = 0.0
-        J = _assemble_jacobian(v, grid, p, n, eps)
-        direct = _direct_solve(J, grid, -res)
-        du = _solve_jacobian(J, grid, -res)
+        direct = _direct_solve(full_jacobian(v, grid, p, n, eps), grid, -res)
+        du = _solve_jacobian(_assemble_jacobian(v, grid, p, n, eps), grid, -res)
         assert np.all(du[grid.boundary_mask] == 0.0)
         assert np.max(np.abs(du - direct)) <= 1e-12 * np.max(np.abs(direct))
 
     def test_singular_factor_raises(self):
-        # identity boundary rows over an all-zero interior block
+        # an all-zero interior block
         grid = LogGrid.build(unit_domain(), (5, 6))
-        J = sp.diags(grid.boundary_mask.ravel().astype(float), format="csr")
+        m = grid.dissection_order.size
         rhs = np.where(grid.boundary_mask, 0.0, 1.0)
         with pytest.raises(RuntimeError):
-            _solve_jacobian(J, grid, rhs)
+            _solve_jacobian(sp.csc_matrix((m, m)), grid, rhs)
 
     def test_nonlinear_solve_never_calls_spsolve(self, monkeypatch):
         grid = LogGrid.build(unit_domain(), (17, 17))
         prob = manufactured_problem(power_of_t_field(0.4, 2), 3.0, 2)
         # the same solve with every p != 2 Newton step a full-grid spsolve
         with monkeypatch.context() as m:
+            m.setattr(solver, "_assemble_jacobian", full_jacobian)
             m.setattr(solver, "_solve_jacobian", _direct_solve)
             u_direct, rep_direct = solve_dirichlet(prob, grid)
 

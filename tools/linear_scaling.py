@@ -4,13 +4,14 @@
 
 On each grid (2D at 81^2, 97^2 and 161^2; 3D at 17^3, 21^3 and 25^3, over
 the unit base with t_min = e^-1) the Jacobian of the p = 3 residual at
-eps_reg = 1e-2 is assembled at a smooth iterate, the forcing-free solution
+eps_reg = 1e-2 is taken at a smooth iterate, the forcing-free solution
 t^((p-n)/(p-1)) (ln t when p = n) plus a small wave, and the Newton system
-J du = -res is solved two ways: the full-grid ``spsolve`` the solver used
-to call, with SuperLU's default COLAMD order, and ``solver._solve_jacobian``,
-which factorizes the interior block in the grid's nested-dissection order.
-The order is built once per grid, outside the timed region, as the solver
-caches it.  Per size it records the median seconds of each solve over
+J du = -res is solved two ways: ``spsolve`` on the full-grid Jacobian of
+``tests/oracles.full_jacobian`` (identity boundary rows), with SuperLU's
+default COLAMD order, and ``solver._solve_jacobian`` on the interior block
+from ``solver._assemble_jacobian``, which is in the grid's nested-dissection
+order.  Both matrices and the order are built once per grid, outside the
+timed region.  Per size it records the median seconds of each solve over
 REPEATS runs (the two alternate), the fill of each factorization (stored
 L + U entries over the stored entries of the matrix it factorizes; the
 oracle's is read off ``splu`` with COLAMD, the call ``spsolve`` makes), and
@@ -34,7 +35,9 @@ import scipy.sparse.linalg as spla
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 
+import oracles  # noqa: E402
 from conepde.calculus import LogGrid  # noqa: E402
 from conepde.geometry import ConeDomain  # noqa: E402
 from conepde.solver import (_assemble_jacobian, _interior_residual,  # noqa: E402
@@ -46,14 +49,16 @@ SIZES = ((2, 81), (2, 97), (2, 161), (3, 17), (3, 21), (3, 25))
 
 
 def newton_system(n: int, m: int) -> tuple:
-    """(grid, J, rhs) of one Newton step at the smooth iterate."""
+    """(grid, full-grid J, interior block, rhs) of one Newton step at the
+    smooth iterate."""
     domain = ConeDomain(n=n, base_lo=[0.0] * (n - 1), base_hi=[1.0] * (n - 1),
                         t_min=math.exp(-1.0))
     grid = LogGrid.build(domain, (m,) * n)
     values = exact_solution_values(make_exact_solution(P, n), grid).values
     values = values + 0.05 * np.sin(np.pi * sum(grid.mesh))
     res = _interior_residual(values, grid, P, n, np.zeros(grid.shape), EPS_REG)
-    return grid, _assemble_jacobian(values, grid, P, n, EPS_REG), -res
+    return (grid, oracles.full_jacobian(values, grid, P, n, EPS_REG),
+            _assemble_jacobian(values, grid, P, n, EPS_REG), -res)
 
 
 def fill(A, permc_spec: str) -> float:
@@ -63,21 +68,19 @@ def fill(A, permc_spec: str) -> float:
 
 
 def measure(n: int, m: int) -> dict:
-    grid, J, rhs = newton_system(n, m)
-    order = grid.dissection_order
-    block = J[order][:, order]
+    grid, J, block, rhs = newton_system(n, m)
     times = {"spsolve": [], "ordered": []}
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         direct = spla.spsolve(J, rhs.ravel()).reshape(grid.shape)
         t1 = time.perf_counter()
-        du = _solve_jacobian(J, grid, rhs)
+        du = _solve_jacobian(block, grid, rhs)
         t2 = time.perf_counter()
         times["spsolve"].append(t1 - t0)
         times["ordered"].append(t2 - t1)
     return {
         "n": n, "nodes": list(grid.shape), "unknowns": J.shape[0],
-        "interior": int(order.size), "jac_nnz": int(J.nnz), "block_nnz": int(block.nnz),
+        "interior": block.shape[0], "jac_nnz": int(J.nnz), "block_nnz": int(block.nnz),
         "spsolve_s": statistics.median(times["spsolve"]),
         "ordered_s": statistics.median(times["ordered"]),
         "fill_spsolve": fill(J, "COLAMD"),
