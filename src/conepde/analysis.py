@@ -116,7 +116,7 @@ def _abp_variant(v: GridFunction, prob: PDEProblem, domain: ConeDomain,
     if not np.any(bmask):
         raise ValueError("the grid carries no analytic boundary nodes")
     K0, d0 = domain.g_params.K0, domain.g_params.d0
-    forcing = _sup_forcing(grid.t_field ** prob.p * forcing_part, prob.p)
+    forcing = _sup_forcing(forcing_part, prob.p)
     geometry = (K0 * d0) ** (prob.p / (prob.p - 1.0))
     interior_sup = float(np.max(signed_part[interior]))
     boundary_sup = float(np.max(signed_part[bmask]))
@@ -142,10 +142,10 @@ def _abp_variant(v: GridFunction, prob: PDEProblem, domain: ConeDomain,
 def abp_check(v: GridFunction, prob: PDEProblem, domain: ConeDomain) -> tuple:
     """Interior-sup reports: (subsolution variant with v^+ against f^-,
     two-sided variant with |v| against |f|)."""
-    f = prob.forcing_values(v.grid)
+    tpf = prob.log_forcing(v.grid)
     one = _abp_variant(v, prob, domain, np.maximum(v.values, 0.0),
-                       np.maximum(-f, 0.0), "subsolution")
-    two = _abp_variant(v, prob, domain, np.abs(v.values), np.abs(f), "two-sided")
+                       np.maximum(-tpf, 0.0), "subsolution")
+    two = _abp_variant(v, prob, domain, np.abs(v.values), np.abs(tpf), "two-sided")
     return one, two
 
 
@@ -172,8 +172,7 @@ def hoelder_check(v: GridFunction, prob: PDEProblem, rho: float) -> HoelderRepor
     """
     grid = v.grid
     norm = float(hoelder_norm(v, rho))
-    tpf = grid.t_field ** prob.p * prob.forcing_values(grid)
-    forcing = _sup_forcing(np.abs(tpf), prob.p)
+    forcing = _sup_forcing(np.abs(prob.log_forcing(grid)), prob.p)
     vacuous = norm == 0.0
     inconsistent = forcing == 0.0 and norm > 0.0
     ratio = None if forcing == 0.0 else norm / forcing
@@ -232,9 +231,8 @@ def harnack_ratio(u: GridFunction, prob: PDEProblem, center: ConePoint,
         raise ValueError("the field is negative inside the ball")
     sup = float(np.max(u.values[half]))
     inf = float(np.min(u.values[half]))
-    tpf = grid.t_field ** prob.p * prob.forcing_values(grid)
-    forcing = d ** (prob.p / (prob.p - 1.0)) * float(
-        np.max(np.abs(tpf[ball]))) ** (1.0 / (prob.p - 1.0))
+    forcing = d ** (prob.p / (prob.p - 1.0)) * _sup_forcing(
+        np.abs(prob.log_forcing(grid)[ball]), prob.p)
     denom = inf + forcing
     C_emp = 1.0 if sup == 0.0 and denom == 0.0 else (
         math.inf if denom == 0.0 else sup / denom)
@@ -283,10 +281,10 @@ def weak_harnack_check(u: GridFunction, prob: PDEProblem,
     w = quadrature_weights(grid)
     volume = float(np.sum(w * ball))
     inf_u = float(np.min(u.values[ball]))
-    tpf = grid.t_field ** prob.p * prob.forcing_values(grid)
+    tpf = prob.log_forcing(grid)[double]
     scale = cfg.d ** (prob.p / (prob.p - 1.0))
-    f_minus = scale * float(np.max(np.maximum(-tpf, 0.0)[double])) ** (1.0 / (prob.p - 1.0))
-    f_plus = scale * float(np.max(np.maximum(tpf, 0.0)[double])) ** (1.0 / (prob.p - 1.0))
+    f_minus = scale * _sup_forcing(np.maximum(-tpf, 0.0), prob.p)
+    f_plus = scale * _sup_forcing(np.maximum(tpf, 0.0), prob.p)
     rows = []
     uvals = np.maximum(u.values, 0.0)
     for p0 in cfg.p0_sweep:
@@ -347,12 +345,12 @@ class ComparisonReport:
 def comparison_check(u: GridFunction, v: GridFunction, prob: PDEProblem,
                      tol: float) -> ComparisonReport:
     """Count interior nodes where the subsolution exceeds the supersolution
-    beyond tol; the boundary ordering and the forcing floor are preconditions."""
+    beyond tol; preconditions are the boundary ordering and min t^p f > 0."""
     _require_same_grid(u, v)
     grid = u.grid
-    if prob.omega <= 0.0:
-        raise ValueError("comparison requires a positive forcing floor omega")
-    prob.validate_omega(grid)
+    floor = float(np.min(prob.log_forcing(grid)))
+    if not floor > 0.0:
+        raise ValueError(f"comparison requires a positive floor of t^p f, got {floor:.6g}")
     bmask = grid.boundary_mask
     bad = (u.values > v.values + tol) & bmask
     if np.any(bad):
@@ -509,8 +507,8 @@ def weak_form_residual(u: GridFunction, prob: PDEProblem,
     p, n = prob.p, prob.n
     flux = gradient_powers(g, p, eps_reg)[1] * g      # |g|^(p-2) g, shape (n, ...)
     f = prob.forcing_values(grid)
+    tpf = prob.log_forcing(grid)
     t = grid.t_field
-    tpf = t ** p * f
     w = quadrature_weights(grid)
     axes_pts = grid.mesh
 

@@ -162,11 +162,9 @@ def build_domain(cfg: RunConfig) -> ConeDomain:
     t_min = cfg.get_float("domain.t_min", required=True)
     K0 = cfg.get_float("domain.k0", 2.0)
     d0 = cfg.get_float("domain.d0", 1.0)
-    sigma = cfg.get_float("domain.sigma", 0.5)
     try:
         return ConeDomain(n=n, base_lo=np.array(lo), base_hi=np.array(hi),
-                          t_min=t_min,
-                          g_params=GConditionParams(K0=K0, d0=d0, sigma=sigma))
+                          t_min=t_min, g_params=GConditionParams(K0=K0, d0=d0))
     except ValueError as exc:
         raise ConfigError(f"domain: {exc}") from exc
 
@@ -213,9 +211,8 @@ def build_problem(cfg: RunConfig, domain: ConeDomain) -> PDEProblem:
     f = _parse_field_spec(cfg.get("problem.f", "zero"), "problem.f", domain.n)
     g = _parse_field_spec(cfg.get("problem.dirichlet", "zero"), "problem.dirichlet",
                           domain.n)
-    omega = cfg.get_float("problem.omega", 0.0)
     try:
-        return PDEProblem(p=p, n=domain.n, f=f, dirichlet=g, omega=omega)
+        return PDEProblem(p=p, n=domain.n, f=f, dirichlet=g)
     except ValueError as exc:
         raise ConfigError(f"problem: {exc}") from exc
 
@@ -332,7 +329,7 @@ def _cmd_manufacture(cfg: RunConfig, args: argparse.Namespace) -> int:
     prob = manufactured_problem(u_star, p, domain.n)
     grid = build_grid(cfg, domain)
     exact = exact_solution_values(u_star, grid)
-    forcing = GridFunction(grid, prob.f_values(grid))
+    forcing = GridFunction(grid, prob.forcing_values(grid))
     outdir = _outdir(cfg)
     write_gridfunction(os.path.join(outdir, "exact.gf"), exact)
     write_gridfunction(os.path.join(outdir, "forcing.gf"), forcing)
@@ -412,12 +409,12 @@ def _cmd_convergence_study(cfg: RunConfig, args: argparse.Namespace) -> int:
 def _cmd_gcondition(cfg: RunConfig, args: argparse.Namespace) -> int:
     domain = build_domain(cfg)
     samples = cfg.get_int("verify.samples", 200)
-    params = estimate_g_condition(domain, samples, args.seed)
+    sigma = estimate_g_condition(domain, samples, args.seed)
     outdir = _outdir(cfg)
     write_json(os.path.join(outdir, "gcondition_report.json"),
-               {"K0": params.K0, "d0": params.d0, "sigma_est": params.sigma,
+               {"K0": domain.g_params.K0, "d0": domain.g_params.d0, "sigma_est": sigma,
                 "samples": samples, "seed": args.seed,
-                "degenerate": params.sigma == 0.0}, cfg.config_hash)
+                "degenerate": sigma == 0.0}, cfg.config_hash)
     return EXIT_OK
 
 
@@ -452,14 +449,14 @@ def _shifted_pair(cfg: RunConfig, prob: PDEProblem, grid: LogGrid,
     larger forcing gives a smaller solution, so the first is the
     subsolution of the pair."""
     margin = cfg.get_float("verify.margin", 0.5)
+    _require(cfg, "verify.margin", margin > 0.0, "the margin must be positive")
     v_super = _get_solution(cfg, prob, grid, scfg)
     f_low = prob.f
 
     def f_high(t, xs):
         return f_low(t, xs) + margin * np.asarray(t, dtype=float) ** (-prob.p)
 
-    prob_high = PDEProblem(p=prob.p, n=prob.n, f=f_high,
-                           dirichlet=prob.dirichlet, omega=prob.omega + margin)
+    prob_high = PDEProblem(p=prob.p, n=prob.n, f=f_high, dirichlet=prob.dirichlet)
     u_sub, _ = _solve_or_raise(prob_high, grid, scfg)
     return u_sub, v_super
 
@@ -473,6 +470,7 @@ def _ball_from_config(cfg: RunConfig, grid: LogGrid) -> tuple:
         return ConePoint(t=math.exp(c[0]), x=np.array(c[1:])), extent / 3.0
     if len(spec) != grid.n + 1:
         raise ConfigError(f"verify.ball: need {grid.n + 1} numbers (a, x..., d)")
+    _require(cfg, "verify.ball", spec[-1] > 0.0, "the ball radius must be positive")
     return ConePoint(t=math.exp(spec[0]), x=np.array(spec[1:-1])), spec[-1]
 
 
@@ -509,8 +507,8 @@ def _verify_hoelder(cfg, prob, grid, scfg, slack, seed) -> tuple:
 
 
 def _verify_harnack(cfg, prob, grid, scfg, slack, seed) -> tuple:
-    u = _get_solution(cfg, prob, grid, scfg)
     center, d = _ball_from_config(cfg, grid)
+    u = _get_solution(cfg, prob, grid, scfg)
     rep = analysis.harnack_ratio(u, prob, center, d, grid.domain)
     header = ["sup", "inf", "forcing", "C_emp"]
     return {"harnack": rep}, math.isfinite(rep.C_emp), header, _columns([rep], header)
@@ -519,6 +517,8 @@ def _verify_harnack(cfg, prob, grid, scfg, slack, seed) -> tuple:
 def _verify_weakharnack(cfg, prob, grid, scfg, slack, seed) -> tuple:
     center, d = _ball_from_config(cfg, grid)
     p0s = cfg.get_floats("verify.p0s", [0.25, 0.5, 0.75, 1.0])
+    _require(cfg, "verify.p0s", all(0.0 < p0 <= 1.0 for p0 in p0s),
+             "p0 values must lie in (0, 1]")
     wcfg = analysis.WeakHarnackConfig(p0_sweep=tuple(p0s), center=center, d=d)
     u = _get_solution(cfg, prob, grid, scfg)
     rows = analysis.weak_harnack_check(u, prob, wcfg, grid.domain)
@@ -529,9 +529,12 @@ def _verify_weakharnack(cfg, prob, grid, scfg, slack, seed) -> tuple:
 
 
 def _verify_oscillation(cfg, prob, grid, scfg, slack, seed) -> tuple:
-    u = _get_solution(cfg, prob, grid, scfg)
     center, d = _ball_from_config(cfg, grid)
     radii = cfg.get_floats("verify.radii", [d, d / 2.0, d / 4.0])
+    _require(cfg, "verify.radii", len(radii) >= 3 and radii[-1] > 0.0
+             and all(b < a for a, b in zip(radii, radii[1:])),
+             "need at least three positive, strictly decreasing radii")
+    u = _get_solution(cfg, prob, grid, scfg)
     rep = analysis.oscillation_decay(u, center, radii)
     verdict = rep.vacuous or (rep.exponent is not None and rep.exponent > 0.0)
     header = ["radius", "oscillation"]

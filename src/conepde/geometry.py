@@ -52,26 +52,22 @@ class ConePoint:
 
 @dataclass(frozen=True)
 class GConditionParams:
-    """Parameters of the uniform exterior-mass condition.
+    """Probe-ball parameters of the uniform exterior-mass condition.
 
     K0 scales the probe-ball radius relative to the boundary distance, d0
-    caps the boundary distance entering that radius, sigma is the exterior
-    mass fraction.  sigma == 0.0 is only produced by the estimator on
-    degenerate inputs and is reported together with a warning.
+    caps the boundary distance entering that radius.  The exterior mass
+    fraction sigma is estimated by ``estimate_g_condition``, never given.
     """
 
     K0: float
     d0: float
-    sigma: float
 
     def __post_init__(self):
         if not (self.K0 > 0.0 and self.d0 > 0.0):
             raise ValueError("K0 and d0 must be strictly positive")
-        if not (0.0 <= self.sigma <= 1.0):
-            raise ValueError("sigma must lie in [0, 1]")
 
 
-_DEFAULT_G = GConditionParams(K0=2.0, d0=1.0, sigma=0.5)
+_DEFAULT_G = GConditionParams(K0=2.0, d0=1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,8 +174,8 @@ def _nearest_boundary_direction(z_log: np.ndarray, domain: ConeDomain) -> np.nda
 
 
 def estimate_g_condition(domain: ConeDomain, samples: int, seed: int,
-                         mc_points: int = 4096) -> GConditionParams:
-    """Empirical exterior-mass fraction of the domain.
+                         mc_points: int = 4096) -> float:
+    """Empirical exterior-mass fraction sigma of the domain.
 
     For each sampled interior point a probe ball of radius K0 * min(d, d0)
     is centered on the segment toward the nearest boundary point, and the
@@ -222,7 +218,7 @@ def estimate_g_condition(domain: ConeDomain, samples: int, seed: int,
         warnings.warn("probe balls never reached the complement; "
                       "exterior-mass fraction reported as 0", RuntimeWarning)
         sigma = 0.0
-    return GConditionParams(K0=K0, d0=d0, sigma=sigma)
+    return sigma
 
 
 def exhaustion(domain: ConeDomain, j: int) -> ConeDomain:

@@ -76,27 +76,20 @@ class PDEProblem:
     """Exponent, dimension, forcing and Dirichlet data of one Dirichlet problem.
 
     ``f`` and ``dirichlet`` are samplers f(t, xs) where t is an array and xs a
-    tuple of base-coordinate arrays of the same shape.  ``omega`` is an
-    asserted positive floor for t^p f used by the comparison harness.
+    tuple of base-coordinate arrays of the same shape.  ``log_forcing`` is
+    the one place that forms the log-chart forcing t^p f.
     """
 
     p: float
     n: int
     f: Callable
     dirichlet: Callable
-    omega: float = 0.0
 
     def __post_init__(self):
         if self.p < 2.0:
             raise ValueError("exponents p < 2 are outside the supported range")
         if self.n < 2:
             raise ValueError("dimension n must be >= 2")
-        if self.omega < 0.0:
-            raise ValueError("omega must be >= 0")
-
-    def f_values(self, grid: LogGrid) -> np.ndarray:
-        t = grid.t_field
-        return np.broadcast_to(self.f(t, grid.mesh[1:]), grid.shape).astype(float)
 
     def forcing_values(self, grid: LogGrid, interior_only: bool = False) -> np.ndarray:
         """f at every node, evaluated with floating-point warnings silenced.
@@ -106,7 +99,7 @@ class PDEProblem:
         Since t <= 1 and p >= 2, t^p f is finite exactly where f is.
         """
         with np.errstate(all="ignore"):
-            f = self.f_values(grid)
+            f = np.broadcast_to(self.f(grid.t_field, grid.mesh[1:]), grid.shape).astype(float)
         checked = ~grid.boundary_mask if interior_only else np.ones(grid.shape, bool)
         bad = f[~np.isfinite(f) & checked]
         if bad.size:
@@ -116,20 +109,13 @@ class PDEProblem:
                                      f"({nans} NaN, {bad.size - nans} inf)")
         return f
 
+    def log_forcing(self, grid: LogGrid, interior_only: bool = False) -> np.ndarray:
+        """t^p f = f e^(a p) at every node, checked as in ``forcing_values``."""
+        return self.forcing_values(grid, interior_only) * np.exp(grid.mesh[0] * self.p)
+
     def dirichlet_values(self, grid: LogGrid) -> np.ndarray:
         t = grid.t_field
         return np.broadcast_to(self.dirichlet(t, grid.mesh[1:]), grid.shape).astype(float)
-
-    def validate_omega(self, grid: LogGrid) -> None:
-        """Check t^p f >= omega at every node; no-op when omega == 0."""
-        if self.omega <= 0.0:
-            return
-        floor = grid.t_field ** self.p * self.forcing_values(grid)
-        worst = float(np.min(floor))
-        if worst < self.omega - 1e-12:
-            raise ValueError(
-                f"t^p f dips to {worst:.6g} below the asserted floor omega={self.omega}"
-            )
 
 
 def constant_field(c: float) -> Callable:
@@ -443,6 +429,4 @@ def divergence_part_field(u: GridFunction, p: float, n: int,
 def residual_log_field(u: GridFunction, prob: PDEProblem,
                        eps_reg: float = 0.0) -> np.ndarray:
     """Log-chart residual at every node (boundary rows use one-sided stencils)."""
-    A = u.grid.mesh[0]
-    forcing = prob.forcing_values(u.grid) * np.exp(A * prob.p)
-    return divergence_part_field(u, prob.p, prob.n, eps_reg) - forcing
+    return divergence_part_field(u, prob.p, prob.n, eps_reg) - prob.log_forcing(u.grid)

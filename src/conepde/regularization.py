@@ -213,8 +213,8 @@ def convolution_supersolution_check(u: GridFunction, prob: PDEProblem,
 
     lhs = divergence_part_field(u_eps, prob.p, prob.n, eps_reg)
 
-    tp_f = grid.t_field ** prob.p * prob.forcing_values(grid)
-    rhs = np.where(mask, _ball_max(tp_f, _axis_coords(grid, metric), r)[0], np.nan)
+    rhs = np.where(mask, _ball_max(prob.log_forcing(grid), _axis_coords(grid, metric), r)[0],
+                   np.nan)
 
     gap = lhs - rhs
     violations = int(np.sum(gap[mask] > tol))

@@ -201,7 +201,7 @@ def manufactured_problem(u_star: AnalyticField, p: float, n: int) -> PDEProblem:
         H = u_star.hess(a, xs)
         return operator_terms(g, H, p, n)[0] * t ** (-p)
 
-    return PDEProblem(p=p, n=n, f=forcing, dirichlet=u_star.as_txy(), omega=0.0)
+    return PDEProblem(p=p, n=n, f=forcing, dirichlet=u_star.as_txy())
 
 
 def exact_solution_values(u_star: AnalyticField, grid: LogGrid) -> GridFunction:
@@ -358,7 +358,7 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid,
     p, n = prob.p, prob.n
     _check_peclet(grid, p, n)
     # the residual lives on the interior, so the forcing on the boundary is never read
-    F_log = prob.forcing_values(grid, interior_only=True) * np.exp(grid.mesh[0] * p)
+    F_log = prob.log_forcing(grid, interior_only=True)
 
     values = np.zeros(grid.shape)
     bmask = grid.boundary_mask
@@ -438,8 +438,7 @@ def solve_by_exhaustion(prob: PDEProblem, domain: ConeDomain, j_max: int,
         ]
         grid_j = LogGrid.build(dom_j, counts)
         prob_j = PDEProblem(p=prob.p, n=prob.n, f=prob.f,
-                            dirichlet=lambda t, xs: np.zeros_like(np.asarray(t)),
-                            omega=prob.omega)
+                            dirichlet=lambda t, xs: np.zeros_like(np.asarray(t)))
         u_j, rep = solve_dirichlet(prob_j, grid_j, cfg)
         if not rep.converged:
             raise RuntimeError(f"exhaustion stage j={j} failed to converge")

@@ -151,7 +151,7 @@ class TestAcceptance:
     def test_03_comparison_principle(self):
         rng = np.random.default_rng(2024)
         cfg = SolverConfig(eps_reg_schedule=FAST_SCHEDULE)
-        omega = 0.1
+        floor = 0.1  # the least t^p f of the lower forcing
         violations_total = 0
         pairs_ok = True
         for k in range(50):
@@ -164,7 +164,7 @@ class TestAcceptance:
             margin = float(rng.uniform(0.2, 0.8))
 
             def f_low(t, xs, amp=amp, freq=freq, p=p):
-                base = omega + amp * (1.0 + np.sin(freq * np.log(np.asarray(t, dtype=float))))
+                base = floor + amp * (1.0 + np.sin(freq * np.log(np.asarray(t, dtype=float))))
                 return base * np.asarray(t, dtype=float) ** (-p)
 
             def f_high(t, xs, margin=margin, p=p):
@@ -179,9 +179,8 @@ class TestAcceptance:
                     out = out + cx * np.asarray(x, dtype=float) ** 2
                 return out
 
-            prob_low = PDEProblem(p=p, n=n, f=f_low, dirichlet=data, omega=omega)
-            prob_high = PDEProblem(p=p, n=n, f=f_high, dirichlet=data,
-                                   omega=omega + margin)
+            prob_low = PDEProblem(p=p, n=n, f=f_low, dirichlet=data)
+            prob_high = PDEProblem(p=p, n=n, f=f_high, dirichlet=data)
             u_high, r1 = solve_dirichlet(prob_high, grid, cfg)
             u_low, r2 = solve_dirichlet(prob_low, grid, cfg)
             if not (r1.converged and r2.converged):
@@ -196,8 +195,8 @@ class TestAcceptance:
         bump = np.exp(-40.0 * ((A + 0.5) ** 2 + (X - 0.5) ** 2))
         bump[grid.boundary_mask] = 0.0
         prob = PDEProblem(p=2.0, n=2,
-                          f=lambda t, xs: omega * np.asarray(t, dtype=float) ** -2.0,
-                          dirichlet=zero_field, omega=omega)
+                          f=lambda t, xs: floor * np.asarray(t, dtype=float) ** -2.0,
+                          dirichlet=zero_field)
         neg = comparison_check(GridFunction(grid, bump), GridFunction.zeros(grid),
                                prob, tol=10.0 * max(grid.h) ** 2)
         ok = pairs_ok and violations_total == 0 and neg.violations > 0
@@ -219,7 +218,7 @@ class TestAcceptance:
         # nonnegative forcing branch: discrete maximum principle
         prob_pos = PDEProblem(p=2.0, n=2,
                               f=lambda t, xs: 0.5 * np.asarray(t, dtype=float) ** -2.0,
-                              dirichlet=zero_field, omega=0.5)
+                              dirichlet=zero_field)
         grid = LogGrid.build(unit_domain(), (33, 33))
         u_pos, _ = solve_dirichlet(prob_pos, grid)
         one_pos, _ = abp_check(u_pos, prob_pos, grid.domain)
@@ -494,7 +493,6 @@ problem.p = 2.0
 problem.f = constant:-1
 problem.dirichlet = zero
 problem.exact = auto
-problem.omega = 0.0
 grid.nodes = 13,13
 exhaust.j_max = 3
 exhaust.density = 8
@@ -505,9 +503,8 @@ study.levels = 2
 verify.radii = 0.3,0.15,0.075
 output.dir = out
 """
-        # the comparison pair's forcing and floor, replacing the base's lines
-        comparison_lines = {"problem.omega = 0.0": "problem.omega = 0.1",
-                            "problem.f = constant:-1": "problem.f = exp:0.1,-2.0"}
+        # the comparison pair's forcing, t^p f = 0.1, replacing the base's line
+        comparison_lines = {"problem.f = constant:-1": "problem.f = exp:0.1,-2.0"}
         # a source field for convolve
         dom = ConeDomain(n=2, base_lo=[0.0], base_hi=[1.0], t_min=0.2)
         grid = LogGrid.build(dom, (13, 13))

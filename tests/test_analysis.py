@@ -59,7 +59,7 @@ class TestAbp:
         # f >= 0 makes the negative part vanish, and the solve stays <= 0
         grid = LogGrid.build(unit_domain(), (25, 25))
         prob = PDEProblem(p=2.0, n=2, f=tp_floor_field(0.5, 2.0),
-                          dirichlet=zero_field, omega=0.5)
+                          dirichlet=zero_field)
         u, rep = solve_dirichlet(prob, grid)
         assert rep.converged
         one, _ = abp_check(u, prob, grid.domain)
@@ -125,22 +125,21 @@ class TestForcingSup:
         # every node lies in its own ball, so the per-ball sup over all balls
         # is the global sup of t^p f, bit for bit
         dom = ConeDomain(n=n, base_lo=[0.0] * (n - 1), base_hi=[1.0] * (n - 1),
-                         t_min=math.exp(-1.0), g_params=GConditionParams(K0, d0, 0.5))
+                         t_min=math.exp(-1.0), g_params=GConditionParams(K0, d0))
         grid = LogGrid.build(dom, (9, 8, 7)[:n])
         rng = np.random.default_rng(int(100 * K0) + 10 * n + int(p))
         f_vals = rng.standard_normal(grid.shape)
         prob = PDEProblem(p=p, n=n, f=lambda t, xs: f_vals, dirichlet=zero_field)
         u = GridFunction(grid, rng.standard_normal(grid.shape))
         radius = 2.0 * K0 * np.minimum(grid.boundary_distance_field, d0)
-        tp = grid.t_field ** p
+        tpf = prob.log_forcing(grid)
         one, two = abp_check(u, prob, dom)
-        assert one.forcing == ball_sup_forcing(grid, tp * np.maximum(-f_vals, 0.0), p, radius)
-        assert two.forcing == ball_sup_forcing(grid, tp * np.abs(f_vals), p, radius)
+        assert one.forcing == ball_sup_forcing(grid, np.maximum(-tpf, 0.0), p, radius)
+        assert two.forcing == ball_sup_forcing(grid, np.abs(tpf), p, radius)
         rep = hoelder_check(u, prob, 0.5)
-        assert rep.forcing == ball_sup_forcing(grid, tp * np.abs(f_vals), p, radius)
+        assert rep.forcing == ball_sup_forcing(grid, np.abs(tpf), p, radius)
         # a zero radius keeps only the node itself in each ball
-        assert rep.forcing == ball_sup_forcing(grid, tp * np.abs(f_vals), p,
-                                               np.zeros(grid.shape))
+        assert rep.forcing == ball_sup_forcing(grid, np.abs(tpf), p, np.zeros(grid.shape))
 
 
 class TestHoelder:
@@ -324,7 +323,7 @@ class TestComparison:
     def test_equal_fields_pass(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
         prob = PDEProblem(p=2.0, n=2, f=tp_floor_field(0.3, 2.0),
-                          dirichlet=zero_field, omega=0.3)
+                          dirichlet=zero_field)
         u = GridFunction(grid, np.zeros(grid.shape))
         rep = comparison_check(u, u, prob, tol=1e-8)
         assert rep.violations == 0
@@ -332,7 +331,7 @@ class TestComparison:
     def test_bump_negative_control(self):
         grid = LogGrid.build(unit_domain(), (33, 33))
         prob = PDEProblem(p=2.0, n=2, f=tp_floor_field(0.3, 2.0),
-                          dirichlet=zero_field, omega=0.3)
+                          dirichlet=zero_field)
         A, X = grid.mesh
         bump = np.exp(-60.0 * ((A + 0.5) ** 2 + (X - 0.5) ** 2))
         bump[grid.boundary_mask] = 0.0
@@ -347,7 +346,7 @@ class TestComparison:
     def test_boundary_violation_rejected(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
         prob = PDEProblem(p=2.0, n=2, f=tp_floor_field(0.3, 2.0),
-                          dirichlet=zero_field, omega=0.3)
+                          dirichlet=zero_field)
         u = GridFunction(grid, np.ones(grid.shape))
         v = GridFunction.zeros(grid)
         with pytest.raises(ValueError):
@@ -357,7 +356,7 @@ class TestComparison:
         grid = LogGrid.build(unit_domain(), (17, 17))
         other = LogGrid.build(unit_domain(t_min=math.exp(-2.0)), (17, 17))
         prob = PDEProblem(p=2.0, n=2, f=tp_floor_field(0.3, 2.0),
-                          dirichlet=zero_field, omega=0.3)
+                          dirichlet=zero_field)
         with pytest.raises(ValueError, match="share a grid"):
             comparison_check(GridFunction.zeros(grid), GridFunction.zeros(other),
                              prob, tol=1e-8)
@@ -368,10 +367,27 @@ class TestComparison:
 
     def test_omega_floor_validated(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
-        bad = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field, omega=0.0)
+        bad = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
         u = GridFunction.zeros(grid)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive floor of t\\^p f, got 0$"):
             comparison_check(u, u, bad, tol=1e-8)
+
+    @pytest.mark.parametrize("dip", [0.0, -1e-3])
+    def test_floor_dipping_at_one_boundary_node_rejected(self, dip):
+        # t^p f = 0.3 except at the corner node (t_min, x = 0)
+        grid = LogGrid.build(unit_domain(), (17, 17))
+        t_min = grid.t_field[0, 0]
+
+        def f(t, xs):
+            t = np.asarray(t, dtype=float)
+            corner = (t == t_min) & (np.asarray(xs[0]) == 0.0)
+            return np.where(corner, dip, 0.3) * t ** -2.0
+
+        prob = PDEProblem(p=2.0, n=2, f=f, dirichlet=zero_field)
+        assert np.sum(prob.log_forcing(grid) <= 0.0) == 1
+        u = GridFunction.zeros(grid)
+        with pytest.raises(ValueError, match=f"got {dip:.6g}$"):
+            comparison_check(u, u, prob, tol=1e-8)
 
 
 class TestDoubling:

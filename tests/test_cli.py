@@ -37,6 +37,10 @@ def read_bytes(path):
         return fh.read()
 
 
+RADII = "need at least three positive, strictly decreasing radii"
+BALL = "the ball radius must be positive"
+
+
 def refuse_solve(*args, **kwargs):
     raise AssertionError("the config should be rejected before any solve")
 
@@ -172,7 +176,7 @@ class TestSolveCommand:
 class TestVerifyCommands:
     def test_comparison_passes_on_calibrated_pair(self, tmp_path):
         out = os.path.join(tmp_path, "out")
-        body = BASE_CONFIG + "problem.omega = 0.3\nverify.margin = 0.4\n"
+        body = BASE_CONFIG + "verify.margin = 0.4\n"
         body = body.replace("problem.f = zero", "problem.f = exp:0.3,-2.0")
         cfg = write_config(tmp_path, body.format(outdir=out))
         assert run(["verify", "comparison", "--config", cfg]) == 0
@@ -285,10 +289,20 @@ class TestVerifyCommands:
         (["verify", "doubling"], "verify.alphas = 1,0", "each alpha must be positive"),
         (["verify", "doubling"], "verify.alphas = -1", "each alpha must be positive"),
         (["verify", "doubling"], "verify.alphas = 10,nan", "each alpha must be positive"),
+        (["verify", "comparison"], "verify.margin = 0", "the margin must be positive"),
+        (["verify", "comparison"], "verify.margin = -0.5", "the margin must be positive"),
+        (["verify", "comparison"], "verify.margin = nan", "the margin must be positive"),
+        (["verify", "doubling"], "verify.margin = 0", "the margin must be positive"),
+        (["verify", "oscillation"], "verify.radii = 0.3,0.15", RADII),
+        (["verify", "oscillation"], "verify.radii = 0.1,0.2,0.3", RADII),
+        (["verify", "oscillation"], "verify.radii = 0.3,0.15,0", RADII),
+        (["verify", "oscillation"], "verify.ball = -0.5,0.5,0", BALL),
+        (["verify", "harnack"], "verify.ball = -0.5,0.5,-0.1", BALL),
+        (["verify", "weakharnack"], "verify.ball = -0.5,0.5,nan", BALL),
     ])
     def test_vacuous_or_out_of_range_entry_exits_two_before_solving(
             self, tmp_path, capsys, monkeypatch, argv, entry, what):
-        # no bumps or no study levels would report an empty table as a pass
+        # no bumps, no study levels or a zero margin would report a vacuous pass
         monkeypatch.setattr("conepde.cli.solve_dirichlet", refuse_solve)
         out = os.path.join(tmp_path, "out")
         cfg = write_config(tmp_path, (BASE_CONFIG + entry + "\n").format(outdir=out))
@@ -304,7 +318,9 @@ class TestVerifyCommands:
         out = os.path.join(tmp_path, "out")
         cfg = write_config(tmp_path, (BASE_CONFIG + f"verify.p0s = {p0s}\n").format(outdir=out))
         assert run(["verify", "weakharnack", "--config", cfg]) == 2
-        assert "p0 values must lie in (0, 1]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: line 12: verify.p0s: ")
+        assert "p0 values must lie in (0, 1]" in err
         assert not os.path.isdir(out) or not os.listdir(out)
 
     @pytest.mark.parametrize("argv, key, value", [
@@ -337,8 +353,7 @@ class TestVerifyCommands:
             return solve_dirichlet(*args, **kwargs)
 
         monkeypatch.setattr("conepde.cli.solve_dirichlet", counted)
-        body = (BASE_CONFIG + "problem.omega = 0.3\n").replace(
-            "problem.f = zero", "problem.f = exp:0.3,-2.0")
+        body = BASE_CONFIG.replace("problem.f = zero", "problem.f = exp:0.3,-2.0")
         solved = os.path.join(tmp_path, "solved")
         assert run(["solve", "--config", write_config(
             tmp_path, body.format(outdir=solved), "solve.cfg")]) == 0
@@ -366,8 +381,7 @@ class TestVerifyCommands:
 
     def test_doubling_verdict_and_csv(self, tmp_path):
         out = os.path.join(tmp_path, "out")
-        body = BASE_CONFIG + "problem.omega = 0.3\n"
-        body = body.replace("problem.f = zero", "problem.f = exp:0.3,-2.0")
+        body = BASE_CONFIG.replace("problem.f = zero", "problem.f = exp:0.3,-2.0")
         cfg = write_config(tmp_path, body.format(outdir=out))
         assert run(["verify", "doubling", "--config", cfg]) == 0
         with open(os.path.join(out, "verify_doubling.csv")) as fh:
@@ -535,7 +549,7 @@ class TestReportSchema:
     def test_json_keys_and_csv_header(self, tmp_path, command, keys, header):
         out = os.path.join(tmp_path, "out")
         if command[-1] in ("comparison", "doubling"):
-            body = BASE_CONFIG + "problem.omega = 0.3\nverify.margin = 0.4\n"
+            body = BASE_CONFIG + "verify.margin = 0.4\n"
             body = body.replace("problem.f = zero", "problem.f = exp:0.3,-2.0")
         else:
             body = BASE_CONFIG.replace("problem.f = zero", "problem.f = constant:-1")

@@ -175,14 +175,14 @@ class TestGConditionEstimate:
         dom = unit_domain(n=3, t_min=math.exp(-2.0))
         p1 = estimate_g_condition(dom, samples=20, seed=42, mc_points=1024)
         p2 = estimate_g_condition(dom, samples=20, seed=42, mc_points=1024)
-        assert p1.sigma == p2.sigma
-        assert 0.0 < p1.sigma <= 1.0
+        assert p1 == p2
+        assert 0.0 < p1 <= 1.0
 
     def test_thin_slab_base(self):
         dom = ConeDomain(n=2, base_lo=[0.0], base_hi=[0.02], t_min=math.exp(-1.0),
-                         g_params=GConditionParams(K0=1.0, d0=1.0, sigma=0.5))
+                         g_params=GConditionParams(K0=1.0, d0=1.0))
         est = estimate_g_condition(dom, samples=20, seed=5, mc_points=2048)
-        assert est.sigma > 0.0
+        assert est > 0.0
 
     def test_monte_carlo_oracle_agreement(self):
         # independent volume oracle: with K0 = 2 the probe ball is centered
@@ -198,13 +198,13 @@ class TestGConditionEstimate:
         pts = pts[np.sum(pts**2, axis=1) <= 1.0]
         half_fraction = float(np.mean(pts[:, 1] > 0.0))
         assert half_fraction == pytest.approx(0.5, abs=0.01)
-        assert est.sigma == pytest.approx(half_fraction, abs=0.03)
-        assert est.sigma <= half_fraction + 0.01
+        assert est == pytest.approx(half_fraction, abs=0.03)
+        assert est <= half_fraction + 0.01
 
     def test_degenerate_reports_zero_with_warning(self):
         # K0 < 1 probe balls centered inside can never reach the complement
         dom = ConeDomain(n=2, base_lo=[0.0], base_hi=[1.0], t_min=math.exp(-1.0),
-                         g_params=GConditionParams(K0=0.2, d0=1.0, sigma=0.5))
+                         g_params=GConditionParams(K0=0.2, d0=1.0))
         with pytest.warns(RuntimeWarning):
             est = estimate_g_condition(dom, samples=10, seed=2, mc_points=512)
-        assert est.sigma == 0.0
+        assert est == 0.0

@@ -139,6 +139,28 @@ class TestPucci:
             pucci_plus(np.array([[0.0, 1.0], [0.0, 0.0]]), PucciParams(1.0, 2.0))
 
 
+class TestLogForcing:
+    @pytest.mark.parametrize("interior_only", [False, True])
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.5])
+    def test_equals_forcing_times_exp_pa(self, p, interior_only):
+        grid = unit_grid((9, 7))
+        rng = np.random.default_rng(int(10 * p))
+        f_vals = rng.standard_normal(grid.shape)
+        prob = PDEProblem(p=p, n=2, f=lambda t, xs: f_vals, dirichlet=zero_field)
+        expected = prob.forcing_values(grid, interior_only) * np.exp(grid.mesh[0] * p)
+        assert np.array_equal(prob.log_forcing(grid, interior_only), expected)
+
+    @pytest.mark.parametrize("interior_only", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_forcing_raises(self, bad, interior_only):
+        grid = unit_grid((9, 7))
+        f_vals = np.ones(grid.shape)
+        f_vals[4, 3] = bad  # an interior node
+        prob = PDEProblem(p=3.0, n=2, f=lambda t, xs: f_vals, dirichlet=zero_field)
+        with pytest.raises(FloatingPointError, match="not finite at 1 "):
+            prob.log_forcing(grid, interior_only)
+
+
 class TestResiduals:
     def test_constant_field_no_forcing(self):
         grid = unit_grid()
@@ -209,7 +231,7 @@ class TestResiduals:
         u_star = quadratic_field(2)
         prob = manufactured_problem(u_star, 2.0, 2)
         A, X = grid.mesh
-        f = prob.f_values(grid)
+        f = prob.forcing_values(grid)
         np.testing.assert_allclose(f, 4.0 * np.exp(-2.0 * A), rtol=1e-12)
         u = exact_solution_values(u_star, grid)
         assert residual_log(u, (8, 8), prob) == pytest.approx(0.0, abs=1e-11)
@@ -332,7 +354,7 @@ class TestPsiTransform:
         p, w, c = 3.0, 0.4, 0.25
         prob = PDEProblem(p=p, n=2,
                           f=lambda t, xs: w * np.asarray(t, dtype=float) ** (-p),
-                          dirichlet=zero_field, omega=w)
+                          dirichlet=zero_field)
         params = TransformParams.from_bound(2.0)
         z = GridFunction(grid, np.full(grid.shape, c))
         expected = -w * math.exp(c * (p - 1.0)) / params.K ** (p - 1.0)

@@ -144,7 +144,7 @@ class TestSolveDirichlet:
 
         prob = PDEProblem(p=3.0, n=2, f=inv_x, dirichlet=zero_field)
         with np.errstate(divide="ignore"):
-            assert np.isinf(prob.f_values(grid)[:, 0]).all()
+            assert np.isinf(inv_x(grid.t_field, grid.mesh[1:])[:, 0]).all()
         u, rep = solve_dirichlet(prob, grid)
         assert rep.converged and np.all(np.isfinite(u.values))
 
@@ -264,7 +264,7 @@ class TestFastLinearSolve:
         exact = exact_solution_values(u_star, grid).values
         # the direct solve: one Newton step from the boundary data
         start = np.where(grid.boundary_mask, prob.dirichlet_values(grid), 0.0)
-        F_log = prob.f_values(grid) * np.exp(grid.mesh[0] * 2.0)
+        F_log = prob.log_forcing(grid)
         res = _interior_residual(start, grid, 2.0, 3, F_log, 1e-6)
         J = full_jacobian(start, grid, 2.0, 3, 1e-6)
         direct = start + spla.spsolve(J, -res.ravel()).reshape(grid.shape)
@@ -356,8 +356,8 @@ class TestDiscreteComparison:
         def f_high(t, xs):
             return 0.7 * np.asarray(t, dtype=float) ** -2.0
 
-        pl = PDEProblem(p=2.0, n=2, f=f_low, dirichlet=zero_field, omega=0.2)
-        ph = PDEProblem(p=2.0, n=2, f=f_high, dirichlet=zero_field, omega=0.7)
+        pl = PDEProblem(p=2.0, n=2, f=f_low, dirichlet=zero_field)
+        ph = PDEProblem(p=2.0, n=2, f=f_high, dirichlet=zero_field)
         u_low, _ = solve_dirichlet(pl, grid, cfg)
         u_high, _ = solve_dirichlet(ph, grid, cfg)
         # larger forcing pushes the solution down for this operator
@@ -372,8 +372,8 @@ class TestDiscreteComparison:
         def f_high(t, xs):
             return 0.7 * np.asarray(t, dtype=float) ** -3.0
 
-        pl = PDEProblem(p=3.0, n=2, f=f_low, dirichlet=zero_field, omega=0.2)
-        ph = PDEProblem(p=3.0, n=2, f=f_high, dirichlet=zero_field, omega=0.7)
+        pl = PDEProblem(p=3.0, n=2, f=f_low, dirichlet=zero_field)
+        ph = PDEProblem(p=3.0, n=2, f=f_high, dirichlet=zero_field)
         u_low, _ = solve_dirichlet(pl, grid)
         u_high, _ = solve_dirichlet(ph, grid)
         assert np.all(u_high.values <= u_low.values + 10 * max(grid.h) ** 2)
