@@ -474,6 +474,18 @@ def _ball_from_config(cfg: RunConfig, grid: LogGrid) -> tuple:
     return ConePoint(t=math.exp(spec[0]), x=np.array(spec[1:-1])), spec[-1]
 
 
+def _harnack_ball(cfg: RunConfig, grid: LogGrid) -> tuple:
+    """The ball of ``_ball_from_config`` for the Harnack checks, whose radius
+    must be at most K0 d0 + 1; checked here, before any solve."""
+    center, d = _ball_from_config(cfg, grid)
+    bound = grid.domain.g_params.K0 * grid.domain.g_params.d0 + 1.0
+    what = f"the ball radius must be at most K0 d0 + 1 = {bound:g}"
+    if d > bound and "verify.ball" not in cfg.lines:
+        raise ConfigError(f"verify.ball: {what}, got the default radius {d:g}")
+    _require(cfg, "verify.ball", d <= bound, what)
+    return center, d
+
+
 # ---------------------------------------------------------------------------
 # verify checks: each maps (cfg, prob, grid, scfg, slack, seed) to
 # (report fields, verdict, CSV header, CSV rows)
@@ -507,7 +519,7 @@ def _verify_hoelder(cfg, prob, grid, scfg, slack, seed) -> tuple:
 
 
 def _verify_harnack(cfg, prob, grid, scfg, slack, seed) -> tuple:
-    center, d = _ball_from_config(cfg, grid)
+    center, d = _harnack_ball(cfg, grid)
     u = _get_solution(cfg, prob, grid, scfg)
     rep = analysis.harnack_ratio(u, prob, center, d, grid.domain)
     header = ["sup", "inf", "forcing", "C_emp"]
@@ -515,7 +527,7 @@ def _verify_harnack(cfg, prob, grid, scfg, slack, seed) -> tuple:
 
 
 def _verify_weakharnack(cfg, prob, grid, scfg, slack, seed) -> tuple:
-    center, d = _ball_from_config(cfg, grid)
+    center, d = _harnack_ball(cfg, grid)
     p0s = cfg.get_floats("verify.p0s", [0.25, 0.5, 0.75, 1.0])
     _require(cfg, "verify.p0s", all(0.0 < p0 <= 1.0 for p0 in p0s),
              "p0 values must lie in (0, 1]")

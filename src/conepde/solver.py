@@ -6,7 +6,12 @@ The continuation fixes p: for p > 2 a linearized p = 2 presolve gives the
 starting field, and one queue of eps_reg stages at the target p follows.
 A p = 2 Newton system has constant coefficients and is solved exactly by
 fast diagonalization; at other p the Jacobian is assembled on the interior
-nodes, in the grid's nested-dissection order, and factorized.
+nodes, in the grid's nested-dissection order.  Consecutive Jacobians of a
+solve differ little, so one ``splu`` factor is kept for the whole solve:
+each step first runs one short cycle of GMRES preconditioned by it, and
+only a step where that cycle misses its tolerance factorizes its own
+Jacobian and keeps the new factor (a Shamanskii-type inexact Newton step;
+Kelley, Solving Nonlinear Equations with Newton's Method, SIAM 2003).
 
 The iterate is the flattened field on the full tensor grid.  Its boundary
 values are the Dirichlet data, so the unknowns and the log-chart residual
@@ -85,6 +90,8 @@ class StageRecord:
     eps_reg: float
     iterations: int
     residual_norm: float
+    factorizations: int           # splu factorizations taken in the stage
+    krylov_iterations: int        # GMRES iterations on the kept factor
 
 
 @dataclass
@@ -289,15 +296,52 @@ def _solve_linear(grid: LogGrid, drift: float, rhs: np.ndarray) -> np.ndarray:
     return du
 
 
-def _solve_jacobian(J: sp.csc_matrix, grid: LogGrid, rhs: np.ndarray) -> np.ndarray:
+# one GMRES cycle per step: its restart length and relative tolerance on
+# the true residual |J du - rhs|_2
+KRYLOV_RESTART, KRYLOV_RTOL = 10, 1e-6
+
+
+@dataclass
+class _JacobianFactor:
+    """The last ``splu`` factor of one solve's Newton Jacobians, and the work
+    done with it: the factorizations taken and the GMRES iterations run."""
+
+    lu: object = None
+    factorizations: int = 0
+    krylov_iterations: int = 0
+
+
+def _solve_jacobian(J: sp.csc_matrix, grid: LogGrid, rhs: np.ndarray,
+                    factor: _JacobianFactor) -> np.ndarray:
     """The solution du of J du = rhs for the interior block J from
     ``_assemble_jacobian``; du is zero on the boundary, whose values are
-    data.  J is factorized in its own (nested-dissection) order with
-    SuperLU's partial pivoting; a singular factor raises RuntimeError."""
+    data.
+
+    With a kept factor M of an earlier Jacobian, one cycle of right-
+    preconditioned GMRES (at most ``KRYLOV_RESTART`` iterations) solves
+    J M^-1 y = rhs and du = M^-1 y; right preconditioning puts the
+    tolerance on the true residual, |J du - rhs|_2 <= KRYLOV_RTOL |rhs|_2.
+    When the cycle misses it, or there is no factor yet, J itself is
+    factorized in its own (nested-dissection) order with SuperLU's partial
+    pivoting, kept in ``factor`` and solved directly; a singular factor
+    raises RuntimeError."""
     order = grid.dissection_order
-    lu = spla.splu(J, permc_spec="NATURAL")
+    b = rhs.ravel()[order]
     du = np.zeros(grid.shape)
-    du.flat[order] = lu.solve(rhs.ravel()[order])
+    lu = factor.lu
+    if lu is not None:
+        def tally(_):
+            factor.krylov_iterations += 1
+
+        op = spla.LinearOperator(J.shape, matvec=lambda y: J @ lu.solve(y), dtype=float)
+        y, info = spla.gmres(op, b, rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_RESTART,
+                             maxiter=1, callback=tally, callback_type="pr_norm")
+        if info == 0:
+            du.flat[order] = lu.solve(y)
+            return du
+    factor.lu = spla.splu(J, permc_spec="NATURAL")
+    factor.factorizations += 1
+    du.flat[order] = factor.lu.solve(b)
     return du
 
 
@@ -310,11 +354,15 @@ def _interior_residual(values: np.ndarray, grid: LogGrid, p: float, n: int,
 
 
 def _newton_stage(values: np.ndarray, grid: LogGrid, p: float, n: int,
-                  F_log: np.ndarray, eps_reg: float, cfg: SolverConfig) -> tuple:
-    """Damped Newton at one continuation stage; returns (values, iters, norm).
+                  F_log: np.ndarray, eps_reg: float, cfg: SolverConfig,
+                  factor: _JacobianFactor) -> tuple:
+    """Damped Newton at one continuation stage; returns (values, StageRecord).
     A rejected trial step halves the step length.  At p == 2 the Jacobian
     is constant and ``_solve_linear`` inverts it; otherwise its interior
-    block is assembled at the iterate and ``_solve_jacobian`` factorizes it."""
+    block is assembled at the iterate and ``_solve_jacobian`` solves it with
+    the solve's kept ``factor``, which it refreshes when that stalls.  The
+    record counts the stage's factorizations and GMRES iterations."""
+    start = (factor.factorizations, factor.krylov_iterations)
     res = _interior_residual(values, grid, p, n, F_log, eps_reg)
     if not np.all(np.isfinite(res)):
         raise FloatingPointError("non-finite value in discrete residual")
@@ -324,7 +372,8 @@ def _newton_stage(values: np.ndarray, grid: LogGrid, p: float, n: int,
         if p == 2.0:
             du = _solve_linear(grid, n - p, -res)
         else:
-            du = _solve_jacobian(_assemble_jacobian(values, grid, p, n, eps_reg), grid, -res)
+            du = _solve_jacobian(_assemble_jacobian(values, grid, p, n, eps_reg), grid,
+                                 -res, factor)
         lam = 1.0
         accepted = False
         while lam >= 1e-12:
@@ -341,7 +390,9 @@ def _newton_stage(values: np.ndarray, grid: LogGrid, p: float, n: int,
         if not accepted:
             break
         values, res, norm = trial, tres, tnorm
-    return values, iters, norm
+    return values, StageRecord(eps_reg=eps_reg, iterations=iters, residual_norm=norm,
+                               factorizations=factor.factorizations - start[0],
+                               krylov_iterations=factor.krylov_iterations - start[1])
 
 
 def solve_dirichlet(prob: PDEProblem, grid: LogGrid,
@@ -365,10 +416,11 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid,
     values[bmask] = prob.dirichlet_values(grid)[bmask]
 
     stages: list = []
+    factor = _JacobianFactor()
     if p > 2.0:
         # linearized presolve: unit diffusion with the target drift strength
-        values, _, _ = _newton_stage(values, grid, 2.0, 2 + (n - p), F_log,
-                                     cfg.eps_reg_schedule[0], cfg)
+        values, _ = _newton_stage(values, grid, 2.0, 2 + (n - p), F_log,
+                                  cfg.eps_reg_schedule[0], cfg, factor)
 
     queue = [cfg.eps_reg_schedule[-1]] if p == 2.0 else list(cfg.eps_reg_schedule)
     prev_eps = None
@@ -376,8 +428,9 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid,
     i = 0
     while i < len(queue):
         eps = queue[i]
-        values, iters, norm = _newton_stage(values, grid, p, n, F_log, eps, cfg)
-        stages.append(StageRecord(eps_reg=eps, iterations=iters, residual_norm=norm))
+        values, stage = _newton_stage(values, grid, p, n, F_log, eps, cfg, factor)
+        stages.append(stage)
+        norm = stage.residual_norm
         if norm > cfg.tol:
             # stalled stage: refine the continuation by retrying through
             # the geometric midpoint of the last good step

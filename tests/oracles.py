@@ -3,15 +3,17 @@
 They are the pointwise forms of code the package evaluates on whole fields or
 in closed form: per-node difference stencils, the per-point residual algebra,
 the full-grid Newton Jacobian as a sum of weighted grid operators, the
-all-pairs ball supremum of the forcing, and the all-pairs loops of the
-regularizations, the doubling diagnostic and the Hoelder seminorm.  Nothing
-here is imported by the package itself.
+Newton step that factorizes every Jacobian afresh, the all-pairs ball
+supremum of the forcing, and the all-pairs loops of the regularizations,
+the doubling diagnostic and the Hoelder seminorm.  Nothing here is imported
+by the package itself.
 """
 
 import math
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from conepde.calculus import GridFunction, gradient_field, hessian_field
 from conepde.operators import PucciParams, operator_terms, pucci_minus, pucci_plus
@@ -141,6 +143,20 @@ def full_jacobian(values, grid, p, n, eps_reg):
     bmask = grid.boundary_mask.ravel()
     J = sum(sp.diags(np.where(bmask, 0.0, c.ravel())) @ op for c, op in terms)
     return (J + sp.diags(bmask.astype(float))).tocsr()
+
+
+def refactorized_solve(J, grid, rhs, factor):
+    """The p != 2 Newton step with a fresh ``splu`` factor of the interior
+    block J on every call, in its own order: the reference for
+    ``solver._solve_jacobian``, which reuses a kept factor.  It stores the
+    factor and counts it in ``factor``, so a solve's stage records still add
+    up."""
+    order = grid.dissection_order
+    factor.lu = spla.splu(J, permc_spec="NATURAL")
+    factor.factorizations += 1
+    du = np.zeros(grid.shape)
+    du.flat[order] = factor.lu.solve(rhs.ravel()[order])
+    return du
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ def read_bytes(path):
 
 RADII = "need at least three positive, strictly decreasing radii"
 BALL = "the ball radius must be positive"
+ADMISSIBLE = "the ball radius must be at most K0 d0 + 1 = 3"
 
 
 def refuse_solve(*args, **kwargs):
@@ -299,6 +300,8 @@ class TestVerifyCommands:
         (["verify", "oscillation"], "verify.ball = -0.5,0.5,0", BALL),
         (["verify", "harnack"], "verify.ball = -0.5,0.5,-0.1", BALL),
         (["verify", "weakharnack"], "verify.ball = -0.5,0.5,nan", BALL),
+        (["verify", "harnack"], "verify.ball = -0.5,0.5,5.0", ADMISSIBLE),
+        (["verify", "weakharnack"], "verify.ball = -0.5,0.5,5.0", ADMISSIBLE),
     ])
     def test_vacuous_or_out_of_range_entry_exits_two_before_solving(
             self, tmp_path, capsys, monkeypatch, argv, entry, what):
@@ -310,6 +313,35 @@ class TestVerifyCommands:
         key, value = entry.split(" = ")
         assert capsys.readouterr().err == f"config error: line 12: {key}: {what}, got {value!r}\n"
         assert not os.path.isdir(out) or not os.listdir(out)
+
+    @pytest.mark.parametrize("check", ["harnack", "weakharnack"])
+    def test_inadmissible_default_ball_exits_two_before_solving(self, tmp_path, capsys,
+                                                                monkeypatch, check):
+        # a third of the shortest extent, 12, exceeds K0 d0 + 1 = 3
+        monkeypatch.setattr("conepde.cli.solve_dirichlet", refuse_solve)
+        out = os.path.join(tmp_path, "out")
+        t_min = f"domain.t_min = {math.exp(-12.0)!r}"
+        body = (BASE_CONFIG.replace("domain.base = 0,1", "domain.base = 0,12")
+                .replace("domain.t_min = 0.36787944117144233", t_min))
+        cfg = write_config(tmp_path, body.format(outdir=out))
+        assert run(["verify", check, "--config", cfg]) == 2
+        assert capsys.readouterr().err == (f"config error: verify.ball: {ADMISSIBLE}, "
+                                           "got the default radius 4\n")
+        assert not os.path.isdir(out) or not os.listdir(out)
+
+    def test_oscillation_accepts_a_ball_beyond_k0_d0_plus_one(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_dirichlet(*args, **kwargs)
+
+        monkeypatch.setattr("conepde.cli.solve_dirichlet", counted)
+        out = os.path.join(tmp_path, "out")
+        body = BASE_CONFIG + "verify.ball = -0.5,0.5,5.0\nverify.radii = 0.3,0.15,0.075\n"
+        assert run(["verify", "oscillation", "--config",
+                    write_config(tmp_path, body.format(outdir=out))]) == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("p0s", ["0.5,1.5", "0", "-0.5"])
     def test_out_of_range_p0_exits_two_before_solving(self, tmp_path, capsys, monkeypatch,
@@ -512,8 +544,9 @@ class TestReportSchema:
 
     @pytest.mark.parametrize("command, keys, header", [
         (["solve"], {"config_hash": None, "converged": None, "final_residual": None,
-                     "stages": [dict.fromkeys(["eps_reg", "iterations",
-                                               "residual_norm"])]}, None),
+                     "stages": [dict.fromkeys(["eps_reg", "iterations", "residual_norm",
+                                               "factorizations",
+                                               "krylov_iterations"])]}, None),
         (["verify", "abp"], {**VERIFY_KEYS, "subsolution": ABP_KEYS,
                              "two_sided": ABP_KEYS}, "quantity,value"),
         (["verify", "hoelder"],

@@ -299,3 +299,21 @@ def test_kernels_match_all_pairs_oracles(case, eps):
     assert diag.M_alpha == M
     assert diag.argmax_pair == (np.unravel_index(zi, grid.shape),
                                 np.unravel_index(wi, grid.shape))
+
+
+@given(case=kernel_cases(),
+       eps=st.lists(st.sampled_from([0.005, 0.01, 0.05, 0.2, 0.7, 3.0]),
+                    min_size=2, max_size=2, unique=True))
+def test_regularizations_bound_the_field(case, eps):
+    # on random 2D and 3D grids and fields, under both metrics: the infimal
+    # convolution is <= u and non-increasing in eps, and the upper envelope
+    # is >= u + eps on its mask
+    grid, u, _, metric = case
+    small, large = sorted(eps)
+    low_small = inf_convolution(u, small, metric=metric).values
+    low_large = inf_convolution(u, large, metric=metric).values
+    assert np.all(low_small <= u.values)
+    assert np.all(low_large <= low_small)
+    for e in (small, large):
+        env = upper_envelope(u, e, metric=metric)
+        assert np.all(env.field.values[env.mask] >= u.values[env.mask] + e)

@@ -13,6 +13,7 @@ from conepde.geometry import ConeDomain
 from conepde.operators import PDEProblem, constant_field
 from conepde.solver import (
     SolverConfig,
+    _JacobianFactor,
     _assemble_jacobian,
     _interior_residual,
     _solve_jacobian,
@@ -28,7 +29,7 @@ from conepde.solver import (
     solve_by_exhaustion,
     solve_dirichlet,
 )
-from oracles import full_jacobian, pointwise_residual_log
+from oracles import full_jacobian, pointwise_residual_log, refactorized_solve
 
 
 def unit_domain(n=2, t_min=math.exp(-1.0)):
@@ -282,7 +283,7 @@ class TestFastLinearSolve:
         assert abs(err - err_direct) <= 1e-12 * scale
 
 
-def _direct_solve(J, grid, rhs):
+def _direct_solve(J, grid, rhs, factor=None):
     # a sparse direct solve of the full-grid system from ``full_jacobian``
     return spla.spsolve(J, rhs.ravel()).reshape(grid.shape)
 
@@ -311,17 +312,46 @@ class TestOrderedJacobianSolve:
         res = rng.standard_normal(grid.shape)
         res[grid.boundary_mask] = 0.0
         direct = _direct_solve(full_jacobian(v, grid, p, n, eps), grid, -res)
-        du = _solve_jacobian(_assemble_jacobian(v, grid, p, n, eps), grid, -res)
+        J = _assemble_jacobian(v, grid, p, n, eps)
+        factor = _JacobianFactor()
+        du = _solve_jacobian(J, grid, -res, factor)
+        assert factor.factorizations == 1 and factor.krylov_iterations == 0
         assert np.all(du[grid.boundary_mask] == 0.0)
         assert np.max(np.abs(du - direct)) <= 1e-12 * np.max(np.abs(direct))
+        # the kept factor of J preconditions GMRES on J itself: no new factor,
+        # and the tolerance holds on the true residual
+        du = _solve_jacobian(J, grid, -res, factor)
+        assert factor.factorizations == 1 and factor.krylov_iterations >= 1
+        order = grid.dissection_order
+        assert (np.linalg.norm(J @ du.ravel()[order] + res.ravel()[order])
+                <= solver.KRYLOV_RTOL * np.linalg.norm(res))
 
     def test_singular_factor_raises(self):
-        # an all-zero interior block
+        # an all-zero interior block, with no factor and with a kept one:
+        # GMRES on the zero operator fails and the refactorization is singular
         grid = LogGrid.build(unit_domain(), (5, 6))
         m = grid.dissection_order.size
         rhs = np.where(grid.boundary_mask, 0.0, 1.0)
-        with pytest.raises(RuntimeError):
-            _solve_jacobian(sp.csc_matrix((m, m)), grid, rhs)
+        for stale in (None, spla.splu(sp.identity(m, format="csc"))):
+            with pytest.raises(RuntimeError):
+                _solve_jacobian(sp.csc_matrix((m, m)), grid, rhs, _JacobianFactor(lu=stale))
+
+    def test_wrong_stale_factor_refactorizes(self):
+        # a kept factor of an unrelated diagonal matrix leaves GMRES far from
+        # its tolerance after one cycle; the step then factorizes J itself
+        grid = LogGrid.build(unit_domain(), (17, 17))
+        rng = np.random.default_rng(3)
+        v = 0.8 * grid.mesh[0] + 0.1 * np.sin(3.0 * grid.mesh[1])
+        res = rng.standard_normal(grid.shape)
+        res[grid.boundary_mask] = 0.0
+        m = grid.dissection_order.size
+        stale = spla.splu(sp.diags(10.0 ** rng.uniform(-3, 3, m)).tocsc())
+        factor = _JacobianFactor(lu=stale)
+        du = _solve_jacobian(_assemble_jacobian(v, grid, 3.0, 2, 1e-2), grid, -res, factor)
+        assert factor.krylov_iterations == solver.KRYLOV_RESTART
+        assert factor.factorizations == 1 and factor.lu is not stale
+        direct = _direct_solve(full_jacobian(v, grid, 3.0, 2, 1e-2), grid, -res)
+        assert np.max(np.abs(du - direct)) <= 1e-12 * np.max(np.abs(direct))
 
     def test_nonlinear_solve_never_calls_spsolve(self, monkeypatch):
         grid = LogGrid.build(unit_domain(), (17, 17))
@@ -342,6 +372,43 @@ class TestOrderedJacobianSolve:
                 == [s.iterations for s in rep_direct.stages])
         scale = float(np.max(np.abs(u_direct.values)))
         assert np.max(np.abs(u.values - u_direct.values)) <= 1e-12 * scale
+
+
+class TestReusedFactor:
+    """A solve keeps one ``splu`` factor and refactorizes only where GMRES
+    on it stalls; factorizing every Jacobian afresh is its oracle."""
+
+    @pytest.mark.parametrize("n, nodes, p", [(2, 33, 3.0), (2, 33, 4.0), (3, 13, 3.0)])
+    def test_matches_refactorizing_every_step(self, monkeypatch, n, nodes, p):
+        grid = LogGrid.build(unit_domain(n=n), (nodes,) * n)
+        prob = manufactured_problem(power_of_t_field(0.5, n), p, n)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_solve_jacobian", refactorized_solve)
+            u_fresh, rep_fresh = solve_dirichlet(prob, grid)
+        u, rep = solve_dirichlet(prob, grid)
+        assert rep.converged and rep_fresh.converged
+        assert ([s.iterations for s in rep.stages]
+                == [s.iterations for s in rep_fresh.stages])
+        assert ([s.factorizations for s in rep_fresh.stages]
+                == [s.iterations for s in rep_fresh.stages])
+        scale = float(np.max(np.abs(u_fresh.values)))
+        assert np.max(np.abs(u.values - u_fresh.values)) <= 1e-12 * scale
+
+    def test_factorizes_in_fewer_than_half_the_steps(self):
+        grid = LogGrid.build(unit_domain(), (49, 49))
+        prob = manufactured_problem(power_of_t_field(0.5, 2), 4.0, 2)
+        _, rep = solve_dirichlet(prob, grid)
+        steps = sum(s.iterations for s in rep.stages)
+        factorizations = sum(s.factorizations for s in rep.stages)
+        assert rep.converged and rep.stages[0].factorizations >= 1
+        assert 2 * factorizations < steps
+        assert sum(s.krylov_iterations for s in rep.stages) > 0
+
+    def test_p2_solve_counts_no_linear_work(self):
+        grid = LogGrid.build(unit_domain(), (9, 9))
+        prob = manufactured_problem(make_exact_solution(2.0, 2), 2.0, 2)
+        _, rep = solve_dirichlet(prob, grid)
+        assert [(s.factorizations, s.krylov_iterations) for s in rep.stages] == [(0, 0)]
 
 
 class TestDiscreteComparison:

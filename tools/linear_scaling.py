@@ -1,24 +1,36 @@
-"""Timing of one p != 2 Newton linear solve against grid size.
+"""Timing of p != 2 Newton linear solves, and of whole solves, against grid size.
 
     python tools/linear_scaling.py [OUT]
 
 On each grid (2D at 81^2, 97^2 and 161^2; 3D at 17^3, 21^3 and 25^3, over
-the unit base with t_min = e^-1) the Jacobian of the p = 3 residual at
-eps_reg = 1e-2 is taken at a smooth iterate, the forcing-free solution
-t^((p-n)/(p-1)) (ln t when p = n) plus a small wave, and the Newton system
-J du = -res is solved two ways: ``spsolve`` on the full-grid Jacobian of
+the unit base with t_min = e^-1) it measures two things.
+
+One Newton step: the Jacobian of the p = 3 residual at eps_reg = 1e-2 is
+taken at a smooth iterate, the forcing-free solution t^((p-n)/(p-1)) (ln t
+when p = n) plus a small wave, and the Newton system J du = -res is solved
+two ways: ``spsolve`` on the full-grid Jacobian of
 ``tests/oracles.full_jacobian`` (identity boundary rows), with SuperLU's
-default COLAMD order, and ``solver._solve_jacobian`` on the interior block
-from ``solver._assemble_jacobian``, which is in the grid's nested-dissection
-order.  Both matrices and the order are built once per grid, outside the
-timed region.  Per size it records the median seconds of each solve over
-REPEATS runs (the two alternate), the fill of each factorization (stored
-L + U entries over the stored entries of the matrix it factorizes; the
-oracle's is read off ``splu`` with COLAMD, the call ``spsolve`` makes), and
-max |du - du_spsolve| / max |du_spsolve|.  Per dimension it records the
-least-squares exponent of each median time in the unknown count.  Writes
-OUT (default ``BENCH_linear.json`` at the repository root) with nproc and
-the numpy and scipy versions.
+default COLAMD order, and ``solver._solve_jacobian`` with no kept factor, so
+it factorizes the interior block from ``solver._assemble_jacobian``, which
+is in the grid's nested-dissection order.  Both matrices and the order are
+built once per grid, outside the timed region.  Per size it records the
+median seconds of each solve over REPEATS runs (the two alternate), the
+fill of each factorization (stored L + U entries over the stored entries of
+the matrix it factorizes; the oracle's is read off ``splu`` with COLAMD, the
+call ``spsolve`` makes), and max |du - du_spsolve| / max |du_spsolve|.
+
+One whole solve: ``solve_dirichlet`` on the p = 3 manufactured problem with
+u* = t^0.5 and the default solver settings, once as the package runs it
+(each step GMRES on the solve's kept ``splu`` factor, refactorizing only
+where that stalls) and once with ``tests/oracles.refactorized_solve``
+patched in, which factorizes every Jacobian.  Per size it records the
+median seconds of each over SOLVE_REPEATS runs (the two alternate), the
+Newton steps, factorizations and GMRES iterations of each, and the max
+field gap relative to max |u|.
+
+Per dimension it records the least-squares exponent of each median time in
+the unknown count.  Writes OUT (default ``BENCH_linear.json`` at the
+repository root) with nproc and the numpy and scipy versions.
 """
 
 import json
@@ -40,20 +52,26 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 import oracles  # noqa: E402
 from conepde.calculus import LogGrid  # noqa: E402
 from conepde.geometry import ConeDomain  # noqa: E402
-from conepde.solver import (_assemble_jacobian, _interior_residual,  # noqa: E402
-                            _solve_jacobian, exact_solution_values,
-                            make_exact_solution)
+from conepde import solver  # noqa: E402
+from conepde.solver import (_JacobianFactor, _assemble_jacobian,  # noqa: E402
+                            _interior_residual, _solve_jacobian, exact_solution_values,
+                            make_exact_solution, manufactured_problem, power_of_t_field,
+                            solve_dirichlet)
 
-P, EPS_REG, REPEATS = 3.0, 1e-2, 5
+P, EPS_REG, REPEATS, SOLVE_REPEATS, KAPPA = 3.0, 1e-2, 5, 3, 0.5
 SIZES = ((2, 81), (2, 97), (2, 161), (3, 17), (3, 21), (3, 25))
+
+
+def unit_grid(n: int, m: int) -> LogGrid:
+    domain = ConeDomain(n=n, base_lo=[0.0] * (n - 1), base_hi=[1.0] * (n - 1),
+                        t_min=math.exp(-1.0))
+    return LogGrid.build(domain, (m,) * n)
 
 
 def newton_system(n: int, m: int) -> tuple:
     """(grid, full-grid J, interior block, rhs) of one Newton step at the
     smooth iterate."""
-    domain = ConeDomain(n=n, base_lo=[0.0] * (n - 1), base_hi=[1.0] * (n - 1),
-                        t_min=math.exp(-1.0))
-    grid = LogGrid.build(domain, (m,) * n)
+    grid = unit_grid(n, m)
     values = exact_solution_values(make_exact_solution(P, n), grid).values
     values = values + 0.05 * np.sin(np.pi * sum(grid.mesh))
     res = _interior_residual(values, grid, P, n, np.zeros(grid.shape), EPS_REG)
@@ -74,7 +92,7 @@ def measure(n: int, m: int) -> dict:
         t0 = time.perf_counter()
         direct = spla.spsolve(J, rhs.ravel()).reshape(grid.shape)
         t1 = time.perf_counter()
-        du = _solve_jacobian(block, grid, rhs)
+        du = _solve_jacobian(block, grid, rhs, _JacobianFactor())
         t2 = time.perf_counter()
         times["spsolve"].append(t1 - t0)
         times["ordered"].append(t2 - t1)
@@ -87,6 +105,43 @@ def measure(n: int, m: int) -> dict:
         "fill_ordered": fill(block, "NATURAL"),
         "max_rel_diff": float(np.max(np.abs(du - direct)) / np.max(np.abs(direct))),
     }
+
+
+def timed_solve(prob, grid, step) -> tuple:
+    """(seconds, field, report) of one solve with ``step`` as the p != 2
+    linear solve."""
+    saved = solver._solve_jacobian
+    solver._solve_jacobian = step
+    try:
+        t0 = time.perf_counter()
+        u, rep = solve_dirichlet(prob, grid)
+        return time.perf_counter() - t0, u.values, rep
+    finally:
+        solver._solve_jacobian = saved
+
+
+def measure_solve(n: int, m: int) -> dict:
+    grid = unit_grid(n, m)
+    prob = manufactured_problem(power_of_t_field(KAPPA, n), P, n)
+    steps = {"reused": _solve_jacobian, "refactorized": oracles.refactorized_solve}
+    times = {name: [] for name in steps}
+    fields, reports = {}, {}
+    for _ in range(SOLVE_REPEATS):
+        for name, step in steps.items():
+            seconds, fields[name], reports[name] = timed_solve(prob, grid, step)
+            times[name].append(seconds)
+    row = {"n": n, "nodes": list(grid.shape), "unknowns": math.prod(grid.shape),
+           "interior": int(grid.dissection_order.size)}
+    for name, rep in reports.items():
+        if not rep.converged:
+            raise RuntimeError(f"the {name} solve at {m}^{n} did not converge")
+        row[f"{name}_s"] = statistics.median(times[name])
+        row[name] = {"newton_steps": sum(s.iterations for s in rep.stages),
+                     "factorizations": sum(s.factorizations for s in rep.stages),
+                     "krylov_iterations": sum(s.krylov_iterations for s in rep.stages)}
+    ref = fields["refactorized"]
+    row["max_rel_gap"] = float(np.max(np.abs(fields["reused"] - ref)) / np.max(np.abs(ref)))
+    return row
 
 
 def exponent(rows: list, key: str) -> float:
@@ -107,21 +162,37 @@ def main(argv) -> int:
         print(f"{n}D {m}^{n}: spsolve {row['spsolve_s'] * 1e3:8.1f} ms "
               f"(fill {row['fill_spsolve']:5.1f})  ordered {row['ordered_s'] * 1e3:8.1f} ms "
               f"(fill {row['fill_ordered']:5.1f})  max rel diff {row['max_rel_diff']:.2g}")
+    solves = []
+    for n, m in SIZES:
+        row = measure_solve(n, m)
+        solves.append(row)
+        print(f"{n}D {m}^{n} solve: reused {row['reused_s']:7.3f} s "
+              f"({row['reused']['newton_steps']} steps, {row['reused']['factorizations']} "
+              f"factorizations, {row['reused']['krylov_iterations']} GMRES iterations)  "
+              f"refactorized {row['refactorized_s']:7.3f} s "
+              f"({row['refactorized']['newton_steps']} steps)  "
+              f"max rel gap {row['max_rel_gap']:.2g}")
     exponents = {}
     for n in sorted({r["n"] for r in rows}):
         dim = [r for r in rows if r["n"] == n]
+        dim_solves = [r for r in solves if r["n"] == n]
         exponents[f"{n}d"] = {"spsolve": exponent(dim, "spsolve_s"),
-                              "ordered": exponent(dim, "ordered_s")}
-        print(f"{n}D time exponent in unknowns: spsolve {exponents[f'{n}d']['spsolve']:.2f}, "
-              f"ordered {exponents[f'{n}d']['ordered']:.2f}")
+                              "ordered": exponent(dim, "ordered_s"),
+                              "solve_reused": exponent(dim_solves, "reused_s"),
+                              "solve_refactorized": exponent(dim_solves, "refactorized_s")}
+        print(f"{n}D time exponents in unknowns: " + ", ".join(
+            f"{k} {v:.2f}" for k, v in exponents[f"{n}d"].items()))
     report = {
         "what": "one p = 3 Newton linear solve, full-grid spsolve (COLAMD) vs the "
-                "interior block in nested-dissection order",
-        "p": P, "eps_reg": EPS_REG, "repeats": REPEATS,
+                "interior block in nested-dissection order; and one p = 3 manufactured "
+                "solve (u* = t^0.5), GMRES on the kept splu factor vs a fresh factor "
+                "every Newton step",
+        "p": P, "eps_reg": EPS_REG, "repeats": REPEATS, "solve_repeats": SOLVE_REPEATS,
+        "kappa": KAPPA,
         "nproc": os.cpu_count(), "machine": platform.machine(),
         "python": platform.python_version(), "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "sizes": rows, "time_exponents": exponents,
+        "sizes": rows, "solves": solves, "time_exponents": exponents,
     }
     with open(out, "w") as fh:
         json.dump(report, fh, indent=2)
