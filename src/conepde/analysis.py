@@ -36,6 +36,7 @@ __all__ = [
     "hoelder_sweep",
     "empirical_alpha1",
     "HarnackReport",
+    "harnack_radius_bound",
     "harnack_ratio",
     "WeakHarnackConfig",
     "weak_harnack_check",
@@ -208,14 +209,18 @@ class HarnackReport:
     C_emp: float
 
 
+def harnack_radius_bound(domain: ConeDomain) -> float:
+    """K0 d0 + 1, the largest ball radius the Harnack estimates admit."""
+    return domain.g_params.K0 * domain.g_params.d0 + 1.0
+
+
 def harnack_ratio(u: GridFunction, prob: PDEProblem, center: ConePoint,
                   d: float, domain: ConeDomain) -> HarnackReport:
     """Minimal constant in sup <= C (inf + d^(p/(p-1)) forcing^(1/(p-1)))
     with both extrema over the half ball."""
-    K0, d0 = domain.g_params.K0, domain.g_params.d0
     if not d > 0.0:
         raise ValueError("ball radius must be positive")
-    if d > K0 * d0 + 1.0:
+    if d > harnack_radius_bound(domain):
         raise ValueError("ball radius exceeds the admissible K0 d0 + 1")
     grid = u.grid
     c = center.as_log()
@@ -269,8 +274,7 @@ def weak_harnack_check(u: GridFunction, prob: PDEProblem,
     Both forcing sign conventions are reported: the negative part appears in
     the stated estimate, the positive part in its derivation.
     """
-    K0, d0 = domain.g_params.K0, domain.g_params.d0
-    if cfg.d > K0 * d0 + 1.0:
+    if cfg.d > harnack_radius_bound(domain):
         raise ValueError("ball radius exceeds the admissible K0 d0 + 1")
     grid = u.grid
     ball = _ball_mask(grid, cfg.center, cfg.d)

@@ -169,41 +169,38 @@ def build_domain(cfg: RunConfig) -> ConeDomain:
         raise ConfigError(f"domain: {exc}") from exc
 
 
-def _parse_field_spec(spec: str, label: str, n: int):
+def _parse_field_spec(spec: str, label: str, n: int, p: float | None = None):
+    """The field a ``problem.f``, ``problem.dirichlet`` or ``problem.exact``
+    spec names.  An exact solution (``p`` given) may be ``auto``, the
+    forcing-free one at p, and needs derivatives, which a gridfile lacks."""
     name, _, args = spec.partition(":")
     name = name.strip().lower()
     try:
+        if name == "auto" and p is not None:
+            return make_exact_solution(p, n)
         if name == "zero":
             return constant_field(0.0)
         if name == "constant":
             return constant_field(float(args))
+        if name == "tpower":
+            return power_of_t_field(float(args), n)
+        if name == "logt":
+            return log_t_field(n)
+        if name == "quadratic":
+            return quadratic_field(n)
         if name == "exp":
             vals = [float(v) for v in args.split(",")]
             return separable_exponential_field(vals[0], vals[1], vals[2:])
         if name == "poly":
-            terms = [[float(v) for v in term.split(",")] for term in args.split(";")]
-            return log_polynomial_field(terms)
-        if name == "gridfile":
+            return log_polynomial_field([[float(v) for v in term.split(",")]
+                                         for term in args.split(";")])
+        if name == "gridfile" and p is None:
             return gridfunction_field(read_gridfunction(args.strip()))
-        if name in ("tpower", "logt", "quadratic"):
-            return _parse_exact_spec(spec, n, p=None).as_txy()
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"{label}: malformed spec {spec!r} ({exc})") from exc
+    if name == "gridfile":
+        raise ConfigError(f"{label}: a gridfile has no derivatives for an exact solution")
     raise ConfigError(f"{label}: unknown field kind {name!r}")
-
-
-def _parse_exact_spec(spec: str, n: int, p: float):
-    name, _, args = spec.partition(":")
-    name = name.strip().lower()
-    if name == "auto":
-        return make_exact_solution(p, n)
-    if name == "tpower":
-        return power_of_t_field(float(args), n)
-    if name == "logt":
-        return log_t_field(n)
-    if name == "quadratic":
-        return quadratic_field(n)
-    raise ConfigError(f"unknown exact-solution spec {spec!r}")
 
 
 def build_problem(cfg: RunConfig, domain: ConeDomain) -> PDEProblem:
@@ -215,6 +212,13 @@ def build_problem(cfg: RunConfig, domain: ConeDomain) -> PDEProblem:
         return PDEProblem(p=p, n=domain.n, f=f, dirichlet=g)
     except ValueError as exc:
         raise ConfigError(f"problem: {exc}") from exc
+
+
+def build_manufactured(cfg: RunConfig, domain: ConeDomain) -> tuple:
+    """(u*, the problem it solves) for the ``problem.exact`` spec at ``problem.p``."""
+    p = cfg.get_float("problem.p", required=True)
+    u_star = _parse_field_spec(cfg.get("problem.exact", "auto"), "problem.exact", domain.n, p)
+    return u_star, manufactured_problem(u_star, p, domain.n)
 
 
 def build_grid(cfg: RunConfig, domain: ConeDomain) -> LogGrid:
@@ -324,9 +328,7 @@ def _cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def _cmd_manufacture(cfg: RunConfig, args: argparse.Namespace) -> int:
     domain = build_domain(cfg)
-    p = cfg.get_float("problem.p", required=True)
-    u_star = _parse_exact_spec(cfg.get("problem.exact", "auto"), domain.n, p)
-    prob = manufactured_problem(u_star, p, domain.n)
+    u_star, prob = build_manufactured(cfg, domain)
     grid = build_grid(cfg, domain)
     exact = exact_solution_values(u_star, grid)
     forcing = GridFunction(grid, prob.forcing_values(grid))
@@ -334,7 +336,7 @@ def _cmd_manufacture(cfg: RunConfig, args: argparse.Namespace) -> int:
     write_gridfunction(os.path.join(outdir, "exact.gf"), exact)
     write_gridfunction(os.path.join(outdir, "forcing.gf"), forcing)
     write_json(os.path.join(outdir, "manufacture_report.json"),
-               {"p": p, "n": domain.n,
+               {"p": prob.p, "n": domain.n,
                 "max_abs_exact": float(np.max(np.abs(exact.values))),
                 "max_abs_forcing": float(np.max(np.abs(forcing.values)))},
                cfg.config_hash)
@@ -387,9 +389,7 @@ def _cmd_convolve(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def _cmd_convergence_study(cfg: RunConfig, args: argparse.Namespace) -> int:
     domain = build_domain(cfg)
-    p = cfg.get_float("problem.p", required=True)
-    u_star = _parse_exact_spec(cfg.get("problem.exact", "auto"), domain.n, p)
-    prob = manufactured_problem(u_star, p, domain.n)
+    u_star, prob = build_manufactured(cfg, domain)
     scfg = build_solver_config(cfg)
     base = build_grid(cfg, domain)
     levels = cfg.get_int("study.levels", 3)
@@ -478,7 +478,7 @@ def _harnack_ball(cfg: RunConfig, grid: LogGrid) -> tuple:
     """The ball of ``_ball_from_config`` for the Harnack checks, whose radius
     must be at most K0 d0 + 1; checked here, before any solve."""
     center, d = _ball_from_config(cfg, grid)
-    bound = grid.domain.g_params.K0 * grid.domain.g_params.d0 + 1.0
+    bound = analysis.harnack_radius_bound(grid.domain)
     what = f"the ball radius must be at most K0 d0 + 1 = {bound:g}"
     if d > bound and "verify.ball" not in cfg.lines:
         raise ConfigError(f"verify.ball: {what}, got the default radius {d:g}")

@@ -2,7 +2,8 @@
 built on it: the residual fields the solver drives to zero, the pointwise
 residuals (the same algebra at one node), the direction matrix Q, Pucci
 extremal operators, sub/supersolution classification, and the exponential
-substitution used by the comparison machinery.
+substitution used by the comparison machinery; and the problem data,
+``PDEProblem`` and the one closed-form field type ``AnalyticField``.
 
 The strong operator, acting on u(t, x) with cone gradient g and cone
 Hessian H, is
@@ -59,6 +60,7 @@ __all__ = [
     "transformed_residual_from_derivs",
     "residual_log_field",
     "divergence_part_field",
+    "AnalyticField",
     "constant_field",
     "separable_exponential_field",
     "log_polynomial_field",
@@ -76,8 +78,9 @@ class PDEProblem:
     """Exponent, dimension, forcing and Dirichlet data of one Dirichlet problem.
 
     ``f`` and ``dirichlet`` are samplers f(t, xs) where t is an array and xs a
-    tuple of base-coordinate arrays of the same shape.  ``log_forcing`` is
-    the one place that forms the log-chart forcing t^p f.
+    tuple of base-coordinate arrays of the same shape.  ``_log_scaled`` is
+    the one place that forms the log-chart forcing t^p f, for the whole grid
+    (``log_forcing``) and for one node (``forcing_at``).
     """
 
     p: float
@@ -111,46 +114,100 @@ class PDEProblem:
 
     def log_forcing(self, grid: LogGrid, interior_only: bool = False) -> np.ndarray:
         """t^p f = f e^(a p) at every node, checked as in ``forcing_values``."""
-        return self.forcing_values(grid, interior_only) * np.exp(grid.mesh[0] * self.p)
+        return self._log_scaled(self.forcing_values(grid, interior_only), grid.mesh[0])
+
+    def forcing_at(self, grid: LogGrid, node) -> tuple:
+        """(f, t^p f) at one node, unchecked: bit for bit the entries of
+        ``forcing_values`` and ``log_forcing``, from the node's own entries
+        of the same grid arrays."""
+        node = tuple(node)
+        f = self.f(grid.t_field[node], tuple(x[node] for x in grid.mesh[1:]))
+        return float(f), float(self._log_scaled(f, grid.mesh[0][node]))
+
+    def _log_scaled(self, f, a):
+        return f * np.exp(a * self.p)
 
     def dirichlet_values(self, grid: LogGrid) -> np.ndarray:
         t = grid.t_field
         return np.broadcast_to(self.dirichlet(t, grid.mesh[1:]), grid.shape).astype(float)
 
 
-def constant_field(c: float) -> Callable:
-    def fn(t, xs):
-        return np.full_like(np.asarray(t, dtype=float), c)
-    return fn
+@dataclass(frozen=True)
+class AnalyticField:
+    """Closed-form field with exact log-chart derivatives: ``value(a, xs)``
+    maps a = ln t and base-coordinate arrays of its shape to values, ``grad``
+    and ``hess`` return arrays of shape (n, ...) and (n, n, ...) with
+    n = 1 + len(xs).  ``field(t, xs)`` samples it, as a ``PDEProblem`` sampler."""
+
+    value: Callable
+    grad: Callable
+    hess: Callable
+
+    def __call__(self, t, xs):
+        return self.value(np.log(np.asarray(t, dtype=float)), xs)
 
 
-def separable_exponential_field(c: float, t_power: float, x_coeffs) -> Callable:
-    """f(t, x) = c * t^q * exp(sum k_i x_i)."""
-    ks = tuple(float(k) for k in x_coeffs)
+def separable_exponential_field(c: float, q: float, ks) -> AnalyticField:
+    """u = c e^(q a + k.x) = c t^q e^(k.x), a missing k_i being 0.  With
+    w = (q, k) the gradient is w u and the Hessian w w^T u, whose diagonal
+    takes w_i**2 as a float power."""
+    c, q, ks = float(c), float(q), [float(k) for k in ks]
 
-    def fn(t, xs):
-        out = c * np.asarray(t, dtype=float) ** t_power
+    def value(a, xs):
+        s = q * np.asarray(a, dtype=float)
         for k, x in zip(ks, xs):
-            out = out * np.exp(k * np.asarray(x, dtype=float))
-        return out
-    return fn
+            s = s + k * np.asarray(x, dtype=float)
+        return c * np.exp(s)
+
+    def slopes_and_value(a, xs) -> tuple:
+        return [q] + (ks + [0.0] * len(xs))[:len(xs)], value(a, xs)
+
+    def grad(a, xs):
+        w, u = slopes_and_value(a, xs)
+        return np.stack([wi * u for wi in w])
+
+    def hess(a, xs):
+        w, u = slopes_and_value(a, xs)
+        return np.stack([np.stack([(wi ** 2 if i == j else wi * wj) * u
+                                   for j, wj in enumerate(w)]) for i, wi in enumerate(w)])
+
+    return AnalyticField(value=value, grad=grad, hess=hess)
 
 
-def log_polynomial_field(terms) -> Callable:
-    """Polynomial in (a, x) with a = ln t; ``terms`` is a list of
-    (coefficient, power_a, power_x1, ...)."""
-    terms = [tuple(term) for term in terms]
+def log_polynomial_field(terms) -> AnalyticField:
+    """Polynomial in (a, x) with a = ln t from (coefficient, power_a,
+    power_x1, ...) terms, a missing x power being 0.  The derivatives take
+    the power rule term by term, and a term whose power of the variable is
+    0 drops out of that derivative, so no 0 * inf appears at a = 0."""
+    terms = [(float(coef), tuple(float(e) for e in powers)) for coef, *powers in terms]
 
-    def fn(t, xs):
-        a = np.log(np.asarray(t, dtype=float))
+    def sample(terms, a, xs):
+        a = np.asarray(a, dtype=float)
         out = np.zeros_like(a)
-        for coef, pa, *pxs in terms:
+        for coef, (pa, *pxs) in terms:
             mono = coef * a ** pa
             for px, x in zip(pxs, xs):
                 mono = mono * np.asarray(x, dtype=float) ** px
             out = out + mono
         return out
-    return fn
+
+    def derivative(terms, k) -> list:
+        return [(coef * pw[k], pw[:k] + (pw[k] - 1.0,) + pw[k + 1:])
+                for coef, pw in terms if k < len(pw) and pw[k] != 0.0]
+
+    def grad(a, xs):
+        return np.stack([sample(derivative(terms, k), a, xs) for k in range(1 + len(xs))])
+
+    def hess(a, xs):
+        axes = range(1 + len(xs))
+        return np.stack([np.stack([sample(derivative(derivative(terms, k), l), a, xs)
+                                   for l in axes]) for k in axes])
+
+    return AnalyticField(value=lambda a, xs: sample(terms, a, xs), grad=grad, hess=hess)
+
+
+def constant_field(c: float) -> AnalyticField:
+    return log_polynomial_field([(c, 0.0)])
 
 
 def gridfunction_field(u: GridFunction) -> Callable:
@@ -290,13 +347,12 @@ def full_residual_from_derivs(t: float, grad, hess, p: float, n: int,
     return float(t ** (-p) * R - f_value)
 
 
-def log_residual_from_derivs(a: float, grad, hess, p: float, n: int,
-                             f_value: float, eps_reg: float = 0.0,
-                             extremal: str | None = None) -> float:
-    """Log-chart residual from explicit derivatives at one point; equals
-    t^p times the strong residual."""
+def log_residual_from_derivs(grad, hess, p: float, n: int, log_forcing: float,
+                             eps_reg: float = 0.0, extremal: str | None = None) -> float:
+    """Log-chart residual from explicit derivatives at one point and the
+    log-chart forcing t^p f there; equals t^p times the strong residual."""
     R = operator_terms(grad, hess, p, n, eps_reg, extremal)[0]
-    return float(R - f_value * math.exp(a * p))
+    return float(R - log_forcing)
 
 
 def transformed_residual_from_derivs(t: float, z_value: float, grad, hess,
@@ -316,38 +372,37 @@ def transformed_residual_from_derivs(t: float, z_value: float, grad, hess,
 # pointwise residuals on grid functions
 
 def _point_data(u: GridFunction, node, prob: PDEProblem) -> tuple:
-    """(a, f, g, H) at one node: the log-chart coordinate, the forcing, and
-    the node's rows of the gradient and Hessian operators."""
-    coords = u.grid.node_coords(node)
-    xs = tuple(np.asarray(c) for c in coords[1:])
-    fval = float(np.asarray(prob.f(np.asarray(math.exp(coords[0])), xs)))
-    return float(coords[0]), fval, b_gradient(u, node), b_hessian(u, node)
+    """(t, f, t^p f, g, H) at one node: the radial coordinate, the forcing
+    as in ``prob.forcing_at``, and the node's rows of the gradient and
+    Hessian operators."""
+    f, log_f = prob.forcing_at(u.grid, node)
+    return (float(u.grid.t_field[tuple(node)]), f, log_f,
+            b_gradient(u, node), b_hessian(u, node))
 
 
-def residual_full(u: GridFunction, node, prob: PDEProblem,
-                  eps_reg: float = 0.0) -> float:
+def residual_full(u: GridFunction, node, prob: PDEProblem, eps_reg: float = 0.0,
+                  extremal: str | None = None) -> float:
     """Strong-form residual at a node using the log-chart stencils."""
-    a, f, g, H = _point_data(u, node, prob)
-    return full_residual_from_derivs(math.exp(a), g, H, prob.p, prob.n, f, eps_reg)
+    t, f, _, g, H = _point_data(u, node, prob)
+    return full_residual_from_derivs(t, g, H, prob.p, prob.n, f, eps_reg, extremal)
 
 
 def residual_log(u: GridFunction, node, prob: PDEProblem,
                  eps_reg: float = 0.0) -> float:
-    """Log-chart residual at a node; t^p times ``residual_full`` there."""
-    a, f, g, H = _point_data(u, node, prob)
-    return log_residual_from_derivs(a, g, H, prob.p, prob.n, f, eps_reg)
+    """Log-chart residual at a node; t^p times ``residual_full`` there, and
+    the node's entry of ``residual_log_field``."""
+    _, _, log_f, g, H = _point_data(u, node, prob)
+    return log_residual_from_derivs(g, H, prob.p, prob.n, log_f, eps_reg)
 
 
 def pucci_lower_residual(u: GridFunction, node, prob: PDEProblem,
                          eps_reg: float = 0.0) -> float:
-    a, f, g, H = _point_data(u, node, prob)
-    return full_residual_from_derivs(math.exp(a), g, H, prob.p, prob.n, f, eps_reg, "lower")
+    return residual_full(u, node, prob, eps_reg, "lower")
 
 
 def pucci_upper_residual(u: GridFunction, node, prob: PDEProblem,
                          eps_reg: float = 0.0) -> float:
-    a, f, g, H = _point_data(u, node, prob)
-    return full_residual_from_derivs(math.exp(a), g, H, prob.p, prob.n, f, eps_reg, "upper")
+    return residual_full(u, node, prob, eps_reg, "upper")
 
 
 SUPER_CONSISTENT = "supersolution-consistent"
@@ -412,8 +467,8 @@ def psi_inverse(v, params: TransformParams):
 def transformed_residual(z: GridFunction, node, prob: PDEProblem,
                          params: TransformParams, eps_reg: float = 0.0) -> float:
     """Residual of the substituted equation at a node of the z field."""
-    a, f, g, H = _point_data(z, node, prob)
-    return transformed_residual_from_derivs(math.exp(a), float(z.values[tuple(node)]), g, H,
+    t, f, _, g, H = _point_data(z, node, prob)
+    return transformed_residual_from_derivs(t, float(z.values[tuple(node)]), g, H,
                                             prob.p, prob.n, f, params.K, eps_reg)
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,13 +36,14 @@ from scipy.linalg import solve_banded
 from conepde.calculus import (GridFunction, LogGrid, first_diff, gradient_field,
                               hessian_field, second_diff)
 from conepde.geometry import ConeDomain, exhaustion
-from conepde.operators import PDEProblem, divergence_part_field, operator_terms
+from conepde.operators import (AnalyticField, PDEProblem, constant_field,
+                               divergence_part_field, log_polynomial_field,
+                               operator_terms, separable_exponential_field)
 
 __all__ = [
     "SolverConfig",
     "StageRecord",
     "SolveReport",
-    "AnalyticField",
     "power_of_t_field",
     "log_t_field",
     "quadratic_field",
@@ -104,90 +105,21 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 # analytic fields and manufactured problems
 
-@dataclass(frozen=True)
-class AnalyticField:
-    """Closed-form field in the log chart with exact derivatives.
-
-    ``value(a, xs)`` maps meshgrid arrays to values; ``grad`` and ``hess``
-    return stacked arrays of shape (n, ...) and (n, n, ...).
-    """
-
-    n: int
-    value: Callable
-    grad: Callable
-    hess: Callable
-
-    def as_txy(self) -> Callable:
-        """The field as a sampler in (t, x) coordinates."""
-        def fn(t, xs):
-            return self.value(np.log(np.asarray(t, dtype=float)), xs)
-        return fn
-
-
 def power_of_t_field(kappa: float, n: int) -> AnalyticField:
     """u = t^kappa, i.e. e^(kappa a) in the log chart."""
-    def value(a, xs):
-        return np.exp(kappa * np.asarray(a, dtype=float))
-
-    def grad(a, xs):
-        a = np.asarray(a, dtype=float)
-        g = np.zeros((n,) + a.shape)
-        g[0] = kappa * np.exp(kappa * a)
-        return g
-
-    def hess(a, xs):
-        a = np.asarray(a, dtype=float)
-        H = np.zeros((n, n) + a.shape)
-        H[0, 0] = kappa**2 * np.exp(kappa * a)
-        return H
-
-    return AnalyticField(n=n, value=value, grad=grad, hess=hess)
+    return separable_exponential_field(1.0, kappa, [0.0] * (n - 1))
 
 
 def log_t_field(n: int) -> AnalyticField:
     """u = ln t, the radial-coordinate field itself."""
-    def value(a, xs):
-        return np.asarray(a, dtype=float).copy()
-
-    def grad(a, xs):
-        a = np.asarray(a, dtype=float)
-        g = np.zeros((n,) + a.shape)
-        g[0] = 1.0
-        return g
-
-    def hess(a, xs):
-        a = np.asarray(a, dtype=float)
-        return np.zeros((n, n) + a.shape)
-
-    return AnalyticField(n=n, value=value, grad=grad, hess=hess)
+    return log_polynomial_field([(1.0, 1.0) + (0.0,) * (n - 1)])
 
 
 def quadratic_field(n: int, coef_a: float = 1.0, coef_x: float = 1.0) -> AnalyticField:
     """u = coef_a a^2 + coef_x sum x_i^2 in the log chart."""
-    def value(a, xs):
-        a = np.asarray(a, dtype=float)
-        out = coef_a * a**2
-        for x in xs:
-            out = out + coef_x * np.asarray(x, dtype=float) ** 2
-        return out
-
-    def grad(a, xs):
-        a = np.asarray(a, dtype=float)
-        g = np.zeros((n,) + a.shape)
-        g[0] = 2.0 * coef_a * a
-        for k, x in enumerate(xs):
-            g[1 + k] = 2.0 * coef_x * np.asarray(x, dtype=float)
-        return g
-
-    def hess(a, xs):
-        a = np.asarray(a, dtype=float)
-        H = np.zeros((n, n) + a.shape)
-        H[0, 0] = 2.0 * coef_a
-        for k in range(n - 1):
-            H[1 + k, 1 + k] = 2.0 * coef_x
-        return H
-
-    return AnalyticField(n=n, value=value, grad=grad, hess=hess)
+    return log_polynomial_field([(coef_a, 2.0)] + [
+        (coef_x, 0.0) + tuple(2.0 if j == k else 0.0 for j in range(n - 1))
+        for k in range(n - 1)])
 
 
 def make_exact_solution(p: float, n: int) -> AnalyticField:
@@ -208,11 +140,11 @@ def manufactured_problem(u_star: AnalyticField, p: float, n: int) -> PDEProblem:
         H = u_star.hess(a, xs)
         return operator_terms(g, H, p, n)[0] * t ** (-p)
 
-    return PDEProblem(p=p, n=n, f=forcing, dirichlet=u_star.as_txy())
+    return PDEProblem(p=p, n=n, f=forcing, dirichlet=u_star)
 
 
 def exact_solution_values(u_star: AnalyticField, grid: LogGrid) -> GridFunction:
-    return GridFunction.from_callable(grid, lambda A, XS: u_star.value(A, XS))
+    return GridFunction.from_callable(grid, u_star.value)
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +265,20 @@ def _solve_jacobian(J: sp.csc_matrix, grid: LogGrid, rhs: np.ndarray,
         def tally(_):
             factor.krylov_iterations += 1
 
-        op = spla.LinearOperator(J.shape, matvec=lambda y: J @ lu.solve(y), dtype=float)
+        last = []  # the operator's latest (y, M^-1 y)
+
+        def matvec(y):
+            last[:] = y.copy(), lu.solve(y)
+            return J @ last[1]
+
+        op = spla.LinearOperator(J.shape, matvec=matvec, dtype=float)
         y, info = spla.gmres(op, b, rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_RESTART,
                              maxiter=1, callback=tally, callback_type="pr_norm")
         if info == 0:
-            du.flat[order] = lu.solve(y)
+            # gmres checks the true residual at the y it returns, so M^-1 y
+            # is usually the operator's last solve
+            du.flat[order] = (last[1] if last and np.array_equal(last[0], y)
+                              else lu.solve(y))
             return du
     factor.lu = spla.splu(J, permc_spec="NATURAL")
     factor.factorizations += 1
@@ -490,8 +431,7 @@ def solve_by_exhaustion(prob: PDEProblem, domain: ConeDomain, j_max: int,
             for k in range(domain.n - 1)
         ]
         grid_j = LogGrid.build(dom_j, counts)
-        prob_j = PDEProblem(p=prob.p, n=prob.n, f=prob.f,
-                            dirichlet=lambda t, xs: np.zeros_like(np.asarray(t)))
+        prob_j = PDEProblem(p=prob.p, n=prob.n, f=prob.f, dirichlet=constant_field(0.0))
         u_j, rep = solve_dirichlet(prob_j, grid_j, cfg)
         if not rep.converged:
             raise RuntimeError(f"exhaustion stage j={j} failed to converge")

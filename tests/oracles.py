@@ -5,8 +5,9 @@ in closed form: per-node difference stencils, the per-point residual algebra,
 the full-grid Newton Jacobian as a sum of weighted grid operators, the
 Newton step that factorizes every Jacobian afresh, the all-pairs ball
 supremum of the forcing, and the all-pairs loops of the regularizations,
-the doubling diagnostic and the Hoelder seminorm.  Nothing here is imported
-by the package itself.
+the doubling diagnostic and the Hoelder seminorm, and the closed-form
+fields written out kind by kind.  Nothing here is imported by the package
+itself.
 """
 
 import math
@@ -124,6 +125,99 @@ def pointwise_residual_log(u, node, prob, eps_reg=0.0, extremal=None):
     diff, coef = pointwise_diffusion(g, pointwise_hessian(u, node), prob.p, eps_reg,
                                      extremal)
     return diff + (prob.n - prob.p) * coef * float(g[0]) - fval * math.exp(a * prob.p)
+
+
+# ---------------------------------------------------------------------------
+# closed-form fields, kind by kind
+
+def tpower_field(kappa, n):
+    """(value, grad, hess) of u = t^kappa = e^(kappa a) in the log chart."""
+    def value(a, xs):
+        return np.exp(kappa * np.asarray(a, dtype=float))
+
+    def grad(a, xs):
+        a = np.asarray(a, dtype=float)
+        g = np.zeros((n,) + a.shape)
+        g[0] = kappa * np.exp(kappa * a)
+        return g
+
+    def hess(a, xs):
+        a = np.asarray(a, dtype=float)
+        H = np.zeros((n, n) + a.shape)
+        H[0, 0] = kappa**2 * np.exp(kappa * a)
+        return H
+
+    return value, grad, hess
+
+
+def logt_field(n):
+    """(value, grad, hess) of u = ln t = a."""
+    def value(a, xs):
+        return np.asarray(a, dtype=float).copy()
+
+    def grad(a, xs):
+        a = np.asarray(a, dtype=float)
+        g = np.zeros((n,) + a.shape)
+        g[0] = 1.0
+        return g
+
+    def hess(a, xs):
+        return np.zeros((n, n) + np.asarray(a, dtype=float).shape)
+
+    return value, grad, hess
+
+
+def quadratic_field(n, coef_a=1.0, coef_x=1.0):
+    """(value, grad, hess) of u = coef_a a^2 + coef_x sum x_i^2."""
+    def value(a, xs):
+        a = np.asarray(a, dtype=float)
+        out = coef_a * a**2
+        for x in xs:
+            out = out + coef_x * np.asarray(x, dtype=float) ** 2
+        return out
+
+    def grad(a, xs):
+        a = np.asarray(a, dtype=float)
+        g = np.zeros((n,) + a.shape)
+        g[0] = 2.0 * coef_a * a
+        for k, x in enumerate(xs):
+            g[1 + k] = 2.0 * coef_x * np.asarray(x, dtype=float)
+        return g
+
+    def hess(a, xs):
+        a = np.asarray(a, dtype=float)
+        H = np.zeros((n, n) + a.shape)
+        H[0, 0] = 2.0 * coef_a
+        for k in range(n - 1):
+            H[1 + k, 1 + k] = 2.0 * coef_x
+        return H
+
+    return value, grad, hess
+
+
+def exp_sampler(c, t_power, x_coeffs):
+    """f(t, x) = c t^q prod_i exp(k_i x_i), a (t, x) sampler."""
+    def fn(t, xs):
+        out = c * np.asarray(t, dtype=float) ** t_power
+        for k, x in zip(x_coeffs, xs):
+            out = out * np.exp(k * np.asarray(x, dtype=float))
+        return out
+    return fn
+
+
+def poly_sampler(terms):
+    """Polynomial in (a, x), a = ln t, from (coefficient, power_a,
+    power_x1, ...) terms; a (t, x) sampler."""
+    def fn(t, xs):
+        a = np.log(np.asarray(t, dtype=float))
+        out = np.zeros_like(a)
+        for coef, pa, *pxs in terms:
+            mono = coef * a ** pa
+            for px, x in zip(pxs, xs):
+                mono = mono * np.asarray(x, dtype=float) ** px
+            out = out + mono
+        return out
+    return fn
 
 
 # ---------------------------------------------------------------------------

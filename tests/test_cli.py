@@ -77,6 +77,26 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "domain.base" in err and "line 3" in err
 
+    @pytest.mark.parametrize("spec", ["gridfile:in.gf", "tpower:abc", "cubic"])
+    @pytest.mark.parametrize("command", ["manufacture", "convergence-study"])
+    def test_bad_exact_spec_names_key(self, tmp_path, capsys, monkeypatch, spec, command):
+        # a stored field has no derivatives, "abc" is no exponent and "cubic"
+        # no field kind: each exits 2 naming the key
+        grid = LogGrid.build(ConeDomain(n=2, base_lo=[0.0], base_hi=[1.0],
+                                        t_min=0.36787944117144233), (13, 13))
+        write_gridfunction(os.path.join(tmp_path, "in.gf"), GridFunction.zeros(grid))
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, BASE_CONFIG.format(outdir="out")
+                           + f"problem.exact = {spec}\n")
+        assert run([command, "--config", cfg]) == 2
+        assert "config error: problem.exact:" in capsys.readouterr().err
+
+    def test_auto_is_only_an_exact_solution(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_CONFIG.format(outdir=tmp_path)
+                           .replace("problem.f = zero", "problem.f = auto"))
+        assert run(["solve", "--config", cfg]) == 2
+        assert "problem.f: unknown field kind 'auto'" in capsys.readouterr().err
+
     def test_truncated_gridfunction_header_names_field(self, tmp_path, capsys):
         src = os.path.join(tmp_path, "short.gf")
         with open(src, "w") as fh:
@@ -496,6 +516,19 @@ class TestOtherCommands:
             lines = fh.read().splitlines()
         assert lines[1] == "h,max_error,order"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("p", ["2.0", "3.0"])
+    def test_convergence_study_x_dependent_exact(self, tmp_path, p):
+        # u* = t^0.5 e^(0.7 x) from the exp family, which has exact derivatives
+        out = os.path.join(tmp_path, "out")
+        body = BASE_CONFIG + "study.levels = 3\nproblem.exact = exp:1,0.5,0.7\n"
+        body = body.replace("grid.nodes = 13,13", "grid.nodes = 9,9")
+        body = body.replace("problem.p = 2.0", f"problem.p = {p}")
+        cfg = write_config(tmp_path, body.format(outdir=out))
+        assert run(["convergence-study", "--config", cfg]) == 0
+        with open(os.path.join(out, "convergence_report.json")) as fh:
+            rows = json.load(fh)["rows"]
+        assert len(rows) == 3 and all(r["order"] >= 1.9 for r in rows[1:])
 
 
 class TestByteDeterminism:

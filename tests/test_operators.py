@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from conepde.calculus import GridFunction, LogGrid, b_gradient
 from conepde.geometry import ConeDomain
 from conepde.operators import (
@@ -14,6 +15,7 @@ from conepde.operators import (
     classify_point,
     constant_field,
     full_residual_from_derivs,
+    log_polynomial_field,
     log_residual_from_derivs,
     psi,
     psi_inverse,
@@ -24,13 +26,17 @@ from conepde.operators import (
     q_matrix,
     residual_full,
     residual_log,
+    residual_log_field,
+    separable_exponential_field,
     transformed_residual,
     transformed_residual_from_derivs,
 )
 from conepde.solver import (
     exact_solution_values,
+    log_t_field,
     make_exact_solution,
     manufactured_problem,
+    power_of_t_field,
     quadratic_field,
 )
 
@@ -159,6 +165,96 @@ class TestLogForcing:
         prob = PDEProblem(p=3.0, n=2, f=lambda t, xs: f_vals, dirichlet=zero_field)
         with pytest.raises(FloatingPointError, match="not finite at 1 "):
             prob.log_forcing(grid, interior_only)
+
+
+class TestPointwiseForcing:
+    # at u = 0 the operator vanishes, so the pointwise log-chart residual is
+    # -t^p f: the node's entry of log_forcing, bit for bit
+    @pytest.mark.parametrize("n, p, f", [
+        (2, 3.0, separable_exponential_field(0.37, -2.3, [0.7])),
+        (3, 4.0, separable_exponential_field(-1.1, 0.6, [0.9, -1.7])),
+    ])
+    def test_zero_field_residual_is_minus_log_forcing(self, n, p, f):
+        grid = unit_grid((17, 17) if n == 2 else (9, 9, 9), n=n)
+        prob = PDEProblem(p=p, n=n, f=f, dirichlet=zero_field)
+        u0 = GridFunction.zeros(grid)
+        F = prob.log_forcing(grid)
+        field = residual_log_field(u0, prob)
+        for node in zip(*np.nonzero(~grid.boundary_mask)):
+            assert residual_log(u0, node, prob) == -F[node] == field[node]
+
+
+def bits(x):
+    x = np.asarray(x, dtype=float)
+    return x.shape, x.tobytes()
+
+
+class TestAnalyticFields:
+    # the last two have kappa**2 != kappa * kappa in float64
+    KAPPAS = (0.41, -0.9, 0.5, -1.0 / 3.0, 2.0, 0.4152256900906529, -0.907859462985334)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_exact_solution_kinds_match_references(self, n):
+        # t^kappa, ln t and the quadratic from the two families agree with
+        # the kind-by-kind closures: values bit for bit, derivatives equal
+        # entry for entry (a zero entry may carry the other sign)
+        grid = unit_grid((9,) * n, n=n)
+        A, XS = grid.mesh[0], grid.mesh[1:]
+        cases = [(power_of_t_field(k, n), oracles.tpower_field(k, n)) for k in self.KAPPAS]
+        cases += [(log_t_field(n), oracles.logt_field(n)),
+                  (quadratic_field(n), oracles.quadratic_field(n)),
+                  (quadratic_field(n, -0.3, 1.7), oracles.quadratic_field(n, -0.3, 1.7))]
+        for field, (value, grad, hess) in cases:
+            assert bits(field.value(A, XS)) == bits(value(A, XS))
+            assert bits(field(grid.t_field, XS)) == bits(value(np.log(grid.t_field), XS))
+            np.testing.assert_array_equal(field.grad(A, XS), grad(A, XS))
+            np.testing.assert_array_equal(field.hess(A, XS), hess(A, XS))
+
+    def test_samplers_match_references(self):
+        # constant, zero and poly are bit for bit the value-only samplers;
+        # c e^(q ln t + k.x) rounds differently from c t^q e^(k.x)
+        grid = unit_grid((9, 9, 9), n=3)
+        t, XS = grid.t_field, grid.mesh[1:]
+        terms = [(0.5, 0.0, 2.0), (1.0, 1.0), (-0.7, 2.0, 1.0, 3.0), (0.3, 3.0, 0.0, 1.0)]
+        for field, ref in ((constant_field(2.5), oracles.poly_sampler([(2.5, 0.0)])),
+                           (constant_field(0.0), lambda t, xs: np.zeros_like(t)),
+                           (log_polynomial_field(terms), oracles.poly_sampler(terms))):
+            assert bits(field(t, XS)) == bits(ref(t, XS))
+        for c, q, ks in ((1.0, 0.5, [0.7]), (0.37, -2.3, [0.7, -1.1]), (-2.0, 1.5, [])):
+            got = separable_exponential_field(c, q, ks)(t, XS)
+            np.testing.assert_allclose(got, oracles.exp_sampler(c, q, ks)(t, XS),
+                                       rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("field", [
+        separable_exponential_field(0.8, 0.5, [0.7, -0.4]),
+        log_polynomial_field([(0.5, 0.0, 2.0), (1.0, 1.0), (-0.7, 2.0, 1.0, 1.0),
+                              (0.3, 3.0, 0.0, 2.0), (1.2, 1.0, 3.0)]),
+    ])
+    def test_x_dependent_derivatives_match_central_differences(self, field):
+        rng = np.random.default_rng(1)
+        h = 1e-5
+        for _ in range(20):
+            z = np.array([rng.uniform(-1.0, -0.1), rng.uniform(0.1, 1.0), rng.uniform(-1.0, 1.0)])
+
+            def at(fn, w):
+                return fn(np.asarray(w[0]), tuple(np.asarray(x) for x in w[1:]))
+
+            g, H = at(field.grad, z), at(field.hess, z)
+            assert g.shape == (3,) and H.shape == (3, 3)
+            for k in range(3):
+                e = h * np.eye(3)[k]
+                dv = (at(field.value, z + e) - at(field.value, z - e)) / (2.0 * h)
+                dg = (at(field.grad, z + e) - at(field.grad, z - e)) / (2.0 * h)
+                assert dv == pytest.approx(g[k], rel=1e-8, abs=1e-8)
+                np.testing.assert_allclose(dg, H[:, k], rtol=1e-8, atol=1e-8)
+
+    def test_poly_constant_in_a_has_finite_derivatives_at_a_zero(self):
+        # a term without a drops out of the a-derivatives: no 0 * a^-1 at a = 0
+        field = log_polynomial_field([(2.0, 0.0, 1.0), (1.0, 1.0), (0.5, 2.0)])
+        a, xs = np.array([0.0, -0.5]), (np.array([0.3, 0.3]),)
+        np.testing.assert_array_equal(field.grad(a, xs), [[1.0, 0.5], [2.0, 2.0]])
+        np.testing.assert_array_equal(field.hess(a, xs), [[[1.0, 1.0], [0.0, 0.0]],
+                                                          [[0.0, 0.0], [0.0, 0.0]]])
 
 
 class TestResiduals:

@@ -353,6 +353,41 @@ class TestOrderedJacobianSolve:
         direct = _direct_solve(full_jacobian(v, grid, 3.0, 2, 1e-2), grid, -res)
         assert np.max(np.abs(du - direct)) <= 1e-12 * np.max(np.abs(direct))
 
+    def test_converged_step_reuses_last_preconditioner_solve(self):
+        # gmres ends its cycle by solving with the factor at the y it
+        # returns; the step takes du = M^-1 y from that solve, so a converged
+        # step solves krylov_iterations + 1 times and du is what a fresh
+        # M^-1 y gives
+        class CountingLU:
+            def __init__(self, lu):
+                self.lu, self.calls = lu, 0
+
+            def solve(self, y):
+                self.calls += 1
+                return self.lu.solve(y)
+
+        grid = LogGrid.build(unit_domain(), (17, 17))
+        rng = np.random.default_rng(5)
+        v = 0.8 * grid.mesh[0] + 0.1 * np.sin(3.0 * grid.mesh[1])
+        res = rng.standard_normal(grid.shape)
+        res[grid.boundary_mask] = 0.0
+        J = _assemble_jacobian(v, grid, 3.0, 2, 1e-2)
+        # the factor of a nearby iterate's Jacobian, as a Newton solve keeps it
+        lu = spla.splu(_assemble_jacobian(v + 0.05 * grid.mesh[1] ** 2, grid, 3.0, 2, 1e-2),
+                       permc_spec="NATURAL")
+        counting = CountingLU(lu)
+        factor = _JacobianFactor(lu=counting)
+        du = _solve_jacobian(J, grid, -res, factor)
+        assert factor.factorizations == 0 and factor.lu is counting
+        assert factor.krylov_iterations >= 2
+        assert counting.calls == factor.krylov_iterations + 1
+        order = grid.dissection_order
+        op = spla.LinearOperator(J.shape, matvec=lambda y: J @ lu.solve(y), dtype=float)
+        y, info = spla.gmres(op, -res.ravel()[order], rtol=solver.KRYLOV_RTOL, atol=0.0,
+                             restart=solver.KRYLOV_RESTART, maxiter=1)
+        assert info == 0
+        assert np.array_equal(du.ravel()[order], lu.solve(y))
+
     def test_nonlinear_solve_never_calls_spsolve(self, monkeypatch):
         grid = LogGrid.build(unit_domain(), (17, 17))
         prob = manufactured_problem(power_of_t_field(0.4, 2), 3.0, 2)

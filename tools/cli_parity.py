@@ -5,9 +5,10 @@
 Runs every subcommand and verify check on the same configs with each tree's
 ``src/`` directory (OLD_SRC and NEW_SRC) on PYTHONPATH, each command in a
 fresh working directory with relative input and output paths, so both sides
-see identical config text and hence identical config hashes.  The 77 cases
+see identical config text and hence identical config hashes.  The 80 cases
 are the fourteen commands of the determinism acceptance test at p = 2, 3
-and 4 (p = 4 covers the solves above p = 3), ``convolve`` in both
+and 4 (p = 4 covers the solves above p = 3), a ``solve`` whose data vary
+in x (``poly:`` Dirichlet data and forcing), ``convolve`` in both
 directions under both pairing metrics, ``verify abp`` and ``hoelder`` on a
 stored random field, ``verify comparison`` and ``doubling`` on the stored
 ``solve`` output of their own config (a case of two commands run in turn),
@@ -62,6 +63,8 @@ FAILING = "solver.max_iter = 0\ndomain.t_min = 0.001\n"
 # h_a = 6.9 breaks the mesh Peclet bound |n-p| h_a <= 2(p-1) unless p = n = 2
 COARSE = "domain.t_min = 1e-6\ngrid.nodes = 3,5\n"
 SOLID = "domain.n = 3\ndomain.base = 0,1;0,1\ngrid.nodes = 9,9,9\n"
+# Dirichlet data 0.5 x^2 + a and forcing -x, the cases whose data vary in x
+SLOPED = "problem.dirichlet = poly:0.5,0,2;1,1\nproblem.f = poly:-1,0,1\n"
 CHECKS = ("abp", "hoelder", "harnack", "weakharnack", "oscillation",
           "comparison", "doubling", "weakform")
 
@@ -84,6 +87,7 @@ def cases():
         base = BASE.format(p=p)
         for cmd in ("solve", "manufacture", "exhaust", "convergence-study", "gcondition"):
             yield f"p={p} {cmd}", [[cmd]], base
+        yield f"p={p} solve x-dependent", [["solve"]], merged(base, SLOPED)
         for direction in ("inf", "sup"):
             for metric in ("log", "literal"):
                 extra = f"convolve.direction = {direction}\nconvolve.metric = {metric}\n"
