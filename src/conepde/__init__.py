@@ -10,24 +10,15 @@ from conepde.geometry import (
     ConePoint,
     ConeDomain,
     GConditionParams,
-    cone_distance,
-    cone_ball_contains,
     boundary_distance,
     estimate_g_condition,
     exhaustion,
-    ball_rescale,
 )
 from conepde.calculus import (
     LogGrid,
     GridFunction,
-    NormParams,
-    b_gradient,
-    b_hessian,
     gradient_field,
     hessian_field,
-    cone_integral,
-    weighted_Lp_norm,
-    weighted_sobolev_norm,
     hoelder_norm,
     read_gridfunction,
     write_gridfunction,
@@ -39,10 +30,6 @@ from conepde.operators import (
     q_matrix,
     pucci_plus,
     pucci_minus,
-    residual_full,
-    residual_log,
-    pucci_lower_residual,
-    pucci_upper_residual,
     classify_point,
     psi,
     psi_inverse,

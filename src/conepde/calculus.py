@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,17 +23,10 @@ from conepde.geometry import ConeDomain
 __all__ = [
     "LogGrid",
     "GridFunction",
-    "NormParams",
-    "NormReport",
     "first_diff",
     "second_diff",
-    "b_gradient",
-    "b_hessian",
     "gradient_field",
     "hessian_field",
-    "cone_integral",
-    "weighted_Lp_norm",
-    "weighted_sobolev_norm",
     "hoelder_norm",
     "write_gridfunction",
     "read_gridfunction",
@@ -101,10 +94,6 @@ class LogGrid:
         """Whether both grids have the same nodes on every axis."""
         return self is other or (self.shape == other.shape and all(
             np.array_equal(a, b) for a, b in zip(self.axes, other.axes)))
-
-    def node_coords(self, node) -> np.ndarray:
-        node = tuple(node)
-        return np.array([ax[i] for ax, i in zip(self.axes, node)])
 
     @cached_property
     def boundary_mask(self) -> np.ndarray:
@@ -283,30 +272,8 @@ def hessian_field(u: GridFunction) -> np.ndarray:
     return out
 
 
-def _at_node(ops, u: GridFunction, node) -> np.ndarray:
-    """Each operator's row at one node applied to the values: that node's
-    entry of the field the operator produces, without the rest of the field."""
-    r = int(np.ravel_multi_index(tuple(node), u.grid.shape))
-    v = u.values.ravel()
-    rows = [slice(D.indptr[r], D.indptr[r + 1]) for D in ops]
-    return np.array([D.data[row] @ v[D.indices[row]] for D, row in zip(ops, rows)])
-
-
-def b_gradient(u: GridFunction, node) -> np.ndarray:
-    """Discrete cone gradient at one node (length n, radial component first)."""
-    return _at_node(u.grid.first_diff_ops, u, node)
-
-
-def b_hessian(u: GridFunction, node) -> np.ndarray:
-    """Discrete cone Hessian at one node; symmetric by construction."""
-    H = np.empty((u.grid.n, u.grid.n))
-    for (k, l), h in zip(u.grid.hessian_ops, _at_node(u.grid.hessian_ops.values(), u, node)):
-        H[k, l] = H[l, k] = h
-    return H
-
-
 # ---------------------------------------------------------------------------
-# quadrature and norms
+# quadrature and the Hoelder norm
 
 def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
     h = nodes[1] - nodes[0]
@@ -322,109 +289,6 @@ def quadrature_weights(grid: LogGrid) -> np.ndarray:
     for xn in grid.xs:
         out = np.multiply.outer(out, _trapezoid_weights(xn))
     return out
-
-
-def cone_integral(g: GridFunction) -> float:
-    """Trapezoidal approximation of the integral of g against dt/t dx."""
-    return float(np.sum(quadrature_weights(g.grid) * g.values))
-
-
-def _masked_integral(grid: LogGrid, integrand: np.ndarray) -> float:
-    return float(np.sum(quadrature_weights(grid) * integrand))
-
-
-@dataclass(frozen=True)
-class NormParams:
-    """Weight data for the weighted Lebesgue/Sobolev norms."""
-
-    m: int = 0
-    gamma: float = 0.0
-    p: float = 2.0
-
-    def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("derivative order m must be >= 0")
-        if self.p < 1.0:
-            raise ValueError("integrability exponent p must be >= 1")
-
-
-class NormReport(NamedTuple):
-    value: float
-    weight_exponent: float
-    diverges: bool
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def _weight_factor(grid: LogGrid) -> np.ndarray:
-    """The factor t (1 - t) dist(x, dX) at every node (zero on its faces)."""
-    t = grid.t_field
-    f = t * (1.0 - t)
-    for k in range(grid.n - 1):
-        X = grid.mesh[1 + k]
-        f = f * np.minimum(X - grid.domain.base_lo[k], grid.domain.base_hi[k] - X)
-    return np.maximum(f, 0.0)
-
-
-def weighted_Lp_norm(u: GridFunction, params: NormParams) -> NormReport:
-    """Weighted L^p norm with weight (t (1-t) dist(x, dX))^(n/p - gamma).
-
-    The truncation at t_min keeps the integral finite on the grid; the
-    ``diverges`` flag records that the untruncated integral would be
-    infinite, which happens when the weight exponent times p is <= 0 while
-    u does not vanish on the deepest radial slab.
-    """
-    grid = u.grid
-    e = grid.n / params.p - params.gamma
-    factor = _weight_factor(grid)
-    zero = factor == 0.0
-    with np.errstate(divide="ignore"):
-        w = np.where(zero, 1.0, factor) ** e
-    if e > 0:
-        w = np.where(zero, 0.0, w)
-    elif e < 0:
-        w = np.where(zero, np.inf, w)
-    integrand = np.abs(w * u.values) ** params.p
-    # inf * 0 at a vanishing-u boundary node is the honest limit 0
-    integrand = np.where(np.isinf(w) & (u.values == 0.0), 0.0, integrand)
-    value = _masked_integral(grid, integrand) ** (1.0 / params.p)
-    diverges = (e * params.p <= 0.0) and bool(np.max(np.abs(u.values[0])) > 0.0)
-    return NormReport(value=value, weight_exponent=e, diverges=diverges)
-
-
-def _derivative_field(u: GridFunction, alpha: int, beta: tuple) -> np.ndarray:
-    """(t d/dt)^alpha d_x^beta u via the log-chart stencils."""
-    grid = u.grid
-    vals = u.values.ravel()
-    for k, order in enumerate((alpha, *beta)):
-        if order == 1:
-            vals = grid.first_diff_ops[k] @ vals
-        elif order == 2:
-            vals = grid.hessian_ops[(k, k)] @ vals
-    return vals.reshape(grid.shape)
-
-
-def weighted_sobolev_norm(u: GridFunction, params: NormParams) -> NormReport:
-    """Weighted Sobolev norm summing all (t d/dt)^alpha d_x^beta u with
-    alpha + |beta| <= m, each measured in the weighted L^p norm."""
-    if params.m > 2:
-        raise ValueError("derivative orders m > 2 are unsupported")
-    grid = u.grid
-    total = 0.0
-    diverges = False
-    exponent = grid.n / params.p - params.gamma
-    for alpha in range(params.m + 1):
-        for beta in product(range(params.m + 1), repeat=grid.n - 1):
-            if alpha + sum(beta) > params.m:
-                continue
-            deriv = GridFunction(grid, _derivative_field(u, alpha, beta),
-                                 check_finite=False)
-            rep = weighted_Lp_norm(deriv, params)
-            total += rep.value ** params.p
-            diverges = diverges or rep.diverges
-    return NormReport(value=total ** (1.0 / params.p), weight_exponent=exponent,
-                      diverges=diverges)
 
 
 def _offset_slices(axis_coords, r2: float = math.inf):

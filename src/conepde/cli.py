@@ -172,10 +172,21 @@ def build_domain(cfg: RunConfig) -> ConeDomain:
 def _parse_field_spec(spec: str, label: str, n: int, p: float | None = None):
     """The field a ``problem.f``, ``problem.dirichlet`` or ``problem.exact``
     spec names.  An exact solution (``p`` given) may be ``auto``, the
-    forcing-free one at p, and needs derivatives, which a gridfile lacks."""
+    forcing-free one at p, and needs derivatives, which a gridfile lacks.
+    ``exp:`` and each ``poly:`` term take at most n + 1 values, a missing
+    one reading 0; ``zero``, ``logt``, ``quadratic`` and ``auto`` take none."""
     name, _, args = spec.partition(":")
     name = name.strip().lower()
+
+    def values(text):
+        vals = [float(v) for v in text.split(",")]
+        if len(vals) > n + 1:
+            raise ValueError(f"{len(vals)} values, at most {n + 1} at n = {n}")
+        return vals
+
     try:
+        if name in ("zero", "logt", "quadratic", "auto") and args.strip():
+            raise ValueError(f"{name} takes no arguments")
         if name == "auto" and p is not None:
             return make_exact_solution(p, n)
         if name == "zero":
@@ -189,11 +200,10 @@ def _parse_field_spec(spec: str, label: str, n: int, p: float | None = None):
         if name == "quadratic":
             return quadratic_field(n)
         if name == "exp":
-            vals = [float(v) for v in args.split(",")]
+            vals = values(args)
             return separable_exponential_field(vals[0], vals[1], vals[2:])
         if name == "poly":
-            return log_polynomial_field([[float(v) for v in term.split(",")]
-                                         for term in args.split(";")])
+            return log_polynomial_field([values(term) for term in args.split(";")])
         if name == "gridfile" and p is None:
             return gridfunction_field(read_gridfunction(args.strip()))
     except (ValueError, IndexError) as exc:

@@ -1,5 +1,5 @@
-"""Stretched-cone geometry: metric, balls, boundary distance, exterior-mass
-condition, nested exhaustion subdomains, and ball rescaling.
+"""Stretched-cone geometry: points, domains, boundary distance, the
+exterior-mass condition and nested exhaustion subdomains.
 
 Points live on the cylinder (0, 1] x X with X an axis-aligned box.  In the
 logarithmic radial coordinate a = ln t the cone metric is the flat Euclidean
@@ -19,12 +19,9 @@ __all__ = [
     "ConePoint",
     "ConeDomain",
     "GConditionParams",
-    "cone_distance",
-    "cone_ball_contains",
     "boundary_distance",
     "estimate_g_condition",
     "exhaustion",
-    "ball_rescale",
 ]
 
 
@@ -121,21 +118,6 @@ class ConeDomain:
     def base_distance(self, x: np.ndarray) -> float:
         """Distance from x to the boundary of the base box (x inside)."""
         return float(min(np.min(x - self.base_lo), np.min(self.base_hi - x)))
-
-
-def cone_distance(z: ConePoint, z0: ConePoint) -> float:
-    """Distance induced by the cone metric: Euclidean in (ln t, x)."""
-    if z.x.shape != z0.x.shape:
-        raise ValueError("points have mismatched base dimensions")
-    dx = z.x - z0.x
-    return math.sqrt((z.a - z0.a) ** 2 + float(dx @ dx))
-
-
-def cone_ball_contains(center: ConePoint, r: float, z: ConePoint) -> bool:
-    """Membership in the open metric ball of radius r about center."""
-    if not r > 0.0:
-        raise ValueError(f"ball radius must be positive, got r={r}")
-    return cone_distance(z, center) < r
 
 
 def boundary_distance(z: ConePoint, domain: ConeDomain) -> float:
@@ -249,17 +231,3 @@ def exhaustion(domain: ConeDomain, j: int) -> ConeDomain:
         bottom_is_boundary=True,
         g_params=domain.g_params,
     )
-
-
-def ball_rescale(center: ConePoint, d: float, w: ConePoint) -> ConePoint:
-    """Stretching map sending the unit metric ball about center onto the
-    radius-d ball: (s, y) -> (s^d t0^(1-d), x0 + d (y - x0)).
-
-    In the log chart this is the dilation a -> a0 + d (a - a0), so distances
-    from the center scale exactly by d.
-    """
-    if not d > 0.0:
-        raise ValueError("scaling factor d must be positive")
-    t_new = w.t ** d * center.t ** (1.0 - d)
-    x_new = center.x + d * (w.x - center.x)
-    return ConePoint(t=t_new, x=x_new)

@@ -1,9 +1,9 @@
 """The residual algebra of the degenerate p-Laplace operator and everything
-built on it: the residual fields the solver drives to zero, the pointwise
-residuals (the same algebra at one node), the direction matrix Q, Pucci
-extremal operators, sub/supersolution classification, and the exponential
-substitution used by the comparison machinery; and the problem data,
-``PDEProblem`` and the one closed-form field type ``AnalyticField``.
+built on it: the residual fields the solver drives to zero, the direction
+matrix Q, Pucci extremal operators, the sub/supersolution classification of
+every node, and the exponential substitution used by the comparison
+machinery; and the problem data, ``PDEProblem`` and the one closed-form
+field type ``AnalyticField``.
 
 The strong operator, acting on u(t, x) with cone gradient g and cone
 Hessian H, is
@@ -23,7 +23,6 @@ bracketing survives regularization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,8 +31,6 @@ import numpy as np
 from conepde.calculus import (
     GridFunction,
     LogGrid,
-    b_gradient,
-    b_hessian,
     gradient_field,
     hessian_field,
 )
@@ -45,18 +42,12 @@ __all__ = [
     "q_matrix",
     "pucci_plus",
     "pucci_minus",
-    "residual_full",
-    "residual_log",
-    "pucci_lower_residual",
-    "pucci_upper_residual",
     "classify_point",
     "psi",
     "psi_inverse",
     "transformed_residual",
     "gradient_powers",
     "operator_terms",
-    "full_residual_from_derivs",
-    "log_residual_from_derivs",
     "transformed_residual_from_derivs",
     "residual_log_field",
     "divergence_part_field",
@@ -78,9 +69,8 @@ class PDEProblem:
     """Exponent, dimension, forcing and Dirichlet data of one Dirichlet problem.
 
     ``f`` and ``dirichlet`` are samplers f(t, xs) where t is an array and xs a
-    tuple of base-coordinate arrays of the same shape.  ``_log_scaled`` is
-    the one place that forms the log-chart forcing t^p f, for the whole grid
-    (``log_forcing``) and for one node (``forcing_at``).
+    tuple of base-coordinate arrays of the same shape.  ``log_forcing`` is
+    the one place that forms the log-chart forcing t^p f.
     """
 
     p: float
@@ -114,18 +104,7 @@ class PDEProblem:
 
     def log_forcing(self, grid: LogGrid, interior_only: bool = False) -> np.ndarray:
         """t^p f = f e^(a p) at every node, checked as in ``forcing_values``."""
-        return self._log_scaled(self.forcing_values(grid, interior_only), grid.mesh[0])
-
-    def forcing_at(self, grid: LogGrid, node) -> tuple:
-        """(f, t^p f) at one node, unchecked: bit for bit the entries of
-        ``forcing_values`` and ``log_forcing``, from the node's own entries
-        of the same grid arrays."""
-        node = tuple(node)
-        f = self.f(grid.t_field[node], tuple(x[node] for x in grid.mesh[1:]))
-        return float(f), float(self._log_scaled(f, grid.mesh[0][node]))
-
-    def _log_scaled(self, f, a):
-        return f * np.exp(a * self.p)
+        return self.forcing_values(grid, interior_only) * np.exp(grid.mesh[0] * self.p)
 
     def dirichlet_values(self, grid: LogGrid) -> np.ndarray:
         t = grid.t_field
@@ -339,71 +318,19 @@ def operator_terms(g, H, p: float, n: int, eps_reg: float = 0.0,
     return diffusion + B * g[0], A, B, C
 
 
-def full_residual_from_derivs(t: float, grad, hess, p: float, n: int,
-                              f_value: float, eps_reg: float = 0.0,
-                              extremal: str | None = None) -> float:
-    """Strong-form residual from explicit derivatives at one point."""
-    R = operator_terms(grad, hess, p, n, eps_reg, extremal)[0]
-    return float(t ** (-p) * R - f_value)
-
-
-def log_residual_from_derivs(grad, hess, p: float, n: int, log_forcing: float,
-                             eps_reg: float = 0.0, extremal: str | None = None) -> float:
-    """Log-chart residual from explicit derivatives at one point and the
-    log-chart forcing t^p f there; equals t^p times the strong residual."""
-    R = operator_terms(grad, hess, p, n, eps_reg, extremal)[0]
-    return float(R - log_forcing)
-
-
-def transformed_residual_from_derivs(t: float, z_value: float, grad, hess,
-                                     p: float, n: int, f_value: float,
-                                     K: float, eps_reg: float = 0.0) -> float:
-    """Residual of the exponentially substituted equation from explicit
-    derivatives of the substituted field z."""
+def transformed_residual_from_derivs(z, grad, hess, p: float, n: int, log_forcing,
+                                     K: float, eps_reg: float = 0.0) -> np.ndarray:
+    """Residual of the exponentially substituted equation from the values z
+    (...), gradient (n, ...) and Hessian (n, n, ...) of the substituted field
+    and the log-chart forcing t^p f (...)."""
     s2 = gradient_powers(grad, p, eps_reg)[0]
-    return float(
-        operator_terms(grad, hess, p, n, eps_reg)[0]
-        - (p - 1.0) * s2 ** (p / 2.0)
-        - f_value * t ** p * math.exp(z_value * (p - 1.0)) / K ** (p - 1.0)
-    )
+    return (operator_terms(grad, hess, p, n, eps_reg)[0]
+            - (p - 1.0) * s2 ** (p / 2.0)
+            - log_forcing * np.exp(z * (p - 1.0)) / K ** (p - 1.0))
 
 
 # ---------------------------------------------------------------------------
-# pointwise residuals on grid functions
-
-def _point_data(u: GridFunction, node, prob: PDEProblem) -> tuple:
-    """(t, f, t^p f, g, H) at one node: the radial coordinate, the forcing
-    as in ``prob.forcing_at``, and the node's rows of the gradient and
-    Hessian operators."""
-    f, log_f = prob.forcing_at(u.grid, node)
-    return (float(u.grid.t_field[tuple(node)]), f, log_f,
-            b_gradient(u, node), b_hessian(u, node))
-
-
-def residual_full(u: GridFunction, node, prob: PDEProblem, eps_reg: float = 0.0,
-                  extremal: str | None = None) -> float:
-    """Strong-form residual at a node using the log-chart stencils."""
-    t, f, _, g, H = _point_data(u, node, prob)
-    return full_residual_from_derivs(t, g, H, prob.p, prob.n, f, eps_reg, extremal)
-
-
-def residual_log(u: GridFunction, node, prob: PDEProblem,
-                 eps_reg: float = 0.0) -> float:
-    """Log-chart residual at a node; t^p times ``residual_full`` there, and
-    the node's entry of ``residual_log_field``."""
-    _, _, log_f, g, H = _point_data(u, node, prob)
-    return log_residual_from_derivs(g, H, prob.p, prob.n, log_f, eps_reg)
-
-
-def pucci_lower_residual(u: GridFunction, node, prob: PDEProblem,
-                         eps_reg: float = 0.0) -> float:
-    return residual_full(u, node, prob, eps_reg, "lower")
-
-
-def pucci_upper_residual(u: GridFunction, node, prob: PDEProblem,
-                         eps_reg: float = 0.0) -> float:
-    return residual_full(u, node, prob, eps_reg, "upper")
-
+# sub/supersolution classification
 
 SUPER_CONSISTENT = "supersolution-consistent"
 SUB_CONSISTENT = "subsolution-consistent"
@@ -411,22 +338,19 @@ SOLUTION_CONSISTENT = "solution-consistent"
 INCONSISTENT = "inconsistent"
 
 
-def classify_point(u: GridFunction, node, prob: PDEProblem, eps_reg: float,
-                   tol: float) -> str:
-    """Smooth-point surrogate of the viscosity classification.
+def classify_point(u: GridFunction, prob: PDEProblem, eps_reg: float,
+                   tol: float) -> np.ndarray:
+    """Smooth-point surrogate of the viscosity classification, one label per node.
 
     A supersolution must keep the lower Pucci residual <= tol, a subsolution
-    the upper Pucci residual >= -tol; both together are solution-consistent.
+    the upper Pucci residual >= -tol, both in the strong form; both together
+    are solution-consistent.
     """
-    lower_ok = pucci_lower_residual(u, node, prob, eps_reg) <= tol
-    upper_ok = pucci_upper_residual(u, node, prob, eps_reg) >= -tol
-    if lower_ok and upper_ok:
-        return SOLUTION_CONSISTENT
-    if lower_ok:
-        return SUPER_CONSISTENT
-    if upper_ok:
-        return SUB_CONSISTENT
-    return INCONSISTENT
+    scale = u.grid.t_field ** -prob.p
+    lower_ok = scale * residual_log_field(u, prob, eps_reg, "lower") <= tol
+    upper_ok = scale * residual_log_field(u, prob, eps_reg, "upper") >= -tol
+    return np.select([lower_ok & upper_ok, lower_ok, upper_ok],
+                     [SOLUTION_CONSISTENT, SUPER_CONSISTENT, SUB_CONSISTENT], INCONSISTENT)
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +388,12 @@ def psi_inverse(v, params: TransformParams):
     return -np.log1p(-v / params.K)
 
 
-def transformed_residual(z: GridFunction, node, prob: PDEProblem,
-                         params: TransformParams, eps_reg: float = 0.0) -> float:
-    """Residual of the substituted equation at a node of the z field."""
-    t, f, _, g, H = _point_data(z, node, prob)
-    return transformed_residual_from_derivs(t, float(z.values[tuple(node)]), g, H,
-                                            prob.p, prob.n, f, params.K, eps_reg)
+def transformed_residual(z: GridFunction, prob: PDEProblem, params: TransformParams,
+                         eps_reg: float = 0.0) -> np.ndarray:
+    """Residual of the substituted equation at every node of the z field."""
+    return transformed_residual_from_derivs(z.values, gradient_field(z), hessian_field(z),
+                                            prob.p, prob.n, prob.log_forcing(z.grid),
+                                            params.K, eps_reg)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +405,11 @@ def divergence_part_field(u: GridFunction, p: float, n: int,
     return operator_terms(gradient_field(u), hessian_field(u), p, n, eps_reg)[0]
 
 
-def residual_log_field(u: GridFunction, prob: PDEProblem,
-                       eps_reg: float = 0.0) -> np.ndarray:
-    """Log-chart residual at every node (boundary rows use one-sided stencils)."""
-    return divergence_part_field(u, prob.p, prob.n, eps_reg) - prob.log_forcing(u.grid)
+def residual_log_field(u: GridFunction, prob: PDEProblem, eps_reg: float = 0.0,
+                       extremal: str | None = None) -> np.ndarray:
+    """Log-chart residual at every node (boundary rows use one-sided
+    stencils); t^-p times it is the strong-form residual.  An ``extremal``
+    mode replaces the diffusion by the Pucci value, as in ``operator_terms``."""
+    R = operator_terms(gradient_field(u), hessian_field(u), prob.p, prob.n, eps_reg,
+                       extremal)[0]
+    return R - prob.log_forcing(u.grid)

@@ -6,27 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from conepde.calculus import (
     GridFunction,
     LogGrid,
-    NormParams,
-    b_gradient,
-    b_hessian,
-    cone_integral,
     first_diff,
     gradient_field,
     hessian_field,
     hoelder_norm,
+    quadrature_weights,
     read_gridfunction,
     second_diff,
-    weighted_Lp_norm,
-    weighted_sobolev_norm,
     write_gridfunction,
 )
 from conepde.geometry import ConeDomain
-from conepde.operators import PDEProblem, constant_field, residual_log, residual_log_field
+from conepde.operators import PDEProblem, constant_field, residual_log_field
 import oracles
 from oracles import pointwise_gradient, pointwise_hessian, pointwise_residual_log
 
@@ -41,13 +35,13 @@ class TestStencils:
     def test_gradient_of_constant(self):
         grid = unit_grid()
         u = GridFunction(grid, np.full(grid.shape, 3.7))
-        np.testing.assert_array_equal(b_gradient(u, (5, 5)), np.zeros(2))
+        np.testing.assert_array_equal(gradient_field(u)[:, 5, 5], np.zeros(2))
 
     def test_gradient_exact_on_linear(self):
         grid = unit_grid()
         A, X = grid.mesh
         u = GridFunction(grid, A.copy())
-        g = b_gradient(u, (8, 8))
+        g = gradient_field(u)[:, 8, 8]
         assert g[0] == pytest.approx(1.0, abs=1e-13)
         assert g[1] == pytest.approx(0.0, abs=1e-13)
 
@@ -56,27 +50,27 @@ class TestStencils:
         grid = unit_grid()
         A, X = grid.mesh
         u = GridFunction(grid, A**2)
-        node = (8, 8)  # a = -0.5 on the 17-node grid over [-1, 0]
+        # node (8, 8): a = -0.5 on the 17-node grid over [-1, 0]
         assert grid.a[8] == pytest.approx(-0.5)
-        assert b_gradient(u, node)[0] == pytest.approx(-1.0, abs=1e-12)
+        assert gradient_field(u)[0, 8, 8] == pytest.approx(-1.0, abs=1e-12)
 
     def test_hessian_of_constant(self):
         grid = unit_grid()
         u = GridFunction(grid, np.full(grid.shape, -2.0))
-        np.testing.assert_allclose(b_hessian(u, (4, 9)), np.zeros((2, 2)), atol=1e-12)
+        np.testing.assert_allclose(hessian_field(u)[:, :, 4, 9], np.zeros((2, 2)), atol=1e-12)
 
     def test_hessian_exact_on_quadratic(self):
         grid = unit_grid()
         A, X = grid.mesh
         u = GridFunction(grid, A**2)
-        H = b_hessian(u, (8, 8))
+        H = hessian_field(u)[:, :, 8, 8]
         np.testing.assert_allclose(H, np.diag([2.0, 0.0]), atol=1e-11)
 
     def test_cross_term_exact_on_bilinear(self):
         grid = unit_grid()
         A, X = grid.mesh
         u = GridFunction(grid, A * X)
-        H = b_hessian(u, (8, 8))
+        H = hessian_field(u)[:, :, 8, 8]
         assert H[0, 1] == pytest.approx(1.0, abs=1e-12)
         assert H[1, 0] == H[0, 1]
 
@@ -92,16 +86,13 @@ class TestStencils:
             np.testing.assert_allclose(pointwise_hessian(u, node),
                                        h_field[(slice(None), slice(None)) + node],
                                        rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(b_gradient(u, node), g_field[(slice(None),) + node],
-                                       rtol=1e-14, atol=1e-14)
-            np.testing.assert_allclose(b_hessian(u, node),
-                                       h_field[(slice(None), slice(None)) + node],
-                                       rtol=1e-14, atol=1e-12)
 
     @given(n=st.sampled_from([2, 3]), counts=st.lists(st.integers(3, 7), min_size=3, max_size=3),
            lengths=st.lists(st.floats(0.2, 3.0), min_size=3, max_size=3),
-           p=st.sampled_from([2.0, 2.5, 3.0, 4.5]), seed=st.integers(0, 2**32 - 1))
-    def test_field_kernel_matches_pointwise_oracle(self, n, counts, lengths, p, seed):
+           p=st.sampled_from([2.0, 2.5, 3.0, 4.5]), seed=st.integers(0, 2**32 - 1),
+           extremal=st.sampled_from([None, "upper", "lower"]))
+    def test_field_kernel_matches_pointwise_oracle(self, n, counts, lengths, p, seed,
+                                                   extremal):
         # every node, faces included; a 3-node axis takes second_diff's fallback
         dom = ConeDomain(n=n, base_lo=[0.0] * (n - 1), base_hi=lengths[1:n],
                          t_min=math.exp(-lengths[0]))
@@ -109,16 +100,15 @@ class TestStencils:
         u = GridFunction(grid, np.random.default_rng(seed).standard_normal(grid.shape))
         prob = PDEProblem(p=p, n=n, f=constant_field(0.3), dirichlet=constant_field(0.0))
         g, H = gradient_field(u), hessian_field(u)
-        res = residual_log_field(u, prob, eps_reg=1e-3)
+        res = residual_log_field(u, prob, eps_reg=1e-3, extremal=extremal)
         scale = 1.0 / min(grid.h) ** 2
         for node in np.ndindex(grid.shape):
             np.testing.assert_allclose(g[(slice(None),) + node], pointwise_gradient(u, node),
                                        rtol=0, atol=1e-13 * scale)
             np.testing.assert_allclose(H[(slice(None), slice(None)) + node],
                                        pointwise_hessian(u, node), rtol=0, atol=1e-13 * scale)
-            oracle = pointwise_residual_log(u, node, prob, eps_reg=1e-3)
-            for got in (res[node], residual_log(u, node, prob, eps_reg=1e-3)):
-                assert got == pytest.approx(oracle, rel=1e-11, abs=1e-12 * scale ** (p / 2))
+            oracle = pointwise_residual_log(u, node, prob, eps_reg=1e-3, extremal=extremal)
+            assert res[node] == pytest.approx(oracle, rel=1e-11, abs=1e-12 * scale ** (p / 2))
 
     @pytest.mark.parametrize("m", [3, 4, 9, 29])
     def test_base_eigenbasis_diagonalizes_interior_stencil(self, m):
@@ -213,14 +203,19 @@ class TestFaceMasks:
         assert not np.any(grid.analytic_boundary_mask[inner_bottom])
 
 
+def integrate(grid, values):
+    """Trapezoidal integral of the node values against dt/t dx."""
+    return float(np.sum(quadrature_weights(grid) * values))
+
+
 class TestConeIntegral:
     def test_unit_box(self):
         grid = unit_grid()
-        assert cone_integral(GridFunction(grid, np.ones(grid.shape))) == pytest.approx(1.0, abs=1e-13)
+        assert integrate(grid, np.ones(grid.shape)) == pytest.approx(1.0, abs=1e-13)
 
     def test_zero(self):
         grid = unit_grid()
-        assert cone_integral(GridFunction.zeros(grid)) == 0.0
+        assert integrate(grid, np.zeros(grid.shape)) == 0.0
 
     def test_exponential_against_quadrature(self):
         # int e^a da dx over [-1,0]x[0,1] -> 1 - 1/e as h -> 0, order 2
@@ -229,99 +224,19 @@ class TestConeIntegral:
         for c in (9, 17, 33):
             grid = unit_grid((c, c))
             A, _ = grid.mesh
-            errs.append(abs(cone_integral(GridFunction(grid, np.exp(A))) - exact))
+            errs.append(abs(integrate(grid, np.exp(A)) - exact))
         assert errs[-1] < 1e-4
         assert math.log2(errs[0] / errs[1]) > 1.9
 
     def test_linear_and_monotone(self):
         grid = unit_grid((9, 9))
         rng = np.random.default_rng(1)
-        f = GridFunction(grid, rng.random(grid.shape))
-        g = GridFunction(grid, rng.random(grid.shape))
-        lhs = cone_integral(GridFunction(grid, 2.0 * f.values - 3.0 * g.values))
-        assert lhs == pytest.approx(2 * cone_integral(f) - 3 * cone_integral(g), abs=1e-12)
-        assert cone_integral(GridFunction(grid, np.abs(f.values))) >= 0.0
-
-
-class TestWeightedNorms:
-    def test_zero_function(self):
-        grid = unit_grid()
-        assert weighted_Lp_norm(GridFunction.zeros(grid), NormParams()).value == 0.0
-
-    def test_constant_against_quadrature_oracle(self):
-        # weight (t (1-t) min(x, 1-x)); oracle by 1-d adaptive quadrature on
-        # the truncated radial interval, exact 1/12 * 1/12 in the limit
-        t_min = 1e-3
-        grid = unit_grid((129, 129), t_min=t_min)
-        rep = weighted_Lp_norm(GridFunction(grid, np.ones(grid.shape)),
-                               NormParams(p=2.0, gamma=0.0))
-        radial, _ = quad(lambda t: t * (1.0 - t) ** 2, t_min, 1.0)
-        lateral, _ = quad(lambda x: min(x, 1.0 - x) ** 2, 0.0, 1.0)
-        assert rep.value**2 == pytest.approx(radial * lateral, rel=2e-3)
-        assert not rep.diverges
-        # untruncated limit: 1/12 each factor
-        assert radial == pytest.approx(1.0 / 12.0, rel=5e-3)
-        assert lateral == pytest.approx(1.0 / 12.0, rel=1e-10)
-
-    def test_divergence_flag(self):
-        grid = unit_grid()
-        rep = weighted_Lp_norm(GridFunction(grid, np.ones(grid.shape)),
-                               NormParams(p=2.0, gamma=1.0))  # gamma = n/p
-        assert rep.weight_exponent == 0.0
-        assert rep.diverges
-
-    def test_homogeneity_and_triangle(self):
-        grid = unit_grid((9, 9))
-        rng = np.random.default_rng(2)
-        params = NormParams(p=2.0, gamma=0.3)
-        for _ in range(20):
-            u = rng.standard_normal(grid.shape)
-            v = rng.standard_normal(grid.shape)
-            c = rng.uniform(-3, 3)
-            nu = weighted_Lp_norm(GridFunction(grid, u), params).value
-            nv = weighted_Lp_norm(GridFunction(grid, v), params).value
-            ncu = weighted_Lp_norm(GridFunction(grid, c * u), params).value
-            nsum = weighted_Lp_norm(GridFunction(grid, u + v), params).value
-            assert ncu == pytest.approx(abs(c) * nu, rel=1e-12, abs=1e-14)
-            assert nsum <= nu + nv + 1e-12
-
-    def test_sobolev_m0_collapse(self):
-        grid = unit_grid((9, 9))
-        rng = np.random.default_rng(3)
-        u = GridFunction(grid, rng.standard_normal(grid.shape))
-        params = NormParams(m=0, p=2.0, gamma=0.2)
-        assert weighted_sobolev_norm(u, params).value == pytest.approx(
-            weighted_Lp_norm(u, params).value, rel=1e-14)
-
-    def test_sobolev_constant_m1(self):
-        grid = unit_grid()
-        u = GridFunction(grid, np.full(grid.shape, 2.0))
-        p0 = NormParams(m=0, p=2.0)
-        p1 = NormParams(m=1, p=2.0)
-        assert weighted_sobolev_norm(u, p1).value == pytest.approx(
-            weighted_Lp_norm(u, p0).value, rel=1e-13)
-
-    def test_sobolev_linear_field_oracle(self):
-        # u = a: norm^p = ||a||^p + ||1||^p with the gamma = 0 weight
-        grid = unit_grid((65, 65), t_min=math.exp(-1.0))
-        A, _ = grid.mesh
-        u = GridFunction(grid, A.copy())
-        params = NormParams(m=1, p=2.0, gamma=0.0)
-        got = weighted_sobolev_norm(u, params).value
-
-        def w2(t):
-            return (t * (1.0 - t)) ** 2
-
-        radial_a, _ = quad(lambda t: w2(t) * math.log(t) ** 2 / t, math.exp(-1.0), 1.0)
-        radial_1, _ = quad(lambda t: w2(t) / t, math.exp(-1.0), 1.0)
-        lateral, _ = quad(lambda x: min(x, 1.0 - x) ** 2, 0.0, 1.0)
-        expected = math.sqrt(radial_a * lateral + radial_1 * lateral)
-        assert got == pytest.approx(expected, rel=2e-3)
-
-    def test_sobolev_rejects_high_order(self):
-        grid = unit_grid((9, 9))
-        with pytest.raises(ValueError):
-            weighted_sobolev_norm(GridFunction.zeros(grid), NormParams(m=3))
+        f = rng.random(grid.shape)
+        g = rng.random(grid.shape)
+        lhs = integrate(grid, 2.0 * f - 3.0 * g)
+        assert lhs == pytest.approx(2 * integrate(grid, f) - 3 * integrate(grid, g),
+                                    abs=1e-12)
+        assert integrate(grid, np.abs(f)) >= 0.0
 
 
 @st.composite
@@ -451,8 +366,7 @@ class TestSummationByParts:
             h = grid.h[0]
             du = first_diff(u, 0, h)
             dv = first_diff(v, 0, h)
-            total = cone_integral(GridFunction(grid, du * v)) + cone_integral(
-                GridFunction(grid, u * dv))
+            total = integrate(grid, du * v) + integrate(grid, u * dv)
             assert abs(total) < 1e-14
 
 

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from conepde.calculus import GridFunction, LogGrid, read_gridfunction, write_gridfunction
-from conepde.cli import run, solve_dirichlet
+from conepde.cli import ConfigError, _parse_field_spec, run, solve_dirichlet
 from conepde.geometry import ConeDomain
 
 
@@ -90,6 +92,55 @@ class TestConfigValidation:
                            + f"problem.exact = {spec}\n")
         assert run([command, "--config", cfg]) == 2
         assert "config error: problem.exact:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, spec", [
+        ("problem.f", "exp:1,0,0.5,0.7,9"),
+        ("problem.f", "exp:1,0,0.5,0.7"),
+        ("problem.dirichlet", "poly:0.5,0,2;1,1,0,2"),
+        ("problem.dirichlet", "quadratic:3"),
+        ("problem.f", "logt:x"),
+        ("problem.f", "zero:0"),
+        ("problem.exact", "auto:x"),
+    ])
+    def test_extra_field_spec_arguments_name_key(self, tmp_path, capsys, monkeypatch,
+                                                 key, spec):
+        # at n = 2, exp and each poly term take at most 3 values and the
+        # other kinds none; fewer values stay legal
+        monkeypatch.setattr("conepde.cli.solve_dirichlet", refuse_solve)
+        body = BASE_CONFIG.format(outdir=tmp_path)
+        body = (body.replace(f"{key} = zero", f"{key} = {spec}") if key != "problem.exact"
+                else body + f"{key} = {spec}\n")
+        command = "manufacture" if key == "problem.exact" else "solve"
+        assert run([command, "--config", write_config(tmp_path, body)]) == 2
+        assert f"config error: {key}: malformed spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, short, full", [
+        (2, "exp:1,-3.0", "exp:1,-3.0,0"),
+        (3, "exp:1,0,0.5", "exp:1,0,0.5,0"),
+        (2, "poly:0.5,0,2;1,1", "poly:0.5,0,2;1,1,0"),
+        (3, "poly:2,1", "poly:2,1,0,0"),
+        (2, "zero:", "zero"),
+    ])
+    def test_short_field_spec_reads_missing_values_as_zero(self, n, short, full):
+        # value, gradient and Hessian all agree with the spelled-out spec
+        rng = np.random.default_rng(11)
+        a = rng.uniform(-1.0, 0.0, 5)
+        xs = tuple(rng.uniform(0.0, 1.0, 5) for _ in range(n - 1))
+        got = _parse_field_spec(short, "problem.f", n)
+        want = _parse_field_spec(full, "problem.f", n)
+        for part in ("value", "grad", "hess"):
+            np.testing.assert_array_equal(getattr(got, part)(a, xs),
+                                          getattr(want, part)(a, xs))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_arity_bound_follows_dimension(self, n):
+        # n + 1 values are legal in exp and in every poly term, n + 2 are not
+        full = ",".join(["1"] + ["0.5"] * n)
+        for kind in ("exp", "poly"):
+            _parse_field_spec(f"{kind}:{full}", "problem.f", n)
+            with pytest.raises(ConfigError, match=f"problem.f: malformed spec .*"
+                                                  f"{n + 2} values, at most {n + 1}"):
+                _parse_field_spec(f"{kind}:{full},2", "problem.f", n)
 
     def test_auto_is_only_an_exact_solution(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_CONFIG.format(outdir=tmp_path)
@@ -630,3 +681,21 @@ class TestReportSchema:
                 lines = fh.read().splitlines()
             assert lines[0].startswith("# config_hash=")
             assert lines[1] == header
+
+
+# the tracer patches these by name; a target that no longer resolves drops
+# its spans and per-layer figures without an error.  _subsample_flat left
+# calculus when the Hoelder norm became exact, and the tracer still lists it
+STALE_TRACER_TARGETS = {("conepde.calculus", "_subsample_flat")}
+
+
+def test_benchmark_tracer_targets_resolve():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = {(module, attr) for module, attr, _ in spans.TARGETS}
+    assert STALE_TRACER_TARGETS <= targets
+    missing = {(module, attr) for module, attr in targets
+               if not hasattr(importlib.import_module(module), attr)}
+    assert missing == STALE_TRACER_TARGETS

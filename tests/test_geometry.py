@@ -7,10 +7,7 @@ from conepde.geometry import (
     ConeDomain,
     ConePoint,
     GConditionParams,
-    ball_rescale,
     boundary_distance,
-    cone_ball_contains,
-    cone_distance,
     estimate_g_condition,
     exhaustion,
 )
@@ -21,57 +18,12 @@ def unit_domain(n=2, t_min=math.exp(-1.0)):
                       t_min=t_min)
 
 
-class TestConeDistance:
-    def test_identity(self):
-        z = ConePoint(0.5, [0.3])
-        assert cone_distance(z, z) == 0.0
-
-    def test_pure_radial(self):
-        # only the log term: |ln 1 - ln e^-1| = 1
-        assert cone_distance(ConePoint(1.0, [0.0]), ConePoint(math.exp(-1), [0.0])) == pytest.approx(1.0)
-
-    def test_hand_evaluated(self):
-        # sqrt((ln e^-1 - ln e^-2)^2 + (0.3 - 0.7)^2) = sqrt(1.16)
-        d = cone_distance(ConePoint(math.exp(-1), [0.3]), ConePoint(math.exp(-2), [0.7]))
-        assert d == pytest.approx(math.sqrt(1.16), abs=1e-12)
-        assert d == pytest.approx(1.0770329614269007, abs=1e-12)
-
+class TestConePoint:
     def test_rejects_nonpositive_t(self):
         with pytest.raises(ValueError):
             ConePoint(0.0, [0.1])
         with pytest.raises(ValueError):
             ConePoint(-1.0, [0.1])
-
-    def test_metric_properties_random(self):
-        rng = np.random.default_rng(7)
-        for _ in range(1000):
-            pts = [ConePoint(math.exp(rng.uniform(-3, 0)), rng.uniform(0, 1, 2))
-                   for _ in range(3)]
-            a, b, c = pts
-            dab, dba = cone_distance(a, b), cone_distance(b, a)
-            assert dab >= 0.0
-            assert dab == pytest.approx(dba, abs=1e-14)
-            assert cone_distance(a, c) <= dab + cone_distance(b, c) + 1e-12
-
-
-class TestConeBall:
-    def test_center(self):
-        c = ConePoint(0.5, [0.5])
-        assert cone_ball_contains(c, 0.1, c)
-
-    def test_open_at_radius(self):
-        # distance exactly 1, open ball excludes it
-        assert not cone_ball_contains(ConePoint(math.exp(-1), [0.0]), 1.0,
-                                      ConePoint(1.0, [0.0]))
-
-    def test_strictly_inside(self):
-        assert cone_ball_contains(ConePoint(math.exp(-1), [0.3]), 1.1,
-                                  ConePoint(math.exp(-2), [0.7]))
-
-    def test_rejects_bad_radius(self):
-        c = ConePoint(0.5, [0.5])
-        with pytest.raises(ValueError):
-            cone_ball_contains(c, 0.0, c)
 
 
 class TestBoundaryDistance:
@@ -93,40 +45,15 @@ class TestBoundaryDistance:
             boundary_distance(ConePoint(0.5, [1.5]), unit_domain())
 
     def test_triangle_compatibility(self):
+        # the cone metric is Euclidean in (ln t, x)
         dom = unit_domain(t_min=1e-3)
         rng = np.random.default_rng(3)
         for _ in range(300):
             z = ConePoint(math.exp(rng.uniform(-2, 0)), rng.uniform(0, 1, 1))
             w = ConePoint(math.exp(rng.uniform(-2, 0)), rng.uniform(0, 1, 1))
             assert boundary_distance(z, dom) <= (
-                cone_distance(z, w) + boundary_distance(w, dom) + 1e-12
+                np.linalg.norm(z.as_log() - w.as_log()) + boundary_distance(w, dom) + 1e-12
             )
-
-
-class TestBallRescale:
-    def test_identity_at_unit_scale(self):
-        c = ConePoint(0.5, [0.2])
-        w = ConePoint(0.3, [0.8])
-        out = ball_rescale(c, 1.0, w)
-        assert out.t == pytest.approx(w.t, abs=1e-15)
-        np.testing.assert_allclose(out.x, w.x, atol=1e-15)
-
-    def test_center_fixed(self):
-        c = ConePoint(0.5, [0.2])
-        out = ball_rescale(c, 0.37, c)
-        assert out.t == pytest.approx(c.t, rel=1e-15)
-        np.testing.assert_allclose(out.x, c.x, atol=1e-15)
-
-    def test_exact_distance_scaling(self):
-        # ln(s^d t0^(1-d)) - ln t0 = d (ln s - ln t0) makes the scaling exact
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            c = ConePoint(math.exp(rng.uniform(-2, 0)), rng.uniform(0, 1, 2))
-            w = ConePoint(math.exp(rng.uniform(-2, 0)), rng.uniform(0, 1, 2))
-            d = rng.uniform(0.1, 3.0)
-            out = ball_rescale(c, d, w)
-            assert cone_distance(out, c) == pytest.approx(
-                d * cone_distance(w, c), rel=1e-12, abs=1e-14)
 
 
 class TestExhaustion:

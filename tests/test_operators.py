@@ -4,28 +4,25 @@ import numpy as np
 import pytest
 
 import oracles
-from conepde.calculus import GridFunction, LogGrid, b_gradient
+from conepde.calculus import GridFunction, LogGrid, gradient_field
 from conepde.geometry import ConeDomain
 from conepde.operators import (
     INCONSISTENT,
     SOLUTION_CONSISTENT,
+    SUB_CONSISTENT,
+    SUPER_CONSISTENT,
     PDEProblem,
     PucciParams,
     TransformParams,
     classify_point,
     constant_field,
-    full_residual_from_derivs,
     log_polynomial_field,
-    log_residual_from_derivs,
+    operator_terms,
     psi,
     psi_inverse,
-    pucci_lower_residual,
     pucci_minus,
     pucci_plus,
-    pucci_upper_residual,
     q_matrix,
-    residual_full,
-    residual_log,
     residual_log_field,
     separable_exponential_field,
     transformed_residual,
@@ -49,6 +46,11 @@ def unit_grid(counts=(17, 17), n=2, t_min=math.exp(-1.0)):
 
 def zero_field(t, xs):
     return np.zeros_like(np.asarray(t, dtype=float))
+
+
+def strong_residual(u, prob, eps_reg=0.0, extremal=None):
+    """The strong-form residual field: t^-p times the log-chart one."""
+    return u.grid.t_field ** -prob.p * residual_log_field(u, prob, eps_reg, extremal)
 
 
 class TestQMatrix:
@@ -166,10 +168,8 @@ class TestLogForcing:
         with pytest.raises(FloatingPointError, match="not finite at 1 "):
             prob.log_forcing(grid, interior_only)
 
-
-class TestPointwiseForcing:
-    # at u = 0 the operator vanishes, so the pointwise log-chart residual is
-    # -t^p f: the node's entry of log_forcing, bit for bit
+    # at u = 0 the operator vanishes, so the log-chart residual is -t^p f:
+    # log_forcing negated, bit for bit
     @pytest.mark.parametrize("n, p, f", [
         (2, 3.0, separable_exponential_field(0.37, -2.3, [0.7])),
         (3, 4.0, separable_exponential_field(-1.1, 0.6, [0.9, -1.7])),
@@ -178,10 +178,7 @@ class TestPointwiseForcing:
         grid = unit_grid((17, 17) if n == 2 else (9, 9, 9), n=n)
         prob = PDEProblem(p=p, n=n, f=f, dirichlet=zero_field)
         u0 = GridFunction.zeros(grid)
-        F = prob.log_forcing(grid)
-        field = residual_log_field(u0, prob)
-        for node in zip(*np.nonzero(~grid.boundary_mask)):
-            assert residual_log(u0, node, prob) == -F[node] == field[node]
+        assert np.array_equal(residual_log_field(u0, prob), -prob.log_forcing(grid))
 
 
 def bits(x):
@@ -262,14 +259,14 @@ class TestResiduals:
         grid = unit_grid()
         prob = PDEProblem(p=3.0, n=2, f=zero_field, dirichlet=zero_field)
         u = GridFunction(grid, np.full(grid.shape, 4.0))
-        assert residual_full(u, (8, 8), prob) == pytest.approx(0.0, abs=1e-14)
-        assert residual_log(u, (8, 8), prob) == pytest.approx(0.0, abs=1e-14)
+        assert strong_residual(u, prob)[8, 8] == pytest.approx(0.0, abs=1e-14)
+        assert residual_log_field(u, prob)[8, 8] == pytest.approx(0.0, abs=1e-14)
 
     def test_constant_field_returns_minus_f(self):
         grid = unit_grid()
         prob = PDEProblem(p=3.0, n=2, f=constant_field(2.5), dirichlet=zero_field)
         u = GridFunction(grid, np.full(grid.shape, 1.0))
-        assert residual_full(u, (5, 5), prob) == pytest.approx(-2.5, abs=1e-14)
+        assert strong_residual(u, prob)[5, 5] == pytest.approx(-2.5, abs=1e-14)
 
     def test_exact_power_solution(self):
         # t^((p-n)/(p-1)) is forcing-free: residual O(h^2) + O(eps^(p-2))
@@ -277,13 +274,12 @@ class TestResiduals:
             grid = unit_grid((25,) * n, n=n)
             u = exact_solution_values(make_exact_solution(p, n), grid)
             prob = PDEProblem(p=p, n=n, f=zero_field, dirichlet=zero_field)
-            node = (12,) * n
-            assert abs(residual_full(u, node, prob, eps_reg=0.0)) < 5e-3
+            r1 = abs(strong_residual(u, prob)[(12,) * n])
+            assert r1 < 5e-3
             # refined grid shrinks the residual by about 4
             grid2 = unit_grid((49,) * n, n=n)
             u2 = exact_solution_values(make_exact_solution(p, n), grid2)
-            r1 = abs(residual_full(u, node, prob))
-            r2 = abs(residual_full(u2, (24,) * n, prob))
+            r2 = abs(strong_residual(u2, prob)[(24,) * n])
             if r1 > 1e-12:
                 assert r2 < r1 / 2.0
 
@@ -292,7 +288,7 @@ class TestResiduals:
         prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
         A, _ = grid.mesh
         u = GridFunction(grid, A.copy())
-        assert residual_full(u, (8, 8), prob) == pytest.approx(0.0, abs=1e-12)
+        assert strong_residual(u, prob)[8, 8] == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_gradient_returns_minus_f(self):
         # zero gradient, nonzero Hessian, p > 2, no smoothing: the degenerate
@@ -302,24 +298,12 @@ class TestResiduals:
         u = GridFunction(grid, (X - 0.5) ** 2)
         prob = PDEProblem(p=3.0, n=2, f=constant_field(1.3), dirichlet=zero_field)
         node = (8, 16)  # x = 0.5: the critical line of the paraboloid
-        assert b_gradient(u, node)[1] == pytest.approx(0.0, abs=1e-15)
-        assert residual_full(u, node, prob, eps_reg=0.0) == pytest.approx(-1.3)
+        assert gradient_field(u)[1][node] == pytest.approx(0.0, abs=1e-15)
+        assert strong_residual(u, prob, eps_reg=0.0)[node] == pytest.approx(-1.3)
 
     def test_singular_exponent_range_rejected(self):
         with pytest.raises(ValueError):
             PDEProblem(p=1.5, n=2, f=zero_field, dirichlet=zero_field)
-
-    def test_full_equals_scaled_log(self):
-        # residual_full = t^-p residual_log at every interior node
-        grid = unit_grid((13, 13))
-        rng = np.random.default_rng(4)
-        u = GridFunction(grid, rng.standard_normal(grid.shape))
-        prob = PDEProblem(p=2.5, n=2, f=constant_field(0.7), dirichlet=zero_field)
-        for node in [(3, 4), (6, 6), (11, 2)]:
-            t = math.exp(grid.a[node[0]])
-            lhs = residual_full(u, node, prob, eps_reg=1e-3)
-            rhs = t ** (-prob.p) * residual_log(u, node, prob, eps_reg=1e-3)
-            assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_manufactured_quadratic_forcing(self):
         # flattened field a^2 + x^2 at p = n = 2 needs forcing 4 e^(-2a)
@@ -330,7 +314,7 @@ class TestResiduals:
         f = prob.forcing_values(grid)
         np.testing.assert_allclose(f, 4.0 * np.exp(-2.0 * A), rtol=1e-12)
         u = exact_solution_values(u_star, grid)
-        assert residual_log(u, (8, 8), prob) == pytest.approx(0.0, abs=1e-11)
+        assert residual_log_field(u, prob)[8, 8] == pytest.approx(0.0, abs=1e-11)
 
     def test_constant_forcing_log_residual(self):
         grid = unit_grid()
@@ -338,29 +322,26 @@ class TestResiduals:
         u = GridFunction(grid, np.full(grid.shape, 2.0))
         node = (7, 7)
         a = grid.a[node[0]]
-        assert residual_log(u, node, prob) == pytest.approx(-math.exp(2 * a), abs=1e-13)
+        assert residual_log_field(u, prob)[node] == pytest.approx(-math.exp(2 * a), abs=1e-13)
 
     def test_pucci_ordering(self):
         grid = unit_grid((13, 13))
         rng = np.random.default_rng(5)
         u = GridFunction(grid, rng.standard_normal(grid.shape))
         prob = PDEProblem(p=3.0, n=2, f=constant_field(0.2), dirichlet=zero_field)
+        lower, mid, upper = (strong_residual(u, prob, 1e-6, extremal)
+                             for extremal in ("lower", None, "upper"))
         for node in [(4, 4), (6, 9), (10, 3)]:
-            lower = pucci_lower_residual(u, node, prob, eps_reg=1e-6)
-            mid = residual_full(u, node, prob, eps_reg=1e-6)
-            upper = pucci_upper_residual(u, node, prob, eps_reg=1e-6)
-            assert lower - 1e-12 <= mid <= upper + 1e-12
+            assert lower[node] - 1e-12 <= mid[node] <= upper[node] + 1e-12
 
     def test_p2_collapses_pucci(self):
         grid = unit_grid((13, 13))
         rng = np.random.default_rng(6)
         u = GridFunction(grid, rng.standard_normal(grid.shape))
         prob = PDEProblem(p=2.0, n=2, f=constant_field(0.4), dirichlet=zero_field)
-        node = (5, 5)
-        assert pucci_lower_residual(u, node, prob) == pytest.approx(
-            residual_full(u, node, prob), abs=1e-12)
-        assert pucci_upper_residual(u, node, prob) == pytest.approx(
-            residual_full(u, node, prob), abs=1e-12)
+        mid = strong_residual(u, prob)[5, 5]
+        for extremal in ("lower", "upper"):
+            assert strong_residual(u, prob, 0.0, extremal)[5, 5] == pytest.approx(mid, abs=1e-12)
 
     def test_degenerate_ellipticity_monotone_in_hessian(self):
         # increasing the Hessian (as a form) never lowers the residual
@@ -372,8 +353,8 @@ class TestResiduals:
             X = 0.5 * (B + B.T)
             C = rng.standard_normal((n, n))
             Y = X + C @ C.T  # Y >= X
-            lo = full_residual_from_derivs(0.6, g, X, 3.0, 2, 0.0, eps_reg=1e-8)
-            hi = full_residual_from_derivs(0.6, g, Y, 3.0, 2, 0.0, eps_reg=1e-8)
+            lo = 0.6 ** -3.0 * operator_terms(g, X, 3.0, 2, eps_reg=1e-8)[0]
+            hi = 0.6 ** -3.0 * operator_terms(g, Y, 3.0, 2, eps_reg=1e-8)[0]
             assert hi >= lo - 1e-10
 
 
@@ -384,8 +365,9 @@ class TestClassify:
         u = exact_solution_values(make_exact_solution(p, n), grid)
         prob = PDEProblem(p=p, n=n, f=zero_field, dirichlet=zero_field)
         tol = 10 * grid.h[0] ** 2
+        labels = classify_point(u, prob, 1e-6, tol)
         for node in [(8, 8), (16, 16), (24, 10)]:
-            assert classify_point(u, node, prob, 1e-6, tol) == SOLUTION_CONSISTENT
+            assert labels[node] == SOLUTION_CONSISTENT
 
     def test_bump_breaks_consistency(self):
         # the extremal residuals always bracket each other, so a perturbed
@@ -399,10 +381,7 @@ class TestClassify:
         u_bumped = GridFunction(grid, u.values + bump)
         prob = PDEProblem(p=p, n=n, f=zero_field, dirichlet=zero_field)
         tol = 10 * grid.h[0] ** 2
-        labels = {
-            classify_point(u_bumped, node, prob, 1e-6, tol)
-            for node in [(i, j) for i in range(12, 21) for j in range(12, 21)]
-        }
+        labels = set(classify_point(u_bumped, prob, 1e-6, tol)[12:21, 12:21].ravel())
         assert labels - {SOLUTION_CONSISTENT}
         assert INCONSISTENT not in labels  # unreachable: lower <= upper
 
@@ -410,7 +389,31 @@ class TestClassify:
         grid = unit_grid()
         prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
         u = GridFunction.zeros(grid)
-        assert classify_point(u, (8, 8), prob, 0.0, 1e-12) == SOLUTION_CONSISTENT
+        assert classify_point(u, prob, 0.0, 1e-12)[8, 8] == SOLUTION_CONSISTENT
+
+    @pytest.mark.parametrize("p, n", [(2.0, 2), (3.0, 2), (4.5, 2), (3.0, 3)])
+    def test_labels_match_pointwise_pucci_oracle(self, p, n):
+        # every node, faces included, against the per-node Pucci residuals;
+        # nodes whose oracle value sits within round-off of +-tol are skipped
+        grid = unit_grid((9,) * n, n=n)
+        u = GridFunction(grid, np.random.default_rng(12).standard_normal(grid.shape))
+        prob = PDEProblem(p=p, n=n, f=constant_field(0.3), dirichlet=zero_field)
+        tol = 5.0
+        labels = classify_point(u, prob, 1e-3, tol)
+        assert labels.shape == grid.shape
+        checked = 0
+        for node in np.ndindex(grid.shape):
+            scale = grid.t_field[node] ** -p
+            lower, upper = (scale * oracles.pointwise_residual_log(u, node, prob, 1e-3, ext)
+                            for ext in ("lower", "upper"))
+            if min(abs(lower - tol), abs(upper + tol)) < 1e-8 * (1.0 + abs(lower) + abs(upper)):
+                continue
+            lower_ok, upper_ok = lower <= tol, upper >= -tol
+            want = {(True, True): SOLUTION_CONSISTENT, (True, False): SUPER_CONSISTENT,
+                    (False, True): SUB_CONSISTENT, (False, False): INCONSISTENT}
+            assert labels[node] == want[lower_ok, upper_ok]
+            checked += 1
+        assert checked > 0.9 * labels.size
 
 
 class TestPsiTransform:
@@ -442,7 +445,7 @@ class TestPsiTransform:
         prob = PDEProblem(p=3.0, n=2, f=zero_field, dirichlet=zero_field)
         params = TransformParams.from_bound(1.0)
         z = GridFunction.zeros(grid)
-        assert transformed_residual(z, (8, 8), prob, params) == pytest.approx(0.0, abs=1e-14)
+        assert transformed_residual(z, prob, params)[8, 8] == pytest.approx(0.0, abs=1e-14)
 
     def test_constants_become_strict_supersolutions(self):
         # z = c with forcing floor t^p f = w gives exactly -w e^(c(p-1)) / K^(p-1)
@@ -454,12 +457,34 @@ class TestPsiTransform:
         params = TransformParams.from_bound(2.0)
         z = GridFunction(grid, np.full(grid.shape, c))
         expected = -w * math.exp(c * (p - 1.0)) / params.K ** (p - 1.0)
-        got = transformed_residual(z, (8, 8), prob, params)
+        got = transformed_residual(z, prob, params)[8, 8]
         assert got == pytest.approx(expected, rel=1e-12)
         assert got < 0.0
 
+    @pytest.mark.parametrize("p, n", [(3.0, 2), (2.5, 3)])
+    def test_transformed_residual_matches_pointwise_oracle(self, p, n):
+        # every node: the forcing-free per-node residual of z, less
+        # (p-1) |g|_d^p and t^p f e^(z(p-1)) / K^(p-1)
+        grid = unit_grid((7,) * n, n=n)
+        rng = np.random.default_rng(13)
+        z = GridFunction(grid, 0.3 * rng.standard_normal(grid.shape))
+        prob = PDEProblem(p=p, n=n, f=constant_field(0.7), dirichlet=zero_field)
+        free = PDEProblem(p=p, n=n, f=zero_field, dirichlet=zero_field)
+        params = TransformParams.from_bound(1.4)
+        eps_reg = 1e-3
+        got = transformed_residual(z, prob, params, eps_reg)
+        assert got.shape == grid.shape
+        for node in np.ndindex(grid.shape):
+            g = oracles.pointwise_gradient(z, node)
+            s2 = float(g @ g) + eps_reg ** 2
+            want = (oracles.pointwise_residual_log(z, node, free, eps_reg)
+                    - (p - 1.0) * s2 ** (p / 2.0)
+                    - 0.7 * grid.t_field[node] ** p * math.exp(z.values[node] * (p - 1.0))
+                    / params.K ** (p - 1.0))
+            assert got[node] == pytest.approx(want, rel=1e-11, abs=1e-9)
+
     def test_chain_rule_identity_analytic(self):
-        # residual_full(psi(z)) = psi'(z)^(p-1) t^-p transformed_residual(z)
+        # strong residual of psi(z) = psi'(z)^(p-1) t^-p transformed_residual(z)
         # on explicit derivatives; the substitution is exact there
         rng = np.random.default_rng(8)
         p, n = 3.0, 2
@@ -475,9 +500,9 @@ class TestPsiTransform:
             dpsi = params.K * math.exp(-zval)
             gv = dpsi * gz
             Hv = dpsi * Hz - dpsi * np.outer(gz, gz)
-            lhs = full_residual_from_derivs(t, gv, Hv, p, n, fval)
+            lhs = t ** -p * operator_terms(gv, Hv, p, n)[0] - fval
             rhs = (dpsi ** (p - 1.0) / t ** p) * transformed_residual_from_derivs(
-                t, zval, gz, Hz, p, n, fval, params.K)
+                zval, gz, Hz, p, n, fval * t ** p, params.K)
             assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-8)
 
     def test_chain_rule_identity_on_grid(self):
@@ -492,14 +517,14 @@ class TestPsiTransform:
             zvals = 0.25 * np.sin(2 * A) * np.cos(X) + 0.1 * A
             z = GridFunction(grid, zvals)
             v = GridFunction(grid, np.asarray(psi(zvals, params)))
+            strong_v = strong_residual(v, prob, eps_reg=0.0)
+            transformed = transformed_residual(z, prob, params, eps_reg=0.0)
             worst = 0.0
             for node in [(i, j) for i in range(2, c - 2, 3) for j in range(2, c - 2, 3)]:
                 t = math.exp(grid.a[node[0]])
                 dpsi = params.K * math.exp(-zvals[node])
-                lhs = residual_full(v, node, prob, eps_reg=0.0)
-                rhs = (dpsi ** (p - 1.0) / t ** p) * transformed_residual(
-                    z, node, prob, params, eps_reg=0.0)
-                worst = max(worst, abs(lhs - rhs))
+                rhs = (dpsi ** (p - 1.0) / t ** p) * transformed[node]
+                worst = max(worst, abs(strong_v[node] - rhs))
             errs.append(worst)
         assert errs[1] <= errs[0] / 2.0
         assert errs[0] < 1.0

@@ -43,7 +43,6 @@ problem.p = {p}
 problem.f = constant:-1
 problem.dirichlet = zero
 problem.exact = auto
-problem.omega = 0.0
 grid.nodes = 13,13
 exhaust.j_max = 3
 exhaust.density = 8
@@ -54,8 +53,8 @@ study.levels = 2
 verify.radii = 0.3,0.15,0.075
 output.dir = out
 """
-# t^p f = 0.1 meets the comparison pair's forcing floor omega = 0.1 at every p
-PAIR = "problem.omega = 0.1\nproblem.f = exp:0.1,-{p}\n"
+# t^p f = 0.1 at every p, the positive floor the comparison pair needs
+PAIR = "problem.f = exp:0.1,-{p}\n"
 STORED = "verify.solution = src.gf\n"
 # the pair's own solution, written by a solve of the same config
 SOLVED = "verify.solution = out/solution.gf\n"
