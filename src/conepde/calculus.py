@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,6 +31,25 @@ __all__ = [
     "write_gridfunction",
     "read_gridfunction",
 ]
+
+
+class StencilPattern(NamedTuple):
+    """The sparsity pattern of a sum of the grid's operators with node
+    coefficients on the interior block (``LogGrid.interior_pattern``).
+
+    ``weights[t, o]`` is operator t's weight at stencil offset o.  For
+    coefficient columns c (one interior row per node in dissection order,
+    one column per operator), the products ``(c @ weights).ravel()`` taken
+    at ``gather`` are the CSC data for ``indices`` and ``indptr``: the
+    products in boundary columns are left out, the rest come by column,
+    rows ascending.  The arrays are read-only, since every matrix built on
+    them shares them."""
+
+    weights: np.ndarray
+    gather: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
 
 @dataclass(frozen=True, eq=False)
 class LogGrid:
@@ -149,22 +168,62 @@ class LogGrid:
         numbered recursively and then the plane, down to boxes whose longest
         axis has fewer than 3 nodes.  Every stencil on an interior row,
         the mixed Hessian entries included, reaches at most one step along
-        each axis, so the plane decouples the two halves."""
-        order = []
+        each axis, so the plane decouples the two halves.
 
-        def number(box):
-            axis = int(np.argmax(box.shape))
-            if box.shape[axis] < 3:
-                order.append(box.ravel())
-                return
-            box = np.moveaxis(box, axis, 0)
-            mid = box.shape[0] // 2
-            number(box[:mid])
-            number(box[mid + 1:])
-            order.append(box[mid].ravel())
+        A box's numbering depends only on its shape in its current axis
+        order, so each shape is numbered once, as positions in its own
+        row-major box, and a parent reads its children's numberings through
+        the row-major positions of its two halves."""
+        local = {}
 
-        number(np.arange(math.prod(self.shape)).reshape(self.shape)[(slice(1, -1),) * self.n])
-        return np.concatenate(order)
+        def number(shape):
+            if shape not in local:
+                axis = int(np.argmax(shape))
+                box = np.arange(math.prod(shape)).reshape(shape)
+                if shape[axis] < 3:
+                    local[shape] = box.ravel()
+                else:
+                    box = np.moveaxis(box, axis, 0)
+                    mid = box.shape[0] // 2
+                    halves = [box[:mid], box[mid + 1:]]
+                    local[shape] = np.concatenate(
+                        [h.ravel()[number(h.shape)] for h in halves] + [box[mid].ravel()])
+            return local[shape]
+
+        inner = np.arange(math.prod(self.shape)).reshape(self.shape)[(slice(1, -1),) * self.n]
+        return inner.ravel()[number(inner.shape)]
+
+    @cached_property
+    def interior_pattern(self) -> StencilPattern:
+        """The sparsity pattern of sum_t diag(c_t) op_t on the interior
+        block, rows and columns in ``dissection_order``, over the grid's
+        operators op_t: the ``hessian_ops`` in their order, then the
+        ``first_diff_ops``.  It depends on the grid alone, so the stencils
+        are read once per grid, not once per matrix; see ``StencilPattern``."""
+        ops = (*self.hessian_ops.values(), *self.first_diff_ops)
+        order = self.dissection_order
+        # on interior rows each operator is one stencil translated along the
+        # grid: read its column offsets and weights off one interior row
+        stencils = [op[order[0]].tocoo() for op in ops]
+        offsets = np.unique(np.concatenate([st.col for st in stencils]))
+        weights = np.zeros((len(ops), offsets.size))
+        for t, st in enumerate(stencils):
+            weights[t, np.searchsorted(offsets, st.col)] = st.data
+        # boundary nodes keep rank -1: their columns multiply data and are dropped
+        rank = np.full(math.prod(self.shape), -1)
+        rank[order] = np.arange(order.size)
+        cols = rank[order[:, None] + (offsets - order[0])].ravel()
+        inner = np.flatnonzero(cols >= 0)
+        # row-major products are in row order, so a stable sort by column
+        # puts them in CSC order: by column, rows ascending
+        gather = inner[np.argsort(cols[inner], kind="stable")]
+        index = np.int32 if max(gather.size, order.size) < 2**31 else np.int64
+        indices = (gather // offsets.size).astype(index)
+        indptr = np.zeros(order.size + 1, dtype=index)
+        np.cumsum(np.bincount(cols[inner], minlength=order.size), out=indptr[1:])
+        for arr in (weights, gather, indices, indptr):
+            arr.flags.writeable = False
+        return StencilPattern(weights, gather, indices, indptr)
 
     @cached_property
     def hessian_ops(self) -> dict:
@@ -176,19 +235,6 @@ class LogGrid:
             ops[(k, k)] = self._stencil_op(k, second_diff)
             ops.update({(k, l): D[k] @ D[l] for l in range(k + 1, self.n)})
         return ops
-
-    @cached_property
-    def boundary_distance_field(self) -> np.ndarray:
-        """Distance of each node to the analytic boundary, in the cone metric."""
-        A = self.mesh[0]
-        d = self.domain.a_max - A
-        for k in range(self.n - 1):
-            X = self.mesh[1 + k]
-            d = np.minimum(d, X - self.domain.base_lo[k])
-            d = np.minimum(d, self.domain.base_hi[k] - X)
-        if self.domain.bottom_is_boundary:
-            d = np.minimum(d, A - self.domain.a_min)
-        return np.maximum(d, 0.0)
 
 
 class GridFunction:

@@ -6,7 +6,10 @@ The continuation fixes p: for p > 2 a linearized p = 2 presolve gives the
 starting field, and one queue of eps_reg stages at the target p follows.
 A p = 2 Newton system has constant coefficients and is solved exactly by
 fast diagonalization; at other p the Jacobian is assembled on the interior
-nodes, in the grid's nested-dissection order.  Consecutive Jacobians of a
+nodes, in the grid's nested-dissection order.  Its sparsity pattern is
+fixed for the grid and kept on it, so a step computes only the numeric
+values (the symbolic/numeric split of sparse direct methods; Davis, Direct
+Methods for Sparse Linear Systems, SIAM 2006).  Consecutive Jacobians of a
 solve differ little, so one ``splu`` factor is kept for the whole solve:
 each step first runs one short cycle of GMRES preconditioned by it, and
 only a step where that cycle misses its tolerance factorizes its own
@@ -167,29 +170,25 @@ def _assemble_jacobian(values: np.ndarray, grid: LogGrid, p: float, n: int,
     columns in ``grid.dissection_order``; boundary values are data, not
     unknowns.  Its rows are sum_kl A_kl H_kl + sum_k C_k G_k + B G_0: the
     residual's own operators weighted by the partial derivatives of the
-    residual algebra, so the block is its exact linearization."""
+    residual algebra, so the block is its exact linearization.
+
+    The sparsity pattern is fixed for the grid (``grid.interior_pattern``),
+    so a call does only the numeric part: the coefficient fields, one
+    product with the stencil weights and one gather into CSC data order.
+    B keeps its own term on G_0 rather than being added to C_0, which
+    would round differently."""
     u = GridFunction(grid, values, check_finite=False)
     _, A, B, C = operator_terms(gradient_field(u), hessian_field(u), p, n, eps_reg,
                                 slopes=True)
-    pairs = [(op, A[k, l] * (1.0 if k == l else 2.0)) for (k, l), op in grid.hessian_ops.items()]
-    pairs += list(zip(grid.first_diff_ops, C))
-    pairs.append((grid.first_diff_ops[0], B))
-    order = grid.dissection_order
-    # on interior rows each operator is one stencil translated along the
-    # grid: read its column offsets and weights off one interior row
-    stencils = [op[order[0]].tocoo() for op, _ in pairs]
-    offsets = np.unique(np.concatenate([st.col for st in stencils]))
-    W = np.zeros((len(pairs), offsets.size))
-    for t, st in enumerate(stencils):
-        W[t, np.searchsorted(offsets, st.col)] = st.data
-    data = np.stack([c.ravel()[order] for _, c in pairs], axis=1) @ W
-    # boundary nodes keep rank -1: their columns multiply data and are dropped
-    rank = np.full(math.prod(grid.shape), -1)
-    rank[order] = np.arange(order.size)
-    cols = rank[order[:, None] + (offsets - order[0])]
-    inner = cols >= 0
-    rows = np.broadcast_to(np.arange(order.size)[:, None], cols.shape)[inner]
-    return sp.csc_matrix((data[inner], (rows, cols[inner])), shape=(order.size, order.size))
+    pattern, order = grid.interior_pattern, grid.dissection_order
+    coeffs = [A[k, l] * (1.0 if k == l else 2.0) for k, l in grid.hessian_ops]
+    coeffs += [*C, B]
+    # pattern rows: the Hessian operators, then G_0 ... G_{n-1}, then G_0 for B
+    h = len(grid.hessian_ops)
+    weights = pattern.weights[[*range(h + n), h]]
+    data = np.stack([c.ravel()[order] for c in coeffs], axis=1) @ weights
+    return sp.csc_matrix((data.ravel()[pattern.gather], pattern.indices, pattern.indptr),
+                         shape=(order.size, order.size))
 
 
 def _solve_linear(grid: LogGrid, drift: float, rhs: np.ndarray) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 They are the pointwise forms of code the package evaluates on whole fields or
 in closed form: per-node difference stencils, the per-point residual algebra,
-the full-grid Newton Jacobian as a sum of weighted grid operators, the
-Newton step that factorizes every Jacobian afresh, the all-pairs ball
+the full-grid Newton Jacobian as a sum of weighted grid operators, its
+interior block assembled from the stencils on every call, the recursive
+nested-dissection numbering, the Newton step that factorizes every
+Jacobian afresh, the per-node boundary distance, the all-pairs ball
 supremum of the forcing, and the all-pairs loops of the regularizations,
 the doubling diagnostic and the Hoelder seminorm, and the closed-form
 fields written out kind by kind.  Nothing here is imported by the package
@@ -239,6 +241,54 @@ def full_jacobian(values, grid, p, n, eps_reg):
     return (J + sp.diags(bmask.astype(float))).tocsr()
 
 
+def coo_interior_block(values, grid, p, n, eps_reg):
+    """The interior block of ``full_jacobian`` built from scratch: each
+    operator's stencil read off one interior row, the (row, offset) products
+    with the boundary columns dropped, and a COO to CSC conversion.  It is
+    the reference for ``solver._assemble_jacobian``, which keeps the pattern
+    on the grid; the two agree bit for bit."""
+    u = GridFunction(grid, values, check_finite=False)
+    _, A, B, C = operator_terms(gradient_field(u), hessian_field(u), p, n, eps_reg,
+                                slopes=True)
+    pairs = [(op, A[k, l] * (1.0 if k == l else 2.0)) for (k, l), op in grid.hessian_ops.items()]
+    pairs += list(zip(grid.first_diff_ops, C))
+    pairs.append((grid.first_diff_ops[0], B))
+    order = grid.dissection_order
+    stencils = [op[order[0]].tocoo() for op, _ in pairs]
+    offsets = np.unique(np.concatenate([st.col for st in stencils]))
+    W = np.zeros((len(pairs), offsets.size))
+    for t, st in enumerate(stencils):
+        W[t, np.searchsorted(offsets, st.col)] = st.data
+    data = np.stack([c.ravel()[order] for _, c in pairs], axis=1) @ W
+    rank = np.full(math.prod(grid.shape), -1)
+    rank[order] = np.arange(order.size)
+    cols = rank[order[:, None] + (offsets - order[0])]
+    inner = cols >= 0
+    rows = np.broadcast_to(np.arange(order.size)[:, None], cols.shape)[inner]
+    return sp.csc_matrix((data[inner], (rows, cols[inner])), shape=(order.size, order.size))
+
+
+def recursive_dissection_order(grid):
+    """``LogGrid.dissection_order`` by plain recursion on views of the
+    interior box, one call per box: the reference for the grid's numbering,
+    which numbers each box shape once."""
+    order = []
+
+    def number(box):
+        axis = int(np.argmax(box.shape))
+        if box.shape[axis] < 3:
+            order.append(box.ravel())
+            return
+        box = np.moveaxis(box, axis, 0)
+        mid = box.shape[0] // 2
+        number(box[:mid])
+        number(box[mid + 1:])
+        order.append(box[mid].ravel())
+
+    number(np.arange(math.prod(grid.shape)).reshape(grid.shape)[(slice(1, -1),) * grid.n])
+    return np.concatenate(order)
+
+
 def refactorized_solve(J, grid, rhs, factor):
     """The p != 2 Newton step with a fresh ``splu`` factor of the interior
     block J on every call, in its own order: the reference for
@@ -363,3 +413,19 @@ def hoelder_norm(u, rho, chunk=int(1e6)):
         q[d2 == 0.0] = 0.0
         semi = max(semi, float(np.max(q)))
     return float(np.max(np.abs(vals))) + semi
+
+
+# ---------------------------------------------------------------------------
+# boundary distance per node
+
+def boundary_distance_field(grid):
+    """Distance of each node to the analytic boundary, in the cone metric."""
+    A = grid.mesh[0]
+    d = grid.domain.a_max - A
+    for k in range(grid.n - 1):
+        X = grid.mesh[1 + k]
+        d = np.minimum(d, X - grid.domain.base_lo[k])
+        d = np.minimum(d, grid.domain.base_hi[k] - X)
+    if grid.domain.bottom_is_boundary:
+        d = np.minimum(d, A - grid.domain.a_min)
+    return np.maximum(d, 0.0)

@@ -27,7 +27,7 @@ from conepde.solver import (
     manufactured_problem,
     solve_dirichlet,
 )
-from oracles import ball_sup_forcing
+from oracles import ball_sup_forcing, boundary_distance_field
 
 
 def unit_domain(n=2, t_min=math.exp(-1.0)):
@@ -131,7 +131,7 @@ class TestForcingSup:
         f_vals = rng.standard_normal(grid.shape)
         prob = PDEProblem(p=p, n=n, f=lambda t, xs: f_vals, dirichlet=zero_field)
         u = GridFunction(grid, rng.standard_normal(grid.shape))
-        radius = 2.0 * K0 * np.minimum(grid.boundary_distance_field, d0)
+        radius = 2.0 * K0 * np.minimum(boundary_distance_field(grid), d0)
         tpf = prob.log_forcing(grid)
         one, two = abp_check(u, prob, dom)
         assert one.forcing == ball_sup_forcing(grid, np.maximum(-tpf, 0.0), p, radius)

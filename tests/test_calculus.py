@@ -133,6 +133,16 @@ class TestStencils:
         assert order.dtype.kind == "i"
         np.testing.assert_array_equal(np.sort(order), np.flatnonzero(~grid.boundary_mask))
 
+    @given(n=st.sampled_from([2, 3]),
+           counts=st.lists(st.integers(3, 40), min_size=3, max_size=3))
+    @example(n=2, counts=[97, 97, 3])
+    @example(n=2, counts=[81, 81, 3])
+    @example(n=3, counts=[29, 29, 29])
+    def test_dissection_order_matches_recursion(self, n, counts):
+        grid = unit_grid(tuple(counts[:n]), n=n)
+        np.testing.assert_array_equal(grid.dissection_order,
+                                      oracles.recursive_dissection_order(grid))
+
     def test_second_order_convergence_incl_boundary(self):
         # smooth analytic field: observed order under halving >= 1.9
         def field(A, X):

@@ -172,7 +172,7 @@ class TestUpperEnvelope:
         grid = unit_grid((25, 25))
         u = GridFunction(grid, np.zeros(grid.shape))
         env = upper_envelope(u, 0.2)
-        d = grid.boundary_distance_field
+        d = oracles.boundary_distance_field(grid)
         assert not np.any(env.mask & (d <= 0.2))
 
 

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -29,7 +31,8 @@ from conepde.solver import (
     solve_by_exhaustion,
     solve_dirichlet,
 )
-from oracles import full_jacobian, pointwise_residual_log, refactorized_solve
+from oracles import (coo_interior_block, full_jacobian, pointwise_residual_log,
+                     refactorized_solve)
 
 
 def unit_domain(n=2, t_min=math.exp(-1.0)):
@@ -229,6 +232,40 @@ class TestJacobian:
         block = full_jacobian(v, grid, p, n, eps)[order][:, order].toarray()
         assert J.format == "csc" and J.shape == block.shape
         assert np.max(np.abs(J.toarray() - block)) <= 1e-14 * np.max(np.abs(block))
+
+    @given(n=st.sampled_from([2, 3]), p=st.sampled_from([2.5, 3.0, 4.0, 6.0]),
+           counts=st.lists(st.integers(3, 9), min_size=3, max_size=3),
+           eps=st.sampled_from([1e-1, 1e-2, 1e-6]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_coo_assembly_bit_for_bit(self, n, p, counts, eps, seed):
+        # the kept pattern changes where the arithmetic happens, not what it is
+        grid = LogGrid.build(unit_domain(n=n), counts[:n])
+        v = np.random.default_rng(seed).standard_normal(grid.shape)
+        J = _assemble_jacobian(v, grid, p, n, eps)
+        ref = coo_interior_block(v, grid, p, n, eps)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(J, name), getattr(ref, name)), name
+
+    def test_pattern_is_shared_and_read_only(self):
+        grid = LogGrid.build(unit_domain(), (9, 8))
+        rng = np.random.default_rng(4)
+        J1 = _assemble_jacobian(rng.standard_normal(grid.shape), grid, 3.0, 2, 1e-2)
+        J2 = _assemble_jacobian(rng.standard_normal(grid.shape), grid, 4.0, 2, 1e-6)
+        pattern = grid.interior_pattern
+        for J in (J1, J2):
+            assert np.shares_memory(J.indices, pattern.indices)
+            assert np.shares_memory(J.indptr, pattern.indptr)
+        for arr in (J1.indices, J1.indptr, *pattern):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_pattern_is_freed_with_the_grid(self):
+        # the pattern lives on the grid, so nothing else keeps a grid alive
+        grid = LogGrid.build(unit_domain(), (9, 9))
+        _assemble_jacobian(np.ones(grid.shape), grid, 3.0, 2, 1e-2)
+        ref = weakref.ref(grid)
+        del grid
+        gc.collect()
+        assert ref() is None
 
 
 def _raise(*args, **kwargs):

@@ -3,7 +3,17 @@
     python tools/linear_scaling.py [OUT]
 
 On each grid (2D at 81^2, 97^2 and 161^2; 3D at 17^3, 21^3 and 25^3, over
-the unit base with t_min = e^-1) it measures two things.
+the unit base with t_min = e^-1) it measures three things.
+
+Assembly: on a fresh grid whose difference operators are built, the seconds
+of ``grid.dissection_order`` (the first access numbers the interior) and of
+``tests/oracles.recursive_dissection_order``, the recursion it replaced;
+then the first ``solver._assemble_jacobian`` call, which also builds the
+grid's ``interior_pattern``, on its own, and the median seconds of
+ASSEMBLY_REPEATS further calls, against the median of as many calls of
+``tests/oracles.coo_interior_block``, which reads the stencils and converts
+COO to CSC on every call (the two alternate).  The Jacobian is the p = 3
+one at eps_reg = 1e-2 at the smooth iterate described next.
 
 One Newton step: the Jacobian of the p = 3 residual at eps_reg = 1e-2 is
 taken at a smooth iterate, the forcing-free solution t^((p-n)/(p-1)) (ln t
@@ -58,7 +68,7 @@ from conepde.solver import (_JacobianFactor, _assemble_jacobian,  # noqa: E402
                             make_exact_solution, manufactured_problem, power_of_t_field,
                             solve_dirichlet)
 
-P, EPS_REG, REPEATS, SOLVE_REPEATS, KAPPA = 3.0, 1e-2, 5, 3, 0.5
+P, EPS_REG, REPEATS, SOLVE_REPEATS, ASSEMBLY_REPEATS, KAPPA = 3.0, 1e-2, 5, 3, 31, 0.5
 SIZES = ((2, 81), (2, 97), (2, 161), (3, 17), (3, 21), (3, 25))
 
 
@@ -68,15 +78,45 @@ def unit_grid(n: int, m: int) -> LogGrid:
     return LogGrid.build(domain, (m,) * n)
 
 
-def newton_system(n: int, m: int) -> tuple:
-    """(grid, full-grid J, interior block, rhs) of one Newton step at the
-    smooth iterate."""
+def smooth_iterate(n: int, m: int) -> tuple:
+    """(grid, values, residual) at the smooth iterate on a fresh grid."""
     grid = unit_grid(n, m)
     values = exact_solution_values(make_exact_solution(P, n), grid).values
     values = values + 0.05 * np.sin(np.pi * sum(grid.mesh))
-    res = _interior_residual(values, grid, P, n, np.zeros(grid.shape), EPS_REG)
+    return grid, values, _interior_residual(values, grid, P, n, np.zeros(grid.shape), EPS_REG)
+
+
+def newton_system(n: int, m: int) -> tuple:
+    """(grid, full-grid J, interior block, rhs) of one Newton step at the
+    smooth iterate."""
+    grid, values, res = smooth_iterate(n, m)
     return (grid, oracles.full_jacobian(values, grid, P, n, EPS_REG),
             _assemble_jacobian(values, grid, P, n, EPS_REG), -res)
+
+
+def seconds(fn, *args) -> float:
+    t0 = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - t0
+
+
+def measure_assembly(n: int, m: int) -> dict:
+    # the residual has built the grid's difference operators, which the
+    # first assembly would otherwise also pay for
+    grid, values, _ = smooth_iterate(n, m)
+    dissection_s = seconds(lambda: grid.dissection_order)
+    row = {"n": n, "nodes": list(grid.shape), "unknowns": math.prod(grid.shape),
+           "interior": int(grid.dissection_order.size), "dissection_s": dissection_s}
+    row["dissection_recursive_s"] = seconds(oracles.recursive_dissection_order, grid)
+    args = (values, grid, P, n, EPS_REG)
+    row["first_assembly_s"] = seconds(_assemble_jacobian, *args)
+    times = {"assembly": [], "coo": []}
+    for _ in range(ASSEMBLY_REPEATS):
+        times["assembly"].append(seconds(_assemble_jacobian, *args))
+        times["coo"].append(seconds(oracles.coo_interior_block, *args))
+    row["assembly_s"] = statistics.median(times["assembly"])
+    row["coo_assembly_s"] = statistics.median(times["coo"])
+    return row
 
 
 def fill(A, permc_spec: str) -> float:
@@ -155,6 +195,14 @@ def main(argv) -> int:
         print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
         return 2
     out = argv[0] if argv else os.path.join(ROOT, "BENCH_linear.json")
+    assembly = []
+    for n, m in SIZES:
+        row = measure_assembly(n, m)
+        assembly.append(row)
+        print(f"{n}D {m}^{n} assembly: dissection {row['dissection_s'] * 1e3:6.2f} ms "
+              f"(recursive {row['dissection_recursive_s'] * 1e3:6.2f} ms)  first call "
+              f"{row['first_assembly_s'] * 1e3:6.2f} ms  per step "
+              f"{row['assembly_s'] * 1e3:6.2f} ms (COO {row['coo_assembly_s'] * 1e3:6.2f} ms)")
     rows = []
     for n, m in SIZES:
         row = measure(n, m)
@@ -176,23 +224,30 @@ def main(argv) -> int:
     for n in sorted({r["n"] for r in rows}):
         dim = [r for r in rows if r["n"] == n]
         dim_solves = [r for r in solves if r["n"] == n]
-        exponents[f"{n}d"] = {"spsolve": exponent(dim, "spsolve_s"),
+        dim_assembly = [r for r in assembly if r["n"] == n]
+        exponents[f"{n}d"] = {"assembly": exponent(dim_assembly, "assembly_s"),
+                              "coo_assembly": exponent(dim_assembly, "coo_assembly_s"),
+                              "spsolve": exponent(dim, "spsolve_s"),
                               "ordered": exponent(dim, "ordered_s"),
                               "solve_reused": exponent(dim_solves, "reused_s"),
                               "solve_refactorized": exponent(dim_solves, "refactorized_s")}
         print(f"{n}D time exponents in unknowns: " + ", ".join(
             f"{k} {v:.2f}" for k, v in exponents[f"{n}d"].items()))
     report = {
-        "what": "one p = 3 Newton linear solve, full-grid spsolve (COLAMD) vs the "
+        "what": "the dissection numbering and the p = 3 interior-block assembly, "
+                "numeric-only on the grid's kept pattern vs COO from the stencils every "
+                "call; one p = 3 Newton linear solve, full-grid spsolve (COLAMD) vs the "
                 "interior block in nested-dissection order; and one p = 3 manufactured "
                 "solve (u* = t^0.5), GMRES on the kept splu factor vs a fresh factor "
                 "every Newton step",
         "p": P, "eps_reg": EPS_REG, "repeats": REPEATS, "solve_repeats": SOLVE_REPEATS,
+        "assembly_repeats": ASSEMBLY_REPEATS,
         "kappa": KAPPA,
         "nproc": os.cpu_count(), "machine": platform.machine(),
         "python": platform.python_version(), "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "sizes": rows, "solves": solves, "time_exponents": exponents,
+        "assembly": assembly, "sizes": rows, "solves": solves,
+        "time_exponents": exponents,
     }
     with open(out, "w") as fh:
         json.dump(report, fh, indent=2)
