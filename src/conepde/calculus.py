@@ -420,10 +420,9 @@ def write_gridfunction(path, u: GridFunction) -> None:
         head.append(f"{grid.xs[k][0]:.17g}")
         head.append(f"{grid.xs[k][-1]:.17g}")
     head.append(f"{grid.a[-1]:.17g}")
-    lines = [",".join(head)]
-    lines += [f"{v:.17g}" for v in u.values.ravel()]
+    values = u.values.ravel().tolist()
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(head) + "\n" + ("%.17g\n" * len(values)) % tuple(values))
 
 
 def _read_header(line: str) -> tuple:
@@ -457,7 +456,10 @@ def _read_header(line: str) -> tuple:
 def read_gridfunction(path) -> GridFunction:
     with open(path) as fh:
         n, counts, a_min, t_min, lo, hi, a_max = _read_header(fh.readline())
-        values = np.array([float(line) for line in fh if line.strip()])
+        # one value per line, blank lines skipped: a line holding two
+        # numbers fails to parse rather than reading as two values
+        values = np.array([line for line in fh.read().split("\n") if line.strip()],
+                          dtype=float)
     domain = ConeDomain(n=n, base_lo=lo, base_hi=hi, t_min=t_min,
                         t_max=min(math.exp(a_max), 1.0))
     # the header axis endpoints are authoritative so the round trip is exact

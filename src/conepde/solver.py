@@ -3,7 +3,8 @@ gradient-regularization continuation, manufactured problems, a convergence
 study helper, and the domain-exhaustion existence procedure.
 
 The continuation fixes p: for p > 2 a linearized p = 2 presolve gives the
-starting field, and one queue of eps_reg stages at the target p follows.
+starting field, and one queue of eps_reg stages at the target p follows;
+only its last stage, at the floor eps, runs to the final tolerance.
 A p = 2 Newton system has constant coefficients and is solved exactly by
 fast diagonalization; at other p the Jacobian is assembled on the interior
 nodes, in the grid's nested-dissection order.  Its sparsity pattern is
@@ -94,6 +95,7 @@ class StageRecord:
     eps_reg: float
     iterations: int
     residual_norm: float
+    stop_reason: str              # converged (to the stage's target), max_iter or line_search
     factorizations: int           # splu factorizations taken in the stage
     krylov_iterations: int        # GMRES iterations on the kept factor
 
@@ -295,20 +297,23 @@ def _interior_residual(values: np.ndarray, grid: LogGrid, p: float, n: int,
 
 def _newton_stage(values: np.ndarray, grid: LogGrid, p: float, n: int,
                   F_log: np.ndarray, eps_reg: float, cfg: SolverConfig,
-                  factor: _JacobianFactor) -> tuple:
-    """Damped Newton at one continuation stage; returns (values, StageRecord).
+                  factor: _JacobianFactor, target: float) -> tuple:
+    """Damped Newton at one continuation stage, run until the residual's max
+    norm is at most ``target``; returns (values, StageRecord).
     A rejected trial step halves the step length.  At p == 2 the Jacobian
     is constant and ``_solve_linear`` inverts it; otherwise its interior
     block is assembled at the iterate and ``_solve_jacobian`` solves it with
     the solve's kept ``factor``, which it refreshes when that stalls.  The
-    record counts the stage's factorizations and GMRES iterations."""
+    record counts the stage's factorizations and GMRES iterations and names
+    why the stage stopped."""
     start = (factor.factorizations, factor.krylov_iterations)
     res = _interior_residual(values, grid, p, n, F_log, eps_reg)
     if not np.all(np.isfinite(res)):
         raise FloatingPointError("non-finite value in discrete residual")
     norm = float(np.max(np.abs(res)))
     iters = 0
-    while norm > cfg.tol and iters < cfg.max_iter:
+    accepted = True
+    while norm > target and iters < cfg.max_iter:
         if p == 2.0:
             du = _solve_linear(grid, n - p, -res)
         else:
@@ -322,7 +327,7 @@ def _newton_stage(values: np.ndarray, grid: LogGrid, p: float, n: int,
             if np.any(np.isnan(tres)):
                 raise FloatingPointError("NaN in discrete residual")
             tnorm = float(np.max(np.abs(tres)))
-            if tnorm <= (1.0 - 1e-4 * lam) * norm or tnorm <= cfg.tol:
+            if tnorm <= (1.0 - 1e-4 * lam) * norm or tnorm <= target:
                 accepted = True
                 break
             lam *= 0.5
@@ -330,7 +335,9 @@ def _newton_stage(values: np.ndarray, grid: LogGrid, p: float, n: int,
         if not accepted:
             break
         values, res, norm = trial, tres, tnorm
+    stop = ("converged" if norm <= target else "max_iter" if accepted else "line_search")
     return values, StageRecord(eps_reg=eps_reg, iterations=iters, residual_norm=norm,
+                               stop_reason=stop,
                                factorizations=factor.factorizations - start[0],
                                krylov_iterations=factor.krylov_iterations - start[1])
 
@@ -340,7 +347,17 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid,
     """Solve the Dirichlet problem on the grid; returns (GridFunction, SolveReport).
 
     Boundary values (including the artificial truncation face) are pinned to
-    the problem's Dirichlet sampler.  The solve is deterministic; failure to
+    the problem's Dirichlet sampler.  Only the last stage, at the floor of
+    the eps schedule, runs until the residual's max norm is at most
+    ``cfg.tol``.  Every earlier stage, an inserted midpoint included, only
+    sets up the next one and stops at max(tol, sqrt(tol)), about one
+    quadratic Newton step from tol (inexact continuation, after the forcing
+    terms of Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996), so its
+    ``residual_norm`` may lie above ``tol``.  The p = 2 presolve and a p = 2
+    solve, whose one stage is the floor, run to ``tol``.  A stage that
+    misses its target inserts a midpoint stage before it, at most 24 per
+    solve, and the report is converged when the final residual is at most
+    ``tol``.  The solve is deterministic; failure to
     converge is reported, never raised.  A radial step beyond the mesh Peclet
     bound raises ValueError; a forcing t^p f that is not finite at an
     interior node, or a residual that turns NaN, raises FloatingPointError.
@@ -360,18 +377,21 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid,
     if p > 2.0:
         # linearized presolve: unit diffusion with the target drift strength
         values, _ = _newton_stage(values, grid, 2.0, 2 + (n - p), F_log,
-                                  cfg.eps_reg_schedule[0], cfg, factor)
+                                  cfg.eps_reg_schedule[0], cfg, factor, cfg.tol)
 
     queue = [cfg.eps_reg_schedule[-1]] if p == 2.0 else list(cfg.eps_reg_schedule)
+    # midpoints go in before the current stage, so the floor stays last
+    loose = max(cfg.tol, math.sqrt(cfg.tol))
     prev_eps = None
     insertions = 0
     i = 0
     while i < len(queue):
         eps = queue[i]
-        values, stage = _newton_stage(values, grid, p, n, F_log, eps, cfg, factor)
+        target = cfg.tol if i == len(queue) - 1 else loose
+        values, stage = _newton_stage(values, grid, p, n, F_log, eps, cfg, factor, target)
         stages.append(stage)
         norm = stage.residual_norm
-        if norm > cfg.tol:
+        if norm > target:
             # stalled stage: refine the continuation by retrying through
             # the geometric midpoint of the last good step
             ref = prev_eps if prev_eps is not None else 4.0 * eps

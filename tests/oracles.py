@@ -5,7 +5,9 @@ in closed form: per-node difference stencils, the per-point residual algebra,
 the full-grid Newton Jacobian as a sum of weighted grid operators, its
 interior block assembled from the stencils on every call, the recursive
 nested-dissection numbering, the Newton step that factorizes every
-Jacobian afresh, the per-node boundary distance, the all-pairs ball
+Jacobian afresh, the continuation that runs every stage to the final
+tolerance, the grid-function writer that formats value by value, the
+per-node boundary distance, the all-pairs ball
 supremum of the forcing, and the all-pairs loops of the regularizations,
 the doubling diagnostic and the Hoelder seminorm, and the closed-form
 fields written out kind by kind.  Nothing here is imported by the package
@@ -18,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from conepde import solver
 from conepde.calculus import GridFunction, gradient_field, hessian_field
 from conepde.operators import PucciParams, operator_terms, pucci_minus, pucci_plus
 
@@ -301,6 +304,59 @@ def refactorized_solve(J, grid, rhs, factor):
     du = np.zeros(grid.shape)
     du.flat[order] = factor.lu.solve(rhs.ravel()[order])
     return du
+
+
+def every_stage_to_tol(prob, grid, cfg=None):
+    """``solver.solve_dirichlet`` with every continuation stage, and every
+    inserted midpoint, run to ``cfg.tol`` rather than only the floor stage:
+    the reference for the solve's looser intermediate targets.  Returns
+    (GridFunction, SolveReport)."""
+    cfg = cfg or solver.SolverConfig()
+    p, n = prob.p, prob.n
+    solver._check_peclet(grid, p, n)
+    F_log = prob.log_forcing(grid, interior_only=True)
+    values = np.zeros(grid.shape)
+    bmask = grid.boundary_mask
+    values[bmask] = prob.dirichlet_values(grid)[bmask]
+    factor = solver._JacobianFactor()
+    if p > 2.0:
+        values, _ = solver._newton_stage(values, grid, 2.0, 2 + (n - p), F_log,
+                                         cfg.eps_reg_schedule[0], cfg, factor, cfg.tol)
+    queue = [cfg.eps_reg_schedule[-1]] if p == 2.0 else list(cfg.eps_reg_schedule)
+    stages, prev_eps, insertions, i = [], None, 0, 0
+    while i < len(queue):
+        eps = queue[i]
+        values, stage = solver._newton_stage(values, grid, p, n, F_log, eps, cfg, factor,
+                                             cfg.tol)
+        stages.append(stage)
+        norm = stage.residual_norm
+        if norm > cfg.tol:
+            ref = prev_eps if prev_eps is not None else 4.0 * eps
+            if insertions < 24 and ref / eps > 1.05:
+                queue.insert(i, math.sqrt(ref * eps))
+                insertions += 1
+                continue
+        prev_eps = eps
+        i += 1
+    return GridFunction(grid, values), solver.SolveReport(
+        stages=stages, converged=bool(norm <= cfg.tol), final_residual=norm)
+
+
+# ---------------------------------------------------------------------------
+# grid-function text, one value at a time
+
+def write_gridfunction_per_value(path, u):
+    """``calculus.write_gridfunction`` formatting each numpy value on its own:
+    the reference for the one format over the whole value list."""
+    grid = u.grid
+    head = [str(grid.n), str(grid.a.size)] + [str(x.size) for x in grid.xs]
+    head += [f"{grid.a[0]:.17g}", f"{grid.domain.t_min:.17g}"]
+    for xs in grid.xs:
+        head += [f"{xs[0]:.17g}", f"{xs[-1]:.17g}"]
+    head.append(f"{grid.a[-1]:.17g}")
+    lines = [",".join(head)] + [f"{v:.17g}" for v in u.values.ravel()]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

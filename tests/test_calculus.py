@@ -415,6 +415,37 @@ class TestFileFormat:
         back = read_gridfunction(path).values
         np.testing.assert_array_equal(back.view(np.int64), field.view(np.int64))
 
+    @given(values=st.lists(st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)),
+                           min_size=12, max_size=12),
+           counts=st.sampled_from([(3, 4), (4, 3)]))
+    @example(values=list(EDGE_FLOATS) + [math.nan, math.inf, -math.inf, 0.1], counts=(3, 4))
+    def test_bytes_match_per_value_writer(self, tmp_path_factory, values, counts):
+        # the one format over the value list writes what formatting each
+        # numpy value on its own wrote, non-finite values included
+        u = GridFunction(unit_grid(counts),
+                         np.array(values).reshape(counts), check_finite=False)
+        tmp = tmp_path_factory.mktemp("gf")
+        write_gridfunction(os.path.join(tmp, "new.gf"), u)
+        oracles.write_gridfunction_per_value(os.path.join(tmp, "old.gf"), u)
+        with open(os.path.join(tmp, "new.gf"), "rb") as f1, \
+                open(os.path.join(tmp, "old.gf"), "rb") as f2:
+            assert f1.read() == f2.read()
+
+    # (text, value lines it replaces): "0 0" stands for two lines, so the
+    # value count would match if it were read as two values
+    @pytest.mark.parametrize("bad, span", [("abc", 1), ("1,5", 1), ("0x10", 1),
+                                           ("--1", 1), ("0 0", 2)])
+    def test_malformed_value_line_raises(self, tmp_path, bad, span):
+        path = os.path.join(tmp_path, "u.gf")
+        write_gridfunction(path, GridFunction(unit_grid((3, 3)), np.zeros((3, 3))))
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        lines[5:5 + span] = [bad]
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(ValueError):
+            read_gridfunction(path)
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         grid = unit_grid((7, 7))
         rng = np.random.default_rng(9)

@@ -629,7 +629,7 @@ class TestReportSchema:
     @pytest.mark.parametrize("command, keys, header", [
         (["solve"], {"config_hash": None, "converged": None, "final_residual": None,
                      "stages": [dict.fromkeys(["eps_reg", "iterations", "residual_norm",
-                                               "factorizations",
+                                               "stop_reason", "factorizations",
                                                "krylov_iterations"])]}, None),
         (["verify", "abp"], {**VERIFY_KEYS, "subsolution": ABP_KEYS,
                              "two_sided": ABP_KEYS}, "quantity,value"),

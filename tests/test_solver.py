@@ -31,8 +31,8 @@ from conepde.solver import (
     solve_by_exhaustion,
     solve_dirichlet,
 )
-from oracles import (coo_interior_block, full_jacobian, pointwise_residual_log,
-                     refactorized_solve)
+from oracles import (coo_interior_block, every_stage_to_tol, full_jacobian,
+                     pointwise_residual_log, refactorized_solve)
 
 
 def unit_domain(n=2, t_min=math.exp(-1.0)):
@@ -63,8 +63,9 @@ class TestSolveDirichlet:
         u, rep = solve_dirichlet(prob, grid)
         np.testing.assert_array_equal(u.values, np.zeros(grid.shape))
         assert rep.converged
-        # Newton terminates immediately at every stage
+        # Newton terminates immediately at every stage, which met its target
         assert all(s.iterations == 0 for s in rep.stages)
+        assert all(s.stop_reason == "converged" for s in rep.stages)
 
     def test_boundary_values_exact(self):
         grid = LogGrid.build(unit_domain(n=3), (9, 9, 9))
@@ -481,6 +482,130 @@ class TestReusedFactor:
         prob = manufactured_problem(make_exact_solution(2.0, 2), 2.0, 2)
         _, rep = solve_dirichlet(prob, grid)
         assert [(s.factorizations, s.krylov_iterations) for s in rep.stages] == [(0, 0)]
+
+
+def record_stage_targets(monkeypatch):
+    """Patch ``solver._newton_stage`` to log (p, eps_reg, target) per call."""
+    calls = []
+    stage = solver._newton_stage
+
+    def recording(values, grid, p, n, F_log, eps_reg, cfg, factor, target):
+        calls.append((p, eps_reg, target))
+        return stage(values, grid, p, n, F_log, eps_reg, cfg, factor, target)
+
+    monkeypatch.setattr(solver, "_newton_stage", recording)
+    return calls
+
+
+def constant_forcing_problem(p, n, c=0.3):
+    return PDEProblem(p=p, n=n, f=constant_field(c), dirichlet=zero_field)
+
+
+class TestInexactContinuation:
+    """Only the floor stage runs to ``cfg.tol``; every earlier stage stops at
+    max(tol, sqrt(tol)).  Running every stage to tol is the oracle."""
+
+    # measured on these cases: at most 1.2 tol (n = 2, p = 4, f = 0.3)
+    FIELD_GAP_TOLS = 10.0
+
+    @pytest.mark.parametrize("n, nodes", [(2, 13), (3, 9)])
+    @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("kind", ["t^0.5", "f=0.3"])
+    def test_matches_every_stage_to_tol(self, n, nodes, p, kind):
+        grid = LogGrid.build(unit_domain(n=n), (nodes,) * n)
+        prob = (manufactured_problem(power_of_t_field(0.5, n), p, n) if kind == "t^0.5"
+                else constant_forcing_problem(p, n))
+        cfg = SolverConfig()
+        u, rep = solve_dirichlet(prob, grid, cfg)
+        ref, rep_ref = every_stage_to_tol(prob, grid, cfg)
+        assert rep.converged and rep_ref.converged
+        assert np.max(np.abs(u.values - ref.values)) <= self.FIELD_GAP_TOLS * cfg.tol
+        assert (sum(s.iterations for s in rep.stages)
+                < sum(s.iterations for s in rep_ref.stages))
+
+    def test_intermediate_stages_stop_at_sqrt_tol(self):
+        grid = LogGrid.build(unit_domain(), (17, 17))
+        prob = manufactured_problem(power_of_t_field(0.41, 2), 4.0, 2)
+        cfg = SolverConfig()
+        _, rep = solve_dirichlet(prob, grid, cfg)
+        assert rep.converged
+        assert [s.eps_reg for s in rep.stages] == list(cfg.eps_reg_schedule)
+        assert all(s.stop_reason == "converged" for s in rep.stages)
+        *middle, last = rep.stages
+        assert all(s.residual_norm <= math.sqrt(cfg.tol) for s in middle)
+        # some stage stops above tol, so the loose target is what held it
+        assert any(s.residual_norm > cfg.tol for s in middle)
+        assert last.residual_norm == rep.final_residual <= cfg.tol
+
+    def test_inserted_midpoints_get_the_loose_target(self, monkeypatch):
+        # three steps per stage are too few for the first stages, which
+        # then stall and insert midpoints
+        calls = record_stage_targets(monkeypatch)
+        grid = LogGrid.build(unit_domain(), (13, 13))
+        cfg = SolverConfig(max_iter=3)
+        _, rep = solve_dirichlet(constant_forcing_problem(4.0, 2), grid, cfg)
+        assert rep.converged
+        assert "max_iter" in [s.stop_reason for s in rep.stages]
+        presolve, *stages = calls
+        assert presolve == (2.0, cfg.eps_reg_schedule[0], cfg.tol)
+        inserted = [c for c in stages if c[1] not in cfg.eps_reg_schedule]
+        assert inserted
+        assert all(target == math.sqrt(cfg.tol) for _, _, target in inserted)
+        assert stages[-1] == (4.0, cfg.eps_reg_schedule[-1], cfg.tol)
+        assert all(target == math.sqrt(cfg.tol) for _, _, target in stages[:-1])
+
+    @pytest.mark.parametrize("tol", [1.0, 4.0])
+    def test_tol_at_least_one_is_every_target(self, monkeypatch, tol):
+        calls = record_stage_targets(monkeypatch)
+        grid = LogGrid.build(unit_domain(), (13, 13))
+        _, rep = solve_dirichlet(constant_forcing_problem(3.0, 2), grid,
+                                 SolverConfig(tol=tol))
+        assert rep.converged and len(calls) > 2
+        assert all(target == tol for _, _, target in calls)
+
+    def test_p2_solve_runs_its_one_stage_to_tol(self, monkeypatch):
+        calls = record_stage_targets(monkeypatch)
+        grid = LogGrid.build(unit_domain(), (13, 13))
+        cfg = SolverConfig()
+        solve_dirichlet(constant_forcing_problem(2.0, 2), grid, cfg)
+        assert calls == [(2.0, cfg.eps_reg_schedule[-1], cfg.tol)]
+
+    def test_line_search_accepts_a_trial_within_the_target(self, monkeypatch):
+        # a Newton step scaled by 1e-6 lowers the residual by about 1e-6 of
+        # itself, far less than the sufficient decrease asks; a target just
+        # below the start residual still accepts it, in one step
+        stage, step = solver._newton_stage, solver._solve_jacobian
+        monkeypatch.setattr(solver, "_solve_jacobian",
+                            lambda J, grid, rhs, factor: 1e-6 * step(J, grid, rhs, factor))
+        grid = LogGrid.build(unit_domain(), (13, 13))
+        prob = constant_forcing_problem(3.0, 2)
+        F_log = prob.log_forcing(grid, interior_only=True)
+        values = np.zeros(grid.shape)
+        norm = float(np.max(np.abs(_interior_residual(values, grid, 3.0, 2, F_log, 1e-2))))
+        args = (values, grid, 3.0, 2, F_log, 1e-2, SolverConfig())
+        _, rec = stage(*args, _JacobianFactor(), (1.0 - 1e-7) * norm)
+        assert (rec.iterations, rec.stop_reason) == (1, "converged")
+        _, rec = stage(*args, _JacobianFactor(), (1.0 - 1e-5) * norm)
+        assert (rec.iterations, rec.stop_reason) == (1, "line_search")
+
+
+class TestStopReason:
+    def test_failed_line_search(self, monkeypatch):
+        # a zero Newton direction never lowers the residual
+        monkeypatch.setattr(solver, "_solve_jacobian",
+                            lambda J, grid, rhs, factor: np.zeros(grid.shape))
+        grid = LogGrid.build(unit_domain(), (13, 13))
+        _, rep = solve_dirichlet(constant_forcing_problem(3.0, 2), grid)
+        assert not rep.converged
+        assert {s.stop_reason for s in rep.stages} == {"line_search"}
+        assert all(s.iterations == 1 for s in rep.stages)
+
+    def test_max_iter(self):
+        grid = LogGrid.build(unit_domain(), (13, 13))
+        _, rep = solve_dirichlet(constant_forcing_problem(2.0, 2), grid,
+                                 SolverConfig(max_iter=0))
+        assert not rep.converged
+        assert {(s.iterations, s.stop_reason) for s in rep.stages} == {(0, "max_iter")}
 
 
 class TestDiscreteComparison:

@@ -32,11 +32,14 @@ call ``spsolve`` makes), and max |du - du_spsolve| / max |du_spsolve|.
 One whole solve: ``solve_dirichlet`` on the p = 3 manufactured problem with
 u* = t^0.5 and the default solver settings, once as the package runs it
 (each step GMRES on the solve's kept ``splu`` factor, refactorizing only
-where that stalls) and once with ``tests/oracles.refactorized_solve``
-patched in, which factorizes every Jacobian.  Per size it records the
-median seconds of each over SOLVE_REPEATS runs (the two alternate), the
-Newton steps, factorizations and GMRES iterations of each, and the max
-field gap relative to max |u|.
+where that stalls, and only the floor eps stage run to the final
+tolerance), once with ``tests/oracles.refactorized_solve`` patched in,
+which factorizes every Jacobian, and once as
+``tests/oracles.every_stage_to_tol``, which runs every continuation stage
+to the final tolerance.  Per size it records the median seconds of each
+over SOLVE_REPEATS runs (the three alternate), the stages, Newton steps,
+factorizations and GMRES iterations of each, and the max field gap of
+each of the other two to the package's solve, relative to max |u|.
 
 Per dimension it records the least-squares exponent of each median time in
 the unknown count.  Writes OUT (default ``BENCH_linear.json`` at the
@@ -147,40 +150,48 @@ def measure(n: int, m: int) -> dict:
     }
 
 
-def timed_solve(prob, grid, step) -> tuple:
-    """(seconds, field, report) of one solve with ``step`` as the p != 2
-    linear solve."""
+def refactorized(prob, grid) -> tuple:
+    """``solve_dirichlet`` with ``tests/oracles.refactorized_solve`` as the
+    p != 2 linear solve, which factorizes every Jacobian."""
     saved = solver._solve_jacobian
-    solver._solve_jacobian = step
+    solver._solve_jacobian = oracles.refactorized_solve
     try:
-        t0 = time.perf_counter()
-        u, rep = solve_dirichlet(prob, grid)
-        return time.perf_counter() - t0, u.values, rep
+        return solve_dirichlet(prob, grid)
     finally:
         solver._solve_jacobian = saved
+
+
+# the whole solves: as the package runs them, factorizing every Jacobian,
+# and running every continuation stage to the final tolerance
+SOLVES = {"reused": solve_dirichlet, "refactorized": refactorized,
+          "every_stage_to_tol": oracles.every_stage_to_tol}
 
 
 def measure_solve(n: int, m: int) -> dict:
     grid = unit_grid(n, m)
     prob = manufactured_problem(power_of_t_field(KAPPA, n), P, n)
-    steps = {"reused": _solve_jacobian, "refactorized": oracles.refactorized_solve}
-    times = {name: [] for name in steps}
+    times = {name: [] for name in SOLVES}
     fields, reports = {}, {}
     for _ in range(SOLVE_REPEATS):
-        for name, step in steps.items():
-            seconds, fields[name], reports[name] = timed_solve(prob, grid, step)
-            times[name].append(seconds)
+        for name, solve in SOLVES.items():
+            t0 = time.perf_counter()
+            u, reports[name] = solve(prob, grid)
+            times[name].append(time.perf_counter() - t0)
+            fields[name] = u.values
     row = {"n": n, "nodes": list(grid.shape), "unknowns": math.prod(grid.shape),
            "interior": int(grid.dissection_order.size)}
     for name, rep in reports.items():
         if not rep.converged:
             raise RuntimeError(f"the {name} solve at {m}^{n} did not converge")
         row[f"{name}_s"] = statistics.median(times[name])
-        row[name] = {"newton_steps": sum(s.iterations for s in rep.stages),
+        row[name] = {"stages": len(rep.stages),
+                     "newton_steps": sum(s.iterations for s in rep.stages),
                      "factorizations": sum(s.factorizations for s in rep.stages),
                      "krylov_iterations": sum(s.krylov_iterations for s in rep.stages)}
-    ref = fields["refactorized"]
-    row["max_rel_gap"] = float(np.max(np.abs(fields["reused"] - ref)) / np.max(np.abs(ref)))
+    ref = fields["reused"]
+    for name in ("refactorized", "every_stage_to_tol"):
+        row[f"max_rel_gap_{name}"] = float(np.max(np.abs(fields[name] - ref))
+                                           / np.max(np.abs(ref)))
     return row
 
 
@@ -214,12 +225,12 @@ def main(argv) -> int:
     for n, m in SIZES:
         row = measure_solve(n, m)
         solves.append(row)
-        print(f"{n}D {m}^{n} solve: reused {row['reused_s']:7.3f} s "
-              f"({row['reused']['newton_steps']} steps, {row['reused']['factorizations']} "
-              f"factorizations, {row['reused']['krylov_iterations']} GMRES iterations)  "
-              f"refactorized {row['refactorized_s']:7.3f} s "
-              f"({row['refactorized']['newton_steps']} steps)  "
-              f"max rel gap {row['max_rel_gap']:.2g}")
+        print(f"{n}D {m}^{n} solve: " + "  ".join(
+            f"{name} {row[name + '_s']:7.3f} s ({row[name]['newton_steps']} steps, "
+            f"{row[name]['factorizations']} factorizations, "
+            f"{row[name]['krylov_iterations']} GMRES iterations)" for name in SOLVES)
+            + f"  max rel gaps {row['max_rel_gap_refactorized']:.2g}, "
+            f"{row['max_rel_gap_every_stage_to_tol']:.2g}")
     exponents = {}
     for n in sorted({r["n"] for r in rows}):
         dim = [r for r in rows if r["n"] == n]
@@ -229,8 +240,8 @@ def main(argv) -> int:
                               "coo_assembly": exponent(dim_assembly, "coo_assembly_s"),
                               "spsolve": exponent(dim, "spsolve_s"),
                               "ordered": exponent(dim, "ordered_s"),
-                              "solve_reused": exponent(dim_solves, "reused_s"),
-                              "solve_refactorized": exponent(dim_solves, "refactorized_s")}
+                              **{f"solve_{name}": exponent(dim_solves, f"{name}_s")
+                                 for name in SOLVES}}
         print(f"{n}D time exponents in unknowns: " + ", ".join(
             f"{k} {v:.2f}" for k, v in exponents[f"{n}d"].items()))
     report = {
@@ -239,7 +250,8 @@ def main(argv) -> int:
                 "call; one p = 3 Newton linear solve, full-grid spsolve (COLAMD) vs the "
                 "interior block in nested-dissection order; and one p = 3 manufactured "
                 "solve (u* = t^0.5), GMRES on the kept splu factor vs a fresh factor "
-                "every Newton step",
+                "every Newton step vs every continuation stage run to the final "
+                "tolerance",
         "p": P, "eps_reg": EPS_REG, "repeats": REPEATS, "solve_repeats": SOLVE_REPEATS,
         "assembly_repeats": ASSEMBLY_REPEATS,
         "kappa": KAPPA,

@@ -2,7 +2,7 @@
 
     python tools/solver_sweep.py OLD_SRC NEW_SRC
 
-Runs 40 solves with each tree's ``src/`` directory (OLD_SRC and NEW_SRC),
+Runs 42 solves with each tree's ``src/`` directory (OLD_SRC and NEW_SRC),
 each tree in its own subprocess.  For each p in {3.5, 4, 5, 6}, all on 41^2
 grids over the base [0, 1] with t_min = e^-1 unless stated:
 
@@ -12,10 +12,15 @@ grids over the base [0, 1] with t_min = e^-1 unless stated:
 - on 13^3 grids: manufactured u* = t^0.3, and f = 0.5 with zero Dirichlet
   data.
 
+Then the problem of the verify-2d benchmark workload, p = 3 with
+f = 0.3 t^-3 (t^p f = 0.3) and zero Dirichlet data, at 41^2 and 81^2.  Its
+discrete problem has more than one solution, so which one a solve reaches
+depends on the path; the min of u tells the branches apart.
+
 Prints, for each case and side, whether the solve converged, its stages,
-Newton steps and seconds, and the max-norm difference of the two fields
-relative to the old field's max norm; then the totals.  Exits 1 if a case
-converges on OLD_SRC but not on NEW_SRC.
+Newton steps, seconds and min u, and the max-norm difference of the two
+fields relative to the old field's max norm; then the totals.  Exits 1 if
+a case converges on OLD_SRC but not on NEW_SRC.
 """
 
 import json
@@ -33,18 +38,20 @@ PS = (3.5, 4.0, 5.0, 6.0)
 
 
 def cases():
-    """(label, p, n, t_min, u* exponent or None, forcing or None) per case;
-    a case has either a manufactured exponent or a forcing with zero
-    Dirichlet data, where a forcing is (c, q) for f = c t^q."""
+    """(label, p, n, nodes per axis, t_min, u* exponent or None, forcing or
+    None) per case; a case has either a manufactured exponent or a forcing
+    with zero Dirichlet data, where a forcing is (c, q) for f = c t^q."""
     e1 = math.exp(-1.0)
     for p in PS:
         for kappa in (-0.5, 0.2, 0.41, 1.0):
-            yield f"p={p:g} 41^2 u*=t^{kappa:g}", p, 2, e1, kappa, None
+            yield f"p={p:g} 41^2 u*=t^{kappa:g}", p, 2, 41, e1, kappa, None
         for c in (-1.0, 0.3, 1.0):
-            yield f"p={p:g} 41^2 f={c:g}", p, 2, e1, None, (c, 0.0)
-        yield f"p={p:g} 41^2 f=0.3t^-p t_min=0.01", p, 2, 0.01, None, (0.3, -p)
-        yield f"p={p:g} 13^3 u*=t^0.3", p, 3, e1, 0.3, None
-        yield f"p={p:g} 13^3 f=0.5", p, 3, e1, None, (0.5, 0.0)
+            yield f"p={p:g} 41^2 f={c:g}", p, 2, 41, e1, None, (c, 0.0)
+        yield f"p={p:g} 41^2 f=0.3t^-p t_min=0.01", p, 2, 41, 0.01, None, (0.3, -p)
+        yield f"p={p:g} 13^3 u*=t^0.3", p, 3, 13, e1, 0.3, None
+        yield f"p={p:g} 13^3 f=0.5", p, 3, 13, e1, None, (0.5, 0.0)
+    for nodes in (41, 81):
+        yield f"verify-2d p=3 {nodes}^2 f=0.3t^-3", 3.0, 2, nodes, e1, None, (0.3, -3.0)
 
 
 def run_cases(out: str) -> None:
@@ -56,10 +63,10 @@ def run_cases(out: str) -> None:
     from conepde.solver import manufactured_problem, power_of_t_field, solve_dirichlet
 
     stats, fields = [], {}
-    for k, (label, p, n, t_min, kappa, forcing) in enumerate(cases()):
+    for k, (label, p, n, nodes, t_min, kappa, forcing) in enumerate(cases()):
         domain = ConeDomain(n=n, base_lo=[0.0] * (n - 1), base_hi=[1.0] * (n - 1),
                             t_min=t_min)
-        grid = LogGrid.build(domain, (41, 41) if n == 2 else (13, 13, 13))
+        grid = LogGrid.build(domain, (nodes,) * n)
         if kappa is not None:
             prob = manufactured_problem(power_of_t_field(kappa, n), p, n)
         else:
@@ -71,11 +78,13 @@ def run_cases(out: str) -> None:
             u, rep = solve_dirichlet(prob, grid)
         except FloatingPointError as exc:
             stats.append({"converged": False, "stages": 0, "steps": 0,
-                          "seconds": time.perf_counter() - t0, "error": str(exc)})
+                          "seconds": time.perf_counter() - t0, "min_u": math.nan,
+                          "error": str(exc)})
             continue
         stats.append({"converged": rep.converged, "stages": len(rep.stages),
                       "steps": sum(s.iterations for s in rep.stages),
-                      "seconds": time.perf_counter() - t0})
+                      "seconds": time.perf_counter() - t0,
+                      "min_u": float(np.min(u.values))})
         fields[f"c{k}"] = u.values
     np.savez(out + ".npz", **fields)
     with open(out + ".json", "w") as fh:
@@ -101,8 +110,8 @@ def main(argv) -> int:
         (old, old_fields), (new, new_fields) = (
             run_side(src, os.path.join(tmp, side)) for side, src in zip(("old", "new"), argv))
     labels = [c[0] for c in cases()]
-    print(f"{'case':<34} {'old: conv stages steps s':>26}   {'new: conv stages steps s':>26}"
-          "   rel diff")
+    print(f"{'case':<34} {'old: conv stages steps s min u':>35}   "
+          f"{'new: conv stages steps s min u':>35}   rel diff")
     lost = 0
     for k, label in enumerate(labels):
         a, b = old[k], new[k]
@@ -114,7 +123,8 @@ def main(argv) -> int:
             diff = "-"
         lost += a["converged"] and not b["converged"]
         row = "   ".join(f"{'yes' if s['converged'] else 'NO':>4} {s['stages']:>6} "
-                         f"{s['steps']:>6} {s['seconds']:>7.2f}" for s in (a, b))
+                         f"{s['steps']:>6} {s['seconds']:>7.2f} {s['min_u']:>8.5f}"
+                         for s in (a, b))
         print(f"{label:<34} {row}   {diff}")
     for side, stats in (("old", old), ("new", new)):
         print(f"{side}: {sum(s['converged'] for s in stats)} of {len(stats)} converge; "
