@@ -430,30 +430,27 @@ class CosineBump:
     center: np.ndarray
     widths: np.ndarray
 
-    def value(self, pts_axes) -> np.ndarray:
-        out = None
-        for c, w, q in zip(self.center, self.widths, pts_axes):
-            s = (np.asarray(q, dtype=float) - c) / w
-            piece = np.where(np.abs(s) < 1.0, np.cos(0.5 * math.pi * s) ** 2, 0.0)
-            out = piece if out is None else out * piece
-        return out
-
-    def grad(self, pts_axes) -> np.ndarray:
-        n = len(self.center)
-        base = []
-        dbase = []
+    def _factors(self, pts_axes) -> list:
+        """Per axis (s, inside, cos^2 factor), s the offset from the center
+        in widths."""
+        out = []
         for c, w, q in zip(self.center, self.widths, pts_axes):
             s = (np.asarray(q, dtype=float) - c) / w
             inside = np.abs(s) < 1.0
-            base.append(np.where(inside, np.cos(0.5 * math.pi * s) ** 2, 0.0))
-            dbase.append(np.where(inside,
-                                  -0.5 * math.pi / w * np.sin(math.pi * s), 0.0))
+            out.append((s, inside, np.where(inside, np.cos(0.5 * math.pi * s) ** 2, 0.0)))
+        return out
+
+    def value(self, pts_axes) -> np.ndarray:
+        return math.prod(f for *_, f in self._factors(pts_axes))
+
+    def grad(self, pts_axes) -> np.ndarray:
+        factors = self._factors(pts_axes)
         g = []
-        for k in range(n):
-            piece = dbase[k]
-            for l in range(n):
+        for k, (w, (s, inside, _)) in enumerate(zip(self.widths, factors)):
+            piece = np.where(inside, -0.5 * math.pi / w * np.sin(math.pi * s), 0.0)
+            for l, (*_, f) in enumerate(factors):
                 if l != k:
-                    piece = piece * base[l]
+                    piece = piece * f
             g.append(piece)
         return np.stack(g)
 

@@ -256,8 +256,11 @@ def build_solver_config(cfg: RunConfig) -> SolverConfig:
         value = get(f"solver.{key}")
         if value is not None:
             kwargs[key] = value
-    kwargs["eps_reg_schedule"] = default_eps_schedule(
-        cfg.get_float("solver.eps_reg_start", 1e-1), cfg.get_float("solver.eps_reg_floor", 1e-6))
+    ends = {key: cfg.get_float(key, default)
+            for key, default in (("solver.eps_reg_start", 1e-1), ("solver.eps_reg_floor", 1e-6))}
+    for key, value in ends.items():
+        _require(cfg, key, 0.0 < value < math.inf, "must be finite and positive")
+    kwargs["eps_reg_schedule"] = default_eps_schedule(*ends.values())
     try:
         return SolverConfig(**kwargs)
     except ValueError as exc:

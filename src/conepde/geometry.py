@@ -115,9 +115,22 @@ class ConeDomain:
             np.all(z.x >= self.base_lo - tol) and np.all(z.x <= self.base_hi + tol)
         )
 
-    def base_distance(self, x: np.ndarray) -> float:
-        """Distance from x to the boundary of the base box (x inside)."""
-        return float(min(np.min(x - self.base_lo), np.min(self.base_hi - x)))
+
+def _nearest_face(z_log: np.ndarray, domain: ConeDomain) -> tuple:
+    """(distance, unit vector in (a, x)) from the log-chart point z to its
+    nearest analytic face: the top, a side of the base box, or the bottom
+    when it is a true boundary ({t -> 0} is at infinite metric distance)."""
+    a, x = z_log[0], z_log[1:]
+    faces = [(domain.a_max - a, 0, +1.0)]
+    for k in range(domain.n - 1):
+        faces.append((x[k] - domain.base_lo[k], 1 + k, -1.0))
+        faces.append((domain.base_hi[k] - x[k], 1 + k, +1.0))
+    if domain.bottom_is_boundary:
+        faces.append((a - domain.a_min, 0, -1.0))
+    d, axis, sign = min(faces, key=lambda f: f[0])
+    e = np.zeros(domain.n)
+    e[axis] = sign
+    return d, e
 
 
 def boundary_distance(z: ConePoint, domain: ConeDomain) -> float:
@@ -125,34 +138,11 @@ def boundary_distance(z: ConePoint, domain: ConeDomain) -> float:
 
     Closed form: the top-face minimizer keeps the base coordinate and the
     lateral minimizer keeps the radial coordinate, so the distance is the
-    minimum of |ln(t/t_max)| and the base box distance (plus |ln(t/t_min)|
-    when the bottom face is a true boundary).  The untruncated bottom
-    {t -> 0} is at infinite metric distance and never contributes.
+    one to the nearest face (``_nearest_face``).
     """
     if not domain.contains(z):
         raise ValueError("point lies outside the closure of the domain")
-    d_top = domain.a_max - z.a
-    d_lat = domain.base_distance(z.x)
-    d = min(d_top, d_lat)
-    if domain.bottom_is_boundary:
-        d = min(d, z.a - domain.a_min)
-    return max(d, 0.0)
-
-
-def _nearest_boundary_direction(z_log: np.ndarray, domain: ConeDomain) -> np.ndarray:
-    """Unit vector in (a, x) from z toward its nearest analytic boundary point."""
-    a = z_log[0]
-    x = z_log[1:]
-    candidates = [(domain.a_max - a, 0, +1.0)]
-    for k in range(domain.n - 1):
-        candidates.append((x[k] - domain.base_lo[k], 1 + k, -1.0))
-        candidates.append((domain.base_hi[k] - x[k], 1 + k, +1.0))
-    if domain.bottom_is_boundary:
-        candidates.append((a - domain.a_min, 0, -1.0))
-    _, axis, sign = min(candidates, key=lambda c: c[0])
-    e = np.zeros(domain.n)
-    e[axis] = sign
-    return e
+    return max(float(_nearest_face(z.as_log(), domain)[0]), 0.0)
 
 
 def estimate_g_condition(domain: ConeDomain, samples: int, seed: int,
@@ -184,7 +174,7 @@ def estimate_g_condition(domain: ConeDomain, samples: int, seed: int,
             sigma = 0.0
             continue
         offset = min(d, 0.999 * radius)
-        center = z + offset * _nearest_boundary_direction(z, domain)
+        center = z + offset * _nearest_face(z, domain)[1]
         # uniform sample in the n-ball around the shifted center
         dirs = rng.standard_normal((mc_points, n))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]

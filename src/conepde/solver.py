@@ -2,9 +2,12 @@
 gradient-regularization continuation, manufactured problems, a convergence
 study helper, and the domain-exhaustion existence procedure.
 
-The continuation fixes p: for p > 2 a linearized p = 2 presolve gives the
-starting field, and one queue of eps_reg stages at the target p follows;
-only its last stage, at the floor eps, runs to the final tolerance.
+The continuation fixes p: for p > 2 a presolve on the p = 2 system with
+the target's drift gives the starting field, and one queue of eps_reg
+stages at the target p follows; only its last stage, at the floor eps,
+runs to the final tolerance.  One Newton system per solve gives the
+residual and the linear solve of a step, so the Newton loop does not know
+which linear solver runs.
 A p = 2 Newton system has constant coefficients and is solved exactly by
 fast diagonalization; at other p the Jacobian is assembled on the interior
 nodes, in the grid's nested-dissection order.  Its sparsity pattern is
@@ -29,7 +32,7 @@ grid is rejected rather than run with another scheme.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -63,7 +66,10 @@ __all__ = [
 
 
 def default_eps_schedule(start: float = 1e-1, floor: float = 1e-6) -> tuple:
-    """Halving continuation schedule from ``start`` down to exactly ``floor``."""
+    """Halving continuation schedule from ``start`` down to exactly ``floor``;
+    both must be finite and positive."""
+    if not (0.0 < start < math.inf and 0.0 < floor < math.inf):
+        raise ValueError("eps_reg start and floor must be finite and positive")
     vals = []
     e = start
     while e > floor:
@@ -82,8 +88,8 @@ class SolverConfig:
     def __post_init__(self):
         sched = tuple(self.eps_reg_schedule)
         object.__setattr__(self, "eps_reg_schedule", sched)
-        if not sched or any(e <= 0.0 for e in sched):
-            raise ValueError("eps_reg schedule must be positive")
+        if not sched or not all(0.0 < e < math.inf for e in sched):
+            raise ValueError("eps_reg schedule must be finite and positive")
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise ValueError("eps_reg schedule must be strictly decreasing")
         if not self.tol > 0.0:
@@ -235,17 +241,37 @@ KRYLOV_RESTART, KRYLOV_RTOL = 10, 1e-6
 
 
 @dataclass
-class _JacobianFactor:
-    """The last ``splu`` factor of one solve's Newton Jacobians, and the work
-    done with it: the factorizations taken and the GMRES iterations run."""
+class _NewtonSystem:
+    """One solve's Newton system: the log-chart residual at exponent p,
+    dimension n and interior forcing F_log, and the linear solve of a step,
+    by ``_solve_linear`` at p == 2 and otherwise by ``_solve_jacobian`` on
+    the assembled Jacobian with the kept ``splu`` factor ``lu``.  It counts
+    the factorizations taken and the GMRES iterations run."""
 
+    grid: LogGrid
+    p: float
+    n: float
+    F_log: np.ndarray
     lu: object = None
     factorizations: int = 0
     krylov_iterations: int = 0
 
+    def residual(self, values: np.ndarray, eps_reg: float) -> np.ndarray:
+        """The residual at every node, zero on the boundary."""
+        u = GridFunction(self.grid, values, check_finite=False)
+        res = divergence_part_field(u, self.p, self.n, eps_reg) - self.F_log
+        res[self.grid.boundary_mask] = 0.0
+        return res
 
-def _solve_jacobian(J: sp.csc_matrix, grid: LogGrid, rhs: np.ndarray,
-                    factor: _JacobianFactor) -> np.ndarray:
+    def step(self, values: np.ndarray, eps_reg: float, rhs: np.ndarray) -> np.ndarray:
+        """The Newton step: du with J du = rhs at ``values``, zero on the boundary."""
+        if self.p == 2.0:
+            return _solve_linear(self.grid, self.n - self.p, rhs)
+        return _solve_jacobian(
+            _assemble_jacobian(values, self.grid, self.p, self.n, eps_reg), rhs, self)
+
+
+def _solve_jacobian(J: sp.csc_matrix, rhs: np.ndarray, system: _NewtonSystem) -> np.ndarray:
     """The solution du of J du = rhs for the interior block J from
     ``_assemble_jacobian``; du is zero on the boundary, whose values are
     data.
@@ -256,15 +282,15 @@ def _solve_jacobian(J: sp.csc_matrix, grid: LogGrid, rhs: np.ndarray,
     tolerance on the true residual, |J du - rhs|_2 <= KRYLOV_RTOL |rhs|_2.
     When the cycle misses it, or there is no factor yet, J itself is
     factorized in its own (nested-dissection) order with SuperLU's partial
-    pivoting, kept in ``factor`` and solved directly; a singular factor
+    pivoting, kept on ``system`` and solved directly; a singular factor
     raises RuntimeError."""
-    order = grid.dissection_order
+    order = system.grid.dissection_order
     b = rhs.ravel()[order]
-    du = np.zeros(grid.shape)
-    lu = factor.lu
+    du = np.zeros(system.grid.shape)
+    lu = system.lu
     if lu is not None:
         def tally(_):
-            factor.krylov_iterations += 1
+            system.krylov_iterations += 1
 
         last = []  # the operator's latest (y, M^-1 y)
 
@@ -281,49 +307,33 @@ def _solve_jacobian(J: sp.csc_matrix, grid: LogGrid, rhs: np.ndarray,
             du.flat[order] = (last[1] if last and np.array_equal(last[0], y)
                               else lu.solve(y))
             return du
-    factor.lu = spla.splu(J, permc_spec="NATURAL")
-    factor.factorizations += 1
-    du.flat[order] = factor.lu.solve(b)
+    system.lu = spla.splu(J, permc_spec="NATURAL")
+    system.factorizations += 1
+    du.flat[order] = system.lu.solve(b)
     return du
 
 
-def _interior_residual(values: np.ndarray, grid: LogGrid, p: float, n: int,
-                       F_log: np.ndarray, eps_reg: float) -> np.ndarray:
-    u = GridFunction(grid, values, check_finite=False)
-    res = divergence_part_field(u, p, n, eps_reg) - F_log
-    res[grid.boundary_mask] = 0.0
-    return res
-
-
-def _newton_stage(values: np.ndarray, grid: LogGrid, p: float, n: int,
-                  F_log: np.ndarray, eps_reg: float, cfg: SolverConfig,
-                  factor: _JacobianFactor, target: float) -> tuple:
-    """Damped Newton at one continuation stage, run until the residual's max
-    norm is at most ``target``; returns (values, StageRecord).
-    A rejected trial step halves the step length.  At p == 2 the Jacobian
-    is constant and ``_solve_linear`` inverts it; otherwise its interior
-    block is assembled at the iterate and ``_solve_jacobian`` solves it with
-    the solve's kept ``factor``, which it refreshes when that stalls.  The
-    record counts the stage's factorizations and GMRES iterations and names
-    why the stage stopped."""
-    start = (factor.factorizations, factor.krylov_iterations)
-    res = _interior_residual(values, grid, p, n, F_log, eps_reg)
+def _newton_stage(values: np.ndarray, system: _NewtonSystem, eps_reg: float,
+                  max_iter: int, target: float) -> tuple:
+    """Damped Newton on ``system`` at one continuation stage, run until the
+    residual's max norm is at most ``target``; returns (values, StageRecord).
+    A rejected trial step halves the step length.  The record counts the
+    stage's factorizations and GMRES iterations and names why the stage
+    stopped."""
+    start = (system.factorizations, system.krylov_iterations)
+    res = system.residual(values, eps_reg)
     if not np.all(np.isfinite(res)):
         raise FloatingPointError("non-finite value in discrete residual")
     norm = float(np.max(np.abs(res)))
     iters = 0
     accepted = True
-    while norm > target and iters < cfg.max_iter:
-        if p == 2.0:
-            du = _solve_linear(grid, n - p, -res)
-        else:
-            du = _solve_jacobian(_assemble_jacobian(values, grid, p, n, eps_reg), grid,
-                                 -res, factor)
+    while norm > target and iters < max_iter:
+        du = system.step(values, eps_reg, -res)
         lam = 1.0
         accepted = False
         while lam >= 1e-12:
             trial = values + lam * du
-            tres = _interior_residual(trial, grid, p, n, F_log, eps_reg)
+            tres = system.residual(trial, eps_reg)
             if np.any(np.isnan(tres)):
                 raise FloatingPointError("NaN in discrete residual")
             tnorm = float(np.max(np.abs(tres)))
@@ -338,8 +348,8 @@ def _newton_stage(values: np.ndarray, grid: LogGrid, p: float, n: int,
     stop = ("converged" if norm <= target else "max_iter" if accepted else "line_search")
     return values, StageRecord(eps_reg=eps_reg, iterations=iters, residual_norm=norm,
                                stop_reason=stop,
-                               factorizations=factor.factorizations - start[0],
-                               krylov_iterations=factor.krylov_iterations - start[1])
+                               factorizations=system.factorizations - start[0],
+                               krylov_iterations=system.krylov_iterations - start[1])
 
 
 def solve_dirichlet(prob: PDEProblem, grid: LogGrid,
@@ -365,19 +375,17 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid,
     cfg = cfg or SolverConfig()
     p, n = prob.p, prob.n
     _check_peclet(grid, p, n)
-    # the residual lives on the interior, so the forcing on the boundary is never read
-    F_log = prob.log_forcing(grid, interior_only=True)
-
     values = np.zeros(grid.shape)
     bmask = grid.boundary_mask
     values[bmask] = prob.dirichlet_values(grid)[bmask]
 
     stages: list = []
-    factor = _JacobianFactor()
+    # the residual lives on the interior, so the forcing on the boundary is never read
+    system = _NewtonSystem(grid, p, n, prob.log_forcing(grid, interior_only=True))
     if p > 2.0:
-        # linearized presolve: unit diffusion with the target drift strength
-        values, _ = _newton_stage(values, grid, 2.0, 2 + (n - p), F_log,
-                                  cfg.eps_reg_schedule[0], cfg, factor, cfg.tol)
+        # linearized presolve: the p = 2 system with the target's drift n - p
+        values, _ = _newton_stage(values, replace(system, p=2.0, n=2 + (n - p)),
+                                  cfg.eps_reg_schedule[0], cfg.max_iter, cfg.tol)
 
     queue = [cfg.eps_reg_schedule[-1]] if p == 2.0 else list(cfg.eps_reg_schedule)
     # midpoints go in before the current stage, so the floor stays last
@@ -388,7 +396,7 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid,
     while i < len(queue):
         eps = queue[i]
         target = cfg.tol if i == len(queue) - 1 else loose
-        values, stage = _newton_stage(values, grid, p, n, F_log, eps, cfg, factor, target)
+        values, stage = _newton_stage(values, system, eps, cfg.max_iter, target)
         stages.append(stage)
         norm = stage.residual_norm
         if norm > target:

@@ -14,6 +14,7 @@ fields written out kind by kind.  Nothing here is imported by the package
 itself.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -292,17 +293,17 @@ def recursive_dissection_order(grid):
     return np.concatenate(order)
 
 
-def refactorized_solve(J, grid, rhs, factor):
+def refactorized_solve(J, rhs, system):
     """The p != 2 Newton step with a fresh ``splu`` factor of the interior
     block J on every call, in its own order: the reference for
     ``solver._solve_jacobian``, which reuses a kept factor.  It stores the
-    factor and counts it in ``factor``, so a solve's stage records still add
+    factor and counts it on ``system``, so a solve's stage records still add
     up."""
-    order = grid.dissection_order
-    factor.lu = spla.splu(J, permc_spec="NATURAL")
-    factor.factorizations += 1
-    du = np.zeros(grid.shape)
-    du.flat[order] = factor.lu.solve(rhs.ravel()[order])
+    order = system.grid.dissection_order
+    system.lu = spla.splu(J, permc_spec="NATURAL")
+    system.factorizations += 1
+    du = np.zeros(system.grid.shape)
+    du.flat[order] = system.lu.solve(rhs.ravel()[order])
     return du
 
 
@@ -314,20 +315,19 @@ def every_stage_to_tol(prob, grid, cfg=None):
     cfg = cfg or solver.SolverConfig()
     p, n = prob.p, prob.n
     solver._check_peclet(grid, p, n)
-    F_log = prob.log_forcing(grid, interior_only=True)
     values = np.zeros(grid.shape)
     bmask = grid.boundary_mask
     values[bmask] = prob.dirichlet_values(grid)[bmask]
-    factor = solver._JacobianFactor()
+    system = solver._NewtonSystem(grid, p, n, prob.log_forcing(grid, interior_only=True))
     if p > 2.0:
-        values, _ = solver._newton_stage(values, grid, 2.0, 2 + (n - p), F_log,
-                                         cfg.eps_reg_schedule[0], cfg, factor, cfg.tol)
+        presolve = dataclasses.replace(system, p=2.0, n=2 + (n - p))
+        values, _ = solver._newton_stage(values, presolve, cfg.eps_reg_schedule[0],
+                                         cfg.max_iter, cfg.tol)
     queue = [cfg.eps_reg_schedule[-1]] if p == 2.0 else list(cfg.eps_reg_schedule)
     stages, prev_eps, insertions, i = [], None, 0, 0
     while i < len(queue):
         eps = queue[i]
-        values, stage = solver._newton_stage(values, grid, p, n, F_log, eps, cfg, factor,
-                                             cfg.tol)
+        values, stage = solver._newton_stage(values, system, eps, cfg.max_iter, cfg.tol)
         stages.append(stage)
         norm = stage.residual_norm
         if norm > cfg.tol:

@@ -171,6 +171,21 @@ class TestConfigValidation:
         assert key.split(" =")[0] in err and "line 12" in err
         assert not os.path.isdir(out) or not os.listdir(out)
 
+    @pytest.mark.parametrize("entry", ["solver.eps_reg_start = inf",
+                                       "solver.eps_reg_floor = -1",
+                                       "solver.eps_reg_floor = nan"])
+    def test_bad_eps_schedule_end_reports_key_and_line(self, tmp_path, capsys,
+                                                       monkeypatch, entry):
+        # these used to halve forever or reach the solve as a NaN schedule
+        monkeypatch.setattr("conepde.cli.solve_dirichlet", refuse_solve)
+        out = os.path.join(tmp_path, "out")
+        body = BASE_CONFIG.replace("problem.p = 2.0", "problem.p = 3.0")
+        cfg = write_config(tmp_path, (body + entry + "\n").format(outdir=out))
+        assert run(["solve", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert entry.split(" =")[0] in err and "line 12" in err
+        assert "finite and positive" in err
+
     def test_out_of_range_p(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG.format(outdir=tmp_path)
                            .replace("problem.p = 2.0", "problem.p = 1.5"))

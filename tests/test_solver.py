@@ -15,9 +15,8 @@ from conepde.geometry import ConeDomain
 from conepde.operators import PDEProblem, constant_field
 from conepde.solver import (
     SolverConfig,
-    _JacobianFactor,
+    _NewtonSystem,
     _assemble_jacobian,
-    _interior_residual,
     _solve_jacobian,
     _solve_linear,
     convergence_study,
@@ -54,6 +53,21 @@ class TestConfig:
     def test_rejects_nonmonotone_schedule(self):
         with pytest.raises(ValueError):
             SolverConfig(eps_reg_schedule=(1e-2, 1e-1))
+
+    @pytest.mark.parametrize("start, floor", [(math.inf, 1e-6), (1e-1, -1.0),
+                                              (1e-1, math.nan), (math.nan, 1e-6),
+                                              (0.0, 1e-6), (1e-1, math.inf)])
+    def test_schedule_rejects_nonfinite_or_nonpositive_ends(self, start, floor):
+        # an infinite start or a negative floor used to halve forever
+        with pytest.raises(ValueError, match="finite and positive"):
+            default_eps_schedule(start, floor)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_schedule_entries(self, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SolverConfig(eps_reg_schedule=(bad,))
+        with pytest.raises(ValueError, match="finite and positive"):
+            SolverConfig(eps_reg_schedule=(1e-1, bad, 1e-6))
 
 
 class TestSolveDirichlet:
@@ -212,10 +226,10 @@ class TestJacobian:
         order = grid.dissection_order
         Jw = _assemble_jacobian(v, grid, p, n, eps) @ w.ravel()[order]
         scale = float(np.max(np.abs(Jw)))
+        system = _NewtonSystem(grid, p, n, F_log)
         rel = []
         for h in (1e-3, 1e-4, 1e-5):
-            fd = (_interior_residual(v + h * w, grid, p, n, F_log, eps)
-                  - _interior_residual(v - h * w, grid, p, n, F_log, eps)) / (2.0 * h)
+            fd = (system.residual(v + h * w, eps) - system.residual(v - h * w, eps)) / (2.0 * h)
             rel.append(float(np.max(np.abs(Jw - fd.ravel()[order]))) / scale)
         assert rel[-1] < 1e-8
         for coarse, fine in zip(rel, rel[1:]):
@@ -304,7 +318,7 @@ class TestFastLinearSolve:
         # the direct solve: one Newton step from the boundary data
         start = np.where(grid.boundary_mask, prob.dirichlet_values(grid), 0.0)
         F_log = prob.log_forcing(grid)
-        res = _interior_residual(start, grid, 2.0, 3, F_log, 1e-6)
+        res = _NewtonSystem(grid, 2.0, 3, F_log).residual(start, 1e-6)
         J = full_jacobian(start, grid, 2.0, 3, 1e-6)
         direct = start + spla.spsolve(J, -res.ravel()).reshape(grid.shape)
         err_direct = float(np.max(np.abs(direct - exact)))
@@ -321,9 +335,14 @@ class TestFastLinearSolve:
         assert abs(err - err_direct) <= 1e-12 * scale
 
 
-def _direct_solve(J, grid, rhs, factor=None):
+def _direct_solve(J, rhs, system=None):
     # a sparse direct solve of the full-grid system from ``full_jacobian``
-    return spla.spsolve(J, rhs.ravel()).reshape(grid.shape)
+    return spla.spsolve(J, rhs.ravel()).reshape(rhs.shape)
+
+
+def kept_factor(grid, lu=None):
+    """A p = 3, n = 2 Newton system on ``grid`` whose kept factor is ``lu``."""
+    return _NewtonSystem(grid, 3.0, 2, np.zeros(grid.shape), lu=lu)
 
 
 class TestOrderedJacobianSolve:
@@ -349,17 +368,17 @@ class TestOrderedJacobianSolve:
         v = v + 0.25 * np.sin(sum(f * m for f, m in zip(freq, grid.mesh))) / math.sqrt(n)
         res = rng.standard_normal(grid.shape)
         res[grid.boundary_mask] = 0.0
-        direct = _direct_solve(full_jacobian(v, grid, p, n, eps), grid, -res)
+        direct = _direct_solve(full_jacobian(v, grid, p, n, eps), -res)
         J = _assemble_jacobian(v, grid, p, n, eps)
-        factor = _JacobianFactor()
-        du = _solve_jacobian(J, grid, -res, factor)
-        assert factor.factorizations == 1 and factor.krylov_iterations == 0
+        system = _NewtonSystem(grid, p, n, np.zeros(grid.shape))
+        du = system.step(v, eps, -res)
+        assert system.factorizations == 1 and system.krylov_iterations == 0
         assert np.all(du[grid.boundary_mask] == 0.0)
         assert np.max(np.abs(du - direct)) <= 1e-12 * np.max(np.abs(direct))
         # the kept factor of J preconditions GMRES on J itself: no new factor,
         # and the tolerance holds on the true residual
-        du = _solve_jacobian(J, grid, -res, factor)
-        assert factor.factorizations == 1 and factor.krylov_iterations >= 1
+        du = system.step(v, eps, -res)
+        assert system.factorizations == 1 and system.krylov_iterations >= 1
         order = grid.dissection_order
         assert (np.linalg.norm(J @ du.ravel()[order] + res.ravel()[order])
                 <= solver.KRYLOV_RTOL * np.linalg.norm(res))
@@ -372,7 +391,7 @@ class TestOrderedJacobianSolve:
         rhs = np.where(grid.boundary_mask, 0.0, 1.0)
         for stale in (None, spla.splu(sp.identity(m, format="csc"))):
             with pytest.raises(RuntimeError):
-                _solve_jacobian(sp.csc_matrix((m, m)), grid, rhs, _JacobianFactor(lu=stale))
+                _solve_jacobian(sp.csc_matrix((m, m)), rhs, kept_factor(grid, stale))
 
     def test_wrong_stale_factor_refactorizes(self):
         # a kept factor of an unrelated diagonal matrix leaves GMRES far from
@@ -384,11 +403,11 @@ class TestOrderedJacobianSolve:
         res[grid.boundary_mask] = 0.0
         m = grid.dissection_order.size
         stale = spla.splu(sp.diags(10.0 ** rng.uniform(-3, 3, m)).tocsc())
-        factor = _JacobianFactor(lu=stale)
-        du = _solve_jacobian(_assemble_jacobian(v, grid, 3.0, 2, 1e-2), grid, -res, factor)
+        factor = kept_factor(grid, stale)
+        du = _solve_jacobian(_assemble_jacobian(v, grid, 3.0, 2, 1e-2), -res, factor)
         assert factor.krylov_iterations == solver.KRYLOV_RESTART
         assert factor.factorizations == 1 and factor.lu is not stale
-        direct = _direct_solve(full_jacobian(v, grid, 3.0, 2, 1e-2), grid, -res)
+        direct = _direct_solve(full_jacobian(v, grid, 3.0, 2, 1e-2), -res)
         assert np.max(np.abs(du - direct)) <= 1e-12 * np.max(np.abs(direct))
 
     def test_converged_step_reuses_last_preconditioner_solve(self):
@@ -414,8 +433,8 @@ class TestOrderedJacobianSolve:
         lu = spla.splu(_assemble_jacobian(v + 0.05 * grid.mesh[1] ** 2, grid, 3.0, 2, 1e-2),
                        permc_spec="NATURAL")
         counting = CountingLU(lu)
-        factor = _JacobianFactor(lu=counting)
-        du = _solve_jacobian(J, grid, -res, factor)
+        factor = kept_factor(grid, counting)
+        du = _solve_jacobian(J, -res, factor)
         assert factor.factorizations == 0 and factor.lu is counting
         assert factor.krylov_iterations >= 2
         assert counting.calls == factor.krylov_iterations + 1
@@ -489,9 +508,9 @@ def record_stage_targets(monkeypatch):
     calls = []
     stage = solver._newton_stage
 
-    def recording(values, grid, p, n, F_log, eps_reg, cfg, factor, target):
-        calls.append((p, eps_reg, target))
-        return stage(values, grid, p, n, F_log, eps_reg, cfg, factor, target)
+    def recording(values, system, eps_reg, max_iter, target):
+        calls.append((system.p, eps_reg, target))
+        return stage(values, system, eps_reg, max_iter, target)
 
     monkeypatch.setattr(solver, "_newton_stage", recording)
     return calls
@@ -576,16 +595,18 @@ class TestInexactContinuation:
         # below the start residual still accepts it, in one step
         stage, step = solver._newton_stage, solver._solve_jacobian
         monkeypatch.setattr(solver, "_solve_jacobian",
-                            lambda J, grid, rhs, factor: 1e-6 * step(J, grid, rhs, factor))
+                            lambda J, rhs, system: 1e-6 * step(J, rhs, system))
         grid = LogGrid.build(unit_domain(), (13, 13))
         prob = constant_forcing_problem(3.0, 2)
         F_log = prob.log_forcing(grid, interior_only=True)
         values = np.zeros(grid.shape)
-        norm = float(np.max(np.abs(_interior_residual(values, grid, 3.0, 2, F_log, 1e-2))))
-        args = (values, grid, 3.0, 2, F_log, 1e-2, SolverConfig())
-        _, rec = stage(*args, _JacobianFactor(), (1.0 - 1e-7) * norm)
+        norm = float(np.max(np.abs(_NewtonSystem(grid, 3.0, 2, F_log).residual(values, 1e-2))))
+        max_iter = SolverConfig().max_iter
+        _, rec = stage(values, _NewtonSystem(grid, 3.0, 2, F_log), 1e-2, max_iter,
+                       (1.0 - 1e-7) * norm)
         assert (rec.iterations, rec.stop_reason) == (1, "converged")
-        _, rec = stage(*args, _JacobianFactor(), (1.0 - 1e-5) * norm)
+        _, rec = stage(values, _NewtonSystem(grid, 3.0, 2, F_log), 1e-2, max_iter,
+                       (1.0 - 1e-5) * norm)
         assert (rec.iterations, rec.stop_reason) == (1, "line_search")
 
 
@@ -593,7 +614,7 @@ class TestStopReason:
     def test_failed_line_search(self, monkeypatch):
         # a zero Newton direction never lowers the residual
         monkeypatch.setattr(solver, "_solve_jacobian",
-                            lambda J, grid, rhs, factor: np.zeros(grid.shape))
+                            lambda J, rhs, system: np.zeros(rhs.shape))
         grid = LogGrid.build(unit_domain(), (13, 13))
         _, rep = solve_dirichlet(constant_forcing_problem(3.0, 2), grid)
         assert not rep.converged
@@ -606,6 +627,67 @@ class TestStopReason:
                                  SolverConfig(max_iter=0))
         assert not rep.converged
         assert {(s.iterations, s.stop_reason) for s in rep.stages} == {(0, "max_iter")}
+
+
+class StubSystem:
+    """A Newton system with no PDE behind it: the residual is values - root,
+    and a step is ``scale`` times the exact Newton step, costing one
+    factorization and ``krylov`` GMRES iterations.  It logs the eps_reg of
+    every call."""
+
+    def __init__(self, root, scale=1.0, krylov=0):
+        self.root, self.scale, self.krylov = np.asarray(root, dtype=float), scale, krylov
+        # counts from earlier stages of a solve, which a record must not include
+        self.factorizations, self.krylov_iterations = 7, 11
+        self.eps_seen = []
+
+    def residual(self, values, eps_reg):
+        self.eps_seen.append(eps_reg)
+        return values - self.root
+
+    def step(self, values, eps_reg, rhs):
+        self.eps_seen.append(eps_reg)
+        self.factorizations += 1
+        self.krylov_iterations += self.krylov
+        return self.scale * rhs
+
+
+class TestNewtonStageOnStubSystem:
+    """``_newton_stage`` sees only a residual, a step and two counters, so
+    it runs on a system that is no discretization at all."""
+
+    def test_converged(self):
+        system = StubSystem([1.0, -2.0, 0.5], krylov=3)
+        values, rec = solver._newton_stage(np.zeros(3), system, 0.25, 10, 1e-12)
+        np.testing.assert_array_equal(values, system.root)
+        assert (rec.eps_reg, rec.iterations, rec.residual_norm) == (0.25, 1, 0.0)
+        assert rec.stop_reason == "converged"
+        assert (rec.factorizations, rec.krylov_iterations) == (1, 3)
+        assert set(system.eps_seen) == {0.25}
+
+    def test_met_target_takes_no_step(self):
+        system = StubSystem([1e-3])
+        values, rec = solver._newton_stage(np.zeros(1), system, 0.5, 10, 1e-2)
+        assert (rec.iterations, rec.stop_reason, rec.residual_norm) == (0, "converged", 1e-3)
+        assert (rec.factorizations, rec.krylov_iterations) == (0, 0)
+        assert system.eps_seen == [0.5]
+
+    def test_max_iter(self):
+        # half steps are accepted in full and halve the residual each time
+        system = StubSystem([4.0, -8.0], scale=0.5, krylov=2)
+        values, rec = solver._newton_stage(np.zeros(2), system, 1e-3, 3, 1e-9)
+        np.testing.assert_array_equal(values, [3.5, -7.0])
+        assert (rec.iterations, rec.stop_reason, rec.residual_norm) == (3, "max_iter", 1.0)
+        assert (rec.factorizations, rec.krylov_iterations) == (3, 6)
+
+    def test_line_search(self):
+        # a step away from the root raises the residual at every length
+        system = StubSystem([1.0, 2.0], scale=-1.0, krylov=5)
+        start = np.zeros(2)
+        values, rec = solver._newton_stage(start, system, 1e-2, 10, 1e-9)
+        assert values is start
+        assert (rec.iterations, rec.stop_reason, rec.residual_norm) == (1, "line_search", 2.0)
+        assert (rec.factorizations, rec.krylov_iterations) == (1, 5)
 
 
 class TestDiscreteComparison:

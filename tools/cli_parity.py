@@ -19,8 +19,10 @@ output except ``*_meta.json`` must be byte-identical, and the exit codes of
 every command and the set of meta files must agree.  Prints one line per
 case and a summary; exits 1 on any difference.  A file that differs is
 reported with the largest |old - new| / max(1, |old|) over its numbers
-(JSON values, CSV fields, ``.gf`` lines), or as "structure differs" when
-its non-numeric text differs too.
+(JSON values, CSV fields, ``.gf`` lines).  A JSON file whose key set
+changed names the added and removed keys and still compares the numbers
+both sides share; "structure differs" marks any other change of its
+non-numeric content, which for a CSV or ``.gf`` file ends the comparison.
 """
 
 import json
@@ -130,22 +132,33 @@ def outputs(workdir: str) -> dict:
     return result
 
 
-def split_numbers(name: str, data: bytes) -> tuple:
-    """(non-numeric skeleton, numbers) of an output file: the JSON value tree
-    with numbers replaced by "#", or the comma- and line-separated fields of
-    a CSV or ``.gf`` file with numbers replaced by "#"; a JSON null that
-    became a number, or the reverse, changes the skeleton."""
-    numbers = []
+def json_diff(old, new, path: str, keys: dict, pairs: list) -> bool:
+    """Walks two JSON value trees side by side.  Each key that only one side
+    has goes into ``keys["added"]`` or ``keys["removed"]`` as a dotted path
+    (list indices as ``[]``), and each number both sides hold at the same
+    place goes into ``pairs`` as (old, new); returns False when anything
+    else differs: a type, a string, a list length, a null against a
+    number."""
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
 
-    def strip(value):
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            numbers.append(float(value))
-            return "#"
-        if isinstance(value, dict):
-            return {k: strip(v) for k, v in value.items()}
-        if isinstance(value, list):
-            return [strip(v) for v in value]
-        return value
+    if isinstance(old, dict) and isinstance(new, dict):
+        keys["added"].update(path + k for k in new.keys() - old.keys())
+        keys["removed"].update(path + k for k in old.keys() - new.keys())
+        return all([json_diff(old[k], new[k], f"{path}{k}.", keys, pairs)
+                    for k in old.keys() & new.keys()])
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return all([json_diff(a, b, path[:-1] + "[].", keys, pairs) for a, b in zip(old, new)])
+    if number(old) and number(new):
+        pairs.append((float(old), float(new)))
+        return True
+    return old == new and type(old) is type(new)
+
+
+def split_numbers(data: bytes) -> tuple:
+    """(non-numeric skeleton, numbers) of a CSV or ``.gf`` file: its comma-
+    and line-separated fields with numbers replaced by "#"."""
+    numbers = []
 
     def field(text):
         try:
@@ -154,24 +167,30 @@ def split_numbers(name: str, data: bytes) -> tuple:
         except ValueError:
             return text
 
-    text = data.decode()
-    if name.endswith(".json"):
-        return strip(json.loads(text)), numbers
-    return [[field(f) for f in line.split(",")] for line in text.splitlines()], numbers
+    return [[field(f) for f in line.split(",")] for line in data.decode().splitlines()], numbers
 
 
 def describe_difference(name: str, old: bytes, new: bytes) -> str:
-    old_skeleton, old_nums = split_numbers(name, old)
-    new_skeleton, new_nums = split_numbers(name, new)
-    if old_skeleton != new_skeleton:
-        return "structure differs"
+    notes = []
+    if name.endswith(".json"):
+        keys, pairs = {"added": set(), "removed": set()}, []
+        if not json_diff(json.loads(old), json.loads(new), "", keys, pairs):
+            notes.append("structure differs")
+        notes += [f"{kind} keys {', '.join(sorted(paths))}"
+                  for kind, paths in keys.items() if paths]
+    else:
+        (old_skeleton, old_nums), (new_skeleton, new_nums) = split_numbers(old), split_numbers(new)
+        if old_skeleton != new_skeleton:
+            return "structure differs"
+        pairs = list(zip(old_nums, new_nums))
     worst = 0.0
-    for a, b in zip(old_nums, new_nums):
+    for a, b in pairs:
         if a == b or (math.isnan(a) and math.isnan(b)):
             continue
         d = abs(a - b) / max(1.0, abs(a))
         worst = math.inf if math.isnan(d) else max(worst, d)
-    return f"max rel diff {worst:.3g}"
+    shared = " over the shared values" if notes else ""
+    return "; ".join(notes + [f"max rel diff {worst:.3g}{shared}"])
 
 
 def write_field(src: str, path: str) -> None:

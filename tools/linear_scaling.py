@@ -66,10 +66,9 @@ import oracles  # noqa: E402
 from conepde.calculus import LogGrid  # noqa: E402
 from conepde.geometry import ConeDomain  # noqa: E402
 from conepde import solver  # noqa: E402
-from conepde.solver import (_JacobianFactor, _assemble_jacobian,  # noqa: E402
-                            _interior_residual, _solve_jacobian, exact_solution_values,
-                            make_exact_solution, manufactured_problem, power_of_t_field,
-                            solve_dirichlet)
+from conepde.solver import (_NewtonSystem, _assemble_jacobian,  # noqa: E402
+                            _solve_jacobian, exact_solution_values, make_exact_solution,
+                            manufactured_problem, power_of_t_field, solve_dirichlet)
 
 P, EPS_REG, REPEATS, SOLVE_REPEATS, ASSEMBLY_REPEATS, KAPPA = 3.0, 1e-2, 5, 3, 31, 0.5
 SIZES = ((2, 81), (2, 97), (2, 161), (3, 17), (3, 21), (3, 25))
@@ -86,7 +85,7 @@ def smooth_iterate(n: int, m: int) -> tuple:
     grid = unit_grid(n, m)
     values = exact_solution_values(make_exact_solution(P, n), grid).values
     values = values + 0.05 * np.sin(np.pi * sum(grid.mesh))
-    return grid, values, _interior_residual(values, grid, P, n, np.zeros(grid.shape), EPS_REG)
+    return grid, values, _NewtonSystem(grid, P, n, np.zeros(grid.shape)).residual(values, EPS_REG)
 
 
 def newton_system(n: int, m: int) -> tuple:
@@ -132,10 +131,11 @@ def measure(n: int, m: int) -> dict:
     grid, J, block, rhs = newton_system(n, m)
     times = {"spsolve": [], "ordered": []}
     for _ in range(REPEATS):
+        fresh = _NewtonSystem(grid, P, n, np.zeros(grid.shape))  # no kept factor
         t0 = time.perf_counter()
         direct = spla.spsolve(J, rhs.ravel()).reshape(grid.shape)
         t1 = time.perf_counter()
-        du = _solve_jacobian(block, grid, rhs, _JacobianFactor())
+        du = _solve_jacobian(block, rhs, fresh)
         t2 = time.perf_counter()
         times["spsolve"].append(t1 - t0)
         times["ordered"].append(t2 - t1)

@@ -19,8 +19,9 @@ depends on the path; the min of u tells the branches apart.
 
 Prints, for each case and side, whether the solve converged, its stages,
 Newton steps, seconds and min u, and the max-norm difference of the two
-fields relative to the old field's max norm; then the totals.  Exits 1 if
-a case converges on OLD_SRC but not on NEW_SRC.
+fields relative to the old field's max norm; then the totals, how many
+fields are bit-equal and in how many cases the stages and Newton steps
+match.  Exits 1 if a case converges on OLD_SRC but not on NEW_SRC.
 """
 
 import json
@@ -112,10 +113,13 @@ def main(argv) -> int:
     labels = [c[0] for c in cases()]
     print(f"{'case':<34} {'old: conv stages steps s min u':>35}   "
           f"{'new: conv stages steps s min u':>35}   rel diff")
-    lost = 0
+    lost = bit_equal = same_path = 0
     for k, label in enumerate(labels):
         a, b = old[k], new[k]
         key = f"c{k}"
+        if key in old_fields and key in new_fields:
+            bit_equal += np.array_equal(old_fields[key], new_fields[key])
+        same_path += (a["stages"], a["steps"]) == (b["stages"], b["steps"])
         if a["converged"] and b["converged"]:
             ref = old_fields[key]
             diff = f"{np.max(np.abs(new_fields[key] - ref)) / np.max(np.abs(ref)):.2e}"
@@ -131,6 +135,8 @@ def main(argv) -> int:
               f"{sum(s['stages'] for s in stats)} stages, "
               f"{sum(s['steps'] for s in stats)} Newton steps, "
               f"{sum(s['seconds'] for s in stats):.1f} s")
+    print(f"{bit_equal} of {len(labels)} fields bit-equal; stages and Newton steps "
+          f"match in {same_path} of {len(labels)} cases")
     if lost:
         print(f"{lost} case(s) converge on OLD_SRC but not on NEW_SRC")
     return 1 if lost else 0
