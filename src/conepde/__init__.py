@@ -53,7 +53,6 @@ from conepde.regularization import (
 from conepde.analysis import (
     AbpReport,
     DoublingDiagnostic,
-    WeakHarnackConfig,
     abp_check,
     comparison_check,
     doubling_diagnostic,

@@ -33,12 +33,10 @@ __all__ = [
     "abp_check",
     "HoelderReport",
     "hoelder_check",
-    "hoelder_sweep",
     "empirical_alpha1",
     "HarnackReport",
     "harnack_radius_bound",
     "harnack_ratio",
-    "WeakHarnackConfig",
     "weak_harnack_check",
     "OscillationReport",
     "oscillation_decay",
@@ -181,10 +179,6 @@ def hoelder_check(v: GridFunction, prob: PDEProblem, rho: float) -> HoelderRepor
                          vacuous=vacuous, inconsistent=inconsistent)
 
 
-def hoelder_sweep(v: GridFunction, prob: PDEProblem, rhos: Sequence[float]) -> list:
-    return [hoelder_check(v, prob, rho) for rho in rhos]
-
-
 def empirical_alpha1(coarse: Sequence[HoelderReport], fine: Sequence[HoelderReport],
                      rel_tol: float = 0.2) -> float | None:
     """Largest swept exponent whose ratio is finite on both grids and moves
@@ -244,19 +238,6 @@ def harnack_ratio(u: GridFunction, prob: PDEProblem, center: ConePoint,
     return HarnackReport(sup=sup, inf=inf, forcing=forcing, C_emp=C_emp)
 
 
-@dataclass(frozen=True)
-class WeakHarnackConfig:
-    p0_sweep: tuple
-    center: ConePoint
-    d: float
-
-    def __post_init__(self):
-        if not self.d > 0.0:
-            raise ValueError("ball radius must be positive")
-        if any(not (0.0 < p0 <= 1.0) for p0 in self.p0_sweep):
-            raise ValueError("p0 values must lie in (0, 1]")
-
-
 @dataclass
 class WeakHarnackRow:
     p0: float
@@ -266,19 +247,23 @@ class WeakHarnackRow:
     C_emp_plus: float
 
 
-def weak_harnack_check(u: GridFunction, prob: PDEProblem,
-                       cfg: WeakHarnackConfig, domain: ConeDomain) -> list:
-    """Normalized p0-means of a nonnegative supersolution against its
-    infimum plus forcing, per swept p0.
+def weak_harnack_check(u: GridFunction, prob: PDEProblem, p0s: Sequence[float],
+                       center: ConePoint, d: float, domain: ConeDomain) -> list:
+    """Normalized p0-means of a nonnegative supersolution on the ball B(center,
+    d) against its infimum plus forcing, one row per p0 in ``p0s`` (each in (0, 1]).
 
     Both forcing sign conventions are reported: the negative part appears in
     the stated estimate, the positive part in its derivation.
     """
-    if cfg.d > harnack_radius_bound(domain):
+    if not d > 0.0:
+        raise ValueError("ball radius must be positive")
+    if d > harnack_radius_bound(domain):
         raise ValueError("ball radius exceeds the admissible K0 d0 + 1")
+    if not all(0.0 < p0 <= 1.0 for p0 in p0s):
+        raise ValueError("p0 values must lie in (0, 1]")
     grid = u.grid
-    ball = _ball_mask(grid, cfg.center, cfg.d)
-    double = _ball_mask(grid, cfg.center, 2.0 * cfg.d)
+    ball = _ball_mask(grid, center, d)
+    double = _ball_mask(grid, center, 2.0 * d)
     _require_ball_resolved(ball, "the ball")
     if float(np.min(u.values[ball])) < -1e-12:
         raise ValueError("the field is negative inside the ball")
@@ -286,12 +271,12 @@ def weak_harnack_check(u: GridFunction, prob: PDEProblem,
     volume = float(np.sum(w * ball))
     inf_u = float(np.min(u.values[ball]))
     tpf = prob.log_forcing(grid)[double]
-    scale = cfg.d ** (prob.p / (prob.p - 1.0))
+    scale = d ** (prob.p / (prob.p - 1.0))
     f_minus = scale * _sup_forcing(np.maximum(-tpf, 0.0), prob.p)
     f_plus = scale * _sup_forcing(np.maximum(tpf, 0.0), prob.p)
     rows = []
     uvals = np.maximum(u.values, 0.0)
-    for p0 in cfg.p0_sweep:
+    for p0 in p0s:
         mean = (float(np.sum(w * ball * uvals ** p0)) / volume) ** (1.0 / p0)
         rows.append(WeakHarnackRow(
             p0=p0,

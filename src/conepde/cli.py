@@ -41,7 +41,6 @@ from conepde.regularization import inf_convolution, upper_envelope
 from conepde.solver import (
     SolverConfig,
     convergence_study,
-    default_eps_schedule,
     exact_solution_values,
     log_t_field,
     make_exact_solution,
@@ -243,28 +242,25 @@ def build_grid(cfg: RunConfig, domain: ConeDomain) -> LogGrid:
         raise ConfigError(f"grid: {exc}") from exc
 
 
-SOLVER_KEYS = ("solver.tol", "solver.max_iter", "solver.eps_reg_start", "solver.eps_reg_floor")
-
-
 def build_solver_config(cfg: RunConfig) -> SolverConfig:
-    for key in cfg.entries:
-        if key.startswith("solver.") and key not in SOLVER_KEYS:
-            raise ConfigError(f"line {cfg.lines[key]}: unknown key {key}; the solver "
-                              f"reads {', '.join(SOLVER_KEYS)}")
+    """Each ``solver.<name>`` key sets the ``SolverConfig`` field of that name."""
+    fields = {f.name: f for f in dataclasses.fields(SolverConfig)}
     kwargs = {}
-    for key, get in (("tol", cfg.get_float), ("max_iter", cfg.get_int)):
-        value = get(f"solver.{key}")
-        if value is not None:
-            kwargs[key] = value
-    ends = {key: cfg.get_float(key, default)
-            for key, default in (("solver.eps_reg_start", 1e-1), ("solver.eps_reg_floor", 1e-6))}
-    for key, value in ends.items():
-        _require(cfg, key, 0.0 < value < math.inf, "must be finite and positive")
-    kwargs["eps_reg_schedule"] = default_eps_schedule(*ends.values())
+    for key in [k for k in cfg.entries if k.startswith("solver.")]:
+        name = key.removeprefix("solver.")
+        if name not in fields:
+            raise ConfigError(f"line {cfg.lines[key]}: unknown key {key}; the solver reads "
+                              + ", ".join(f"solver.{f}" for f in fields))
+        get = cfg.get_int if isinstance(fields[name].default, int) else cfg.get_float
+        kwargs[name] = get(key)
     try:
         return SolverConfig(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
+        # the message names the fields at fault, and the defaults all pass
+        names, _, what = str(exc).partition(": ")
+        keys = [f"solver.{name}" for name in names.split(", ") if name in kwargs]
+        raise ConfigError(", ".join(f"line {cfg.lines[k]}: {k}" for k in keys) + f": {what}, "
+                          f"got {', '.join(repr(cfg.get(k)) for k in keys)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +353,13 @@ def _cmd_manufacture(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_exhaust(cfg: RunConfig, args: argparse.Namespace) -> int:
+    j_max = cfg.get_int("exhaust.j_max", 4)
+    _require(cfg, "exhaust.j_max", j_max >= 2, "need at least two exhaustion stages")
+    density = cfg.get_float("exhaust.density", 16.0)
+    _require(cfg, "exhaust.density", 0.0 < density < math.inf, "must be finite and positive")
     domain = build_domain(cfg)
     prob = build_problem(cfg, domain)
     scfg = build_solver_config(cfg)
-    j_max = cfg.get_int("exhaust.j_max", 4)
-    density = cfg.get_float("exhaust.density", 16.0)
     report = solve_by_exhaustion(prob, domain, j_max, density, scfg)
     outdir = _outdir(cfg)
     for j, (dom_j, u_j) in enumerate(report.members, start=1):
@@ -377,6 +375,7 @@ def _cmd_exhaust(cfg: RunConfig, args: argparse.Namespace) -> int:
 def _cmd_convolve(cfg: RunConfig, args: argparse.Namespace) -> int:
     direction = cfg.get("convolve.direction", "inf").lower()
     eps = cfg.get_float("convolve.eps", required=True)
+    _require(cfg, "convolve.eps", 0.0 < eps < math.inf, "must be finite and positive")
     metric = cfg.get("convolve.metric", "log")
     inpath = cfg.get("convolve.input", required=True)
     u = read_gridfunction(inpath)
@@ -411,11 +410,11 @@ def _cmd_convergence_study(cfg: RunConfig, args: argparse.Namespace) -> int:
              for lev in range(levels)]
     rows = convergence_study(prob, u_star, grids, scfg)
     outdir = _outdir(cfg)
-    write_csv(os.path.join(outdir, "convergence.csv"), ["h", "max_error", "order"],
-              [(r.h, r.error, r.order) for r in rows], cfg.config_hash)
-    write_json(os.path.join(outdir, "convergence_report.json"),
-               {"rows": [{"h": r.h, "max_error": r.error, "order": r.order}
-                         for r in rows]}, cfg.config_hash)
+    header = ["h", "max_error", "order"]
+    write_csv(os.path.join(outdir, "convergence.csv"), header, _columns(rows, header),
+              cfg.config_hash)
+    write_json(os.path.join(outdir, "convergence_report.json"), {"rows": rows},
+               cfg.config_hash)
     return EXIT_OK
 
 
@@ -525,7 +524,7 @@ def _verify_hoelder(cfg, prob, grid, scfg, slack, seed) -> tuple:
     _require(cfg, "verify.rhos" if "verify.rhos" in cfg.lines else "verify.rho",
              all(0.0 < r <= 1.0 for r in rhos), "each rho must lie in (0, 1]")
     u = _get_solution(cfg, prob, grid, scfg)
-    reports = analysis.hoelder_sweep(u, prob, rhos)
+    reports = [analysis.hoelder_check(u, prob, rho) for rho in rhos]
     header = ["rho", "norm", "forcing", "ratio"]
     return ({"sweep": reports}, not any(r.inconsistent for r in reports),
             header, _columns(reports, header))
@@ -544,9 +543,8 @@ def _verify_weakharnack(cfg, prob, grid, scfg, slack, seed) -> tuple:
     p0s = cfg.get_floats("verify.p0s", [0.25, 0.5, 0.75, 1.0])
     _require(cfg, "verify.p0s", all(0.0 < p0 <= 1.0 for p0 in p0s),
              "p0 values must lie in (0, 1]")
-    wcfg = analysis.WeakHarnackConfig(p0_sweep=tuple(p0s), center=center, d=d)
     u = _get_solution(cfg, prob, grid, scfg)
-    rows = analysis.weak_harnack_check(u, prob, wcfg, grid.domain)
+    rows = analysis.weak_harnack_check(u, prob, p0s, center, d, grid.domain)
     verdict = any(math.isfinite(r.C_emp_minus) or math.isfinite(r.C_emp_plus)
                   for r in rows)
     header = ["p0", "mean", "inf", "C_emp_minus", "C_emp_plus"]

@@ -362,7 +362,6 @@ class TransformParams:
     bound M on the fields being compared via K = 2 M."""
 
     K: float
-    M: float
 
     def __post_init__(self):
         if not self.K > 0.0:
@@ -372,7 +371,7 @@ class TransformParams:
     def from_bound(cls, M: float) -> "TransformParams":
         if not M > 0.0:
             raise ValueError("field bound M must be positive")
-        return cls(K=2.0 * M, M=M)
+        return cls(K=2.0 * M)
 
 
 def psi(s, params: TransformParams):

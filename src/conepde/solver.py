@@ -32,7 +32,7 @@ grid is rejected rather than run with another scheme.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -65,35 +65,33 @@ __all__ = [
 ]
 
 
-def default_eps_schedule(start: float = 1e-1, floor: float = 1e-6) -> tuple:
-    """Halving continuation schedule from ``start`` down to exactly ``floor``;
-    both must be finite and positive."""
-    if not (0.0 < start < math.inf and 0.0 < floor < math.inf):
-        raise ValueError("eps_reg start and floor must be finite and positive")
-    vals = []
-    e = start
-    while e > floor:
-        vals.append(e)
-        e *= 0.5
-    vals.append(floor)
-    return tuple(vals)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
-    eps_reg_schedule: tuple = field(default_factory=default_eps_schedule)
+    """The eps_reg continuation halves from the start down to exactly the
+    floor (``eps_schedule``).  A rejected value raises a ValueError whose
+    message starts with the names of the fields at fault."""
+
+    eps_reg_start: float = 1e-1
+    eps_reg_floor: float = 1e-6
     tol: float = 1e-9
     max_iter: int = 200
 
     def __post_init__(self):
-        sched = tuple(self.eps_reg_schedule)
-        object.__setattr__(self, "eps_reg_schedule", sched)
-        if not sched or not all(0.0 < e < math.inf for e in sched):
-            raise ValueError("eps_reg schedule must be finite and positive")
-        if any(b >= a for a, b in zip(sched, sched[1:])):
-            raise ValueError("eps_reg schedule must be strictly decreasing")
-        if not self.tol > 0.0:
-            raise ValueError("tolerance must be positive")
+        for name in ("eps_reg_start", "eps_reg_floor", "tol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name}: must be finite and positive")
+        if self.eps_reg_start < self.eps_reg_floor:
+            raise ValueError("eps_reg_start, eps_reg_floor: the start must be at least the floor")
+        if self.max_iter < 0:
+            raise ValueError("max_iter: must be at least 0")
+
+    @property
+    def eps_schedule(self) -> tuple:
+        vals, e = [], self.eps_reg_start
+        while e > self.eps_reg_floor:
+            vals.append(e)
+            e *= 0.5
+        return (*vals, self.eps_reg_floor)
 
 
 @dataclass(frozen=True)
@@ -385,9 +383,9 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid,
     if p > 2.0:
         # linearized presolve: the p = 2 system with the target's drift n - p
         values, _ = _newton_stage(values, replace(system, p=2.0, n=2 + (n - p)),
-                                  cfg.eps_reg_schedule[0], cfg.max_iter, cfg.tol)
+                                  cfg.eps_reg_start, cfg.max_iter, cfg.tol)
 
-    queue = [cfg.eps_reg_schedule[-1]] if p == 2.0 else list(cfg.eps_reg_schedule)
+    queue = [cfg.eps_reg_floor] if p == 2.0 else list(cfg.eps_schedule)
     # midpoints go in before the current stage, so the floor stays last
     loose = max(cfg.tol, math.sqrt(cfg.tol))
     prev_eps = None
@@ -482,7 +480,7 @@ def solve_by_exhaustion(prob: PDEProblem, domain: ConeDomain, j_max: int,
 @dataclass(frozen=True)
 class StudyRow:
     h: float
-    error: float
+    max_error: float
     order: float | None
 
 
@@ -501,6 +499,6 @@ def convergence_study(prob: PDEProblem, u_star: AnalyticField,
         err = float(np.max(np.abs(u.values - exact.values)))
         roundoff = err <= 64.0 * np.finfo(float).eps * float(np.max(np.abs(exact.values)))
         order = None if prev is None or roundoff or prev[1] else math.log2(prev[0] / err)
-        rows.append(StudyRow(h=max(grid.h), error=err, order=order))
+        rows.append(StudyRow(h=max(grid.h), max_error=err, order=order))
         prev = (err, roundoff)
     return rows

@@ -321,9 +321,9 @@ def every_stage_to_tol(prob, grid, cfg=None):
     system = solver._NewtonSystem(grid, p, n, prob.log_forcing(grid, interior_only=True))
     if p > 2.0:
         presolve = dataclasses.replace(system, p=2.0, n=2 + (n - p))
-        values, _ = solver._newton_stage(values, presolve, cfg.eps_reg_schedule[0],
+        values, _ = solver._newton_stage(values, presolve, cfg.eps_reg_start,
                                          cfg.max_iter, cfg.tol)
-    queue = [cfg.eps_reg_schedule[-1]] if p == 2.0 else list(cfg.eps_reg_schedule)
+    queue = [cfg.eps_reg_floor] if p == 2.0 else list(cfg.eps_schedule)
     stages, prev_eps, insertions, i = [], None, 0, 0
     while i < len(queue):
         eps = queue[i]

@@ -13,7 +13,6 @@ import pytest
 
 from conepde.analysis import (
     CosineBump,
-    WeakHarnackConfig,
     abp_check,
     comparison_check,
     cosine_bumps,
@@ -21,7 +20,6 @@ from conepde.analysis import (
     empirical_alpha1,
     harnack_ratio,
     hoelder_check,
-    hoelder_sweep,
     weak_form_residual,
     weak_harnack_check,
 )
@@ -53,7 +51,6 @@ from conepde.regularization import (
     upper_envelope,
 )
 from conepde.solver import (
-    SolverConfig,
     exact_solution_values,
     log_t_field,
     make_exact_solution,
@@ -69,8 +66,6 @@ import oracles
 # recovery and are exempt from the order fit (the manufactured quadratic is
 # reproduced by the stencils identically)
 EXACT_FLOOR = 1e-7
-
-FAST_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 
 def unit_domain(n=2, t_min=math.exp(-1.0)):
@@ -152,7 +147,6 @@ class TestAcceptance:
 
     def test_03_comparison_principle(self):
         rng = np.random.default_rng(2024)
-        cfg = SolverConfig(eps_reg_schedule=FAST_SCHEDULE)
         floor = 0.1  # the least t^p f of the lower forcing
         violations_total = 0
         pairs_ok = True
@@ -183,8 +177,8 @@ class TestAcceptance:
 
             prob_low = PDEProblem(p=p, n=n, f=f_low, dirichlet=data)
             prob_high = PDEProblem(p=p, n=n, f=f_high, dirichlet=data)
-            u_high, r1 = solve_dirichlet(prob_high, grid, cfg)
-            u_low, r2 = solve_dirichlet(prob_low, grid, cfg)
+            u_high, r1 = solve_dirichlet(prob_high, grid)
+            u_low, r2 = solve_dirichlet(prob_low, grid)
             if not (r1.converged and r2.converged):
                 pairs_ok = False
                 continue
@@ -239,7 +233,7 @@ class TestAcceptance:
             u, _ = solve_dirichlet(prob, grid)
             rep = hoelder_check(u, prob, 0.25)
             ratios.append(rep.ratio)
-            tables.append(hoelder_sweep(u, prob, (0.1, 0.2, 0.3)))
+            tables.append([hoelder_check(u, prob, rho) for rho in (0.1, 0.2, 0.3)])
         finite = all(r is not None and math.isfinite(r) for r in ratios)
         spread = (max(ratios) - min(ratios)) / max(ratios)
         alpha1 = empirical_alpha1(tables[0], tables[-1])
@@ -289,10 +283,9 @@ class TestAcceptance:
             grid_w = LogGrid.build(unit_domain(), (c, c))
             u_w, _ = solve_dirichlet(prob, grid_w)
             shift = GridFunction(grid_w, u_w.values + 0.05)  # strictly positive
-            cfg_w = WeakHarnackConfig(p0_sweep=(0.25, 0.5, 0.75, 1.0),
-                                      center=ConePoint(math.exp(-0.5), [0.5]),
-                                      d=0.2)
-            rows_pair.append(weak_harnack_check(shift, prob, cfg_w, grid_w.domain))
+            rows_pair.append(weak_harnack_check(shift, prob, (0.25, 0.5, 0.75, 1.0),
+                                                ConePoint(math.exp(-0.5), [0.5]), 0.2,
+                                                grid_w.domain))
         for r0, r1 in zip(*rows_pair):
             if (math.isfinite(r0.C_emp_minus) and math.isfinite(r1.C_emp_minus)
                     and abs(r1.C_emp_minus / r0.C_emp_minus - 1.0) <= 0.2):

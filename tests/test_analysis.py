@@ -5,7 +5,6 @@ import pytest
 
 from conepde.analysis import (
     CosineBump,
-    WeakHarnackConfig,
     abp_check,
     comparison_check,
     cosine_bumps,
@@ -13,7 +12,6 @@ from conepde.analysis import (
     empirical_alpha1,
     harnack_ratio,
     hoelder_check,
-    hoelder_sweep,
     oscillation_decay,
     weak_form_residual,
     weak_harnack_check,
@@ -174,7 +172,7 @@ class TestHoelder:
         for c in (17, 33):
             grid = LogGrid.build(unit_domain(), (c, c))
             u, _ = solve_dirichlet(prob, grid)
-            tables.append(hoelder_sweep(u, prob, rhos))
+            tables.append([hoelder_check(u, prob, rho) for rho in rhos])
         alpha1 = empirical_alpha1(tables[0], tables[1])
         assert alpha1 is not None and alpha1 > 0.0
 
@@ -244,9 +242,8 @@ class TestWeakHarnack:
         grid = LogGrid.build(unit_domain(), (33, 33))
         prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
         u = GridFunction(grid, np.full(grid.shape, 2.0))
-        cfg = WeakHarnackConfig(p0_sweep=(0.25, 0.5, 1.0),
-                                center=ConePoint(math.exp(-0.5), [0.5]), d=0.2)
-        rows = weak_harnack_check(u, prob, cfg, grid.domain)
+        rows = weak_harnack_check(u, prob, (0.25, 0.5, 1.0),
+                                  ConePoint(math.exp(-0.5), [0.5]), 0.2, grid.domain)
         for row in rows:
             assert row.mean == pytest.approx(2.0, rel=1e-12)
             assert row.C_emp_minus == pytest.approx(1.0, rel=1e-12)
@@ -256,9 +253,8 @@ class TestWeakHarnack:
         prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
         rng = np.random.default_rng(0)
         u = GridFunction(grid, 1.0 + 0.5 * rng.random(grid.shape))
-        cfg = WeakHarnackConfig(p0_sweep=(0.2, 0.4, 0.6, 0.8, 1.0),
-                                center=ConePoint(math.exp(-0.5), [0.5]), d=0.25)
-        rows = weak_harnack_check(u, prob, cfg, grid.domain)
+        rows = weak_harnack_check(u, prob, (0.2, 0.4, 0.6, 0.8, 1.0),
+                                  ConePoint(math.exp(-0.5), [0.5]), 0.25, grid.domain)
         means = [r.mean for r in rows]
         assert all(b >= a - 1e-12 for a, b in zip(means, means[1:]))
         assert means[-1] <= float(np.max(u.values)) + 1e-12
@@ -271,14 +267,30 @@ class TestWeakHarnack:
         u = exact_solution_values(make_exact_solution(2.0, 3), grid)  # e^-a > 0
         prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
         center = ConePoint(math.exp(-0.5), [0.5])
-        cfg = WeakHarnackConfig(p0_sweep=(0.5, 1.0), center=center, d=0.2)
-        rows_full = weak_harnack_check(u, prob, cfg, dom)
+        rows_full = weak_harnack_check(u, prob, (0.5, 1.0), center, 0.2, dom)
         m = float(np.quantile(u.values, 0.6))
         u_m = GridFunction(grid, np.minimum(u.values, m))
-        rows_trunc = weak_harnack_check(u_m, prob, cfg, dom)
+        rows_trunc = weak_harnack_check(u_m, prob, (0.5, 1.0), center, 0.2, dom)
         for rf, rt in zip(rows_full, rows_trunc):
             assert rt.mean <= rf.mean + 1e-12
             assert math.isfinite(rt.C_emp_minus)
+
+    @pytest.mark.parametrize("p0s, d, what", [
+        ((0.5, 1.0), 0.0, "radius must be positive"),
+        ((0.5, 1.0), -0.2, "radius must be positive"),
+        ((0.5, 1.0), math.nan, "radius must be positive"),
+        ((0.0, 1.0), 0.2, r"\(0, 1\]"),
+        ((0.5, 1.5), 0.2, r"\(0, 1\]"),
+        ((-0.5,), 0.2, r"\(0, 1\]"),
+        ((math.nan,), 0.2, r"\(0, 1\]"),
+    ])
+    def test_rejects_bad_ball_radius_or_p0(self, p0s, d, what):
+        grid = LogGrid.build(unit_domain(), (33, 33))
+        prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
+        u = GridFunction(grid, np.full(grid.shape, 2.0))
+        with pytest.raises(ValueError, match=what):
+            weak_harnack_check(u, prob, p0s, ConePoint(math.exp(-0.5), [0.5]), d,
+                               grid.domain)
 
 
 class TestOscillation:

@@ -42,6 +42,7 @@ def read_bytes(path):
 RADII = "need at least three positive, strictly decreasing radii"
 BALL = "the ball radius must be positive"
 ADMISSIBLE = "the ball radius must be at most K0 d0 + 1 = 3"
+FINITE = "must be finite and positive"
 
 
 def refuse_solve(*args, **kwargs):
@@ -171,20 +172,54 @@ class TestConfigValidation:
         assert key.split(" =")[0] in err and "line 12" in err
         assert not os.path.isdir(out) or not os.listdir(out)
 
-    @pytest.mark.parametrize("entry", ["solver.eps_reg_start = inf",
-                                       "solver.eps_reg_floor = -1",
-                                       "solver.eps_reg_floor = nan"])
-    def test_bad_eps_schedule_end_reports_key_and_line(self, tmp_path, capsys,
-                                                       monkeypatch, entry):
-        # these used to halve forever or reach the solve as a NaN schedule
+    @pytest.mark.parametrize("entry, what", [
+        *[(f"solver.tol = {v}", FINITE) for v in ("inf", "nan", "0")],
+        *[(f"solver.{end} = {v}", FINITE) for end in ("eps_reg_start", "eps_reg_floor")
+          for v in ("inf", "nan", "0", "-1")],
+        ("solver.eps_reg_start = 1e-8", "the start must be at least the floor"),
+        ("solver.max_iter = -1", "must be at least 0"),
+    ])
+    def test_bad_solver_setting_exits_two_before_solving(self, tmp_path, capsys,
+                                                         monkeypatch, entry, what):
+        # an infinite tol used to exit 0 after no Newton step, a start below
+        # the floor to run one stage at the floor; infinite ends halved forever
         monkeypatch.setattr("conepde.cli.solve_dirichlet", refuse_solve)
         out = os.path.join(tmp_path, "out")
         body = BASE_CONFIG.replace("problem.p = 2.0", "problem.p = 3.0")
         cfg = write_config(tmp_path, (body + entry + "\n").format(outdir=out))
         assert run(["solve", "--config", cfg]) == 2
-        err = capsys.readouterr().err
-        assert entry.split(" =")[0] in err and "line 12" in err
-        assert "finite and positive" in err
+        key, value = entry.split(" = ")
+        assert capsys.readouterr().err == f"config error: line 12: {key}: {what}, got {value!r}\n"
+        assert not os.path.isdir(out) or not os.listdir(out)
+
+    def test_start_below_set_floor_names_both_keys(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("conepde.cli.solve_dirichlet", refuse_solve)
+        out = os.path.join(tmp_path, "out")
+        body = BASE_CONFIG + "solver.eps_reg_start = 1e-3\nsolver.eps_reg_floor = 1e-2\n"
+        cfg = write_config(tmp_path, body.format(outdir=out))
+        assert run(["solve", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "config error: line 12: solver.eps_reg_start, line 13: solver.eps_reg_floor: "
+            "the start must be at least the floor, got '1e-3', '1e-2'\n")
+
+    @pytest.mark.parametrize("command, entry, what", [
+        *[("exhaust", f"exhaust.density = {v}", FINITE) for v in ("inf", "nan", "0", "-5")],
+        ("exhaust", "exhaust.j_max = 1", "need at least two exhaustion stages"),
+        *[("convolve", f"convolve.eps = {v}", FINITE) for v in ("inf", "nan", "0")],
+    ])
+    def test_bad_density_eps_or_j_max_exits_two_before_solving(
+            self, tmp_path, capsys, monkeypatch, command, entry, what):
+        # an infinite density crashed with exit 1, a zero one solved on
+        # 5-node grids, and an infinite eps wrote Infinity into the JSON
+        monkeypatch.setattr("conepde.cli.solve_dirichlet", refuse_solve)
+        monkeypatch.setattr("conepde.cli.read_gridfunction", refuse_solve)
+        out = os.path.join(tmp_path, "out")
+        body = BASE_CONFIG + "convolve.input = missing.gf\n" + entry + "\n"
+        cfg = write_config(tmp_path, body.format(outdir=out))
+        assert run([command, "--config", cfg]) == 2
+        key, value = entry.split(" = ")
+        assert capsys.readouterr().err == f"config error: line 13: {key}: {what}, got {value!r}\n"
+        assert not os.path.isdir(out) or not os.listdir(out)
 
     def test_out_of_range_p(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG.format(outdir=tmp_path)

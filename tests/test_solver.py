@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -20,7 +21,6 @@ from conepde.solver import (
     _solve_jacobian,
     _solve_linear,
     convergence_study,
-    default_eps_schedule,
     exact_solution_values,
     log_t_field,
     make_exact_solution,
@@ -43,31 +43,34 @@ def zero_field(t, xs):
     return np.zeros_like(np.asarray(t, dtype=float))
 
 
+# one bad value per field, and the start below the default floor
+BAD_SETTINGS = ([({"tol": v}, "tol") for v in (math.inf, math.nan, 0.0)]
+                + [({end: v}, end) for end in ("eps_reg_start", "eps_reg_floor")
+                   for v in (math.inf, math.nan, 0.0, -1.0)]
+                + [({"eps_reg_start": 1e-8}, "eps_reg_start, eps_reg_floor"),
+                   ({"max_iter": -1}, "max_iter")])
+
+
 class TestConfig:
     def test_default_schedule_floors_at_1e6(self):
-        sched = default_eps_schedule()
+        sched = SolverConfig().eps_schedule
         assert sched[0] == 0.1
         assert sched[-1] == 1e-6
         assert all(b < a for a, b in zip(sched, sched[1:]))
 
-    def test_rejects_nonmonotone_schedule(self):
-        with pytest.raises(ValueError):
-            SolverConfig(eps_reg_schedule=(1e-2, 1e-1))
+    def test_start_at_the_floor_is_one_stage(self):
+        assert SolverConfig(eps_reg_start=1e-3, eps_reg_floor=1e-3).eps_schedule == (1e-3,)
 
-    @pytest.mark.parametrize("start, floor", [(math.inf, 1e-6), (1e-1, -1.0),
-                                              (1e-1, math.nan), (math.nan, 1e-6),
-                                              (0.0, 1e-6), (1e-1, math.inf)])
-    def test_schedule_rejects_nonfinite_or_nonpositive_ends(self, start, floor):
-        # an infinite start or a negative floor used to halve forever
-        with pytest.raises(ValueError, match="finite and positive"):
-            default_eps_schedule(start, floor)
+    def test_holds_the_four_solver_keys(self):
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "eps_reg_start", "eps_reg_floor", "tol", "max_iter"]
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_rejects_nonfinite_schedule_entries(self, bad):
-        with pytest.raises(ValueError, match="finite and positive"):
-            SolverConfig(eps_reg_schedule=(bad,))
-        with pytest.raises(ValueError, match="finite and positive"):
-            SolverConfig(eps_reg_schedule=(1e-1, bad, 1e-6))
+    @pytest.mark.parametrize("kwargs, names", BAD_SETTINGS)
+    def test_rejects_bad_setting_naming_its_fields(self, kwargs, names):
+        # an infinite tol used to stop every stage before its first step,
+        # and a start below the floor to run one stage at the floor
+        with pytest.raises(ValueError, match=f"^{names}: "):
+            SolverConfig(**kwargs)
 
 
 class TestSolveDirichlet:
@@ -105,7 +108,7 @@ class TestSolveDirichlet:
         u_star = make_exact_solution(3.0, 2)
         prob = manufactured_problem(u_star, 3.0, 2)
         u, rep = solve_dirichlet(prob, grid)
-        eps_floor = SolverConfig().eps_reg_schedule[-1]
+        eps_floor = SolverConfig().eps_reg_floor
         worst = 0.0
         for i in range(1, 16):
             for j in range(1, 16):
@@ -184,7 +187,7 @@ class TestSolveDirichlet:
         assert rep.converged
         # p stays fixed: the stages are one pass over the eps schedule, each
         # value once and in order down to the floor
-        schedule = SolverConfig().eps_reg_schedule
+        schedule = SolverConfig().eps_schedule
         assert [s.eps_reg for s in rep.stages] == list(schedule)
         exact = exact_solution_values(u_star, grid)
         assert np.max(np.abs(u.values - exact.values)) <= 5.0 * max(grid.h) ** 2
@@ -548,7 +551,7 @@ class TestInexactContinuation:
         cfg = SolverConfig()
         _, rep = solve_dirichlet(prob, grid, cfg)
         assert rep.converged
-        assert [s.eps_reg for s in rep.stages] == list(cfg.eps_reg_schedule)
+        assert [s.eps_reg for s in rep.stages] == list(cfg.eps_schedule)
         assert all(s.stop_reason == "converged" for s in rep.stages)
         *middle, last = rep.stages
         assert all(s.residual_norm <= math.sqrt(cfg.tol) for s in middle)
@@ -566,11 +569,11 @@ class TestInexactContinuation:
         assert rep.converged
         assert "max_iter" in [s.stop_reason for s in rep.stages]
         presolve, *stages = calls
-        assert presolve == (2.0, cfg.eps_reg_schedule[0], cfg.tol)
-        inserted = [c for c in stages if c[1] not in cfg.eps_reg_schedule]
+        assert presolve == (2.0, cfg.eps_reg_start, cfg.tol)
+        inserted = [c for c in stages if c[1] not in cfg.eps_schedule]
         assert inserted
         assert all(target == math.sqrt(cfg.tol) for _, _, target in inserted)
-        assert stages[-1] == (4.0, cfg.eps_reg_schedule[-1], cfg.tol)
+        assert stages[-1] == (4.0, cfg.eps_reg_floor, cfg.tol)
         assert all(target == math.sqrt(cfg.tol) for _, _, target in stages[:-1])
 
     @pytest.mark.parametrize("tol", [1.0, 4.0])
@@ -587,7 +590,7 @@ class TestInexactContinuation:
         grid = LogGrid.build(unit_domain(), (13, 13))
         cfg = SolverConfig()
         solve_dirichlet(constant_forcing_problem(2.0, 2), grid, cfg)
-        assert calls == [(2.0, cfg.eps_reg_schedule[-1], cfg.tol)]
+        assert calls == [(2.0, cfg.eps_reg_floor, cfg.tol)]
 
     def test_line_search_accepts_a_trial_within_the_target(self, monkeypatch):
         # a Newton step scaled by 1e-6 lowers the residual by about 1e-6 of
@@ -747,7 +750,7 @@ class TestConvergenceStudy:
         prob = manufactured_problem(u_star, 2.0, 2)
         grids = [LogGrid.build(unit_domain(), (c, c)) for c in (9, 17)]
         rows = convergence_study(prob, u_star, grids)
-        assert all(r.error < 1e-9 for r in rows)
+        assert all(r.max_error < 1e-9 for r in rows)
 
     def test_no_order_from_roundoff_errors(self):
         # at p = n = 2 the scheme reproduces ln t, so both errors are
@@ -756,7 +759,7 @@ class TestConvergenceStudy:
         prob = manufactured_problem(u_star, 2.0, 2)
         grids = [LogGrid.build(unit_domain(), (c, c)) for c in (13, 25)]
         rows = convergence_study(prob, u_star, grids)
-        assert all(r.error < 1e-13 for r in rows)
+        assert all(r.max_error < 1e-13 for r in rows)
         assert [r.order for r in rows] == [None, None]
 
     def test_order_two_for_power_solution(self):

@@ -41,9 +41,14 @@ over SOLVE_REPEATS runs (the three alternate), the stages, Newton steps,
 factorizations and GMRES iterations of each, and the max field gap of
 each of the other two to the package's solve, relative to max |u|.
 
-Per dimension it records the least-squares exponent of each median time in
-the unknown count.  Writes OUT (default ``BENCH_linear.json`` at the
-repository root) with nproc and the numpy and scipy versions.
+Every timing is recorded as the median (``<name>_s``) and the min and max
+(``<name>_min_s``, ``<name>_max_s``) over its repeats.  Per dimension it
+records the least-squares exponent in the unknown count of each time, fitted
+once to the per-size medians and once to the per-size minima; host drift
+moves a median more than a minimum, so the two fits side by side show how
+far the exponent is to be trusted.  Writes OUT (default
+``BENCH_linear.json`` at the repository root) with nproc and the numpy and
+scipy versions.
 """
 
 import json
@@ -96,6 +101,15 @@ def newton_system(n: int, m: int) -> tuple:
             _assemble_jacobian(values, grid, P, n, EPS_REG), -res)
 
 
+def record(row: dict, times: dict) -> None:
+    """Puts the median, min and max of each list of seconds in ``times``
+    into ``row`` as ``<name>_s``, ``<name>_min_s`` and ``<name>_max_s``."""
+    for name, ts in times.items():
+        row[f"{name}_s"] = statistics.median(ts)
+        row[f"{name}_min_s"] = min(ts)
+        row[f"{name}_max_s"] = max(ts)
+
+
 def seconds(fn, *args) -> float:
     t0 = time.perf_counter()
     fn(*args)
@@ -112,12 +126,11 @@ def measure_assembly(n: int, m: int) -> dict:
     row["dissection_recursive_s"] = seconds(oracles.recursive_dissection_order, grid)
     args = (values, grid, P, n, EPS_REG)
     row["first_assembly_s"] = seconds(_assemble_jacobian, *args)
-    times = {"assembly": [], "coo": []}
+    times = {"assembly": [], "coo_assembly": []}
     for _ in range(ASSEMBLY_REPEATS):
         times["assembly"].append(seconds(_assemble_jacobian, *args))
-        times["coo"].append(seconds(oracles.coo_interior_block, *args))
-    row["assembly_s"] = statistics.median(times["assembly"])
-    row["coo_assembly_s"] = statistics.median(times["coo"])
+        times["coo_assembly"].append(seconds(oracles.coo_interior_block, *args))
+    record(row, times)
     return row
 
 
@@ -139,15 +152,15 @@ def measure(n: int, m: int) -> dict:
         t2 = time.perf_counter()
         times["spsolve"].append(t1 - t0)
         times["ordered"].append(t2 - t1)
-    return {
+    row = {
         "n": n, "nodes": list(grid.shape), "unknowns": J.shape[0],
         "interior": block.shape[0], "jac_nnz": int(J.nnz), "block_nnz": int(block.nnz),
-        "spsolve_s": statistics.median(times["spsolve"]),
-        "ordered_s": statistics.median(times["ordered"]),
         "fill_spsolve": fill(J, "COLAMD"),
         "fill_ordered": fill(block, "NATURAL"),
         "max_rel_diff": float(np.max(np.abs(du - direct)) / np.max(np.abs(direct))),
     }
+    record(row, times)
+    return row
 
 
 def refactorized(prob, grid) -> tuple:
@@ -180,10 +193,10 @@ def measure_solve(n: int, m: int) -> dict:
             fields[name] = u.values
     row = {"n": n, "nodes": list(grid.shape), "unknowns": math.prod(grid.shape),
            "interior": int(grid.dissection_order.size)}
+    record(row, times)
     for name, rep in reports.items():
         if not rep.converged:
             raise RuntimeError(f"the {name} solve at {m}^{n} did not converge")
-        row[f"{name}_s"] = statistics.median(times[name])
         row[name] = {"stages": len(rep.stages),
                      "newton_steps": sum(s.iterations for s in rep.stages),
                      "factorizations": sum(s.factorizations for s in rep.stages),
@@ -195,10 +208,12 @@ def measure_solve(n: int, m: int) -> dict:
     return row
 
 
-def exponent(rows: list, key: str) -> float:
+def exponent(rows: list, name: str) -> dict:
+    """The time exponent of ``name`` in the unknown count, fitted to the
+    per-size medians and to the per-size minima."""
     x = np.log([r["unknowns"] for r in rows])
-    y = np.log([r[key] for r in rows])
-    return float(np.polyfit(x, y, 1)[0])
+    return {stat: float(np.polyfit(x, np.log([r[f"{name}{suffix}"] for r in rows]), 1)[0])
+            for stat, suffix in (("median", "_s"), ("min", "_min_s"))}
 
 
 def main(argv) -> int:
@@ -236,14 +251,14 @@ def main(argv) -> int:
         dim = [r for r in rows if r["n"] == n]
         dim_solves = [r for r in solves if r["n"] == n]
         dim_assembly = [r for r in assembly if r["n"] == n]
-        exponents[f"{n}d"] = {"assembly": exponent(dim_assembly, "assembly_s"),
-                              "coo_assembly": exponent(dim_assembly, "coo_assembly_s"),
-                              "spsolve": exponent(dim, "spsolve_s"),
-                              "ordered": exponent(dim, "ordered_s"),
-                              **{f"solve_{name}": exponent(dim_solves, f"{name}_s")
+        exponents[f"{n}d"] = {"assembly": exponent(dim_assembly, "assembly"),
+                              "coo_assembly": exponent(dim_assembly, "coo_assembly"),
+                              "spsolve": exponent(dim, "spsolve"),
+                              "ordered": exponent(dim, "ordered"),
+                              **{f"solve_{name}": exponent(dim_solves, name)
                                  for name in SOLVES}}
-        print(f"{n}D time exponents in unknowns: " + ", ".join(
-            f"{k} {v:.2f}" for k, v in exponents[f"{n}d"].items()))
+        print(f"{n}D time exponents in unknowns (median fit / min fit): " + ", ".join(
+            f"{k} {v['median']:.2f}/{v['min']:.2f}" for k, v in exponents[f"{n}d"].items()))
     report = {
         "what": "the dissection numbering and the p = 3 interior-block assembly, "
                 "numeric-only on the grid's kept pattern vs COO from the stencils every "
