@@ -7,7 +7,6 @@ and Hessian and the singular measure dt/t dx becomes Lebesgue measure.
 """
 
 from conepde.geometry import (
-    ConePoint,
     ConeDomain,
     GConditionParams,
     boundary_distance,

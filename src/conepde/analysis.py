@@ -24,7 +24,7 @@ from conepde.calculus import (
     hoelder_norm,
     quadrature_weights,
 )
-from conepde.geometry import ConeDomain, ConePoint
+from conepde.geometry import ConeDomain
 from conepde.operators import PDEProblem, gradient_powers
 from conepde.regularization import _min_plus
 
@@ -60,10 +60,9 @@ def _sup_forcing(weight_values: np.ndarray, p: float) -> float:
     return best ** (1.0 / (p - 1.0)) if best > 0.0 else 0.0
 
 
-def _ball_mask(grid: LogGrid, center: ConePoint, radius: float) -> np.ndarray:
-    pts = grid.log_points
-    c = center.as_log()
-    d2 = np.sum((pts - c[None, :]) ** 2, axis=1)
+def _ball_mask(grid: LogGrid, center: np.ndarray, radius: float) -> np.ndarray:
+    """Nodes strictly inside the metric ball about the log-chart point ``center``."""
+    d2 = np.sum((grid.log_points - center) ** 2, axis=1)
     return (d2 < radius * radius).reshape(grid.shape)
 
 
@@ -208,23 +207,24 @@ def harnack_radius_bound(domain: ConeDomain) -> float:
     return domain.g_params.K0 * domain.g_params.d0 + 1.0
 
 
-def harnack_ratio(u: GridFunction, prob: PDEProblem, center: ConePoint,
-                  d: float, domain: ConeDomain) -> HarnackReport:
-    """Minimal constant in sup <= C (inf + d^(p/(p-1)) forcing^(1/(p-1)))
-    with both extrema over the half ball."""
+def _require_harnack_radius(d: float, domain: ConeDomain) -> None:
     if not d > 0.0:
         raise ValueError("ball radius must be positive")
     if d > harnack_radius_bound(domain):
         raise ValueError("ball radius exceeds the admissible K0 d0 + 1")
-    grid = u.grid
-    c = center.as_log()
-    if (c[0] - d < grid.a[0] - 1e-12 or c[0] + d > grid.a[-1] + 1e-12
-            or any(c[1 + k] - d < grid.xs[k][0] - 1e-12
-                   or c[1 + k] + d > grid.xs[k][-1] + 1e-12
-                   for k in range(grid.n - 1))):
+
+
+def harnack_ratio(u: GridFunction, prob: PDEProblem, center: np.ndarray,
+                  d: float, domain: ConeDomain) -> HarnackReport:
+    """Minimal constant in sup <= C (inf + d^(p/(p-1)) forcing^(1/(p-1)))
+    with both extrema over the half ball about the log-chart point ``center``."""
+    _require_harnack_radius(d, domain)
+    grid, c = u.grid, np.asarray(center, dtype=float)
+    lo, hi = np.array([(ax[0], ax[-1]) for ax in grid.axes]).T
+    if np.any(c - d < lo - 1e-12) or np.any(c + d > hi + 1e-12):
         raise ValueError("the ball is not compactly contained in the grid")
-    ball = _ball_mask(grid, center, d)
-    half = _ball_mask(grid, center, d / 2.0)
+    ball = _ball_mask(grid, c, d)
+    half = _ball_mask(grid, c, d / 2.0)
     _require_ball_resolved(half, "the half ball")
     if float(np.min(u.values[ball])) < -1e-12:
         raise ValueError("the field is negative inside the ball")
@@ -248,17 +248,14 @@ class WeakHarnackRow:
 
 
 def weak_harnack_check(u: GridFunction, prob: PDEProblem, p0s: Sequence[float],
-                       center: ConePoint, d: float, domain: ConeDomain) -> list:
+                       center: np.ndarray, d: float, domain: ConeDomain) -> list:
     """Normalized p0-means of a nonnegative supersolution on the ball B(center,
     d) against its infimum plus forcing, one row per p0 in ``p0s`` (each in (0, 1]).
 
     Both forcing sign conventions are reported: the negative part appears in
     the stated estimate, the positive part in its derivation.
     """
-    if not d > 0.0:
-        raise ValueError("ball radius must be positive")
-    if d > harnack_radius_bound(domain):
-        raise ValueError("ball radius exceeds the admissible K0 d0 + 1")
+    _require_harnack_radius(d, domain)
     if not all(0.0 < p0 <= 1.0 for p0 in p0s):
         raise ValueError("p0 values must lie in (0, 1]")
     grid = u.grid
@@ -298,7 +295,7 @@ class OscillationReport:
     vacuous: bool
 
 
-def oscillation_decay(v: GridFunction, center: ConePoint,
+def oscillation_decay(v: GridFunction, center: np.ndarray,
                       radii: Sequence[float]) -> OscillationReport:
     """Oscillation sup - inf over shrinking metric balls and the fitted
     log-log decay exponent."""

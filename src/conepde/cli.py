@@ -27,7 +27,7 @@ import numpy as np
 
 from conepde import analysis
 from conepde.calculus import GridFunction, LogGrid, read_gridfunction, write_gridfunction
-from conepde.geometry import ConeDomain, ConePoint, GConditionParams, estimate_g_condition
+from conepde.geometry import ConeDomain, GConditionParams, estimate_g_condition
 from conepde.operators import (
     PDEProblem,
     TransformParams,
@@ -37,7 +37,7 @@ from conepde.operators import (
     psi_inverse,
     separable_exponential_field,
 )
-from conepde.regularization import inf_convolution, upper_envelope
+from conepde.regularization import METRICS, inf_convolution, upper_envelope
 from conepde.solver import (
     SolverConfig,
     convergence_study,
@@ -374,27 +374,24 @@ def _cmd_exhaust(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def _cmd_convolve(cfg: RunConfig, args: argparse.Namespace) -> int:
     direction = cfg.get("convolve.direction", "inf").lower()
+    _require(cfg, "convolve.direction", direction in ("inf", "sup"), "must be inf or sup")
+    metric = cfg.get("convolve.metric", "log")
+    _require(cfg, "convolve.metric", metric in METRICS, "must be " + " or ".join(METRICS))
     eps = cfg.get_float("convolve.eps", required=True)
     _require(cfg, "convolve.eps", 0.0 < eps < math.inf, "must be finite and positive")
-    metric = cfg.get("convolve.metric", "log")
     inpath = cfg.get("convolve.input", required=True)
     u = read_gridfunction(inpath)
     outdir = _outdir(cfg)
+    payload = {"direction": direction, "eps": eps, "metric": metric}
     if direction == "inf":
         out = inf_convolution(u, eps, metric=metric)
-        write_gridfunction(os.path.join(outdir, "convolved.gf"), out)
-        payload = {"direction": "inf", "eps": eps, "metric": metric}
-    elif direction == "sup":
+    else:
         env = upper_envelope(u, eps, metric=metric)
-        filled = GridFunction(u.grid, np.where(env.mask, env.field.values, 0.0))
-        write_gridfunction(os.path.join(outdir, "convolved.gf"), filled)
+        out = GridFunction(u.grid, np.where(env.mask, env.field.values, 0.0))
         write_csv(os.path.join(outdir, "convolved_mask.csv"), ["mask"],
                   [(int(v),) for v in env.mask.ravel()], cfg.config_hash)
-        payload = {"direction": "sup", "eps": eps, "metric": metric,
-                   "masked_nodes": int(env.mask.sum()),
-                   "max_offset": env.max_offset}
-    else:
-        raise ConfigError(f"convolve.direction must be inf or sup, got {direction!r}")
+        payload.update(masked_nodes=int(env.mask.sum()), max_offset=env.max_offset)
+    write_gridfunction(os.path.join(outdir, "convolved.gf"), out)
     write_json(os.path.join(outdir, "convolve_report.json"), payload, cfg.config_hash)
     return EXIT_OK
 
@@ -474,16 +471,19 @@ def _shifted_pair(cfg: RunConfig, prob: PDEProblem, grid: LogGrid,
 
 
 def _ball_from_config(cfg: RunConfig, grid: LogGrid) -> tuple:
+    """(log-chart centre (a, x), radius) of ``verify.ball``."""
     spec = cfg.get_floats("verify.ball")
     if spec is None:
         # default: centered ball covering a third of the shortest extent
         c = [0.5 * (ax[0] + ax[-1]) for ax in grid.axes]
         extent = min(ax[-1] - ax[0] for ax in grid.axes)
-        return ConePoint(t=math.exp(c[0]), x=np.array(c[1:])), extent / 3.0
+        return np.array(c), extent / 3.0
     if len(spec) != grid.n + 1:
         raise ConfigError(f"verify.ball: need {grid.n + 1} numbers (a, x..., d)")
     _require(cfg, "verify.ball", spec[-1] > 0.0, "the ball radius must be positive")
-    return ConePoint(t=math.exp(spec[0]), x=np.array(spec[1:-1])), spec[-1]
+    _require(cfg, "verify.ball", all(map(math.isfinite, spec)),
+             "the centre and radius must be finite")
+    return np.array(spec[:-1]), spec[-1]
 
 
 def _harnack_ball(cfg: RunConfig, grid: LogGrid) -> tuple:

@@ -1,10 +1,11 @@
-"""Stretched-cone geometry: points, domains, boundary distance, the
-exterior-mass condition and nested exhaustion subdomains.
+"""Stretched-cone geometry: domains, boundary distance, the exterior-mass
+condition and nested exhaustion subdomains.
 
 Points live on the cylinder (0, 1] x X with X an axis-aligned box.  In the
 logarithmic radial coordinate a = ln t the cone metric is the flat Euclidean
 metric on (a, x) and the singular measure dt/t dx is Lebesgue measure, so
-every computation below reduces to Euclidean geometry on a box.
+every computation below reduces to Euclidean geometry on a box, and a point
+is the array of its log-chart coordinates (a, x_1, ..., x_{n-1}).
 """
 
 from __future__ import annotations
@@ -16,35 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "ConePoint",
     "ConeDomain",
     "GConditionParams",
     "boundary_distance",
     "estimate_g_condition",
     "exhaustion",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class ConePoint:
-    """A point (t, x) on the stretched cone, t > 0, x in the base."""
-
-    t: float
-    x: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
-        if not (self.t > 0.0 and math.isfinite(self.t)):
-            raise ValueError(f"radial coordinate must be positive and finite, got t={self.t}")
-
-    @property
-    def a(self) -> float:
-        """Logarithmic radial coordinate ln t."""
-        return math.log(self.t)
-
-    def as_log(self) -> np.ndarray:
-        """Coordinates (a, x_1, ..., x_{n-1}) in the flattened chart."""
-        return np.concatenate(([self.a], self.x))
 
 
 @dataclass(frozen=True)
@@ -105,15 +83,11 @@ class ConeDomain:
     def a_max(self) -> float:
         return math.log(self.t_max)
 
-    def contains(self, z: ConePoint, tol: float = 1e-12) -> bool:
-        """Membership in the closure of the truncated domain."""
-        if z.x.shape != (self.n - 1,):
-            return False
-        if not (self.t_min * (1 - tol) <= z.t <= self.t_max * (1 + tol)):
-            return False
-        return bool(
-            np.all(z.x >= self.base_lo - tol) and np.all(z.x <= self.base_hi + tol)
-        )
+    @property
+    def log_box(self) -> tuple:
+        """(lo, hi) corners of the domain in the log chart (a, x)."""
+        return (np.concatenate(([self.a_min], self.base_lo)),
+                np.concatenate(([self.a_max], self.base_hi)))
 
 
 def _nearest_face(z_log: np.ndarray, domain: ConeDomain) -> tuple:
@@ -133,16 +107,22 @@ def _nearest_face(z_log: np.ndarray, domain: ConeDomain) -> tuple:
     return d, e
 
 
-def boundary_distance(z: ConePoint, domain: ConeDomain) -> float:
-    """Distance from z to the analytic boundary of the domain.
+def boundary_distance(z: np.ndarray, domain: ConeDomain) -> float:
+    """Distance from the log-chart point z = (a, x) to the analytic boundary
+    of the domain; z must be finite and lie in the closure of the log box,
+    up to 1e-12 on every axis.
 
     Closed form: the top-face minimizer keeps the base coordinate and the
     lateral minimizer keeps the radial coordinate, so the distance is the
     one to the nearest face (``_nearest_face``).
     """
-    if not domain.contains(z):
+    z = np.asarray(z, dtype=float)
+    lo, hi = domain.log_box
+    if z.shape != lo.shape or not np.all(np.isfinite(z)):
+        raise ValueError(f"need {domain.n} finite log-chart coordinates (a, x), got {z}")
+    if np.any(z < lo - 1e-12) or np.any(z > hi + 1e-12):
         raise ValueError("point lies outside the closure of the domain")
-    return max(float(_nearest_face(z.as_log(), domain)[0]), 0.0)
+    return max(float(_nearest_face(z, domain)[0]), 0.0)
 
 
 def estimate_g_condition(domain: ConeDomain, samples: int, seed: int,
@@ -162,13 +142,11 @@ def estimate_g_condition(domain: ConeDomain, samples: int, seed: int,
     rng = np.random.default_rng(seed)
     K0, d0 = domain.g_params.K0, domain.g_params.d0
     n = domain.n
-    lo = np.concatenate(([domain.a_min], domain.base_lo))
-    hi = np.concatenate(([domain.a_max], domain.base_hi))
+    lo, hi = domain.log_box
     sigma = 1.0
     for _ in range(samples):
         z = lo + rng.random(n) * (hi - lo)
-        point = ConePoint(t=math.exp(z[0]), x=z[1:])
-        d = boundary_distance(point, domain)
+        d = boundary_distance(z, domain)
         radius = K0 * min(d, d0)
         if radius <= 0.0:
             sigma = 0.0
@@ -180,11 +158,10 @@ def estimate_g_condition(domain: ConeDomain, samples: int, seed: int,
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         radii = radius * rng.random(mc_points) ** (1.0 / n)
         pts = center[None, :] + radii[:, None] * dirs
-        outside = pts[:, 0] > domain.a_max
+        outside = (pts[:, 0] > hi[0]) | np.any((pts[:, 1:] < lo[1:]) | (pts[:, 1:] > hi[1:]),
+                                               axis=1)
         if domain.bottom_is_boundary:
-            outside |= pts[:, 0] < domain.a_min
-        for k in range(n - 1):
-            outside |= (pts[:, 1 + k] < domain.base_lo[k]) | (pts[:, 1 + k] > domain.base_hi[k])
+            outside |= pts[:, 0] < lo[0]
         sigma = min(sigma, float(np.mean(outside)))
     if sigma <= 0.0:
         warnings.warn("probe balls never reached the complement; "

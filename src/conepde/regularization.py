@@ -21,6 +21,7 @@ from conepde.calculus import GridFunction, _offset_slices, hessian_field
 from conepde.operators import PDEProblem, divergence_part_field
 
 __all__ = [
+    "METRICS",
     "EnvelopeParams",
     "EnvelopeResult",
     "support_radius",
@@ -70,14 +71,18 @@ class EnvelopeResult:
         return float(np.nanmax(self.offsets[self.mask]))
 
 
+# node coordinates per axis in each pairing metric; "literal" remaps the
+# radial axis to e^t = exp(exp(a)) and leaves the rest alone
+METRICS = {
+    "log": lambda grid: list(grid.axes),
+    "literal": lambda grid: [np.exp(np.exp(grid.a)), *grid.xs],
+}
+
+
 def _axis_coords(grid, metric: str) -> list:
-    """Node coordinates per axis in the pairing metric; ``metric="literal"``
-    remaps the radial axis to e^t = exp(exp(a)) and leaves the rest alone."""
-    if metric == "log":
-        return list(grid.axes)
-    if metric == "literal":
-        return [np.exp(np.exp(grid.a)), *grid.xs]
-    raise ValueError(f"unknown metric {metric!r}")
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    return METRICS[metric](grid)
 
 
 def support_radius(u: GridFunction, eps: float) -> float:

@@ -424,7 +424,6 @@ class ExhaustionReport:
     members: list                 # (ConeDomain, GridFunction) per stage
     diffs: list                   # (j, sup_{H_{j-1}} |u_j - u_{j-1}|)
     monotone: bool
-    solve_reports: list
 
 
 def _interpolator(u: GridFunction):
@@ -446,7 +445,7 @@ def solve_by_exhaustion(prob: PDEProblem, domain: ConeDomain, j_max: int,
     """
     if j_max < 2:
         raise ValueError("need at least two exhaustion stages")
-    members, reports = [], []
+    members = []
     for j in range(1, j_max + 1):
         dom_j = exhaustion(domain, j)
         counts = [
@@ -461,7 +460,6 @@ def solve_by_exhaustion(prob: PDEProblem, domain: ConeDomain, j_max: int,
         if not rep.converged:
             raise RuntimeError(f"exhaustion stage j={j} failed to converge")
         members.append((dom_j, u_j))
-        reports.append(rep)
 
     diffs = []
     for j in range(2, j_max + 1):
@@ -473,8 +471,7 @@ def solve_by_exhaustion(prob: PDEProblem, domain: ConeDomain, j_max: int,
         diffs.append((j, gap))
     gaps = [g for _, g in diffs]
     monotone = all(b <= a for a, b in zip(gaps, gaps[1:]))
-    return ExhaustionReport(members=members, diffs=diffs, monotone=monotone,
-                            solve_reports=reports)
+    return ExhaustionReport(members=members, diffs=diffs, monotone=monotone)
 
 
 @dataclass(frozen=True)

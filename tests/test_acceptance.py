@@ -25,7 +25,7 @@ from conepde.analysis import (
 )
 from conepde.calculus import GridFunction, LogGrid, read_gridfunction
 from conepde.cli import run as cli_run
-from conepde.geometry import ConeDomain, ConePoint
+from conepde.geometry import ConeDomain
 from conepde.operators import (
     SOLUTION_CONSISTENT,
     PDEProblem,
@@ -249,7 +249,7 @@ class TestAcceptance:
         prob3 = PDEProblem(p=2.0, n=3, f=zero_field, dirichlet=zero_field)
         h = grid3.h[0]
         k = 4
-        center = ConePoint(math.exp(grid3.a[16]), [0.5, 0.5])
+        center = np.array([grid3.a[16], 0.5, 0.5])
         rep = harnack_ratio(u3, prob3, center, 2.0 * k * h * (1 + 1e-9), dom3)
         closed = rep.C_emp == pytest.approx(math.exp(2.0 * k * h), rel=1e-9)
         closed = closed and abs(rep.C_emp / math.exp(2.0 * k * h * (1 + 1e-9)) - 1.0) <= 0.01
@@ -266,7 +266,7 @@ class TestAcceptance:
                 a0 = rng.uniform(-0.9, -0.1)
                 x0 = rng.uniform(0.1, 0.9)
                 d = rng.uniform(0.06, 0.25)
-                c = ConePoint(math.exp(a0), [x0])
+                c = np.array([a0, x0])
                 if (a0 - d > grid.a[0] and a0 + d < 0.0
                         and x0 - d > 0.0 and x0 + d < 1.0):
                     break
@@ -284,7 +284,7 @@ class TestAcceptance:
             u_w, _ = solve_dirichlet(prob, grid_w)
             shift = GridFunction(grid_w, u_w.values + 0.05)  # strictly positive
             rows_pair.append(weak_harnack_check(shift, prob, (0.25, 0.5, 0.75, 1.0),
-                                                ConePoint(math.exp(-0.5), [0.5]), 0.2,
+                                                np.array([-0.5, 0.5]), 0.2,
                                                 grid_w.domain))
         for r0, r1 in zip(*rows_pair):
             if (math.isfinite(r0.C_emp_minus) and math.isfinite(r1.C_emp_minus)

@@ -17,7 +17,7 @@ from conepde.analysis import (
     weak_harnack_check,
 )
 from conepde.calculus import GridFunction, LogGrid
-from conepde.geometry import ConeDomain, ConePoint, GConditionParams
+from conepde.geometry import ConeDomain, GConditionParams
 from conepde.operators import PDEProblem, constant_field
 from conepde.solver import (
     exact_solution_values,
@@ -182,7 +182,7 @@ class TestHarnack:
         grid = LogGrid.build(unit_domain(), (33, 33))
         prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
         u = GridFunction(grid, np.full(grid.shape, 3.0))
-        center = ConePoint(math.exp(-0.5), [0.5])
+        center = np.array([-0.5, 0.5])
         rep = harnack_ratio(u, prob, center, 0.3, grid.domain)
         assert rep.C_emp == pytest.approx(1.0, abs=1e-14)
 
@@ -196,7 +196,7 @@ class TestHarnack:
         prob = PDEProblem(p=2.0, n=3, f=zero_field, dirichlet=zero_field)
         h = grid.h[0]
         k = 4
-        center = ConePoint(math.exp(grid.a[16]), [0.5, 0.5])
+        center = np.array([grid.a[16], 0.5, 0.5])
         d = 2.0 * k * h * (1.0 + 1e-9)
         rep = harnack_ratio(u, prob, center, d, dom)
         expected = math.exp(2.0 * k * h)
@@ -209,7 +209,7 @@ class TestHarnack:
         grid = LogGrid.build(dom, (33, 33))
         p = 3.0
         u = exact_solution_values(make_exact_solution(2.0, 3), grid)  # e^-a > 0
-        center = ConePoint(math.exp(-0.5), [0.5])
+        center = np.array([-0.5, 0.5])
         d = 0.25
         for c in (0.5, 2.0, 7.5):
             prob1 = PDEProblem(p=p, n=2, f=constant_field(0.3), dirichlet=zero_field)
@@ -225,7 +225,7 @@ class TestHarnack:
         prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
         u = GridFunction(grid, -np.ones(grid.shape))
         with pytest.raises(ValueError):
-            harnack_ratio(u, prob, ConePoint(math.exp(-0.5), [0.5]), 0.2,
+            harnack_ratio(u, prob, np.array([-0.5, 0.5]), 0.2,
                           grid.domain)
 
     def test_ball_must_fit(self):
@@ -233,8 +233,20 @@ class TestHarnack:
         prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
         u = GridFunction(grid, np.ones(grid.shape))
         with pytest.raises(ValueError):
-            harnack_ratio(u, prob, ConePoint(math.exp(-0.1), [0.9]), 0.5,
+            harnack_ratio(u, prob, np.array([-0.1, 0.9]), 0.5,
                           grid.domain)
+
+    @pytest.mark.parametrize("d, what", [
+        (0.0, "radius must be positive"),
+        (math.nan, "radius must be positive"),
+        (3.5, r"exceeds the admissible K0 d0 \+ 1"),
+    ])
+    def test_rejects_bad_ball_radius(self, d, what):
+        grid = LogGrid.build(unit_domain(), (17, 17))
+        prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
+        u = GridFunction(grid, np.ones(grid.shape))
+        with pytest.raises(ValueError, match=what):
+            harnack_ratio(u, prob, np.array([-0.5, 0.5]), d, grid.domain)
 
 
 class TestWeakHarnack:
@@ -243,7 +255,7 @@ class TestWeakHarnack:
         prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
         u = GridFunction(grid, np.full(grid.shape, 2.0))
         rows = weak_harnack_check(u, prob, (0.25, 0.5, 1.0),
-                                  ConePoint(math.exp(-0.5), [0.5]), 0.2, grid.domain)
+                                  np.array([-0.5, 0.5]), 0.2, grid.domain)
         for row in rows:
             assert row.mean == pytest.approx(2.0, rel=1e-12)
             assert row.C_emp_minus == pytest.approx(1.0, rel=1e-12)
@@ -254,7 +266,7 @@ class TestWeakHarnack:
         rng = np.random.default_rng(0)
         u = GridFunction(grid, 1.0 + 0.5 * rng.random(grid.shape))
         rows = weak_harnack_check(u, prob, (0.2, 0.4, 0.6, 0.8, 1.0),
-                                  ConePoint(math.exp(-0.5), [0.5]), 0.25, grid.domain)
+                                  np.array([-0.5, 0.5]), 0.25, grid.domain)
         means = [r.mean for r in rows]
         assert all(b >= a - 1e-12 for a, b in zip(means, means[1:]))
         assert means[-1] <= float(np.max(u.values)) + 1e-12
@@ -266,7 +278,7 @@ class TestWeakHarnack:
         grid = LogGrid.build(dom, (33, 33))
         u = exact_solution_values(make_exact_solution(2.0, 3), grid)  # e^-a > 0
         prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
-        center = ConePoint(math.exp(-0.5), [0.5])
+        center = np.array([-0.5, 0.5])
         rows_full = weak_harnack_check(u, prob, (0.5, 1.0), center, 0.2, dom)
         m = float(np.quantile(u.values, 0.6))
         u_m = GridFunction(grid, np.minimum(u.values, m))
@@ -279,6 +291,7 @@ class TestWeakHarnack:
         ((0.5, 1.0), 0.0, "radius must be positive"),
         ((0.5, 1.0), -0.2, "radius must be positive"),
         ((0.5, 1.0), math.nan, "radius must be positive"),
+        ((0.5, 1.0), 3.5, r"exceeds the admissible K0 d0 \+ 1"),
         ((0.0, 1.0), 0.2, r"\(0, 1\]"),
         ((0.5, 1.5), 0.2, r"\(0, 1\]"),
         ((-0.5,), 0.2, r"\(0, 1\]"),
@@ -289,7 +302,7 @@ class TestWeakHarnack:
         prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
         u = GridFunction(grid, np.full(grid.shape, 2.0))
         with pytest.raises(ValueError, match=what):
-            weak_harnack_check(u, prob, p0s, ConePoint(math.exp(-0.5), [0.5]), d,
+            weak_harnack_check(u, prob, p0s, np.array([-0.5, 0.5]), d,
                                grid.domain)
 
 
@@ -297,7 +310,7 @@ class TestOscillation:
     def test_constant_is_vacuous(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
         u = GridFunction(grid, np.full(grid.shape, 5.0))
-        rep = oscillation_decay(u, ConePoint(math.exp(-0.5), [0.5]),
+        rep = oscillation_decay(u, np.array([-0.5, 0.5]),
                                 [0.3, 0.15, 0.075])
         assert rep.vacuous and rep.exponent is None
 
@@ -308,7 +321,7 @@ class TestOscillation:
         A, _ = grid.mesh
         u = GridFunction(grid, A.copy())
         h = grid.h[0]
-        center = ConePoint(math.exp(grid.a[32]), [0.5])
+        center = np.array([grid.a[32], 0.5])
         radii = [16.5 * h, 8.5 * h, 4.5 * h]
         rep = oscillation_decay(u, center, radii)
         # brute force: reach floor(r/h) nodes each way
@@ -320,7 +333,7 @@ class TestOscillation:
         grid = LogGrid.build(unit_domain(), (33, 33))
         prob = PDEProblem(p=2.0, n=2, f=constant_field(-1.0), dirichlet=zero_field)
         u, _ = solve_dirichlet(prob, grid)
-        rep = oscillation_decay(u, ConePoint(math.exp(-0.5), [0.5]),
+        rep = oscillation_decay(u, np.array([-0.5, 0.5]),
                                 [0.3, 0.15, 0.075])
         assert rep.exponent is not None and rep.exponent > 0.0
 
@@ -328,7 +341,7 @@ class TestOscillation:
         grid = LogGrid.build(unit_domain(), (17, 17))
         u = GridFunction.zeros(grid)
         with pytest.raises(ValueError):
-            oscillation_decay(u, ConePoint(math.exp(-0.5), [0.5]), [0.3, 0.15])
+            oscillation_decay(u, np.array([-0.5, 0.5]), [0.3, 0.15])
 
 
 class TestComparison:

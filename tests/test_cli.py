@@ -42,6 +42,7 @@ def read_bytes(path):
 RADII = "need at least three positive, strictly decreasing radii"
 BALL = "the ball radius must be positive"
 ADMISSIBLE = "the ball radius must be at most K0 d0 + 1 = 3"
+FINITE_BALL = "the centre and radius must be finite"
 FINITE = "must be finite and positive"
 
 
@@ -220,6 +221,24 @@ class TestConfigValidation:
         key, value = entry.split(" = ")
         assert capsys.readouterr().err == f"config error: line 13: {key}: {what}, got {value!r}\n"
         assert not os.path.isdir(out) or not os.listdir(out)
+
+    @pytest.mark.parametrize("entry, what", [
+        ("convolve.direction = bogus", "must be inf or sup"),
+        ("convolve.metric = bogus", "must be log or literal"),
+        ("convolve.metric = LOG", "must be log or literal"),
+    ])
+    def test_bad_convolve_direction_or_metric_exits_two_before_reading_input(
+            self, tmp_path, capsys, monkeypatch, entry, what):
+        # an unknown direction used to leave an empty output dir behind, and an
+        # unknown metric failed inside regularization naming neither key nor line
+        monkeypatch.setattr("conepde.cli.read_gridfunction", refuse_solve)
+        out = os.path.join(tmp_path, "out")
+        body = BASE_CONFIG + "convolve.eps = 0.05\nconvolve.input = missing.gf\n" + entry + "\n"
+        cfg = write_config(tmp_path, body.format(outdir=out))
+        assert run(["convolve", "--config", cfg]) == 2
+        key, value = entry.split(" = ")
+        assert capsys.readouterr().err == f"config error: line 14: {key}: {what}, got {value!r}\n"
+        assert not os.path.exists(out)
 
     def test_out_of_range_p(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG.format(outdir=tmp_path)
@@ -423,6 +442,11 @@ class TestVerifyCommands:
         (["verify", "weakharnack"], "verify.ball = -0.5,0.5,nan", BALL),
         (["verify", "harnack"], "verify.ball = -0.5,0.5,5.0", ADMISSIBLE),
         (["verify", "weakharnack"], "verify.ball = -0.5,0.5,5.0", ADMISSIBLE),
+        # a non-finite centre used to exit 2 naming no key, and an infinite
+        # radius to crash the oscillation check's default radii
+        *[(["verify", check], f"verify.ball = {ball}", FINITE_BALL)
+          for check in ("harnack", "weakharnack", "oscillation")
+          for ball in ("nan,0.5,0.3", "-0.5,inf,0.3", "-inf,0.5,0.3", "-0.5,0.5,inf")],
     ])
     def test_vacuous_or_out_of_range_entry_exits_two_before_solving(
             self, tmp_path, capsys, monkeypatch, argv, entry, what):

@@ -5,7 +5,6 @@ import pytest
 
 from conepde.geometry import (
     ConeDomain,
-    ConePoint,
     GConditionParams,
     boundary_distance,
     estimate_g_condition,
@@ -18,41 +17,50 @@ def unit_domain(n=2, t_min=math.exp(-1.0)):
                       t_min=t_min)
 
 
-class TestConePoint:
-    def test_rejects_nonpositive_t(self):
-        with pytest.raises(ValueError):
-            ConePoint(0.0, [0.1])
-        with pytest.raises(ValueError):
-            ConePoint(-1.0, [0.1])
-
-
 class TestBoundaryDistance:
     def test_on_top_face(self):
-        assert boundary_distance(ConePoint(1.0, [0.5]), unit_domain()) == 0.0
+        assert boundary_distance([0.0, 0.5], unit_domain()) == 0.0
 
     def test_balanced_point(self):
-        d = boundary_distance(ConePoint(math.exp(-0.5), [0.5]), unit_domain())
+        d = boundary_distance([-0.5, 0.5], unit_domain())
         assert d == pytest.approx(0.5, abs=1e-14)
 
     def test_deep_point_lateral_dominates(self):
         # {t -> 0} is not boundary, so the lateral distance 0.5 wins over 3.0
         dom = unit_domain(t_min=1e-4)
-        d = boundary_distance(ConePoint(math.exp(-3.0), [0.5]), dom)
+        d = boundary_distance([-3.0, 0.5], dom)
         assert d == pytest.approx(0.5, abs=1e-14)
 
     def test_outside_rejected(self):
         with pytest.raises(ValueError):
-            boundary_distance(ConePoint(0.5, [1.5]), unit_domain())
+            boundary_distance([math.log(0.5), 1.5], unit_domain())
+
+    @pytest.mark.parametrize("z", [[math.nan, 0.5], [-0.5, math.inf], [-math.inf, 0.5]])
+    def test_non_finite_point_rejected(self, z):
+        with pytest.raises(ValueError, match="finite log-chart coordinates"):
+            boundary_distance(z, unit_domain())
+
+    def test_point_below_the_artificial_face_rejected(self):
+        # the bottom face a = a_min = -1 is no boundary, yet it bounds the domain
+        dom = unit_domain()
+        assert boundary_distance([-1.0 - 1e-13, 0.5], dom) == pytest.approx(0.5)
+        with pytest.raises(ValueError, match="outside the closure"):
+            boundary_distance([-1.0 - 1e-9, 0.5], dom)
+
+    @pytest.mark.parametrize("z", [[-0.5], [-0.5, 0.5, 0.5], [[-0.5, 0.5]]])
+    def test_wrong_length_point_rejected(self, z):
+        with pytest.raises(ValueError, match="finite log-chart coordinates"):
+            boundary_distance(z, unit_domain())
 
     def test_triangle_compatibility(self):
         # the cone metric is Euclidean in (ln t, x)
         dom = unit_domain(t_min=1e-3)
         rng = np.random.default_rng(3)
         for _ in range(300):
-            z = ConePoint(math.exp(rng.uniform(-2, 0)), rng.uniform(0, 1, 1))
-            w = ConePoint(math.exp(rng.uniform(-2, 0)), rng.uniform(0, 1, 1))
+            z = np.array([rng.uniform(-2, 0), *rng.uniform(0, 1, 1)])
+            w = np.array([rng.uniform(-2, 0), *rng.uniform(0, 1, 1)])
             assert boundary_distance(z, dom) <= (
-                np.linalg.norm(z.as_log() - w.as_log()) + boundary_distance(w, dom) + 1e-12
+                np.linalg.norm(z - w) + boundary_distance(w, dom) + 1e-12
             )
 
 

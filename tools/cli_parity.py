@@ -5,9 +5,11 @@
 Runs every subcommand and verify check on the same configs with each tree's
 ``src/`` directory (OLD_SRC and NEW_SRC) on PYTHONPATH, each command in a
 fresh working directory with relative input and output paths, so both sides
-see identical config text and hence identical config hashes.  The 80 cases
+see identical config text and hence identical config hashes.  The 89 cases
 are the fourteen commands of the determinism acceptance test at p = 2, 3
-and 4 (p = 4 covers the solves above p = 3), a ``solve`` whose data vary
+and 4 (p = 4 covers the solves above p = 3), ``verify harnack``,
+``weakharnack`` and ``oscillation`` on an explicit off-centre ball whose a
+does not survive exp/log, a ``solve`` whose data vary
 in x (``poly:`` Dirichlet data and forcing), ``convolve`` in both
 directions under both pairing metrics, ``verify abp`` and ``hoelder`` on a
 stored random field, ``verify comparison`` and ``doubling`` on the stored
@@ -66,6 +68,8 @@ COARSE = "domain.t_min = 1e-6\ngrid.nodes = 3,5\n"
 SOLID = "domain.n = 3\ndomain.base = 0,1;0,1\ngrid.nodes = 9,9,9\n"
 # Dirichlet data 0.5 x^2 + a and forcing -x, the cases whose data vary in x
 SLOPED = "problem.dirichlet = poly:0.5,0,2;1,1\nproblem.f = poly:-1,0,1\n"
+# math.log(math.exp(-0.6)) != -0.6, so a centre kept as t = e^a moves
+BALL = "verify.ball = -0.6,0.5,0.3\n"
 CHECKS = ("abp", "hoelder", "harnack", "weakharnack", "oscillation",
           "comparison", "doubling", "weakform")
 
@@ -96,6 +100,8 @@ def cases():
         for check in CHECKS:
             extra = PAIR.format(p=p) if check in ("comparison", "doubling") else ""
             yield f"p={p} verify {check}", [["verify", check]], merged(base, extra)
+        for check in ("harnack", "weakharnack", "oscillation"):
+            yield f"p={p} verify {check} ball", [["verify", check]], merged(base, BALL)
         for check in ("abp", "hoelder"):
             yield f"p={p} verify {check} stored", [["verify", check]], merged(base, STORED)
         for check in ("comparison", "doubling"):
