@@ -340,7 +340,7 @@ def comparison_check(u: GridFunction, v: GridFunction, prob: PDEProblem,
     bmask = grid.boundary_mask
     bad = (u.values > v.values + tol) & bmask
     if np.any(bad):
-        nodes = np.argwhere(bad)[:20]
+        nodes = np.argwhere(bad)[:20].tolist()
         raise ValueError(
             "boundary ordering violated at nodes " + ", ".join(map(str, map(tuple, nodes)))
         )

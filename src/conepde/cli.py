@@ -102,11 +102,14 @@ class RunConfig:
         return self._parse(key, default, False, _listof(int), "a comma list of integers")
 
 
-def _require(cfg: RunConfig, key: str, ok: bool, what: str) -> None:
+def _require(cfg: RunConfig, key: str, ok: bool, what: str, default: str = "") -> None:
     """A config error naming ``key``, its line and its value unless ``ok``;
-    the defaults all pass, so only a key the config sets can fail."""
+    for a key the config does not set it names ``default``, what was read
+    in its place."""
     if not ok:
-        raise ConfigError(f"line {cfg.lines[key]}: {key}: {what}, got {cfg.get(key)!r}")
+        line = cfg.lines.get(key)
+        raise ConfigError(f"line {line}: {key}: {what}, got {cfg.get(key)!r}" if line
+                          else f"{key}: {what}, got the default {default}")
 
 
 def _listof(kind):
@@ -418,6 +421,7 @@ def _cmd_convergence_study(cfg: RunConfig, args: argparse.Namespace) -> int:
 def _cmd_gcondition(cfg: RunConfig, args: argparse.Namespace) -> int:
     domain = build_domain(cfg)
     samples = cfg.get_int("verify.samples", 200)
+    _require(cfg, "verify.samples", samples >= 1, "need at least one sample")
     sigma = estimate_g_condition(domain, samples, args.seed)
     outdir = _outdir(cfg)
     write_json(os.path.join(outdir, "gcondition_report.json"),
@@ -491,10 +495,8 @@ def _harnack_ball(cfg: RunConfig, grid: LogGrid) -> tuple:
     must be at most K0 d0 + 1; checked here, before any solve."""
     center, d = _ball_from_config(cfg, grid)
     bound = analysis.harnack_radius_bound(grid.domain)
-    what = f"the ball radius must be at most K0 d0 + 1 = {bound:g}"
-    if d > bound and "verify.ball" not in cfg.lines:
-        raise ConfigError(f"verify.ball: {what}, got the default radius {d:g}")
-    _require(cfg, "verify.ball", d <= bound, what)
+    _require(cfg, "verify.ball", d <= bound,
+             f"the ball radius must be at most K0 d0 + 1 = {bound:g}", f"radius {d:g}")
     return center, d
 
 
@@ -503,10 +505,12 @@ def _harnack_ball(cfg: RunConfig, grid: LogGrid) -> tuple:
 # (report fields, verdict, CSV header, CSV rows)
 
 def _verify_abp(cfg, prob, grid, scfg, slack, seed) -> tuple:
+    c_ref = cfg.get_float("verify.c_ref")
+    _require(cfg, "verify.c_ref", c_ref is None or 0.0 <= c_ref < math.inf,
+             "must be finite and at least 0")
     u = _get_solution(cfg, prob, grid, scfg)
     one, two = analysis.abp_check(u, prob, grid.domain)
     verdict = True
-    c_ref = cfg.get_float("verify.c_ref")
     if c_ref is not None:
         verdict = one.holds_with(c_ref, slack)
     elif one.forcing_zero:
@@ -554,9 +558,13 @@ def _verify_weakharnack(cfg, prob, grid, scfg, slack, seed) -> tuple:
 def _verify_oscillation(cfg, prob, grid, scfg, slack, seed) -> tuple:
     center, d = _ball_from_config(cfg, grid)
     radii = cfg.get_floats("verify.radii", [d, d / 2.0, d / 4.0])
-    _require(cfg, "verify.radii", len(radii) >= 3 and radii[-1] > 0.0
-             and all(b < a for a, b in zip(radii, radii[1:])),
-             "need at least three positive, strictly decreasing radii")
+    ok = len(radii) >= 3 and radii[-1] > 0.0 and all(b < a for a, b in zip(radii, radii[1:]))
+    if "verify.radii" in cfg.lines:
+        _require(cfg, "verify.radii", ok, "need at least three positive, strictly decreasing radii")
+    else:
+        # the default radii follow the ball's radius d, so that is the key at fault
+        _require(cfg, "verify.ball", ok, "the default radii d, d/2, d/4 must be positive "
+                 "and strictly decreasing", f"radius {d:g}")
     u = _get_solution(cfg, prob, grid, scfg)
     rep = analysis.oscillation_decay(u, center, radii)
     verdict = rep.vacuous or (rep.exponent is not None and rep.exponent > 0.0)
@@ -591,9 +599,10 @@ def _verify_doubling(cfg, prob, grid, scfg, slack, seed) -> tuple:
 def _verify_weakform(cfg, prob, grid, scfg, slack, seed) -> tuple:
     count = cfg.get_int("verify.bumps", 10)
     _require(cfg, "verify.bumps", count > 0, "need at least one bump")
+    tol = cfg.get_float("verify.weakform_tol", 10.0 * max(grid.h) ** 2)
+    _require(cfg, "verify.weakform_tol", 0.0 <= tol < math.inf, "must be finite and at least 0")
     u = _get_solution(cfg, prob, grid, scfg)
     bumps = analysis.cosine_bumps(grid, count, seed=seed)
-    tol = cfg.get_float("verify.weakform_tol", 10.0 * max(grid.h) ** 2)
     worst, rows = analysis.weak_form_residual(u, prob, bumps)
     header = ["residual", "residual_divergence_form", "form_gap"]
     return ({"max_residual": worst, "tolerance": tol, "tests": rows}, worst <= tol,
@@ -617,10 +626,12 @@ def _cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     prob = build_problem(cfg, domain)
     grid = build_grid(cfg, domain)
     scfg = build_solver_config(cfg)
-    outdir = _outdir(cfg)
     slack = cfg.get_float("verify.slack", 10.0 * max(grid.h) ** 2)
+    _require(cfg, "verify.slack", 0.0 <= slack < math.inf, "must be finite and at least 0")
     fields, verdict, header, rows = VERIFY_CHECKS[args.check](
         cfg, prob, grid, scfg, slack, args.seed)
+    # created only now, so a rejected config leaves no directory behind
+    outdir = _outdir(cfg)
     stem = os.path.join(outdir, f"verify_{args.check}")
     write_csv(stem + ".csv", header, rows, cfg.config_hash)
     write_json(stem + ".json", {"check": args.check, "seed": args.seed, **fields,

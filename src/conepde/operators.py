@@ -281,14 +281,14 @@ def gradient_powers(g, p: float, eps_reg: float = 0.0) -> tuple:
 
 
 def operator_terms(g, H, p: float, n: int, eps_reg: float = 0.0,
-                   extremal: str | None = None, slopes: bool = False) -> tuple:
+                   extremal: str | None = None) -> tuple:
     """The operator R = sum_kl A_kl H_kl + B g_a (no forcing) and its
     partial derivatives, as (R, A, B, C), from derivative arrays g (n, ...)
     and H (n, n, ...); the radial drift derivative g_a is g[0].
 
     A = |g|_d^(p-2) Q_d weighs the Hessian entries (it is also the derivative
-    of the flux) and B = (n-p) |g|_d^(p-2) the drift.  C = dR/dg is None
-    unless ``slopes`` is set; it vanishes at p == 2.  Under an
+    of the flux), B = (n-p) |g|_d^(p-2) the drift and C = dR/dg the
+    gradient; at p == 2 the operator is linear and C is zero.  Under an
     ``extremal`` mode ("upper"/"lower") R carries |g|_d^(p-2) times the Pucci
     value of H instead of sum A_kl H_kl.
     """
@@ -306,8 +306,9 @@ def operator_terms(g, H, p: float, n: int, eps_reg: float = 0.0,
         diffusion = coef * _pucci(eigs, PucciParams.from_p(p), extremal == "upper")
     else:
         raise ValueError(f"unknown extremal mode {extremal!r}")
-    C = None
-    if slopes:
+    if p == 2.0:
+        C = np.zeros_like(g)
+    else:
         trH = np.einsum("kk...->...", H)
         Hg = np.einsum("kl...,l...->k...", H, g)
         gHg = np.einsum("k...,k...->...", g, Hg)
@@ -398,10 +399,12 @@ def transformed_residual(z: GridFunction, prob: PDEProblem, params: TransformPar
 # ---------------------------------------------------------------------------
 # vectorized residual fields (shared with the solver)
 
-def divergence_part_field(u: GridFunction, p: float, n: int,
-                          eps_reg: float = 0.0) -> np.ndarray:
-    """|g|_d^(p-2) (tr(Q_d H) + (n-p) g_a) at every node (no forcing term)."""
-    return operator_terms(gradient_field(u), hessian_field(u), p, n, eps_reg)[0]
+def divergence_part_field(u: GridFunction, p: float, n: int, eps_reg: float = 0.0,
+                          extremal: str | None = None) -> tuple:
+    """``operator_terms`` of u at every node: the operator
+    |g|_d^(p-2) (tr(Q_d H) + (n-p) g_a) (no forcing term), or its
+    ``extremal`` mode, and the coefficient fields (A, B, C)."""
+    return operator_terms(gradient_field(u), hessian_field(u), p, n, eps_reg, extremal)
 
 
 def residual_log_field(u: GridFunction, prob: PDEProblem, eps_reg: float = 0.0,
@@ -409,6 +412,5 @@ def residual_log_field(u: GridFunction, prob: PDEProblem, eps_reg: float = 0.0,
     """Log-chart residual at every node (boundary rows use one-sided
     stencils); t^-p times it is the strong-form residual.  An ``extremal``
     mode replaces the diffusion by the Pucci value, as in ``operator_terms``."""
-    R = operator_terms(gradient_field(u), hessian_field(u), prob.p, prob.n, eps_reg,
-                       extremal)[0]
+    R = divergence_part_field(u, prob.p, prob.n, eps_reg, extremal)[0]
     return R - prob.log_forcing(u.grid)

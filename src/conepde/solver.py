@@ -40,8 +40,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_banded
 
-from conepde.calculus import (GridFunction, LogGrid, first_diff, gradient_field,
-                              hessian_field, second_diff)
+from conepde.calculus import GridFunction, LogGrid, first_diff, second_diff
 from conepde.geometry import ConeDomain, exhaustion
 from conepde.operators import (AnalyticField, PDEProblem, constant_field,
                                divergence_part_field, log_polynomial_field,
@@ -170,28 +169,26 @@ def _check_peclet(grid: LogGrid, p: float, n: int) -> None:
                          f"2(p-1) = {bound:.6g}; use at least {need} radial nodes")
 
 
-def _assemble_jacobian(values: np.ndarray, grid: LogGrid, p: float, n: int,
-                       eps_reg: float) -> sp.csc_matrix:
+def _assemble_jacobian(grid: LogGrid, A: np.ndarray, B: np.ndarray,
+                       C: np.ndarray) -> sp.csc_matrix:
     """Jacobian of the log-chart residual on the interior nodes, rows and
     columns in ``grid.dissection_order``; boundary values are data, not
     unknowns.  Its rows are sum_kl A_kl H_kl + sum_k C_k G_k + B G_0: the
-    residual's own operators weighted by the partial derivatives of the
-    residual algebra, so the block is its exact linearization.
+    residual's own operators weighted by the coefficient fields
+    ``operator_terms`` returned with the residual, so the block is its exact
+    linearization at that residual's iterate.
 
     The sparsity pattern is fixed for the grid (``grid.interior_pattern``),
-    so a call does only the numeric part: the coefficient fields, one
-    product with the stencil weights and one gather into CSC data order.
+    so a call does only the numeric part: one product of the coefficient
+    fields with the stencil weights and one gather into CSC data order.
     B keeps its own term on G_0 rather than being added to C_0, which
     would round differently."""
-    u = GridFunction(grid, values, check_finite=False)
-    _, A, B, C = operator_terms(gradient_field(u), hessian_field(u), p, n, eps_reg,
-                                slopes=True)
     pattern, order = grid.interior_pattern, grid.dissection_order
     coeffs = [A[k, l] * (1.0 if k == l else 2.0) for k, l in grid.hessian_ops]
     coeffs += [*C, B]
     # pattern rows: the Hessian operators, then G_0 ... G_{n-1}, then G_0 for B
     h = len(grid.hessian_ops)
-    weights = pattern.weights[[*range(h + n), h]]
+    weights = pattern.weights[[*range(h + grid.n), h]]
     data = np.stack([c.ravel()[order] for c in coeffs], axis=1) @ weights
     return sp.csc_matrix((data.ravel()[pattern.gather], pattern.indices, pattern.indptr),
                          shape=(order.size, order.size))
@@ -243,8 +240,9 @@ class _NewtonSystem:
     """One solve's Newton system: the log-chart residual at exponent p,
     dimension n and interior forcing F_log, and the linear solve of a step,
     by ``_solve_linear`` at p == 2 and otherwise by ``_solve_jacobian`` on
-    the assembled Jacobian with the kept ``splu`` factor ``lu``.  It counts
-    the factorizations taken and the GMRES iterations run."""
+    the Jacobian assembled from the residual's coefficient fields, with the
+    kept ``splu`` factor ``lu``.  It counts the factorizations taken and the
+    GMRES iterations run."""
 
     grid: LogGrid
     p: float
@@ -254,19 +252,22 @@ class _NewtonSystem:
     factorizations: int = 0
     krylov_iterations: int = 0
 
-    def residual(self, values: np.ndarray, eps_reg: float) -> np.ndarray:
-        """The residual at every node, zero on the boundary."""
+    def residual(self, values: np.ndarray, eps_reg: float) -> tuple:
+        """(res, lin): the residual at every node, zero on the boundary, and
+        its linearization point, the coefficient fields (A, B, C) of
+        ``operator_terms`` at ``values``."""
         u = GridFunction(self.grid, values, check_finite=False)
-        res = divergence_part_field(u, self.p, self.n, eps_reg) - self.F_log
+        R, *lin = divergence_part_field(u, self.p, self.n, eps_reg)
+        res = R - self.F_log
         res[self.grid.boundary_mask] = 0.0
-        return res
+        return res, lin
 
-    def step(self, values: np.ndarray, eps_reg: float, rhs: np.ndarray) -> np.ndarray:
-        """The Newton step: du with J du = rhs at ``values``, zero on the boundary."""
+    def step(self, lin: list, rhs: np.ndarray) -> np.ndarray:
+        """The Newton step: du with J du = rhs for the Jacobian at the
+        linearization point ``lin`` from ``residual``, zero on the boundary."""
         if self.p == 2.0:
             return _solve_linear(self.grid, self.n - self.p, rhs)
-        return _solve_jacobian(
-            _assemble_jacobian(values, self.grid, self.p, self.n, eps_reg), rhs, self)
+        return _solve_jacobian(_assemble_jacobian(self.grid, *lin), rhs, self)
 
 
 def _solve_jacobian(J: sp.csc_matrix, rhs: np.ndarray, system: _NewtonSystem) -> np.ndarray:
@@ -315,23 +316,24 @@ def _newton_stage(values: np.ndarray, system: _NewtonSystem, eps_reg: float,
                   max_iter: int, target: float) -> tuple:
     """Damped Newton on ``system`` at one continuation stage, run until the
     residual's max norm is at most ``target``; returns (values, StageRecord).
-    A rejected trial step halves the step length.  The record counts the
-    stage's factorizations and GMRES iterations and names why the stage
-    stopped."""
+    A step reads the linearization that its iterate's residual evaluation
+    returned, and a rejected trial step halves the step length.  The record
+    counts the stage's factorizations and GMRES iterations and names why the
+    stage stopped."""
     start = (system.factorizations, system.krylov_iterations)
-    res = system.residual(values, eps_reg)
+    res, lin = system.residual(values, eps_reg)
     if not np.all(np.isfinite(res)):
         raise FloatingPointError("non-finite value in discrete residual")
     norm = float(np.max(np.abs(res)))
     iters = 0
     accepted = True
     while norm > target and iters < max_iter:
-        du = system.step(values, eps_reg, -res)
+        du = system.step(lin, -res)
         lam = 1.0
         accepted = False
         while lam >= 1e-12:
             trial = values + lam * du
-            tres = system.residual(trial, eps_reg)
+            tres, tlin = system.residual(trial, eps_reg)
             if np.any(np.isnan(tres)):
                 raise FloatingPointError("NaN in discrete residual")
             tnorm = float(np.max(np.abs(tres)))
@@ -342,7 +344,7 @@ def _newton_stage(values: np.ndarray, system: _NewtonSystem, eps_reg: float,
         iters += 1
         if not accepted:
             break
-        values, res, norm = trial, tres, tnorm
+        values, res, lin, norm = trial, tres, tlin, tnorm
     stop = ("converged" if norm <= target else "max_iter" if accepted else "line_search")
     return values, StageRecord(eps_reg=eps_reg, iterations=iters, residual_norm=norm,
                                stop_reason=stop,
@@ -408,12 +410,7 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid,
         prev_eps = eps
         i += 1
 
-    report = SolveReport(
-        stages=stages,
-        converged=bool(norm <= cfg.tol),
-        final_residual=norm,
-    )
-    return GridFunction(grid, values), report
+    return GridFunction(grid, values), SolveReport(stages, bool(norm <= cfg.tol), norm)
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +423,6 @@ class ExhaustionReport:
     monotone: bool
 
 
-def _interpolator(u: GridFunction):
-    from scipy.interpolate import RegularGridInterpolator
-
-    method = "cubic" if all(s >= 4 for s in u.grid.shape) else "linear"
-    return RegularGridInterpolator(u.grid.axes, u.values, method=method)
-
-
 def solve_by_exhaustion(prob: PDEProblem, domain: ConeDomain, j_max: int,
                         grid_density: float,
                         cfg: SolverConfig | None = None) -> ExhaustionReport:
@@ -443,17 +433,15 @@ def solve_by_exhaustion(prob: PDEProblem, domain: ConeDomain, j_max: int,
     solution onto the older grid.  A solver failure propagates with the
     stage index.
     """
+    from scipy.interpolate import RegularGridInterpolator
+
     if j_max < 2:
         raise ValueError("need at least two exhaustion stages")
     members = []
     for j in range(1, j_max + 1):
         dom_j = exhaustion(domain, j)
-        counts = [
-            max(5, int(round((dom_j.a_max - dom_j.a_min) * grid_density)) + 1)
-        ] + [
-            max(5, int(round((dom_j.base_hi[k] - dom_j.base_lo[k]) * grid_density)) + 1)
-            for k in range(domain.n - 1)
-        ]
+        extents = [dom_j.a_max - dom_j.a_min, *(dom_j.base_hi - dom_j.base_lo)]
+        counts = [max(5, int(round(e * grid_density)) + 1) for e in extents]
         grid_j = LogGrid.build(dom_j, counts)
         prob_j = PDEProblem(p=prob.p, n=prob.n, f=prob.f, dirichlet=constant_field(0.0))
         u_j, rep = solve_dirichlet(prob_j, grid_j, cfg)
@@ -462,16 +450,13 @@ def solve_by_exhaustion(prob: PDEProblem, domain: ConeDomain, j_max: int,
         members.append((dom_j, u_j))
 
     diffs = []
-    for j in range(2, j_max + 1):
-        _, u_prev = members[j - 2]
-        _, u_cur = members[j - 1]
-        interp = _interpolator(u_cur)
-        pts = u_prev.grid.log_points
-        gap = float(np.max(np.abs(interp(pts) - u_prev.values.ravel())))
-        diffs.append((j, gap))
+    for j, ((_, u_prev), (_, u_cur)) in enumerate(zip(members, members[1:]), start=2):
+        # every member has at least 5 nodes per axis, as cubic needs
+        interp = RegularGridInterpolator(u_cur.grid.axes, u_cur.values, method="cubic")
+        gap = interp(u_prev.grid.log_points) - u_prev.values.ravel()
+        diffs.append((j, float(np.max(np.abs(gap)))))
     gaps = [g for _, g in diffs]
-    monotone = all(b <= a for a, b in zip(gaps, gaps[1:]))
-    return ExhaustionReport(members=members, diffs=diffs, monotone=monotone)
+    return ExhaustionReport(members, diffs, all(b <= a for a, b in zip(gaps, gaps[1:])))
 
 
 @dataclass(frozen=True)

@@ -229,15 +229,21 @@ def poly_sampler(terms):
 # ---------------------------------------------------------------------------
 # Newton Jacobian on the full grid
 
-def full_jacobian(values, grid, p, n, eps_reg):
-    """Jacobian of the log-chart residual w.r.t. every node value, in flat
-    node order: identity rows on the boundary, and on the interior rows
-    sum_kl diag(A_kl) H_kl + sum_k diag(C_k) G_k + diag(B) G_0 over the
-    grid's Hessian and first-difference operators.  Its interior rows and
-    columns are the block ``solver._assemble_jacobian`` returns."""
+def coefficient_fields(values, grid, p, n, eps_reg):
+    """The coefficient fields (A, B, C) of ``operator_terms`` at ``values``,
+    the linearization point ``solver._NewtonSystem.residual`` returns with
+    its residual."""
     u = GridFunction(grid, values, check_finite=False)
-    _, A, B, C = operator_terms(gradient_field(u), hessian_field(u), p, n, eps_reg,
-                                slopes=True)
+    return operator_terms(gradient_field(u), hessian_field(u), p, n, eps_reg)[1:]
+
+
+def full_jacobian(grid, A, B, C):
+    """Jacobian of the log-chart residual w.r.t. every node value at the
+    coefficient fields A, B, C, in flat node order: identity rows on the
+    boundary, and on the interior rows sum_kl diag(A_kl) H_kl +
+    sum_k diag(C_k) G_k + diag(B) G_0 over the grid's Hessian and
+    first-difference operators.  Its interior rows and columns are the block
+    ``solver._assemble_jacobian`` returns."""
     terms = [((1.0 if k == l else 2.0) * A[k, l], op) for (k, l), op in grid.hessian_ops.items()]
     terms += list(zip(C, grid.first_diff_ops)) + [(B, grid.first_diff_ops[0])]
     bmask = grid.boundary_mask.ravel()
@@ -245,15 +251,12 @@ def full_jacobian(values, grid, p, n, eps_reg):
     return (J + sp.diags(bmask.astype(float))).tocsr()
 
 
-def coo_interior_block(values, grid, p, n, eps_reg):
+def coo_interior_block(grid, A, B, C):
     """The interior block of ``full_jacobian`` built from scratch: each
     operator's stencil read off one interior row, the (row, offset) products
     with the boundary columns dropped, and a COO to CSC conversion.  It is
     the reference for ``solver._assemble_jacobian``, which keeps the pattern
     on the grid; the two agree bit for bit."""
-    u = GridFunction(grid, values, check_finite=False)
-    _, A, B, C = operator_terms(gradient_field(u), hessian_field(u), p, n, eps_reg,
-                                slopes=True)
     pairs = [(op, A[k, l] * (1.0 if k == l else 2.0)) for (k, l), op in grid.hessian_ops.items()]
     pairs += list(zip(grid.first_diff_ops, C))
     pairs.append((grid.first_diff_ops[0], B))

@@ -377,6 +377,17 @@ class TestComparison:
         with pytest.raises(ValueError):
             comparison_check(u, v, prob, tol=1e-8)
 
+    def test_boundary_violation_names_nodes_as_plain_int_tuples(self):
+        grid = LogGrid.build(unit_domain(), (17, 17))
+        prob = PDEProblem(p=2.0, n=2, f=tp_floor_field(0.3, 2.0),
+                          dirichlet=zero_field)
+        values = np.zeros(grid.shape)
+        values[16, 0] = values[0, 3] = 1.0
+        with pytest.raises(ValueError) as exc:
+            comparison_check(GridFunction(grid, values), GridFunction.zeros(grid), prob,
+                             tol=1e-8)
+        assert str(exc.value) == "boundary ordering violated at nodes (0, 3), (16, 0)"
+
     def test_grids_with_equal_shapes_but_different_axes_rejected(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
         other = LogGrid.build(unit_domain(t_min=math.exp(-2.0)), (17, 17))

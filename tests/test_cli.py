@@ -44,6 +44,8 @@ BALL = "the ball radius must be positive"
 ADMISSIBLE = "the ball radius must be at most K0 d0 + 1 = 3"
 FINITE_BALL = "the centre and radius must be finite"
 FINITE = "must be finite and positive"
+NONNEGATIVE = "must be finite and at least 0"
+DEFAULT_RADII = "the default radii d, d/2, d/4 must be positive and strictly decreasing"
 
 
 def refuse_solve(*args, **kwargs):
@@ -382,7 +384,7 @@ class TestVerifyCommands:
             assert run(["verify", check, "--config", cfg]) == 3
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "at 26 nodes (0 NaN, 26 inf)" in capsys.readouterr().err
-        assert not os.path.isdir(out) or not os.listdir(out)
+        assert not os.path.isdir(out)
 
     @pytest.mark.parametrize("check, key", [("hoelder", "verify.rhos"),
                                             ("doubling", "verify.alphas")])
@@ -394,7 +396,7 @@ class TestVerifyCommands:
         assert run(["verify", check, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: line 12: ") and f"{key}: expected" in err
-        assert not os.path.isdir(out) or not os.listdir(out)
+        assert not os.path.isdir(out)
 
     @pytest.mark.parametrize("entry", ["verify.rhos = 1.5", "verify.rhos = 0,0.5",
                                        "verify.rhos = nan", "verify.rho = 1.5",
@@ -409,7 +411,7 @@ class TestVerifyCommands:
         key = entry.split(" =")[0]
         assert err.startswith(f"config error: line 12: {key}: ")
         assert "(0, 1]" in err
-        assert not os.path.isdir(out) or not os.listdir(out)
+        assert not os.path.isdir(out)
 
     def test_rho_next_to_rhos_exits_two_before_solving(self, tmp_path, capsys,
                                                        monkeypatch):
@@ -421,7 +423,7 @@ class TestVerifyCommands:
         err = capsys.readouterr().err
         assert err.startswith("config error: line 12: verify.rho: ")
         assert "verify.rhos on line 13" in err
-        assert not os.path.isdir(out) or not os.listdir(out)
+        assert not os.path.isdir(out)
 
     @pytest.mark.parametrize("argv, entry, what", [
         (["verify", "weakform"], "verify.bumps = 0", "need at least one bump"),
@@ -447,17 +449,30 @@ class TestVerifyCommands:
         *[(["verify", check], f"verify.ball = {ball}", FINITE_BALL)
           for check in ("harnack", "weakharnack", "oscillation")
           for ball in ("nan,0.5,0.3", "-0.5,inf,0.3", "-inf,0.5,0.3", "-0.5,0.5,inf")],
+        # a radius whose halves round to 0 used to crash with a KeyError on
+        # the unset verify.radii
+        (["verify", "oscillation"], "verify.ball = -0.5,0.5,5e-324", DEFAULT_RADII),
+        # a non-finite slack, reference constant or tolerance used to give a
+        # vacuous verdict (exit 0) or an unnamed failure
+        *[(["verify", "comparison"], f"verify.slack = {v}", NONNEGATIVE)
+          for v in ("nan", "inf", "-inf", "-1e-3")],
+        *[(["verify", "abp"], f"verify.c_ref = {v}", NONNEGATIVE)
+          for v in ("nan", "inf", "-1")],
+        *[(["verify", "weakform"], f"verify.weakform_tol = {v}", NONNEGATIVE)
+          for v in ("nan", "inf", "-1")],
+        (["gcondition"], "verify.samples = 0", "need at least one sample"),
     ])
     def test_vacuous_or_out_of_range_entry_exits_two_before_solving(
             self, tmp_path, capsys, monkeypatch, argv, entry, what):
         # no bumps, no study levels or a zero margin would report a vacuous pass
         monkeypatch.setattr("conepde.cli.solve_dirichlet", refuse_solve)
+        monkeypatch.setattr("conepde.cli.estimate_g_condition", refuse_solve)
         out = os.path.join(tmp_path, "out")
         cfg = write_config(tmp_path, (BASE_CONFIG + entry + "\n").format(outdir=out))
         assert run([*argv, "--config", cfg]) == 2
         key, value = entry.split(" = ")
         assert capsys.readouterr().err == f"config error: line 12: {key}: {what}, got {value!r}\n"
-        assert not os.path.isdir(out) or not os.listdir(out)
+        assert not os.path.isdir(out)
 
     @pytest.mark.parametrize("check", ["harnack", "weakharnack"])
     def test_inadmissible_default_ball_exits_two_before_solving(self, tmp_path, capsys,
@@ -472,7 +487,7 @@ class TestVerifyCommands:
         assert run(["verify", check, "--config", cfg]) == 2
         assert capsys.readouterr().err == (f"config error: verify.ball: {ADMISSIBLE}, "
                                            "got the default radius 4\n")
-        assert not os.path.isdir(out) or not os.listdir(out)
+        assert not os.path.isdir(out)
 
     def test_oscillation_accepts_a_ball_beyond_k0_d0_plus_one(self, tmp_path, monkeypatch):
         calls = []
@@ -498,7 +513,7 @@ class TestVerifyCommands:
         err = capsys.readouterr().err
         assert err.startswith("config error: line 12: verify.p0s: ")
         assert "p0 values must lie in (0, 1]" in err
-        assert not os.path.isdir(out) or not os.listdir(out)
+        assert not os.path.isdir(out)
 
     @pytest.mark.parametrize("argv, key, value", [
         (["verify", "hoelder"], "verify.rhos", "0.5,,1"),
@@ -520,7 +535,7 @@ class TestVerifyCommands:
         err = capsys.readouterr().err
         line = body.splitlines().index(entry) + 1
         assert err.startswith(f"config error: line {line}: {key}: ")
-        assert not os.path.isdir(out) or not os.listdir(out)
+        assert not os.path.isdir(out)
 
     def test_shifted_pair_reads_stored_solution(self, tmp_path, monkeypatch):
         calls = []

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -10,7 +11,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conepde import solver
+from conepde import calculus, solver
 from conepde.calculus import GridFunction, LogGrid
 from conepde.geometry import ConeDomain
 from conepde.operators import PDEProblem, constant_field
@@ -30,8 +31,8 @@ from conepde.solver import (
     solve_by_exhaustion,
     solve_dirichlet,
 )
-from oracles import (coo_interior_block, every_stage_to_tol, full_jacobian,
-                     pointwise_residual_log, refactorized_solve)
+from oracles import (coefficient_fields, coo_interior_block, every_stage_to_tol,
+                     full_jacobian, pointwise_residual_log, refactorized_solve)
 
 
 def unit_domain(n=2, t_min=math.exp(-1.0)):
@@ -227,12 +228,13 @@ class TestJacobian:
         grid, v, w, F_log = self._state(p, n)
         eps = 1e-2
         order = grid.dissection_order
-        Jw = _assemble_jacobian(v, grid, p, n, eps) @ w.ravel()[order]
-        scale = float(np.max(np.abs(Jw)))
         system = _NewtonSystem(grid, p, n, F_log)
+        Jw = _assemble_jacobian(grid, *system.residual(v, eps)[1]) @ w.ravel()[order]
+        scale = float(np.max(np.abs(Jw)))
         rel = []
         for h in (1e-3, 1e-4, 1e-5):
-            fd = (system.residual(v + h * w, eps) - system.residual(v - h * w, eps)) / (2.0 * h)
+            fd = (system.residual(v + h * w, eps)[0]
+                  - system.residual(v - h * w, eps)[0]) / (2.0 * h)
             rel.append(float(np.max(np.abs(Jw - fd.ravel()[order]))) / scale)
         assert rel[-1] < 1e-8
         for coarse, fine in zip(rel, rel[1:]):
@@ -245,9 +247,10 @@ class TestJacobian:
     def test_is_interior_block_of_full_jacobian(self, n, p, counts, eps, seed):
         grid = LogGrid.build(unit_domain(n=n), counts[:n])
         v = np.random.default_rng(seed).standard_normal(grid.shape)
-        J = _assemble_jacobian(v, grid, p, n, eps)
+        fields = coefficient_fields(v, grid, p, n, eps)
+        J = _assemble_jacobian(grid, *fields)
         order = grid.dissection_order
-        block = full_jacobian(v, grid, p, n, eps)[order][:, order].toarray()
+        block = full_jacobian(grid, *fields)[order][:, order].toarray()
         assert J.format == "csc" and J.shape == block.shape
         assert np.max(np.abs(J.toarray() - block)) <= 1e-14 * np.max(np.abs(block))
 
@@ -258,16 +261,19 @@ class TestJacobian:
         # the kept pattern changes where the arithmetic happens, not what it is
         grid = LogGrid.build(unit_domain(n=n), counts[:n])
         v = np.random.default_rng(seed).standard_normal(grid.shape)
-        J = _assemble_jacobian(v, grid, p, n, eps)
-        ref = coo_interior_block(v, grid, p, n, eps)
+        fields = coefficient_fields(v, grid, p, n, eps)
+        J = _assemble_jacobian(grid, *fields)
+        ref = coo_interior_block(grid, *fields)
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(J, name), getattr(ref, name)), name
 
     def test_pattern_is_shared_and_read_only(self):
         grid = LogGrid.build(unit_domain(), (9, 8))
         rng = np.random.default_rng(4)
-        J1 = _assemble_jacobian(rng.standard_normal(grid.shape), grid, 3.0, 2, 1e-2)
-        J2 = _assemble_jacobian(rng.standard_normal(grid.shape), grid, 4.0, 2, 1e-6)
+        J1 = _assemble_jacobian(
+            grid, *coefficient_fields(rng.standard_normal(grid.shape), grid, 3.0, 2, 1e-2))
+        J2 = _assemble_jacobian(
+            grid, *coefficient_fields(rng.standard_normal(grid.shape), grid, 4.0, 2, 1e-6))
         pattern = grid.interior_pattern
         for J in (J1, J2):
             assert np.shares_memory(J.indices, pattern.indices)
@@ -279,11 +285,38 @@ class TestJacobian:
     def test_pattern_is_freed_with_the_grid(self):
         # the pattern lives on the grid, so nothing else keeps a grid alive
         grid = LogGrid.build(unit_domain(), (9, 9))
-        _assemble_jacobian(np.ones(grid.shape), grid, 3.0, 2, 1e-2)
+        _assemble_jacobian(grid, *coefficient_fields(np.ones(grid.shape), grid, 3.0, 2, 1e-2))
         ref = weakref.ref(grid)
         del grid
         gc.collect()
         assert ref() is None
+
+    def test_one_operator_evaluation_per_iterate(self, monkeypatch):
+        # a step assembles from the coefficient fields its iterate's residual
+        # returned, so a solve takes the derivative fields once per residual
+        # evaluation, through whichever module applies them
+        calls = {"gradient_field": 0, "hessian_field": 0, "residual": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("gradient_field", "hessian_field"):
+            original = getattr(calculus, name)
+            wrapped = counting(name, original)
+            for mod_name, mod in list(sys.modules.items()):
+                if ((mod_name == "conepde" or mod_name.startswith("conepde."))
+                        and getattr(mod, name, None) is original):
+                    monkeypatch.setattr(mod, name, wrapped)
+        monkeypatch.setattr(_NewtonSystem, "residual",
+                            counting("residual", _NewtonSystem.residual))
+        grid = LogGrid.build(unit_domain(), (17, 17))
+        prob = manufactured_problem(power_of_t_field(0.4, 2), 3.0, 2)
+        _, rep = solve_dirichlet(prob, grid)
+        assert rep.converged and sum(s.iterations for s in rep.stages) > 0
+        assert calls["gradient_field"] == calls["hessian_field"] == calls["residual"]
 
 
 def _raise(*args, **kwargs):
@@ -307,7 +340,8 @@ class TestFastLinearSolve:
         grid = LogGrid.build(dom, counts[:n])
         res = np.random.default_rng(seed).standard_normal(grid.shape)
         res[grid.boundary_mask] = 0.0
-        J = full_jacobian(np.zeros(grid.shape), grid, 2.0, 2 + (n - p), 1e-2)
+        J = full_jacobian(grid, *coefficient_fields(np.zeros(grid.shape), grid, 2.0,
+                                                    2 + (n - p), 1e-2))
         direct = spla.spsolve(J, -res.ravel()).reshape(grid.shape)
         du = _solve_linear(grid, n - p, -res)
         assert np.max(np.abs(J @ du.ravel() + res.ravel())) <= 1e-12 * np.max(np.abs(res))
@@ -321,8 +355,8 @@ class TestFastLinearSolve:
         # the direct solve: one Newton step from the boundary data
         start = np.where(grid.boundary_mask, prob.dirichlet_values(grid), 0.0)
         F_log = prob.log_forcing(grid)
-        res = _NewtonSystem(grid, 2.0, 3, F_log).residual(start, 1e-6)
-        J = full_jacobian(start, grid, 2.0, 3, 1e-6)
+        res = _NewtonSystem(grid, 2.0, 3, F_log).residual(start, 1e-6)[0]
+        J = full_jacobian(grid, *coefficient_fields(start, grid, 2.0, 3, 1e-6))
         direct = start + spla.spsolve(J, -res.ravel()).reshape(grid.shape)
         err_direct = float(np.max(np.abs(direct - exact)))
 
@@ -371,16 +405,17 @@ class TestOrderedJacobianSolve:
         v = v + 0.25 * np.sin(sum(f * m for f, m in zip(freq, grid.mesh))) / math.sqrt(n)
         res = rng.standard_normal(grid.shape)
         res[grid.boundary_mask] = 0.0
-        direct = _direct_solve(full_jacobian(v, grid, p, n, eps), -res)
-        J = _assemble_jacobian(v, grid, p, n, eps)
         system = _NewtonSystem(grid, p, n, np.zeros(grid.shape))
-        du = system.step(v, eps, -res)
+        lin = system.residual(v, eps)[1]
+        direct = _direct_solve(full_jacobian(grid, *lin), -res)
+        J = _assemble_jacobian(grid, *lin)
+        du = system.step(lin, -res)
         assert system.factorizations == 1 and system.krylov_iterations == 0
         assert np.all(du[grid.boundary_mask] == 0.0)
         assert np.max(np.abs(du - direct)) <= 1e-12 * np.max(np.abs(direct))
         # the kept factor of J preconditions GMRES on J itself: no new factor,
         # and the tolerance holds on the true residual
-        du = system.step(v, eps, -res)
+        du = system.step(lin, -res)
         assert system.factorizations == 1 and system.krylov_iterations >= 1
         order = grid.dissection_order
         assert (np.linalg.norm(J @ du.ravel()[order] + res.ravel()[order])
@@ -407,10 +442,11 @@ class TestOrderedJacobianSolve:
         m = grid.dissection_order.size
         stale = spla.splu(sp.diags(10.0 ** rng.uniform(-3, 3, m)).tocsc())
         factor = kept_factor(grid, stale)
-        du = _solve_jacobian(_assemble_jacobian(v, grid, 3.0, 2, 1e-2), -res, factor)
+        fields = coefficient_fields(v, grid, 3.0, 2, 1e-2)
+        du = _solve_jacobian(_assemble_jacobian(grid, *fields), -res, factor)
         assert factor.krylov_iterations == solver.KRYLOV_RESTART
         assert factor.factorizations == 1 and factor.lu is not stale
-        direct = _direct_solve(full_jacobian(v, grid, 3.0, 2, 1e-2), -res)
+        direct = _direct_solve(full_jacobian(grid, *fields), -res)
         assert np.max(np.abs(du - direct)) <= 1e-12 * np.max(np.abs(direct))
 
     def test_converged_step_reuses_last_preconditioner_solve(self):
@@ -431,10 +467,10 @@ class TestOrderedJacobianSolve:
         v = 0.8 * grid.mesh[0] + 0.1 * np.sin(3.0 * grid.mesh[1])
         res = rng.standard_normal(grid.shape)
         res[grid.boundary_mask] = 0.0
-        J = _assemble_jacobian(v, grid, 3.0, 2, 1e-2)
+        J = _assemble_jacobian(grid, *coefficient_fields(v, grid, 3.0, 2, 1e-2))
         # the factor of a nearby iterate's Jacobian, as a Newton solve keeps it
-        lu = spla.splu(_assemble_jacobian(v + 0.05 * grid.mesh[1] ** 2, grid, 3.0, 2, 1e-2),
-                       permc_spec="NATURAL")
+        nearby = coefficient_fields(v + 0.05 * grid.mesh[1] ** 2, grid, 3.0, 2, 1e-2)
+        lu = spla.splu(_assemble_jacobian(grid, *nearby), permc_spec="NATURAL")
         counting = CountingLU(lu)
         factor = kept_factor(grid, counting)
         du = _solve_jacobian(J, -res, factor)
@@ -603,7 +639,8 @@ class TestInexactContinuation:
         prob = constant_forcing_problem(3.0, 2)
         F_log = prob.log_forcing(grid, interior_only=True)
         values = np.zeros(grid.shape)
-        norm = float(np.max(np.abs(_NewtonSystem(grid, 3.0, 2, F_log).residual(values, 1e-2))))
+        res = _NewtonSystem(grid, 3.0, 2, F_log).residual(values, 1e-2)[0]
+        norm = float(np.max(np.abs(res)))
         max_iter = SolverConfig().max_iter
         _, rec = stage(values, _NewtonSystem(grid, 3.0, 2, F_log), 1e-2, max_iter,
                        (1.0 - 1e-7) * norm)
@@ -634,22 +671,23 @@ class TestStopReason:
 
 class StubSystem:
     """A Newton system with no PDE behind it: the residual is values - root,
-    and a step is ``scale`` times the exact Newton step, costing one
-    factorization and ``krylov`` GMRES iterations.  It logs the eps_reg of
-    every call."""
+    its linearization point is (eps_reg, values), and a step is ``scale``
+    times the exact Newton step, costing one factorization and ``krylov``
+    GMRES iterations.  It logs the eps_reg of every residual call and the
+    linearization point every step reads."""
 
     def __init__(self, root, scale=1.0, krylov=0):
         self.root, self.scale, self.krylov = np.asarray(root, dtype=float), scale, krylov
         # counts from earlier stages of a solve, which a record must not include
         self.factorizations, self.krylov_iterations = 7, 11
-        self.eps_seen = []
+        self.eps_seen, self.steps_at = [], []
 
     def residual(self, values, eps_reg):
         self.eps_seen.append(eps_reg)
-        return values - self.root
+        return values - self.root, (eps_reg, values.tolist())
 
-    def step(self, values, eps_reg, rhs):
-        self.eps_seen.append(eps_reg)
+    def step(self, lin, rhs):
+        self.steps_at.append(lin)
         self.factorizations += 1
         self.krylov_iterations += self.krylov
         return self.scale * rhs
@@ -682,6 +720,9 @@ class TestNewtonStageOnStubSystem:
         np.testing.assert_array_equal(values, [3.5, -7.0])
         assert (rec.iterations, rec.stop_reason, rec.residual_norm) == (3, "max_iter", 1.0)
         assert (rec.factorizations, rec.krylov_iterations) == (3, 6)
+        # each step reads the linearization of the iterate it starts from
+        assert system.steps_at == [(1e-3, [0.0, 0.0]), (1e-3, [2.0, -4.0]),
+                                   (1e-3, [3.0, -6.0])]
 
     def test_line_search(self):
         # a step away from the root raises the residual at every length

@@ -6,11 +6,15 @@ On each grid (2D at 41^2, 81^2 and 161^2; 3D at 13^3, 21^3 and 29^3, over
 the unit base with t_min = e^-1) ``calculus.hoelder_norm`` is applied to a
 fixed field, a smooth wave plus seeded noise, at rho = 0.5 and rho = 1.
 Per size it records the median seconds of one call at each rho over
-REPEATS runs, the tracemalloc peak of one call at rho = 0.5 (numpy reports
-its array buffers to tracemalloc), and whether that call's result equals
-the all-pairs oracle ``tests/oracles.hoelder_norm`` bit for bit (checked
-once per size, outside the timed region).  Per dimension it records the
-least-squares exponent of each median time in the node count N.  Writes
+REPEATS runs (``rho_<rho>_s``) with their min and max (``rho_<rho>_min_s``,
+``rho_<rho>_max_s``), the tracemalloc peak of one call at rho = 0.5 (numpy
+reports its array buffers to tracemalloc), and whether that call's result
+equals the all-pairs oracle ``tests/oracles.hoelder_norm`` bit for bit
+(checked once per size, outside the timed region).  Per dimension it
+records the least-squares exponent of each time in the node count N,
+fitted once to the per-size medians and once to the per-size minima; host
+drift moves a median more than a minimum, so the two fits side by side
+show how far the exponent is to be trusted.  Writes
 OUT (default ``BENCH_hoelder.json`` at the repository root) with nproc and
 the numpy and scipy versions.
 """
@@ -60,18 +64,22 @@ def measure(n: int, m: int) -> dict:
     value = hoelder_norm(u, RHOS[0])
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    return {
-        "n": n, "nodes": list(u.grid.shape), "N": u.values.size,
-        **{f"rho_{rho:g}_s": statistics.median(times[rho]) for rho in RHOS},
-        "peak_mb": peak / 2**20,
-        "exact": value == oracles.hoelder_norm(u, RHOS[0]),
-    }
+    row = {"n": n, "nodes": list(u.grid.shape), "N": u.values.size}
+    for rho, ts in times.items():
+        row[f"rho_{rho:g}_s"] = statistics.median(ts)
+        row[f"rho_{rho:g}_min_s"] = min(ts)
+        row[f"rho_{rho:g}_max_s"] = max(ts)
+    row["peak_mb"] = peak / 2**20
+    row["exact"] = value == oracles.hoelder_norm(u, RHOS[0])
+    return row
 
 
-def exponent(rows: list, key: str) -> float:
+def exponent(rows: list, name: str) -> dict:
+    """The time exponent of ``name`` in N, fitted to the per-size medians
+    and to the per-size minima."""
     x = np.log([r["N"] for r in rows])
-    y = np.log([r[key] for r in rows])
-    return float(np.polyfit(x, y, 1)[0])
+    return {stat: float(np.polyfit(x, np.log([r[f"{name}{suffix}"] for r in rows]), 1)[0])
+            for stat, suffix in (("median", "_s"), ("min", "_min_s"))}
 
 
 def main(argv) -> int:
@@ -89,10 +97,10 @@ def main(argv) -> int:
     exponents = {}
     for n in sorted({r["n"] for r in rows}):
         dim = [r for r in rows if r["n"] == n]
-        exponents[f"{n}d"] = {f"rho_{rho:g}": exponent(dim, f"rho_{rho:g}_s")
-                              for rho in RHOS}
-        print(f"{n}D time exponent in N: " + ", ".join(
-            f"rho {rho:g} {exponents[f'{n}d'][f'rho_{rho:g}']:.2f}" for rho in RHOS))
+        exponents[f"{n}d"] = {f"rho_{rho:g}": exponent(dim, f"rho_{rho:g}") for rho in RHOS}
+        print(f"{n}D time exponent in N (median fit / min fit): " + ", ".join(
+            f"rho {rho:g} {v['median']:.2f}/{v['min']:.2f}"
+            for rho, v in zip(RHOS, exponents[f"{n}d"].values())))
     report = {
         "what": "one exact rho-Hoelder seminorm call, calculus.hoelder_norm, "
                 "against the node count N",

@@ -7,12 +7,19 @@ the unit base with t_min = e^-1) it measures three things.
 
 Assembly: on a fresh grid whose difference operators are built, the seconds
 of ``grid.dissection_order`` (the first access numbers the interior) and of
-``tests/oracles.recursive_dissection_order``, the recursion it replaced;
-then the first ``solver._assemble_jacobian`` call, which also builds the
-grid's ``interior_pattern``, on its own, and the median seconds of
-ASSEMBLY_REPEATS further calls, against the median of as many calls of
+``tests/oracles.recursive_dissection_order``, the recursion it replaced.
+A Newton step assembles its Jacobian from the coefficient fields that the
+residual evaluation of its iterate returned, so the per-step work is timed
+in two columns: ``operator``, one ``operators.divergence_part_field`` call
+(the derivative fields and the coefficient fields, which the residual
+evaluation pays), and ``assembly``, one ``solver._assemble_jacobian`` call
+on those fields (the numeric fill of the kept pattern).  Their sum is the
+per-step figure of files written when ``_assemble_jacobian`` evaluated the
+operator itself.  The first ``_assemble_jacobian`` call, which also builds
+the grid's ``interior_pattern``, is timed on its own, then ASSEMBLY_REPEATS
+further rounds alternate the operator evaluation, the assembly and
 ``tests/oracles.coo_interior_block``, which reads the stencils and converts
-COO to CSC on every call (the two alternate).  The Jacobian is the p = 3
+COO to CSC on every call from the same fields.  The Jacobian is the p = 3
 one at eps_reg = 1e-2 at the smooth iterate described next.
 
 One Newton step: the Jacobian of the p = 3 residual at eps_reg = 1e-2 is
@@ -68,8 +75,9 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 import oracles  # noqa: E402
-from conepde.calculus import LogGrid  # noqa: E402
+from conepde.calculus import GridFunction, LogGrid  # noqa: E402
 from conepde.geometry import ConeDomain  # noqa: E402
+from conepde.operators import divergence_part_field  # noqa: E402
 from conepde import solver  # noqa: E402
 from conepde.solver import (_NewtonSystem, _assemble_jacobian,  # noqa: E402
                             _solve_jacobian, exact_solution_values, make_exact_solution,
@@ -86,19 +94,20 @@ def unit_grid(n: int, m: int) -> LogGrid:
 
 
 def smooth_iterate(n: int, m: int) -> tuple:
-    """(grid, values, residual) at the smooth iterate on a fresh grid."""
+    """(grid, values, residual, coefficient fields) at the smooth iterate
+    on a fresh grid."""
     grid = unit_grid(n, m)
     values = exact_solution_values(make_exact_solution(P, n), grid).values
     values = values + 0.05 * np.sin(np.pi * sum(grid.mesh))
-    return grid, values, _NewtonSystem(grid, P, n, np.zeros(grid.shape)).residual(values, EPS_REG)
+    res, lin = _NewtonSystem(grid, P, n, np.zeros(grid.shape)).residual(values, EPS_REG)
+    return grid, values, res, lin
 
 
 def newton_system(n: int, m: int) -> tuple:
     """(grid, full-grid J, interior block, rhs) of one Newton step at the
     smooth iterate."""
-    grid, values, res = smooth_iterate(n, m)
-    return (grid, oracles.full_jacobian(values, grid, P, n, EPS_REG),
-            _assemble_jacobian(values, grid, P, n, EPS_REG), -res)
+    grid, _, res, lin = smooth_iterate(n, m)
+    return grid, oracles.full_jacobian(grid, *lin), _assemble_jacobian(grid, *lin), -res
 
 
 def record(row: dict, times: dict) -> None:
@@ -119,17 +128,18 @@ def seconds(fn, *args) -> float:
 def measure_assembly(n: int, m: int) -> dict:
     # the residual has built the grid's difference operators, which the
     # first assembly would otherwise also pay for
-    grid, values, _ = smooth_iterate(n, m)
+    grid, values, _, lin = smooth_iterate(n, m)
     dissection_s = seconds(lambda: grid.dissection_order)
     row = {"n": n, "nodes": list(grid.shape), "unknowns": math.prod(grid.shape),
            "interior": int(grid.dissection_order.size), "dissection_s": dissection_s}
     row["dissection_recursive_s"] = seconds(oracles.recursive_dissection_order, grid)
-    args = (values, grid, P, n, EPS_REG)
-    row["first_assembly_s"] = seconds(_assemble_jacobian, *args)
-    times = {"assembly": [], "coo_assembly": []}
+    row["first_assembly_s"] = seconds(_assemble_jacobian, grid, *lin)
+    u = GridFunction(grid, values, check_finite=False)
+    times = {"operator": [], "assembly": [], "coo_assembly": []}
     for _ in range(ASSEMBLY_REPEATS):
-        times["assembly"].append(seconds(_assemble_jacobian, *args))
-        times["coo_assembly"].append(seconds(oracles.coo_interior_block, *args))
+        times["operator"].append(seconds(divergence_part_field, u, P, n, EPS_REG))
+        times["assembly"].append(seconds(_assemble_jacobian, grid, *lin))
+        times["coo_assembly"].append(seconds(oracles.coo_interior_block, grid, *lin))
     record(row, times)
     return row
 
@@ -227,8 +237,9 @@ def main(argv) -> int:
         assembly.append(row)
         print(f"{n}D {m}^{n} assembly: dissection {row['dissection_s'] * 1e3:6.2f} ms "
               f"(recursive {row['dissection_recursive_s'] * 1e3:6.2f} ms)  first call "
-              f"{row['first_assembly_s'] * 1e3:6.2f} ms  per step "
-              f"{row['assembly_s'] * 1e3:6.2f} ms (COO {row['coo_assembly_s'] * 1e3:6.2f} ms)")
+              f"{row['first_assembly_s'] * 1e3:6.2f} ms  per step operator "
+              f"{row['operator_s'] * 1e3:6.2f} ms + assembly {row['assembly_s'] * 1e3:6.2f} ms "
+              f"(COO {row['coo_assembly_s'] * 1e3:6.2f} ms)")
     rows = []
     for n, m in SIZES:
         row = measure(n, m)
@@ -251,7 +262,8 @@ def main(argv) -> int:
         dim = [r for r in rows if r["n"] == n]
         dim_solves = [r for r in solves if r["n"] == n]
         dim_assembly = [r for r in assembly if r["n"] == n]
-        exponents[f"{n}d"] = {"assembly": exponent(dim_assembly, "assembly"),
+        exponents[f"{n}d"] = {"operator": exponent(dim_assembly, "operator"),
+                              "assembly": exponent(dim_assembly, "assembly"),
                               "coo_assembly": exponent(dim_assembly, "coo_assembly"),
                               "spsolve": exponent(dim, "spsolve"),
                               "ordered": exponent(dim, "ordered"),
@@ -260,9 +272,10 @@ def main(argv) -> int:
         print(f"{n}D time exponents in unknowns (median fit / min fit): " + ", ".join(
             f"{k} {v['median']:.2f}/{v['min']:.2f}" for k, v in exponents[f"{n}d"].items()))
     report = {
-        "what": "the dissection numbering and the p = 3 interior-block assembly, "
-                "numeric-only on the grid's kept pattern vs COO from the stencils every "
-                "call; one p = 3 Newton linear solve, full-grid spsolve (COLAMD) vs the "
+        "what": "the dissection numbering; the p = 3 operator evaluation whose "
+                "coefficient fields a Newton step reads, and the interior-block assembly "
+                "from them, numeric-only on the grid's kept pattern vs COO from the "
+                "stencils every call; one p = 3 Newton linear solve, full-grid spsolve (COLAMD) vs the "
                 "interior block in nested-dissection order; and one p = 3 manufactured "
                 "solve (u* = t^0.5), GMRES on the kept splu factor vs a fresh factor "
                 "every Newton step vs every continuation stage run to the final "
