@@ -61,6 +61,48 @@ class ConfigError(Exception):
     pass
 
 
+def _listof(kind):
+    """A comma-list parser; an empty entry (also a trailing comma or an
+    empty value) is a ValueError."""
+    def parse(raw):
+        entries = raw.split(",")
+        if not all(v.strip() for v in entries):
+            raise ValueError("empty entry")
+        return [kind(v) for v in entries]
+    return parse
+
+
+def _base_box(raw: str) -> list:
+    box = [[float(v) for v in axis.split(",")] for axis in raw.split(";")]
+    if any(len(pair) != 2 for pair in box):
+        raise ValueError(raw)
+    return box
+
+
+def _finite(value) -> bool:
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def _show(value) -> str:
+    return ",".join(map(_show, value)) if isinstance(value, list) else f"{value:g}"
+
+
+# the kinds of value a key takes: (parser, what its text must be)
+NUMBER = (float, "a number")
+INTEGER = (int, "an integer")
+NUMBERS = (_listof(float), "a comma list of numbers")
+INTEGERS = (_listof(int), "a comma list of integers")
+BASE_BOX = (_base_box, "'lo,hi' per axis, axes separated by ';'")
+TEXT = (str, "text")
+# the default of a key that the config must set
+REQUIRED = object()
+# the common ranges: (predicate, what a value must be)
+POSITIVE = (lambda v: v > 0.0, "must be finite and positive")
+NONNEGATIVE = (lambda v: v >= 0.0, "must be finite and at least 0")
+
+
 @dataclasses.dataclass
 class RunConfig:
     entries: dict
@@ -71,56 +113,29 @@ class RunConfig:
     def config_hash(self) -> str:
         return hashlib.sha256(self.text.encode()).hexdigest()[:16]
 
-    def get(self, key: str, default=None, required: bool = False) -> str | None:
-        if key in self.entries:
-            return self.entries[key]
-        if required:
-            raise ConfigError(f"missing required key {key}")
-        return default
-
-    def _parse(self, key: str, default, required: bool, kind, what: str):
-        raw = self.get(key, None, required)
+    def read(self, key: str, kind: tuple, default=None, ok=None, what: str = "must be finite"):
+        """The value of ``key`` parsed as ``kind``, or ``default`` for a key
+        the config does not set (an error when that is ``REQUIRED``, and
+        None, unchecked, when it is None).  Every number in the value must
+        be finite and the value must pass ``ok``, which says ``what`` it
+        must be; a ConfigError names the key, its line and its text, or the
+        default read in its place."""
+        parse, shape = kind
+        raw = self.entries.get(key)
         if raw is None:
-            return default
-        try:
-            return kind(raw)
-        except ValueError:
-            line = self.lines.get(key)
-            where = f"line {line}: " if line else ""
-            raise ConfigError(f"{where}{key}: expected {what}, got {raw!r}") from None
-
-    def get_float(self, key: str, default=None, required: bool = False):
-        return self._parse(key, default, required, float, "a number")
-
-    def get_int(self, key: str, default=None, required: bool = False):
-        return self._parse(key, default, required, int, "an integer")
-
-    def get_floats(self, key: str, default=None):
-        return self._parse(key, default, False, _listof(float), "a comma list of numbers")
-
-    def get_ints(self, key: str, default=None):
-        return self._parse(key, default, False, _listof(int), "a comma list of integers")
-
-
-def _require(cfg: RunConfig, key: str, ok: bool, what: str, default: str = "") -> None:
-    """A config error naming ``key``, its line and its value unless ``ok``;
-    for a key the config does not set it names ``default``, what was read
-    in its place."""
-    if not ok:
-        line = cfg.lines.get(key)
-        raise ConfigError(f"line {line}: {key}: {what}, got {cfg.get(key)!r}" if line
-                          else f"{key}: {what}, got the default {default}")
-
-
-def _listof(kind):
-    """A comma-list parser; an empty entry (also a trailing comma or an
-    empty value) is a ValueError."""
-    def parse(raw):
-        entries = raw.split(",")
-        if not all(v.strip() for v in entries):
-            raise ValueError("empty entry")
-        return [kind(v) for v in entries]
-    return parse
+            if default is REQUIRED:
+                raise ConfigError(f"missing required key {key}")
+            value = default
+        else:
+            try:
+                value = parse(raw)
+            except ValueError:
+                raise ConfigError(f"line {self.lines[key]}: {key}: expected {shape}, "
+                                  f"got {raw!r}") from None
+        if value is None or (_finite(value) and (ok is None or ok(value))):
+            return value
+        raise ConfigError(f"{key}: {what}, got the default {_show(value)}" if raw is None
+                          else f"line {self.lines[key]}: {key}: {what}, got {raw!r}")
 
 
 def parse_config(path: str) -> RunConfig:
@@ -150,20 +165,12 @@ def parse_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 # builders
 
-def _base_box(raw: str) -> list:
-    box = [[float(v) for v in axis.split(",")] for axis in raw.split(";")]
-    if any(len(pair) != 2 for pair in box):
-        raise ValueError(raw)
-    return box
-
-
 def build_domain(cfg: RunConfig) -> ConeDomain:
-    n = cfg.get_int("domain.n", required=True)
-    lo, hi = zip(*cfg._parse("domain.base", None, True, _base_box,
-                             "'lo,hi' per axis, axes separated by ';'"))
-    t_min = cfg.get_float("domain.t_min", required=True)
-    K0 = cfg.get_float("domain.k0", 2.0)
-    d0 = cfg.get_float("domain.d0", 1.0)
+    n = cfg.read("domain.n", INTEGER, REQUIRED)
+    lo, hi = zip(*cfg.read("domain.base", BASE_BOX, REQUIRED))
+    t_min = cfg.read("domain.t_min", NUMBER, REQUIRED)
+    K0 = cfg.read("domain.k0", NUMBER, 2.0)
+    d0 = cfg.read("domain.d0", NUMBER, 1.0)
     try:
         return ConeDomain(n=n, base_lo=np.array(lo), base_hi=np.array(hi),
                           t_min=t_min, g_params=GConditionParams(K0=K0, d0=d0))
@@ -216,9 +223,9 @@ def _parse_field_spec(spec: str, label: str, n: int, p: float | None = None):
 
 
 def build_problem(cfg: RunConfig, domain: ConeDomain) -> PDEProblem:
-    p = cfg.get_float("problem.p", required=True)
-    f = _parse_field_spec(cfg.get("problem.f", "zero"), "problem.f", domain.n)
-    g = _parse_field_spec(cfg.get("problem.dirichlet", "zero"), "problem.dirichlet",
+    p = cfg.read("problem.p", NUMBER, REQUIRED)
+    f = _parse_field_spec(cfg.read("problem.f", TEXT, "zero"), "problem.f", domain.n)
+    g = _parse_field_spec(cfg.read("problem.dirichlet", TEXT, "zero"), "problem.dirichlet",
                           domain.n)
     try:
         return PDEProblem(p=p, n=domain.n, f=f, dirichlet=g)
@@ -228,17 +235,15 @@ def build_problem(cfg: RunConfig, domain: ConeDomain) -> PDEProblem:
 
 def build_manufactured(cfg: RunConfig, domain: ConeDomain) -> tuple:
     """(u*, the problem it solves) for the ``problem.exact`` spec at ``problem.p``."""
-    p = cfg.get_float("problem.p", required=True)
-    u_star = _parse_field_spec(cfg.get("problem.exact", "auto"), "problem.exact", domain.n, p)
+    p = cfg.read("problem.p", NUMBER, REQUIRED)
+    u_star = _parse_field_spec(cfg.read("problem.exact", TEXT, "auto"), "problem.exact",
+                               domain.n, p)
     return u_star, manufactured_problem(u_star, p, domain.n)
 
 
 def build_grid(cfg: RunConfig, domain: ConeDomain) -> LogGrid:
-    counts = cfg.get_ints("grid.nodes")
-    if counts is None:
-        raise ConfigError("missing required key grid.nodes")
-    if len(counts) != domain.n:
-        raise ConfigError(f"grid.nodes: need {domain.n} counts, got {len(counts)}")
+    counts = cfg.read("grid.nodes", INTEGERS, REQUIRED, lambda c: len(c) == domain.n,
+                      f"need {domain.n} counts")
     try:
         return LogGrid.build(domain, counts)
     except ValueError as exc:
@@ -254,8 +259,9 @@ def build_solver_config(cfg: RunConfig) -> SolverConfig:
         if name not in fields:
             raise ConfigError(f"line {cfg.lines[key]}: unknown key {key}; the solver reads "
                               + ", ".join(f"solver.{f}" for f in fields))
-        get = cfg.get_int if isinstance(fields[name].default, int) else cfg.get_float
-        kwargs[name] = get(key)
+        # the float fields must be finite and positive; SolverConfig checks the ranges
+        kwargs[name] = cfg.read(key, INTEGER if isinstance(fields[name].default, int)
+                                else NUMBER, what="must be finite and positive")
     try:
         return SolverConfig(**kwargs)
     except ValueError as exc:
@@ -263,7 +269,7 @@ def build_solver_config(cfg: RunConfig) -> SolverConfig:
         names, _, what = str(exc).partition(": ")
         keys = [f"solver.{name}" for name in names.split(", ") if name in kwargs]
         raise ConfigError(", ".join(f"line {cfg.lines[k]}: {k}" for k in keys) + f": {what}, "
-                          f"got {', '.join(repr(cfg.get(k)) for k in keys)}") from None
+                          f"got {', '.join(repr(cfg.entries[k]) for k in keys)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -277,18 +283,19 @@ def _py(obj):
     if isinstance(obj, (list, tuple)):
         return [_py(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _py(obj.item())
     if isinstance(obj, np.ndarray):
         return [_py(v) for v in obj.tolist()]
-    if isinstance(obj, float) and math.isnan(obj):
-        return "nan"
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)  # "nan", "inf" or "-inf": JSON has no such numbers
     return obj
 
 
 def write_json(path: str, payload, config_hash: str) -> None:
     """``payload`` is a dict or a dataclass; dataclasses serialize by field."""
     with open(path, "w") as fh:
-        json.dump({**_py(payload), "config_hash": config_hash}, fh, indent=2, sort_keys=True)
+        json.dump({**_py(payload), "config_hash": config_hash}, fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 
@@ -318,7 +325,7 @@ def write_meta(outdir: str, name: str, wall: float, config_hash: str) -> None:
 
 
 def _outdir(cfg: RunConfig) -> str:
-    path = cfg.get("output.dir", "out")
+    path = cfg.read("output.dir", TEXT, "out")
     os.makedirs(path, exist_ok=True)
     return path
 
@@ -356,10 +363,9 @@ def _cmd_manufacture(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_exhaust(cfg: RunConfig, args: argparse.Namespace) -> int:
-    j_max = cfg.get_int("exhaust.j_max", 4)
-    _require(cfg, "exhaust.j_max", j_max >= 2, "need at least two exhaustion stages")
-    density = cfg.get_float("exhaust.density", 16.0)
-    _require(cfg, "exhaust.density", 0.0 < density < math.inf, "must be finite and positive")
+    j_max = cfg.read("exhaust.j_max", INTEGER, 4, lambda j: j >= 2,
+                     "need at least two exhaustion stages")
+    density = cfg.read("exhaust.density", NUMBER, 16.0, *POSITIVE)
     domain = build_domain(cfg)
     prob = build_problem(cfg, domain)
     scfg = build_solver_config(cfg)
@@ -376,14 +382,12 @@ def _cmd_exhaust(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_convolve(cfg: RunConfig, args: argparse.Namespace) -> int:
-    direction = cfg.get("convolve.direction", "inf").lower()
-    _require(cfg, "convolve.direction", direction in ("inf", "sup"), "must be inf or sup")
-    metric = cfg.get("convolve.metric", "log")
-    _require(cfg, "convolve.metric", metric in METRICS, "must be " + " or ".join(METRICS))
-    eps = cfg.get_float("convolve.eps", required=True)
-    _require(cfg, "convolve.eps", 0.0 < eps < math.inf, "must be finite and positive")
-    inpath = cfg.get("convolve.input", required=True)
-    u = read_gridfunction(inpath)
+    direction = cfg.read("convolve.direction", TEXT, "inf",
+                         lambda d: d.lower() in ("inf", "sup"), "must be inf or sup").lower()
+    metric = cfg.read("convolve.metric", TEXT, "log", lambda m: m in METRICS,
+                      "must be " + " or ".join(METRICS))
+    eps = cfg.read("convolve.eps", NUMBER, REQUIRED, *POSITIVE)
+    u = read_gridfunction(cfg.read("convolve.input", TEXT, REQUIRED))
     outdir = _outdir(cfg)
     payload = {"direction": direction, "eps": eps, "metric": metric}
     if direction == "inf":
@@ -404,8 +408,7 @@ def _cmd_convergence_study(cfg: RunConfig, args: argparse.Namespace) -> int:
     u_star, prob = build_manufactured(cfg, domain)
     scfg = build_solver_config(cfg)
     base = build_grid(cfg, domain)
-    levels = cfg.get_int("study.levels", 3)
-    _require(cfg, "study.levels", levels > 0, "need at least one level")
+    levels = cfg.read("study.levels", INTEGER, 3, lambda n: n > 0, "need at least one level")
     grids = [LogGrid.build(domain, [(c - 1) * 2**lev + 1 for c in base.shape])
              for lev in range(levels)]
     rows = convergence_study(prob, u_star, grids, scfg)
@@ -420,8 +423,8 @@ def _cmd_convergence_study(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def _cmd_gcondition(cfg: RunConfig, args: argparse.Namespace) -> int:
     domain = build_domain(cfg)
-    samples = cfg.get_int("verify.samples", 200)
-    _require(cfg, "verify.samples", samples >= 1, "need at least one sample")
+    samples = cfg.read("verify.samples", INTEGER, 200, lambda n: n > 0,
+                       "need at least one sample")
     sigma = estimate_g_condition(domain, samples, args.seed)
     outdir = _outdir(cfg)
     write_json(os.path.join(outdir, "gcondition_report.json"),
@@ -437,7 +440,7 @@ def _get_solution(cfg: RunConfig, prob: PDEProblem, grid: LogGrid,
     grid, or else a fresh solve.  Every verify check reads the problem's
     solution here, the supersolution of the shifted pair included; a stored
     field enters as is, whether or not it solves the configured problem."""
-    path = cfg.get("verify.solution")
+    path = cfg.read("verify.solution", TEXT)
     if not path:
         return _solve_or_raise(prob, grid, scfg)[0]
     stored = read_gridfunction(path)
@@ -461,8 +464,7 @@ def _shifted_pair(cfg: RunConfig, prob: PDEProblem, grid: LogGrid,
     ``verify.solution`` when set, so only the raised forcing is solved).  A
     larger forcing gives a smaller solution, so the first is the
     subsolution of the pair."""
-    margin = cfg.get_float("verify.margin", 0.5)
-    _require(cfg, "verify.margin", margin > 0.0, "the margin must be positive")
+    margin = cfg.read("verify.margin", NUMBER, 0.5, *POSITIVE)
     v_super = _get_solution(cfg, prob, grid, scfg)
     f_low = prob.f
 
@@ -474,30 +476,18 @@ def _shifted_pair(cfg: RunConfig, prob: PDEProblem, grid: LogGrid,
     return u_sub, v_super
 
 
-def _ball_from_config(cfg: RunConfig, grid: LogGrid) -> tuple:
-    """(log-chart centre (a, x), radius) of ``verify.ball``."""
-    spec = cfg.get_floats("verify.ball")
-    if spec is None:
-        # default: centered ball covering a third of the shortest extent
-        c = [0.5 * (ax[0] + ax[-1]) for ax in grid.axes]
-        extent = min(ax[-1] - ax[0] for ax in grid.axes)
-        return np.array(c), extent / 3.0
-    if len(spec) != grid.n + 1:
-        raise ConfigError(f"verify.ball: need {grid.n + 1} numbers (a, x..., d)")
-    _require(cfg, "verify.ball", spec[-1] > 0.0, "the ball radius must be positive")
-    _require(cfg, "verify.ball", all(map(math.isfinite, spec)),
-             "the centre and radius must be finite")
-    return np.array(spec[:-1]), spec[-1]
-
-
-def _harnack_ball(cfg: RunConfig, grid: LogGrid) -> tuple:
-    """The ball of ``_ball_from_config`` for the Harnack checks, whose radius
-    must be at most K0 d0 + 1; checked here, before any solve."""
-    center, d = _ball_from_config(cfg, grid)
-    bound = analysis.harnack_radius_bound(grid.domain)
-    _require(cfg, "verify.ball", d <= bound,
-             f"the ball radius must be at most K0 d0 + 1 = {bound:g}", f"radius {d:g}")
-    return center, d
+def _ball_from_config(cfg: RunConfig, grid: LogGrid, harnack: bool = False) -> tuple:
+    """(log-chart centre (a, x), radius d) of ``verify.ball``, by default
+    centred with a third of the shortest extent as d.  The Harnack checks
+    need d at most K0 d0 + 1."""
+    default = ([0.5 * (ax[0] + ax[-1]) for ax in grid.axes]
+               + [min(ax[-1] - ax[0] for ax in grid.axes) / 3.0])
+    bound = analysis.harnack_radius_bound(grid.domain) if harnack else math.inf
+    ball = cfg.read("verify.ball", NUMBERS, default,
+                    lambda b: len(b) == grid.n + 1 and 0.0 < b[-1] <= bound,
+                    f"need {grid.n + 1} finite numbers a, x..., d with d > 0"
+                    + (f" and d <= K0 d0 + 1 = {bound:g}" if harnack else ""))
+    return np.array(ball[:-1]), ball[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +495,7 @@ def _harnack_ball(cfg: RunConfig, grid: LogGrid) -> tuple:
 # (report fields, verdict, CSV header, CSV rows)
 
 def _verify_abp(cfg, prob, grid, scfg, slack, seed) -> tuple:
-    c_ref = cfg.get_float("verify.c_ref")
-    _require(cfg, "verify.c_ref", c_ref is None or 0.0 <= c_ref < math.inf,
-             "must be finite and at least 0")
+    c_ref = cfg.read("verify.c_ref", NUMBER, None, *NONNEGATIVE)
     u = _get_solution(cfg, prob, grid, scfg)
     one, two = analysis.abp_check(u, prob, grid.domain)
     verdict = True
@@ -524,9 +512,10 @@ def _verify_hoelder(cfg, prob, grid, scfg, slack, seed) -> tuple:
     if "verify.rho" in cfg.lines and "verify.rhos" in cfg.lines:
         raise ConfigError(f"line {cfg.lines['verify.rho']}: verify.rho: set next to "
                           f"verify.rhos on line {cfg.lines['verify.rhos']}; give one of them")
-    rhos = cfg.get_floats("verify.rhos") or [cfg.get_float("verify.rho", 0.25)]
-    _require(cfg, "verify.rhos" if "verify.rhos" in cfg.lines else "verify.rho",
-             all(0.0 < r <= 1.0 for r in rhos), "each rho must lie in (0, 1]")
+    rho = cfg.read("verify.rho", NUMBER, 0.25, lambda r: 0.0 < r <= 1.0,
+                   "each rho must lie in (0, 1]")
+    rhos = cfg.read("verify.rhos", NUMBERS, [rho], lambda rs: all(0.0 < r <= 1.0 for r in rs),
+                    "each rho must lie in (0, 1]")
     u = _get_solution(cfg, prob, grid, scfg)
     reports = [analysis.hoelder_check(u, prob, rho) for rho in rhos]
     header = ["rho", "norm", "forcing", "ratio"]
@@ -535,7 +524,7 @@ def _verify_hoelder(cfg, prob, grid, scfg, slack, seed) -> tuple:
 
 
 def _verify_harnack(cfg, prob, grid, scfg, slack, seed) -> tuple:
-    center, d = _harnack_ball(cfg, grid)
+    center, d = _ball_from_config(cfg, grid, harnack=True)
     u = _get_solution(cfg, prob, grid, scfg)
     rep = analysis.harnack_ratio(u, prob, center, d, grid.domain)
     header = ["sup", "inf", "forcing", "C_emp"]
@@ -543,10 +532,9 @@ def _verify_harnack(cfg, prob, grid, scfg, slack, seed) -> tuple:
 
 
 def _verify_weakharnack(cfg, prob, grid, scfg, slack, seed) -> tuple:
-    center, d = _harnack_ball(cfg, grid)
-    p0s = cfg.get_floats("verify.p0s", [0.25, 0.5, 0.75, 1.0])
-    _require(cfg, "verify.p0s", all(0.0 < p0 <= 1.0 for p0 in p0s),
-             "p0 values must lie in (0, 1]")
+    center, d = _ball_from_config(cfg, grid, harnack=True)
+    p0s = cfg.read("verify.p0s", NUMBERS, [0.25, 0.5, 0.75, 1.0],
+                   lambda ps: all(0.0 < p0 <= 1.0 for p0 in ps), "p0 values must lie in (0, 1]")
     u = _get_solution(cfg, prob, grid, scfg)
     rows = analysis.weak_harnack_check(u, prob, p0s, center, d, grid.domain)
     verdict = any(math.isfinite(r.C_emp_minus) or math.isfinite(r.C_emp_plus)
@@ -557,14 +545,10 @@ def _verify_weakharnack(cfg, prob, grid, scfg, slack, seed) -> tuple:
 
 def _verify_oscillation(cfg, prob, grid, scfg, slack, seed) -> tuple:
     center, d = _ball_from_config(cfg, grid)
-    radii = cfg.get_floats("verify.radii", [d, d / 2.0, d / 4.0])
-    ok = len(radii) >= 3 and radii[-1] > 0.0 and all(b < a for a, b in zip(radii, radii[1:]))
-    if "verify.radii" in cfg.lines:
-        _require(cfg, "verify.radii", ok, "need at least three positive, strictly decreasing radii")
-    else:
-        # the default radii follow the ball's radius d, so that is the key at fault
-        _require(cfg, "verify.ball", ok, "the default radii d, d/2, d/4 must be positive "
-                 "and strictly decreasing", f"radius {d:g}")
+    radii = cfg.read("verify.radii", NUMBERS, [d, d / 2.0, d / 4.0],
+                     lambda r: len(r) >= 3 and r[-1] > 0.0
+                     and all(b < a for a, b in zip(r, r[1:])),
+                     "need at least three finite, positive, strictly decreasing radii")
     u = _get_solution(cfg, prob, grid, scfg)
     rep = analysis.oscillation_decay(u, center, radii)
     verdict = rep.vacuous or (rep.exponent is not None and rep.exponent > 0.0)
@@ -581,8 +565,8 @@ def _verify_comparison(cfg, prob, grid, scfg, slack, seed) -> tuple:
 
 
 def _verify_doubling(cfg, prob, grid, scfg, slack, seed) -> tuple:
-    alphas = cfg.get_floats("verify.alphas", [1.0, 10.0, 100.0, 1000.0])
-    _require(cfg, "verify.alphas", all(a > 0.0 for a in alphas), "each alpha must be positive")
+    alphas = cfg.read("verify.alphas", NUMBERS, [1.0, 10.0, 100.0, 1000.0],
+                      lambda al: all(a > 0.0 for a in al), "each alpha must be finite and positive")
     u1, u2 = _shifted_pair(cfg, prob, grid, scfg)
     bound = max(float(np.max(np.abs(u1.values))),
                 float(np.max(np.abs(u2.values))), 1e-6)
@@ -597,10 +581,8 @@ def _verify_doubling(cfg, prob, grid, scfg, slack, seed) -> tuple:
 
 
 def _verify_weakform(cfg, prob, grid, scfg, slack, seed) -> tuple:
-    count = cfg.get_int("verify.bumps", 10)
-    _require(cfg, "verify.bumps", count > 0, "need at least one bump")
-    tol = cfg.get_float("verify.weakform_tol", 10.0 * max(grid.h) ** 2)
-    _require(cfg, "verify.weakform_tol", 0.0 <= tol < math.inf, "must be finite and at least 0")
+    count = cfg.read("verify.bumps", INTEGER, 10, lambda n: n > 0, "need at least one bump")
+    tol = cfg.read("verify.weakform_tol", NUMBER, 10.0 * max(grid.h) ** 2, *NONNEGATIVE)
     u = _get_solution(cfg, prob, grid, scfg)
     bumps = analysis.cosine_bumps(grid, count, seed=seed)
     worst, rows = analysis.weak_form_residual(u, prob, bumps)
@@ -626,8 +608,7 @@ def _cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     prob = build_problem(cfg, domain)
     grid = build_grid(cfg, domain)
     scfg = build_solver_config(cfg)
-    slack = cfg.get_float("verify.slack", 10.0 * max(grid.h) ** 2)
-    _require(cfg, "verify.slack", 0.0 <= slack < math.inf, "must be finite and at least 0")
+    slack = cfg.read("verify.slack", NUMBER, 10.0 * max(grid.h) ** 2, *NONNEGATIVE)
     fields, verdict, header, rows = VERIFY_CHECKS[args.check](
         cfg, prob, grid, scfg, slack, args.seed)
     # created only now, so a rejected config leaves no directory behind

@@ -38,8 +38,8 @@ class GConditionParams:
     d0: float
 
     def __post_init__(self):
-        if not (self.K0 > 0.0 and self.d0 > 0.0):
-            raise ValueError("K0 and d0 must be strictly positive")
+        if not (0.0 < self.K0 < math.inf and 0.0 < self.d0 < math.inf):
+            raise ValueError("K0 and d0 must be finite and positive")
 
 
 _DEFAULT_G = GConditionParams(K0=2.0, d0=1.0)
@@ -70,6 +70,8 @@ class ConeDomain:
             raise ValueError("total dimension n must be >= 2")
         if self.base_lo.shape != (self.n - 1,) or self.base_hi.shape != (self.n - 1,):
             raise ValueError("base box must have n-1 axes")
+        if not np.all(np.isfinite([self.base_lo, self.base_hi])):
+            raise ValueError("base box bounds must be finite")
         if not np.all(self.base_hi > self.base_lo):
             raise ValueError("base box must have positive side lengths")
         if not (0.0 < self.t_min < self.t_max <= 1.0):

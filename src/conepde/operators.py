@@ -79,8 +79,8 @@ class PDEProblem:
     dirichlet: Callable
 
     def __post_init__(self):
-        if self.p < 2.0:
-            raise ValueError("exponents p < 2 are outside the supported range")
+        if not 2.0 <= self.p < np.inf:
+            raise ValueError("the exponent p must be finite and at least 2")
         if self.n < 2:
             raise ValueError("dimension n must be >= 2")
 

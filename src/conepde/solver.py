@@ -255,12 +255,13 @@ class _NewtonSystem:
     def residual(self, values: np.ndarray, eps_reg: float) -> tuple:
         """(res, lin): the residual at every node, zero on the boundary, and
         its linearization point, the coefficient fields (A, B, C) of
-        ``operator_terms`` at ``values``."""
+        ``operator_terms`` at ``values``; None at p == 2, whose step does
+        not read them, so that a stage does not keep them alive."""
         u = GridFunction(self.grid, values, check_finite=False)
         R, *lin = divergence_part_field(u, self.p, self.n, eps_reg)
         res = R - self.F_log
         res[self.grid.boundary_mask] = 0.0
-        return res, lin
+        return res, (None if self.p == 2.0 else lin)
 
     def step(self, lin: list, rhs: np.ndarray) -> np.ndarray:
         """The Newton step: du with J du = rhs for the Jacobian at the

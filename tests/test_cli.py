@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conepde.calculus import GridFunction, LogGrid, read_gridfunction, write_gridfunction
-from conepde.cli import ConfigError, _parse_field_spec, run, solve_dirichlet
+from conepde.cli import ConfigError, _parse_field_spec, run, solve_dirichlet, write_json
 from conepde.geometry import ConeDomain
 
 
@@ -39,17 +39,55 @@ def read_bytes(path):
         return fh.read()
 
 
-RADII = "need at least three positive, strictly decreasing radii"
-BALL = "the ball radius must be positive"
-ADMISSIBLE = "the ball radius must be at most K0 d0 + 1 = 3"
-FINITE_BALL = "the centre and radius must be finite"
+RADII = "need at least three finite, positive, strictly decreasing radii"
+BALL = "need 3 finite numbers a, x..., d with d > 0"
+ADMISSIBLE = BALL + " and d <= K0 d0 + 1 = 3"
 FINITE = "must be finite and positive"
 NONNEGATIVE = "must be finite and at least 0"
-DEFAULT_RADII = "the default radii d, d/2, d/4 must be positive and strictly decreasing"
+ALPHAS = "each alpha must be finite and positive"
+
+
+# every numeric key the CLI reads: (key, a command that reads it, its text
+# around the number under test)
+NUMERIC_KEYS = [
+    ("domain.n", ["solve"], "{}"),
+    ("domain.base", ["solve"], "0,{}"),
+    ("domain.t_min", ["solve"], "{}"),
+    ("domain.k0", ["verify", "abp"], "{}"),
+    ("domain.d0", ["verify", "abp"], "{}"),
+    ("problem.p", ["solve"], "{}"),
+    ("problem.p", ["manufacture"], "{}"),
+    ("grid.nodes", ["solve"], "13,{}"),
+    ("solver.eps_reg_start", ["solve"], "{}"),
+    ("solver.eps_reg_floor", ["solve"], "{}"),
+    ("solver.tol", ["solve"], "{}"),
+    ("solver.max_iter", ["solve"], "{}"),
+    ("exhaust.j_max", ["exhaust"], "{}"),
+    ("exhaust.density", ["exhaust"], "{}"),
+    ("convolve.eps", ["convolve"], "{}"),
+    ("study.levels", ["convergence-study"], "{}"),
+    ("verify.samples", ["gcondition"], "{}"),
+    ("verify.margin", ["verify", "comparison"], "{}"),
+    ("verify.ball", ["verify", "harnack"], "-0.5,0.5,{}"),
+    ("verify.ball", ["verify", "oscillation"], "-0.5,{},0.3"),
+    ("verify.c_ref", ["verify", "abp"], "{}"),
+    ("verify.rho", ["verify", "hoelder"], "{}"),
+    ("verify.rhos", ["verify", "hoelder"], "0.5,{}"),
+    ("verify.p0s", ["verify", "weakharnack"], "0.5,{}"),
+    ("verify.radii", ["verify", "oscillation"], "{},0.3,0.1"),
+    ("verify.alphas", ["verify", "doubling"], "1,{}"),
+    ("verify.bumps", ["verify", "weakform"], "{}"),
+    ("verify.weakform_tol", ["verify", "weakform"], "{}"),
+    ("verify.slack", ["verify", "comparison"], "{}"),
+]
 
 
 def refuse_solve(*args, **kwargs):
     raise AssertionError("the config should be rejected before any solve")
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 class TestConfigValidation:
@@ -242,6 +280,26 @@ class TestConfigValidation:
         assert capsys.readouterr().err == f"config error: line 14: {key}: {what}, got {value!r}\n"
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key, argv, text", NUMERIC_KEYS,
+                             ids=[f"{key} {' '.join(argv)}" for key, argv, _ in NUMERIC_KEYS])
+    def test_non_finite_number_exits_two_naming_key_and_line(
+            self, tmp_path, capsys, monkeypatch, key, argv, text, value):
+        # every numeric key the CLI reads; an infinite K0 used to pass verify
+        # abp, and an infinite radius to fail an SVD after the solve
+        for name in ("solve_dirichlet", "read_gridfunction", "estimate_g_condition"):
+            monkeypatch.setattr(f"conepde.cli.{name}", refuse_solve)
+        out = os.path.join(tmp_path, "out")
+        entry = f"{key} = {text.format(value)}"
+        lines = [line for line in BASE_CONFIG.format(outdir=out).splitlines()
+                 if not line.startswith(key + " ")]
+        body = "\n".join(lines + [entry, "convolve.input = in.gf"]) + "\n"
+        assert run([*argv, "--config", write_config(tmp_path, body)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: line {len(lines) + 1}: {key}: ")
+        assert err.endswith(f"got {text.format(value)!r}\n")
+        assert not os.path.exists(out)
+
     def test_out_of_range_p(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG.format(outdir=tmp_path)
                            .replace("problem.p = 2.0", "problem.p = 1.5"))
@@ -429,29 +487,28 @@ class TestVerifyCommands:
         (["verify", "weakform"], "verify.bumps = 0", "need at least one bump"),
         (["verify", "weakform"], "verify.bumps = -2", "need at least one bump"),
         (["convergence-study"], "study.levels = 0", "need at least one level"),
-        (["verify", "doubling"], "verify.alphas = 1,0", "each alpha must be positive"),
-        (["verify", "doubling"], "verify.alphas = -1", "each alpha must be positive"),
-        (["verify", "doubling"], "verify.alphas = 10,nan", "each alpha must be positive"),
-        (["verify", "comparison"], "verify.margin = 0", "the margin must be positive"),
-        (["verify", "comparison"], "verify.margin = -0.5", "the margin must be positive"),
-        (["verify", "comparison"], "verify.margin = nan", "the margin must be positive"),
-        (["verify", "doubling"], "verify.margin = 0", "the margin must be positive"),
+        (["verify", "doubling"], "verify.alphas = 1,0", ALPHAS),
+        (["verify", "doubling"], "verify.alphas = -1", ALPHAS),
+        (["verify", "doubling"], "verify.alphas = 10,nan", ALPHAS),
+        (["verify", "comparison"], "verify.margin = 0", FINITE),
+        (["verify", "comparison"], "verify.margin = -0.5", FINITE),
+        (["verify", "comparison"], "verify.margin = nan", FINITE),
+        (["verify", "doubling"], "verify.margin = 0", FINITE),
         (["verify", "oscillation"], "verify.radii = 0.3,0.15", RADII),
         (["verify", "oscillation"], "verify.radii = 0.1,0.2,0.3", RADII),
         (["verify", "oscillation"], "verify.radii = 0.3,0.15,0", RADII),
         (["verify", "oscillation"], "verify.ball = -0.5,0.5,0", BALL),
-        (["verify", "harnack"], "verify.ball = -0.5,0.5,-0.1", BALL),
-        (["verify", "weakharnack"], "verify.ball = -0.5,0.5,nan", BALL),
+        (["verify", "harnack"], "verify.ball = -0.5,0.5,-0.1", ADMISSIBLE),
+        (["verify", "weakharnack"], "verify.ball = -0.5,0.5,nan", ADMISSIBLE),
+        (["verify", "oscillation"], "verify.ball = -0.5,0.5", BALL),
         (["verify", "harnack"], "verify.ball = -0.5,0.5,5.0", ADMISSIBLE),
         (["verify", "weakharnack"], "verify.ball = -0.5,0.5,5.0", ADMISSIBLE),
         # a non-finite centre used to exit 2 naming no key, and an infinite
         # radius to crash the oscillation check's default radii
-        *[(["verify", check], f"verify.ball = {ball}", FINITE_BALL)
+        *[(["verify", check], f"verify.ball = {ball}",
+           BALL if check == "oscillation" else ADMISSIBLE)
           for check in ("harnack", "weakharnack", "oscillation")
           for ball in ("nan,0.5,0.3", "-0.5,inf,0.3", "-inf,0.5,0.3", "-0.5,0.5,inf")],
-        # a radius whose halves round to 0 used to crash with a KeyError on
-        # the unset verify.radii
-        (["verify", "oscillation"], "verify.ball = -0.5,0.5,5e-324", DEFAULT_RADII),
         # a non-finite slack, reference constant or tolerance used to give a
         # vacuous verdict (exit 0) or an unnamed failure
         *[(["verify", "comparison"], f"verify.slack = {v}", NONNEGATIVE)
@@ -486,7 +543,20 @@ class TestVerifyCommands:
         cfg = write_config(tmp_path, body.format(outdir=out))
         assert run(["verify", check, "--config", cfg]) == 2
         assert capsys.readouterr().err == (f"config error: verify.ball: {ADMISSIBLE}, "
-                                           "got the default radius 4\n")
+                                           "got the default -6,6,4\n")
+        assert not os.path.isdir(out)
+
+    def test_degenerate_default_radii_exit_two_before_solving(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # the default radii d, d/2, d/4 of a ball radius whose halves round to
+        # 0 used to crash with a KeyError on the unset verify.radii
+        monkeypatch.setattr("conepde.cli.solve_dirichlet", refuse_solve)
+        out = os.path.join(tmp_path, "out")
+        body = BASE_CONFIG + "verify.ball = -0.5,0.5,5e-324\n"
+        cfg = write_config(tmp_path, body.format(outdir=out))
+        assert run(["verify", "oscillation", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (f"config error: verify.radii: {RADII}, "
+                                           "got the default 4.94066e-324,0,0\n")
         assert not os.path.isdir(out)
 
     def test_oscillation_accepts_a_ball_beyond_k0_d0_plus_one(self, tmp_path, monkeypatch):
@@ -564,6 +634,17 @@ class TestVerifyCommands:
                     if b"config_hash" not in line] for ext in ("json", "csv")])
             assert outputs[0] == outputs[1]
 
+    def test_infinite_constants_are_written_as_strict_json(self, tmp_path):
+        # on a zero field every weak Harnack constant is infinite, which used
+        # to be written as the bare token Infinity that strict parsers reject
+        out = os.path.join(tmp_path, "out")
+        body = BASE_CONFIG.replace("problem.p = 2.0", "problem.p = 3.0")
+        cfg = write_config(tmp_path, body.format(outdir=out))
+        assert run(["verify", "weakharnack", "--config", cfg]) == 4
+        with open(os.path.join(out, "verify_weakharnack.json")) as fh:
+            rows = json.load(fh, parse_constant=reject_constant)["rows"]
+        assert [(r["C_emp_minus"], r["C_emp_plus"]) for r in rows] == [("inf", "inf")] * 4
+
     def test_weakform_verdict(self, tmp_path):
         out = os.path.join(tmp_path, "out")
         body = BASE_CONFIG.replace("problem.f = zero", "problem.f = constant:-1")
@@ -581,6 +662,15 @@ class TestVerifyCommands:
         assert lines[0].startswith("# config_hash=")
         assert lines[1] == "alpha,M_alpha,penalty,diagonal_gap"
         assert len(lines) == 6
+
+
+def test_write_json_maps_every_non_finite_float_to_its_string(tmp_path):
+    path = os.path.join(tmp_path, "report.json")
+    write_json(path, {"values": [np.float64("nan"), np.float32("inf"), -math.inf,
+                                 np.array([math.nan, 1.5])]}, "hash")
+    with open(path) as fh:
+        report = json.load(fh, parse_constant=reject_constant)
+    assert report["values"] == ["nan", "inf", "-inf", ["nan", 1.5]]
 
 
 class TestOtherCommands:

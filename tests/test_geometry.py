@@ -17,6 +17,20 @@ def unit_domain(n=2, t_min=math.exp(-1.0)):
                       t_min=t_min)
 
 
+class TestDomainValidation:
+    @pytest.mark.parametrize("K0, d0", [(math.inf, 1.0), (2.0, math.inf), (math.nan, 1.0),
+                                        (0.0, 1.0)])
+    def test_params_must_be_finite_and_positive(self, K0, d0):
+        with pytest.raises(ValueError, match="K0 and d0 must be finite and positive"):
+            GConditionParams(K0=K0, d0=d0)
+
+    @pytest.mark.parametrize("lo, hi", [([0.0], [math.inf]), ([-math.inf], [1.0]),
+                                        ([0.0, 0.0], [1.0, math.inf])])
+    def test_base_bounds_must_be_finite(self, lo, hi):
+        with pytest.raises(ValueError, match="base box bounds must be finite"):
+            ConeDomain(n=len(lo) + 1, base_lo=lo, base_hi=hi, t_min=0.1)
+
+
 class TestBoundaryDistance:
     def test_on_top_face(self):
         assert boundary_distance([0.0, 0.5], unit_domain()) == 0.0

@@ -305,6 +305,11 @@ class TestResiduals:
         with pytest.raises(ValueError):
             PDEProblem(p=1.5, n=2, f=zero_field, dirichlet=zero_field)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_non_finite_exponent_rejected(self, p):
+        with pytest.raises(ValueError, match="finite and at least 2"):
+            PDEProblem(p=p, n=2, f=zero_field, dirichlet=zero_field)
+
     def test_manufactured_quadratic_forcing(self):
         # flattened field a^2 + x^2 at p = n = 2 needs forcing 4 e^(-2a)
         grid = unit_grid((17, 17))

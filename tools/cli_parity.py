@@ -5,8 +5,8 @@
 Runs every subcommand and verify check on the same configs with each tree's
 ``src/`` directory (OLD_SRC and NEW_SRC) on PYTHONPATH, each command in a
 fresh working directory with relative input and output paths, so both sides
-see identical config text and hence identical config hashes.  The 89 cases
-are the fourteen commands of the determinism acceptance test at p = 2, 3
+see identical config text and hence identical config hashes.  The first
+89 cases are the fourteen commands of the determinism acceptance test at p = 2, 3
 and 4 (p = 4 covers the solves above p = 3), ``verify harnack``,
 ``weakharnack`` and ``oscillation`` on an explicit off-centre ball whose a
 does not survive exp/log, a ``solve`` whose data vary
@@ -16,7 +16,13 @@ stored random field, ``verify comparison`` and ``doubling`` on the stored
 ``solve`` output of their own config (a case of two commands run in turn),
 the solver-failure paths (``solver.max_iter = 0``), a solve on a radial grid
 too coarse for the mesh Peclet bound, and a 9^3 solve with n = 3 at p = 2
-and 3, which covers the 3D fast linear solve and the 3D presolve.  Every
+and 3, which covers the 3D fast linear solve and the 3D presolve.  Fifteen
+more cases at p = 3 each give one key that the cases above leave at its
+default another valid value (the ten verify keys ``rho``, ``rhos``, ``p0s``,
+``alphas``, ``margin``, ``c_ref``, ``slack``, ``bumps``, ``weakform_tol``
+and ``samples``, the three float ``solver.*`` keys and
+``convolve.direction = SUP``), or drop ``verify.radii`` so that ``verify
+oscillation`` reads its default radii.  Every
 output except ``*_meta.json`` must be byte-identical, and the exit codes of
 every command and the set of meta files must agree.  Prints one line per
 case and a summary; exits 1 on any difference.  A file that differs is
@@ -70,6 +76,25 @@ SOLID = "domain.n = 3\ndomain.base = 0,1;0,1\ngrid.nodes = 9,9,9\n"
 SLOPED = "problem.dirichlet = poly:0.5,0,2;1,1\nproblem.f = poly:-1,0,1\n"
 # math.log(math.exp(-0.6)) != -0.6, so a centre kept as t = e^a moves
 BALL = "verify.ball = -0.6,0.5,0.3\n"
+RADII = "verify.radii = 0.3,0.15,0.075\n"
+# (a valid value other than the default of a key no case above sets, the
+# command that reads it)
+SETTINGS = [
+    ("verify.rho = 0.5", ["verify", "hoelder"]),
+    ("verify.rhos = 0.3,0.7", ["verify", "hoelder"]),
+    ("verify.p0s = 0.4,0.9", ["verify", "weakharnack"]),
+    ("verify.alphas = 2,20,200", ["verify", "doubling"]),
+    ("verify.margin = 0.3", ["verify", "comparison"]),
+    ("verify.c_ref = 5", ["verify", "abp"]),
+    ("verify.slack = 1e-4", ["verify", "comparison"]),
+    ("verify.bumps = 4", ["verify", "weakform"]),
+    ("verify.weakform_tol = 0.5", ["verify", "weakform"]),
+    ("verify.samples = 50", ["gcondition"]),
+    ("solver.eps_reg_start = 0.05", ["solve"]),
+    ("solver.eps_reg_floor = 1e-5", ["solve"]),
+    ("solver.tol = 1e-8", ["solve"]),
+    ("convolve.direction = SUP", ["convolve"]),
+]
 CHECKS = ("abp", "hoelder", "harnack", "weakharnack", "oscillation",
           "comparison", "doubling", "weakform")
 
@@ -112,6 +137,12 @@ def cases():
         yield f"p={p} solve coarse", [["solve"]], merged(base, COARSE)
         if p != "4.0":
             yield f"p={p} solve 3d", [["solve"]], merged(base, SOLID)
+    base = BASE.format(p="3.0")
+    for entry, argv in SETTINGS:
+        extra = PAIR.format(p="3.0") if argv[-1] in ("comparison", "doubling") else ""
+        yield f"p=3.0 {' '.join(argv)} {entry}", [argv], merged(base, extra + entry + "\n")
+    yield ("p=3.0 verify oscillation default radii", [["verify", "oscillation"]],
+           base.replace(RADII, ""))
 
 
 def run_side(src: str, workdir: str, commands: list, text: str, field: str) -> list:
