@@ -250,10 +250,6 @@ class GridFunction:
         self.values = values
 
     @classmethod
-    def zeros(cls, grid: LogGrid) -> "GridFunction":
-        return cls(grid, np.zeros(grid.shape))
-
-    @classmethod
     def from_callable(cls, grid: LogGrid, fn: Callable) -> "GridFunction":
         """Sample fn(A, (X1, ...)) given meshgrid arrays in the log chart."""
         A = grid.mesh[0]

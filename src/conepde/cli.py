@@ -5,11 +5,12 @@ The config is a line-oriented ``section.key = value`` text file.  Exit codes:
 verdict failure.  Reports are byte-deterministic for a fixed config and
 seed; wall-clock metadata goes to a separate ``*_meta.json`` file.
 
-The CLI is two tables.  ``COMMANDS`` maps each subcommand to its handler
-and ``VERIFY_CHECKS`` maps each verify check to a function returning its
-report fields, verdict and CSV table; both feed the argument parser and the
+The CLI is two tables.  ``COMMANDS`` maps each subcommand to its handler,
+which returns its exit code and its output files by name, and
+``VERIFY_CHECKS`` maps each verify check to a function returning its report
+fields, verdict and CSV table; both feed the argument parser and the
 dispatch.  Report dataclasses are serialized field by field, and ``run``
-alone times a command and writes its meta file.
+alone creates the output directory, writes every file and times a command.
 """
 
 from __future__ import annotations
@@ -166,16 +167,16 @@ def parse_config(path: str) -> RunConfig:
 # builders
 
 def build_domain(cfg: RunConfig) -> ConeDomain:
-    n = cfg.read("domain.n", INTEGER, REQUIRED)
-    lo, hi = zip(*cfg.read("domain.base", BASE_BOX, REQUIRED))
-    t_min = cfg.read("domain.t_min", NUMBER, REQUIRED)
-    K0 = cfg.read("domain.k0", NUMBER, 2.0)
-    d0 = cfg.read("domain.d0", NUMBER, 1.0)
-    try:
-        return ConeDomain(n=n, base_lo=np.array(lo), base_hi=np.array(hi),
-                          t_min=t_min, g_params=GConditionParams(K0=K0, d0=d0))
-    except ValueError as exc:
-        raise ConfigError(f"domain: {exc}") from exc
+    n = cfg.read("domain.n", INTEGER, REQUIRED, lambda n: n >= 2, "must be at least 2")
+    lo, hi = zip(*cfg.read("domain.base", BASE_BOX, REQUIRED,
+                           lambda box: len(box) == n - 1 and all(a < b for a, b in box),
+                           f"need n - 1 = {n - 1} axes 'lo,hi', each with lo < hi"))
+    t_min = cfg.read("domain.t_min", NUMBER, REQUIRED, lambda t: 0.0 < t < 1.0,
+                     "must lie in (0, 1)")
+    K0 = cfg.read("domain.k0", NUMBER, 2.0, *POSITIVE)
+    d0 = cfg.read("domain.d0", NUMBER, 1.0, *POSITIVE)
+    return ConeDomain(n=n, base_lo=np.array(lo), base_hi=np.array(hi),
+                      t_min=t_min, g_params=GConditionParams(K0=K0, d0=d0))
 
 
 def _parse_field_spec(spec: str, label: str, n: int, p: float | None = None):
@@ -183,12 +184,19 @@ def _parse_field_spec(spec: str, label: str, n: int, p: float | None = None):
     spec names.  An exact solution (``p`` given) may be ``auto``, the
     forcing-free one at p, and needs derivatives, which a gridfile lacks.
     ``exp:`` and each ``poly:`` term take at most n + 1 values, a missing
-    one reading 0; ``zero``, ``logt``, ``quadratic`` and ``auto`` take none."""
+    one reading 0; ``zero``, ``logt``, ``quadratic`` and ``auto`` take none.
+    Every number must be finite."""
     name, _, args = spec.partition(":")
     name = name.strip().lower()
 
+    def number(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"{text.strip()} is not finite")
+        return value
+
     def values(text):
-        vals = [float(v) for v in text.split(",")]
+        vals = [number(v) for v in text.split(",")]
         if len(vals) > n + 1:
             raise ValueError(f"{len(vals)} values, at most {n + 1} at n = {n}")
         return vals
@@ -201,9 +209,9 @@ def _parse_field_spec(spec: str, label: str, n: int, p: float | None = None):
         if name == "zero":
             return constant_field(0.0)
         if name == "constant":
-            return constant_field(float(args))
+            return constant_field(number(args))
         if name == "tpower":
-            return power_of_t_field(float(args), n)
+            return power_of_t_field(number(args), n)
         if name == "logt":
             return log_t_field(n)
         if name == "quadratic":
@@ -222,28 +230,32 @@ def _parse_field_spec(spec: str, label: str, n: int, p: float | None = None):
     raise ConfigError(f"{label}: unknown field kind {name!r}")
 
 
+def _exponent(cfg: RunConfig) -> float:
+    return cfg.read("problem.p", NUMBER, REQUIRED, lambda p: p >= 2.0,
+                    "must be finite and at least 2")
+
+
 def build_problem(cfg: RunConfig, domain: ConeDomain) -> PDEProblem:
-    p = cfg.read("problem.p", NUMBER, REQUIRED)
+    p = _exponent(cfg)
     f = _parse_field_spec(cfg.read("problem.f", TEXT, "zero"), "problem.f", domain.n)
     g = _parse_field_spec(cfg.read("problem.dirichlet", TEXT, "zero"), "problem.dirichlet",
                           domain.n)
-    try:
-        return PDEProblem(p=p, n=domain.n, f=f, dirichlet=g)
-    except ValueError as exc:
-        raise ConfigError(f"problem: {exc}") from exc
+    return PDEProblem(p=p, n=domain.n, f=f, dirichlet=g)
 
 
 def build_manufactured(cfg: RunConfig, domain: ConeDomain) -> tuple:
     """(u*, the problem it solves) for the ``problem.exact`` spec at ``problem.p``."""
-    p = cfg.read("problem.p", NUMBER, REQUIRED)
+    p = _exponent(cfg)
     u_star = _parse_field_spec(cfg.read("problem.exact", TEXT, "auto"), "problem.exact",
                                domain.n, p)
     return u_star, manufactured_problem(u_star, p, domain.n)
 
 
 def build_grid(cfg: RunConfig, domain: ConeDomain) -> LogGrid:
-    counts = cfg.read("grid.nodes", INTEGERS, REQUIRED, lambda c: len(c) == domain.n,
-                      f"need {domain.n} counts")
+    counts = cfg.read("grid.nodes", INTEGERS, REQUIRED,
+                      lambda c: len(c) == domain.n and min(c) >= 3,
+                      f"need {domain.n} counts, each at least 3")
+    # a base box too narrow for its offset rounds to a non-uniform axis
     try:
         return LogGrid.build(domain, counts)
     except ValueError as exc:
@@ -313,56 +325,42 @@ def _columns(records, header: list) -> list:
     return [[getattr(r, k) for k in header] for r in records]
 
 
-def write_meta(outdir: str, name: str, wall: float, config_hash: str) -> None:
-    meta = {
-        "config_hash": config_hash,
-        "wall_time_seconds": wall,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
-    with open(os.path.join(outdir, f"{name}_meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _outdir(cfg: RunConfig) -> str:
-    path = cfg.read("output.dir", TEXT, "out")
-    os.makedirs(path, exist_ok=True)
-    return path
+def write_output(path: str, payload, config_hash: str) -> None:
+    """Writes one output file by its extension: a GridFunction to ``.gf``,
+    (header, rows) to ``.csv``, a dict or report dataclass to ``.json``."""
+    if path.endswith(".gf"):
+        write_gridfunction(path, payload)
+    elif path.endswith(".csv"):
+        write_csv(path, *payload, config_hash)
+    else:
+        write_json(path, payload, config_hash)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> tuple:
     domain = build_domain(cfg)
     prob = build_problem(cfg, domain)
     grid = build_grid(cfg, domain)
     scfg = build_solver_config(cfg)
     u, report = solve_dirichlet(prob, grid, scfg)
-    outdir = _outdir(cfg)
-    write_gridfunction(os.path.join(outdir, "solution.gf"), u)
-    write_json(os.path.join(outdir, "solve_report.json"), report, cfg.config_hash)
-    return EXIT_OK if report.converged else EXIT_SOLVER
+    return (EXIT_OK if report.converged else EXIT_SOLVER,
+            {"solution.gf": u, "solve_report.json": report})
 
 
-def _cmd_manufacture(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_manufacture(cfg: RunConfig, args: argparse.Namespace) -> tuple:
     domain = build_domain(cfg)
     u_star, prob = build_manufactured(cfg, domain)
     grid = build_grid(cfg, domain)
     exact = exact_solution_values(u_star, grid)
     forcing = GridFunction(grid, prob.forcing_values(grid))
-    outdir = _outdir(cfg)
-    write_gridfunction(os.path.join(outdir, "exact.gf"), exact)
-    write_gridfunction(os.path.join(outdir, "forcing.gf"), forcing)
-    write_json(os.path.join(outdir, "manufacture_report.json"),
-               {"p": prob.p, "n": domain.n,
-                "max_abs_exact": float(np.max(np.abs(exact.values))),
-                "max_abs_forcing": float(np.max(np.abs(forcing.values)))},
-               cfg.config_hash)
-    return EXIT_OK
+    return EXIT_OK, {"exact.gf": exact, "forcing.gf": forcing, "manufacture_report.json": {
+        "p": prob.p, "n": domain.n, "max_abs_exact": float(np.max(np.abs(exact.values))),
+        "max_abs_forcing": float(np.max(np.abs(forcing.values)))}}
 
 
-def _cmd_exhaust(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_exhaust(cfg: RunConfig, args: argparse.Namespace) -> tuple:
     j_max = cfg.read("exhaust.j_max", INTEGER, 4, lambda j: j >= 2,
                      "need at least two exhaustion stages")
     density = cfg.read("exhaust.density", NUMBER, 16.0, *POSITIVE)
@@ -370,40 +368,34 @@ def _cmd_exhaust(cfg: RunConfig, args: argparse.Namespace) -> int:
     prob = build_problem(cfg, domain)
     scfg = build_solver_config(cfg)
     report = solve_by_exhaustion(prob, domain, j_max, density, scfg)
-    outdir = _outdir(cfg)
-    for j, (dom_j, u_j) in enumerate(report.members, start=1):
-        write_gridfunction(os.path.join(outdir, f"exhaust_u{j}.gf"), u_j)
-    write_csv(os.path.join(outdir, "exhaust_diffs.csv"), ["j", "sup_diff"],
-              [(j, g) for j, g in report.diffs], cfg.config_hash)
-    write_json(os.path.join(outdir, "exhaust_report.json"),
-               {"j_max": j_max, "diffs": [{"j": j, "sup_diff": g} for j, g in report.diffs],
-                "monotone": report.monotone}, cfg.config_hash)
-    return EXIT_OK
+    files = {f"exhaust_u{j}.gf": u_j for j, (_, u_j) in enumerate(report.members, start=1)}
+    return EXIT_OK, {**files, "exhaust_diffs.csv": (["j", "sup_diff"], report.diffs),
+                     "exhaust_report.json": {
+                         "j_max": j_max, "monotone": report.monotone,
+                         "diffs": [{"j": j, "sup_diff": g} for j, g in report.diffs]}}
 
 
-def _cmd_convolve(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_convolve(cfg: RunConfig, args: argparse.Namespace) -> tuple:
     direction = cfg.read("convolve.direction", TEXT, "inf",
                          lambda d: d.lower() in ("inf", "sup"), "must be inf or sup").lower()
     metric = cfg.read("convolve.metric", TEXT, "log", lambda m: m in METRICS,
                       "must be " + " or ".join(METRICS))
     eps = cfg.read("convolve.eps", NUMBER, REQUIRED, *POSITIVE)
     u = read_gridfunction(cfg.read("convolve.input", TEXT, REQUIRED))
-    outdir = _outdir(cfg)
     payload = {"direction": direction, "eps": eps, "metric": metric}
+    files = {}
     if direction == "inf":
         out = inf_convolution(u, eps, metric=metric)
     else:
         env = upper_envelope(u, eps, metric=metric)
         out = GridFunction(u.grid, np.where(env.mask, env.field.values, 0.0))
-        write_csv(os.path.join(outdir, "convolved_mask.csv"), ["mask"],
-                  [(int(v),) for v in env.mask.ravel()], cfg.config_hash)
+        files["convolved_mask.csv"] = ["mask"], [(int(v),) for v in env.mask.ravel()]
         payload.update(masked_nodes=int(env.mask.sum()), max_offset=env.max_offset)
-    write_gridfunction(os.path.join(outdir, "convolved.gf"), out)
-    write_json(os.path.join(outdir, "convolve_report.json"), payload, cfg.config_hash)
-    return EXIT_OK
+    files.update({"convolved.gf": out, "convolve_report.json": payload})
+    return EXIT_OK, files
 
 
-def _cmd_convergence_study(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_convergence_study(cfg: RunConfig, args: argparse.Namespace) -> tuple:
     domain = build_domain(cfg)
     u_star, prob = build_manufactured(cfg, domain)
     scfg = build_solver_config(cfg)
@@ -412,26 +404,19 @@ def _cmd_convergence_study(cfg: RunConfig, args: argparse.Namespace) -> int:
     grids = [LogGrid.build(domain, [(c - 1) * 2**lev + 1 for c in base.shape])
              for lev in range(levels)]
     rows = convergence_study(prob, u_star, grids, scfg)
-    outdir = _outdir(cfg)
     header = ["h", "max_error", "order"]
-    write_csv(os.path.join(outdir, "convergence.csv"), header, _columns(rows, header),
-              cfg.config_hash)
-    write_json(os.path.join(outdir, "convergence_report.json"), {"rows": rows},
-               cfg.config_hash)
-    return EXIT_OK
+    return EXIT_OK, {"convergence.csv": (header, _columns(rows, header)),
+                     "convergence_report.json": {"rows": rows}}
 
 
-def _cmd_gcondition(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_gcondition(cfg: RunConfig, args: argparse.Namespace) -> tuple:
     domain = build_domain(cfg)
     samples = cfg.read("verify.samples", INTEGER, 200, lambda n: n > 0,
                        "need at least one sample")
     sigma = estimate_g_condition(domain, samples, args.seed)
-    outdir = _outdir(cfg)
-    write_json(os.path.join(outdir, "gcondition_report.json"),
-               {"K0": domain.g_params.K0, "d0": domain.g_params.d0, "sigma_est": sigma,
-                "samples": samples, "seed": args.seed,
-                "degenerate": sigma == 0.0}, cfg.config_hash)
-    return EXIT_OK
+    return EXIT_OK, {"gcondition_report.json": {
+        "K0": domain.g_params.K0, "d0": domain.g_params.d0, "sigma_est": sigma,
+        "samples": samples, "seed": args.seed, "degenerate": sigma == 0.0}}
 
 
 def _get_solution(cfg: RunConfig, prob: PDEProblem, grid: LogGrid,
@@ -603,7 +588,7 @@ VERIFY_CHECKS = {
 }
 
 
-def _cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> tuple:
     domain = build_domain(cfg)
     prob = build_problem(cfg, domain)
     grid = build_grid(cfg, domain)
@@ -611,13 +596,10 @@ def _cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     slack = cfg.read("verify.slack", NUMBER, 10.0 * max(grid.h) ** 2, *NONNEGATIVE)
     fields, verdict, header, rows = VERIFY_CHECKS[args.check](
         cfg, prob, grid, scfg, slack, args.seed)
-    # created only now, so a rejected config leaves no directory behind
-    outdir = _outdir(cfg)
-    stem = os.path.join(outdir, f"verify_{args.check}")
-    write_csv(stem + ".csv", header, rows, cfg.config_hash)
-    write_json(stem + ".json", {"check": args.check, "seed": args.seed, **fields,
-                                "verdict": bool(verdict)}, cfg.config_hash)
-    return EXIT_OK if verdict else EXIT_VERDICT
+    return EXIT_OK if verdict else EXIT_VERDICT, {
+        f"verify_{args.check}.csv": (header, rows),
+        f"verify_{args.check}.json": {"check": args.check, "seed": args.seed, **fields,
+                                      "verdict": bool(verdict)}}
 
 
 # ---------------------------------------------------------------------------
@@ -652,9 +634,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    """Parses ``argv``, runs the command and, when it returns an exit code,
-    writes its wall time to ``<command>_meta.json`` (``verify_<check>_meta.json``
-    for verify); a raised error is reported and writes no meta file."""
+    """Parses ``argv`` and runs the command.  When it returns, creates
+    ``output.dir`` and writes the command's files there, then its wall time
+    to ``<command>_meta.json`` (``verify_<check>_meta.json`` for verify); a
+    raised error is reported and writes nothing."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -666,9 +649,15 @@ def run(argv) -> int:
     try:
         cfg = parse_config(args.config)
         t0 = time.perf_counter()
-        code = COMMANDS[args.command](cfg, args)
+        code, files = COMMANDS[args.command](cfg, args)
+        outdir = cfg.read("output.dir", TEXT, "out")
+        os.makedirs(outdir, exist_ok=True)
+        for filename, payload in files.items():
+            write_output(os.path.join(outdir, filename), payload, cfg.config_hash)
         name = f"verify_{args.check}" if args.command == "verify" else args.command
-        write_meta(_outdir(cfg), name, time.perf_counter() - t0, cfg.config_hash)
+        write_output(os.path.join(outdir, f"{name}_meta.json"),
+                     {"wall_time_seconds": time.perf_counter() - t0,
+                      "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}, cfg.config_hash)
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -148,13 +148,13 @@ def estimate_g_condition(domain: ConeDomain, samples: int, seed: int,
     sigma = 1.0
     for _ in range(samples):
         z = lo + rng.random(n) * (hi - lo)
-        d = boundary_distance(z, domain)
+        d, e = _nearest_face(z, domain)
         radius = K0 * min(d, d0)
         if radius <= 0.0:
             sigma = 0.0
             continue
         offset = min(d, 0.999 * radius)
-        center = z + offset * _nearest_face(z, domain)[1]
+        center = z + offset * e
         # uniform sample in the n-ball around the shifted center
         dirs = rng.standard_normal((mc_points, n))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]

@@ -47,7 +47,7 @@ class TestAbp:
     def test_all_zero_is_trivial(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
         prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
-        one, two = abp_check(GridFunction.zeros(grid), prob, grid.domain)
+        one, two = abp_check(GridFunction(grid, np.zeros(grid.shape)), prob, grid.domain)
         assert one.interior_sup_vplus == 0.0
         assert one.boundary_sup_vplus == 0.0
         assert one.forcing == 0.0 and one.forcing_zero
@@ -144,7 +144,7 @@ class TestHoelder:
     def test_zero_solution_is_vacuous(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
         prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
-        rep = hoelder_check(GridFunction.zeros(grid), prob, 0.25)
+        rep = hoelder_check(GridFunction(grid, np.zeros(grid.shape)), prob, 0.25)
         assert rep.vacuous and not rep.inconsistent
 
     def test_nonzero_field_zero_forcing_flagged(self):
@@ -339,7 +339,7 @@ class TestOscillation:
 
     def test_needs_three_radii(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
-        u = GridFunction.zeros(grid)
+        u = GridFunction(grid, np.zeros(grid.shape))
         with pytest.raises(ValueError):
             oscillation_decay(u, np.array([-0.5, 0.5]), [0.3, 0.15])
 
@@ -360,7 +360,7 @@ class TestComparison:
         A, X = grid.mesh
         bump = np.exp(-60.0 * ((A + 0.5) ** 2 + (X - 0.5) ** 2))
         bump[grid.boundary_mask] = 0.0
-        v = GridFunction.zeros(grid)
+        v = GridFunction(grid, np.zeros(grid.shape))
         u = GridFunction(grid, bump)
         tol = 10.0 * max(grid.h) ** 2
         rep = comparison_check(u, v, prob, tol=tol)
@@ -373,7 +373,7 @@ class TestComparison:
         prob = PDEProblem(p=2.0, n=2, f=tp_floor_field(0.3, 2.0),
                           dirichlet=zero_field)
         u = GridFunction(grid, np.ones(grid.shape))
-        v = GridFunction.zeros(grid)
+        v = GridFunction(grid, np.zeros(grid.shape))
         with pytest.raises(ValueError):
             comparison_check(u, v, prob, tol=1e-8)
 
@@ -384,8 +384,8 @@ class TestComparison:
         values = np.zeros(grid.shape)
         values[16, 0] = values[0, 3] = 1.0
         with pytest.raises(ValueError) as exc:
-            comparison_check(GridFunction(grid, values), GridFunction.zeros(grid), prob,
-                             tol=1e-8)
+            comparison_check(GridFunction(grid, values), GridFunction(grid, np.zeros(grid.shape)),
+                             prob, tol=1e-8)
         assert str(exc.value) == "boundary ordering violated at nodes (0, 3), (16, 0)"
 
     def test_grids_with_equal_shapes_but_different_axes_rejected(self):
@@ -394,17 +394,17 @@ class TestComparison:
         prob = PDEProblem(p=2.0, n=2, f=tp_floor_field(0.3, 2.0),
                           dirichlet=zero_field)
         with pytest.raises(ValueError, match="share a grid"):
-            comparison_check(GridFunction.zeros(grid), GridFunction.zeros(other),
-                             prob, tol=1e-8)
+            comparison_check(GridFunction(grid, np.zeros(grid.shape)),
+                             GridFunction(other, np.zeros(other.shape)), prob, tol=1e-8)
         twin = LogGrid.build(unit_domain(), (17, 17))
-        rep = comparison_check(GridFunction.zeros(grid), GridFunction.zeros(twin),
-                               prob, tol=1e-8)
+        rep = comparison_check(GridFunction(grid, np.zeros(grid.shape)),
+                               GridFunction(twin, np.zeros(twin.shape)), prob, tol=1e-8)
         assert rep.violations == 0
 
     def test_omega_floor_validated(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
         bad = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
-        u = GridFunction.zeros(grid)
+        u = GridFunction(grid, np.zeros(grid.shape))
         with pytest.raises(ValueError, match="positive floor of t\\^p f, got 0$"):
             comparison_check(u, u, bad, tol=1e-8)
 
@@ -421,7 +421,7 @@ class TestComparison:
 
         prob = PDEProblem(p=2.0, n=2, f=f, dirichlet=zero_field)
         assert np.sum(prob.log_forcing(grid) <= 0.0) == 1
-        u = GridFunction.zeros(grid)
+        u = GridFunction(grid, np.zeros(grid.shape))
         with pytest.raises(ValueError, match=f"got {dip:.6g}$"):
             comparison_check(u, u, prob, tol=1e-8)
 
@@ -429,7 +429,7 @@ class TestComparison:
 class TestDoubling:
     def test_zero_fields(self):
         grid = LogGrid.build(unit_domain(), (13, 13))
-        z = GridFunction.zeros(grid)
+        z = GridFunction(grid, np.zeros(grid.shape))
         diags = doubling_diagnostic(z, z, [1.0, 10.0])
         for d in diags:
             assert d.M_alpha == 0.0
@@ -439,7 +439,7 @@ class TestDoubling:
     def test_constant_gap(self):
         grid = LogGrid.build(unit_domain(), (13, 13))
         z1 = GridFunction(grid, np.full(grid.shape, 0.7))
-        z2 = GridFunction.zeros(grid)
+        z2 = GridFunction(grid, np.zeros(grid.shape))
         diags = doubling_diagnostic(z1, z2, [1.0, 100.0])
         for d in diags:
             assert d.M_alpha == pytest.approx(0.7, abs=1e-14)
@@ -451,7 +451,8 @@ class TestDoubling:
         other = LogGrid.build(ConeDomain(n=2, base_lo=[0.0], base_hi=[3.0],
                                          t_min=math.exp(-2.0)), (9, 9))
         with pytest.raises(ValueError, match="share a grid"):
-            doubling_diagnostic(GridFunction.zeros(grid), GridFunction.zeros(other), [1.0])
+            doubling_diagnostic(GridFunction(grid, np.zeros(grid.shape)),
+                                GridFunction(other, np.zeros(other.shape)), [1.0])
 
     def test_brute_force_oracle_agreement(self):
         # independent full-pair maximization on a 13^2 grid
@@ -523,7 +524,7 @@ class TestWeakForm:
     def test_non_compact_support_rejected(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
         prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
-        u = GridFunction.zeros(grid)
+        u = GridFunction(grid, np.zeros(grid.shape))
         bad = CosineBump(center=np.array([-0.5, 0.5]), widths=np.array([2.0, 0.2]))
         with pytest.raises(ValueError):
             weak_form_residual(u, prob, [bad])

@@ -274,7 +274,7 @@ def hoelder_cases(draw):
 class TestHoelderNorm:
     def test_zero(self):
         grid = unit_grid((9, 9))
-        assert hoelder_norm(GridFunction.zeros(grid), 0.5) == 0.0
+        assert hoelder_norm(GridFunction(grid, np.zeros(grid.shape)), 0.5) == 0.0
 
     def test_constant(self):
         grid = unit_grid((9, 9))

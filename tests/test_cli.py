@@ -82,6 +82,14 @@ NUMERIC_KEYS = [
 ]
 
 
+def set_entries(text, *entries):
+    """Config text with each ``key = value`` entry replacing the line of its
+    key, or appended when no line sets it."""
+    keys = {entry.partition(" ")[0]: entry for entry in entries}
+    rows = [keys.pop(row.partition(" ")[0], row) for row in text.splitlines()]
+    return "\n".join(rows + list(keys.values())) + "\n"
+
+
 def refuse_solve(*args, **kwargs):
     raise AssertionError("the config should be rejected before any solve")
 
@@ -128,7 +136,8 @@ class TestConfigValidation:
         # no field kind: each exits 2 naming the key
         grid = LogGrid.build(ConeDomain(n=2, base_lo=[0.0], base_hi=[1.0],
                                         t_min=0.36787944117144233), (13, 13))
-        write_gridfunction(os.path.join(tmp_path, "in.gf"), GridFunction.zeros(grid))
+        write_gridfunction(os.path.join(tmp_path, "in.gf"),
+                           GridFunction(grid, np.zeros(grid.shape)))
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, BASE_CONFIG.format(outdir="out")
                            + f"problem.exact = {spec}\n")
@@ -305,6 +314,48 @@ class TestConfigValidation:
                            .replace("problem.p = 2.0", "problem.p = 1.5"))
         assert run(["solve", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("key, spec, command", [
+        ("problem.f", "constant:inf", "solve"),
+        ("problem.dirichlet", "constant:nan", "solve"),
+        ("problem.f", "exp:1,-inf", "solve"),
+        ("problem.dirichlet", "poly:1,0;nan,1", "solve"),
+        ("problem.exact", "tpower:nan", "manufacture"),
+        ("problem.exact", "exp:1,inf", "convergence-study"),
+    ])
+    def test_non_finite_field_spec_number_exits_two_naming_key(
+            self, tmp_path, capsys, monkeypatch, key, spec, command):
+        monkeypatch.setattr("conepde.cli.solve_dirichlet", refuse_solve)
+        out = os.path.join(tmp_path, "out")
+        body = set_entries(BASE_CONFIG.format(outdir=out), f"{key} = {spec}")
+        assert run([command, "--config", write_config(tmp_path, body)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: malformed spec {spec!r}")
+        assert "is not finite" in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("entry, line, key, command", [
+        ("domain.t_min = 2", 4, "domain.t_min", "solve"),
+        ("domain.t_min = 1", 4, "domain.t_min", "solve"),
+        ("problem.p = 1.5", 7, "problem.p", "solve"),
+        ("problem.p = 1.5", 7, "problem.p", "manufacture"),
+        ("grid.nodes = 2,13", 10, "grid.nodes", "solve"),
+        ("domain.base = 1,0", 3, "domain.base", "solve"),
+        ("domain.k0 = 0", 5, "domain.k0", "solve"),
+        ("domain.d0 = -1", 6, "domain.d0", "gcondition"),
+        ("domain.n = 1", 2, "domain.n", "solve"),
+        # a one-axis base at n = 3 names the base, which needs two axes
+        ("domain.n = 3", 3, "domain.base", "solve"),
+    ])
+    def test_domain_problem_or_grid_rejection_names_key_and_line(
+            self, tmp_path, capsys, monkeypatch, entry, line, key, command):
+        for name in ("solve_dirichlet", "estimate_g_condition"):
+            monkeypatch.setattr(f"conepde.cli.{name}", refuse_solve)
+        out = os.path.join(tmp_path, "out")
+        body = set_entries(BASE_CONFIG.format(outdir=out), entry)
+        assert run([command, "--config", write_config(tmp_path, body)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: line {line}: {key}: ")
+        assert not os.path.exists(out)
+
 
 class TestSolveCommand:
     def test_trivial_solve_writes_zero_field(self, tmp_path):
@@ -330,7 +381,8 @@ class TestSolveCommand:
 
     def test_nan_forcing_exits_three_without_outputs(self, tmp_path, capsys):
         out = os.path.join(tmp_path, "out")
-        body = BASE_CONFIG.replace("problem.f = zero", "problem.f = constant:nan")
+        # 0 e^(1000 x) is 0 inf = NaN wherever the exponential overflows
+        body = BASE_CONFIG.replace("problem.f = zero", "problem.f = exp:0,0,1000")
         cfg = write_config(tmp_path, body.format(outdir=out))
         assert run(["solve", "--config", cfg]) == 3
         err = capsys.readouterr().err
@@ -719,6 +771,27 @@ class TestOtherCommands:
         assert "failed to converge" in capsys.readouterr().err
         assert not os.path.isdir(out) or not any(
             name.startswith("exhaust_") for name in os.listdir(out))
+
+    @pytest.mark.parametrize("argv, entries, code", [
+        (["convolve"], ["convolve.eps = 0.05", "convolve.input = in.gf"], 2),
+        (["verify", "abp"], ["solver.max_iter = 0"], 3),
+        (["exhaust"], ["solver.max_iter = 0", "domain.t_min = 0.001"], 3),
+    ])
+    def test_error_raised_in_command_creates_no_output_dir(self, tmp_path, monkeypatch,
+                                                           argv, entries, code):
+        # convolve's kernel fails after its input is read
+        def fail(*args, **kwargs):
+            raise ValueError("kernel failure")
+
+        monkeypatch.setattr("conepde.cli.inf_convolution", fail)
+        monkeypatch.chdir(tmp_path)
+        grid = LogGrid.build(ConeDomain(n=2, base_lo=[0.0], base_hi=[1.0],
+                                        t_min=0.36787944117144233), (13, 13))
+        write_gridfunction("in.gf", GridFunction(grid, np.ones(grid.shape)))
+        body = set_entries(BASE_CONFIG.format(outdir="out"), "problem.f = constant:-1",
+                           *entries)
+        assert run([*argv, "--config", write_config(tmp_path, body)]) == code
+        assert not os.path.exists("out")
 
     def test_convolve_round_trip(self, tmp_path):
         out = os.path.join(tmp_path, "out")

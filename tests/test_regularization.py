@@ -208,7 +208,7 @@ class TestSemiconvexity:
 
     def test_eps_mismatch_rejected(self):
         grid = unit_grid((17, 17))
-        env = upper_envelope(GridFunction.zeros(grid), 0.1)
+        env = upper_envelope(GridFunction(grid, np.zeros(grid.shape)), 0.1)
         with pytest.raises(ValueError):
             semiconvexity_check(env, EnvelopeParams(eps=0.2, delta=0.05,
                                                     gamma_env=0.01))

@@ -24,7 +24,8 @@ and ``samples``, the three float ``solver.*`` keys and
 ``convolve.direction = SUP``), or drop ``verify.radii`` so that ``verify
 oscillation`` reads its default radii.  Every
 output except ``*_meta.json`` must be byte-identical, and the exit codes of
-every command and the set of meta files must agree.  Prints one line per
+every command, the set of meta files and whether ``output.dir`` exists
+afterwards must agree.  Prints one line per
 case and a summary; exits 1 on any difference.  A file that differs is
 reported with the largest |old - new| / max(1, |old|) over its numbers
 (JSON values, CSV fields, ``.gf`` lines).  A JSON file whose key set
@@ -158,10 +159,12 @@ def run_side(src: str, workdir: str, commands: list, text: str, field: str) -> l
             for argv in commands]
 
 
-def outputs(workdir: str) -> dict:
+def outputs(workdir: str) -> dict | None:
+    """The files in ``output.dir`` by name (None for a meta file), or None
+    when no command created it."""
     out = os.path.join(workdir, "out")
     if not os.path.isdir(out):
-        return {}
+        return None
     result = {}
     for name in sorted(os.listdir(out)):
         with open(os.path.join(out, name), "rb") as fh:
@@ -261,6 +264,10 @@ def main(argv) -> int:
             problems = []
             if codes[0] != codes[1]:
                 problems.append(f"exit {codes[0]} != {codes[1]}")
+            if (outs[0] is None) != (outs[1] is None):
+                problems.append("output.dir exists on the "
+                                + ("new side only" if outs[0] is None else "old side only"))
+            outs = [out or {} for out in outs]
             if outs[0].keys() != outs[1].keys():
                 problems.append(f"files {sorted(outs[0])} != {sorted(outs[1])}")
             same = [n for n in outs[0] if n in outs[1] and outs[0][n] == outs[1][n]
