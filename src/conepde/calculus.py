@@ -450,20 +450,25 @@ def _read_header(line: str) -> tuple:
 
 
 def read_gridfunction(path) -> GridFunction:
-    with open(path) as fh:
-        n, counts, a_min, t_min, lo, hi, a_max = _read_header(fh.readline())
-        # one value per line, blank lines skipped: a line holding two
-        # numbers fails to parse rather than reading as two values
-        values = np.array([line for line in fh.read().split("\n") if line.strip()],
-                          dtype=float)
-    domain = ConeDomain(n=n, base_lo=lo, base_hi=hi, t_min=t_min,
-                        t_max=min(math.exp(a_max), 1.0))
-    # the header axis endpoints are authoritative so the round trip is exact
-    grid = LogGrid(
-        domain=domain,
-        a=np.linspace(a_min, a_max, counts[0]),
-        xs=tuple(np.linspace(lo[k], hi[k], counts[1 + k]) for k in range(n - 1)),
-    )
-    if values.size != int(np.prod(grid.shape)):
-        raise ValueError("value count does not match the header grid shape")
-    return GridFunction(grid, values.reshape(grid.shape))
+    """The field stored at ``path``; a file whose content is rejected raises
+    a ValueError that names the path."""
+    try:
+        with open(path) as fh:
+            n, counts, a_min, t_min, lo, hi, a_max = _read_header(fh.readline())
+            # one value per line, blank lines skipped: a line holding two
+            # numbers fails to parse rather than reading as two values
+            values = np.array([line for line in fh.read().split("\n") if line.strip()],
+                              dtype=float)
+        domain = ConeDomain(n=n, base_lo=lo, base_hi=hi, t_min=t_min,
+                            t_max=min(math.exp(a_max), 1.0))
+        # the header axis endpoints are authoritative so the round trip is exact
+        grid = LogGrid(
+            domain=domain,
+            a=np.linspace(a_min, a_max, counts[0]),
+            xs=tuple(np.linspace(lo[k], hi[k], counts[1 + k]) for k in range(n - 1)),
+        )
+        if values.size != int(np.prod(grid.shape)):
+            raise ValueError("value count does not match the header grid shape")
+        return GridFunction(grid, values.reshape(grid.shape))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -131,12 +131,22 @@ class RunConfig:
             try:
                 value = parse(raw)
             except ValueError:
-                raise ConfigError(f"line {self.lines[key]}: {key}: expected {shape}, "
-                                  f"got {raw!r}") from None
+                raise self.rejection([key], f"expected {shape}") from None
         if value is None or (_finite(value) and (ok is None or ok(value))):
             return value
-        raise ConfigError(f"{key}: {what}, got the default {_show(value)}" if raw is None
-                          else f"line {self.lines[key]}: {key}: {what}, got {raw!r}")
+        if raw is None:
+            raise ConfigError(f"{key}: {what}, got the default {_show(value)}")
+        raise self.rejection([key], what)
+
+    def where(self, key: str) -> str:
+        """``key`` after its line, ``line N: key``, when the config sets it."""
+        return f"line {self.lines[key]}: {key}" if key in self.lines else key
+
+    def rejection(self, keys: list, what: str) -> ConfigError:
+        """The error for set ``keys`` whose values together are not ``what``
+        they must be, naming each key with its line and its text."""
+        return ConfigError(", ".join(map(self.where, keys)) + f": {what}, got "
+                           + ", ".join(repr(self.entries[k]) for k in keys))
 
 
 def parse_config(path: str) -> RunConfig:
@@ -181,24 +191,22 @@ def build_domain(cfg: RunConfig) -> ConeDomain:
 
 def _parse_field_spec(spec: str, label: str, n: int, p: float | None = None):
     """The field a ``problem.f``, ``problem.dirichlet`` or ``problem.exact``
-    spec names.  An exact solution (``p`` given) may be ``auto``, the
-    forcing-free one at p, and needs derivatives, which a gridfile lacks.
-    ``exp:`` and each ``poly:`` term take at most n + 1 values, a missing
-    one reading 0; ``zero``, ``logt``, ``quadratic`` and ``auto`` take none.
-    Every number must be finite."""
+    spec names; errors start with ``label``, the key (``RunConfig.where``).
+    An exact solution (``p`` given) may be ``auto``, the forcing-free one
+    at p, and needs derivatives, which a gridfile lacks.  ``constant:`` and
+    ``tpower:`` take one value, ``exp:`` and each ``poly:`` term at most
+    n + 1, a missing one reading 0; ``zero``, ``logt``, ``quadratic`` and
+    ``auto`` take none.  Every number must be finite."""
     name, _, args = spec.partition(":")
     name = name.strip().lower()
 
-    def number(text):
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError(f"{text.strip()} is not finite")
-        return value
-
-    def values(text):
-        vals = [number(v) for v in text.split(",")]
-        if len(vals) > n + 1:
-            raise ValueError(f"{len(vals)} values, at most {n + 1} at n = {n}")
+    def values(text, most=n + 1):
+        vals = _listof(float)(text)
+        if len(vals) > most:
+            raise ValueError(f"{len(vals)} values, at most {most} at n = {n}")
+        bad = [v for v in vals if not _finite(v)]
+        if bad:
+            raise ValueError(f"{_show(bad[0])} is not finite")
         return vals
 
     try:
@@ -209,9 +217,9 @@ def _parse_field_spec(spec: str, label: str, n: int, p: float | None = None):
         if name == "zero":
             return constant_field(0.0)
         if name == "constant":
-            return constant_field(number(args))
+            return constant_field(*values(args, 1))
         if name == "tpower":
-            return power_of_t_field(number(args), n)
+            return power_of_t_field(*values(args, 1), n)
         if name == "logt":
             return log_t_field(n)
         if name == "quadratic":
@@ -237,17 +245,16 @@ def _exponent(cfg: RunConfig) -> float:
 
 def build_problem(cfg: RunConfig, domain: ConeDomain) -> PDEProblem:
     p = _exponent(cfg)
-    f = _parse_field_spec(cfg.read("problem.f", TEXT, "zero"), "problem.f", domain.n)
-    g = _parse_field_spec(cfg.read("problem.dirichlet", TEXT, "zero"), "problem.dirichlet",
-                          domain.n)
+    f, g = (_parse_field_spec(cfg.read(key, TEXT, "zero"), cfg.where(key), domain.n)
+            for key in ("problem.f", "problem.dirichlet"))
     return PDEProblem(p=p, n=domain.n, f=f, dirichlet=g)
 
 
 def build_manufactured(cfg: RunConfig, domain: ConeDomain) -> tuple:
     """(u*, the problem it solves) for the ``problem.exact`` spec at ``problem.p``."""
     p = _exponent(cfg)
-    u_star = _parse_field_spec(cfg.read("problem.exact", TEXT, "auto"), "problem.exact",
-                               domain.n, p)
+    u_star = _parse_field_spec(cfg.read("problem.exact", TEXT, "auto"),
+                               cfg.where("problem.exact"), domain.n, p)
     return u_star, manufactured_problem(u_star, p, domain.n)
 
 
@@ -259,7 +266,7 @@ def build_grid(cfg: RunConfig, domain: ConeDomain) -> LogGrid:
     try:
         return LogGrid.build(domain, counts)
     except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+        raise cfg.rejection(["domain.base", "grid.nodes"], str(exc)) from None
 
 
 def build_solver_config(cfg: RunConfig) -> SolverConfig:
@@ -279,9 +286,8 @@ def build_solver_config(cfg: RunConfig) -> SolverConfig:
     except ValueError as exc:
         # the message names the fields at fault, and the defaults all pass
         names, _, what = str(exc).partition(": ")
-        keys = [f"solver.{name}" for name in names.split(", ") if name in kwargs]
-        raise ConfigError(", ".join(f"line {cfg.lines[k]}: {k}" for k in keys) + f": {what}, "
-                          f"got {', '.join(repr(cfg.entries[k]) for k in keys)}") from None
+        raise cfg.rejection([f"solver.{name}" for name in names.split(", ") if name in kwargs],
+                            what) from None
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +436,8 @@ def _get_solution(cfg: RunConfig, prob: PDEProblem, grid: LogGrid,
         return _solve_or_raise(prob, grid, scfg)[0]
     stored = read_gridfunction(path)
     if not stored.grid.same_nodes(grid):
-        raise ConfigError(f"verify.solution: its grid {stored.grid.shape} does not have "
-                          f"the nodes of the configured grid {grid.shape}")
+        raise ConfigError(f"{cfg.where('verify.solution')}: its grid {stored.grid.shape} "
+                          f"does not have the nodes of the configured grid {grid.shape}")
     return GridFunction(grid, stored.values)
 
 
@@ -495,8 +501,8 @@ def _verify_abp(cfg, prob, grid, scfg, slack, seed) -> tuple:
 
 def _verify_hoelder(cfg, prob, grid, scfg, slack, seed) -> tuple:
     if "verify.rho" in cfg.lines and "verify.rhos" in cfg.lines:
-        raise ConfigError(f"line {cfg.lines['verify.rho']}: verify.rho: set next to "
-                          f"verify.rhos on line {cfg.lines['verify.rhos']}; give one of them")
+        raise ConfigError(f"{cfg.where('verify.rho')}: set next to verify.rhos on line "
+                          f"{cfg.lines['verify.rhos']}; give one of them")
     rho = cfg.read("verify.rho", NUMBER, 0.25, lambda r: 0.0 < r <= 1.0,
                    "each rho must lie in (0, 1]")
     rhos = cfg.read("verify.rhos", NUMBERS, [rho], lambda rs: all(0.0 < r <= 1.0 for r in rs),

@@ -446,6 +446,29 @@ class TestFileFormat:
         with pytest.raises(ValueError):
             read_gridfunction(path)
 
+    # (header, value lines, the rejection) of a file near the valid 3x3 one
+    # with the header n, counts, a_min, t_min, base_lo, base_hi, a_max
+    @pytest.mark.parametrize("header, values, message", [
+        ("2,x,3,-1,0.36787944117144233,0,1,0", ["0"] * 9,
+         "grid-function header field a_count does not parse: 'x'"),
+        ("1,3,-1,0.36787944117144233,0", ["0"] * 3,
+         "grid-function header field n must be >= 2, got 1"),
+        ("2,3,3,-1,0.36787944117144233,0,1,0,0", ["0"] * 9,
+         "grid-function header has 9 fields, at most 8 for n = 2"),
+        ("2,3,3,-1,0.36787944117144233,0,1,0", ["0"] * 8,
+         "value count does not match the header grid shape"),
+        ("2,2,3,-1,0.36787944117144233,0,1,0", ["0"] * 6, "need at least 3 nodes per axis"),
+        ("2,3,3,-1,0.36787944117144233,0,1,0", ["0"] * 4 + ["nan"] + ["0"] * 4,
+         "grid function values must be finite"),
+    ])
+    def test_rejected_file_names_its_path(self, tmp_path, header, values, message):
+        path = os.path.join(tmp_path, "u.gf")
+        with open(path, "w") as fh:
+            fh.write("\n".join([header, *values]) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_gridfunction(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         grid = unit_grid((7, 7))
         rng = np.random.default_rng(9)

@@ -3,6 +3,8 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -142,7 +144,7 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, BASE_CONFIG.format(outdir="out")
                            + f"problem.exact = {spec}\n")
         assert run([command, "--config", cfg]) == 2
-        assert "config error: problem.exact:" in capsys.readouterr().err
+        assert "config error: line 12: problem.exact:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, spec", [
         ("problem.f", "exp:1,0,0.5,0.7,9"),
@@ -163,7 +165,8 @@ class TestConfigValidation:
                 else body + f"{key} = {spec}\n")
         command = "manufacture" if key == "problem.exact" else "solve"
         assert run([command, "--config", write_config(tmp_path, body)]) == 2
-        assert f"config error: {key}: malformed spec" in capsys.readouterr().err
+        line = body.splitlines().index(f"{key} = {spec}") + 1
+        assert f"config error: line {line}: {key}: malformed spec" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n, short, full", [
         (2, "exp:1,-3.0", "exp:1,-3.0,0"),
@@ -208,6 +211,17 @@ class TestConfigValidation:
         assert run(["convolve", "--config", cfg]) == 2
         assert "x1_count" in capsys.readouterr().err
 
+    def test_rejected_gridfunction_file_names_its_path(self, tmp_path, capsys):
+        # a 3x3 field with a nan value line
+        src = os.path.join(tmp_path, "nan.gf")
+        with open(src, "w") as fh:
+            fh.write("2,3,3,-1,0.36787944117144233,0,1,0\n" + "0\n" * 4 + "nan\n" + "0\n" * 4)
+        out = os.path.join(tmp_path, "out")
+        body = BASE_CONFIG + f"convolve.eps = 0.05\nconvolve.input = {src}\n"
+        assert run(["convolve", "--config", write_config(tmp_path, body.format(outdir=out))]) == 2
+        assert capsys.readouterr().err == f"error: {src}: grid function values must be finite\n"
+        assert not os.path.exists(out)
+
     def test_unknown_subcommand(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG.format(outdir=tmp_path))
         assert run(["frobnicate", "--config", cfg]) == 2
@@ -251,6 +265,39 @@ class TestConfigValidation:
         assert capsys.readouterr().err == (
             "config error: line 12: solver.eps_reg_start, line 13: solver.eps_reg_floor: "
             "the start must be at least the floor, got '1e-3', '1e-2'\n")
+
+    def test_base_box_too_narrow_for_its_offset_names_both_keys(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # linspace over a base side this narrow for its offset rounds to
+        # unequal steps, which the grid's node count cannot resolve
+        monkeypatch.setattr("conepde.cli.solve_dirichlet", refuse_solve)
+        out = os.path.join(tmp_path, "out")
+        body = set_entries(BASE_CONFIG.format(outdir=out),
+                           "domain.base = 1e15,1.000000000000001e15")
+        assert run(["solve", "--config", write_config(tmp_path, body)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: line 3: domain.base, line 10: grid.nodes: grid axes must be "
+            "uniform, got '1e15,1.000000000000001e15', '13,13'\n")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("key, spec, command, why", [
+        ("problem.f", "exp:1,2,3,4", "solve",
+         "malformed spec 'exp:1,2,3,4' (4 values, at most 3 at n = 2)"),
+        ("problem.dirichlet", "constant:inf", "solve",
+         "malformed spec 'constant:inf' (inf is not finite)"),
+        ("problem.f", "cubic", "solve", "unknown field kind 'cubic'"),
+        ("problem.exact", "gridfile:in.gf", "manufacture",
+         "a gridfile has no derivatives for an exact solution"),
+    ])
+    def test_field_spec_rejection_names_key_and_line(self, tmp_path, capsys, monkeypatch,
+                                                     key, spec, command, why):
+        monkeypatch.setattr("conepde.cli.solve_dirichlet", refuse_solve)
+        out = os.path.join(tmp_path, "out")
+        body = set_entries(BASE_CONFIG.format(outdir=out), f"{key} = {spec}")
+        assert run([command, "--config", write_config(tmp_path, body)]) == 2
+        line = body.splitlines().index(f"{key} = {spec}") + 1
+        assert capsys.readouterr().err == f"config error: line {line}: {key}: {why}\n"
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("command, entry, what", [
         *[("exhaust", f"exhaust.density = {v}", FINITE) for v in ("inf", "nan", "0", "-5")],
@@ -329,7 +376,8 @@ class TestConfigValidation:
         body = set_entries(BASE_CONFIG.format(outdir=out), f"{key} = {spec}")
         assert run([command, "--config", write_config(tmp_path, body)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: {key}: malformed spec {spec!r}")
+        line = body.splitlines().index(f"{key} = {spec}") + 1
+        assert err.startswith(f"config error: line {line}: {key}: malformed spec {spec!r}")
         assert "is not finite" in err
         assert not os.path.exists(out)
 
@@ -472,7 +520,7 @@ class TestVerifyCommands:
             cfg = write_config(tmp_path, body.format(outdir=out), f"s{k}.cfg")
             assert run(["verify", "abp", "--config", cfg]) == 2
             err = capsys.readouterr().err
-            assert "verify.solution" in err
+            assert "line 12: verify.solution" in err
             assert str(grid.shape) in err and "(13, 13)" in err
 
     @pytest.mark.parametrize("check", ["abp", "hoelder"])
@@ -951,3 +999,18 @@ def test_benchmark_tracer_targets_resolve():
     missing = {(module, attr) for module, attr in targets
                if not hasattr(importlib.import_module(module), attr)}
     assert missing == STALE_TRACER_TARGETS
+
+
+def test_each_module_is_its_own_import():
+    # the package re-exports nothing, so importing one module loads only
+    # what that module imports: geometry needs numpy alone.  Each module's
+    # __all__ is the one declaration of its public names
+    src = os.path.dirname(os.path.dirname(importlib.import_module("conepde.geometry").__file__))
+    probe = ("import sys, conepde.geometry; print(sorted(m for m in sys.modules if m == 'scipy'"
+             " or m.startswith(('scipy.', 'conepde.'))))")
+    loaded = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, check=True).stdout
+    assert loaded == "['conepde.geometry']\n"
+    for name in ("geometry", "calculus", "operators", "solver", "regularization", "analysis"):
+        module = importlib.import_module(f"conepde.{name}")
+        assert [n for n in module.__all__ if not hasattr(module, n)] == []

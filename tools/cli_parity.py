@@ -22,7 +22,12 @@ default another valid value (the ten verify keys ``rho``, ``rhos``, ``p0s``,
 ``alphas``, ``margin``, ``c_ref``, ``slack``, ``bumps``, ``weakform_tol``
 and ``samples``, the three float ``solver.*`` keys and
 ``convolve.direction = SUP``), or drop ``verify.radii`` so that ``verify
-oscillation`` reads its default radii.  Every
+oscillation`` reads its default radii.  The last 22 cases, at p = 3,
+reach every field-spec kind: six solves set ``problem.f`` and
+``problem.dirichlet`` to ``zero``, ``constant``, ``tpower``, ``logt``,
+``quadratic``, ``exp`` with a k and ``gridfile:src.gf``, and
+``manufacture`` and ``convergence-study`` each run with a ``problem.exact``
+of every kind other than ``auto`` (a gridfile one exits 2).  Every
 output except ``*_meta.json`` must be byte-identical, and the exit codes of
 every command, the set of meta files and whether ``output.dir`` exists
 afterwards must agree.  Prints one line per
@@ -96,6 +101,15 @@ SETTINGS = [
     ("solver.tol = 1e-8", ["solve"]),
     ("convolve.direction = SUP", ["convolve"]),
 ]
+# (problem.f, problem.dirichlet) of the solves that set each field-spec
+# kind in both keys, the stored field included
+FIELDS = [("zero", "constant:0.5"), ("tpower:-1", "tpower:0.5"), ("logt", "logt"),
+          ("quadratic", "quadratic"), ("exp:-1,0.5,2", "exp:0.5,1,-1"),
+          ("gridfile:src.gf", "gridfile:src.gf")]
+# a problem.exact of each kind the cases above leave out; a stored field
+# has no derivatives, so its two cases exit 2
+EXACTS = ["zero", "constant:0.5", "tpower:0.5", "logt", "quadratic", "exp:0.5,1,2",
+          "poly:0.5,0,2;1,1", "gridfile:src.gf"]
 CHECKS = ("abp", "hoelder", "harnack", "weakharnack", "oscillation",
           "comparison", "doubling", "weakform")
 
@@ -144,6 +158,12 @@ def cases():
         yield f"p=3.0 {' '.join(argv)} {entry}", [argv], merged(base, extra + entry + "\n")
     yield ("p=3.0 verify oscillation default radii", [["verify", "oscillation"]],
            base.replace(RADII, ""))
+    for f, g in FIELDS:
+        yield (f"p=3.0 solve f={f} dirichlet={g}", [["solve"]],
+               merged(base, f"problem.f = {f}\nproblem.dirichlet = {g}\n"))
+    for exact in EXACTS:
+        for cmd in ("manufacture", "convergence-study"):
+            yield f"p=3.0 {cmd} exact={exact}", [[cmd]], merged(base, f"problem.exact = {exact}\n")
 
 
 def run_side(src: str, workdir: str, commands: list, text: str, field: str) -> list:
