@@ -194,9 +194,10 @@ def _parse_field_spec(spec: str, label: str, n: int, p: float | None = None):
     spec names; errors start with ``label``, the key (``RunConfig.where``).
     An exact solution (``p`` given) may be ``auto``, the forcing-free one
     at p, and needs derivatives, which a gridfile lacks.  ``constant:`` and
-    ``tpower:`` take one value, ``exp:`` and each ``poly:`` term at most
-    n + 1, a missing one reading 0; ``zero``, ``logt``, ``quadratic`` and
-    ``auto`` take none.  Every number must be finite."""
+    ``tpower:`` take one value, ``exp:`` two to n + 1 (c and q, then k) and
+    each ``poly:`` term at most n + 1, a missing one reading 0; ``zero``,
+    ``logt``, ``quadratic`` and ``auto`` take none.  Every number must be
+    finite."""
     name, _, args = spec.partition(":")
     name = name.strip().lower()
 
@@ -226,6 +227,8 @@ def _parse_field_spec(spec: str, label: str, n: int, p: float | None = None):
             return quadratic_field(n)
         if name == "exp":
             vals = values(args)
+            if len(vals) < 2:
+                raise ValueError("exp: needs at least two values, c and q")
             return separable_exponential_field(vals[0], vals[1], vals[2:])
         if name == "poly":
             return log_polynomial_field([values(term) for term in args.split(";")])
@@ -387,7 +390,7 @@ def _cmd_convolve(cfg: RunConfig, args: argparse.Namespace) -> tuple:
     metric = cfg.read("convolve.metric", TEXT, "log", lambda m: m in METRICS,
                       "must be " + " or ".join(METRICS))
     eps = cfg.read("convolve.eps", NUMBER, REQUIRED, *POSITIVE)
-    u = read_gridfunction(cfg.read("convolve.input", TEXT, REQUIRED))
+    u = _read_field_file(cfg, "convolve.input")
     payload = {"direction": direction, "eps": eps, "metric": metric}
     files = {}
     if direction == "inf":
@@ -425,26 +428,40 @@ def _cmd_gcondition(cfg: RunConfig, args: argparse.Namespace) -> tuple:
         "samples": samples, "seed": args.seed, "degenerate": sigma == 0.0}}
 
 
+def _read_field_file(cfg: RunConfig, key: str) -> GridFunction:
+    """The grid function stored at the path ``key`` names; a file that does
+    not read names the key and its line, then the path."""
+    try:
+        return read_gridfunction(cfg.read(key, TEXT, REQUIRED))
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"{cfg.where(key)}: {exc}") from None
+
+
 def _get_solution(cfg: RunConfig, prob: PDEProblem, grid: LogGrid,
                   scfg: SolverConfig) -> GridFunction:
     """The stored ``verify.solution``, which must lie on the configured
     grid, or else a fresh solve.  Every verify check reads the problem's
     solution here, the supersolution of the shifted pair included; a stored
     field enters as is, whether or not it solves the configured problem."""
-    path = cfg.read("verify.solution", TEXT)
-    if not path:
+    if not cfg.read("verify.solution", TEXT):
         return _solve_or_raise(prob, grid, scfg)[0]
-    stored = read_gridfunction(path)
+    stored = _read_field_file(cfg, "verify.solution")
     if not stored.grid.same_nodes(grid):
         raise ConfigError(f"{cfg.where('verify.solution')}: its grid {stored.grid.shape} "
                           f"does not have the nodes of the configured grid {grid.shape}")
     return GridFunction(grid, stored.values)
 
 
-def _solve_or_raise(prob, grid, scfg):
-    u, report = solve_dirichlet(prob, grid, scfg)
+def _solve_or_raise(prob, grid, scfg, initial=None):
+    """``solve_dirichlet``'s (solution, report); an unconverged solve raises
+    a RuntimeError naming the eps_reg, stop reason and residual of its last
+    stage."""
+    u, report = solve_dirichlet(prob, grid, scfg, initial=initial)
     if not report.converged:
-        raise RuntimeError("solver failed to converge")
+        last = report.stages[-1]
+        raise RuntimeError(f"solver failed to converge: the last stage, at eps_reg "
+                           f"{last.eps_reg:g}, stopped on {last.stop_reason} at residual "
+                           f"{last.residual_norm:.3g}")
     return u, report
 
 
@@ -454,7 +471,11 @@ def _shifted_pair(cfg: RunConfig, prob: PDEProblem, grid: LogGrid,
     of the problem's own forcing from ``_get_solution`` (the stored
     ``verify.solution`` when set, so only the raised forcing is solved).  A
     larger forcing gives a smaller solution, so the first is the
-    subsolution of the pair."""
+    subsolution of the pair.  It starts from the held supersolution, stored
+    or solved (``solve_dirichlet``'s ``initial``), and runs cold only when
+    that one floor-eps stage misses ``solver.tol``; where the discrete
+    problem has more than one solution, the subsolution follows the branch
+    of the supersolution."""
     margin = cfg.read("verify.margin", NUMBER, 0.5, *POSITIVE)
     v_super = _get_solution(cfg, prob, grid, scfg)
     f_low = prob.f
@@ -463,7 +484,7 @@ def _shifted_pair(cfg: RunConfig, prob: PDEProblem, grid: LogGrid,
         return f_low(t, xs) + margin * np.asarray(t, dtype=float) ** (-prob.p)
 
     prob_high = PDEProblem(p=prob.p, n=prob.n, f=f_high, dirichlet=prob.dirichlet)
-    u_sub, _ = _solve_or_raise(prob_high, grid, scfg)
+    u_sub, _ = _solve_or_raise(prob_high, grid, scfg, initial=v_super)
     return u_sub, v_super
 
 

@@ -48,6 +48,7 @@ __all__ = [
     "transformed_residual",
     "gradient_powers",
     "operator_terms",
+    "gradient_coefficient",
     "transformed_residual_from_derivs",
     "residual_log_field",
     "divergence_part_field",
@@ -282,15 +283,15 @@ def gradient_powers(g, p: float, eps_reg: float = 0.0) -> tuple:
 
 def operator_terms(g, H, p: float, n: int, eps_reg: float = 0.0,
                    extremal: str | None = None) -> tuple:
-    """The operator R = sum_kl A_kl H_kl + B g_a (no forcing) and its
-    partial derivatives, as (R, A, B, C), from derivative arrays g (n, ...)
+    """The operator R = sum_kl A_kl H_kl + B g_a (no forcing) and two of its
+    partial derivatives, as (R, A, B), from derivative arrays g (n, ...)
     and H (n, n, ...); the radial drift derivative g_a is g[0].
 
     A = |g|_d^(p-2) Q_d weighs the Hessian entries (it is also the derivative
-    of the flux), B = (n-p) |g|_d^(p-2) the drift and C = dR/dg the
-    gradient; at p == 2 the operator is linear and C is zero.  Under an
-    ``extremal`` mode ("upper"/"lower") R carries |g|_d^(p-2) times the Pucci
-    value of H instead of sum A_kl H_kl.
+    of the flux) and B = (n-p) |g|_d^(p-2) the drift; ``gradient_coefficient``
+    gives the third, C = dR/dg.  Under an ``extremal`` mode
+    ("upper"/"lower") R carries |g|_d^(p-2) times the Pucci value of H
+    instead of sum A_kl H_kl.
     """
     g = np.asarray(g, dtype=float)
     H = np.asarray(H, dtype=float)
@@ -306,17 +307,25 @@ def operator_terms(g, H, p: float, n: int, eps_reg: float = 0.0,
         diffusion = coef * _pucci(eigs, PucciParams.from_p(p), extremal == "upper")
     else:
         raise ValueError(f"unknown extremal mode {extremal!r}")
+    return diffusion + B * g[0], A, B
+
+
+def gradient_coefficient(g, H, p: float, n: int, eps_reg: float = 0.0) -> np.ndarray:
+    """C = dR/dg, the derivative of the ``operator_terms`` operator R in
+    the gradient g (n, ...) at the Hessian H (n, n, ...), B's term on g_a
+    apart; at p == 2 the operator is linear and C is zero."""
+    g = np.asarray(g, dtype=float)
+    H = np.asarray(H, dtype=float)
     if p == 2.0:
-        C = np.zeros_like(g)
-    else:
-        trH = np.einsum("kk...->...", H)
-        Hg = np.einsum("kl...,l...->k...", H, g)
-        gHg = np.einsum("k...,k...->...", g, Hg)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g_over_s2 = np.where(s2 > 0.0, g / s2, 0.0)
-        C = (p - 2.0) * inv * (g * (trH + (n - p) * g[0])
-                               + (p - 4.0) * g_over_s2 * gHg + 2.0 * Hg)
-    return diffusion + B * g[0], A, B, C
+        return np.zeros_like(g)
+    s2, _, inv = gradient_powers(g, p, eps_reg)
+    trH = np.einsum("kk...->...", H)
+    Hg = np.einsum("kl...,l...->k...", H, g)
+    gHg = np.einsum("k...,k...->...", g, Hg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g_over_s2 = np.where(s2 > 0.0, g / s2, 0.0)
+    return (p - 2.0) * inv * (g * (trH + (n - p) * g[0])
+                              + (p - 4.0) * g_over_s2 * gHg + 2.0 * Hg)
 
 
 def transformed_residual_from_derivs(z, grad, hess, p: float, n: int, log_forcing,
@@ -401,10 +410,12 @@ def transformed_residual(z: GridFunction, prob: PDEProblem, params: TransformPar
 
 def divergence_part_field(u: GridFunction, p: float, n: int, eps_reg: float = 0.0,
                           extremal: str | None = None) -> tuple:
-    """``operator_terms`` of u at every node: the operator
-    |g|_d^(p-2) (tr(Q_d H) + (n-p) g_a) (no forcing term), or its
-    ``extremal`` mode, and the coefficient fields (A, B, C)."""
-    return operator_terms(gradient_field(u), hessian_field(u), p, n, eps_reg, extremal)
+    """(R, A, B, g, H): ``operator_terms`` of u at every node, R the
+    operator |g|_d^(p-2) (tr(Q_d H) + (n-p) g_a) (no forcing term) or its
+    ``extremal`` mode, then the derivative fields g and H it read, from
+    which ``gradient_coefficient`` forms C."""
+    g, H = gradient_field(u), hessian_field(u)
+    return (*operator_terms(g, H, p, n, eps_reg, extremal), g, H)
 
 
 def residual_log_field(u: GridFunction, prob: PDEProblem, eps_reg: float = 0.0,

@@ -5,7 +5,9 @@ study helper, and the domain-exhaustion existence procedure.
 The continuation fixes p: for p > 2 a presolve on the p = 2 system with
 the target's drift gives the starting field, and one queue of eps_reg
 stages at the target p follows; only its last stage, at the floor eps,
-runs to the final tolerance.  One Newton system per solve gives the
+runs to the final tolerance.  A solve given a start field skips the
+continuation: one floor stage runs from that field, and the continuation
+follows only when it fails.  One Newton system per solve gives the
 residual and the linear solve of a step, so the Newton loop does not know
 which linear solver runs.
 A p = 2 Newton system has constant coefficients and is solved exactly by
@@ -43,8 +45,9 @@ from scipy.linalg import solve_banded
 from conepde.calculus import GridFunction, LogGrid, first_diff, second_diff
 from conepde.geometry import ConeDomain, exhaustion
 from conepde.operators import (AnalyticField, PDEProblem, constant_field,
-                               divergence_part_field, log_polynomial_field,
-                               operator_terms, separable_exponential_field)
+                               divergence_part_field, gradient_coefficient,
+                               log_polynomial_field, operator_terms,
+                               separable_exponential_field)
 
 __all__ = [
     "SolverConfig",
@@ -174,9 +177,10 @@ def _assemble_jacobian(grid: LogGrid, A: np.ndarray, B: np.ndarray,
     """Jacobian of the log-chart residual on the interior nodes, rows and
     columns in ``grid.dissection_order``; boundary values are data, not
     unknowns.  Its rows are sum_kl A_kl H_kl + sum_k C_k G_k + B G_0: the
-    residual's own operators weighted by the coefficient fields
-    ``operator_terms`` returned with the residual, so the block is its exact
-    linearization at that residual's iterate.
+    residual's own operators weighted by the coefficient fields A and B
+    that ``operator_terms`` returned with the residual and C from
+    ``gradient_coefficient``, so the block is its exact linearization at
+    that residual's iterate.
 
     The sparsity pattern is fixed for the grid (``grid.interior_pattern``),
     so a call does only the numeric part: one product of the coefficient
@@ -254,21 +258,26 @@ class _NewtonSystem:
 
     def residual(self, values: np.ndarray, eps_reg: float) -> tuple:
         """(res, lin): the residual at every node, zero on the boundary, and
-        its linearization point, the coefficient fields (A, B, C) of
-        ``operator_terms`` at ``values``; None at p == 2, whose step does
-        not read them, so that a stage does not keep them alive."""
+        its linearization point: the coefficient fields A and B of
+        ``operator_terms`` at ``values``, with the derivative fields g and H
+        and eps_reg, from which a step forms C; None at p == 2, whose step
+        does not read them, so that a stage does not keep them alive."""
         u = GridFunction(self.grid, values, check_finite=False)
         R, *lin = divergence_part_field(u, self.p, self.n, eps_reg)
         res = R - self.F_log
         res[self.grid.boundary_mask] = 0.0
-        return res, (None if self.p == 2.0 else lin)
+        return res, (None if self.p == 2.0 else (*lin, eps_reg))
 
-    def step(self, lin: list, rhs: np.ndarray) -> np.ndarray:
+    def step(self, lin: tuple, rhs: np.ndarray) -> np.ndarray:
         """The Newton step: du with J du = rhs for the Jacobian at the
-        linearization point ``lin`` from ``residual``, zero on the boundary."""
+        linearization point ``lin`` from ``residual``, zero on the boundary.
+        C = dR/dg is formed here, so a residual that no step reads (a
+        rejected line-search trial, a stage's last iterate) never pays for it."""
         if self.p == 2.0:
             return _solve_linear(self.grid, self.n - self.p, rhs)
-        return _solve_jacobian(_assemble_jacobian(self.grid, *lin), rhs, self)
+        A, B, g, H, eps_reg = lin
+        C = gradient_coefficient(g, H, self.p, self.n, eps_reg)
+        return _solve_jacobian(_assemble_jacobian(self.grid, A, B, C), rhs, self)
 
 
 def _solve_jacobian(J: sp.csc_matrix, rhs: np.ndarray, system: _NewtonSystem) -> np.ndarray:
@@ -353,8 +362,8 @@ def _newton_stage(values: np.ndarray, system: _NewtonSystem, eps_reg: float,
                                krylov_iterations=system.krylov_iterations - start[1])
 
 
-def solve_dirichlet(prob: PDEProblem, grid: LogGrid,
-                    cfg: SolverConfig | None = None) -> tuple:
+def solve_dirichlet(prob: PDEProblem, grid: LogGrid, cfg: SolverConfig | None = None,
+                    initial: GridFunction | None = None) -> tuple:
     """Solve the Dirichlet problem on the grid; returns (GridFunction, SolveReport).
 
     Boundary values (including the artificial truncation face) are pinned to
@@ -368,21 +377,45 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid,
     solve, whose one stage is the floor, run to ``tol``.  A stage that
     misses its target inserts a midpoint stage before it, at most 24 per
     solve, and the report is converged when the final residual is at most
-    ``tol``.  The solve is deterministic; failure to
+    ``tol``.
+
+    An ``initial`` field on the grid's nodes is a warm start: its values,
+    with the boundary reset to the Dirichlet data, go through one Newton
+    stage at the floor eps to ``tol``, with no presolve, schedule or
+    midpoint.  When that stage misses ``tol`` the solve goes on exactly as
+    a solve without ``initial`` (a fresh start, a fresh kept factor), and
+    the failed warm stage stays first in the report.
+
+    The solve is deterministic; failure to
     converge is reported, never raised.  A radial step beyond the mesh Peclet
-    bound raises ValueError; a forcing t^p f that is not finite at an
-    interior node, or a residual that turns NaN, raises FloatingPointError.
+    bound, or an ``initial`` on other nodes, raises ValueError; a forcing
+    t^p f that is not finite at an interior node, or a residual that turns
+    NaN, raises FloatingPointError.
     """
     cfg = cfg or SolverConfig()
     p, n = prob.p, prob.n
     _check_peclet(grid, p, n)
-    values = np.zeros(grid.shape)
     bmask = grid.boundary_mask
-    values[bmask] = prob.dirichlet_values(grid)[bmask]
+    data = prob.dirichlet_values(grid)[bmask]
+    # the residual lives on the interior, so the forcing on the boundary is never read
+    F_log = prob.log_forcing(grid, interior_only=True)
 
     stages: list = []
-    # the residual lives on the interior, so the forcing on the boundary is never read
-    system = _NewtonSystem(grid, p, n, prob.log_forcing(grid, interior_only=True))
+    if initial is not None:
+        if not initial.grid.same_nodes(grid):
+            raise ValueError(f"the initial field's grid {initial.grid.shape} does not have "
+                             f"the nodes of the solve's grid {grid.shape}")
+        values = np.array(initial.values, dtype=float)
+        values[bmask] = data
+        values, stage = _newton_stage(values, _NewtonSystem(grid, p, n, F_log),
+                                      cfg.eps_reg_floor, cfg.max_iter, cfg.tol)
+        stages.append(stage)
+        if stage.residual_norm <= cfg.tol:
+            return GridFunction(grid, values), SolveReport(stages, True, stage.residual_norm)
+
+    values = np.zeros(grid.shape)
+    values[bmask] = data
+    system = _NewtonSystem(grid, p, n, F_log)
     if p > 2.0:
         # linearized presolve: the p = 2 system with the target's drift n - p
         values, _ = _newton_stage(values, replace(system, p=2.0, n=2 + (n - p)),

@@ -23,7 +23,8 @@ import scipy.sparse.linalg as spla
 
 from conepde import solver
 from conepde.calculus import GridFunction, gradient_field, hessian_field
-from conepde.operators import PucciParams, operator_terms, pucci_minus, pucci_plus
+from conepde.operators import (PucciParams, gradient_coefficient, operator_terms, pucci_minus,
+                               pucci_plus)
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +231,13 @@ def poly_sampler(terms):
 # Newton Jacobian on the full grid
 
 def coefficient_fields(values, grid, p, n, eps_reg):
-    """The coefficient fields (A, B, C) of ``operator_terms`` at ``values``,
-    the linearization point ``solver._NewtonSystem.residual`` returns with
-    its residual."""
+    """The coefficient fields (A, B, C) of ``operator_terms`` and
+    ``gradient_coefficient`` at ``values``, which a Newton step of
+    ``solver._NewtonSystem`` assembles from the linearization point its
+    residual returns."""
     u = GridFunction(grid, values, check_finite=False)
-    return operator_terms(gradient_field(u), hessian_field(u), p, n, eps_reg)[1:]
+    g, H = gradient_field(u), hessian_field(u)
+    return (*operator_terms(g, H, p, n, eps_reg)[1:], gradient_coefficient(g, H, p, n, eps_reg))
 
 
 def full_jacobian(grid, A, B, C):

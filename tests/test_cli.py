@@ -9,10 +9,12 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
 from conepde.calculus import GridFunction, LogGrid, read_gridfunction, write_gridfunction
 from conepde.cli import ConfigError, _parse_field_spec, run, solve_dirichlet, write_json
 from conepde.geometry import ConeDomain
+from conepde.operators import PDEProblem, constant_field, separable_exponential_field
 
 
 BASE_CONFIG = """
@@ -94,6 +96,20 @@ def set_entries(text, *entries):
 
 def refuse_solve(*args, **kwargs):
     raise AssertionError("the config should be rejected before any solve")
+
+
+class SolveRecord(list):
+    """The (solution, report) of each solve, newest last; ``solve`` is
+    ``solve_dirichlet`` recording them, and a ``cold`` record drops
+    ``initial``, so that every solve starts cold."""
+
+    def __init__(self, cold=False):
+        super().__init__()
+        self.cold = cold
+
+    def solve(self, prob, grid, cfg=None, initial=None):
+        self.append(solve_dirichlet(prob, grid, cfg, initial=None if self.cold else initial))
+        return self[-1]
 
 
 def reject_constant(name):
@@ -219,7 +235,33 @@ class TestConfigValidation:
         out = os.path.join(tmp_path, "out")
         body = BASE_CONFIG + f"convolve.eps = 0.05\nconvolve.input = {src}\n"
         assert run(["convolve", "--config", write_config(tmp_path, body.format(outdir=out))]) == 2
-        assert capsys.readouterr().err == f"error: {src}: grid function values must be finite\n"
+        assert capsys.readouterr().err == (
+            f"config error: line 13: convolve.input: {src}: grid function values must be finite\n")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("argv, key", [(["convolve"], "convolve.input"),
+                                           (["verify", "abp"], "verify.solution")],
+                             ids=["convolve.input", "verify.solution"])
+    @pytest.mark.parametrize("content, why", [
+        ("2,3,3,-1,0.36787944117144233,0,1,0\n" + "0\n" * 8, "value count does not match"),
+        (None, "No such file or directory"),
+    ], ids=["short", "missing"])
+    def test_unreadable_gridfunction_file_names_key_and_line(self, tmp_path, capsys, monkeypatch,
+                                                             argv, key, content, why):
+        # both used to exit 2 naming only the path, a missing file as a bare
+        # OSError message
+        monkeypatch.setattr("conepde.cli.solve_dirichlet", refuse_solve)
+        src = os.path.join(tmp_path, "field.gf")
+        if content is not None:
+            with open(src, "w") as fh:
+                fh.write(content)
+        out = os.path.join(tmp_path, "out")
+        body = BASE_CONFIG + f"convolve.eps = 0.05\n{key} = {src}\n"
+        assert run([*argv, "--config", write_config(tmp_path, body.format(outdir=out))]) == 2
+        err = capsys.readouterr().err
+        line = body.splitlines().index(f"{key} = {src}") + 1
+        assert err.startswith(f"config error: line {line}: {key}: ")
+        assert src in err and why in err
         assert not os.path.exists(out)
 
     def test_unknown_subcommand(self, tmp_path):
@@ -283,6 +325,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key, spec, command, why", [
         ("problem.f", "exp:1,2,3,4", "solve",
          "malformed spec 'exp:1,2,3,4' (4 values, at most 3 at n = 2)"),
+        ("problem.f", "exp:1", "solve",
+         "malformed spec 'exp:1' (exp: needs at least two values, c and q)"),
+        ("problem.exact", "exp:1", "manufacture",
+         "malformed spec 'exp:1' (exp: needs at least two values, c and q)"),
         ("problem.dirichlet", "constant:inf", "solve",
          "malformed spec 'constant:inf' (inf is not finite)"),
         ("problem.f", "cubic", "solve", "unknown field kind 'cubic'"),
@@ -733,6 +779,123 @@ class TestVerifyCommands:
                     os.path.join(out, f"verify_{check}.{ext}")).splitlines()
                     if b"config_hash" not in line] for ext in ("json", "csv")])
             assert outputs[0] == outputs[1]
+
+    def test_random_stored_field_falls_back_to_the_cold_solve(self, tmp_path, monkeypatch):
+        # the warm stage from a random supersolution fails, and the cold
+        # solve that follows is the one a solve without a start runs: every
+        # output and exit code equals that of a cold shifted solve
+        monkeypatch.chdir(tmp_path)
+        grid = LogGrid.build(ConeDomain(n=2, base_lo=[0.0], base_hi=[1.0],
+                                        t_min=0.36787944117144233), (13, 13))
+        noise = np.random.default_rng(0).standard_normal(grid.shape)
+        write_gridfunction("random.gf", GridFunction(grid, np.where(grid.boundary_mask, 0.0,
+                                                                    noise)))
+        body = set_entries(BASE_CONFIG.format(outdir="out"), "problem.p = 3.0",
+                           "problem.f = exp:0.3,-3.0", "verify.solution = random.gf")
+        cfg = write_config(tmp_path, body)
+        for check, code in (("doubling", 0), ("comparison", 4)):
+            outputs = []
+            warm, cold = SolveRecord(), SolveRecord(cold=True)
+            for record in (warm, cold):
+                monkeypatch.setattr("conepde.cli.solve_dirichlet", record.solve)
+                assert run(["verify", check, "--config", cfg]) == code
+                outputs.append([read_bytes(f"out/verify_{check}.{ext}") for ext in ("json", "csv")])
+            assert outputs[0] == outputs[1]
+            # the stored supersolution leaves the shifted solve the only one
+            (_, report), = warm
+            assert report.stages[0].stop_reason != "converged"
+            assert report.stages[1:] == cold[0][1].stages
+
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    def test_warm_shifted_pair_matches_the_cold_one(self, tmp_path, monkeypatch, p):
+        # one floor-eps stage from the stored supersolution reaches the
+        # subsolution the cold continuation reaches, to the solver tolerance
+        monkeypatch.chdir(tmp_path)
+        body = set_entries(BASE_CONFIG.format(outdir="out"), f"problem.p = {p}",
+                           f"problem.f = exp:0.3,-{p}", "grid.nodes = 21,21")
+        assert run(["solve", "--config", write_config(tmp_path, body, "solve.cfg")]) == 0
+        cfg = write_config(tmp_path, body + "verify.solution = out/solution.gf\n")
+        for check in ("comparison", "doubling"):
+            results = []
+            warm = SolveRecord()
+            for record in (warm, SolveRecord(cold=True)):
+                monkeypatch.setattr("conepde.cli.solve_dirichlet", record.solve)
+                code = run(["verify", check, "--config", cfg])
+                with open(f"out/verify_{check}.json") as fh:
+                    results.append((code, json.load(fh)))
+            (_, report), = warm
+            assert [s.stop_reason for s in report.stages] == ["converged"]
+            (code_w, warm_report), (code_c, cold_report) = results
+            assert code_w == code_c == 0
+            if check == "comparison":
+                assert (warm_report["comparison"]["violations"]
+                        == cold_report["comparison"]["violations"] == 0)
+                gaps = [warm_report["comparison"]["worst_gap"],
+                        cold_report["comparison"]["worst_gap"]]
+            else:
+                gaps = [[d["M_alpha"] for d in r["diagnostics"]]
+                        for r in (warm_report, cold_report)]
+            # the two subsolutions differ by at most 10 solver tolerances
+            np.testing.assert_allclose(*gaps, rtol=0.0, atol=1e-8)
+
+    def test_failed_shifted_solve_names_its_last_stage(self, tmp_path, monkeypatch, capsys):
+        # with no Newton step allowed the warm stage fails, the cold solve
+        # after it too, and the error names the floor stage that ended it
+        monkeypatch.chdir(tmp_path)
+        grid = LogGrid.build(ConeDomain(n=2, base_lo=[0.0], base_hi=[1.0],
+                                        t_min=0.36787944117144233), (13, 13))
+        write_gridfunction("zero.gf", GridFunction(grid, np.zeros(grid.shape)))
+        body = set_entries(BASE_CONFIG.format(outdir="out"), "problem.p = 3.0",
+                           "problem.f = exp:0.3,-3.0", "solver.max_iter = 0",
+                           "verify.solution = zero.gf")
+        record = SolveRecord()
+        monkeypatch.setattr("conepde.cli.solve_dirichlet", record.solve)
+        assert run(["verify", "comparison", "--config", write_config(tmp_path, body)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "solver error: solver failed to converge: the last stage, at eps_reg 1e-06, "
+            "stopped on max_iter at residual ")
+        (_, report), = record
+        assert [(s.eps_reg, s.iterations, s.stop_reason) for s in report.stages[:1]] == [
+            (1e-6, 0, "max_iter")]
+        assert len(report.stages) > 1 and report.stages[-1].eps_reg == 1e-6
+        assert not os.path.exists("out")
+
+    def test_subsolution_follows_the_stored_supersolution_branch(self, tmp_path, monkeypatch):
+        # the verify-2d problem (p = 3, t^p f = 0.3, zero data) has two
+        # discrete solutions at 81^2: min u -0.1028 from the default start
+        # and -0.1227 by Newton from the cubic prolongation of the 41^2
+        # solution.  With the second one stored, the subsolution started
+        # from it follows its branch (min u -0.2004) where a cold one does
+        # not (-0.1678), and the comparison check sees no violation either
+        # way: it cannot tell that the problem has two solutions
+        monkeypatch.chdir(tmp_path)
+        domain = ConeDomain(n=2, base_lo=[0.0], base_hi=[1.0], t_min=0.36787944117144233)
+        prob = PDEProblem(p=3.0, n=2, f=separable_exponential_field(0.3, -3.0, []),
+                          dirichlet=constant_field(0.0))
+        coarse, grid = (LogGrid.build(domain, (m, m)) for m in (41, 81))
+        u_coarse, _ = solve_dirichlet(prob, coarse)
+        cubic = RegularGridInterpolator(coarse.axes, u_coarse.values, method="cubic")
+        start = GridFunction(grid, cubic(grid.log_points).reshape(grid.shape))
+        branch, rep = solve_dirichlet(prob, grid, initial=start)
+        assert rep.converged and len(rep.stages) == 1
+        default = solve_dirichlet(prob, grid)[0]
+        assert (round(branch.values.min(), 4), round(default.values.min(), 4)) == (
+            -0.1227, -0.1028)
+        write_gridfunction("branch.gf", branch)
+        body = set_entries(BASE_CONFIG.format(outdir="out"), "problem.p = 3.0",
+                           "problem.f = exp:0.3,-3.0", "grid.nodes = 81,81",
+                           "verify.solution = branch.gf")
+        cfg = write_config(tmp_path, body)
+        mins = []
+        for record in (SolveRecord(), SolveRecord(cold=True)):
+            monkeypatch.setattr("conepde.cli.solve_dirichlet", record.solve)
+            assert run(["verify", "comparison", "--config", cfg]) == 0
+            with open("out/verify_comparison.json") as fh:
+                assert json.load(fh)["comparison"]["violations"] == 0
+            # the stored supersolution leaves the shifted solve the only one
+            (u_sub, _), = record
+            mins.append(round(u_sub.values.min(), 4))
+        assert mins == [-0.2004, -0.1678]
 
     def test_infinite_constants_are_written_as_strict_json(self, tmp_path):
         # on a zero field every weak Harnack constant is infinite, which used

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conepde import calculus, solver
 from conepde.calculus import GridFunction, LogGrid
 from conepde.geometry import ConeDomain
-from conepde.operators import PDEProblem, constant_field
+from conepde.operators import PDEProblem, constant_field, separable_exponential_field
 from conepde.solver import (
     SolverConfig,
     _NewtonSystem,
@@ -408,8 +408,9 @@ class TestOrderedJacobianSolve:
         res[grid.boundary_mask] = 0.0
         system = _NewtonSystem(grid, p, n, np.zeros(grid.shape))
         lin = system.residual(v, eps)[1]
-        direct = _direct_solve(full_jacobian(grid, *lin), -res)
-        J = _assemble_jacobian(grid, *lin)
+        fields = coefficient_fields(v, grid, p, n, eps)
+        direct = _direct_solve(full_jacobian(grid, *fields), -res)
+        J = _assemble_jacobian(grid, *fields)
         du = system.step(lin, -res)
         assert system.factorizations == 1 and system.krylov_iterations == 0
         assert np.all(du[grid.boundary_mask] == 0.0)
@@ -649,6 +650,77 @@ class TestInexactContinuation:
         _, rec = stage(values, _NewtonSystem(grid, 3.0, 2, F_log), 1e-2, max_iter,
                        (1.0 - 1e-5) * norm)
         assert (rec.iterations, rec.stop_reason) == (1, "line_search")
+
+
+def raised_forcing(prob, margin=0.5):
+    """``prob`` with its forcing raised by margin t^-p, as the shifted pair
+    of ``verify comparison`` and ``verify doubling`` raises it."""
+    def f_high(t, xs):
+        return prob.f(t, xs) + margin * np.asarray(t, dtype=float) ** (-prob.p)
+    return PDEProblem(p=prob.p, n=prob.n, f=f_high, dirichlet=prob.dirichlet)
+
+
+class TestWarmStart:
+    """An ``initial`` field runs one Newton stage at the floor eps from it,
+    and a solve without one, the cold solve, is its oracle."""
+
+    # measured on these cases: at most 0.06 tol
+    FIELD_GAP_TOLS = 10.0
+
+    @pytest.mark.parametrize("n, nodes", [(2, 13), (3, 10)])
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    def test_shifted_solve_matches_the_cold_one(self, n, nodes, p):
+        grid = LogGrid.build(unit_domain(n=n), (nodes,) * n)
+        # t^p f = 0.3, the family of the verify-2d benchmark problem
+        prob = PDEProblem(p=p, n=n, f=separable_exponential_field(0.3, -p, []),
+                          dirichlet=zero_field)
+        cfg = SolverConfig()
+        v, rep_v = solve_dirichlet(prob, grid, cfg)
+        cold, rep_cold = solve_dirichlet(raised_forcing(prob), grid, cfg)
+        warm, rep = solve_dirichlet(raised_forcing(prob), grid, cfg, initial=v)
+        assert rep_v.converged and rep_cold.converged and rep.converged
+        # one converged floor stage, and no presolve or schedule
+        assert [(s.eps_reg, s.stop_reason) for s in rep.stages] == [
+            (cfg.eps_reg_floor, "converged")]
+        assert rep.final_residual == rep.stages[0].residual_norm <= cfg.tol
+        assert np.max(np.abs(warm.values - cold.values)) <= self.FIELD_GAP_TOLS * cfg.tol
+
+    def test_boundary_is_reset_to_the_dirichlet_data(self):
+        grid = LogGrid.build(unit_domain(), (13, 13))
+        u_star = power_of_t_field(0.5, 2)
+        prob = manufactured_problem(u_star, 3.0, 2)
+        exact = exact_solution_values(u_star, grid).values
+        # the exact field with its boundary values moved away from the data
+        start = GridFunction(grid, np.where(grid.boundary_mask, exact + 0.5, exact))
+        u, rep = solve_dirichlet(prob, grid, initial=start)
+        assert rep.converged and len(rep.stages) == 1
+        bmask = grid.boundary_mask
+        np.testing.assert_array_equal(u.values[bmask], prob.dirichlet_values(grid)[bmask])
+        assert np.max(np.abs(u.values - solve_dirichlet(prob, grid)[0].values)) <= (
+            self.FIELD_GAP_TOLS * SolverConfig().tol)
+
+    def test_failed_warm_stage_falls_back_to_the_cold_solve(self):
+        # from a random start the floor stage stalls; the solve then runs
+        # exactly the cold solve, whose stages follow the failed one
+        grid = LogGrid.build(unit_domain(), (13, 13))
+        prob = constant_forcing_problem(3.0, 2)
+        cfg = SolverConfig()
+        start = GridFunction(grid, np.random.default_rng(0).standard_normal(grid.shape))
+        u, rep = solve_dirichlet(prob, grid, cfg, initial=start)
+        cold, rep_cold = solve_dirichlet(prob, grid, cfg)
+        warm, *rest = rep.stages
+        assert (warm.eps_reg, warm.stop_reason) == (cfg.eps_reg_floor, "line_search")
+        assert warm.iterations > 0 and warm.residual_norm > cfg.tol
+        assert rest == rep_cold.stages
+        assert (rep.converged, rep.final_residual) == (True, rep_cold.final_residual)
+        np.testing.assert_array_equal(u.values, cold.values)
+
+    def test_initial_on_other_nodes_is_rejected(self):
+        grid = LogGrid.build(unit_domain(), (13, 13))
+        other = LogGrid.build(unit_domain(), (13, 11))
+        with pytest.raises(ValueError, match=r"\(13, 11\) does not have the nodes .* \(13, 13\)"):
+            solve_dirichlet(constant_forcing_problem(3.0, 2), grid,
+                            initial=GridFunction(other, np.zeros(other.shape)))
 
 
 class TestStopReason:

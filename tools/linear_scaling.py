@@ -11,11 +11,12 @@ of ``grid.dissection_order`` (the first access numbers the interior) and of
 A Newton step assembles its Jacobian from the coefficient fields that the
 residual evaluation of its iterate returned, so the per-step work is timed
 in two columns: ``operator``, one ``operators.divergence_part_field`` call
-(the derivative fields and the coefficient fields, which the residual
-evaluation pays), and ``assembly``, one ``solver._assemble_jacobian`` call
-on those fields (the numeric fill of the kept pattern).  Their sum is the
+(the derivative fields and the coefficient fields A and B, which every
+residual evaluation pays), and ``assembly``, one ``solver._assemble_jacobian``
+call on the coefficient fields (the numeric fill of the kept pattern); the
+field C = dR/dg that only a step forms is in neither.  Their sum is the
 per-step figure of files written when ``_assemble_jacobian`` evaluated the
-operator itself.  The first ``_assemble_jacobian`` call, which also builds
+operator itself, less C.  The first ``_assemble_jacobian`` call, which also builds
 the grid's ``interior_pattern``, is timed on its own, then ASSEMBLY_REPEATS
 further rounds alternate the operator evaluation, the assembly and
 ``tests/oracles.coo_interior_block``, which reads the stencils and converts
@@ -99,8 +100,8 @@ def smooth_iterate(n: int, m: int) -> tuple:
     grid = unit_grid(n, m)
     values = exact_solution_values(make_exact_solution(P, n), grid).values
     values = values + 0.05 * np.sin(np.pi * sum(grid.mesh))
-    res, lin = _NewtonSystem(grid, P, n, np.zeros(grid.shape)).residual(values, EPS_REG)
-    return grid, values, res, lin
+    res = _NewtonSystem(grid, P, n, np.zeros(grid.shape)).residual(values, EPS_REG)[0]
+    return grid, values, res, oracles.coefficient_fields(values, grid, P, n, EPS_REG)
 
 
 def newton_system(n: int, m: int) -> tuple:
