@@ -105,15 +105,14 @@ class AbpReport:
         return self.interior_sup_vplus <= rhs + slack
 
 
-def _abp_variant(v: GridFunction, prob: PDEProblem, domain: ConeDomain,
-                 signed_part: np.ndarray, forcing_part: np.ndarray,
-                 variant: str) -> AbpReport:
+def _abp_variant(v: GridFunction, prob: PDEProblem, signed_part: np.ndarray,
+                 forcing_part: np.ndarray, variant: str) -> AbpReport:
     grid = v.grid
     bmask = grid.analytic_boundary_mask
     interior = ~grid.boundary_mask
     if not np.any(bmask):
         raise ValueError("the grid carries no analytic boundary nodes")
-    K0, d0 = domain.g_params.K0, domain.g_params.d0
+    K0, d0 = grid.domain.g_params.K0, grid.domain.g_params.d0
     forcing = _sup_forcing(forcing_part, prob.p)
     geometry = (K0 * d0) ** (prob.p / (prob.p - 1.0))
     interior_sup = float(np.max(signed_part[interior]))
@@ -137,13 +136,13 @@ def _abp_variant(v: GridFunction, prob: PDEProblem, domain: ConeDomain,
     )
 
 
-def abp_check(v: GridFunction, prob: PDEProblem, domain: ConeDomain) -> tuple:
+def abp_check(v: GridFunction, prob: PDEProblem) -> tuple:
     """Interior-sup reports: (subsolution variant with v^+ against f^-,
-    two-sided variant with |v| against |f|)."""
+    two-sided variant with |v| against |f|), with K0 d0 of the field's domain."""
     tpf = prob.log_forcing(v.grid)
-    one = _abp_variant(v, prob, domain, np.maximum(v.values, 0.0),
+    one = _abp_variant(v, prob, np.maximum(v.values, 0.0),
                        np.maximum(-tpf, 0.0), "subsolution")
-    two = _abp_variant(v, prob, domain, np.abs(v.values), np.abs(tpf), "two-sided")
+    two = _abp_variant(v, prob, np.abs(v.values), np.abs(tpf), "two-sided")
     return one, two
 
 
@@ -215,10 +214,11 @@ def _require_harnack_radius(d: float, domain: ConeDomain) -> None:
 
 
 def harnack_ratio(u: GridFunction, prob: PDEProblem, center: np.ndarray,
-                  d: float, domain: ConeDomain) -> HarnackReport:
+                  d: float) -> HarnackReport:
     """Minimal constant in sup <= C (inf + d^(p/(p-1)) forcing^(1/(p-1)))
-    with both extrema over the half ball about the log-chart point ``center``."""
-    _require_harnack_radius(d, domain)
+    with both extrema over the half ball about the log-chart point ``center``,
+    d at most ``harnack_radius_bound`` of the field's domain."""
+    _require_harnack_radius(d, u.grid.domain)
     grid, c = u.grid, np.asarray(center, dtype=float)
     lo, hi = np.array([(ax[0], ax[-1]) for ax in grid.axes]).T
     if np.any(c - d < lo - 1e-12) or np.any(c + d > hi + 1e-12):
@@ -248,14 +248,15 @@ class WeakHarnackRow:
 
 
 def weak_harnack_check(u: GridFunction, prob: PDEProblem, p0s: Sequence[float],
-                       center: np.ndarray, d: float, domain: ConeDomain) -> list:
+                       center: np.ndarray, d: float) -> list:
     """Normalized p0-means of a nonnegative supersolution on the ball B(center,
-    d) against its infimum plus forcing, one row per p0 in ``p0s`` (each in (0, 1]).
+    d) against its infimum plus forcing, one row per p0 in ``p0s`` (each in (0, 1]),
+    d at most ``harnack_radius_bound`` of the field's domain.
 
     Both forcing sign conventions are reported: the negative part appears in
     the stated estimate, the positive part in its derivation.
     """
-    _require_harnack_radius(d, domain)
+    _require_harnack_radius(d, u.grid.domain)
     if not all(0.0 < p0 <= 1.0 for p0 in p0s):
         raise ValueError("p0 values must lie in (0, 1]")
     grid = u.grid
@@ -487,7 +488,7 @@ def weak_form_residual(u: GridFunction, prob: PDEProblem,
     """
     grid = u.grid
     g = gradient_field(u)
-    p, n = prob.p, prob.n
+    p, n = prob.p, grid.n
     flux = gradient_powers(g, p, eps_reg)[1] * g      # |g|^(p-2) g, shape (n, ...)
     f = prob.forcing_values(grid)
     tpf = prob.log_forcing(grid)

@@ -220,9 +220,9 @@ def _parse_field_spec(spec: str, label: str, n: int, p: float | None = None):
         if name == "constant":
             return constant_field(*values(args, 1))
         if name == "tpower":
-            return power_of_t_field(*values(args, 1), n)
+            return power_of_t_field(*values(args, 1))
         if name == "logt":
-            return log_t_field(n)
+            return log_t_field()
         if name == "quadratic":
             return quadratic_field(n)
         if name == "exp":
@@ -234,7 +234,7 @@ def _parse_field_spec(spec: str, label: str, n: int, p: float | None = None):
             return log_polynomial_field([values(term) for term in args.split(";")])
         if name == "gridfile" and p is None:
             return gridfunction_field(read_gridfunction(args.strip()))
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, OSError) as exc:
         raise ConfigError(f"{label}: malformed spec {spec!r} ({exc})") from exc
     if name == "gridfile":
         raise ConfigError(f"{label}: a gridfile has no derivatives for an exact solution")
@@ -250,7 +250,7 @@ def build_problem(cfg: RunConfig, domain: ConeDomain) -> PDEProblem:
     p = _exponent(cfg)
     f, g = (_parse_field_spec(cfg.read(key, TEXT, "zero"), cfg.where(key), domain.n)
             for key in ("problem.f", "problem.dirichlet"))
-    return PDEProblem(p=p, n=domain.n, f=f, dirichlet=g)
+    return PDEProblem(p=p, f=f, dirichlet=g)
 
 
 def build_manufactured(cfg: RunConfig, domain: ConeDomain) -> tuple:
@@ -258,7 +258,7 @@ def build_manufactured(cfg: RunConfig, domain: ConeDomain) -> tuple:
     p = _exponent(cfg)
     u_star = _parse_field_spec(cfg.read("problem.exact", TEXT, "auto"),
                                cfg.where("problem.exact"), domain.n, p)
-    return u_star, manufactured_problem(u_star, p, domain.n)
+    return u_star, manufactured_problem(u_star, p)
 
 
 def build_grid(cfg: RunConfig, domain: ConeDomain) -> LogGrid:
@@ -483,8 +483,7 @@ def _shifted_pair(cfg: RunConfig, prob: PDEProblem, grid: LogGrid,
     def f_high(t, xs):
         return f_low(t, xs) + margin * np.asarray(t, dtype=float) ** (-prob.p)
 
-    prob_high = PDEProblem(p=prob.p, n=prob.n, f=f_high, dirichlet=prob.dirichlet)
-    u_sub, _ = _solve_or_raise(prob_high, grid, scfg, initial=v_super)
+    u_sub, _ = _solve_or_raise(dataclasses.replace(prob, f=f_high), grid, scfg, initial=v_super)
     return u_sub, v_super
 
 
@@ -503,13 +502,14 @@ def _ball_from_config(cfg: RunConfig, grid: LogGrid, harnack: bool = False) -> t
 
 
 # ---------------------------------------------------------------------------
-# verify checks: each maps (cfg, prob, grid, scfg, slack, seed) to
+# verify checks: each maps (cfg, prob, grid, scfg, seed) to
 # (report fields, verdict, CSV header, CSV rows)
 
-def _verify_abp(cfg, prob, grid, scfg, slack, seed) -> tuple:
+def _verify_abp(cfg, prob, grid, scfg, seed) -> tuple:
+    slack = cfg.read("verify.slack", NUMBER, 10.0 * max(grid.h) ** 2, *NONNEGATIVE)
     c_ref = cfg.read("verify.c_ref", NUMBER, None, *NONNEGATIVE)
     u = _get_solution(cfg, prob, grid, scfg)
-    one, two = analysis.abp_check(u, prob, grid.domain)
+    one, two = analysis.abp_check(u, prob)
     verdict = True
     if c_ref is not None:
         verdict = one.holds_with(c_ref, slack)
@@ -520,7 +520,7 @@ def _verify_abp(cfg, prob, grid, scfg, slack, seed) -> tuple:
     return {"subsolution": one, "two_sided": two}, verdict, ["quantity", "value"], rows
 
 
-def _verify_hoelder(cfg, prob, grid, scfg, slack, seed) -> tuple:
+def _verify_hoelder(cfg, prob, grid, scfg, seed) -> tuple:
     if "verify.rho" in cfg.lines and "verify.rhos" in cfg.lines:
         raise ConfigError(f"{cfg.where('verify.rho')}: set next to verify.rhos on line "
                           f"{cfg.lines['verify.rhos']}; give one of them")
@@ -535,27 +535,27 @@ def _verify_hoelder(cfg, prob, grid, scfg, slack, seed) -> tuple:
             header, _columns(reports, header))
 
 
-def _verify_harnack(cfg, prob, grid, scfg, slack, seed) -> tuple:
+def _verify_harnack(cfg, prob, grid, scfg, seed) -> tuple:
     center, d = _ball_from_config(cfg, grid, harnack=True)
     u = _get_solution(cfg, prob, grid, scfg)
-    rep = analysis.harnack_ratio(u, prob, center, d, grid.domain)
+    rep = analysis.harnack_ratio(u, prob, center, d)
     header = ["sup", "inf", "forcing", "C_emp"]
     return {"harnack": rep}, math.isfinite(rep.C_emp), header, _columns([rep], header)
 
 
-def _verify_weakharnack(cfg, prob, grid, scfg, slack, seed) -> tuple:
+def _verify_weakharnack(cfg, prob, grid, scfg, seed) -> tuple:
     center, d = _ball_from_config(cfg, grid, harnack=True)
     p0s = cfg.read("verify.p0s", NUMBERS, [0.25, 0.5, 0.75, 1.0],
                    lambda ps: all(0.0 < p0 <= 1.0 for p0 in ps), "p0 values must lie in (0, 1]")
     u = _get_solution(cfg, prob, grid, scfg)
-    rows = analysis.weak_harnack_check(u, prob, p0s, center, d, grid.domain)
+    rows = analysis.weak_harnack_check(u, prob, p0s, center, d)
     verdict = any(math.isfinite(r.C_emp_minus) or math.isfinite(r.C_emp_plus)
                   for r in rows)
     header = ["p0", "mean", "inf", "C_emp_minus", "C_emp_plus"]
     return {"rows": rows}, verdict, header, _columns(rows, header)
 
 
-def _verify_oscillation(cfg, prob, grid, scfg, slack, seed) -> tuple:
+def _verify_oscillation(cfg, prob, grid, scfg, seed) -> tuple:
     center, d = _ball_from_config(cfg, grid)
     radii = cfg.read("verify.radii", NUMBERS, [d, d / 2.0, d / 4.0],
                      lambda r: len(r) >= 3 and r[-1] > 0.0
@@ -569,14 +569,15 @@ def _verify_oscillation(cfg, prob, grid, scfg, slack, seed) -> tuple:
     return {"oscillation": report}, verdict, header, rep.rows
 
 
-def _verify_comparison(cfg, prob, grid, scfg, slack, seed) -> tuple:
+def _verify_comparison(cfg, prob, grid, scfg, seed) -> tuple:
+    slack = cfg.read("verify.slack", NUMBER, 10.0 * max(grid.h) ** 2, *NONNEGATIVE)
     u_sub, v_super = _shifted_pair(cfg, prob, grid, scfg)
     rep = analysis.comparison_check(u_sub, v_super, prob, tol=slack)
     header = ["violations", "worst_gap"]
     return {"comparison": rep}, rep.violations == 0, header, _columns([rep], header)
 
 
-def _verify_doubling(cfg, prob, grid, scfg, slack, seed) -> tuple:
+def _verify_doubling(cfg, prob, grid, scfg, seed) -> tuple:
     alphas = cfg.read("verify.alphas", NUMBERS, [1.0, 10.0, 100.0, 1000.0],
                       lambda al: all(a > 0.0 for a in al), "each alpha must be finite and positive")
     u1, u2 = _shifted_pair(cfg, prob, grid, scfg)
@@ -592,7 +593,7 @@ def _verify_doubling(cfg, prob, grid, scfg, slack, seed) -> tuple:
             header, _columns(diags, header))
 
 
-def _verify_weakform(cfg, prob, grid, scfg, slack, seed) -> tuple:
+def _verify_weakform(cfg, prob, grid, scfg, seed) -> tuple:
     count = cfg.read("verify.bumps", INTEGER, 10, lambda n: n > 0, "need at least one bump")
     tol = cfg.read("verify.weakform_tol", NUMBER, 10.0 * max(grid.h) ** 2, *NONNEGATIVE)
     u = _get_solution(cfg, prob, grid, scfg)
@@ -620,9 +621,7 @@ def _cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> tuple:
     prob = build_problem(cfg, domain)
     grid = build_grid(cfg, domain)
     scfg = build_solver_config(cfg)
-    slack = cfg.read("verify.slack", NUMBER, 10.0 * max(grid.h) ** 2, *NONNEGATIVE)
-    fields, verdict, header, rows = VERIFY_CHECKS[args.check](
-        cfg, prob, grid, scfg, slack, args.seed)
+    fields, verdict, header, rows = VERIFY_CHECKS[args.check](cfg, prob, grid, scfg, args.seed)
     return EXIT_OK if verdict else EXIT_VERDICT, {
         f"verify_{args.check}.csv": (header, rows),
         f"verify_{args.check}.json": {"check": args.check, "seed": args.seed, **fields,

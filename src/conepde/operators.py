@@ -67,7 +67,8 @@ SYMMETRY_TOL = 1e-12
 
 @dataclass(eq=False)
 class PDEProblem:
-    """Exponent, dimension, forcing and Dirichlet data of one Dirichlet problem.
+    """Exponent, forcing and Dirichlet data of one Dirichlet problem; its
+    dimension is that of the grid it is solved or checked on (``grid.n``).
 
     ``f`` and ``dirichlet`` are samplers f(t, xs) where t is an array and xs a
     tuple of base-coordinate arrays of the same shape.  ``log_forcing`` is
@@ -75,15 +76,12 @@ class PDEProblem:
     """
 
     p: float
-    n: int
     f: Callable
     dirichlet: Callable
 
     def __post_init__(self):
         if not 2.0 <= self.p < np.inf:
             raise ValueError("the exponent p must be finite and at least 2")
-        if self.n < 2:
-            raise ValueError("dimension n must be >= 2")
 
     def forcing_values(self, grid: LogGrid, interior_only: bool = False) -> np.ndarray:
         """f at every node, evaluated with floating-point warnings silenced.
@@ -401,7 +399,7 @@ def transformed_residual(z: GridFunction, prob: PDEProblem, params: TransformPar
                          eps_reg: float = 0.0) -> np.ndarray:
     """Residual of the substituted equation at every node of the z field."""
     return transformed_residual_from_derivs(z.values, gradient_field(z), hessian_field(z),
-                                            prob.p, prob.n, prob.log_forcing(z.grid),
+                                            prob.p, z.grid.n, prob.log_forcing(z.grid),
                                             params.K, eps_reg)
 
 
@@ -423,5 +421,5 @@ def residual_log_field(u: GridFunction, prob: PDEProblem, eps_reg: float = 0.0,
     """Log-chart residual at every node (boundary rows use one-sided
     stencils); t^-p times it is the strong-form residual.  An ``extremal``
     mode replaces the diffusion by the Pucci value, as in ``operator_terms``."""
-    R = divergence_part_field(u, prob.p, prob.n, eps_reg, extremal)[0]
+    R = divergence_part_field(u, prob.p, u.grid.n, eps_reg, extremal)[0]
     return R - prob.log_forcing(u.grid)

@@ -116,14 +116,14 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 # analytic fields and manufactured problems
 
-def power_of_t_field(kappa: float, n: int) -> AnalyticField:
-    """u = t^kappa, i.e. e^(kappa a) in the log chart."""
-    return separable_exponential_field(1.0, kappa, [0.0] * (n - 1))
+def power_of_t_field(kappa: float) -> AnalyticField:
+    """u = t^kappa, i.e. e^(kappa a) in the log chart, at any dimension."""
+    return separable_exponential_field(1.0, kappa, [])
 
 
-def log_t_field(n: int) -> AnalyticField:
-    """u = ln t, the radial-coordinate field itself."""
-    return log_polynomial_field([(1.0, 1.0) + (0.0,) * (n - 1)])
+def log_t_field() -> AnalyticField:
+    """u = ln t, the radial-coordinate field itself, at any dimension."""
+    return log_polynomial_field([(1.0, 1.0)])
 
 
 def quadratic_field(n: int, coef_a: float = 1.0, coef_x: float = 1.0) -> AnalyticField:
@@ -137,21 +137,22 @@ def make_exact_solution(p: float, n: int) -> AnalyticField:
     """A forcing-free solution of the operator: t^((p-n)/(p-1)), or ln t
     when p == n (the drift coefficient vanishes there)."""
     if p == n:
-        return log_t_field(n)
-    return power_of_t_field((p - n) / (p - 1.0), n)
+        return log_t_field()
+    return power_of_t_field((p - n) / (p - 1.0))
 
 
-def manufactured_problem(u_star: AnalyticField, p: float, n: int) -> PDEProblem:
+def manufactured_problem(u_star: AnalyticField, p: float) -> PDEProblem:
     """Problem whose exact solution is ``u_star``: the forcing is the analytic
-    strong-form residual of the field and the Dirichlet data is its trace."""
+    strong-form residual of the field, at the dimension n = 1 + len(xs) of
+    the points it samples, and the Dirichlet data is its trace."""
     def forcing(t, xs):
         t = np.asarray(t, dtype=float)
         a = np.log(t)
         g = u_star.grad(a, xs)
         H = u_star.hess(a, xs)
-        return operator_terms(g, H, p, n)[0] * t ** (-p)
+        return operator_terms(g, H, p, 1 + len(xs))[0] * t ** (-p)
 
-    return PDEProblem(p=p, n=n, f=forcing, dirichlet=u_star)
+    return PDEProblem(p=p, f=forcing, dirichlet=u_star)
 
 
 def exact_solution_values(u_star: AnalyticField, grid: LogGrid) -> GridFunction:
@@ -393,7 +394,7 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid, cfg: SolverConfig | None = 
     NaN, raises FloatingPointError.
     """
     cfg = cfg or SolverConfig()
-    p, n = prob.p, prob.n
+    p, n = prob.p, grid.n
     _check_peclet(grid, p, n)
     bmask = grid.boundary_mask
     data = prob.dirichlet_values(grid)[bmask]
@@ -422,10 +423,10 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid, cfg: SolverConfig | None = 
                                   cfg.eps_reg_start, cfg.max_iter, cfg.tol)
 
     queue = [cfg.eps_reg_floor] if p == 2.0 else list(cfg.eps_schedule)
-    # midpoints go in before the current stage, so the floor stays last
+    # midpoints go in before the current stage, so the floor stays last;
+    # at most 24 per solve
+    most = len(queue) + 24
     loose = max(cfg.tol, math.sqrt(cfg.tol))
-    prev_eps = None
-    insertions = 0
     i = 0
     while i < len(queue):
         eps = queue[i]
@@ -435,13 +436,11 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid, cfg: SolverConfig | None = 
         norm = stage.residual_norm
         if norm > target:
             # stalled stage: refine the continuation by retrying through
-            # the geometric midpoint of the last good step
-            ref = prev_eps if prev_eps is not None else 4.0 * eps
-            if insertions < 24 and ref / eps > 1.05:
+            # the geometric midpoint of the last good step, the entry before it
+            ref = queue[i - 1] if i else 4.0 * eps
+            if len(queue) < most and ref / eps > 1.05:
                 queue.insert(i, math.sqrt(ref * eps))
-                insertions += 1
                 continue
-        prev_eps = eps
         i += 1
 
     return GridFunction(grid, values), SolveReport(stages, bool(norm <= cfg.tol), norm)
@@ -477,8 +476,7 @@ def solve_by_exhaustion(prob: PDEProblem, domain: ConeDomain, j_max: int,
         extents = [dom_j.a_max - dom_j.a_min, *(dom_j.base_hi - dom_j.base_lo)]
         counts = [max(5, int(round(e * grid_density)) + 1) for e in extents]
         grid_j = LogGrid.build(dom_j, counts)
-        prob_j = PDEProblem(p=prob.p, n=prob.n, f=prob.f, dirichlet=constant_field(0.0))
-        u_j, rep = solve_dirichlet(prob_j, grid_j, cfg)
+        u_j, rep = solve_dirichlet(replace(prob, dirichlet=constant_field(0.0)), grid_j, cfg)
         if not rep.converged:
             raise RuntimeError(f"exhaustion stage j={j} failed to converge")
         members.append((dom_j, u_j))

@@ -131,7 +131,7 @@ def pointwise_residual_log(u, node, prob, eps_reg=0.0, extremal=None):
     g = pointwise_gradient(u, node)
     diff, coef = pointwise_diffusion(g, pointwise_hessian(u, node), prob.p, eps_reg,
                                      extremal)
-    return diff + (prob.n - prob.p) * coef * float(g[0]) - fval * math.exp(a * prob.p)
+    return diff + (u.grid.n - prob.p) * coef * float(g[0]) - fval * math.exp(a * prob.p)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +319,7 @@ def every_stage_to_tol(prob, grid, cfg=None):
     the reference for the solve's looser intermediate targets.  Returns
     (GridFunction, SolveReport)."""
     cfg = cfg or solver.SolverConfig()
-    p, n = prob.p, prob.n
+    p, n = prob.p, grid.n
     solver._check_peclet(grid, p, n)
     values = np.zeros(grid.shape)
     bmask = grid.boundary_mask

@@ -46,8 +46,8 @@ def tp_floor_field(c, p):
 class TestAbp:
     def test_all_zero_is_trivial(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
-        prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
-        one, two = abp_check(GridFunction(grid, np.zeros(grid.shape)), prob, grid.domain)
+        prob = PDEProblem(p=2.0, f=zero_field, dirichlet=zero_field)
+        one, two = abp_check(GridFunction(grid, np.zeros(grid.shape)), prob)
         assert one.interior_sup_vplus == 0.0
         assert one.boundary_sup_vplus == 0.0
         assert one.forcing == 0.0 and one.forcing_zero
@@ -56,20 +56,20 @@ class TestAbp:
     def test_maximum_principle_for_nonnegative_forcing(self):
         # f >= 0 makes the negative part vanish, and the solve stays <= 0
         grid = LogGrid.build(unit_domain(), (25, 25))
-        prob = PDEProblem(p=2.0, n=2, f=tp_floor_field(0.5, 2.0),
+        prob = PDEProblem(p=2.0, f=tp_floor_field(0.5, 2.0),
                           dirichlet=zero_field)
         u, rep = solve_dirichlet(prob, grid)
         assert rep.converged
-        one, _ = abp_check(u, prob, grid.domain)
+        one, _ = abp_check(u, prob)
         assert one.forcing_zero
         slack = 10.0 * max(grid.h) ** 2
         assert one.interior_sup_vplus <= one.boundary_sup_vplus + slack
 
     def test_negative_forcing_yields_finite_constant(self):
         grid = LogGrid.build(unit_domain(), (25, 25))
-        prob = PDEProblem(p=2.0, n=2, f=constant_field(-1.0), dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=constant_field(-1.0), dirichlet=zero_field)
         u, rep = solve_dirichlet(prob, grid)
-        one, two = abp_check(u, prob, grid.domain)
+        one, two = abp_check(u, prob)
         assert not one.forcing_zero
         assert one.C_emp is not None and one.C_emp > 0.0
         assert one.holds_with(one.C_emp, slack=1e-12)
@@ -77,30 +77,30 @@ class TestAbp:
 
     def test_vacuous_when_maximum_sits_on_boundary(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
-        prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=zero_field, dirichlet=zero_field)
         A, _ = grid.mesh
         # increasing toward the top face: the positive-part max is boundary
         u = GridFunction(grid, np.exp(A))
-        one, _ = abp_check(u, prob, grid.domain)
+        one, _ = abp_check(u, prob)
         assert one.vacuous
         assert one.interior_sup_vplus < one.boundary_sup_vplus
 
     def test_corrupted_field_fails_reference_constant(self):
         grid = LogGrid.build(unit_domain(), (25, 25))
-        prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=zero_field, dirichlet=zero_field)
         A, X = grid.mesh
         bump = 0.5 * np.exp(-60.0 * ((A + 0.5) ** 2 + (X - 0.5) ** 2))
-        one, _ = abp_check(GridFunction(grid, bump), prob, grid.domain)
+        one, _ = abp_check(GridFunction(grid, bump), prob)
         assert one.forcing_zero
         assert one.interior_sup_vplus > one.boundary_sup_vplus + 10.0 * max(grid.h) ** 2
 
     @pytest.mark.parametrize("bottom, active", [(5.0, True), (1.0, False), (0.5, False)])
     def test_bottom_face_active_iff_face_max_exceeds_interior(self, bottom, active):
         grid = LogGrid.build(unit_domain(), (9, 9))
-        prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=zero_field, dirichlet=zero_field)
         values = np.where(grid.boundary_mask, 0.0, 1.0)
         values[0, 1:-1] = bottom
-        one, two = abp_check(GridFunction(grid, values), prob, grid.domain)
+        one, two = abp_check(GridFunction(grid, values), prob)
         assert one.interior_sup_vplus == 1.0
         assert one.bottom_face_active is active and two.bottom_face_active is active
 
@@ -108,10 +108,10 @@ class TestAbp:
         dom = ConeDomain(n=2, base_lo=[0.0], base_hi=[1.0], t_min=math.exp(-1.0),
                          bottom_is_boundary=True)
         grid = LogGrid.build(dom, (9, 9))
-        prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=zero_field, dirichlet=zero_field)
         values = np.where(grid.boundary_mask, 0.0, 1.0)
         values[0, 1:-1] = 5.0
-        one, _ = abp_check(GridFunction(grid, values), prob, dom)
+        one, _ = abp_check(GridFunction(grid, values), prob)
         assert one.boundary_sup_vplus == 5.0 and not one.bottom_face_active
 
 
@@ -127,11 +127,11 @@ class TestForcingSup:
         grid = LogGrid.build(dom, (9, 8, 7)[:n])
         rng = np.random.default_rng(int(100 * K0) + 10 * n + int(p))
         f_vals = rng.standard_normal(grid.shape)
-        prob = PDEProblem(p=p, n=n, f=lambda t, xs: f_vals, dirichlet=zero_field)
+        prob = PDEProblem(p=p, f=lambda t, xs: f_vals, dirichlet=zero_field)
         u = GridFunction(grid, rng.standard_normal(grid.shape))
         radius = 2.0 * K0 * np.minimum(boundary_distance_field(grid), d0)
         tpf = prob.log_forcing(grid)
-        one, two = abp_check(u, prob, dom)
+        one, two = abp_check(u, prob)
         assert one.forcing == ball_sup_forcing(grid, np.maximum(-tpf, 0.0), p, radius)
         assert two.forcing == ball_sup_forcing(grid, np.abs(tpf), p, radius)
         rep = hoelder_check(u, prob, 0.5)
@@ -143,19 +143,19 @@ class TestForcingSup:
 class TestHoelder:
     def test_zero_solution_is_vacuous(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
-        prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=zero_field, dirichlet=zero_field)
         rep = hoelder_check(GridFunction(grid, np.zeros(grid.shape)), prob, 0.25)
         assert rep.vacuous and not rep.inconsistent
 
     def test_nonzero_field_zero_forcing_flagged(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
-        prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=zero_field, dirichlet=zero_field)
         u = GridFunction(grid, np.ones(grid.shape))
         rep = hoelder_check(u, prob, 0.25)
         assert rep.inconsistent
 
     def test_solve_ratio_finite_and_stable(self):
-        prob = PDEProblem(p=2.0, n=2, f=constant_field(-1.0), dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=constant_field(-1.0), dirichlet=zero_field)
         ratios = []
         for c in (17, 33):
             grid = LogGrid.build(unit_domain(), (c, c))
@@ -166,7 +166,7 @@ class TestHoelder:
         assert abs(ratios[1] / ratios[0] - 1.0) <= 0.2
 
     def test_sweep_and_alpha1(self):
-        prob = PDEProblem(p=2.0, n=2, f=constant_field(-1.0), dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=constant_field(-1.0), dirichlet=zero_field)
         rhos = (0.1, 0.2, 0.3)
         tables = []
         for c in (17, 33):
@@ -180,10 +180,10 @@ class TestHoelder:
 class TestHarnack:
     def test_positive_constant(self):
         grid = LogGrid.build(unit_domain(), (33, 33))
-        prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=zero_field, dirichlet=zero_field)
         u = GridFunction(grid, np.full(grid.shape, 3.0))
         center = np.array([-0.5, 0.5])
-        rep = harnack_ratio(u, prob, center, 0.3, grid.domain)
+        rep = harnack_ratio(u, prob, center, 0.3)
         assert rep.C_emp == pytest.approx(1.0, abs=1e-14)
 
     def test_closed_form_for_inverse_power(self):
@@ -193,12 +193,12 @@ class TestHarnack:
         dom = unit_domain(n=3, t_min=math.exp(-1.0))
         grid = LogGrid.build(dom, (33, 17, 17))
         u = exact_solution_values(make_exact_solution(2.0, 3), grid)
-        prob = PDEProblem(p=2.0, n=3, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=zero_field, dirichlet=zero_field)
         h = grid.h[0]
         k = 4
         center = np.array([grid.a[16], 0.5, 0.5])
         d = 2.0 * k * h * (1.0 + 1e-9)
-        rep = harnack_ratio(u, prob, center, d, dom)
+        rep = harnack_ratio(u, prob, center, d)
         expected = math.exp(2.0 * k * h)
         assert rep.C_emp == pytest.approx(expected, rel=1e-9)
         assert rep.C_emp == pytest.approx(math.exp(d), rel=0.01)
@@ -212,29 +212,27 @@ class TestHarnack:
         center = np.array([-0.5, 0.5])
         d = 0.25
         for c in (0.5, 2.0, 7.5):
-            prob1 = PDEProblem(p=p, n=2, f=constant_field(0.3), dirichlet=zero_field)
-            prob2 = PDEProblem(p=p, n=2, f=constant_field(0.3 * c ** (p - 1.0)),
+            prob1 = PDEProblem(p=p, f=constant_field(0.3), dirichlet=zero_field)
+            prob2 = PDEProblem(p=p, f=constant_field(0.3 * c ** (p - 1.0)),
                                dirichlet=zero_field)
-            r1 = harnack_ratio(u, prob1, center, d, dom)
+            r1 = harnack_ratio(u, prob1, center, d)
             u_scaled = GridFunction(grid, c * u.values)
-            r2 = harnack_ratio(u_scaled, prob2, center, d, dom)
+            r2 = harnack_ratio(u_scaled, prob2, center, d)
             assert r2.C_emp == pytest.approx(r1.C_emp, rel=1e-10)
 
     def test_negative_field_rejected(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
-        prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=zero_field, dirichlet=zero_field)
         u = GridFunction(grid, -np.ones(grid.shape))
         with pytest.raises(ValueError):
-            harnack_ratio(u, prob, np.array([-0.5, 0.5]), 0.2,
-                          grid.domain)
+            harnack_ratio(u, prob, np.array([-0.5, 0.5]), 0.2)
 
     def test_ball_must_fit(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
-        prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=zero_field, dirichlet=zero_field)
         u = GridFunction(grid, np.ones(grid.shape))
         with pytest.raises(ValueError):
-            harnack_ratio(u, prob, np.array([-0.1, 0.9]), 0.5,
-                          grid.domain)
+            harnack_ratio(u, prob, np.array([-0.1, 0.9]), 0.5)
 
     @pytest.mark.parametrize("d, what", [
         (0.0, "radius must be positive"),
@@ -243,30 +241,60 @@ class TestHarnack:
     ])
     def test_rejects_bad_ball_radius(self, d, what):
         grid = LogGrid.build(unit_domain(), (17, 17))
-        prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=zero_field, dirichlet=zero_field)
         u = GridFunction(grid, np.ones(grid.shape))
         with pytest.raises(ValueError, match=what):
-            harnack_ratio(u, prob, np.array([-0.5, 0.5]), d, grid.domain)
+            harnack_ratio(u, prob, np.array([-0.5, 0.5]), d)
+
+
+class TestConeDataFromTheGrid:
+    """The checks read K0 and d0 from the field's domain, here with
+    K0 d0 = 0.005 against the default 2."""
+
+    def grid(self):
+        dom = ConeDomain(n=2, base_lo=[0.0], base_hi=[1.0], t_min=math.exp(-1.0),
+                         g_params=GConditionParams(K0=0.1, d0=0.05))
+        return LogGrid.build(dom, (17, 17))
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.5])
+    def test_abp_geometry_factor(self, p):
+        grid = self.grid()
+        prob = PDEProblem(p=p, f=constant_field(-1.0), dirichlet=zero_field)
+        one, two = abp_check(GridFunction(grid, np.ones(grid.shape)), prob)
+        assert one.geometry_factor == (0.1 * 0.05) ** (p / (p - 1.0))
+        assert two.geometry_factor == one.geometry_factor
+
+    def test_harnack_radius_bound(self):
+        # d = 1.01 lies under the default bound 3 but over K0 d0 + 1 = 1.005
+        grid = self.grid()
+        prob = PDEProblem(p=2.0, f=zero_field, dirichlet=zero_field)
+        u = GridFunction(grid, np.ones(grid.shape))
+        center = np.array([-0.5, 0.5])
+        for check in (lambda d: harnack_ratio(u, prob, center, d),
+                      lambda d: weak_harnack_check(u, prob, (1.0,), center, d)):
+            with pytest.raises(ValueError, match=r"exceeds the admissible K0 d0 \+ 1"):
+                check(1.01)
+            check(0.2)
 
 
 class TestWeakHarnack:
     def test_constant_field(self):
         grid = LogGrid.build(unit_domain(), (33, 33))
-        prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=zero_field, dirichlet=zero_field)
         u = GridFunction(grid, np.full(grid.shape, 2.0))
         rows = weak_harnack_check(u, prob, (0.25, 0.5, 1.0),
-                                  np.array([-0.5, 0.5]), 0.2, grid.domain)
+                                  np.array([-0.5, 0.5]), 0.2)
         for row in rows:
             assert row.mean == pytest.approx(2.0, rel=1e-12)
             assert row.C_emp_minus == pytest.approx(1.0, rel=1e-12)
 
     def test_power_mean_monotone_in_p0(self):
         grid = LogGrid.build(unit_domain(), (33, 33))
-        prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=zero_field, dirichlet=zero_field)
         rng = np.random.default_rng(0)
         u = GridFunction(grid, 1.0 + 0.5 * rng.random(grid.shape))
         rows = weak_harnack_check(u, prob, (0.2, 0.4, 0.6, 0.8, 1.0),
-                                  np.array([-0.5, 0.5]), 0.25, grid.domain)
+                                  np.array([-0.5, 0.5]), 0.25)
         means = [r.mean for r in rows]
         assert all(b >= a - 1e-12 for a, b in zip(means, means[1:]))
         assert means[-1] <= float(np.max(u.values)) + 1e-12
@@ -277,12 +305,12 @@ class TestWeakHarnack:
         dom = unit_domain(n=2, t_min=math.exp(-1.0))
         grid = LogGrid.build(dom, (33, 33))
         u = exact_solution_values(make_exact_solution(2.0, 3), grid)  # e^-a > 0
-        prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=zero_field, dirichlet=zero_field)
         center = np.array([-0.5, 0.5])
-        rows_full = weak_harnack_check(u, prob, (0.5, 1.0), center, 0.2, dom)
+        rows_full = weak_harnack_check(u, prob, (0.5, 1.0), center, 0.2)
         m = float(np.quantile(u.values, 0.6))
         u_m = GridFunction(grid, np.minimum(u.values, m))
-        rows_trunc = weak_harnack_check(u_m, prob, (0.5, 1.0), center, 0.2, dom)
+        rows_trunc = weak_harnack_check(u_m, prob, (0.5, 1.0), center, 0.2)
         for rf, rt in zip(rows_full, rows_trunc):
             assert rt.mean <= rf.mean + 1e-12
             assert math.isfinite(rt.C_emp_minus)
@@ -299,11 +327,10 @@ class TestWeakHarnack:
     ])
     def test_rejects_bad_ball_radius_or_p0(self, p0s, d, what):
         grid = LogGrid.build(unit_domain(), (33, 33))
-        prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=zero_field, dirichlet=zero_field)
         u = GridFunction(grid, np.full(grid.shape, 2.0))
         with pytest.raises(ValueError, match=what):
-            weak_harnack_check(u, prob, p0s, np.array([-0.5, 0.5]), d,
-                               grid.domain)
+            weak_harnack_check(u, prob, p0s, np.array([-0.5, 0.5]), d)
 
 
 class TestOscillation:
@@ -331,7 +358,7 @@ class TestOscillation:
 
     def test_solve_exponent_positive(self):
         grid = LogGrid.build(unit_domain(), (33, 33))
-        prob = PDEProblem(p=2.0, n=2, f=constant_field(-1.0), dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=constant_field(-1.0), dirichlet=zero_field)
         u, _ = solve_dirichlet(prob, grid)
         rep = oscillation_decay(u, np.array([-0.5, 0.5]),
                                 [0.3, 0.15, 0.075])
@@ -347,7 +374,7 @@ class TestOscillation:
 class TestComparison:
     def test_equal_fields_pass(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
-        prob = PDEProblem(p=2.0, n=2, f=tp_floor_field(0.3, 2.0),
+        prob = PDEProblem(p=2.0, f=tp_floor_field(0.3, 2.0),
                           dirichlet=zero_field)
         u = GridFunction(grid, np.zeros(grid.shape))
         rep = comparison_check(u, u, prob, tol=1e-8)
@@ -355,7 +382,7 @@ class TestComparison:
 
     def test_bump_negative_control(self):
         grid = LogGrid.build(unit_domain(), (33, 33))
-        prob = PDEProblem(p=2.0, n=2, f=tp_floor_field(0.3, 2.0),
+        prob = PDEProblem(p=2.0, f=tp_floor_field(0.3, 2.0),
                           dirichlet=zero_field)
         A, X = grid.mesh
         bump = np.exp(-60.0 * ((A + 0.5) ** 2 + (X - 0.5) ** 2))
@@ -370,7 +397,7 @@ class TestComparison:
 
     def test_boundary_violation_rejected(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
-        prob = PDEProblem(p=2.0, n=2, f=tp_floor_field(0.3, 2.0),
+        prob = PDEProblem(p=2.0, f=tp_floor_field(0.3, 2.0),
                           dirichlet=zero_field)
         u = GridFunction(grid, np.ones(grid.shape))
         v = GridFunction(grid, np.zeros(grid.shape))
@@ -379,7 +406,7 @@ class TestComparison:
 
     def test_boundary_violation_names_nodes_as_plain_int_tuples(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
-        prob = PDEProblem(p=2.0, n=2, f=tp_floor_field(0.3, 2.0),
+        prob = PDEProblem(p=2.0, f=tp_floor_field(0.3, 2.0),
                           dirichlet=zero_field)
         values = np.zeros(grid.shape)
         values[16, 0] = values[0, 3] = 1.0
@@ -391,7 +418,7 @@ class TestComparison:
     def test_grids_with_equal_shapes_but_different_axes_rejected(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
         other = LogGrid.build(unit_domain(t_min=math.exp(-2.0)), (17, 17))
-        prob = PDEProblem(p=2.0, n=2, f=tp_floor_field(0.3, 2.0),
+        prob = PDEProblem(p=2.0, f=tp_floor_field(0.3, 2.0),
                           dirichlet=zero_field)
         with pytest.raises(ValueError, match="share a grid"):
             comparison_check(GridFunction(grid, np.zeros(grid.shape)),
@@ -403,7 +430,7 @@ class TestComparison:
 
     def test_omega_floor_validated(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
-        bad = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
+        bad = PDEProblem(p=2.0, f=zero_field, dirichlet=zero_field)
         u = GridFunction(grid, np.zeros(grid.shape))
         with pytest.raises(ValueError, match="positive floor of t\\^p f, got 0$"):
             comparison_check(u, u, bad, tol=1e-8)
@@ -419,7 +446,7 @@ class TestComparison:
             corner = (t == t_min) & (np.asarray(xs[0]) == 0.0)
             return np.where(corner, dip, 0.3) * t ** -2.0
 
-        prob = PDEProblem(p=2.0, n=2, f=f, dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=f, dirichlet=zero_field)
         assert np.sum(prob.log_forcing(grid) <= 0.0) == 1
         u = GridFunction(grid, np.zeros(grid.shape))
         with pytest.raises(ValueError, match=f"got {dip:.6g}$"):
@@ -492,7 +519,7 @@ class TestDoubling:
 class TestWeakForm:
     def test_constant_field_zero_residual(self):
         grid = LogGrid.build(unit_domain(), (25, 25))
-        prob = PDEProblem(p=3.0, n=2, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=3.0, f=zero_field, dirichlet=zero_field)
         u = GridFunction(grid, np.full(grid.shape, 1.5))
         worst, rows = weak_form_residual(u, prob, cosine_bumps(grid, 5, seed=3))
         assert worst <= 1e-14
@@ -501,7 +528,7 @@ class TestWeakForm:
         # support edges on grid nodes keep the kink cells aligned, so the
         # quadrature error refines cleanly at second order
         u_star = make_exact_solution(3.0, 2)
-        prob = manufactured_problem(u_star, 3.0, 2)
+        prob = manufactured_problem(u_star, 3.0)
         worsts = []
         for c in (17, 33):
             grid = LogGrid.build(unit_domain(), (c, c))
@@ -516,14 +543,14 @@ class TestWeakForm:
         grid = LogGrid.build(unit_domain(), (21, 21))
         rng = np.random.default_rng(4)
         u = GridFunction(grid, rng.standard_normal(grid.shape))
-        prob = PDEProblem(p=2.5, n=2, f=constant_field(0.3), dirichlet=zero_field)
+        prob = PDEProblem(p=2.5, f=constant_field(0.3), dirichlet=zero_field)
         worst, rows = weak_form_residual(u, prob, cosine_bumps(grid, 6, seed=5))
         for row in rows:
             assert row["form_gap"] <= 1e-12
 
     def test_non_compact_support_rejected(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
-        prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=zero_field, dirichlet=zero_field)
         u = GridFunction(grid, np.zeros(grid.shape))
         bad = CosineBump(center=np.array([-0.5, 0.5]), widths=np.array([2.0, 0.2]))
         with pytest.raises(ValueError):

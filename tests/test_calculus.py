@@ -98,7 +98,7 @@ class TestStencils:
                          t_min=math.exp(-lengths[0]))
         grid = LogGrid.build(dom, counts[:n])
         u = GridFunction(grid, np.random.default_rng(seed).standard_normal(grid.shape))
-        prob = PDEProblem(p=p, n=n, f=constant_field(0.3), dirichlet=constant_field(0.0))
+        prob = PDEProblem(p=p, f=constant_field(0.3), dirichlet=constant_field(0.0))
         g, H = gradient_field(u), hessian_field(u)
         res = residual_log_field(u, prob, eps_reg=1e-3, extremal=extremal)
         scale = 1.0 / min(grid.h) ** 2

@@ -264,6 +264,21 @@ class TestConfigValidation:
         assert src in err and why in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("key", ["problem.f", "problem.dirichlet"])
+    def test_missing_gridfile_spec_names_key_line_and_path(self, tmp_path, capsys, monkeypatch,
+                                                           key):
+        # it used to exit 2 with the bare OSError message, naming only the path
+        monkeypatch.setattr("conepde.cli.solve_dirichlet", refuse_solve)
+        src = os.path.join(tmp_path, "nothere.gf")
+        out = os.path.join(tmp_path, "out")
+        body = BASE_CONFIG.format(outdir=out).replace(f"{key} = zero", f"{key} = gridfile:{src}")
+        assert run(["solve", "--config", write_config(tmp_path, body)]) == 2
+        err = capsys.readouterr().err
+        line = body.splitlines().index(f"{key} = gridfile:{src}") + 1
+        assert err.startswith(f"config error: line {line}: {key}: malformed spec ")
+        assert src in err and "No such file or directory" in err
+        assert not os.path.exists(out)
+
     def test_unknown_subcommand(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG.format(outdir=tmp_path))
         assert run(["frobnicate", "--config", cfg]) == 2
@@ -629,6 +644,24 @@ class TestVerifyCommands:
         assert "verify.rhos on line 13" in err
         assert not os.path.isdir(out)
 
+    def test_slack_is_read_only_by_the_checks_that_use_it(self, tmp_path):
+        # verify hoelder reads no slack, so a negative one is not its error;
+        # it used to exit 2, since every check read verify.slack
+        reports = []
+        for k, extra in enumerate(["", "verify.slack = -1\n"]):
+            out = os.path.join(tmp_path, f"out{k}")
+            body = BASE_CONFIG.replace("problem.f = zero", "problem.f = constant:-1") + extra
+            cfg = write_config(tmp_path, body.format(outdir=out), f"run{k}.cfg")
+            assert run(["verify", "hoelder", "--config", cfg]) == 0
+            with open(os.path.join(out, "verify_hoelder.json")) as fh:
+                report = json.load(fh)
+            with open(os.path.join(out, "verify_hoelder.csv")) as fh:
+                table = fh.read().splitlines()[1:]  # after the config hash
+            del report["config_hash"]
+            reports.append((report, table))
+        assert reports[0] == reports[1]
+        assert reports[0][0]["sweep"][0]["ratio"] > 0.0
+
     @pytest.mark.parametrize("argv, entry, what", [
         (["verify", "weakform"], "verify.bumps = 0", "need at least one bump"),
         (["verify", "weakform"], "verify.bumps = -2", "need at least one bump"),
@@ -870,7 +903,7 @@ class TestVerifyCommands:
         # way: it cannot tell that the problem has two solutions
         monkeypatch.chdir(tmp_path)
         domain = ConeDomain(n=2, base_lo=[0.0], base_hi=[1.0], t_min=0.36787944117144233)
-        prob = PDEProblem(p=3.0, n=2, f=separable_exponential_field(0.3, -3.0, []),
+        prob = PDEProblem(p=3.0, f=separable_exponential_field(0.3, -3.0, []),
                           dirichlet=constant_field(0.0))
         coarse, grid = (LogGrid.build(domain, (m, m)) for m in (41, 81))
         u_coarse, _ = solve_dirichlet(prob, coarse)

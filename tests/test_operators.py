@@ -154,7 +154,7 @@ class TestLogForcing:
         grid = unit_grid((9, 7))
         rng = np.random.default_rng(int(10 * p))
         f_vals = rng.standard_normal(grid.shape)
-        prob = PDEProblem(p=p, n=2, f=lambda t, xs: f_vals, dirichlet=zero_field)
+        prob = PDEProblem(p=p, f=lambda t, xs: f_vals, dirichlet=zero_field)
         expected = prob.forcing_values(grid, interior_only) * np.exp(grid.mesh[0] * p)
         assert np.array_equal(prob.log_forcing(grid, interior_only), expected)
 
@@ -164,7 +164,7 @@ class TestLogForcing:
         grid = unit_grid((9, 7))
         f_vals = np.ones(grid.shape)
         f_vals[4, 3] = bad  # an interior node
-        prob = PDEProblem(p=3.0, n=2, f=lambda t, xs: f_vals, dirichlet=zero_field)
+        prob = PDEProblem(p=3.0, f=lambda t, xs: f_vals, dirichlet=zero_field)
         with pytest.raises(FloatingPointError, match="not finite at 1 "):
             prob.log_forcing(grid, interior_only)
 
@@ -176,7 +176,7 @@ class TestLogForcing:
     ])
     def test_zero_field_residual_is_minus_log_forcing(self, n, p, f):
         grid = unit_grid((17, 17) if n == 2 else (9, 9, 9), n=n)
-        prob = PDEProblem(p=p, n=n, f=f, dirichlet=zero_field)
+        prob = PDEProblem(p=p, f=f, dirichlet=zero_field)
         u0 = GridFunction(grid, np.zeros(grid.shape))
         assert np.array_equal(residual_log_field(u0, prob), -prob.log_forcing(grid))
 
@@ -197,8 +197,8 @@ class TestAnalyticFields:
         # entry for entry (a zero entry may carry the other sign)
         grid = unit_grid((9,) * n, n=n)
         A, XS = grid.mesh[0], grid.mesh[1:]
-        cases = [(power_of_t_field(k, n), oracles.tpower_field(k, n)) for k in self.KAPPAS]
-        cases += [(log_t_field(n), oracles.logt_field(n)),
+        cases = [(power_of_t_field(k), oracles.tpower_field(k, n)) for k in self.KAPPAS]
+        cases += [(log_t_field(), oracles.logt_field(n)),
                   (quadratic_field(n), oracles.quadratic_field(n)),
                   (quadratic_field(n, -0.3, 1.7), oracles.quadratic_field(n, -0.3, 1.7))]
         for field, (value, grad, hess) in cases:
@@ -257,14 +257,14 @@ class TestAnalyticFields:
 class TestResiduals:
     def test_constant_field_no_forcing(self):
         grid = unit_grid()
-        prob = PDEProblem(p=3.0, n=2, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=3.0, f=zero_field, dirichlet=zero_field)
         u = GridFunction(grid, np.full(grid.shape, 4.0))
         assert strong_residual(u, prob)[8, 8] == pytest.approx(0.0, abs=1e-14)
         assert residual_log_field(u, prob)[8, 8] == pytest.approx(0.0, abs=1e-14)
 
     def test_constant_field_returns_minus_f(self):
         grid = unit_grid()
-        prob = PDEProblem(p=3.0, n=2, f=constant_field(2.5), dirichlet=zero_field)
+        prob = PDEProblem(p=3.0, f=constant_field(2.5), dirichlet=zero_field)
         u = GridFunction(grid, np.full(grid.shape, 1.0))
         assert strong_residual(u, prob)[5, 5] == pytest.approx(-2.5, abs=1e-14)
 
@@ -273,7 +273,7 @@ class TestResiduals:
         for p, n in ((2.0, 3), (3.0, 2)):
             grid = unit_grid((25,) * n, n=n)
             u = exact_solution_values(make_exact_solution(p, n), grid)
-            prob = PDEProblem(p=p, n=n, f=zero_field, dirichlet=zero_field)
+            prob = PDEProblem(p=p, f=zero_field, dirichlet=zero_field)
             r1 = abs(strong_residual(u, prob)[(12,) * n])
             assert r1 < 5e-3
             # refined grid shrinks the residual by about 4
@@ -285,7 +285,7 @@ class TestResiduals:
 
     def test_log_solution_at_p_equals_n(self):
         grid = unit_grid()
-        prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=zero_field, dirichlet=zero_field)
         A, _ = grid.mesh
         u = GridFunction(grid, A.copy())
         assert strong_residual(u, prob)[8, 8] == pytest.approx(0.0, abs=1e-12)
@@ -296,34 +296,49 @@ class TestResiduals:
         grid = unit_grid((17, 33))
         A, X = grid.mesh
         u = GridFunction(grid, (X - 0.5) ** 2)
-        prob = PDEProblem(p=3.0, n=2, f=constant_field(1.3), dirichlet=zero_field)
+        prob = PDEProblem(p=3.0, f=constant_field(1.3), dirichlet=zero_field)
         node = (8, 16)  # x = 0.5: the critical line of the paraboloid
         assert gradient_field(u)[1][node] == pytest.approx(0.0, abs=1e-15)
         assert strong_residual(u, prob, eps_reg=0.0)[node] == pytest.approx(-1.3)
 
     def test_singular_exponent_range_rejected(self):
         with pytest.raises(ValueError):
-            PDEProblem(p=1.5, n=2, f=zero_field, dirichlet=zero_field)
+            PDEProblem(p=1.5, f=zero_field, dirichlet=zero_field)
 
     @pytest.mark.parametrize("p", [math.nan, math.inf])
     def test_non_finite_exponent_rejected(self, p):
         with pytest.raises(ValueError, match="finite and at least 2"):
-            PDEProblem(p=p, n=2, f=zero_field, dirichlet=zero_field)
+            PDEProblem(p=p, f=zero_field, dirichlet=zero_field)
 
     def test_manufactured_quadratic_forcing(self):
         # flattened field a^2 + x^2 at p = n = 2 needs forcing 4 e^(-2a)
         grid = unit_grid((17, 17))
         u_star = quadratic_field(2)
-        prob = manufactured_problem(u_star, 2.0, 2)
+        prob = manufactured_problem(u_star, 2.0)
         A, X = grid.mesh
         f = prob.forcing_values(grid)
         np.testing.assert_allclose(f, 4.0 * np.exp(-2.0 * A), rtol=1e-12)
         u = exact_solution_values(u_star, grid)
         assert residual_log_field(u, prob)[8, 8] == pytest.approx(0.0, abs=1e-11)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_manufactured_forcing_takes_the_dimension_of_its_points(self, n):
+        # one manufactured problem serves every dimension: sampled on an
+        # n-D grid, t^p f is the operator of u* at that n, bit for bit
+        p = 3.0
+        u_star = separable_exponential_field(0.8, 0.4, [0.6, -0.3])
+        prob = manufactured_problem(u_star, p)
+        grid = unit_grid((9,) * n, n=n)
+        a, XS = np.log(grid.t_field), grid.mesh[1:]
+        g, H = u_star.grad(a, XS), u_star.hess(a, XS)
+        want = operator_terms(g, H, p, n)[0] * grid.t_field ** -p
+        np.testing.assert_array_equal(prob.forcing_values(grid), want)
+        other = operator_terms(g, H, p, 5 - n)[0] * grid.t_field ** -p
+        assert not np.allclose(prob.forcing_values(grid), other)
+
     def test_constant_forcing_log_residual(self):
         grid = unit_grid()
-        prob = PDEProblem(p=2.0, n=2, f=constant_field(1.0), dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=constant_field(1.0), dirichlet=zero_field)
         u = GridFunction(grid, np.full(grid.shape, 2.0))
         node = (7, 7)
         a = grid.a[node[0]]
@@ -333,7 +348,7 @@ class TestResiduals:
         grid = unit_grid((13, 13))
         rng = np.random.default_rng(5)
         u = GridFunction(grid, rng.standard_normal(grid.shape))
-        prob = PDEProblem(p=3.0, n=2, f=constant_field(0.2), dirichlet=zero_field)
+        prob = PDEProblem(p=3.0, f=constant_field(0.2), dirichlet=zero_field)
         lower, mid, upper = (strong_residual(u, prob, 1e-6, extremal)
                              for extremal in ("lower", None, "upper"))
         for node in [(4, 4), (6, 9), (10, 3)]:
@@ -343,7 +358,7 @@ class TestResiduals:
         grid = unit_grid((13, 13))
         rng = np.random.default_rng(6)
         u = GridFunction(grid, rng.standard_normal(grid.shape))
-        prob = PDEProblem(p=2.0, n=2, f=constant_field(0.4), dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=constant_field(0.4), dirichlet=zero_field)
         mid = strong_residual(u, prob)[5, 5]
         for extremal in ("lower", "upper"):
             assert strong_residual(u, prob, 0.0, extremal)[5, 5] == pytest.approx(mid, abs=1e-12)
@@ -368,7 +383,7 @@ class TestClassify:
         p, n = 3.0, 2
         grid = unit_grid((33, 33))
         u = exact_solution_values(make_exact_solution(p, n), grid)
-        prob = PDEProblem(p=p, n=n, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=p, f=zero_field, dirichlet=zero_field)
         tol = 10 * grid.h[0] ** 2
         labels = classify_point(u, prob, 1e-6, tol)
         for node in [(8, 8), (16, 16), (24, 10)]:
@@ -384,7 +399,7 @@ class TestClassify:
         A, X = grid.mesh
         bump = 0.1 * np.exp(-80.0 * ((A + 0.5) ** 2 + (X - 0.5) ** 2))
         u_bumped = GridFunction(grid, u.values + bump)
-        prob = PDEProblem(p=p, n=n, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=p, f=zero_field, dirichlet=zero_field)
         tol = 10 * grid.h[0] ** 2
         labels = set(classify_point(u_bumped, prob, 1e-6, tol)[12:21, 12:21].ravel())
         assert labels - {SOLUTION_CONSISTENT}
@@ -392,7 +407,7 @@ class TestClassify:
 
     def test_zero_everything(self):
         grid = unit_grid()
-        prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=zero_field, dirichlet=zero_field)
         u = GridFunction(grid, np.zeros(grid.shape))
         assert classify_point(u, prob, 0.0, 1e-12)[8, 8] == SOLUTION_CONSISTENT
 
@@ -402,7 +417,7 @@ class TestClassify:
         # nodes whose oracle value sits within round-off of +-tol are skipped
         grid = unit_grid((9,) * n, n=n)
         u = GridFunction(grid, np.random.default_rng(12).standard_normal(grid.shape))
-        prob = PDEProblem(p=p, n=n, f=constant_field(0.3), dirichlet=zero_field)
+        prob = PDEProblem(p=p, f=constant_field(0.3), dirichlet=zero_field)
         tol = 5.0
         labels = classify_point(u, prob, 1e-3, tol)
         assert labels.shape == grid.shape
@@ -447,7 +462,7 @@ class TestPsiTransform:
 
     def test_transformed_zero_field(self):
         grid = unit_grid()
-        prob = PDEProblem(p=3.0, n=2, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=3.0, f=zero_field, dirichlet=zero_field)
         params = TransformParams.from_bound(1.0)
         z = GridFunction(grid, np.zeros(grid.shape))
         assert transformed_residual(z, prob, params)[8, 8] == pytest.approx(0.0, abs=1e-14)
@@ -456,7 +471,7 @@ class TestPsiTransform:
         # z = c with forcing floor t^p f = w gives exactly -w e^(c(p-1)) / K^(p-1)
         grid = unit_grid()
         p, w, c = 3.0, 0.4, 0.25
-        prob = PDEProblem(p=p, n=2,
+        prob = PDEProblem(p=p,
                           f=lambda t, xs: w * np.asarray(t, dtype=float) ** (-p),
                           dirichlet=zero_field)
         params = TransformParams.from_bound(2.0)
@@ -473,8 +488,8 @@ class TestPsiTransform:
         grid = unit_grid((7,) * n, n=n)
         rng = np.random.default_rng(13)
         z = GridFunction(grid, 0.3 * rng.standard_normal(grid.shape))
-        prob = PDEProblem(p=p, n=n, f=constant_field(0.7), dirichlet=zero_field)
-        free = PDEProblem(p=p, n=n, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=p, f=constant_field(0.7), dirichlet=zero_field)
+        free = PDEProblem(p=p, f=zero_field, dirichlet=zero_field)
         params = TransformParams.from_bound(1.4)
         eps_reg = 1e-3
         got = transformed_residual(z, prob, params, eps_reg)
@@ -514,7 +529,7 @@ class TestPsiTransform:
         # same identity through stencils: O(h^2) plus regularization slack
         p, n = 3.0, 2
         params = TransformParams.from_bound(1.2)
-        prob = PDEProblem(p=p, n=n, f=constant_field(0.5), dirichlet=zero_field)
+        prob = PDEProblem(p=p, f=constant_field(0.5), dirichlet=zero_field)
         errs = []
         for c in (17, 33):
             grid = unit_grid((c, c))

@@ -225,14 +225,14 @@ class TestSupersolutionCheck:
         grid = unit_grid((33, 33))
         u_star = make_exact_solution(3.0, 2)
         u = exact_solution_values(u_star, grid)
-        prob = manufactured_problem(u_star, 3.0, 2)
+        prob = manufactured_problem(u_star, 3.0)
         out = convolution_supersolution_check(u, prob, eps=0.01,
                                               tol=10.0 * max(grid.h) ** 2)
         assert out["violations"] == 0
 
     def test_constant_with_nonnegative_forcing(self):
         grid = unit_grid((25, 25))
-        prob = PDEProblem(p=3.0, n=2,
+        prob = PDEProblem(p=3.0,
                           f=lambda t, xs: np.full_like(np.asarray(t, dtype=float), 0.5),
                           dirichlet=zero_field)
         u = GridFunction(grid, np.full(grid.shape, 0.3))
@@ -246,7 +246,7 @@ class TestSupersolutionCheck:
         grid = unit_grid((33, 33))
         A, X = grid.mesh
         u = GridFunction(grid, 2.0 * ((A + 0.5) ** 2 + (X - 0.5) ** 2))
-        prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=zero_field, dirichlet=zero_field)
         out = convolution_supersolution_check(u, prob, eps=0.002,
                                               tol=10.0 * max(grid.h) ** 2)
         assert out["violations"] > 0

@@ -77,7 +77,7 @@ class TestConfig:
 class TestSolveDirichlet:
     def test_trivial_zero_problem(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
-        prob = PDEProblem(p=3.0, n=2, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=3.0, f=zero_field, dirichlet=zero_field)
         u, rep = solve_dirichlet(prob, grid)
         np.testing.assert_array_equal(u.values, np.zeros(grid.shape))
         assert rep.converged
@@ -88,7 +88,7 @@ class TestSolveDirichlet:
     def test_boundary_values_exact(self):
         grid = LogGrid.build(unit_domain(n=3), (9, 9, 9))
         u_star = make_exact_solution(2.0, 3)
-        prob = manufactured_problem(u_star, 2.0, 3)
+        prob = manufactured_problem(u_star, 2.0)
         u, rep = solve_dirichlet(prob, grid)
         data = prob.dirichlet_values(grid)
         bmask = grid.boundary_mask
@@ -97,7 +97,7 @@ class TestSolveDirichlet:
     def test_deterministic(self):
         grid = LogGrid.build(unit_domain(), (13, 13))
         u_star = make_exact_solution(3.0, 2)
-        prob = manufactured_problem(u_star, 3.0, 2)
+        prob = manufactured_problem(u_star, 3.0)
         u1, r1 = solve_dirichlet(prob, grid)
         u2, r2 = solve_dirichlet(prob, grid)
         np.testing.assert_array_equal(u1.values, u2.values)
@@ -107,7 +107,7 @@ class TestSolveDirichlet:
         # the reported residual equals an independent pointwise re-evaluation
         grid = LogGrid.build(unit_domain(), (17, 17))
         u_star = make_exact_solution(3.0, 2)
-        prob = manufactured_problem(u_star, 3.0, 2)
+        prob = manufactured_problem(u_star, 3.0)
         u, rep = solve_dirichlet(prob, grid)
         eps_floor = SolverConfig().eps_reg_floor
         worst = 0.0
@@ -117,9 +117,24 @@ class TestSolveDirichlet:
                                                               eps_reg=eps_floor)))
         assert worst == pytest.approx(rep.final_residual, abs=1e-13)
 
+    @pytest.mark.parametrize("n, nodes", [(2, 16), (3, 10)])
+    def test_problem_takes_its_dimension_from_the_grid(self, n, nodes):
+        # one problem, built without n, solves on a 2D and on a 3D grid, and
+        # the per-node oracle at the grid's n certifies the residual; the
+        # drift (n - p) g_a used to read an n that no code checked
+        prob = PDEProblem(p=3.0, f=constant_field(0.3), dirichlet=zero_field)
+        grid = LogGrid.build(unit_domain(n=n), (nodes,) * n)
+        u, rep = solve_dirichlet(prob, grid)
+        assert rep.converged
+        eps_floor = SolverConfig().eps_reg_floor
+        worst = max(abs(pointwise_residual_log(u, tuple(np.add(node, 1)), prob,
+                                               eps_reg=eps_floor))
+                    for node in np.ndindex(*(nodes - 2,) * n))
+        assert worst == pytest.approx(rep.final_residual, abs=1e-13)
+
     def test_exact_power_recovery_order(self):
         u_star = make_exact_solution(3.0, 2)
-        prob = manufactured_problem(u_star, 3.0, 2)
+        prob = manufactured_problem(u_star, 3.0)
         errs = []
         for c in (9, 17, 33):
             grid = LogGrid.build(unit_domain(), (c, c))
@@ -135,15 +150,15 @@ class TestSolveDirichlet:
     def test_manufactured_quadratic_is_stencil_exact(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
         u_star = quadratic_field(2)
-        prob = manufactured_problem(u_star, 2.0, 2)
+        prob = manufactured_problem(u_star, 2.0)
         u, rep = solve_dirichlet(prob, grid)
         exact = exact_solution_values(u_star, grid)
         assert np.max(np.abs(u.values - exact.values)) < 1e-9
 
     def test_log_solution_at_p_equals_n(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
-        u_star = log_t_field(2)
-        prob = manufactured_problem(u_star, 2.0, 2)
+        u_star = log_t_field()
+        prob = manufactured_problem(u_star, 2.0)
         u, rep = solve_dirichlet(prob, grid)
         exact = exact_solution_values(u_star, grid)
         assert np.max(np.abs(u.values - exact.values)) < 1e-9
@@ -154,7 +169,7 @@ class TestSolveDirichlet:
         def bad(t, xs):
             return np.full_like(np.asarray(t, dtype=float), np.nan)
 
-        prob = PDEProblem(p=2.0, n=2, f=bad, dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=bad, dirichlet=zero_field)
         with pytest.raises(FloatingPointError):
             solve_dirichlet(prob, grid)
 
@@ -165,7 +180,7 @@ class TestSolveDirichlet:
         def inv_x(t, xs):
             return 1.0 / np.asarray(xs[0], dtype=float)
 
-        prob = PDEProblem(p=3.0, n=2, f=inv_x, dirichlet=zero_field)
+        prob = PDEProblem(p=3.0, f=inv_x, dirichlet=zero_field)
         with np.errstate(divide="ignore"):
             assert np.isinf(inv_x(grid.t_field, grid.mesh[1:])[:, 0]).all()
         u, rep = solve_dirichlet(prob, grid)
@@ -174,7 +189,7 @@ class TestSolveDirichlet:
     def test_grid_beyond_peclet_bound_rejected(self):
         # n - p = 1 and h_a = 3 exceed 2(p - 1) = 2; four radial nodes meet it
         grid = LogGrid.build(unit_domain(n=3, t_min=math.exp(-6.0)), (3, 5, 5))
-        prob = PDEProblem(p=2.0, n=3, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=zero_field, dirichlet=zero_field)
         with pytest.raises(ValueError, match=r"h_a = 3 .* 2\(p-1\) = 2; use at least 4 "):
             solve_dirichlet(prob, grid)
         fine = LogGrid.build(grid.domain, (4, 5, 5))
@@ -182,8 +197,8 @@ class TestSolveDirichlet:
 
     def test_p_continuation_path(self):
         grid = LogGrid.build(unit_domain(), (13, 13))
-        u_star = power_of_t_field((4.0 - 2.0) / (4.0 - 1.0), 2)
-        prob = manufactured_problem(u_star, 4.0, 2)
+        u_star = power_of_t_field((4.0 - 2.0) / (4.0 - 1.0))
+        prob = manufactured_problem(u_star, 4.0)
         u, rep = solve_dirichlet(prob, grid)
         assert rep.converged
         # p stays fixed: the stages are one pass over the eps schedule, each
@@ -195,7 +210,7 @@ class TestSolveDirichlet:
 
     def test_p5_zero_boundary_constant_forcing_converges(self):
         grid = LogGrid.build(unit_domain(), (41, 41))
-        prob = PDEProblem(p=5.0, n=2, f=constant_field(0.3), dirichlet=zero_field)
+        prob = PDEProblem(p=5.0, f=constant_field(0.3), dirichlet=zero_field)
         _, rep = solve_dirichlet(prob, grid)
         assert rep.converged
 
@@ -314,7 +329,7 @@ class TestJacobian:
         monkeypatch.setattr(_NewtonSystem, "residual",
                             counting("residual", _NewtonSystem.residual))
         grid = LogGrid.build(unit_domain(), (17, 17))
-        prob = manufactured_problem(power_of_t_field(0.4, 2), 3.0, 2)
+        prob = manufactured_problem(power_of_t_field(0.4), 3.0)
         _, rep = solve_dirichlet(prob, grid)
         assert rep.converged and sum(s.iterations for s in rep.stages) > 0
         assert calls["gradient_field"] == calls["hessian_field"] == calls["residual"]
@@ -351,7 +366,7 @@ class TestFastLinearSolve:
     def test_p2_solve_neither_assembles_nor_factorizes(self, monkeypatch):
         grid = LogGrid.build(unit_domain(n=3), (17, 17, 17))
         u_star = make_exact_solution(2.0, 3)
-        prob = manufactured_problem(u_star, 2.0, 3)
+        prob = manufactured_problem(u_star, 2.0)
         exact = exact_solution_values(u_star, grid).values
         # the direct solve: one Newton step from the boundary data
         start = np.where(grid.boundary_mask, prob.dirichlet_values(grid), 0.0)
@@ -488,7 +503,7 @@ class TestOrderedJacobianSolve:
 
     def test_nonlinear_solve_never_calls_spsolve(self, monkeypatch):
         grid = LogGrid.build(unit_domain(), (17, 17))
-        prob = manufactured_problem(power_of_t_field(0.4, 2), 3.0, 2)
+        prob = manufactured_problem(power_of_t_field(0.4), 3.0)
         # the same solve with every p != 2 Newton step a full-grid spsolve
         with monkeypatch.context() as m:
             m.setattr(solver, "_assemble_jacobian", full_jacobian)
@@ -514,7 +529,7 @@ class TestReusedFactor:
     @pytest.mark.parametrize("n, nodes, p", [(2, 33, 3.0), (2, 33, 4.0), (3, 13, 3.0)])
     def test_matches_refactorizing_every_step(self, monkeypatch, n, nodes, p):
         grid = LogGrid.build(unit_domain(n=n), (nodes,) * n)
-        prob = manufactured_problem(power_of_t_field(0.5, n), p, n)
+        prob = manufactured_problem(power_of_t_field(0.5), p)
         with monkeypatch.context() as m:
             m.setattr(solver, "_solve_jacobian", refactorized_solve)
             u_fresh, rep_fresh = solve_dirichlet(prob, grid)
@@ -529,7 +544,7 @@ class TestReusedFactor:
 
     def test_factorizes_in_fewer_than_half_the_steps(self):
         grid = LogGrid.build(unit_domain(), (49, 49))
-        prob = manufactured_problem(power_of_t_field(0.5, 2), 4.0, 2)
+        prob = manufactured_problem(power_of_t_field(0.5), 4.0)
         _, rep = solve_dirichlet(prob, grid)
         steps = sum(s.iterations for s in rep.stages)
         factorizations = sum(s.factorizations for s in rep.stages)
@@ -539,7 +554,7 @@ class TestReusedFactor:
 
     def test_p2_solve_counts_no_linear_work(self):
         grid = LogGrid.build(unit_domain(), (9, 9))
-        prob = manufactured_problem(make_exact_solution(2.0, 2), 2.0, 2)
+        prob = manufactured_problem(make_exact_solution(2.0, 2), 2.0)
         _, rep = solve_dirichlet(prob, grid)
         assert [(s.factorizations, s.krylov_iterations) for s in rep.stages] == [(0, 0)]
 
@@ -558,7 +573,7 @@ def record_stage_targets(monkeypatch):
 
 
 def constant_forcing_problem(p, n, c=0.3):
-    return PDEProblem(p=p, n=n, f=constant_field(c), dirichlet=zero_field)
+    return PDEProblem(p=p, f=constant_field(c), dirichlet=zero_field)
 
 
 class TestInexactContinuation:
@@ -573,7 +588,7 @@ class TestInexactContinuation:
     @pytest.mark.parametrize("kind", ["t^0.5", "f=0.3"])
     def test_matches_every_stage_to_tol(self, n, nodes, p, kind):
         grid = LogGrid.build(unit_domain(n=n), (nodes,) * n)
-        prob = (manufactured_problem(power_of_t_field(0.5, n), p, n) if kind == "t^0.5"
+        prob = (manufactured_problem(power_of_t_field(0.5), p) if kind == "t^0.5"
                 else constant_forcing_problem(p, n))
         cfg = SolverConfig()
         u, rep = solve_dirichlet(prob, grid, cfg)
@@ -585,7 +600,7 @@ class TestInexactContinuation:
 
     def test_intermediate_stages_stop_at_sqrt_tol(self):
         grid = LogGrid.build(unit_domain(), (17, 17))
-        prob = manufactured_problem(power_of_t_field(0.41, 2), 4.0, 2)
+        prob = manufactured_problem(power_of_t_field(0.41), 4.0)
         cfg = SolverConfig()
         _, rep = solve_dirichlet(prob, grid, cfg)
         assert rep.converged
@@ -657,7 +672,7 @@ def raised_forcing(prob, margin=0.5):
     of ``verify comparison`` and ``verify doubling`` raises it."""
     def f_high(t, xs):
         return prob.f(t, xs) + margin * np.asarray(t, dtype=float) ** (-prob.p)
-    return PDEProblem(p=prob.p, n=prob.n, f=f_high, dirichlet=prob.dirichlet)
+    return PDEProblem(p=prob.p, f=f_high, dirichlet=prob.dirichlet)
 
 
 class TestWarmStart:
@@ -672,7 +687,7 @@ class TestWarmStart:
     def test_shifted_solve_matches_the_cold_one(self, n, nodes, p):
         grid = LogGrid.build(unit_domain(n=n), (nodes,) * n)
         # t^p f = 0.3, the family of the verify-2d benchmark problem
-        prob = PDEProblem(p=p, n=n, f=separable_exponential_field(0.3, -p, []),
+        prob = PDEProblem(p=p, f=separable_exponential_field(0.3, -p, []),
                           dirichlet=zero_field)
         cfg = SolverConfig()
         v, rep_v = solve_dirichlet(prob, grid, cfg)
@@ -687,8 +702,8 @@ class TestWarmStart:
 
     def test_boundary_is_reset_to_the_dirichlet_data(self):
         grid = LogGrid.build(unit_domain(), (13, 13))
-        u_star = power_of_t_field(0.5, 2)
-        prob = manufactured_problem(u_star, 3.0, 2)
+        u_star = power_of_t_field(0.5)
+        prob = manufactured_problem(u_star, 3.0)
         exact = exact_solution_values(u_star, grid).values
         # the exact field with its boundary values moved away from the data
         start = GridFunction(grid, np.where(grid.boundary_mask, exact + 0.5, exact))
@@ -819,8 +834,8 @@ class TestDiscreteComparison:
         def f_high(t, xs):
             return 0.7 * np.asarray(t, dtype=float) ** -2.0
 
-        pl = PDEProblem(p=2.0, n=2, f=f_low, dirichlet=zero_field)
-        ph = PDEProblem(p=2.0, n=2, f=f_high, dirichlet=zero_field)
+        pl = PDEProblem(p=2.0, f=f_low, dirichlet=zero_field)
+        ph = PDEProblem(p=2.0, f=f_high, dirichlet=zero_field)
         u_low, _ = solve_dirichlet(pl, grid, cfg)
         u_high, _ = solve_dirichlet(ph, grid, cfg)
         # larger forcing pushes the solution down for this operator
@@ -835,8 +850,8 @@ class TestDiscreteComparison:
         def f_high(t, xs):
             return 0.7 * np.asarray(t, dtype=float) ** -3.0
 
-        pl = PDEProblem(p=3.0, n=2, f=f_low, dirichlet=zero_field)
-        ph = PDEProblem(p=3.0, n=2, f=f_high, dirichlet=zero_field)
+        pl = PDEProblem(p=3.0, f=f_low, dirichlet=zero_field)
+        ph = PDEProblem(p=3.0, f=f_high, dirichlet=zero_field)
         u_low, _ = solve_dirichlet(pl, grid)
         u_high, _ = solve_dirichlet(ph, grid)
         assert np.all(u_high.values <= u_low.values + 10 * max(grid.h) ** 2)
@@ -844,7 +859,7 @@ class TestDiscreteComparison:
 
 class TestExhaustionSolve:
     def test_zero_forcing_gives_zero_everywhere(self):
-        prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=zero_field, dirichlet=zero_field)
         report = solve_by_exhaustion(prob, unit_domain(t_min=1e-3), j_max=3,
                                      grid_density=12.0)
         for _, u_j in report.members:
@@ -852,7 +867,7 @@ class TestExhaustionSolve:
         assert all(g == 0.0 for _, g in report.diffs)
 
     def test_requires_two_stages(self):
-        prob = PDEProblem(p=2.0, n=2, f=zero_field, dirichlet=zero_field)
+        prob = PDEProblem(p=2.0, f=zero_field, dirichlet=zero_field)
         with pytest.raises(ValueError):
             solve_by_exhaustion(prob, unit_domain(), j_max=1, grid_density=8.0)
 
@@ -860,8 +875,8 @@ class TestExhaustionSolve:
 class TestConvergenceStudy:
     def test_linear_exact_solution_floors(self):
         # stencils are exact on the radial-coordinate field
-        u_star = log_t_field(2)
-        prob = manufactured_problem(u_star, 2.0, 2)
+        u_star = log_t_field()
+        prob = manufactured_problem(u_star, 2.0)
         grids = [LogGrid.build(unit_domain(), (c, c)) for c in (9, 17)]
         rows = convergence_study(prob, u_star, grids)
         assert all(r.max_error < 1e-9 for r in rows)
@@ -870,7 +885,7 @@ class TestConvergenceStudy:
         # at p = n = 2 the scheme reproduces ln t, so both errors are
         # round-off and their ratio is no order
         u_star = make_exact_solution(2.0, 2)
-        prob = manufactured_problem(u_star, 2.0, 2)
+        prob = manufactured_problem(u_star, 2.0)
         grids = [LogGrid.build(unit_domain(), (c, c)) for c in (13, 25)]
         rows = convergence_study(prob, u_star, grids)
         assert all(r.max_error < 1e-13 for r in rows)
@@ -878,7 +893,7 @@ class TestConvergenceStudy:
 
     def test_order_two_for_power_solution(self):
         u_star = make_exact_solution(2.0, 3)
-        prob = manufactured_problem(u_star, 2.0, 3)
+        prob = manufactured_problem(u_star, 2.0)
         grids = [LogGrid.build(unit_domain(n=3), (c, c, c)) for c in (9, 17, 33)]
         rows = convergence_study(prob, u_star, grids)
         assert rows[0].order is None

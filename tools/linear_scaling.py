@@ -193,7 +193,7 @@ SOLVES = {"reused": solve_dirichlet, "refactorized": refactorized,
 
 def measure_solve(n: int, m: int) -> dict:
     grid = unit_grid(n, m)
-    prob = manufactured_problem(power_of_t_field(KAPPA, n), P, n)
+    prob = manufactured_problem(power_of_t_field(KAPPA), P)
     times = {name: [] for name in SOLVES}
     fields, reports = {}, {}
     for _ in range(SOLVE_REPEATS):

@@ -2,7 +2,7 @@
 
     python tools/solver_sweep.py OLD_SRC NEW_SRC
 
-Runs 42 solves with each tree's ``src/`` directory (OLD_SRC and NEW_SRC),
+Runs 45 solves with each tree's ``src/`` directory (OLD_SRC and NEW_SRC),
 each tree in its own subprocess.  For each p in {3.5, 4, 5, 6}, all on 41^2
 grids over the base [0, 1] with t_min = e^-1 unless stated:
 
@@ -15,7 +15,10 @@ grids over the base [0, 1] with t_min = e^-1 unless stated:
 Then the problem of the verify-2d benchmark workload, p = 3 with
 f = 0.3 t^-3 (t^p f = 0.3) and zero Dirichlet data, at 41^2 and 81^2.  Its
 discrete problem has more than one solution, so which one a solve reaches
-depends on the path; the min of u tells the branches apart.
+depends on the path; the min of u tells the branches apart.  Last, the
+same zero-data problem in 3D at 12^3, 13^3 and 14^3: an odd node count puts
+one node at the symmetric centre, and at 13^3 the solve ends in a deep
+spike there.
 
 Prints, for each case and side, whether the solve converged, its stages,
 Newton steps, seconds and min u, and the max-norm difference of the two
@@ -53,6 +56,8 @@ def cases():
         yield f"p={p:g} 13^3 f=0.5", p, 3, 13, e1, None, (0.5, 0.0)
     for nodes in (41, 81):
         yield f"verify-2d p=3 {nodes}^2 f=0.3t^-3", 3.0, 2, nodes, e1, None, (0.3, -3.0)
+    for nodes in (12, 13, 14):
+        yield f"p=3 {nodes}^3 f=0.3t^-3", 3.0, 3, nodes, e1, None, (0.3, -3.0)
 
 
 def run_cases(out: str) -> None:
@@ -69,10 +74,10 @@ def run_cases(out: str) -> None:
                             t_min=t_min)
         grid = LogGrid.build(domain, (nodes,) * n)
         if kappa is not None:
-            prob = manufactured_problem(power_of_t_field(kappa, n), p, n)
+            prob = manufactured_problem(power_of_t_field(kappa), p)
         else:
             c, q = forcing
-            prob = PDEProblem(p=p, n=n, f=lambda t, xs, c=c, q=q: c * np.asarray(t) ** q,
+            prob = PDEProblem(p=p, f=lambda t, xs, c=c, q=q: c * np.asarray(t) ** q,
                               dirichlet=lambda t, xs: np.zeros_like(np.asarray(t)))
         t0 = time.perf_counter()
         try:
