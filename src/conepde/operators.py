@@ -279,11 +279,12 @@ def gradient_powers(g, p: float, eps_reg: float = 0.0) -> tuple:
         return s2, coef, np.where(s2 > 0.0, coef / s2, 0.0)
 
 
-def operator_terms(g, H, p: float, n: int, eps_reg: float = 0.0,
+def operator_terms(g, H, p: float, eps_reg: float = 0.0,
                    extremal: str | None = None) -> tuple:
     """The operator R = sum_kl A_kl H_kl + B g_a (no forcing) and two of its
     partial derivatives, as (R, A, B), from derivative arrays g (n, ...)
-    and H (n, n, ...); the radial drift derivative g_a is g[0].
+    and H (n, n, ...), whose leading axis is the dimension n; the radial
+    drift derivative g_a is g[0].
 
     A = |g|_d^(p-2) Q_d weighs the Hessian entries (it is also the derivative
     of the flux) and B = (n-p) |g|_d^(p-2) the drift; ``gradient_coefficient``
@@ -293,9 +294,9 @@ def operator_terms(g, H, p: float, n: int, eps_reg: float = 0.0,
     """
     g = np.asarray(g, dtype=float)
     H = np.asarray(H, dtype=float)
-    nd = g.shape[0]
+    n = g.shape[0]
     s2, coef, inv = gradient_powers(g, p, eps_reg)
-    eye = np.eye(nd).reshape((nd, nd) + (1,) * s2.ndim)
+    eye = np.eye(n).reshape((n, n) + (1,) * s2.ndim)
     A = coef * eye + (p - 2.0) * inv * g[:, None] * g[None, :]
     B = (n - p) * coef
     if extremal is None:
@@ -308,14 +309,13 @@ def operator_terms(g, H, p: float, n: int, eps_reg: float = 0.0,
     return diffusion + B * g[0], A, B
 
 
-def gradient_coefficient(g, H, p: float, n: int, eps_reg: float = 0.0) -> np.ndarray:
+def gradient_coefficient(g, H, p: float, eps_reg: float = 0.0) -> np.ndarray:
     """C = dR/dg, the derivative of the ``operator_terms`` operator R in
     the gradient g (n, ...) at the Hessian H (n, n, ...), B's term on g_a
-    apart; at p == 2 the operator is linear and C is zero."""
+    apart; every term carries p - 2, so C is zero at p == 2."""
     g = np.asarray(g, dtype=float)
     H = np.asarray(H, dtype=float)
-    if p == 2.0:
-        return np.zeros_like(g)
+    n = g.shape[0]
     s2, _, inv = gradient_powers(g, p, eps_reg)
     trH = np.einsum("kk...->...", H)
     Hg = np.einsum("kl...,l...->k...", H, g)
@@ -326,13 +326,13 @@ def gradient_coefficient(g, H, p: float, n: int, eps_reg: float = 0.0) -> np.nda
                               + (p - 4.0) * g_over_s2 * gHg + 2.0 * Hg)
 
 
-def transformed_residual_from_derivs(z, grad, hess, p: float, n: int, log_forcing,
+def transformed_residual_from_derivs(z, grad, hess, p: float, log_forcing,
                                      K: float, eps_reg: float = 0.0) -> np.ndarray:
     """Residual of the exponentially substituted equation from the values z
     (...), gradient (n, ...) and Hessian (n, n, ...) of the substituted field
     and the log-chart forcing t^p f (...)."""
     s2 = gradient_powers(grad, p, eps_reg)[0]
-    return (operator_terms(grad, hess, p, n, eps_reg)[0]
+    return (operator_terms(grad, hess, p, eps_reg)[0]
             - (p - 1.0) * s2 ** (p / 2.0)
             - log_forcing * np.exp(z * (p - 1.0)) / K ** (p - 1.0))
 
@@ -399,21 +399,21 @@ def transformed_residual(z: GridFunction, prob: PDEProblem, params: TransformPar
                          eps_reg: float = 0.0) -> np.ndarray:
     """Residual of the substituted equation at every node of the z field."""
     return transformed_residual_from_derivs(z.values, gradient_field(z), hessian_field(z),
-                                            prob.p, z.grid.n, prob.log_forcing(z.grid),
+                                            prob.p, prob.log_forcing(z.grid),
                                             params.K, eps_reg)
 
 
 # ---------------------------------------------------------------------------
 # vectorized residual fields (shared with the solver)
 
-def divergence_part_field(u: GridFunction, p: float, n: int, eps_reg: float = 0.0,
+def divergence_part_field(u: GridFunction, p: float, eps_reg: float = 0.0,
                           extremal: str | None = None) -> tuple:
     """(R, A, B, g, H): ``operator_terms`` of u at every node, R the
-    operator |g|_d^(p-2) (tr(Q_d H) + (n-p) g_a) (no forcing term) or its
-    ``extremal`` mode, then the derivative fields g and H it read, from
-    which ``gradient_coefficient`` forms C."""
+    operator |g|_d^(p-2) (tr(Q_d H) + (n-p) g_a) at n = ``u.grid.n`` (no
+    forcing term) or its ``extremal`` mode, then the derivative fields g
+    and H it read, from which ``gradient_coefficient`` forms C."""
     g, H = gradient_field(u), hessian_field(u)
-    return (*operator_terms(g, H, p, n, eps_reg, extremal), g, H)
+    return (*operator_terms(g, H, p, eps_reg, extremal), g, H)
 
 
 def residual_log_field(u: GridFunction, prob: PDEProblem, eps_reg: float = 0.0,
@@ -421,5 +421,5 @@ def residual_log_field(u: GridFunction, prob: PDEProblem, eps_reg: float = 0.0,
     """Log-chart residual at every node (boundary rows use one-sided
     stencils); t^-p times it is the strong-form residual.  An ``extremal``
     mode replaces the diffusion by the Pucci value, as in ``operator_terms``."""
-    R = divergence_part_field(u, prob.p, u.grid.n, eps_reg, extremal)[0]
+    R = divergence_part_field(u, prob.p, eps_reg, extremal)[0]
     return R - prob.log_forcing(u.grid)

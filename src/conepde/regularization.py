@@ -216,7 +216,7 @@ def convolution_supersolution_check(u: GridFunction, prob: PDEProblem,
     if not np.any(mask):
         raise ValueError("no interior nodes remain inside the shrunken region")
 
-    lhs = divergence_part_field(u_eps, prob.p, grid.n, eps_reg)[0]
+    lhs = divergence_part_field(u_eps, prob.p, eps_reg)[0]
 
     rhs = np.where(mask, _ball_max(prob.log_forcing(grid), _axis_coords(grid, metric), r)[0],
                    np.nan)

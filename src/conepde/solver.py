@@ -7,10 +7,11 @@ the target's drift gives the starting field, and one queue of eps_reg
 stages at the target p follows; only its last stage, at the floor eps,
 runs to the final tolerance.  A solve given a start field skips the
 continuation: one floor stage runs from that field, and the continuation
-follows only when it fails.  One Newton system per solve gives the
-residual and the linear solve of a step, so the Newton loop does not know
-which linear solver runs.
-A p = 2 Newton system has constant coefficients and is solved exactly by
+follows only when it fails.  One Newton system per solve, of the grid, p,
+the drift n - p and the forcing, gives the residual and the linear solve
+of a step, so the Newton loop does not know which linear solver runs.
+A p = 2 Newton system, sum_k D2_k + drift D1_a, reads no eps_reg and is
+solved exactly by
 fast diagonalization; at other p the Jacobian is assembled on the interior
 nodes, in the grid's nested-dissection order.  Its sparsity pattern is
 fixed for the grid and kept on it, so a step computes only the numeric
@@ -150,7 +151,7 @@ def manufactured_problem(u_star: AnalyticField, p: float) -> PDEProblem:
         a = np.log(t)
         g = u_star.grad(a, xs)
         H = u_star.hess(a, xs)
-        return operator_terms(g, H, p, 1 + len(xs))[0] * t ** (-p)
+        return operator_terms(g, H, p)[0] * t ** (-p)
 
     return PDEProblem(p=p, f=forcing, dirichlet=u_star)
 
@@ -162,10 +163,10 @@ def exact_solution_values(u_star: AnalyticField, grid: LogGrid) -> GridFunction:
 # ---------------------------------------------------------------------------
 # discretization
 
-def _check_peclet(grid: LogGrid, p: float, n: int) -> None:
-    """Reject a radial step with |n-p| h_a > 2(p-1), where the central drift
-    difference loses the M-matrix sign structure of the linearization."""
-    h_a, bound = grid.h[0], 2.0 * (p - 1.0)
+def _check_peclet(grid: LogGrid, p: float) -> None:
+    """Reject a radial step with |n-p| h_a > 2(p-1) at n = ``grid.n``, where
+    the central drift difference loses the M-matrix sign structure."""
+    n, h_a, bound = grid.n, grid.h[0], 2.0 * (p - 1.0)
     if abs(n - p) * h_a > bound:
         need = math.ceil(abs(n - p) * (grid.a[-1] - grid.a[0]) / bound) + 1
         raise ValueError(f"radial step h_a = {h_a:.6g} gives |n-p| h_a = "
@@ -243,15 +244,17 @@ KRYLOV_RESTART, KRYLOV_RTOL = 10, 1e-6
 @dataclass
 class _NewtonSystem:
     """One solve's Newton system: the log-chart residual at exponent p,
-    dimension n and interior forcing F_log, and the linear solve of a step,
-    by ``_solve_linear`` at p == 2 and otherwise by ``_solve_jacobian`` on
-    the Jacobian assembled from the residual's coefficient fields, with the
-    kept ``splu`` factor ``lu``.  It counts the factorizations taken and the
-    GMRES iterations run."""
+    radial drift coefficient ``drift`` (the solve's n - p, which its p = 2
+    presolve keeps) and interior forcing F_log, and the linear solve of a
+    step, by ``_solve_linear`` at p == 2 and otherwise by ``_solve_jacobian``
+    on the Jacobian assembled from the residual's coefficient fields, with
+    the kept ``splu`` factor ``lu``.  It counts the factorizations taken and
+    the GMRES iterations run.  Only p == 2 reads ``drift``: its residual is
+    sum_k D2_k u + drift D1_a u - F_log; other p take n - p from the grid."""
 
     grid: LogGrid
     p: float
-    n: float
+    drift: float
     F_log: np.ndarray
     lu: object = None
     factorizations: int = 0
@@ -262,12 +265,19 @@ class _NewtonSystem:
         its linearization point: the coefficient fields A and B of
         ``operator_terms`` at ``values``, with the derivative fields g and H
         and eps_reg, from which a step forms C; None at p == 2, whose step
-        does not read them, so that a stage does not keep them alive."""
-        u = GridFunction(self.grid, values, check_finite=False)
-        R, *lin = divergence_part_field(u, self.p, self.n, eps_reg)
+        reads no coefficient field."""
+        grid = self.grid
+        if self.p == 2.0:
+            v, lin = values.ravel(), None
+            R = sum(grid.hessian_ops[(k, k)] @ v for k in range(grid.n))
+            R = (R + self.drift * (grid.first_diff_ops[0] @ v)).reshape(grid.shape)
+        else:
+            R, *lin = divergence_part_field(GridFunction(grid, values, check_finite=False),
+                                            self.p, eps_reg)
+            lin = (*lin, eps_reg)
         res = R - self.F_log
-        res[self.grid.boundary_mask] = 0.0
-        return res, (None if self.p == 2.0 else (*lin, eps_reg))
+        res[grid.boundary_mask] = 0.0
+        return res, lin
 
     def step(self, lin: tuple, rhs: np.ndarray) -> np.ndarray:
         """The Newton step: du with J du = rhs for the Jacobian at the
@@ -275,9 +285,9 @@ class _NewtonSystem:
         C = dR/dg is formed here, so a residual that no step reads (a
         rejected line-search trial, a stage's last iterate) never pays for it."""
         if self.p == 2.0:
-            return _solve_linear(self.grid, self.n - self.p, rhs)
+            return _solve_linear(self.grid, self.drift, rhs)
         A, B, g, H, eps_reg = lin
-        C = gradient_coefficient(g, H, self.p, self.n, eps_reg)
+        C = gradient_coefficient(g, H, self.p, eps_reg)
         return _solve_jacobian(_assemble_jacobian(self.grid, A, B, C), rhs, self)
 
 
@@ -375,10 +385,10 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid, cfg: SolverConfig | None = 
     quadratic Newton step from tol (inexact continuation, after the forcing
     terms of Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996), so its
     ``residual_norm`` may lie above ``tol``.  The p = 2 presolve and a p = 2
-    solve, whose one stage is the floor, run to ``tol``.  A stage that
-    misses its target inserts a midpoint stage before it, at most 24 per
-    solve, and the report is converged when the final residual is at most
-    ``tol``.
+    solve, whose one stage is the floor, run to ``tol``.  At p > 2 a stage
+    that misses its target inserts a midpoint stage before it, at most 24
+    per solve; a p = 2 stage reads no eps, so it inserts none.  The report
+    is converged when the final residual is at most ``tol``.
 
     An ``initial`` field on the grid's nodes is a warm start: its values,
     with the boundary reset to the Dirichlet data, go through one Newton
@@ -394,8 +404,8 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid, cfg: SolverConfig | None = 
     NaN, raises FloatingPointError.
     """
     cfg = cfg or SolverConfig()
-    p, n = prob.p, grid.n
-    _check_peclet(grid, p, n)
+    p = prob.p
+    _check_peclet(grid, p)
     bmask = grid.boundary_mask
     data = prob.dirichlet_values(grid)[bmask]
     # the residual lives on the interior, so the forcing on the boundary is never read
@@ -408,7 +418,7 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid, cfg: SolverConfig | None = 
                              f"the nodes of the solve's grid {grid.shape}")
         values = np.array(initial.values, dtype=float)
         values[bmask] = data
-        values, stage = _newton_stage(values, _NewtonSystem(grid, p, n, F_log),
+        values, stage = _newton_stage(values, _NewtonSystem(grid, p, grid.n - p, F_log),
                                       cfg.eps_reg_floor, cfg.max_iter, cfg.tol)
         stages.append(stage)
         if stage.residual_norm <= cfg.tol:
@@ -416,10 +426,10 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid, cfg: SolverConfig | None = 
 
     values = np.zeros(grid.shape)
     values[bmask] = data
-    system = _NewtonSystem(grid, p, n, F_log)
+    system = _NewtonSystem(grid, p, grid.n - p, F_log)
     if p > 2.0:
         # linearized presolve: the p = 2 system with the target's drift n - p
-        values, _ = _newton_stage(values, replace(system, p=2.0, n=2 + (n - p)),
+        values, _ = _newton_stage(values, replace(system, p=2.0),
                                   cfg.eps_reg_start, cfg.max_iter, cfg.tol)
 
     queue = [cfg.eps_reg_floor] if p == 2.0 else list(cfg.eps_schedule)
@@ -434,9 +444,10 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid, cfg: SolverConfig | None = 
         values, stage = _newton_stage(values, system, eps, cfg.max_iter, target)
         stages.append(stage)
         norm = stage.residual_norm
-        if norm > target:
+        if norm > target and p > 2.0:
             # stalled stage: refine the continuation by retrying through
-            # the geometric midpoint of the last good step, the entry before it
+            # the geometric midpoint of the last good step, the entry before
+            # it; a p = 2 stage reads no eps, so a midpoint would redo it
             ref = queue[i - 1] if i else 4.0 * eps
             if len(queue) < most and ref / eps > 1.05:
                 queue.insert(i, math.sqrt(ref * eps))

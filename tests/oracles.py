@@ -230,14 +230,14 @@ def poly_sampler(terms):
 # ---------------------------------------------------------------------------
 # Newton Jacobian on the full grid
 
-def coefficient_fields(values, grid, p, n, eps_reg):
+def coefficient_fields(values, grid, p, eps_reg):
     """The coefficient fields (A, B, C) of ``operator_terms`` and
     ``gradient_coefficient`` at ``values``, which a Newton step of
     ``solver._NewtonSystem`` assembles from the linearization point its
     residual returns."""
     u = GridFunction(grid, values, check_finite=False)
     g, H = gradient_field(u), hessian_field(u)
-    return (*operator_terms(g, H, p, n, eps_reg)[1:], gradient_coefficient(g, H, p, n, eps_reg))
+    return (*operator_terms(g, H, p, eps_reg)[1:], gradient_coefficient(g, H, p, eps_reg))
 
 
 def full_jacobian(grid, A, B, C):
@@ -319,14 +319,15 @@ def every_stage_to_tol(prob, grid, cfg=None):
     the reference for the solve's looser intermediate targets.  Returns
     (GridFunction, SolveReport)."""
     cfg = cfg or solver.SolverConfig()
-    p, n = prob.p, grid.n
-    solver._check_peclet(grid, p, n)
+    p = prob.p
+    solver._check_peclet(grid, p)
     values = np.zeros(grid.shape)
     bmask = grid.boundary_mask
     values[bmask] = prob.dirichlet_values(grid)[bmask]
-    system = solver._NewtonSystem(grid, p, n, prob.log_forcing(grid, interior_only=True))
+    system = solver._NewtonSystem(grid, p, grid.n - p,
+                                  prob.log_forcing(grid, interior_only=True))
     if p > 2.0:
-        presolve = dataclasses.replace(system, p=2.0, n=2 + (n - p))
+        presolve = dataclasses.replace(system, p=2.0)
         values, _ = solver._newton_stage(values, presolve, cfg.eps_reg_start,
                                          cfg.max_iter, cfg.tol)
     queue = [cfg.eps_reg_floor] if p == 2.0 else list(cfg.eps_schedule)
@@ -336,7 +337,7 @@ def every_stage_to_tol(prob, grid, cfg=None):
         values, stage = solver._newton_stage(values, system, eps, cfg.max_iter, cfg.tol)
         stages.append(stage)
         norm = stage.residual_norm
-        if norm > cfg.tol:
+        if norm > cfg.tol and p > 2.0:
             ref = prev_eps if prev_eps is not None else 4.0 * eps
             if insertions < 24 and ref / eps > 1.05:
                 queue.insert(i, math.sqrt(ref * eps))

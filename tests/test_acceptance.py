@@ -357,9 +357,9 @@ class TestAcceptance:
             dpsi = params.K * math.exp(-zval)
             gv = dpsi * gz
             Hv = dpsi * Hz - dpsi * np.outer(gz, gz)
-            lhs = t ** -p * operator_terms(gv, Hv, p, n)[0] - fval
+            lhs = t ** -p * operator_terms(gv, Hv, p)[0] - fval
             rhs = (dpsi ** (p - 1.0) / t ** p) * transformed_residual_from_derivs(
-                zval, gz, Hz, p, n, fval * t ** p, params.K)
+                zval, gz, Hz, p, fval * t ** p, params.K)
             worst_analytic = max(worst_analytic,
                                  abs(lhs - rhs) / max(1.0, abs(lhs)))
         analytic_ok = worst_analytic <= 1e-8

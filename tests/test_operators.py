@@ -331,10 +331,8 @@ class TestResiduals:
         grid = unit_grid((9,) * n, n=n)
         a, XS = np.log(grid.t_field), grid.mesh[1:]
         g, H = u_star.grad(a, XS), u_star.hess(a, XS)
-        want = operator_terms(g, H, p, n)[0] * grid.t_field ** -p
+        want = operator_terms(g, H, p)[0] * grid.t_field ** -p
         np.testing.assert_array_equal(prob.forcing_values(grid), want)
-        other = operator_terms(g, H, p, 5 - n)[0] * grid.t_field ** -p
-        assert not np.allclose(prob.forcing_values(grid), other)
 
     def test_constant_forcing_log_residual(self):
         grid = unit_grid()
@@ -373,8 +371,8 @@ class TestResiduals:
             X = 0.5 * (B + B.T)
             C = rng.standard_normal((n, n))
             Y = X + C @ C.T  # Y >= X
-            lo = 0.6 ** -3.0 * operator_terms(g, X, 3.0, 2, eps_reg=1e-8)[0]
-            hi = 0.6 ** -3.0 * operator_terms(g, Y, 3.0, 2, eps_reg=1e-8)[0]
+            lo = 0.6 ** -3.0 * operator_terms(g, X, 3.0, eps_reg=1e-8)[0]
+            hi = 0.6 ** -3.0 * operator_terms(g, Y, 3.0, eps_reg=1e-8)[0]
             assert hi >= lo - 1e-10
 
 
@@ -520,9 +518,9 @@ class TestPsiTransform:
             dpsi = params.K * math.exp(-zval)
             gv = dpsi * gz
             Hv = dpsi * Hz - dpsi * np.outer(gz, gz)
-            lhs = t ** -p * operator_terms(gv, Hv, p, n)[0] - fval
+            lhs = t ** -p * operator_terms(gv, Hv, p)[0] - fval
             rhs = (dpsi ** (p - 1.0) / t ** p) * transformed_residual_from_derivs(
-                zval, gz, Hz, p, n, fval * t ** p, params.K)
+                zval, gz, Hz, p, fval * t ** p, params.K)
             assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-8)
 
     def test_chain_rule_identity_on_grid(self):

@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conepde import calculus, solver
+from conepde.analysis import comparison_check
 from conepde.calculus import GridFunction, LogGrid
 from conepde.geometry import ConeDomain
-from conepde.operators import PDEProblem, constant_field, separable_exponential_field
+from conepde.operators import (PDEProblem, constant_field, gradient_powers, operator_terms,
+                               separable_exponential_field)
 from conepde.solver import (
     SolverConfig,
     _NewtonSystem,
@@ -243,8 +245,8 @@ class TestJacobian:
         grid, v, w, F_log = self._state(p, n)
         eps = 1e-2
         order = grid.dissection_order
-        system = _NewtonSystem(grid, p, n, F_log)
-        fields = coefficient_fields(v, grid, p, n, eps)
+        system = _NewtonSystem(grid, p, n - p, F_log)
+        fields = coefficient_fields(v, grid, p, eps)
         Jw = _assemble_jacobian(grid, *fields) @ w.ravel()[order]
         scale = float(np.max(np.abs(Jw)))
         rel = []
@@ -263,7 +265,7 @@ class TestJacobian:
     def test_is_interior_block_of_full_jacobian(self, n, p, counts, eps, seed):
         grid = LogGrid.build(unit_domain(n=n), counts[:n])
         v = np.random.default_rng(seed).standard_normal(grid.shape)
-        fields = coefficient_fields(v, grid, p, n, eps)
+        fields = coefficient_fields(v, grid, p, eps)
         J = _assemble_jacobian(grid, *fields)
         order = grid.dissection_order
         block = full_jacobian(grid, *fields)[order][:, order].toarray()
@@ -277,7 +279,7 @@ class TestJacobian:
         # the kept pattern changes where the arithmetic happens, not what it is
         grid = LogGrid.build(unit_domain(n=n), counts[:n])
         v = np.random.default_rng(seed).standard_normal(grid.shape)
-        fields = coefficient_fields(v, grid, p, n, eps)
+        fields = coefficient_fields(v, grid, p, eps)
         J = _assemble_jacobian(grid, *fields)
         ref = coo_interior_block(grid, *fields)
         for name in ("indptr", "indices", "data"):
@@ -287,9 +289,9 @@ class TestJacobian:
         grid = LogGrid.build(unit_domain(), (9, 8))
         rng = np.random.default_rng(4)
         J1 = _assemble_jacobian(
-            grid, *coefficient_fields(rng.standard_normal(grid.shape), grid, 3.0, 2, 1e-2))
+            grid, *coefficient_fields(rng.standard_normal(grid.shape), grid, 3.0, 1e-2))
         J2 = _assemble_jacobian(
-            grid, *coefficient_fields(rng.standard_normal(grid.shape), grid, 4.0, 2, 1e-6))
+            grid, *coefficient_fields(rng.standard_normal(grid.shape), grid, 4.0, 1e-6))
         pattern = grid.interior_pattern
         for J in (J1, J2):
             assert np.shares_memory(J.indices, pattern.indices)
@@ -301,7 +303,7 @@ class TestJacobian:
     def test_pattern_is_freed_with_the_grid(self):
         # the pattern lives on the grid, so nothing else keeps a grid alive
         grid = LogGrid.build(unit_domain(), (9, 9))
-        _assemble_jacobian(grid, *coefficient_fields(np.ones(grid.shape), grid, 3.0, 2, 1e-2))
+        _assemble_jacobian(grid, *coefficient_fields(np.ones(grid.shape), grid, 3.0, 1e-2))
         ref = weakref.ref(grid)
         del grid
         gc.collect()
@@ -309,13 +311,15 @@ class TestJacobian:
 
     def test_one_operator_evaluation_per_iterate(self, monkeypatch):
         # a step assembles from the coefficient fields its iterate's residual
-        # returned, so a solve takes the derivative fields once per residual
-        # evaluation, through whichever module applies them
-        calls = {"gradient_field": 0, "hessian_field": 0, "residual": 0}
+        # returned, so a solve takes the derivative fields once per p > 2
+        # residual evaluation, through whichever module applies them; the
+        # presolve's p = 2 residual applies the second differences and the
+        # radial difference alone and takes neither field
+        calls = {"gradient_field": 0, "hessian_field": 0, "residual": 0, "linear": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
-                calls[name] += 1
+                calls["linear" if name == "residual" and args[0].p == 2.0 else name] += 1
                 return fn(*args, **kwargs)
             return wrapped
 
@@ -333,6 +337,7 @@ class TestJacobian:
         _, rep = solve_dirichlet(prob, grid)
         assert rep.converged and sum(s.iterations for s in rep.stages) > 0
         assert calls["gradient_field"] == calls["hessian_field"] == calls["residual"]
+        assert calls["linear"] > 0
 
 
 def _raise(*args, **kwargs):
@@ -356,12 +361,60 @@ class TestFastLinearSolve:
         grid = LogGrid.build(dom, counts[:n])
         res = np.random.default_rng(seed).standard_normal(grid.shape)
         res[grid.boundary_mask] = 0.0
-        J = full_jacobian(grid, *coefficient_fields(np.zeros(grid.shape), grid, 2.0,
-                                                    2 + (n - p), 1e-2))
+        # the p = 2 Jacobian: A = I, B = n - p and C = 0
+        A = np.broadcast_to(np.eye(n).reshape((n, n) + (1,) * n), (n, n) + grid.shape)
+        J = full_jacobian(grid, A, np.full(grid.shape, n - p), np.zeros((n,) + grid.shape))
         direct = spla.spsolve(J, -res.ravel()).reshape(grid.shape)
         du = _solve_linear(grid, n - p, -res)
         assert np.max(np.abs(J @ du.ravel() + res.ravel())) <= 1e-12 * np.max(np.abs(res))
         assert np.max(np.abs(du - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("p", [2.7, 3.0, 3.3, 6.0])
+    def test_presolve_keeps_the_drift(self, monkeypatch, n, p):
+        # the presolve is the solve's system with p set to 2: its drift stays
+        # n - p, and its residual is the p = 2 residual of operator_terms
+        # with that drift coefficient, sum_kl A_kl H_kl + (n - p) g_a, bit
+        # for bit, negative zeros included
+        systems = []
+        stage = solver._newton_stage
+
+        def recording(values, system, *args):
+            systems.append(system)
+            return stage(values, system, *args)
+
+        monkeypatch.setattr(solver, "_newton_stage", recording)
+        grid = LogGrid.build(unit_domain(n=n), (9,) * n)
+        solve_dirichlet(constant_forcing_problem(p, n), grid, SolverConfig(max_iter=0))
+        presolve, *stages = systems
+        assert (presolve.p, presolve.drift) == (2.0, n - p)
+        assert {(s.p, s.drift) for s in stages} == {(p, n - p)}
+        v = np.random.default_rng(n).standard_normal(grid.shape)
+        u = GridFunction(grid, v)
+        g, H = calculus.gradient_field(u), calculus.hessian_field(u)
+        A = operator_terms(g, H, 2.0)[1]
+        coef = gradient_powers(g, 2.0)[1]
+        want = np.einsum("kl...,kl...->...", A, H) + (n - p) * coef * g[0] - presolve.F_log
+        want[grid.boundary_mask] = 0.0
+        got, lin = presolve.residual(v, 1e-2)
+        assert lin is None
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_failing_p2_solve_runs_one_stage(self):
+        # a p = 2 stage reads no eps, so one that misses tol inserts no
+        # midpoint, which would only redo the same linear system; a failed
+        # warm stage is followed by the one cold stage
+        grid = LogGrid.build(unit_domain(t_min=0.001), (13, 13))
+        cfg = SolverConfig(max_iter=0)
+        prob = constant_forcing_problem(2.0, 2)
+        floor_stage = (cfg.eps_reg_floor, 0, "max_iter")
+        _, rep = solve_dirichlet(prob, grid, cfg)
+        assert not rep.converged
+        assert [(s.eps_reg, s.iterations, s.stop_reason) for s in rep.stages] == [floor_stage]
+        _, rep = solve_dirichlet(prob, grid, cfg, initial=GridFunction(grid, np.zeros(grid.shape)))
+        assert not rep.converged
+        assert ([(s.eps_reg, s.iterations, s.stop_reason) for s in rep.stages]
+                == [floor_stage] * 2)
 
     def test_p2_solve_neither_assembles_nor_factorizes(self, monkeypatch):
         grid = LogGrid.build(unit_domain(n=3), (17, 17, 17))
@@ -371,8 +424,8 @@ class TestFastLinearSolve:
         # the direct solve: one Newton step from the boundary data
         start = np.where(grid.boundary_mask, prob.dirichlet_values(grid), 0.0)
         F_log = prob.log_forcing(grid)
-        res = _NewtonSystem(grid, 2.0, 3, F_log).residual(start, 1e-6)[0]
-        J = full_jacobian(grid, *coefficient_fields(start, grid, 2.0, 3, 1e-6))
+        res = _NewtonSystem(grid, 2.0, 1.0, F_log).residual(start, 1e-6)[0]
+        J = full_jacobian(grid, *coefficient_fields(start, grid, 2.0, 1e-6))
         direct = start + spla.spsolve(J, -res.ravel()).reshape(grid.shape)
         err_direct = float(np.max(np.abs(direct - exact)))
 
@@ -395,7 +448,7 @@ def _direct_solve(J, rhs, system=None):
 
 def kept_factor(grid, lu=None):
     """A p = 3, n = 2 Newton system on ``grid`` whose kept factor is ``lu``."""
-    return _NewtonSystem(grid, 3.0, 2, np.zeros(grid.shape), lu=lu)
+    return _NewtonSystem(grid, 3.0, -1.0, np.zeros(grid.shape), lu=lu)
 
 
 class TestOrderedJacobianSolve:
@@ -421,9 +474,9 @@ class TestOrderedJacobianSolve:
         v = v + 0.25 * np.sin(sum(f * m for f, m in zip(freq, grid.mesh))) / math.sqrt(n)
         res = rng.standard_normal(grid.shape)
         res[grid.boundary_mask] = 0.0
-        system = _NewtonSystem(grid, p, n, np.zeros(grid.shape))
+        system = _NewtonSystem(grid, p, n - p, np.zeros(grid.shape))
         lin = system.residual(v, eps)[1]
-        fields = coefficient_fields(v, grid, p, n, eps)
+        fields = coefficient_fields(v, grid, p, eps)
         direct = _direct_solve(full_jacobian(grid, *fields), -res)
         J = _assemble_jacobian(grid, *fields)
         du = system.step(lin, -res)
@@ -459,7 +512,7 @@ class TestOrderedJacobianSolve:
         m = grid.dissection_order.size
         stale = spla.splu(sp.diags(10.0 ** rng.uniform(-3, 3, m)).tocsc())
         factor = kept_factor(grid, stale)
-        fields = coefficient_fields(v, grid, 3.0, 2, 1e-2)
+        fields = coefficient_fields(v, grid, 3.0, 1e-2)
         du = _solve_jacobian(_assemble_jacobian(grid, *fields), -res, factor)
         assert factor.krylov_iterations == solver.KRYLOV_RESTART
         assert factor.factorizations == 1 and factor.lu is not stale
@@ -484,9 +537,9 @@ class TestOrderedJacobianSolve:
         v = 0.8 * grid.mesh[0] + 0.1 * np.sin(3.0 * grid.mesh[1])
         res = rng.standard_normal(grid.shape)
         res[grid.boundary_mask] = 0.0
-        J = _assemble_jacobian(grid, *coefficient_fields(v, grid, 3.0, 2, 1e-2))
+        J = _assemble_jacobian(grid, *coefficient_fields(v, grid, 3.0, 1e-2))
         # the factor of a nearby iterate's Jacobian, as a Newton solve keeps it
-        nearby = coefficient_fields(v + 0.05 * grid.mesh[1] ** 2, grid, 3.0, 2, 1e-2)
+        nearby = coefficient_fields(v + 0.05 * grid.mesh[1] ** 2, grid, 3.0, 1e-2)
         lu = spla.splu(_assemble_jacobian(grid, *nearby), permc_spec="NATURAL")
         counting = CountingLU(lu)
         factor = kept_factor(grid, counting)
@@ -656,13 +709,13 @@ class TestInexactContinuation:
         prob = constant_forcing_problem(3.0, 2)
         F_log = prob.log_forcing(grid, interior_only=True)
         values = np.zeros(grid.shape)
-        res = _NewtonSystem(grid, 3.0, 2, F_log).residual(values, 1e-2)[0]
+        res = _NewtonSystem(grid, 3.0, -1.0, F_log).residual(values, 1e-2)[0]
         norm = float(np.max(np.abs(res)))
         max_iter = SolverConfig().max_iter
-        _, rec = stage(values, _NewtonSystem(grid, 3.0, 2, F_log), 1e-2, max_iter,
+        _, rec = stage(values, _NewtonSystem(grid, 3.0, -1.0, F_log), 1e-2, max_iter,
                        (1.0 - 1e-7) * norm)
         assert (rec.iterations, rec.stop_reason) == (1, "converged")
-        _, rec = stage(values, _NewtonSystem(grid, 3.0, 2, F_log), 1e-2, max_iter,
+        _, rec = stage(values, _NewtonSystem(grid, 3.0, -1.0, F_log), 1e-2, max_iter,
                        (1.0 - 1e-5) * norm)
         assert (rec.iterations, rec.stop_reason) == (1, "line_search")
 
@@ -855,6 +908,22 @@ class TestDiscreteComparison:
         u_low, _ = solve_dirichlet(pl, grid)
         u_high, _ = solve_dirichlet(ph, grid)
         assert np.all(u_high.values <= u_low.values + 10 * max(grid.h) ** 2)
+
+
+    @settings(max_examples=8)
+    @given(c=st.floats(0.05, 1.0), margin=st.floats(0.05, 1.0),
+           counts=st.lists(st.integers(9, 17), min_size=2, max_size=2))
+    def test_shifted_pair_is_ordered(self, c, margin, counts):
+        # the pair of ``verify comparison`` at p = 2: the solve of t^p f = c,
+        # then the forcing raised by margin t^-p solved from it as a warm
+        # start; the linear scheme is exact, so no slack is needed
+        grid = LogGrid.build(unit_domain(), counts)
+        prob = PDEProblem(p=2.0, f=lambda t, xs: c * np.asarray(t, dtype=float) ** -2.0,
+                          dirichlet=zero_field)
+        v_super, rep_super = solve_dirichlet(prob, grid)
+        u_sub, rep_sub = solve_dirichlet(raised_forcing(prob, margin), grid, initial=v_super)
+        assert rep_super.converged and rep_sub.converged
+        assert comparison_check(u_sub, v_super, prob, tol=0.0).violations == 0
 
 
 class TestExhaustionSolve:

@@ -2,9 +2,11 @@
 
     python tools/solver_sweep.py OLD_SRC NEW_SRC
 
-Runs 45 solves with each tree's ``src/`` directory (OLD_SRC and NEW_SRC),
-each tree in its own subprocess.  For each p in {3.5, 4, 5, 6}, all on 41^2
-grids over the base [0, 1] with t_min = e^-1 unless stated:
+OLD_SRC and NEW_SRC are the ``src/`` directories of two checkouts.  Each
+tree runs in its own subprocess with its own ``tools/solver_sweep.py``, so
+each side calls the API of its own tree, and the two sides' cases are
+matched by label.  This tree's 45 cases are, for each p in {3.5, 4, 5, 6},
+all on 41^2 grids over the base [0, 1] with t_min = e^-1 unless stated:
 
 - manufactured u* = t^kappa for kappa in {-0.5, 0.2, 0.41, 1.0};
 - zero Dirichlet data with f = c for c in {-1, 0.3, 1};
@@ -20,11 +22,12 @@ same zero-data problem in 3D at 12^3, 13^3 and 14^3: an odd node count puts
 one node at the symmetric centre, and at 13^3 the solve ends in a deep
 spike there.
 
-Prints, for each case and side, whether the solve converged, its stages,
-Newton steps, seconds and min u, and the max-norm difference of the two
-fields relative to the old field's max norm; then the totals, how many
-fields are bit-equal and in how many cases the stages and Newton steps
-match.  Exits 1 if a case converges on OLD_SRC but not on NEW_SRC.
+Prints, for each case both sides run, whether the solve converged, its
+stages, Newton steps, seconds and min u, and the max-norm difference of
+the two fields relative to the old field's max norm; then the totals over
+those cases, the labels that only one side runs, how many fields are
+bit-equal and in how many cases the stages and Newton steps match.  Exits
+1 if a case converges on OLD_SRC but not on NEW_SRC.
 """
 
 import json
@@ -37,7 +40,6 @@ import time
 
 import numpy as np
 
-TOOLS = os.path.dirname(os.path.abspath(__file__))
 PS = (3.5, 4.0, 5.0, 6.0)
 
 
@@ -97,15 +99,22 @@ def run_cases(out: str) -> None:
         json.dump(stats, fh)
 
 
-def run_side(src: str, out: str) -> tuple:
-    code = ("import sys; sys.path[:0] = sys.argv[1:3]; import solver_sweep; "
-            "solver_sweep.run_cases(sys.argv[3])")
-    subprocess.run([sys.executable, "-c", code, os.path.abspath(src), TOOLS, out],
-                   check=True)
-    with open(out + ".json") as fh:
+def run_side(src: str, out: str) -> dict:
+    """Runs the cases of the tree whose ``src/`` is ``src`` with that tree's
+    own ``tools/solver_sweep.py``, so each side calls the API of its own
+    tree; returns {label: (stats, field or None)}."""
+    tree = os.path.dirname(os.path.abspath(src))
+    code = ("import json, sys; sys.path[:0] = sys.argv[1:3]; import solver_sweep; "
+            "solver_sweep.run_cases(sys.argv[3]); "
+            "json.dump([c[0] for c in solver_sweep.cases()], open(sys.argv[3] + '.labels', 'w'))")
+    subprocess.run([sys.executable, "-c", code, os.path.abspath(src),
+                    os.path.join(tree, "tools"), out], check=True)
+    with open(out + ".json") as fh, open(out + ".labels") as labels:
         stats = json.load(fh)
+        labels = json.load(labels)
     with np.load(out + ".npz") as npz:
-        return stats, {k: npz[k] for k in npz.files}
+        return {label: (s, npz[f"c{k}"] if f"c{k}" in npz.files else None)
+                for k, (label, s) in enumerate(zip(labels, stats))}
 
 
 def main(argv) -> int:
@@ -113,21 +122,18 @@ def main(argv) -> int:
         print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
-        (old, old_fields), (new, new_fields) = (
-            run_side(src, os.path.join(tmp, side)) for side, src in zip(("old", "new"), argv))
-    labels = [c[0] for c in cases()]
+        old, new = (run_side(src, os.path.join(tmp, side)) for side, src in zip(("old", "new"), argv))
+    labels = [label for label in new if label in old]
     print(f"{'case':<34} {'old: conv stages steps s min u':>35}   "
           f"{'new: conv stages steps s min u':>35}   rel diff")
     lost = bit_equal = same_path = 0
-    for k, label in enumerate(labels):
-        a, b = old[k], new[k]
-        key = f"c{k}"
-        if key in old_fields and key in new_fields:
-            bit_equal += np.array_equal(old_fields[key], new_fields[key])
+    for label in labels:
+        (a, ref), (b, field) = old[label], new[label]
+        if ref is not None and field is not None:
+            bit_equal += np.array_equal(ref, field)
         same_path += (a["stages"], a["steps"]) == (b["stages"], b["steps"])
         if a["converged"] and b["converged"]:
-            ref = old_fields[key]
-            diff = f"{np.max(np.abs(new_fields[key] - ref)) / np.max(np.abs(ref)):.2e}"
+            diff = f"{np.max(np.abs(field - ref)) / np.max(np.abs(ref)):.2e}"
         else:
             diff = "-"
         lost += a["converged"] and not b["converged"]
@@ -135,11 +141,15 @@ def main(argv) -> int:
                          f"{s['steps']:>6} {s['seconds']:>7.2f} {s['min_u']:>8.5f}"
                          for s in (a, b))
         print(f"{label:<34} {row}   {diff}")
-    for side, stats in (("old", old), ("new", new)):
+    for side, runs, other in (("old", old, new), ("new", new, old)):
+        stats = [s for label, (s, _) in runs.items() if label in other]
         print(f"{side}: {sum(s['converged'] for s in stats)} of {len(stats)} converge; "
               f"{sum(s['stages'] for s in stats)} stages, "
               f"{sum(s['steps'] for s in stats)} Newton steps, "
               f"{sum(s['seconds'] for s in stats):.1f} s")
+        only = [label for label in runs if label not in other]
+        if only:
+            print(f"only on {side}: {len(only)} case(s): {', '.join(only)}")
     print(f"{bit_equal} of {len(labels)} fields bit-equal; stages and Newton steps "
           f"match in {same_path} of {len(labels)} cases")
     if lost:
