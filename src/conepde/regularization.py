@@ -2,11 +2,11 @@
 
 Both are exact extrema over grid nodes that never visit all node pairs: the
 infimal convolution is one 1D min-plus pass per axis, and the envelope and
-the windowed forcing maximum sweep the index offsets inside a ball with
-``calculus._offset_slices``, the sweep behind the Hoelder seminorm.  The
-default pairing distance is Euclidean in the log chart (a, x), the metric in
-which the envelope Hessian bound is stated; the literal exponentiated
-reading of the pairing distance is available behind ``metric="literal"``.
+the windowed forcing maximum sweep the index offsets inside a ball on
+shifted slices (``_offset_slices``).  The default pairing distance is
+Euclidean in the log chart (a, x), the metric in which the envelope Hessian
+bound is stated; the literal exponentiated reading of the pairing distance
+is available behind ``metric="literal"``.
 """
 
 from __future__ import annotations
@@ -14,10 +14,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from conepde.calculus import GridFunction, _offset_slices, hessian_field
+from conepde.calculus import GridFunction, hessian_field
 from conepde.operators import PDEProblem, divergence_part_field
 
 __all__ = [
@@ -124,6 +125,28 @@ def inf_convolution(u: GridFunction, eps: float, metric: str = "log") -> GridFun
         raise ValueError("eps must be positive")
     out, _ = _min_plus(u.values, _axis_coords(u.grid, metric), eps)
     return GridFunction(u.grid, out)
+
+
+def _offset_slices(axis_coords, r2: float = math.inf):
+    """Every index offset o = w - z between nodes of the tensor grid with
+    these axis coordinates, in lex order, as (o, z slices, w slices, squared
+    coordinate gaps per axis); u[w slices] - u[z slices] pairs each node z
+    with z + o.  Offsets whose nearest pair lies beyond sqrt(r2) are skipped.
+    """
+    per_axis = []
+    for c in axis_coords:
+        m = c.size
+        steps = []
+        for o in range(1 - m, m):
+            zs, ws = slice(max(0, -o), m - max(0, o)), slice(max(0, o), m - max(0, -o))
+            gap = (c[zs] - c[ws]) ** 2
+            if gap.min() <= r2:
+                steps.append((o, zs, ws, gap))
+        per_axis.append(steps)
+    for combo in product(*per_axis):
+        o, zs, ws, gaps = zip(*combo)
+        if sum(g.min() for g in gaps) <= r2:
+            yield o, zs, ws, gaps
 
 
 def _ball_max(values: np.ndarray, axis_coords, radius: float, cap: bool = False) -> tuple:

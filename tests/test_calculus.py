@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conepde import calculus
 from conepde.calculus import (
     GridFunction,
     LogGrid,
@@ -20,7 +21,13 @@ from conepde.calculus import (
     write_gridfunction,
 )
 from conepde.geometry import ConeDomain
-from conepde.operators import PDEProblem, constant_field, residual_log_field
+from conepde.operators import (
+    PDEProblem,
+    constant_field,
+    residual_log_field,
+    separable_exponential_field,
+)
+from conepde.solver import solve_dirichlet
 import oracles
 from oracles import pointwise_gradient, pointwise_hessian, pointwise_residual_log
 
@@ -271,6 +278,42 @@ def hoelder_cases(draw):
     return GridFunction(grid, u)
 
 
+@st.composite
+def pruning_cases(draw):
+    """A field on a 2D grid of 12-40 nodes per axis or a 3D grid of 7-14,
+    no count a multiple of the cell side and the steps unequal across axes,
+    so that the padded cells and the grid-step floor of the cell bounds both
+    matter; the field is smooth, rough, a step or full of ties."""
+    n = draw(st.sampled_from([2, 3]))
+    side = calculus._cell_side(n)
+    lo, hi = (12, 40) if n == 2 else (7, 14)
+    counts = tuple(draw(st.integers(lo, hi).filter(lambda m: m % side)) for _ in range(n))
+    widths = [draw(st.sampled_from([0.3, 1.0, 2.5])) for _ in range(n - 1)]
+    dom = ConeDomain(n=n, base_lo=[0.0] * (n - 1), base_hi=widths,
+                     t_min=math.exp(-draw(st.sampled_from([0.5, 1.0, 2.0]))))
+    grid = LogGrid.build(dom, counts)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    wave = sum(w * m for w, m in zip(rng.uniform(-3.0, 3.0, n), grid.mesh))
+    noise = rng.standard_normal(grid.shape)
+    kind = draw(st.sampled_from(["smooth", "rough", "step", "ties"]))
+    u = {"smooth": np.sin(wave) + 0.01 * noise,
+         "rough": noise,
+         "step": (wave > np.median(wave)) + 0.05 * wave,
+         "ties": np.round(2.0 * noise) / 2.0}[kind]
+    return GridFunction(grid, u)
+
+
+@pytest.fixture(scope="module")
+def verify_solution():
+    """The p = 3 solve on 81^2 over [-1, 0] x [0, 1] with t^p f = 0.3 and
+    zero Dirichlet data, the field that ``verify hoelder`` checks."""
+    prob = PDEProblem(p=3.0, f=separable_exponential_field(0.3, -3.0, ()),
+                      dirichlet=constant_field(0.0))
+    u, report = solve_dirichlet(prob, unit_grid((81, 81)))
+    assert report.converged
+    return u
+
+
 class TestHoelderNorm:
     def test_zero(self):
         grid = unit_grid((9, 9))
@@ -325,7 +368,7 @@ class TestHoelderNorm:
     def test_steepest_pair_at_zero_leading_offset(self, counts, rho):
         # u varies only along the last axis and jumps most between its nodes
         # 4 and 5, so the maximizing pairs join those two nodes within one
-        # leading index, which only the zero leading offset meets
+        # leading index
         grid = unit_grid(counts, n=len(counts))
         x = grid.axes[-1]
         profile = 0.1 * x + (np.arange(x.size) >= 5)
@@ -337,8 +380,8 @@ class TestHoelderNorm:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("rho", [0.5, 1.0])
     def test_steepest_pair_at_positive_leading_offset(self, n, rho):
-        # +1 at z and -1 at w = z + (1, -1, ...): the offset is lex-positive
-        # on the leading axes and negative along the last, and this diagonal
+        # +1 at z and -1 at w = z + (1, -1, ...): the offset is positive on
+        # the leading axis and negative along the others, and this diagonal
         # pair beats every pair of a spike with a zero neighbour
         grid = unit_grid((9,) * n, n=n)
         z, w = (3,) * n, (4,) + (2,) * (n - 1)
@@ -355,6 +398,82 @@ class TestHoelderNorm:
         rng = np.random.default_rng(13)
         u = GridFunction(grid, rng.standard_normal(grid.shape))
         assert hoelder_norm(u, rho) == oracles.hoelder_norm(u, rho)
+
+
+    @given(case=pruning_cases(), rho=st.floats(0.0, 1.0, exclude_min=True))
+    def test_matches_oracle_where_cells_are_pruned(self, case, rho):
+        assert hoelder_norm(case, rho) == oracles.hoelder_norm(case, rho)
+
+    @pytest.mark.parametrize("n, m", [(2, 33), (3, 17)])
+    def test_far_plateaus_at_small_rho(self, n, m):
+        # +1 on a corner block, -1 on the opposite one and 0 between: at
+        # rho = 0.05 the distance barely counts, so the steepest pair joins
+        # the inner corners of the two plateaus across the grid, and the
+        # search must not drop the far cell pair holding it
+        grid = unit_grid((m,) * n, n=n)
+        values = np.zeros(grid.shape)
+        values[(slice(0, 3),) * n] = 1.0
+        values[(slice(m - 3, m),) * n] = -1.0
+        u = GridFunction(grid, values)
+        d = math.sqrt(sum((ax[m - 3] - ax[2]) ** 2 for ax in grid.axes))
+        assert hoelder_norm(u, 0.05) == oracles.hoelder_norm(u, 0.05)
+        assert hoelder_norm(u, 0.05) == pytest.approx(1.0 + 2.0 / d ** 0.05, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("axis", [0, -1])
+    @pytest.mark.parametrize("rho", [0.5, 1.0])
+    def test_steepest_pair_straddles_a_cell_boundary(self, n, axis, rho):
+        # a gentle ramp with a unit jump between the last node of the first
+        # cell along one axis and the first node of the second
+        side = calculus._cell_side(n)
+        grid = unit_grid((3 * side + 2,) * n, n=n)
+        c = grid.axes[axis]
+        profile = 0.1 * c + (np.arange(c.size) >= side)
+        shape = [1] * n
+        shape[axis] = -1
+        u = GridFunction(grid, np.broadcast_to(profile.reshape(shape), grid.shape).copy())
+        semi = (profile[side] - profile[side - 1]) / (c[side] - c[side - 1]) ** rho
+        assert hoelder_norm(u, rho) == oracles.hoelder_norm(u, rho)
+        assert hoelder_norm(u, rho) == pytest.approx(profile[-1] + semi, rel=1e-12)
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0])
+    def test_matches_oracle_on_the_verify_solution(self, verify_solution, rho):
+        u = verify_solution
+        assert hoelder_norm(u, rho) == oracles.hoelder_norm(u, rho)
+        # the search forms a small share of the all-pairs quotients
+        _, pairs = calculus._hoelder_search(u.values, u.grid.axes, rho)
+        N = u.values.size
+        assert pairs < 0.2 * N * (N - 1) / 2
+
+    @given(case=pruning_cases(), rho=st.floats(0.0, 1.0, exclude_min=True),
+           data=st.data())
+    def test_cell_bound_covers_every_quotient(self, case, rho, data):
+        # a cell pair's bound is at least every quotient of its real node
+        # pairs; the cells are rebuilt here from their index ranges
+        grid = case.grid
+        cell_v, _, boxes = calculus._cells(case.values, grid.axes)
+        h2 = min(float(np.min(np.diff(c) ** 2)) for c in grid.axes)
+        bound = calculus._cell_bounds(cell_v, boxes, h2, rho)
+        counts = [box.shape[0] for box in boxes]
+        sides = [box.shape[1] for box in boxes]
+        first = tuple(data.draw(st.integers(0, M - 1)) for M in counts)
+        step = tuple(data.draw(st.integers(-1, 1)) for _ in counts)
+        adjacent = tuple(min(max(c + s, 0), M - 1) for c, s, M in zip(first, step, counts))
+        far = tuple(data.draw(st.integers(0, M - 1)) for M in counts)
+
+        def nodes(cell):
+            idx = np.ix_(*(np.arange(c * s, min((c + 1) * s, m))
+                           for c, s, m in zip(cell, sides, grid.shape)))
+            return (case.values[idx].ravel(),
+                    np.stack([mesh[idx].ravel() for mesh in grid.mesh], axis=1))
+
+        for other in (first, adjacent, far):
+            (vi, pi), (vj, pj) = nodes(first), nodes(other)
+            d2 = np.sum((pi[:, None, :] - pj[None, :, :]) ** 2, axis=2)
+            dv = np.abs(vi[:, None] - vj[None, :])
+            q = dv[d2 > 0] / np.sqrt(d2[d2 > 0]) ** rho
+            i, j = np.ravel_multi_index(first, counts), np.ravel_multi_index(other, counts)
+            assert q.size == 0 or q.max() <= bound[i, j]
 
 
 class TestSummationByParts:

@@ -2,15 +2,17 @@
 
     python tools/hoelder_scaling.py [OUT]
 
-On each grid (2D at 41^2, 81^2 and 161^2; 3D at 13^3, 21^3 and 29^3, over
-the unit base with t_min = e^-1) ``calculus.hoelder_norm`` is applied to a
-fixed field, a smooth wave plus seeded noise, at rho = 0.5 and rho = 1.
-Per size it records the median seconds of one call at each rho over
-REPEATS runs (``rho_<rho>_s``) with their min and max (``rho_<rho>_min_s``,
-``rho_<rho>_max_s``), the tracemalloc peak of one call at rho = 0.5 (numpy
-reports its array buffers to tracemalloc), and whether that call's result
-equals the all-pairs oracle ``tests/oracles.hoelder_norm`` bit for bit
-(checked once per size, outside the timed region).  Per dimension it
+On each grid (2D at 41^2, 81^2 and 161^2; 3D at 13^3, 17^3, 21^3 and
+29^3, over the unit base with t_min = e^-1) ``calculus.hoelder_norm`` is
+applied to a fixed field, a smooth wave plus seeded noise, at rho = 0.5 and
+rho = 1.  Per size it records the median seconds of one call at each rho
+over REPEATS runs (``rho_<rho>_s``) with their min and max
+(``rho_<rho>_min_s``, ``rho_<rho>_max_s``), the node-pair quotients the
+branch and bound formed at each rho (``rho_<rho>_pairs``) against the
+N(N-1)/2 node pairs (``all_pairs``), the tracemalloc peak of one call at
+rho = 0.5 (numpy reports its array buffers to tracemalloc), and whether the
+result at every rho equals the all-pairs oracle ``tests/oracles.hoelder_norm``
+bit for bit (checked once per size, outside the timed region).  Per dimension it
 records the least-squares exponent of each time in the node count N,
 fitted once to the per-size medians and once to the per-size minima; host
 drift moves a median more than a minimum, so the two fits side by side
@@ -36,11 +38,11 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 import oracles  # noqa: E402
-from conepde.calculus import GridFunction, LogGrid, hoelder_norm  # noqa: E402
+from conepde.calculus import GridFunction, LogGrid, _hoelder_search, hoelder_norm  # noqa: E402
 from conepde.geometry import ConeDomain  # noqa: E402
 
 RHOS, REPEATS = (0.5, 1.0), 3
-SIZES = ((2, 41), (2, 81), (2, 161), (3, 13), (3, 21), (3, 29))
+SIZES = ((2, 41), (2, 81), (2, 161), (3, 13), (3, 17), (3, 21), (3, 29))
 
 
 def field(n: int, m: int) -> GridFunction:
@@ -61,16 +63,18 @@ def measure(n: int, m: int) -> dict:
             hoelder_norm(u, rho)
             times[rho].append(time.perf_counter() - t0)
     tracemalloc.start()
-    value = hoelder_norm(u, RHOS[0])
+    hoelder_norm(u, RHOS[0])
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    row = {"n": n, "nodes": list(u.grid.shape), "N": u.values.size}
+    N = u.values.size
+    row = {"n": n, "nodes": list(u.grid.shape), "N": N, "all_pairs": N * (N - 1) // 2}
     for rho, ts in times.items():
         row[f"rho_{rho:g}_s"] = statistics.median(ts)
         row[f"rho_{rho:g}_min_s"] = min(ts)
         row[f"rho_{rho:g}_max_s"] = max(ts)
+        row[f"rho_{rho:g}_pairs"] = _hoelder_search(u.values, u.grid.axes, rho)[1]
     row["peak_mb"] = peak / 2**20
-    row["exact"] = value == oracles.hoelder_norm(u, RHOS[0])
+    row["exact"] = all(hoelder_norm(u, rho) == oracles.hoelder_norm(u, rho) for rho in RHOS)
     return row
 
 
@@ -92,7 +96,9 @@ def main(argv) -> int:
         row = measure(n, m)
         rows.append(row)
         print(f"{n}D {m}^{n}: " + "  ".join(
-            f"rho {rho:g} {row[f'rho_{rho:g}_s'] * 1e3:8.1f} ms" for rho in RHOS)
+            f"rho {rho:g} {row[f'rho_{rho:g}_s'] * 1e3:8.1f} ms"
+            f" ({row[f'rho_{rho:g}_pairs'] / row['all_pairs']:.4f} of the pairs)"
+            for rho in RHOS)
             + f"  peak {row['peak_mb']:6.1f} MB  exact {row['exact']}")
     exponents = {}
     for n in sorted({r["n"] for r in rows}):
