@@ -177,15 +177,15 @@ def hoelder_check(v: GridFunction, prob: PDEProblem, rho: float) -> HoelderRepor
                          vacuous=vacuous, inconsistent=inconsistent)
 
 
-def empirical_alpha1(coarse: Sequence[HoelderReport], fine: Sequence[HoelderReport],
-                     rel_tol: float = 0.2) -> float | None:
+def empirical_alpha1(coarse: Sequence[HoelderReport],
+                     fine: Sequence[HoelderReport]) -> float | None:
     """Largest swept exponent whose ratio is finite on both grids and moves
-    by at most rel_tol under the refinement."""
+    by at most 20% under the refinement."""
     best = None
     for rc, rf in zip(coarse, fine):
         if rc.ratio is None or rf.ratio is None or rc.ratio == 0.0:
             continue
-        if abs(rf.ratio / rc.ratio - 1.0) <= rel_tol:
+        if abs(rf.ratio / rc.ratio - 1.0) <= 0.2:
             best = rc.rho if best is None else max(best, rc.rho)
     return best
 
@@ -206,25 +206,29 @@ def harnack_radius_bound(domain: ConeDomain) -> float:
     return domain.g_params.K0 * domain.g_params.d0 + 1.0
 
 
-def _require_harnack_radius(d: float, domain: ConeDomain) -> None:
+def _require_harnack_ball(grid: LogGrid, center: np.ndarray, d: float) -> None:
+    """A Harnack ball has a positive radius of at most ``harnack_radius_bound``
+    and lies in the grid's log box."""
     if not d > 0.0:
         raise ValueError("ball radius must be positive")
-    if d > harnack_radius_bound(domain):
+    if d > harnack_radius_bound(grid.domain):
         raise ValueError("ball radius exceeds the admissible K0 d0 + 1")
+    c = np.asarray(center, dtype=float)
+    lo, hi = np.array([(ax[0], ax[-1]) for ax in grid.axes]).T
+    if np.any(c - d < lo - 1e-12) or np.any(c + d > hi + 1e-12):
+        raise ValueError("the ball is not compactly contained in the grid")
 
 
 def harnack_ratio(u: GridFunction, prob: PDEProblem, center: np.ndarray,
                   d: float) -> HarnackReport:
     """Minimal constant in sup <= C (inf + d^(p/(p-1)) forcing^(1/(p-1)))
     with both extrema over the half ball about the log-chart point ``center``,
-    d at most ``harnack_radius_bound`` of the field's domain."""
-    _require_harnack_radius(d, u.grid.domain)
-    grid, c = u.grid, np.asarray(center, dtype=float)
-    lo, hi = np.array([(ax[0], ax[-1]) for ax in grid.axes]).T
-    if np.any(c - d < lo - 1e-12) or np.any(c + d > hi + 1e-12):
-        raise ValueError("the ball is not compactly contained in the grid")
-    ball = _ball_mask(grid, c, d)
-    half = _ball_mask(grid, c, d / 2.0)
+    d at most ``harnack_radius_bound`` of the field's domain and the ball
+    inside the grid."""
+    grid = u.grid
+    _require_harnack_ball(grid, center, d)
+    ball = _ball_mask(grid, center, d)
+    half = _ball_mask(grid, center, d / 2.0)
     _require_ball_resolved(half, "the half ball")
     if float(np.min(u.values[ball])) < -1e-12:
         raise ValueError("the field is negative inside the ball")
@@ -251,15 +255,16 @@ def weak_harnack_check(u: GridFunction, prob: PDEProblem, p0s: Sequence[float],
                        center: np.ndarray, d: float) -> list:
     """Normalized p0-means of a nonnegative supersolution on the ball B(center,
     d) against its infimum plus forcing, one row per p0 in ``p0s`` (each in (0, 1]),
-    d at most ``harnack_radius_bound`` of the field's domain.
+    d at most ``harnack_radius_bound`` of the field's domain and the ball
+    inside the grid.
 
     Both forcing sign conventions are reported: the negative part appears in
     the stated estimate, the positive part in its derivation.
     """
-    _require_harnack_radius(d, u.grid.domain)
+    grid = u.grid
+    _require_harnack_ball(grid, center, d)
     if not all(0.0 < p0 <= 1.0 for p0 in p0s):
         raise ValueError("p0 values must lie in (0, 1]")
-    grid = u.grid
     ball = _ball_mask(grid, center, d)
     double = _ball_mask(grid, center, 2.0 * d)
     _require_ball_resolved(ball, "the ball")
@@ -477,8 +482,7 @@ def _check_support(grid: LogGrid, bump: CosineBump) -> None:
 
 
 def weak_form_residual(u: GridFunction, prob: PDEProblem,
-                       test_family: Sequence[CosineBump],
-                       eps_reg: float = 0.0) -> tuple:
+                       test_family: Sequence[CosineBump]) -> tuple:
     """Residual of the scaled weak form over a family of nonnegative tests.
 
     For each test: int |g|^(p-2) g . grad(psi) - int (-t^p f + (n-p)
@@ -489,7 +493,7 @@ def weak_form_residual(u: GridFunction, prob: PDEProblem,
     grid = u.grid
     g = gradient_field(u)
     p, n = prob.p, grid.n
-    flux = gradient_powers(g, p, eps_reg)[1] * g      # |g|^(p-2) g, shape (n, ...)
+    flux = gradient_powers(g, p)[1] * g               # |g|^(p-2) g, shape (n, ...)
     f = prob.forcing_values(grid)
     tpf = prob.log_forcing(grid)
     t = grid.t_field

@@ -38,7 +38,7 @@ from conepde.operators import (
     psi_inverse,
     separable_exponential_field,
 )
-from conepde.regularization import METRICS, inf_convolution, upper_envelope
+from conepde.regularization import inf_convolution, upper_envelope
 from conepde.solver import (
     SolverConfig,
     convergence_study,
@@ -138,6 +138,14 @@ class RunConfig:
             raise ConfigError(f"{key}: {what}, got the default {_show(value)}")
         raise self.rejection([key], what)
 
+    def require_known(self, section: str, names, reader: str) -> None:
+        """Rejects the first ``section.*`` key that is not ``section.<name>``
+        for one of ``names``, naming it, its line and the keys ``reader`` reads."""
+        for key in self.entries:
+            if key.startswith(section + ".") and key.removeprefix(section + ".") not in names:
+                raise ConfigError(f"line {self.lines[key]}: unknown key {key}; {reader} reads "
+                                  + ", ".join(f"{section}.{name}" for name in names))
+
     def where(self, key: str) -> str:
         """``key`` after its line, ``line N: key``, when the config sets it."""
         return f"line {self.lines[key]}: {key}" if key in self.lines else key
@@ -183,8 +191,9 @@ def build_domain(cfg: RunConfig) -> ConeDomain:
                            f"need n - 1 = {n - 1} axes 'lo,hi', each with lo < hi"))
     t_min = cfg.read("domain.t_min", NUMBER, REQUIRED, lambda t: 0.0 < t < 1.0,
                      "must lie in (0, 1)")
-    K0 = cfg.read("domain.k0", NUMBER, 2.0, *POSITIVE)
-    d0 = cfg.read("domain.d0", NUMBER, 1.0, *POSITIVE)
+    default = GConditionParams()
+    K0 = cfg.read("domain.k0", NUMBER, default.K0, *POSITIVE)
+    d0 = cfg.read("domain.d0", NUMBER, default.d0, *POSITIVE)
     return ConeDomain(n=n, base_lo=np.array(lo), base_hi=np.array(hi),
                       t_min=t_min, g_params=GConditionParams(K0=K0, d0=d0))
 
@@ -275,12 +284,10 @@ def build_grid(cfg: RunConfig, domain: ConeDomain) -> LogGrid:
 def build_solver_config(cfg: RunConfig) -> SolverConfig:
     """Each ``solver.<name>`` key sets the ``SolverConfig`` field of that name."""
     fields = {f.name: f for f in dataclasses.fields(SolverConfig)}
+    cfg.require_known("solver", fields, "the solver")
     kwargs = {}
     for key in [k for k in cfg.entries if k.startswith("solver.")]:
         name = key.removeprefix("solver.")
-        if name not in fields:
-            raise ConfigError(f"line {cfg.lines[key]}: unknown key {key}; the solver reads "
-                              + ", ".join(f"solver.{f}" for f in fields))
         # the float fields must be finite and positive; SolverConfig checks the ranges
         kwargs[name] = cfg.read(key, INTEGER if isinstance(fields[name].default, int)
                                 else NUMBER, what="must be finite and positive")
@@ -385,18 +392,17 @@ def _cmd_exhaust(cfg: RunConfig, args: argparse.Namespace) -> tuple:
 
 
 def _cmd_convolve(cfg: RunConfig, args: argparse.Namespace) -> tuple:
+    cfg.require_known("convolve", ("direction", "eps", "input"), "convolve")
     direction = cfg.read("convolve.direction", TEXT, "inf",
                          lambda d: d.lower() in ("inf", "sup"), "must be inf or sup").lower()
-    metric = cfg.read("convolve.metric", TEXT, "log", lambda m: m in METRICS,
-                      "must be " + " or ".join(METRICS))
     eps = cfg.read("convolve.eps", NUMBER, REQUIRED, *POSITIVE)
     u = _read_field_file(cfg, "convolve.input")
-    payload = {"direction": direction, "eps": eps, "metric": metric}
+    payload = {"direction": direction, "eps": eps}
     files = {}
     if direction == "inf":
-        out = inf_convolution(u, eps, metric=metric)
+        out = inf_convolution(u, eps)
     else:
-        env = upper_envelope(u, eps, metric=metric)
+        env = upper_envelope(u, eps)
         out = GridFunction(u.grid, np.where(env.mask, env.field.values, 0.0))
         files["convolved_mask.csv"] = ["mask"], [(int(v),) for v in env.mask.ravel()]
         payload.update(masked_nodes=int(env.mask.sum()), max_offset=env.max_offset)

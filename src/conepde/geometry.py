@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,15 +34,12 @@ class GConditionParams:
     fraction sigma is estimated by ``estimate_g_condition``, never given.
     """
 
-    K0: float
-    d0: float
+    K0: float = 2.0
+    d0: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.K0 < math.inf and 0.0 < self.d0 < math.inf):
             raise ValueError("K0 and d0 must be finite and positive")
-
-
-_DEFAULT_G = GConditionParams(K0=2.0, d0=1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +58,7 @@ class ConeDomain:
     t_min: float
     t_max: float = 1.0
     bottom_is_boundary: bool = False
-    g_params: GConditionParams = field(default=_DEFAULT_G)
+    g_params: GConditionParams = GConditionParams()
 
     def __post_init__(self):
         object.__setattr__(self, "base_lo", np.atleast_1d(np.asarray(self.base_lo, dtype=float)))

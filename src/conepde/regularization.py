@@ -3,10 +3,9 @@
 Both are exact extrema over grid nodes that never visit all node pairs: the
 infimal convolution is one 1D min-plus pass per axis, and the envelope and
 the windowed forcing maximum sweep the index offsets inside a ball on
-shifted slices (``_offset_slices``).  The default pairing distance is
-Euclidean in the log chart (a, x), the metric in which the envelope Hessian
-bound is stated; the literal exponentiated reading of the pairing distance
-is available behind ``metric="literal"``.
+shifted slices (``_offset_slices``).  The pairing distance is the cone
+metric, Euclidean in the log chart (a, x), in which the envelope Hessian
+bound is stated; every kernel reads the node coordinates ``grid.axes``.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from conepde.calculus import GridFunction, hessian_field
 from conepde.operators import PDEProblem, divergence_part_field
 
 __all__ = [
-    "METRICS",
     "EnvelopeParams",
     "EnvelopeResult",
     "support_radius",
@@ -72,20 +70,6 @@ class EnvelopeResult:
         return float(np.nanmax(self.offsets[self.mask]))
 
 
-# node coordinates per axis in each pairing metric; "literal" remaps the
-# radial axis to e^t = exp(exp(a)) and leaves the rest alone
-METRICS = {
-    "log": lambda grid: list(grid.axes),
-    "literal": lambda grid: [np.exp(np.exp(grid.a)), *grid.xs],
-}
-
-
-def _axis_coords(grid, metric: str) -> list:
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
-    return METRICS[metric](grid)
-
-
 def support_radius(u: GridFunction, eps: float) -> float:
     """Search window 2 sqrt(sup|u| eps) outside of which the quadratic
     penalty always exceeds any possible gain."""
@@ -115,7 +99,7 @@ def _min_plus(values: np.ndarray, axis_coords, eps: float) -> tuple:
     return f, w
 
 
-def inf_convolution(u: GridFunction, eps: float, metric: str = "log") -> GridFunction:
+def inf_convolution(u: GridFunction, eps: float) -> GridFunction:
     """Quadratic-penalty infimal convolution over grid nodes.
 
     min over all nodes w of u(w) + d(z, w)^2 / (2 eps).  The result never
@@ -123,15 +107,15 @@ def inf_convolution(u: GridFunction, eps: float, metric: str = "log") -> GridFun
     """
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    out, _ = _min_plus(u.values, _axis_coords(u.grid, metric), eps)
+    out, _ = _min_plus(u.values, u.grid.axes, eps)
     return GridFunction(u.grid, out)
 
 
-def _offset_slices(axis_coords, r2: float = math.inf):
+def _offset_slices(axis_coords, r2: float):
     """Every index offset o = w - z between nodes of the tensor grid with
-    these axis coordinates, in lex order, as (o, z slices, w slices, squared
-    coordinate gaps per axis); u[w slices] - u[z slices] pairs each node z
-    with z + o.  Offsets whose nearest pair lies beyond sqrt(r2) are skipped.
+    these axis coordinates whose nearest pair lies within sqrt(r2), in lex
+    order, as (z slices, w slices, squared coordinate gaps per axis);
+    u[w slices] - u[z slices] pairs each node z with z + o.
     """
     per_axis = []
     for c in axis_coords:
@@ -141,12 +125,12 @@ def _offset_slices(axis_coords, r2: float = math.inf):
             zs, ws = slice(max(0, -o), m - max(0, o)), slice(max(0, o), m - max(0, -o))
             gap = (c[zs] - c[ws]) ** 2
             if gap.min() <= r2:
-                steps.append((o, zs, ws, gap))
+                steps.append((zs, ws, gap))
         per_axis.append(steps)
     for combo in product(*per_axis):
-        o, zs, ws, gaps = zip(*combo)
+        zs, ws, gaps = zip(*combo)
         if sum(g.min() for g in gaps) <= r2:
-            yield o, zs, ws, gaps
+            yield zs, ws, gaps
 
 
 def _ball_max(values: np.ndarray, axis_coords, radius: float, cap: bool = False) -> tuple:
@@ -159,7 +143,7 @@ def _ball_max(values: np.ndarray, axis_coords, radius: float, cap: bool = False)
     r2 = radius * radius
     best = np.full(values.shape, -np.inf)
     best_d2 = np.full(values.shape, np.nan)
-    for _, zs, ws, gaps in _offset_slices(axis_coords, r2):
+    for zs, ws, gaps in _offset_slices(axis_coords, r2):
         d2 = sum(np.ix_(*gaps))
         cand = values[ws] + np.sqrt(np.maximum(r2 - d2, 0.0)) if cap else values[ws]
         better = (d2 <= r2) & (cand > best[zs])
@@ -168,15 +152,15 @@ def _ball_max(values: np.ndarray, axis_coords, radius: float, cap: bool = False)
     return best, best_d2
 
 
-def _boundary_margin(u: GridFunction, metric: str) -> np.ndarray:
-    """Distance of every node to the nearest grid face in the pairing
-    metric, the artificial truncation face included: the grid cannot see
-    beyond any face, so envelope windows must not reach one."""
-    margins = [np.minimum(c - c[0], c[-1] - c) for c in _axis_coords(u.grid, metric)]
+def _boundary_margin(u: GridFunction) -> np.ndarray:
+    """Distance of every node to the nearest grid face, the artificial
+    truncation face included: the grid cannot see beyond any face, so
+    envelope windows must not reach one."""
+    margins = [np.minimum(c - c[0], c[-1] - c) for c in u.grid.axes]
     return functools.reduce(np.minimum, np.ix_(*margins))
 
 
-def upper_envelope(u: GridFunction, eps: float, metric: str = "log") -> EnvelopeResult:
+def upper_envelope(u: GridFunction, eps: float) -> EnvelopeResult:
     """Spherical upper envelope max_w (u(w) + sqrt(eps^2 - d(z, w)^2)).
 
     Defined on nodes farther than eps from the boundary; the mask and the
@@ -185,9 +169,8 @@ def upper_envelope(u: GridFunction, eps: float, metric: str = "log") -> Envelope
     """
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    coords = _axis_coords(u.grid, metric)
-    mask = _boundary_margin(u, metric) > eps
-    best, d2 = _ball_max(u.values, coords, eps, cap=True)
+    mask = _boundary_margin(u) > eps
+    best, d2 = _ball_max(u.values, u.grid.axes, eps, cap=True)
     field = GridFunction(u.grid, np.where(mask, best, np.nan), check_finite=False)
     return EnvelopeResult(field=field, mask=mask, offsets=np.where(mask, np.sqrt(d2), np.nan),
                           eps=eps)
@@ -220,29 +203,25 @@ def semiconvexity_check(u_env: EnvelopeResult, params: EnvelopeParams,
 
 
 def convolution_supersolution_check(u: GridFunction, prob: PDEProblem,
-                                    eps: float, tol: float,
-                                    metric: str = "log",
-                                    eps_reg: float = 1e-8) -> dict:
+                                    eps: float, tol: float) -> dict:
     """Count nodes where the divergence-form residual of the infimal
-    convolution exceeds the windowed forcing sup (t^p f)_eps, beyond tol.
+    convolution, at gradient regularization 1e-8, exceeds the windowed
+    forcing sup (t^p f)_eps, beyond tol.
 
     For a supersolution-consistent input the count is zero up to
     discretization slack.
     """
-    u_eps = inf_convolution(u, eps, metric=metric)
+    u_eps = inf_convolution(u, eps)
     grid = u.grid
     r = support_radius(u, eps)
-    margin = _boundary_margin(u, metric)
-    mask = margin > r
+    mask = _boundary_margin(u) > r
     # interior nodes only: the stencils must not touch the grid faces
     mask &= ~grid.boundary_mask
     if not np.any(mask):
         raise ValueError("no interior nodes remain inside the shrunken region")
 
-    lhs = divergence_part_field(u_eps, prob.p, eps_reg)[0]
-
-    rhs = np.where(mask, _ball_max(prob.log_forcing(grid), _axis_coords(grid, metric), r)[0],
-                   np.nan)
+    lhs = divergence_part_field(u_eps, prob.p, 1e-8)[0]
+    rhs = np.where(mask, _ball_max(prob.log_forcing(grid), grid.axes, r)[0], np.nan)
 
     gap = lhs - rhs
     violations = int(np.sum(gap[mask] > tol))

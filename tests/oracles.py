@@ -390,22 +390,14 @@ def ball_sup_forcing(grid, weight_values, p, radius_field, chunk=int(5e6)):
 # ---------------------------------------------------------------------------
 # all-pairs regularizations and pair maximization
 
-def pair_points(grid, metric):
-    """Node coordinates in the pairing metric, shape (N, n)."""
-    pts = grid.log_points.copy()
-    if metric == "literal":
-        pts[:, 0] = np.exp(np.exp(pts[:, 0]))
-    return pts
-
-
 def _pair_d2(pts, start, stop):
     return np.sum((pts[start:stop, None, :] - pts[None, :, :]) ** 2, axis=2)
 
 
-def inf_convolution(u, eps, metric="log", window=None, chunk=int(5e6)):
+def inf_convolution(u, eps, window=None, chunk=int(5e6)):
     """min over nodes w within ``window`` (default: the lossless support
     radius 2 sqrt(sup|u| eps)) of u(w) + d(z, w)^2 / (2 eps), flattened."""
-    pts = pair_points(u.grid, metric)
+    pts = u.grid.log_points
     vals = u.values.ravel()
     r = 2.0 * math.sqrt(float(np.max(np.abs(vals))) * eps) if window is None else window
     out = np.empty_like(vals)
@@ -420,11 +412,11 @@ def inf_convolution(u, eps, metric="log", window=None, chunk=int(5e6)):
     return out.reshape(u.grid.shape)
 
 
-def ball_max(grid, values, radius, metric="log", cap=False, chunk=int(5e6)):
+def ball_max(grid, values, radius, cap=False, chunk=int(5e6)):
     """Per node z, the max over nodes w with d(z, w) <= radius of values(w),
     plus sqrt(radius^2 - d^2) with ``cap``, and d(z, w) at the first
     maximizing w in flat order."""
-    pts = pair_points(grid, metric)
+    pts = grid.log_points
     vals = values.ravel()
     m = pts.shape[0]
     out = np.empty(m)

@@ -289,8 +289,9 @@ class TestConfigValidation:
         out = os.path.join(tmp_path, "out")
         cfg = write_config(tmp_path, (BASE_CONFIG + key + "\n").format(outdir=out))
         assert run(["solve", "--config", cfg]) == 2
-        err = capsys.readouterr().err
-        assert key.split(" =")[0] in err and "line 12" in err
+        assert capsys.readouterr().err == (
+            f"config error: line 12: unknown key {key.split(' =')[0]}; the solver reads "
+            "solver.eps_reg_start, solver.eps_reg_floor, solver.tol, solver.max_iter\n")
         assert not os.path.isdir(out) or not os.listdir(out)
 
     @pytest.mark.parametrize("entry, what", [
@@ -379,22 +380,32 @@ class TestConfigValidation:
         assert capsys.readouterr().err == f"config error: line 13: {key}: {what}, got {value!r}\n"
         assert not os.path.isdir(out) or not os.listdir(out)
 
-    @pytest.mark.parametrize("entry, what", [
-        ("convolve.direction = bogus", "must be inf or sup"),
-        ("convolve.metric = bogus", "must be log or literal"),
-        ("convolve.metric = LOG", "must be log or literal"),
-    ])
-    def test_bad_convolve_direction_or_metric_exits_two_before_reading_input(
-            self, tmp_path, capsys, monkeypatch, entry, what):
-        # an unknown direction used to leave an empty output dir behind, and an
-        # unknown metric failed inside regularization naming neither key nor line
+    def test_bad_convolve_direction_exits_two_before_reading_input(
+            self, tmp_path, capsys, monkeypatch):
+        # an unknown direction used to leave an empty output dir behind
+        monkeypatch.setattr("conepde.cli.read_gridfunction", refuse_solve)
+        out = os.path.join(tmp_path, "out")
+        body = (BASE_CONFIG + "convolve.eps = 0.05\nconvolve.input = missing.gf\n"
+                "convolve.direction = bogus\n")
+        cfg = write_config(tmp_path, body.format(outdir=out))
+        assert run(["convolve", "--config", cfg]) == 2
+        assert capsys.readouterr().err == ("config error: line 14: convolve.direction: "
+                                           "must be inf or sup, got 'bogus'\n")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("entry", ["convolve.metric = log", "convolve.directon = sup"])
+    def test_unknown_convolve_key_exits_two_before_reading_input(
+            self, tmp_path, capsys, monkeypatch, entry):
+        # a misspelt direction used to run the default inf-convolution without
+        # a word, as the removed metric key would
         monkeypatch.setattr("conepde.cli.read_gridfunction", refuse_solve)
         out = os.path.join(tmp_path, "out")
         body = BASE_CONFIG + "convolve.eps = 0.05\nconvolve.input = missing.gf\n" + entry + "\n"
         cfg = write_config(tmp_path, body.format(outdir=out))
         assert run(["convolve", "--config", cfg]) == 2
-        key, value = entry.split(" = ")
-        assert capsys.readouterr().err == f"config error: line 14: {key}: {what}, got {value!r}\n"
+        assert capsys.readouterr().err == (
+            f"config error: line 14: unknown key {entry.split(' =')[0]}; convolve reads "
+            "convolve.direction, convolve.eps, convolve.input\n")
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -762,6 +773,20 @@ class TestVerifyCommands:
         err = capsys.readouterr().err
         assert err.startswith("config error: line 12: verify.p0s: ")
         assert "p0 values must lie in (0, 1]" in err
+        assert not os.path.isdir(out)
+
+    @pytest.mark.parametrize("check", ["harnack", "weakharnack"])
+    def test_ball_leaving_the_grid_exits_two(self, tmp_path, capsys, check):
+        # weakharnack used to exit 0 with inf = 0 read off the boundary nodes
+        out = os.path.join(tmp_path, "out")
+        body = (BASE_CONFIG.replace("domain.t_min = 0.36787944117144233", "domain.t_min = 0.2")
+                .replace("problem.p = 2.0", "problem.p = 3.0")
+                .replace("problem.f = zero", "problem.f = constant:-1")
+                .replace("grid.nodes = 13,13", "grid.nodes = 17,17")
+                + "verify.ball = -0.1,0.9,0.3\n")
+        cfg = write_config(tmp_path, body.format(outdir=out))
+        assert run(["verify", check, "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: the ball is not compactly contained in the grid\n"
         assert not os.path.isdir(out)
 
     @pytest.mark.parametrize("argv, key, value", [

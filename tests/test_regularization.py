@@ -11,7 +11,6 @@ from conepde.geometry import ConeDomain
 from conepde.operators import PDEProblem
 from conepde.regularization import (
     EnvelopeParams,
-    _axis_coords,
     _ball_max,
     _boundary_margin,
     convolution_supersolution_check,
@@ -106,13 +105,6 @@ class TestInfConvolution:
         lip = float(np.max(np.sqrt(np.sum(g * g, axis=0))[interior]))
         bound = support_radius(u, eps) / eps + 4.0 * max(grid.h)
         assert lip <= bound
-
-    def test_literal_metric_variant_runs(self):
-        grid = unit_grid((17, 17))
-        rng = np.random.default_rng(4)
-        u = GridFunction(grid, rng.standard_normal(grid.shape))
-        out = inf_convolution(u, 0.05, metric="literal")
-        assert np.all(out.values <= u.values + 1e-15)
 
 
 class TestUpperEnvelope:
@@ -255,7 +247,7 @@ class TestSupersolutionCheck:
 @st.composite
 def kernel_cases(draw):
     """A random 2D or 3D grid (5-11 nodes per axis, random base box), two
-    fields, in half the cases with deliberate ties, and a metric."""
+    fields, in half the cases with deliberate ties."""
     n = draw(st.sampled_from([2, 3]))
     counts = tuple(draw(st.integers(5, 11)) for _ in range(n))
     lo = [draw(st.sampled_from([-1.0, 0.0, 0.5])) for _ in range(n - 1)]
@@ -268,29 +260,27 @@ def kernel_cases(draw):
     u, v = scale * rng.standard_normal((2,) + grid.shape)
     if draw(st.booleans()):  # few distinct values: many exact ties
         u, v = np.round(u / scale * 2.0) * scale, np.round(v / scale * 2.0) * scale
-    metric = draw(st.sampled_from(["log", "literal"]))
-    return grid, GridFunction(grid, u), GridFunction(grid, v), metric
+    return grid, GridFunction(grid, u), GridFunction(grid, v)
 
 
 @given(case=kernel_cases(), eps=st.sampled_from([0.01, 0.05, 0.2, 0.7]))
 def test_kernels_match_all_pairs_oracles(case, eps):
-    grid, u, v, metric = case
-    coords = _axis_coords(grid, metric)
+    grid, u, v = case
     # upper envelope: field, offsets and mask bit for bit
-    env = upper_envelope(u, eps, metric=metric)
-    field, offsets = oracles.ball_max(grid, u.values, eps, metric, cap=True)
-    mask = _boundary_margin(u, metric) > eps
+    env = upper_envelope(u, eps)
+    field, offsets = oracles.ball_max(grid, u.values, eps, cap=True)
+    mask = _boundary_margin(u) > eps
     np.testing.assert_array_equal(env.mask, mask)
     np.testing.assert_array_equal(env.field.values, np.where(mask, field, np.nan))
     np.testing.assert_array_equal(env.offsets, np.where(mask, offsets, np.nan))
     # windowed forcing maximum, at the support radius the supersolution check uses
     r = support_radius(u, eps)
-    np.testing.assert_array_equal(_ball_max(v.values, coords, r)[0],
-                                  oracles.ball_max(grid, v.values, r, metric)[0])
+    np.testing.assert_array_equal(_ball_max(v.values, grid.axes, r)[0],
+                                  oracles.ball_max(grid, v.values, r)[0])
     # infimal convolution: below u exactly, and the all-pairs value up to rounding
-    low = inf_convolution(u, eps, metric=metric).values
+    low = inf_convolution(u, eps).values
     assert np.all(low <= u.values)
-    np.testing.assert_allclose(low, oracles.inf_convolution(u, eps, metric), rtol=0,
+    np.testing.assert_allclose(low, oracles.inf_convolution(u, eps), rtol=0,
                                atol=1e-15 * max(1.0, float(np.max(np.abs(u.values)))))
     # doubling: the maximum and the lexicographically first maximizing pair
     alpha = 1.0 / eps
@@ -305,15 +295,15 @@ def test_kernels_match_all_pairs_oracles(case, eps):
        eps=st.lists(st.sampled_from([0.005, 0.01, 0.05, 0.2, 0.7, 3.0]),
                     min_size=2, max_size=2, unique=True))
 def test_regularizations_bound_the_field(case, eps):
-    # on random 2D and 3D grids and fields, under both metrics: the infimal
+    # on random 2D and 3D grids and fields: the infimal
     # convolution is <= u and non-increasing in eps, and the upper envelope
     # is >= u + eps on its mask
-    grid, u, _, metric = case
+    grid, u, _ = case
     small, large = sorted(eps)
-    low_small = inf_convolution(u, small, metric=metric).values
-    low_large = inf_convolution(u, large, metric=metric).values
+    low_small = inf_convolution(u, small).values
+    low_large = inf_convolution(u, large).values
     assert np.all(low_small <= u.values)
     assert np.all(low_large <= low_small)
     for e in (small, large):
-        env = upper_envelope(u, e, metric=metric)
+        env = upper_envelope(u, e)
         assert np.all(env.field.values[env.mask] >= u.values[env.mask] + e)

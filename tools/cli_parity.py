@@ -6,12 +6,12 @@ Runs every subcommand and verify check on the same configs with each tree's
 ``src/`` directory (OLD_SRC and NEW_SRC) on PYTHONPATH, each command in a
 fresh working directory with relative input and output paths, so both sides
 see identical config text and hence identical config hashes.  The first
-89 cases are the fourteen commands of the determinism acceptance test at p = 2, 3
+83 cases are the fourteen commands of the determinism acceptance test at p = 2, 3
 and 4 (p = 4 covers the solves above p = 3), ``verify harnack``,
 ``weakharnack`` and ``oscillation`` on an explicit off-centre ball whose a
 does not survive exp/log, a ``solve`` whose data vary
 in x (``poly:`` Dirichlet data and forcing), ``convolve`` in both
-directions under both pairing metrics, ``verify abp`` and ``hoelder`` on a
+directions, ``verify abp`` and ``hoelder`` on a
 stored random field, ``verify comparison`` and ``doubling`` on the stored
 ``solve`` output of their own config (a case of two commands run in turn),
 the solver-failure paths (``solver.max_iter = 0``), a solve on a radial grid
@@ -134,9 +134,8 @@ def cases():
             yield f"p={p} {cmd}", [[cmd]], base
         yield f"p={p} solve x-dependent", [["solve"]], merged(base, SLOPED)
         for direction in ("inf", "sup"):
-            for metric in ("log", "literal"):
-                extra = f"convolve.direction = {direction}\nconvolve.metric = {metric}\n"
-                yield f"p={p} convolve {direction} {metric}", [["convolve"]], merged(base, extra)
+            extra = f"convolve.direction = {direction}\n"
+            yield f"p={p} convolve {direction}", [["convolve"]], merged(base, extra)
         for check in CHECKS:
             extra = PAIR.format(p=p) if check in ("comparison", "doubling") else ""
             yield f"p={p} verify {check}", [["verify", check]], merged(base, extra)
