@@ -294,10 +294,9 @@ def build_solver_config(cfg: RunConfig) -> SolverConfig:
     try:
         return SolverConfig(**kwargs)
     except ValueError as exc:
-        # the message names the fields at fault, and the defaults all pass
-        names, _, what = str(exc).partition(": ")
-        raise cfg.rejection([f"solver.{name}" for name in names.split(", ") if name in kwargs],
-                            what) from None
+        # the message names the field at fault, which the config sets: every default passes
+        name, _, what = str(exc).partition(": ")
+        raise cfg.rejection([f"solver.{name}"], what) from None
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +478,7 @@ def _shifted_pair(cfg: RunConfig, prob: PDEProblem, grid: LogGrid,
     larger forcing gives a smaller solution, so the first is the
     subsolution of the pair.  It starts from the held supersolution, stored
     or solved (``solve_dirichlet``'s ``initial``), and runs cold only when
-    that one floor-eps stage misses ``solver.tol``; where the discrete
-    problem has more than one solution, the subsolution follows the branch
-    of the supersolution."""
+    that one floor-eps stage misses ``solver.tol``."""
     margin = cfg.read("verify.margin", NUMBER, 0.5, *POSITIVE)
     v_super = _get_solution(cfg, prob, grid, scfg)
     f_low = prob.f
@@ -496,7 +493,7 @@ def _shifted_pair(cfg: RunConfig, prob: PDEProblem, grid: LogGrid,
 def _ball_from_config(cfg: RunConfig, grid: LogGrid, harnack: bool = False) -> tuple:
     """(log-chart centre (a, x), radius d) of ``verify.ball``, by default
     centred with a third of the shortest extent as d.  The Harnack checks
-    need d at most K0 d0 + 1."""
+    need d at most K0 d0 + 1 and the ball inside the grid, checked before any solve."""
     default = ([0.5 * (ax[0] + ax[-1]) for ax in grid.axes]
                + [min(ax[-1] - ax[0] for ax in grid.axes) / 3.0])
     bound = analysis.harnack_radius_bound(grid.domain) if harnack else math.inf
@@ -504,7 +501,13 @@ def _ball_from_config(cfg: RunConfig, grid: LogGrid, harnack: bool = False) -> t
                     lambda b: len(b) == grid.n + 1 and 0.0 < b[-1] <= bound,
                     f"need {grid.n + 1} finite numbers a, x..., d with d > 0"
                     + (f" and d <= K0 d0 + 1 = {bound:g}" if harnack else ""))
-    return np.array(ball[:-1]), ball[-1]
+    center, d = np.array(ball[:-1]), ball[-1]
+    if harnack:
+        try:
+            analysis._require_harnack_ball(grid, center, d)
+        except ValueError as exc:
+            raise ConfigError(f"{cfg.where('verify.ball')}: {exc}") from None
+    return center, d
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,14 @@ without the t^-p factor equals
 
     |g|^(p-2) tr(Q H) + (n-p) |g|^(p-2) g_a - f(e^a, x) e^(a p),
 
-and the two residuals agree after the t^-p scaling.  Near critical points
-the gradient magnitude is smoothed to sqrt(|g|^2 + eps_reg^2); the smoothed
-direction matrix keeps its eigenvalues inside [1, p-1], so the Pucci
-bracketing survives regularization.
+and the two residuals agree after the t^-p scaling.  The coefficient and
+Q's denominator read the smoothed magnitude s, s^2 = |g|^2 + r T + eps_reg^2;
+Q_d keeps its eigenvalues inside [1, p-1], so the Pucci bracketing survives.
+On a grid |g| is the central gradient, which skips u at its own node, so
+where it vanishes the node would decouple (a spike); the second-difference
+term T = sum_k h_k^2 (D2_k u)^2 / 4, blended in by r = T / (|g|^2 + T),
+sees it, and adds only O(h^4) where the gradient is resolved.  The
+continuous operator, as of a manufactured forcing, has T = 0.
 """
 
 from __future__ import annotations
@@ -189,17 +193,23 @@ def constant_field(c: float) -> AnalyticField:
 
 
 def gridfunction_field(u: GridFunction) -> Callable:
-    """Sampler backed by multilinear interpolation of a stored grid function."""
+    """Sampler backed by multilinear interpolation of a stored grid function;
+    a coordinate within 4 ulps of 1 (or of its axis' largest |value|) of a
+    node reads that node, so ln(e^a) != a still reads the stored values."""
     from scipy.interpolate import RegularGridInterpolator
 
     interp = RegularGridInterpolator(
         u.grid.axes, u.values, method="linear", bounds_error=False, fill_value=None
     )
 
+    def snap(q, axis):
+        i = np.clip(np.searchsorted(axis, q), 1, axis.size - 1)
+        node = np.where(q - axis[i - 1] < axis[i] - q, axis[i - 1], axis[i])
+        return np.where(np.abs(q - node) <= 4.0 * np.spacing(max(1.0, *np.abs(axis))), node, q)
+
     def fn(t, xs):
-        a = np.log(np.asarray(t, dtype=float))
-        pts = np.stack([a] + [np.asarray(x, dtype=float) for x in xs], axis=-1)
-        return interp(pts)
+        coords = [np.log(np.asarray(t, dtype=float))] + [np.asarray(x, dtype=float) for x in xs]
+        return interp(np.stack([snap(q, ax) for q, ax in zip(coords, u.grid.axes)], axis=-1))
     return fn
 
 
@@ -263,39 +273,48 @@ def pucci_minus(X: np.ndarray, params: PucciParams) -> float:
 # ---------------------------------------------------------------------------
 # residual algebra
 
-def gradient_powers(g, p: float, eps_reg: float = 0.0) -> tuple:
-    """(s2, |g|_d^(p-2), |g|_d^(p-4)) for g of shape (n, ...), where
-    s2 = |g|_d^2 = |g|^2 + eps_reg^2; |g|_d^(p-2) g is the divergence-form flux.
+def gradient_powers(g, p: float, eps_reg: float = 0.0, T=0.0) -> tuple:
+    """(s2, |g|_d^(p-2), |g|_d^(p-4), r) for g of shape (n, ...) and the
+    second-difference term T (...): s2 = |g|_d^2 = G + r T + eps_reg^2 with
+    G = |g|^2 and r = T / (G + T), 0 where G + T = 0.
 
     A zero regularized gradient with p > 2 kills both powers; p == 2 keeps
     the unit coefficient (the operator is linear there) and a zero second one.
     """
     g = np.asarray(g, dtype=float)
-    s2 = np.einsum("k...,k...->...", g, g) + eps_reg ** 2
+    G = np.einsum("k...,k...->...", g, g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(G + T > 0.0, T / (G + T), 0.0)
+    s2 = G + r * T + eps_reg ** 2
     if p == 2.0:
-        return s2, np.ones_like(s2), np.zeros_like(s2)
+        return s2, np.ones_like(s2), np.zeros_like(s2), r
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = np.where(s2 > 0.0, s2 ** ((p - 2.0) / 2.0), 0.0)
-        return s2, coef, np.where(s2 > 0.0, coef / s2, 0.0)
+        return s2, coef, np.where(s2 > 0.0, coef / s2, 0.0), r
+
+
+def _second_difference_term(H, h) -> np.ndarray:
+    """T = sum_k h_k^2 H_kk^2 / 4 of the Hessian H (n, n, ...) at grid steps h."""
+    return sum((0.5 * hk * H[k, k]) ** 2 for k, hk in enumerate(h))
 
 
 def operator_terms(g, H, p: float, eps_reg: float = 0.0,
-                   extremal: str | None = None) -> tuple:
+                   extremal: str | None = None, T=0.0) -> tuple:
     """The operator R = sum_kl A_kl H_kl + B g_a (no forcing) and two of its
     partial derivatives, as (R, A, B), from derivative arrays g (n, ...)
-    and H (n, n, ...), whose leading axis is the dimension n; the radial
-    drift derivative g_a is g[0].
+    and H (n, n, ...), whose leading axis is the dimension n, and T as in
+    ``gradient_powers``; the radial drift derivative g_a is g[0].
 
     A = |g|_d^(p-2) Q_d weighs the Hessian entries (it is also the derivative
-    of the flux) and B = (n-p) |g|_d^(p-2) the drift; ``gradient_coefficient``
-    gives the third, C = dR/dg.  Under an ``extremal`` mode
-    ("upper"/"lower") R carries |g|_d^(p-2) times the Pucci value of H
-    instead of sum A_kl H_kl.
+    of the flux at fixed |g|_d) and B = (n-p) |g|_d^(p-2) the drift;
+    ``gradient_coefficient`` gives C = dR/dg and the rest of dR/dH.  Under
+    an ``extremal`` mode ("upper"/"lower") R carries |g|_d^(p-2) times the
+    Pucci value of H instead of sum A_kl H_kl.
     """
     g = np.asarray(g, dtype=float)
     H = np.asarray(H, dtype=float)
     n = g.shape[0]
-    s2, coef, inv = gradient_powers(g, p, eps_reg)
+    s2, coef, inv, _ = gradient_powers(g, p, eps_reg, T)
     eye = np.eye(n).reshape((n, n) + (1,) * s2.ndim)
     A = coef * eye + (p - 2.0) * inv * g[:, None] * g[None, :]
     B = (n - p) * coef
@@ -309,30 +328,36 @@ def operator_terms(g, H, p: float, eps_reg: float = 0.0,
     return diffusion + B * g[0], A, B
 
 
-def gradient_coefficient(g, H, p: float, eps_reg: float = 0.0) -> np.ndarray:
-    """C = dR/dg, the derivative of the ``operator_terms`` operator R in
-    the gradient g (n, ...) at the Hessian H (n, n, ...), B's term on g_a
-    apart; every term carries p - 2, so C is zero at p == 2."""
+def gradient_coefficient(g, H, p: float, eps_reg: float, h) -> tuple:
+    """(C, dA): C = dR/dg of the ``operator_terms`` operator R at the
+    gradient g (n, ...), the Hessian H (n, n, ...) and the grid steps h of
+    the second-difference term, B's term on g_a apart, and dA, what s2's
+    dependence on H adds to A, zero off its diagonal.  With
+    R_s = dR/ds2 = (p-2)/2 (s^(p-4) W + (p-4) s^(p-6) g^T H g) and
+    W = tr H + (n-p) g_a, C = 2 g (1 - r^2) R_s + 2 (p-2) s^(p-4) H g and
+    dA_kk = R_s r (2 - r) h_k^2 H_kk / 2; both are zero at p == 2."""
     g = np.asarray(g, dtype=float)
     H = np.asarray(H, dtype=float)
     n = g.shape[0]
-    s2, _, inv = gradient_powers(g, p, eps_reg)
-    trH = np.einsum("kk...->...", H)
+    s2, _, inv, r = gradient_powers(g, p, eps_reg, _second_difference_term(H, h))
     Hg = np.einsum("kl...,l...->k...", H, g)
-    gHg = np.einsum("k...,k...->...", g, Hg)
+    W = np.einsum("kk...->...", H) + (n - p) * g[0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        g_over_s2 = np.where(s2 > 0.0, g / s2, 0.0)
-    return (p - 2.0) * inv * (g * (trH + (n - p) * g[0])
-                              + (p - 4.0) * g_over_s2 * gHg + 2.0 * Hg)
+        inv_s2 = np.where(s2 > 0.0, inv / s2, 0.0)
+    R_s = 0.5 * (p - 2.0) * (inv * W + (p - 4.0) * inv_s2 * np.einsum("k...,k...->...", g, Hg))
+    dA = np.zeros_like(H)
+    for k, hk in enumerate(h):
+        dA[k, k] = R_s * r * (2.0 - r) * (0.5 * hk * hk) * H[k, k]
+    return 2.0 * g * ((1.0 - r * r) * R_s) + 2.0 * (p - 2.0) * inv * Hg, dA
 
 
 def transformed_residual_from_derivs(z, grad, hess, p: float, log_forcing,
-                                     K: float, eps_reg: float = 0.0) -> np.ndarray:
+                                     K: float, eps_reg: float = 0.0, T=0.0) -> np.ndarray:
     """Residual of the exponentially substituted equation from the values z
-    (...), gradient (n, ...) and Hessian (n, n, ...) of the substituted field
-    and the log-chart forcing t^p f (...)."""
-    s2 = gradient_powers(grad, p, eps_reg)[0]
-    return (operator_terms(grad, hess, p, eps_reg)[0]
+    (...), gradient (n, ...), Hessian (n, n, ...) and second-difference term
+    T (...) of the substituted field and the log-chart forcing t^p f (...)."""
+    s2 = gradient_powers(grad, p, eps_reg, T)[0]
+    return (operator_terms(grad, hess, p, eps_reg, T=T)[0]
             - (p - 1.0) * s2 ** (p / 2.0)
             - log_forcing * np.exp(z * (p - 1.0)) / K ** (p - 1.0))
 
@@ -398,9 +423,10 @@ def psi_inverse(v, params: TransformParams):
 def transformed_residual(z: GridFunction, prob: PDEProblem, params: TransformParams,
                          eps_reg: float = 0.0) -> np.ndarray:
     """Residual of the substituted equation at every node of the z field."""
-    return transformed_residual_from_derivs(z.values, gradient_field(z), hessian_field(z),
-                                            prob.p, prob.log_forcing(z.grid),
-                                            params.K, eps_reg)
+    H = hessian_field(z)
+    return transformed_residual_from_derivs(z.values, gradient_field(z), H, prob.p,
+                                            prob.log_forcing(z.grid), params.K, eps_reg,
+                                            _second_difference_term(H, z.grid.h))
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +434,13 @@ def transformed_residual(z: GridFunction, prob: PDEProblem, params: TransformPar
 
 def divergence_part_field(u: GridFunction, p: float, eps_reg: float = 0.0,
                           extremal: str | None = None) -> tuple:
-    """(R, A, B, g, H): ``operator_terms`` of u at every node, R the
-    operator |g|_d^(p-2) (tr(Q_d H) + (n-p) g_a) at n = ``u.grid.n`` (no
-    forcing term) or its ``extremal`` mode, then the derivative fields g
-    and H it read, from which ``gradient_coefficient`` forms C."""
+    """(R, A, B, g, H): ``operator_terms`` of u at every node with the
+    grid's second-difference term, R the operator |g|_d^(p-2) (tr(Q_d H) +
+    (n-p) g_a) at n = ``u.grid.n`` (no forcing term) or its ``extremal``
+    mode, then the derivative fields g and H it read."""
     g, H = gradient_field(u), hessian_field(u)
-    return (*operator_terms(g, H, p, eps_reg, extremal), g, H)
+    return (*operator_terms(g, H, p, eps_reg, extremal, _second_difference_term(H, u.grid.h)),
+            g, H)
 
 
 def residual_log_field(u: GridFunction, prob: PDEProblem, eps_reg: float = 0.0,

@@ -1,26 +1,17 @@
-"""Damped Newton solver for the Dirichlet problem in the log chart, with
-gradient-regularization continuation, manufactured problems, a convergence
-study helper, and the domain-exhaustion existence procedure.
+"""Damped Newton solver for the Dirichlet problem in the log chart at the
+floor eps_reg, manufactured problems, a convergence study helper, and the
+domain-exhaustion existence procedure.
 
-The continuation fixes p: for p > 2 a presolve on the p = 2 system with
-the target's drift gives the starting field, and one queue of eps_reg
-stages at the target p follows; only its last stage, at the floor eps,
-runs to the final tolerance.  A solve given a start field skips the
-continuation: one floor stage runs from that field, and the continuation
-follows only when it fails.  One Newton system per solve, of the grid, p,
-the drift n - p and the forcing, gives the residual and the linear solve
-of a step, so the Newton loop does not know which linear solver runs.
-A p = 2 Newton system, sum_k D2_k + drift D1_a, reads no eps_reg and is
-solved exactly by
-fast diagonalization; at other p the Jacobian is assembled on the interior
-nodes, in the grid's nested-dissection order.  Its sparsity pattern is
-fixed for the grid and kept on it, so a step computes only the numeric
-values (the symbolic/numeric split of sparse direct methods; Davis, Direct
-Methods for Sparse Linear Systems, SIAM 2006).  Consecutive Jacobians of a
-solve differ little, so one ``splu`` factor is kept for the whole solve:
-each step first runs one short cycle of GMRES preconditioned by it, and
-only a step where that cycle misses its tolerance factorizes its own
-Jacobian and keeps the new factor (a Shamanskii-type inexact Newton step;
+For p > 2 a presolve on the p = 2 system with the target's drift gives
+the starting field of one Newton stage at the floor eps_reg; the
+operator's coefficient sees spikes (``operators.gradient_powers``), so no
+eps continuation has to steer Newton around them.  One Newton system per
+solve gives the residual and the linear solve of a step: fast
+diagonalization at p = 2, and otherwise the interior Jacobian in the
+grid's nested-dissection order, whose pattern is kept on the grid (the
+symbolic/numeric split; Davis, Direct Methods for Sparse Linear Systems,
+SIAM 2006), solved by GMRES on one kept ``splu`` factor, which only a step
+that GMRES cannot finish replaces (a Shamanskii-type inexact Newton step;
 Kelley, Solving Nonlinear Equations with Newton's Method, SIAM 2003).
 
 The iterate is the flattened field on the full tensor grid.  Its boundary
@@ -70,31 +61,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The eps_reg continuation halves from the start down to exactly the
-    floor (``eps_schedule``).  A rejected value raises a ValueError whose
-    message starts with the names of the fields at fault."""
+    """The floor eps_reg of a solve's stages, the residual max-norm
+    tolerance and the Newton steps per stage.  A rejected value raises a
+    ValueError whose message starts with the name of the field at fault."""
 
-    eps_reg_start: float = 1e-1
     eps_reg_floor: float = 1e-6
     tol: float = 1e-9
     max_iter: int = 200
 
     def __post_init__(self):
-        for name in ("eps_reg_start", "eps_reg_floor", "tol"):
+        for name in ("eps_reg_floor", "tol"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name}: must be finite and positive")
-        if self.eps_reg_start < self.eps_reg_floor:
-            raise ValueError("eps_reg_start, eps_reg_floor: the start must be at least the floor")
         if self.max_iter < 0:
             raise ValueError("max_iter: must be at least 0")
-
-    @property
-    def eps_schedule(self) -> tuple:
-        vals, e = [], self.eps_reg_start
-        while e > self.eps_reg_floor:
-            vals.append(e)
-            e *= 0.5
-        return (*vals, self.eps_reg_floor)
 
 
 @dataclass(frozen=True)
@@ -102,7 +82,7 @@ class StageRecord:
     eps_reg: float
     iterations: int
     residual_norm: float
-    stop_reason: str              # converged (to the stage's target), max_iter or line_search
+    stop_reason: str              # converged (to tol), max_iter or line_search
     factorizations: int           # splu factorizations taken in the stage
     krylov_iterations: int        # GMRES iterations on the kept factor
 
@@ -179,10 +159,10 @@ def _assemble_jacobian(grid: LogGrid, A: np.ndarray, B: np.ndarray,
     """Jacobian of the log-chart residual on the interior nodes, rows and
     columns in ``grid.dissection_order``; boundary values are data, not
     unknowns.  Its rows are sum_kl A_kl H_kl + sum_k C_k G_k + B G_0: the
-    residual's own operators weighted by the coefficient fields A and B
-    that ``operator_terms`` returned with the residual and C from
-    ``gradient_coefficient``, so the block is its exact linearization at
-    that residual's iterate.
+    residual's own operators weighted by the coefficient fields that
+    ``operator_terms`` returned with the residual (A, plus the dA of
+    ``gradient_coefficient``, and B) and C, so the block is its exact
+    linearization at that residual's iterate.
 
     The sparsity pattern is fixed for the grid (``grid.interior_pattern``),
     so a call does only the numeric part: one product of the coefficient
@@ -264,7 +244,7 @@ class _NewtonSystem:
         """(res, lin): the residual at every node, zero on the boundary, and
         its linearization point: the coefficient fields A and B of
         ``operator_terms`` at ``values``, with the derivative fields g and H
-        and eps_reg, from which a step forms C; None at p == 2, whose step
+        and eps_reg, from which a step forms C and dA; None at p == 2, whose step
         reads no coefficient field."""
         grid = self.grid
         if self.p == 2.0:
@@ -282,13 +262,15 @@ class _NewtonSystem:
     def step(self, lin: tuple, rhs: np.ndarray) -> np.ndarray:
         """The Newton step: du with J du = rhs for the Jacobian at the
         linearization point ``lin`` from ``residual``, zero on the boundary.
-        C = dR/dg is formed here, so a residual that no step reads (a
-        rejected line-search trial, a stage's last iterate) never pays for it."""
+        C = dR/dg and the addition to A's diagonal from the coefficient's
+        second-difference term are formed here, so a residual that no step
+        reads (a rejected line-search trial, a stage's last iterate) never
+        pays for them."""
         if self.p == 2.0:
             return _solve_linear(self.grid, self.drift, rhs)
         A, B, g, H, eps_reg = lin
-        C = gradient_coefficient(g, H, self.p, eps_reg)
-        return _solve_jacobian(_assemble_jacobian(self.grid, A, B, C), rhs, self)
+        C, dA = gradient_coefficient(g, H, self.p, eps_reg, self.grid.h)
+        return _solve_jacobian(_assemble_jacobian(self.grid, A + dA, B, C), rhs, self)
 
 
 def _solve_jacobian(J: sp.csc_matrix, rhs: np.ndarray, system: _NewtonSystem) -> np.ndarray:
@@ -335,7 +317,7 @@ def _solve_jacobian(J: sp.csc_matrix, rhs: np.ndarray, system: _NewtonSystem) ->
 
 def _newton_stage(values: np.ndarray, system: _NewtonSystem, eps_reg: float,
                   max_iter: int, target: float) -> tuple:
-    """Damped Newton on ``system`` at one continuation stage, run until the
+    """Damped Newton on ``system`` at one eps_reg stage, run until the
     residual's max norm is at most ``target``; returns (values, StageRecord).
     A step reads the linearization that its iterate's residual evaluation
     returned, and a rejected trial step halves the step length.  The record
@@ -378,24 +360,20 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid, cfg: SolverConfig | None = 
     """Solve the Dirichlet problem on the grid; returns (GridFunction, SolveReport).
 
     Boundary values (including the artificial truncation face) are pinned to
-    the problem's Dirichlet sampler.  Only the last stage, at the floor of
-    the eps schedule, runs until the residual's max norm is at most
-    ``cfg.tol``.  Every earlier stage, an inserted midpoint included, only
-    sets up the next one and stops at max(tol, sqrt(tol)), about one
-    quadratic Newton step from tol (inexact continuation, after the forcing
-    terms of Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996), so its
-    ``residual_norm`` may lie above ``tol``.  The p = 2 presolve and a p = 2
-    solve, whose one stage is the floor, run to ``tol``.  At p > 2 a stage
-    that misses its target inserts a midpoint stage before it, at most 24
-    per solve; a p = 2 stage reads no eps, so it inserts none.  The report
-    is converged when the final residual is at most ``tol``.
+    the problem's Dirichlet sampler.  At p > 2 the p = 2 presolve gives the
+    start of one Newton stage at ``cfg.eps_reg_floor``; every stage runs
+    until the residual's max norm is at most ``cfg.tol``, and the report is
+    converged when the final one is.  A p > 2 stage that misses ``tol``
+    climbs: a stage at the geometric midpoint of it and the one before it
+    (4 eps before the first, so 2 eps, 4 eps, ...) goes in before it, at
+    most 24 per solve.
 
     An ``initial`` field on the grid's nodes is a warm start: its values,
     with the boundary reset to the Dirichlet data, go through one Newton
-    stage at the floor eps to ``tol``, with no presolve, schedule or
-    midpoint.  When that stage misses ``tol`` the solve goes on exactly as
-    a solve without ``initial`` (a fresh start, a fresh kept factor), and
-    the failed warm stage stays first in the report.
+    stage at the floor eps to ``tol``, with no presolve or climb.  When
+    that stage misses ``tol`` the solve goes on exactly as a solve without
+    ``initial`` (a fresh start, a fresh kept factor), and the failed warm
+    stage stays first in the report.
 
     The solve is deterministic; failure to
     converge is reported, never raised.  A radial step beyond the mesh Peclet
@@ -430,30 +408,21 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid, cfg: SolverConfig | None = 
     if p > 2.0:
         # linearized presolve: the p = 2 system with the target's drift n - p
         values, _ = _newton_stage(values, replace(system, p=2.0),
-                                  cfg.eps_reg_start, cfg.max_iter, cfg.tol)
+                                  cfg.eps_reg_floor, cfg.max_iter, cfg.tol)
 
-    queue = [cfg.eps_reg_floor] if p == 2.0 else list(cfg.eps_schedule)
-    # midpoints go in before the current stage, so the floor stays last;
-    # at most 24 per solve
-    most = len(queue) + 24
-    loose = max(cfg.tol, math.sqrt(cfg.tol))
-    i = 0
+    # climb stages go in before the stalled one, so the floor stays last; a
+    # p = 2 stage reads no eps, so a climb would only redo it
+    queue, i = [cfg.eps_reg_floor], 0
     while i < len(queue):
         eps = queue[i]
-        target = cfg.tol if i == len(queue) - 1 else loose
-        values, stage = _newton_stage(values, system, eps, cfg.max_iter, target)
+        values, stage = _newton_stage(values, system, eps, cfg.max_iter, cfg.tol)
         stages.append(stage)
-        norm = stage.residual_norm
-        if norm > target and p > 2.0:
-            # stalled stage: refine the continuation by retrying through
-            # the geometric midpoint of the last good step, the entry before
-            # it; a p = 2 stage reads no eps, so a midpoint would redo it
-            ref = queue[i - 1] if i else 4.0 * eps
-            if len(queue) < most and ref / eps > 1.05:
-                queue.insert(i, math.sqrt(ref * eps))
-                continue
-        i += 1
-
+        ref = queue[i - 1] if i else 4.0 * eps
+        if stage.residual_norm > cfg.tol and p > 2.0 and len(queue) <= 24 and ref / eps > 1.05:
+            queue.insert(i, math.sqrt(ref * eps))
+        else:
+            i += 1
+    norm = stage.residual_norm
     return GridFunction(grid, values), SolveReport(stages, bool(norm <= cfg.tol), norm)
 
 

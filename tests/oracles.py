@@ -5,8 +5,8 @@ in closed form: per-node difference stencils, the per-point residual algebra,
 the full-grid Newton Jacobian as a sum of weighted grid operators, its
 interior block assembled from the stencils on every call, the recursive
 nested-dissection numbering, the Newton step that factorizes every
-Jacobian afresh, the continuation that runs every stage to the final
-tolerance, the grid-function writer that formats value by value, the
+Jacobian afresh, the halving eps continuation that one floor stage
+replaced, the grid-function writer that formats value by value, the
 per-node boundary distance, the all-pairs ball
 supremum of the forcing, and the all-pairs loops of the regularizations,
 the doubling diagnostic and the Hoelder seminorm, and the closed-form
@@ -99,12 +99,23 @@ def pointwise_hessian(u, node):
 # ---------------------------------------------------------------------------
 # per-point residual algebra
 
-def pointwise_diffusion(grad, hess, p, eps_reg, extremal=None):
+def pointwise_magnitude2(grad, hess, h, eps_reg):
+    """|g|_d^2 at one node: |g|^2 + T^2 / (|g|^2 + T) + eps_reg^2 with
+    T = sum_k (h_k H_kk / 2)^2, the second differences blended in where
+    the gradient is small; h = None is the continuous operator, T = 0."""
+    g = np.asarray(grad, dtype=float)
+    G = float(g @ g)
+    T = 0.0 if h is None else sum((0.5 * hk * hess[k][k]) ** 2 for k, hk in enumerate(h))
+    return G + (T * T / (G + T) if G + T > 0.0 else 0.0) + eps_reg ** 2
+
+
+def pointwise_diffusion(grad, hess, p, eps_reg, extremal=None, h=None):
     """(|g|_d^(p-2) * tr-like term, |g|_d^(p-2)); tr-like is tr(Q_d H) or the
-    upper/lower Pucci value of H."""
+    upper/lower Pucci value of H, and |g|_d that of ``pointwise_magnitude2``
+    at the grid steps h."""
     g = np.asarray(grad, dtype=float)
     H = np.asarray(hess, dtype=float)
-    s2 = float(g @ g) + eps_reg ** 2
+    s2 = pointwise_magnitude2(g, H, h, eps_reg)
     if p == 2.0:
         coef = 1.0
     elif s2 == 0.0:
@@ -130,7 +141,7 @@ def pointwise_residual_log(u, node, prob, eps_reg=0.0, extremal=None):
     fval = float(np.asarray(prob.f(np.asarray(math.exp(a)), xs)))
     g = pointwise_gradient(u, node)
     diff, coef = pointwise_diffusion(g, pointwise_hessian(u, node), prob.p, eps_reg,
-                                     extremal)
+                                     extremal, u.grid.h)
     return diff + (u.grid.n - prob.p) * coef * float(g[0]) - fval * math.exp(a * prob.p)
 
 
@@ -231,13 +242,17 @@ def poly_sampler(terms):
 # Newton Jacobian on the full grid
 
 def coefficient_fields(values, grid, p, eps_reg):
-    """The coefficient fields (A, B, C) of ``operator_terms`` and
-    ``gradient_coefficient`` at ``values``, which a Newton step of
-    ``solver._NewtonSystem`` assembles from the linearization point its
-    residual returns."""
+    """The coefficient fields (A, B, C) of the Jacobian at ``values``, which
+    a Newton step of ``solver._NewtonSystem`` assembles from the
+    linearization point its residual returns: A and B of ``operator_terms``
+    with the grid's second-difference term, A plus the dA of
+    ``gradient_coefficient``, and its C."""
     u = GridFunction(grid, values, check_finite=False)
     g, H = gradient_field(u), hessian_field(u)
-    return (*operator_terms(g, H, p, eps_reg)[1:], gradient_coefficient(g, H, p, eps_reg))
+    T = sum((0.5 * hk * H[k, k]) ** 2 for k, hk in enumerate(grid.h))
+    A, B = operator_terms(g, H, p, eps_reg, T=T)[1:]
+    C, dA = gradient_coefficient(g, H, p, eps_reg, grid.h)
+    return A + dA, B, C
 
 
 def full_jacobian(grid, A, B, C):
@@ -313,11 +328,13 @@ def refactorized_solve(J, rhs, system):
     return du
 
 
-def every_stage_to_tol(prob, grid, cfg=None):
-    """``solver.solve_dirichlet`` with every continuation stage, and every
-    inserted midpoint, run to ``cfg.tol`` rather than only the floor stage:
-    the reference for the solve's looser intermediate targets.  Returns
-    (GridFunction, SolveReport)."""
+def halving_schedule(prob, grid, cfg=None, eps_start=0.1):
+    """``solver.solve_dirichlet`` along a halving eps continuation: the
+    p = 2 presolve, then stages at eps_start, eps_start / 2, ... down to
+    exactly ``cfg.eps_reg_floor``, each run to ``cfg.tol``, where a stage
+    that misses tol first inserts the geometric midpoint of it and the
+    stage before it (at most 24 per solve): the reference for the solve's
+    one floor stage.  Returns (GridFunction, SolveReport)."""
     cfg = cfg or solver.SolverConfig()
     p = prob.p
     solver._check_peclet(grid, p)
@@ -326,11 +343,13 @@ def every_stage_to_tol(prob, grid, cfg=None):
     values[bmask] = prob.dirichlet_values(grid)[bmask]
     system = solver._NewtonSystem(grid, p, grid.n - p,
                                   prob.log_forcing(grid, interior_only=True))
+    queue = [cfg.eps_reg_floor]
     if p > 2.0:
         presolve = dataclasses.replace(system, p=2.0)
-        values, _ = solver._newton_stage(values, presolve, cfg.eps_reg_start,
-                                         cfg.max_iter, cfg.tol)
-    queue = [cfg.eps_reg_floor] if p == 2.0 else list(cfg.eps_schedule)
+        values, _ = solver._newton_stage(values, presolve, eps_start, cfg.max_iter, cfg.tol)
+        while eps_start > cfg.eps_reg_floor:
+            queue.insert(-1, eps_start)
+            eps_start *= 0.5
     stages, prev_eps, insertions, i = [], None, 0, 0
     while i < len(queue):
         eps = queue[i]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conepde.calculus import GridFunction, LogGrid, gradient_field
+from conepde.calculus import (GridFunction, LogGrid, gradient_field, hessian_field,
+                              read_gridfunction, write_gridfunction)
 from conepde.geometry import ConeDomain
 from conepde.operators import (
     INCONSISTENT,
@@ -16,6 +17,7 @@ from conepde.operators import (
     TransformParams,
     classify_point,
     constant_field,
+    gridfunction_field,
     log_polynomial_field,
     operator_terms,
     psi,
@@ -181,6 +183,22 @@ class TestLogForcing:
         assert np.array_equal(residual_log_field(u0, prob), -prob.log_forcing(grid))
 
 
+    @pytest.mark.parametrize("counts, t_min", [((97, 97), math.exp(-1.0)),
+                                               ((13, 9, 11), 0.01)])
+    def test_stored_field_reads_back_at_its_own_nodes(self, tmp_path, counts, t_min):
+        # a gridfile: forcing sampled at the nodes it was stored on returns
+        # its stored values bit for bit; a = ln(e^a) used to miss the nodes
+        # by an ulp, and the interpolation then moved up to half the values
+        grid = unit_grid(counts, n=len(counts), t_min=t_min)
+        values = np.random.default_rng(7).standard_normal(grid.shape) * np.exp(3.0 * grid.mesh[0])
+        path = str(tmp_path / "forcing.gf")
+        write_gridfunction(path, GridFunction(grid, values))
+        stored = read_gridfunction(path)
+        prob = PDEProblem(p=4.0, f=gridfunction_field(stored), dirichlet=zero_field)
+        for sampled_on in (grid, stored.grid):
+            assert np.array_equal(prob.forcing_values(sampled_on), values)
+
+
 def bits(x):
     x = np.asarray(x, dtype=float)
     return x.shape, x.tobytes()
@@ -292,14 +310,20 @@ class TestResiduals:
 
     def test_degenerate_gradient_returns_minus_f(self):
         # zero gradient, nonzero Hessian, p > 2, no smoothing: the degenerate
-        # product vanishes and only the forcing survives
+        # product of the continuous operator vanishes and only the forcing
+        # survives; on the grid the second differences set the magnitude,
+        # |g|_d = h_x |D2_x u| / 2 = h_x, so the node still reads u
         grid = unit_grid((17, 33))
         A, X = grid.mesh
         u = GridFunction(grid, (X - 0.5) ** 2)
         prob = PDEProblem(p=3.0, f=constant_field(1.3), dirichlet=zero_field)
         node = (8, 16)  # x = 0.5: the critical line of the paraboloid
-        assert gradient_field(u)[1][node] == pytest.approx(0.0, abs=1e-15)
-        assert strong_residual(u, prob, eps_reg=0.0)[node] == pytest.approx(-1.3)
+        g, H = gradient_field(u), hessian_field(u)
+        assert g[1][node] == pytest.approx(0.0, abs=1e-15)
+        assert operator_terms(g, H, 3.0)[0][node] == 0.0
+        t = grid.t_field[node]
+        assert strong_residual(u, prob, eps_reg=0.0)[node] == pytest.approx(
+            t ** -3.0 * grid.h[1] * 2.0 - 1.3, rel=1e-12)
 
     def test_singular_exponent_range_rejected(self):
         with pytest.raises(ValueError):
@@ -482,7 +506,8 @@ class TestPsiTransform:
     @pytest.mark.parametrize("p, n", [(3.0, 2), (2.5, 3)])
     def test_transformed_residual_matches_pointwise_oracle(self, p, n):
         # every node: the forcing-free per-node residual of z, less
-        # (p-1) |g|_d^p and t^p f e^(z(p-1)) / K^(p-1)
+        # (p-1) |g|_d^p and t^p f e^(z(p-1)) / K^(p-1), |g|_d with z's
+        # second differences blended in
         grid = unit_grid((7,) * n, n=n)
         rng = np.random.default_rng(13)
         z = GridFunction(grid, 0.3 * rng.standard_normal(grid.shape))
@@ -493,8 +518,9 @@ class TestPsiTransform:
         got = transformed_residual(z, prob, params, eps_reg)
         assert got.shape == grid.shape
         for node in np.ndindex(grid.shape):
-            g = oracles.pointwise_gradient(z, node)
-            s2 = float(g @ g) + eps_reg ** 2
+            s2 = oracles.pointwise_magnitude2(oracles.pointwise_gradient(z, node),
+                                              oracles.pointwise_hessian(z, node), grid.h,
+                                              eps_reg)
             want = (oracles.pointwise_residual_log(z, node, free, eps_reg)
                     - (p - 1.0) * s2 ** (p / 2.0)
                     - 0.7 * grid.t_field[node] ** p * math.exp(z.values[node] * (p - 1.0))

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import RegularGridInterpolator
 
 from conepde import calculus, solver
 from conepde.analysis import comparison_check
@@ -33,8 +34,8 @@ from conepde.solver import (
     solve_by_exhaustion,
     solve_dirichlet,
 )
-from oracles import (coefficient_fields, coo_interior_block, every_stage_to_tol,
-                     full_jacobian, pointwise_residual_log, refactorized_solve)
+from oracles import (coefficient_fields, coo_interior_block, full_jacobian, halving_schedule,
+                     pointwise_residual_log, refactorized_solve)
 
 
 def unit_domain(n=2, t_min=math.exp(-1.0)):
@@ -46,32 +47,30 @@ def zero_field(t, xs):
     return np.zeros_like(np.asarray(t, dtype=float))
 
 
-# one bad value per field, and the start below the default floor
-BAD_SETTINGS = ([({"tol": v}, "tol") for v in (math.inf, math.nan, 0.0)]
-                + [({end: v}, end) for end in ("eps_reg_start", "eps_reg_floor")
-                   for v in (math.inf, math.nan, 0.0, -1.0)]
-                + [({"eps_reg_start": 1e-8}, "eps_reg_start, eps_reg_floor"),
-                   ({"max_iter": -1}, "max_iter")])
+# one bad value per field
+BAD_SETTINGS = ([({name: v}, name) for name in ("tol", "eps_reg_floor")
+                 for v in (math.inf, math.nan, 0.0)]
+                + [({"eps_reg_floor": -1.0}, "eps_reg_floor"), ({"max_iter": -1}, "max_iter"),
+                   ({"tol": -1.0}, "tol"), ({"eps_reg_floor": -math.inf}, "eps_reg_floor")])
 
 
 class TestConfig:
-    def test_default_schedule_floors_at_1e6(self):
-        sched = SolverConfig().eps_schedule
-        assert sched[0] == 0.1
-        assert sched[-1] == 1e-6
-        assert all(b < a for a, b in zip(sched, sched[1:]))
+    def test_default_floor_is_1e6(self):
+        assert SolverConfig().eps_reg_floor == 1e-6
 
-    def test_start_at_the_floor_is_one_stage(self):
-        assert SolverConfig(eps_reg_start=1e-3, eps_reg_floor=1e-3).eps_schedule == (1e-3,)
+    def test_start_and_schedule_are_gone(self):
+        # a solve runs one stage at the floor, so nothing sets a start
+        with pytest.raises(TypeError, match="eps_reg_start"):
+            SolverConfig(eps_reg_start=0.1)
+        assert not hasattr(SolverConfig(), "eps_schedule")
 
-    def test_holds_the_four_solver_keys(self):
+    def test_holds_the_three_solver_keys(self):
         assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-            "eps_reg_start", "eps_reg_floor", "tol", "max_iter"]
+            "eps_reg_floor", "tol", "max_iter"]
 
     @pytest.mark.parametrize("kwargs, names", BAD_SETTINGS)
     def test_rejects_bad_setting_naming_its_fields(self, kwargs, names):
-        # an infinite tol used to stop every stage before its first step,
-        # and a start below the floor to run one stage at the floor
+        # an infinite tol used to stop every stage before its first step
         with pytest.raises(ValueError, match=f"^{names}: "):
             SolverConfig(**kwargs)
 
@@ -203,10 +202,8 @@ class TestSolveDirichlet:
         prob = manufactured_problem(u_star, 4.0)
         u, rep = solve_dirichlet(prob, grid)
         assert rep.converged
-        # p stays fixed: the stages are one pass over the eps schedule, each
-        # value once and in order down to the floor
-        schedule = SolverConfig().eps_schedule
-        assert [s.eps_reg for s in rep.stages] == list(schedule)
+        # p stays fixed: after the p = 2 presolve, one stage at the floor
+        assert [s.eps_reg for s in rep.stages] == [SolverConfig().eps_reg_floor]
         exact = exact_solution_values(u_star, grid)
         assert np.max(np.abs(u.values - exact.values)) <= 5.0 * max(grid.h) ** 2
 
@@ -629,67 +626,96 @@ def constant_forcing_problem(p, n, c=0.3):
     return PDEProblem(p=p, f=constant_field(c), dirichlet=zero_field)
 
 
-class TestInexactContinuation:
-    """Only the floor stage runs to ``cfg.tol``; every earlier stage stops at
-    max(tol, sqrt(tol)).  Running every stage to tol is the oracle."""
+def t_power_forcing_problem(p, c=0.3):
+    """Zero Dirichlet data and t^p f = c, the family of the verify-2d
+    benchmark problem (p = 3)."""
+    return PDEProblem(p=p, f=separable_exponential_field(c, -p, []), dirichlet=zero_field)
 
-    # measured on these cases: at most 1.2 tol (n = 2, p = 4, f = 0.3)
+
+class TestFloorStage:
+    """A p > 2 solve runs the p = 2 presolve and one stage at the floor eps,
+    to ``cfg.tol``; only a floor stage that misses tol climbs.  The halving
+    eps continuation is the oracle."""
+
+    # measured on these cases: at most 0.41 tol (n = 3, p = 6, u* = t^0.5)
     FIELD_GAP_TOLS = 10.0
 
     @pytest.mark.parametrize("n, nodes", [(2, 13), (3, 9)])
     @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
     @pytest.mark.parametrize("kind", ["t^0.5", "f=0.3"])
-    def test_matches_every_stage_to_tol(self, n, nodes, p, kind):
+    def test_matches_the_halving_schedule(self, n, nodes, p, kind):
         grid = LogGrid.build(unit_domain(n=n), (nodes,) * n)
         prob = (manufactured_problem(power_of_t_field(0.5), p) if kind == "t^0.5"
                 else constant_forcing_problem(p, n))
         cfg = SolverConfig()
         u, rep = solve_dirichlet(prob, grid, cfg)
-        ref, rep_ref = every_stage_to_tol(prob, grid, cfg)
+        ref, rep_ref = halving_schedule(prob, grid, cfg)
         assert rep.converged and rep_ref.converged
+        assert [s.eps_reg for s in rep.stages] == [cfg.eps_reg_floor]
+        assert len(rep_ref.stages) > 10
         assert np.max(np.abs(u.values - ref.values)) <= self.FIELD_GAP_TOLS * cfg.tol
         assert (sum(s.iterations for s in rep.stages)
                 < sum(s.iterations for s in rep_ref.stages))
 
-    def test_intermediate_stages_stop_at_sqrt_tol(self):
-        grid = LogGrid.build(unit_domain(), (17, 17))
-        prob = manufactured_problem(power_of_t_field(0.41), 4.0)
-        cfg = SolverConfig()
-        _, rep = solve_dirichlet(prob, grid, cfg)
-        assert rep.converged
-        assert [s.eps_reg for s in rep.stages] == list(cfg.eps_schedule)
-        assert all(s.stop_reason == "converged" for s in rep.stages)
-        *middle, last = rep.stages
-        assert all(s.residual_norm <= math.sqrt(cfg.tol) for s in middle)
-        # some stage stops above tol, so the loose target is what held it
-        assert any(s.residual_norm > cfg.tol for s in middle)
-        assert last.residual_norm == rep.final_residual <= cfg.tol
-
-    def test_inserted_midpoints_get_the_loose_target(self, monkeypatch):
-        # three steps per stage are too few for the first stages, which
-        # then stall and insert midpoints
+    def test_failed_floor_stage_climbs(self, monkeypatch):
+        # three steps are too few for the floor stage, which then climbs
+        # through 2 eps to 4 eps and comes back down; every stage, and the
+        # presolve, runs to tol
         calls = record_stage_targets(monkeypatch)
         grid = LogGrid.build(unit_domain(), (13, 13))
         cfg = SolverConfig(max_iter=3)
         _, rep = solve_dirichlet(constant_forcing_problem(4.0, 2), grid, cfg)
         assert rep.converged
-        assert "max_iter" in [s.stop_reason for s in rep.stages]
+        floor = cfg.eps_reg_floor
         presolve, *stages = calls
-        assert presolve == (2.0, cfg.eps_reg_start, cfg.tol)
-        inserted = [c for c in stages if c[1] not in cfg.eps_schedule]
-        assert inserted
-        assert all(target == math.sqrt(cfg.tol) for _, _, target in inserted)
-        assert stages[-1] == (4.0, cfg.eps_reg_floor, cfg.tol)
-        assert all(target == math.sqrt(cfg.tol) for _, _, target in stages[:-1])
+        assert presolve == (2.0, floor, cfg.tol)
+        assert stages == [(4.0, eps, cfg.tol) for eps in (floor, 2 * floor, 4 * floor,
+                                                          2 * floor, floor)]
+        assert [s.stop_reason for s in rep.stages] == ["max_iter"] * 2 + ["converged"] * 3
+        assert rep.stages[-1].residual_norm == rep.final_residual <= cfg.tol
+
+    def test_climb_stops_after_24_stages(self):
+        # one Newton step per stage is too few at p = 6: the climb doubles
+        # eps 24 times, then the stages come back down to the floor
+        grid = LogGrid.build(unit_domain(), (13, 13))
+        cfg = SolverConfig(max_iter=1)
+        _, rep = solve_dirichlet(constant_forcing_problem(6.0, 2), grid, cfg)
+        eps = [s.eps_reg for s in rep.stages]
+        assert len(eps) == 49 and max(eps) == cfg.eps_reg_floor * 2 ** 24
+        assert eps[:25] == [cfg.eps_reg_floor * 2 ** k for k in range(25)]
+        assert eps[-1] == cfg.eps_reg_floor
 
     @pytest.mark.parametrize("tol", [1.0, 4.0])
     def test_tol_at_least_one_is_every_target(self, monkeypatch, tol):
+        # the presolve and the floor stage both stop at tol, however loose
         calls = record_stage_targets(monkeypatch)
         grid = LogGrid.build(unit_domain(), (13, 13))
-        _, rep = solve_dirichlet(constant_forcing_problem(3.0, 2), grid,
-                                 SolverConfig(tol=tol))
-        assert rep.converged and len(calls) > 2
-        assert all(target == tol for _, _, target in calls)
+        cfg = SolverConfig(tol=tol)
+        _, rep = solve_dirichlet(constant_forcing_problem(3.0, 2), grid, cfg)
+        assert rep.converged
+        assert calls == [(2.0, cfg.eps_reg_floor, tol), (3.0, cfg.eps_reg_floor, tol)]
+
+    def test_set_floor_is_the_one_stage(self, monkeypatch):
+        # a floor above the default is the eps of the presolve and of the
+        # one stage, which converges there without a climb
+        calls = record_stage_targets(monkeypatch)
+        grid = LogGrid.build(unit_domain(), (13, 13))
+        cfg = SolverConfig(eps_reg_floor=1e-3)
+        _, rep = solve_dirichlet(constant_forcing_problem(4.0, 2), grid, cfg)
+        assert rep.converged
+        assert calls == [(2.0, 1e-3, cfg.tol), (4.0, 1e-3, cfg.tol)]
+        assert [(s.eps_reg, s.stop_reason) for s in rep.stages] == [(1e-3, "converged")]
+
+    def test_failed_p2_stage_does_not_climb(self):
+        # a p = 2 stage reads no eps, so a climb would only redo it: with no
+        # Newton step allowed the one stage fails and the report says so
+        grid = LogGrid.build(unit_domain(), (13, 13))
+        cfg = SolverConfig(max_iter=0)
+        _, rep = solve_dirichlet(constant_forcing_problem(2.0, 2), grid, cfg)
+        assert [(s.eps_reg, s.iterations, s.stop_reason) for s in rep.stages] == [
+            (cfg.eps_reg_floor, 0, "max_iter")]
+        assert not rep.converged
+        assert rep.final_residual == rep.stages[0].residual_norm > cfg.tol
 
     def test_p2_solve_runs_its_one_stage_to_tol(self, monkeypatch):
         calls = record_stage_targets(monkeypatch)
@@ -753,6 +779,17 @@ class TestWarmStart:
         assert rep.final_residual == rep.stages[0].residual_norm <= cfg.tol
         assert np.max(np.abs(warm.values - cold.values)) <= self.FIELD_GAP_TOLS * cfg.tol
 
+    def test_warm_stage_is_the_only_stage(self, monkeypatch):
+        # a start at the solution runs one floor stage to tol, with no presolve
+        grid = LogGrid.build(unit_domain(), (13, 13))
+        prob = constant_forcing_problem(3.0, 2)
+        cfg = SolverConfig()
+        u, _ = solve_dirichlet(prob, grid, cfg)
+        calls = record_stage_targets(monkeypatch)
+        _, rep = solve_dirichlet(prob, grid, cfg, initial=u)
+        assert calls == [(3.0, cfg.eps_reg_floor, cfg.tol)]
+        assert rep.converged and len(rep.stages) == 1
+
     def test_boundary_is_reset_to_the_dirichlet_data(self):
         grid = LogGrid.build(unit_domain(), (13, 13))
         u_star = power_of_t_field(0.5)
@@ -768,20 +805,35 @@ class TestWarmStart:
             self.FIELD_GAP_TOLS * SolverConfig().tol)
 
     def test_failed_warm_stage_falls_back_to_the_cold_solve(self):
-        # from a random start the floor stage stalls; the solve then runs
-        # exactly the cold solve, whose stages follow the failed one
+        # from a random start the floor stage takes 14 Newton steps, more
+        # than the 8 allowed, where the cold solve takes 5; the solve then
+        # runs exactly the cold solve, whose stages follow the failed one
         grid = LogGrid.build(unit_domain(), (13, 13))
         prob = constant_forcing_problem(3.0, 2)
-        cfg = SolverConfig()
+        cfg = SolverConfig(max_iter=8)
         start = GridFunction(grid, np.random.default_rng(0).standard_normal(grid.shape))
         u, rep = solve_dirichlet(prob, grid, cfg, initial=start)
         cold, rep_cold = solve_dirichlet(prob, grid, cfg)
         warm, *rest = rep.stages
-        assert (warm.eps_reg, warm.stop_reason) == (cfg.eps_reg_floor, "line_search")
+        assert (warm.eps_reg, warm.stop_reason) == (cfg.eps_reg_floor, "max_iter")
         assert warm.iterations > 0 and warm.residual_norm > cfg.tol
         assert rest == rep_cold.stages
         assert (rep.converged, rep.final_residual) == (True, rep_cold.final_residual)
         np.testing.assert_array_equal(u.values, cold.values)
+
+    def test_p4_shifted_subsolutions_agree(self):
+        # the pair of ``verify comparison`` on the zero-data problem
+        # t^p f = 0.3 at p = 4, 17^2: the warm and the cold subsolution are
+        # one field (with a coefficient blind to spikes they were two, min u
+        # -0.2461 and -0.3309, a gap of 0.091)
+        grid = LogGrid.build(unit_domain(), (17, 17))
+        prob = t_power_forcing_problem(4.0)
+        cfg = SolverConfig()
+        v, rep_v = solve_dirichlet(prob, grid, cfg)
+        warm, rep_w = solve_dirichlet(raised_forcing(prob), grid, cfg, initial=v)
+        cold, rep_c = solve_dirichlet(raised_forcing(prob), grid, cfg)
+        assert rep_v.converged and rep_w.converged and rep_c.converged
+        assert np.max(np.abs(warm.values - cold.values)) <= self.FIELD_GAP_TOLS * cfg.tol
 
     def test_initial_on_other_nodes_is_rejected(self):
         grid = LogGrid.build(unit_domain(), (13, 13))
@@ -789,6 +841,55 @@ class TestWarmStart:
         with pytest.raises(ValueError, match=r"\(13, 11\) does not have the nodes .* \(13, 13\)"):
             solve_dirichlet(constant_forcing_problem(3.0, 2), grid,
                             initial=GridFunction(other, np.zeros(other.shape)))
+
+
+class TestOneSolution:
+    """The coefficient reads u at its own node through the second
+    differences, so no node decouples where the central gradient vanishes:
+    zero-data problems have one discrete solution, which refines."""
+
+    def test_verify_2d_problem_has_one_field_at_81(self):
+        # from the default start and by Newton from the cubic prolongation of
+        # the 41^2 solution; the two used to be min u -0.1028 and -0.1227
+        prob = t_power_forcing_problem(3.0)
+        coarse, grid = (LogGrid.build(unit_domain(), (m, m)) for m in (41, 81))
+        cfg = SolverConfig()
+        u_coarse, rep_coarse = solve_dirichlet(prob, coarse, cfg)
+        cubic = RegularGridInterpolator(coarse.axes, u_coarse.values, method="cubic")
+        start = GridFunction(grid, cubic(grid.log_points).reshape(grid.shape))
+        u_warm, rep_warm = solve_dirichlet(prob, grid, cfg, initial=start)
+        u, rep = solve_dirichlet(prob, grid, cfg)
+        assert rep_coarse.converged and rep.converged
+        assert rep_warm.converged and len(rep_warm.stages) == 1
+        assert np.max(np.abs(u_warm.values - u.values)) <= 10.0 * cfg.tol
+        assert round(float(u.values.min()), 4) == -0.1023
+
+    def test_3d_centre_node_converges(self):
+        # an odd node count puts a node at the symmetric centre, where the
+        # 13^3 solve used to end in a spike (min u -770.7, not converged);
+        # measured min u: 12^3 -0.0862, 13^3 -0.0898, 14^3 -0.0875.  Only
+        # 13^3 samples the centre, where u is least, so its min may lie
+        # below both even grids' by a sampling gap, bounded here by 5% of
+        # their |min u|
+        prob = t_power_forcing_problem(3.0)
+        mins = []
+        for m in (12, 13, 14):
+            u, rep = solve_dirichlet(prob, LogGrid.build(unit_domain(n=3), (m,) * 3))
+            assert rep.converged
+            mins.append(float(u.values.min()))
+        even = (mins[0], mins[2])
+        slack = 0.05 * max(abs(v) for v in even)
+        assert min(even) - slack <= mins[1] <= max(even) + slack
+
+    def test_zero_data_p4_refines(self):
+        # f = 0.3 at p = 4: the 41^2 and 81^2 fields at their common nodes,
+        # relative to max |u| at 81^2; measured 1.25e-3 (0.13 while both
+        # were spike fields, min u -0.3238 and -0.3732 against -0.0969)
+        prob = constant_forcing_problem(4.0, 2)
+        fields = [solve_dirichlet(prob, LogGrid.build(unit_domain(), (m, m)))[0].values
+                  for m in (41, 81)]
+        gap = np.max(np.abs(fields[1][::2, ::2] - fields[0])) / np.max(np.abs(fields[1]))
+        assert gap <= 2e-3
 
 
 class TestStopReason:

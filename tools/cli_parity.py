@@ -20,7 +20,7 @@ and 3, which covers the 3D fast linear solve and the 3D presolve.  Fifteen
 more cases at p = 3 each give one key that the cases above leave at its
 default another valid value (the ten verify keys ``rho``, ``rhos``, ``p0s``,
 ``alphas``, ``margin``, ``c_ref``, ``slack``, ``bumps``, ``weakform_tol``
-and ``samples``, the three float ``solver.*`` keys and
+and ``samples``, ``solver.max_iter``, the two float ``solver.*`` keys and
 ``convolve.direction = SUP``), or drop ``verify.radii`` so that ``verify
 oscillation`` reads its default radii.  The last 22 cases, at p = 3,
 reach every field-spec kind: six solves set ``problem.f`` and
@@ -96,7 +96,7 @@ SETTINGS = [
     ("verify.bumps = 4", ["verify", "weakform"]),
     ("verify.weakform_tol = 0.5", ["verify", "weakform"]),
     ("verify.samples = 50", ["gcondition"]),
-    ("solver.eps_reg_start = 0.05", ["solve"]),
+    ("solver.max_iter = 50", ["solve"]),
     ("solver.eps_reg_floor = 1e-5", ["solve"]),
     ("solver.tol = 1e-8", ["solve"]),
     ("convolve.direction = SUP", ["convolve"]),

@@ -39,11 +39,11 @@ call ``spsolve`` makes), and max |du - du_spsolve| / max |du_spsolve|.
 
 One whole solve: ``solve_dirichlet`` on the p = 3 manufactured problem with
 u* = t^0.5 and the default solver settings, once as the package runs it
-(each step GMRES on the solve's kept ``splu`` factor, refactorizing only
-where that stalls, and only the floor eps stage run to the final
-tolerance), once with ``tests/oracles.refactorized_solve`` patched in,
-which factorizes every Jacobian, and once as
-``tests/oracles.every_stage_to_tol``, which runs every continuation stage
+(the p = 2 presolve and one floor eps stage, each step GMRES on the
+solve's kept ``splu`` factor, refactorizing only where that stalls), once
+with ``tests/oracles.refactorized_solve`` patched in, which factorizes
+every Jacobian, and once as ``tests/oracles.halving_schedule``, the
+halving eps continuation from 0.1 down to the floor with every stage run
 to the final tolerance.  Per size it records the median seconds of each
 over SOLVE_REPEATS runs (the three alternate), the stages, Newton steps,
 factorizations and GMRES iterations of each, and the max field gap of
@@ -186,9 +186,9 @@ def refactorized(prob, grid) -> tuple:
 
 
 # the whole solves: as the package runs them, factorizing every Jacobian,
-# and running every continuation stage to the final tolerance
+# and along the halving eps continuation
 SOLVES = {"reused": solve_dirichlet, "refactorized": refactorized,
-          "every_stage_to_tol": oracles.every_stage_to_tol}
+          "halving_schedule": oracles.halving_schedule}
 
 
 def measure_solve(n: int, m: int) -> dict:
@@ -213,7 +213,7 @@ def measure_solve(n: int, m: int) -> dict:
                      "factorizations": sum(s.factorizations for s in rep.stages),
                      "krylov_iterations": sum(s.krylov_iterations for s in rep.stages)}
     ref = fields["reused"]
-    for name in ("refactorized", "every_stage_to_tol"):
+    for name in ("refactorized", "halving_schedule"):
         row[f"max_rel_gap_{name}"] = float(np.max(np.abs(fields[name] - ref))
                                            / np.max(np.abs(ref)))
     return row
@@ -257,7 +257,7 @@ def main(argv) -> int:
             f"{row[name]['factorizations']} factorizations, "
             f"{row[name]['krylov_iterations']} GMRES iterations)" for name in SOLVES)
             + f"  max rel gaps {row['max_rel_gap_refactorized']:.2g}, "
-            f"{row['max_rel_gap_every_stage_to_tol']:.2g}")
+            f"{row['max_rel_gap_halving_schedule']:.2g}")
     exponents = {}
     for n in sorted({r["n"] for r in rows}):
         dim = [r for r in rows if r["n"] == n]
@@ -279,8 +279,8 @@ def main(argv) -> int:
                 "stencils every call; one p = 3 Newton linear solve, full-grid spsolve (COLAMD) vs the "
                 "interior block in nested-dissection order; and one p = 3 manufactured "
                 "solve (u* = t^0.5), GMRES on the kept splu factor vs a fresh factor "
-                "every Newton step vs every continuation stage run to the final "
-                "tolerance",
+                "every Newton step vs the halving eps continuation, every stage run to "
+                "the final tolerance",
         "p": P, "eps_reg": EPS_REG, "repeats": REPEATS, "solve_repeats": SOLVE_REPEATS,
         "assembly_repeats": ASSEMBLY_REPEATS,
         "kappa": KAPPA,

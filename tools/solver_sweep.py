@@ -15,12 +15,12 @@ all on 41^2 grids over the base [0, 1] with t_min = e^-1 unless stated:
   data.
 
 Then the problem of the verify-2d benchmark workload, p = 3 with
-f = 0.3 t^-3 (t^p f = 0.3) and zero Dirichlet data, at 41^2 and 81^2.  Its
-discrete problem has more than one solution, so which one a solve reaches
-depends on the path; the min of u tells the branches apart.  Last, the
-same zero-data problem in 3D at 12^3, 13^3 and 14^3: an odd node count puts
-one node at the symmetric centre, and at 13^3 the solve ends in a deep
-spike there.
+f = 0.3 t^-3 (t^p f = 0.3) and zero Dirichlet data, at 41^2 and 81^2, and
+last the same zero-data problem in 3D at 12^3, 13^3 and 14^3: an odd node
+count puts one node at the symmetric centre, where the central gradient
+vanishes.  The zero-data cases are where a coefficient that does not see
+spikes (a node whose central gradient reads 0 whatever its own value)
+reaches a second discrete solution; the min of u tells such fields apart.
 
 Prints, for each case both sides run, whether the solve converged, its
 stages, Newton steps, seconds and min u, and the max-norm difference of
