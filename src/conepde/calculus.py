@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from conepde.geometry import ConeDomain
 
@@ -33,8 +32,8 @@ __all__ = [
 
 
 class StencilPattern(NamedTuple):
-    """The sparsity pattern of a sum of the grid's operators with node
-    coefficients on the interior block (``LogGrid.interior_pattern``).
+    """The sparsity pattern of a sum of the grid's difference operators
+    with node coefficients on the interior block (``LogGrid.interior_pattern``).
 
     ``weights[t, o]`` is operator t's weight at stencil offset o.  For
     coefficient columns c (one interior row per node in dissection order,
@@ -143,13 +142,44 @@ class LogGrid:
         """The 1D stencil along one axis as a dense matrix on that axis's nodes."""
         return stencil(np.eye(self.shape[axis]), 0, self.h[axis])
 
-    def _stencil_op(self, axis: int, stencil: Callable) -> sp.csr_matrix:
-        return _along_axis(self.shape, axis, sp.csr_matrix(self.stencil_matrix(axis, stencil)))
-
     @cached_property
-    def first_diff_ops(self) -> tuple:
-        """First-difference operators on the flattened values, one per axis."""
-        return tuple(self._stencil_op(k, first_diff) for k in range(self.n))
+    def stencil_weights(self) -> dict:
+        """The weights of ``first_diff`` and ``second_diff`` per axis, read
+        off ``stencil_matrix``: ``stencil_weights[first_diff][k]`` is (band,
+        cols, weights), the (column offset, weight) pairs of every interior
+        row, then the columns and the weights of the first and of the last
+        row as (entry, face) and (entry, face, 1) arrays, nonzero weights
+        only, columns ascending (the two face rows have as many entries)."""
+
+        def split(M):
+            cols = np.array([np.flatnonzero(M[0]), np.flatnonzero(M[-1])]).T
+            band = tuple((int(j) - 1, float(M[1, j])) for j in np.flatnonzero(M[1]))
+            return band, cols, np.stack([M[0, cols[:, 0]], M[-1, cols[:, 1]]], axis=1)[..., None]
+
+        return {s: tuple(split(self.stencil_matrix(k, s)) for k in range(self.n))
+                for s in (first_diff, second_diff)}
+
+    def apply_stencil(self, values: np.ndarray, axis: int, stencil: Callable) -> np.ndarray:
+        """``stencil`` (``first_diff`` or ``second_diff``) along one axis of
+        node values, by slicing with ``stencil_weights``.  Each node sums its
+        products in ascending column order from +0, as a CSR product with
+        the stencil's matrix on the flattened values does, to the bit."""
+        band, cols, weights = self.stencil_weights[stencil][axis]
+        m, s = self.shape[axis], math.prod(self.shape[axis + 1:])
+        v = values.ravel()
+        out = np.zeros(v.size)
+        # the band runs over the flat span from the first to the last face
+        # in shifts by the stride; the two face rows are then redone together
+        span = out[s:-s]
+        for d, w in band:
+            span += w * v[s + d * s:v.size - s + d * s]
+        v = v.reshape(-1, m, s)
+        terms = v[:, cols] * weights
+        faces = np.zeros(terms[:, 0].shape)
+        for term in terms.swapaxes(0, 1):
+            faces += term
+        out.reshape(-1, m, s)[:, ::m - 1] = faces
+        return out.reshape(values.shape)
 
     @cached_property
     def base_eigenbases(self) -> tuple:
@@ -195,45 +225,48 @@ class LogGrid:
     @cached_property
     def interior_pattern(self) -> StencilPattern:
         """The sparsity pattern of sum_t diag(c_t) op_t on the interior
-        block, rows and columns in ``dissection_order``, over the grid's
-        operators op_t: the ``hessian_ops`` in their order, then the
-        ``first_diff_ops``.  It depends on the grid alone, so the stencils
-        are read once per grid, not once per matrix; see ``StencilPattern``."""
-        ops = (*self.hessian_ops.values(), *self.first_diff_ops)
+        block, rows and columns in ``dissection_order``, over the difference
+        operators op_t: the Hessian entries (k, l) with k <= l in row-major
+        order (second differences on the diagonal, D_k D_l off it), then the
+        first differences D_k.  On an interior row each is its 1D bands
+        translated along the grid, so its offsets d stride_k (+ d' stride_l)
+        and weights w_k (w_k w_l) are the bands' own.  It depends on the
+        grid alone, so it is built once per grid; see ``StencilPattern``."""
+        strides = [math.prod(self.shape[k + 1:]) for k in range(self.n)]
+
+        def band(k, stencil):
+            return [(d * strides[k], w) for d, w in self.stencil_weights[stencil][k][0]]
+
+        taps = []
+        for k in range(self.n):
+            taps.append(band(k, second_diff))
+            taps += [[(dk + dl, wk * wl) for dk, wk in band(k, first_diff)
+                      for dl, wl in band(l, first_diff)] for l in range(k + 1, self.n)]
+        taps += [band(k, first_diff) for k in range(self.n)]
+        offsets = np.unique([d for tap in taps for d, _ in tap])
+        weights = np.zeros((len(taps), offsets.size))
+        for t, tap in enumerate(taps):
+            d, w = zip(*tap)
+            weights[t, np.searchsorted(offsets, d)] = w
         order = self.dissection_order
-        # on interior rows each operator is one stencil translated along the
-        # grid: read its column offsets and weights off one interior row
-        stencils = [op[order[0]].tocoo() for op in ops]
-        offsets = np.unique(np.concatenate([st.col for st in stencils]))
-        weights = np.zeros((len(ops), offsets.size))
-        for t, st in enumerate(stencils):
-            weights[t, np.searchsorted(offsets, st.col)] = st.data
-        # boundary nodes keep rank -1: their columns multiply data and are dropped
+        # boundary nodes keep rank -1: their products are data and are dropped
         rank = np.full(math.prod(self.shape), -1)
         rank[order] = np.arange(order.size)
-        cols = rank[order[:, None] + (offsets - order[0])].ravel()
-        inner = np.flatnonzero(cols >= 0)
-        # row-major products are in row order, so a stable sort by column
-        # puts them in CSC order: by column, rows ascending
-        gather = inner[np.argsort(cols[inner], kind="stable")]
+        # column c is reached from row rank[order[c] - offset] by that
+        # offset's product; sorting each column's rows puts the products in
+        # CSC order, by column, rows ascending, with the boundary's -1 first
+        rows = rank[order[:, None] - offsets]
+        by_row = np.argsort(rows, axis=1)
+        rows = np.take_along_axis(rows, by_row, axis=1)
+        inner = rows >= 0
+        gather = (rows * offsets.size + by_row)[inner]
         index = np.int32 if max(gather.size, order.size) < 2**31 else np.int64
-        indices = (gather // offsets.size).astype(index)
+        indices = rows[inner].astype(index)
         indptr = np.zeros(order.size + 1, dtype=index)
-        np.cumsum(np.bincount(cols[inner], minlength=order.size), out=indptr[1:])
+        np.cumsum(inner.sum(axis=1), out=indptr[1:])
         for arr in (weights, gather, indices, indptr):
             arr.flags.writeable = False
         return StencilPattern(weights, gather, indices, indptr)
-
-    @cached_property
-    def hessian_ops(self) -> dict:
-        """Operators for the Hessian entries (k, l) with k <= l: second
-        differences on the diagonal, D_k D_l off it."""
-        D = self.first_diff_ops
-        ops = {}
-        for k in range(self.n):
-            ops[(k, k)] = self._stencil_op(k, second_diff)
-            ops.update({(k, l): D[k] @ D[l] for l in range(k + 1, self.n)})
-        return ops
 
 
 class GridFunction:
@@ -260,9 +293,11 @@ class GridFunction:
 # stencils
 #
 # first_diff and second_diff define the difference stencils once.  The grid
-# turns each into a sparse matrix on the flattened values (LogGrid.*_ops,
-# by applying it to the identity and tensorizing per axis), and every
-# derivative in the package applies one of those cached matrices.
+# reads each one's weights per axis off its matrix (LogGrid.stencil_weights:
+# the interior band and the two face rows) and applies them by slicing
+# (LogGrid.apply_stencil); every derivative in the package is one such
+# application or, off the Hessian's diagonal, two.  No sparse matrix is
+# built.
 
 def first_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Second-order first derivative: central inside, one-sided at the faces."""
@@ -283,33 +318,31 @@ def second_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def _along_axis(shape: tuple, axis: int, D) -> sp.csr_matrix:
-    """The 1D operator D applied along one axis of row-major flattened values."""
-    inner = sp.kron(D, sp.identity(int(np.prod(shape[axis + 1:]))))
-    return sp.kron(sp.identity(int(np.prod(shape[:axis]))), inner, format="csr")
-
-
 def gradient_field(u: GridFunction) -> np.ndarray:
     """Discrete cone gradient at every node, shape (n, *grid.shape).
 
     Component 0 is the radial derivative t du/dt = du/da.  Face nodes use
     one-sided second-order stencils; ``grid.boundary_mask`` flags them.
     """
-    v = u.values.ravel()
-    return np.stack([(D @ v).reshape(u.grid.shape) for D in u.grid.first_diff_ops])
+    grid = u.grid
+    return np.stack([grid.apply_stencil(u.values, k, first_diff) for k in range(grid.n)])
 
 
 def hessian_field(u: GridFunction) -> np.ndarray:
     """Discrete cone Hessian at every node, shape (n, n, *grid.shape).
 
-    Cross derivatives compose the two axes' first-difference operators,
-    which commute, so the matrix is symmetric by construction.
+    The diagonal holds the second differences; the (k, l) entry off it is
+    D_k applied to D_l u, the two axes' first differences composed, and is
+    stored at (l, k) as well, so the matrix is symmetric by construction.
     """
-    n = u.grid.n
-    v = u.values.ravel()
-    out = np.empty((n, n) + u.grid.shape)
-    for (k, l), D in u.grid.hessian_ops.items():
-        out[k, l] = out[l, k] = (D @ v).reshape(u.grid.shape)
+    grid = u.grid
+    out = np.empty((grid.n, grid.n) + grid.shape)
+    for l in range(grid.n):
+        out[l, l] = grid.apply_stencil(u.values, l, second_diff)
+        if l:
+            d_l = grid.apply_stencil(u.values, l, first_diff)
+            for k in range(l):
+                out[k, l] = out[l, k] = grid.apply_stencil(d_l, k, first_diff)
     return out
 
 

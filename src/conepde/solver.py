@@ -159,10 +159,11 @@ def _assemble_jacobian(grid: LogGrid, A: np.ndarray, B: np.ndarray,
     """Jacobian of the log-chart residual on the interior nodes, rows and
     columns in ``grid.dissection_order``; boundary values are data, not
     unknowns.  Its rows are sum_kl A_kl H_kl + sum_k C_k G_k + B G_0: the
-    residual's own operators weighted by the coefficient fields that
-    ``operator_terms`` returned with the residual (A, plus the dA of
+    residual's own difference operators weighted by the coefficient fields
+    that ``operator_terms`` returned with the residual (A, plus the dA of
     ``gradient_coefficient``, and B) and C, so the block is its exact
-    linearization at that residual's iterate.
+    linearization at that residual's iterate.  Over the pairs k <= l, the
+    pattern's row order, A_kl with k < l enters twice, for H_kl and H_lk.
 
     The sparsity pattern is fixed for the grid (``grid.interior_pattern``),
     so a call does only the numeric part: one product of the coefficient
@@ -170,10 +171,11 @@ def _assemble_jacobian(grid: LogGrid, A: np.ndarray, B: np.ndarray,
     B keeps its own term on G_0 rather than being added to C_0, which
     would round differently."""
     pattern, order = grid.interior_pattern, grid.dissection_order
-    coeffs = [A[k, l] * (1.0 if k == l else 2.0) for k, l in grid.hessian_ops]
+    pairs = [(k, l) for k in range(grid.n) for l in range(k, grid.n)]
+    coeffs = [A[k, l] * (1.0 if k == l else 2.0) for k, l in pairs]
     coeffs += [*C, B]
-    # pattern rows: the Hessian operators, then G_0 ... G_{n-1}, then G_0 for B
-    h = len(grid.hessian_ops)
+    # pattern rows: H_kl for k <= l, then G_0 ... G_{n-1}, then G_0 for B
+    h = len(pairs)
     weights = pattern.weights[[*range(h + grid.n), h]]
     data = np.stack([c.ravel()[order] for c in coeffs], axis=1) @ weights
     return sp.csc_matrix((data.ravel()[pattern.gather], pattern.indices, pattern.indptr),
@@ -248,9 +250,9 @@ class _NewtonSystem:
         reads no coefficient field."""
         grid = self.grid
         if self.p == 2.0:
-            v, lin = values.ravel(), None
-            R = sum(grid.hessian_ops[(k, k)] @ v for k in range(grid.n))
-            R = (R + self.drift * (grid.first_diff_ops[0] @ v)).reshape(grid.shape)
+            lin = None
+            R = sum(grid.apply_stencil(values, k, second_diff) for k in range(grid.n))
+            R = R + self.drift * grid.apply_stencil(values, 0, first_diff)
         else:
             R, *lin = divergence_part_field(GridFunction(grid, values, check_finite=False),
                                             self.p, eps_reg)

@@ -1,7 +1,8 @@
 """Slow reference implementations that the tests compare the package against.
 
 They are the pointwise forms of code the package evaluates on whole fields or
-in closed form: per-node difference stencils, the per-point residual algebra,
+in closed form: per-node difference stencils, the grid's difference
+operators as Kronecker-built sparse matrices, the per-point residual algebra,
 the full-grid Newton Jacobian as a sum of weighted grid operators, its
 interior block assembled from the stencils on every call, the recursive
 nested-dissection numbering, the Newton step that factorizes every
@@ -16,13 +17,15 @@ itself.
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conepde import solver
-from conepde.calculus import GridFunction, gradient_field, hessian_field
+from conepde.calculus import (GridFunction, first_diff, gradient_field, hessian_field,
+                              second_diff)
 from conepde.operators import (PucciParams, gradient_coefficient, operator_terms, pucci_minus,
                                pucci_plus)
 
@@ -255,6 +258,39 @@ def coefficient_fields(values, grid, p, eps_reg):
     return A + dA, B, C
 
 
+def _along_axis(shape, axis, D):
+    """The 1D operator D applied along one axis of row-major flattened values."""
+    inner = sp.kron(D, sp.identity(math.prod(shape[axis + 1:])))
+    return sp.kron(sp.identity(math.prod(shape[:axis])), inner, format="csr")
+
+
+# sparse_difference_ops per grid, built once and freed with the grid
+_SPARSE_OPS = weakref.WeakKeyDictionary()
+
+
+def sparse_difference_ops(grid):
+    """(first, hessian): the grid's difference stencils as sparse matrices on
+    the flattened values, each 1D stencil matrix tensorized per axis and
+    built once per grid.  ``first`` holds the first differences D_k per
+    axis, ``hessian`` the operators of the Hessian entries (k, l), k <= l,
+    in row-major order: second differences on the diagonal, the products
+    D_k D_l off it.  They are the reference for ``LogGrid.apply_stencil``
+    and ``LogGrid.interior_pattern``, which keep only the 1D weights."""
+    if grid in _SPARSE_OPS:
+        return _SPARSE_OPS[grid]
+
+    def op(axis, stencil):
+        return _along_axis(grid.shape, axis, sp.csr_matrix(grid.stencil_matrix(axis, stencil)))
+
+    first = tuple(op(k, first_diff) for k in range(grid.n))
+    hessian = {}
+    for k in range(grid.n):
+        hessian[(k, k)] = op(k, second_diff)
+        hessian.update({(k, l): first[k] @ first[l] for l in range(k + 1, grid.n)})
+    _SPARSE_OPS[grid] = first, hessian
+    return first, hessian
+
+
 def full_jacobian(grid, A, B, C):
     """Jacobian of the log-chart residual w.r.t. every node value at the
     coefficient fields A, B, C, in flat node order: identity rows on the
@@ -262,11 +298,43 @@ def full_jacobian(grid, A, B, C):
     sum_k diag(C_k) G_k + diag(B) G_0 over the grid's Hessian and
     first-difference operators.  Its interior rows and columns are the block
     ``solver._assemble_jacobian`` returns."""
-    terms = [((1.0 if k == l else 2.0) * A[k, l], op) for (k, l), op in grid.hessian_ops.items()]
-    terms += list(zip(C, grid.first_diff_ops)) + [(B, grid.first_diff_ops[0])]
+    first, hessian = sparse_difference_ops(grid)
+    terms = [((1.0 if k == l else 2.0) * A[k, l], op) for (k, l), op in hessian.items()]
+    terms += list(zip(C, first)) + [(B, first[0])]
     bmask = grid.boundary_mask.ravel()
     J = sum(sp.diags(np.where(bmask, 0.0, c.ravel())) @ op for c, op in terms)
     return (J + sp.diags(bmask.astype(float))).tocsr()
+
+
+def _row_stencils(grid, ops):
+    """(offsets, W): the flat column offsets that the operators reach on
+    interior rows, ascending, and W[t, o], operator t's weight at offset o,
+    read off the row of the first interior node in dissection order."""
+    order = grid.dissection_order
+    stencils = [op[order[0]].tocoo() for op in ops]
+    cols = np.unique(np.concatenate([st.col for st in stencils]))
+    W = np.zeros((len(ops), cols.size))
+    for t, st in enumerate(stencils):
+        W[t, np.searchsorted(cols, st.col)] = st.data
+    return cols - order[0], W
+
+
+def sparse_interior_pattern(grid):
+    """(weights, gather, indices, indptr) of ``LogGrid.interior_pattern``
+    read off the operators of ``sparse_difference_ops``, the Hessian's and
+    then the first differences: the stencils of one interior row, their
+    (row, offset) products in row-major order with the boundary columns
+    dropped, and a stable sort by column."""
+    first, hessian = sparse_difference_ops(grid)
+    offsets, weights = _row_stencils(grid, [*hessian.values(), *first])
+    order = grid.dissection_order
+    rank = np.full(math.prod(grid.shape), -1)
+    rank[order] = np.arange(order.size)
+    cols = rank[order[:, None] + offsets].ravel()
+    inner = np.flatnonzero(cols >= 0)
+    gather = inner[np.argsort(cols[inner], kind="stable")]
+    counts = np.bincount(cols[inner], minlength=order.size)
+    return weights, gather, gather // offsets.size, np.concatenate([[0], np.cumsum(counts)])
 
 
 def coo_interior_block(grid, A, B, C):
@@ -275,19 +343,16 @@ def coo_interior_block(grid, A, B, C):
     with the boundary columns dropped, and a COO to CSC conversion.  It is
     the reference for ``solver._assemble_jacobian``, which keeps the pattern
     on the grid; the two agree bit for bit."""
-    pairs = [(op, A[k, l] * (1.0 if k == l else 2.0)) for (k, l), op in grid.hessian_ops.items()]
-    pairs += list(zip(grid.first_diff_ops, C))
-    pairs.append((grid.first_diff_ops[0], B))
+    first, hessian = sparse_difference_ops(grid)
+    pairs = [(op, A[k, l] * (1.0 if k == l else 2.0)) for (k, l), op in hessian.items()]
+    pairs += list(zip(first, C))
+    pairs.append((first[0], B))
     order = grid.dissection_order
-    stencils = [op[order[0]].tocoo() for op, _ in pairs]
-    offsets = np.unique(np.concatenate([st.col for st in stencils]))
-    W = np.zeros((len(pairs), offsets.size))
-    for t, st in enumerate(stencils):
-        W[t, np.searchsorted(offsets, st.col)] = st.data
+    offsets, W = _row_stencils(grid, [op for op, _ in pairs])
     data = np.stack([c.ravel()[order] for _, c in pairs], axis=1) @ W
     rank = np.full(math.prod(grid.shape), -1)
     rank[order] = np.arange(order.size)
-    cols = rank[order[:, None] + (offsets - order[0])]
+    cols = rank[order[:, None] + offsets]
     inner = cols >= 0
     rows = np.broadcast_to(np.arange(order.size)[:, None], cols.shape)[inner]
     return sp.csc_matrix((data[inner], (rows, cols[inner])), shape=(order.size, order.size))

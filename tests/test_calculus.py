@@ -27,6 +27,7 @@ from conepde.operators import (
     residual_log_field,
     separable_exponential_field,
 )
+from conepde import solver
 from conepde.solver import solve_dirichlet
 import oracles
 from oracles import pointwise_gradient, pointwise_hessian, pointwise_residual_log
@@ -186,6 +187,58 @@ def _face_masks(shape, bottom_is_boundary):
         masks[1][node] = bottom and not bottom_is_boundary
         masks[2][node] = top or lateral or (bottom and bottom_is_boundary)
     return masks
+
+
+class TestMatrixFreeStencils:
+    # non-square grids with 3- and 4-node axes, where second_diff's face
+    # rows span the whole axis
+    GRIDS = [(3, 4), (4, 3), (9, 6), (3, 4, 5), (5, 3, 4), (4, 7, 6)]
+
+    @staticmethod
+    def fields(grid):
+        rng = np.random.default_rng(math.prod(grid.shape))
+        # signed zeros check that every node sums from +0, as a CSR product does
+        signed = rng.choice([-0.0, 0.0, 0.0, 1.0, -3.0], size=grid.shape)
+        return rng.standard_normal(grid.shape), signed
+
+    @pytest.mark.parametrize("counts", GRIDS)
+    def test_fields_match_the_sparse_operators(self, counts):
+        grid = unit_grid(counts, n=len(counts))
+        first, hessian = oracles.sparse_difference_ops(grid)
+        eps = np.finfo(float).eps
+        for values in self.fields(grid):
+            u, v = GridFunction(grid, values), values.ravel()
+            g, H = gradient_field(u), hessian_field(u)
+            for k, D in enumerate(first):
+                assert g[k].tobytes() == (D @ v).tobytes()
+            for (k, l), D in hessian.items():
+                ref = (D @ v).reshape(grid.shape)
+                if k == l:
+                    assert H[k, k].tobytes() == ref.tobytes()
+                else:
+                    assert np.max(np.abs(H[k, l] - ref)) <= 8 * eps * np.max(np.abs(ref))
+                    assert H[l, k].tobytes() == H[k, l].tobytes()
+
+    @pytest.mark.parametrize("counts", GRIDS)
+    def test_p2_residual_matches_the_sparse_operators(self, counts):
+        grid = unit_grid(counts, n=len(counts))
+        first, hessian = oracles.sparse_difference_ops(grid)
+        drift = grid.n - 2.0 + 0.3
+        system = solver._NewtonSystem(grid, 2.0, drift, np.zeros(grid.shape))
+        for values in self.fields(grid):
+            v = values.ravel()
+            ref = sum(hessian[(k, k)] @ v for k in range(grid.n)) + drift * (first[0] @ v)
+            ref = ref.reshape(grid.shape)
+            ref[grid.boundary_mask] = 0.0
+            assert system.residual(values, 1e-6)[0].tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("counts", GRIDS + [(29, 29, 29)])
+    def test_interior_pattern_matches_the_sparse_operators(self, counts):
+        grid = unit_grid(counts, n=len(counts))
+        pattern, ref = grid.interior_pattern, oracles.sparse_interior_pattern(grid)
+        for name, arr in zip(pattern._fields, ref):
+            assert np.array_equal(getattr(pattern, name), arr), name
+        assert pattern.weights.tobytes() == ref[0].tobytes()
 
 
 class TestFaceMasks:

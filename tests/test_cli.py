@@ -1242,14 +1242,21 @@ def test_benchmark_tracer_targets_resolve():
 
 def test_each_module_is_its_own_import():
     # the package re-exports nothing, so importing one module loads only
-    # what that module imports: geometry needs numpy alone.  Each module's
+    # what that module imports: geometry needs numpy alone, and only the
+    # solver's sparse linear algebra loads scipy at import.  Each module's
     # __all__ is the one declaration of its public names
     src = os.path.dirname(os.path.dirname(importlib.import_module("conepde.geometry").__file__))
-    probe = ("import sys, conepde.geometry; print(sorted(m for m in sys.modules if m == 'scipy'"
-             " or m.startswith(('scipy.', 'conepde.'))))")
-    loaded = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
-                            capture_output=True, text=True, check=True).stdout
-    assert loaded == "['conepde.geometry']\n"
+
+    def loaded(module):
+        probe = (f"import sys, conepde.{module}; print(sorted(m for m in sys.modules"
+                 " if m == 'scipy' or m.startswith(('scipy.', 'conepde.'))))")
+        return subprocess.run([sys.executable, "-c", probe],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, check=True).stdout
+
+    assert loaded("geometry") == "['conepde.geometry']\n"
+    for name in ("calculus", "operators", "regularization", "analysis"):
+        assert "scipy" not in loaded(name), name
     for name in ("geometry", "calculus", "operators", "solver", "regularization", "analysis"):
         module = importlib.import_module(f"conepde.{name}")
         assert [n for n in module.__all__ if not hasattr(module, n)] == []

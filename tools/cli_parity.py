@@ -22,7 +22,10 @@ default another valid value (the ten verify keys ``rho``, ``rhos``, ``p0s``,
 ``alphas``, ``margin``, ``c_ref``, ``slack``, ``bumps``, ``weakform_tol``
 and ``samples``, ``solver.max_iter``, the two float ``solver.*`` keys and
 ``convolve.direction = SUP``), or drop ``verify.radii`` so that ``verify
-oscillation`` reads its default radii.  The last 22 cases, at p = 3,
+oscillation`` reads its default radii.  Three more cases at p = 3 run on
+the shortest axes, where every node of an axis lies in the reach of a
+face stencil: a ``solve`` and ``verify abp`` on ``grid.nodes = 4,5`` and
+an n = 3 ``solve`` on ``grid.nodes = 3,4,5``.  The last 22 cases, at p = 3,
 reach every field-spec kind: six solves set ``problem.f`` and
 ``problem.dirichlet`` to ``zero``, ``constant``, ``tpower``, ``logt``,
 ``quadratic``, ``exp`` with a k and ``gridfile:src.gf``, and
@@ -31,7 +34,7 @@ of every kind other than ``auto`` (a gridfile one exits 2).  Every
 output except ``*_meta.json`` must be byte-identical, and the exit codes of
 every command, the set of meta files and whether ``output.dir`` exists
 afterwards must agree.  Prints one line per
-case and a summary; exits 1 on any difference.  A file that differs is
+case (123 in all) and a summary; exits 1 on any difference.  A file that differs is
 reported with the largest |old - new| / max(1, |old|) over its numbers
 (JSON values, CSV fields, ``.gf`` lines).  A JSON file whose key set
 changed names the added and removed keys and still compares the numbers
@@ -78,6 +81,9 @@ FAILING = "solver.max_iter = 0\ndomain.t_min = 0.001\n"
 # h_a = 6.9 breaks the mesh Peclet bound |n-p| h_a <= 2(p-1) unless p = n = 2
 COARSE = "domain.t_min = 1e-6\ngrid.nodes = 3,5\n"
 SOLID = "domain.n = 3\ndomain.base = 0,1;0,1\ngrid.nodes = 9,9,9\n"
+# the shortest axes: second_diff's face rows span an axis of 3 or 4 nodes
+SHORT = "grid.nodes = 4,5\n"
+SHORT_SOLID = SOLID + "grid.nodes = 3,4,5\n"
 # Dirichlet data 0.5 x^2 + a and forcing -x, the cases whose data vary in x
 SLOPED = "problem.dirichlet = poly:0.5,0,2;1,1\nproblem.f = poly:-1,0,1\n"
 # math.log(math.exp(-0.6)) != -0.6, so a centre kept as t = e^a moves
@@ -157,6 +163,9 @@ def cases():
         yield f"p=3.0 {' '.join(argv)} {entry}", [argv], merged(base, extra + entry + "\n")
     yield ("p=3.0 verify oscillation default radii", [["verify", "oscillation"]],
            base.replace(RADII, ""))
+    for argv in (["solve"], ["verify", "abp"]):
+        yield f"p=3.0 {' '.join(argv)} 4x5", [argv], merged(base, SHORT)
+    yield "p=3.0 solve 3d 3x4x5", [["solve"]], merged(base, SHORT_SOLID)
     for f, g in FIELDS:
         yield (f"p=3.0 solve f={f} dirichlet={g}", [["solve"]],
                merged(base, f"problem.f = {f}\nproblem.dirichlet = {g}\n"))

@@ -3,10 +3,16 @@
     python tools/linear_scaling.py [OUT]
 
 On each grid (2D at 81^2, 97^2 and 161^2; 3D at 17^3, 21^3 and 25^3, over
-the unit base with t_min = e^-1) it measures three things.
+the unit base with t_min = e^-1) it measures four things.
 
-Assembly: on a fresh grid whose difference operators are built, the seconds
-of ``grid.dissection_order`` (the first access numbers the interior) and of
+Grid set-up: on each of SETUP_REPEATS fresh grids, the seconds of its first
+``gradient_field`` and ``hessian_field`` of the smooth iterate described
+below (``setup_fields``: the first call reads the stencil weights off the
+1D stencil matrices), then of its ``interior_pattern`` (``setup_pattern``,
+the dissection numbering included).
+
+Assembly: on a fresh grid on which the residual has been evaluated once,
+the seconds of ``grid.dissection_order`` (the first access numbers the interior) and of
 ``tests/oracles.recursive_dissection_order``, the recursion it replaced.
 A Newton step assembles its Jacobian from the coefficient fields that the
 residual evaluation of its iterate returned, so the per-step work is timed
@@ -76,7 +82,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 import oracles  # noqa: E402
-from conepde.calculus import GridFunction, LogGrid  # noqa: E402
+from conepde.calculus import GridFunction, LogGrid, gradient_field, hessian_field  # noqa: E402
 from conepde.geometry import ConeDomain  # noqa: E402
 from conepde.operators import divergence_part_field  # noqa: E402
 from conepde import solver  # noqa: E402
@@ -85,6 +91,7 @@ from conepde.solver import (_NewtonSystem, _assemble_jacobian,  # noqa: E402
                             manufactured_problem, power_of_t_field, solve_dirichlet)
 
 P, EPS_REG, REPEATS, SOLVE_REPEATS, ASSEMBLY_REPEATS, KAPPA = 3.0, 1e-2, 5, 3, 31, 0.5
+SETUP_REPEATS = 7
 SIZES = ((2, 81), (2, 97), (2, 161), (3, 17), (3, 21), (3, 25))
 
 
@@ -127,14 +134,21 @@ def seconds(fn, *args) -> float:
 
 
 def measure_assembly(n: int, m: int) -> dict:
-    # the residual has built the grid's difference operators, which the
-    # first assembly would otherwise also pay for
+    # the residual has read the grid's stencil weights, which the first
+    # assembly would otherwise also pay for
     grid, values, _, lin = smooth_iterate(n, m)
+    setup = {"setup_fields": [], "setup_pattern": []}
+    for _ in range(SETUP_REPEATS):
+        fresh = GridFunction(unit_grid(n, m), values, check_finite=False)
+        setup["setup_fields"].append(
+            seconds(lambda: (gradient_field(fresh), hessian_field(fresh))))
+        setup["setup_pattern"].append(seconds(lambda: fresh.grid.interior_pattern))
     dissection_s = seconds(lambda: grid.dissection_order)
     row = {"n": n, "nodes": list(grid.shape), "unknowns": math.prod(grid.shape),
            "interior": int(grid.dissection_order.size), "dissection_s": dissection_s}
     row["dissection_recursive_s"] = seconds(oracles.recursive_dissection_order, grid)
     row["first_assembly_s"] = seconds(_assemble_jacobian, grid, *lin)
+    record(row, setup)
     u = GridFunction(grid, values, check_finite=False)
     times = {"operator": [], "assembly": [], "coo_assembly": []}
     for _ in range(ASSEMBLY_REPEATS):
@@ -236,6 +250,8 @@ def main(argv) -> int:
     for n, m in SIZES:
         row = measure_assembly(n, m)
         assembly.append(row)
+        print(f"{n}D {m}^{n} set-up: first fields {row['setup_fields_s'] * 1e3:6.2f} ms  "
+              f"pattern {row['setup_pattern_s'] * 1e3:6.2f} ms")
         print(f"{n}D {m}^{n} assembly: dissection {row['dissection_s'] * 1e3:6.2f} ms "
               f"(recursive {row['dissection_recursive_s'] * 1e3:6.2f} ms)  first call "
               f"{row['first_assembly_s'] * 1e3:6.2f} ms  per step operator "
@@ -273,7 +289,8 @@ def main(argv) -> int:
         print(f"{n}D time exponents in unknowns (median fit / min fit): " + ", ".join(
             f"{k} {v['median']:.2f}/{v['min']:.2f}" for k, v in exponents[f"{n}d"].items()))
     report = {
-        "what": "the dissection numbering; the p = 3 operator evaluation whose "
+        "what": "a fresh grid's set-up: its first gradient and Hessian fields and its "
+                "interior pattern; the dissection numbering; the p = 3 operator evaluation whose "
                 "coefficient fields a Newton step reads, and the interior-block assembly "
                 "from them, numeric-only on the grid's kept pattern vs COO from the "
                 "stencils every call; one p = 3 Newton linear solve, full-grid spsolve (COLAMD) vs the "
@@ -282,7 +299,7 @@ def main(argv) -> int:
                 "every Newton step vs the halving eps continuation, every stage run to "
                 "the final tolerance",
         "p": P, "eps_reg": EPS_REG, "repeats": REPEATS, "solve_repeats": SOLVE_REPEATS,
-        "assembly_repeats": ASSEMBLY_REPEATS,
+        "assembly_repeats": ASSEMBLY_REPEATS, "setup_repeats": SETUP_REPEATS,
         "kappa": KAPPA,
         "nproc": os.cpu_count(), "machine": platform.machine(),
         "python": platform.python_version(), "numpy": np.__version__,
