@@ -328,19 +328,21 @@ def gradient_field(u: GridFunction) -> np.ndarray:
     return np.stack([grid.apply_stencil(u.values, k, first_diff) for k in range(grid.n)])
 
 
-def hessian_field(u: GridFunction) -> np.ndarray:
+def hessian_field(u: GridFunction, g: np.ndarray | None = None) -> np.ndarray:
     """Discrete cone Hessian at every node, shape (n, n, *grid.shape).
 
     The diagonal holds the second differences; the (k, l) entry off it is
     D_k applied to D_l u, the two axes' first differences composed, and is
     stored at (l, k) as well, so the matrix is symmetric by construction.
+    A caller that holds u's ``gradient_field`` passes it as ``g``, whose
+    components are those D_l u, so they are not formed twice.
     """
     grid = u.grid
     out = np.empty((grid.n, grid.n) + grid.shape)
     for l in range(grid.n):
         out[l, l] = grid.apply_stencil(u.values, l, second_diff)
         if l:
-            d_l = grid.apply_stencil(u.values, l, first_diff)
+            d_l = grid.apply_stencil(u.values, l, first_diff) if g is None else g[l]
             for k in range(l):
                 out[k, l] = out[l, k] = grid.apply_stencil(d_l, k, first_diff)
     return out

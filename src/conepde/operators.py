@@ -193,23 +193,34 @@ def constant_field(c: float) -> AnalyticField:
 
 
 def gridfunction_field(u: GridFunction) -> Callable:
-    """Sampler backed by multilinear interpolation of a stored grid function;
-    a coordinate within 4 ulps of 1 (or of its axis' largest |value|) of a
-    node reads that node, so ln(e^a) != a still reads the stored values."""
-    from scipy.interpolate import RegularGridInterpolator
-
-    interp = RegularGridInterpolator(
-        u.grid.axes, u.values, method="linear", bounds_error=False, fill_value=None
-    )
+    """Sampler of a stored grid function.  A coordinate within 4 ulps of 1
+    (or of its axis' largest |value|) of a node snaps to that node, so
+    ln(e^a) != a still finds it; a query whose every coordinate snapped
+    reads the stored values by index, bit for bit, and any other query is
+    interpolated multilinearly (extrapolated outside the grid), by an
+    interpolator built on the first such query."""
+    axes = u.grid.axes
+    interp = None
 
     def snap(q, axis):
+        """(the nearest node's index, whether q lies within 4 ulps of it)."""
         i = np.clip(np.searchsorted(axis, q), 1, axis.size - 1)
-        node = np.where(q - axis[i - 1] < axis[i] - q, axis[i - 1], axis[i])
-        return np.where(np.abs(q - node) <= 4.0 * np.spacing(max(1.0, *np.abs(axis))), node, q)
+        j = np.where(q - axis[i - 1] < axis[i] - q, i - 1, i)
+        return j, np.abs(q - axis[j]) <= 4.0 * np.spacing(max(1.0, *np.abs(axis)))
 
     def fn(t, xs):
+        nonlocal interp
         coords = [np.log(np.asarray(t, dtype=float))] + [np.asarray(x, dtype=float) for x in xs]
-        return interp(np.stack([snap(q, ax) for q, ax in zip(coords, u.grid.axes)], axis=-1))
+        snaps = [snap(q, axis) for q, axis in zip(coords, axes)]
+        if all(np.all(on) for _, on in snaps):
+            return u.values[tuple(j for j, _ in snaps)]
+        if interp is None:
+            from scipy.interpolate import RegularGridInterpolator
+
+            interp = RegularGridInterpolator(axes, u.values, method="linear",
+                                             bounds_error=False, fill_value=None)
+        return interp(np.stack([np.where(on, axis[j], q) for q, axis, (j, on)
+                                in zip(coords, axes, snaps)], axis=-1))
     return fn
 
 
@@ -423,8 +434,9 @@ def psi_inverse(v, params: TransformParams):
 def transformed_residual(z: GridFunction, prob: PDEProblem, params: TransformParams,
                          eps_reg: float = 0.0) -> np.ndarray:
     """Residual of the substituted equation at every node of the z field."""
-    H = hessian_field(z)
-    return transformed_residual_from_derivs(z.values, gradient_field(z), H, prob.p,
+    g = gradient_field(z)
+    H = hessian_field(z, g)
+    return transformed_residual_from_derivs(z.values, g, H, prob.p,
                                             prob.log_forcing(z.grid), params.K, eps_reg,
                                             _second_difference_term(H, z.grid.h))
 
@@ -438,7 +450,8 @@ def divergence_part_field(u: GridFunction, p: float, eps_reg: float = 0.0,
     grid's second-difference term, R the operator |g|_d^(p-2) (tr(Q_d H) +
     (n-p) g_a) at n = ``u.grid.n`` (no forcing term) or its ``extremal``
     mode, then the derivative fields g and H it read."""
-    g, H = gradient_field(u), hessian_field(u)
+    g = gradient_field(u)
+    H = hessian_field(u, g)
     return (*operator_terms(g, H, p, eps_reg, extremal, _second_difference_term(H, u.grid.h)),
             g, H)
 

@@ -287,7 +287,8 @@ def _solve_jacobian(J: sp.csc_matrix, rhs: np.ndarray, system: _NewtonSystem) ->
     When the cycle misses it, or there is no factor yet, J itself is
     factorized in its own (nested-dissection) order with SuperLU's partial
     pivoting, kept on ``system`` and solved directly; a singular factor
-    raises RuntimeError."""
+    raises RuntimeError.  The missed factor is freed first, so a solve
+    never holds two."""
     order = system.grid.dissection_order
     b = rhs.ravel()[order]
     du = np.zeros(system.grid.shape)
@@ -311,6 +312,8 @@ def _solve_jacobian(J: sp.csc_matrix, rhs: np.ndarray, system: _NewtonSystem) ->
             du.flat[order] = (last[1] if last and np.array_equal(last[0], y)
                               else lu.solve(y))
             return du
+    # the missed factor goes before SuperLU builds the next, so one is alive
+    system.lu = lu = None
     system.lu = spla.splu(J, permc_spec="NATURAL")
     system.factorizations += 1
     du.flat[order] = system.lu.solve(b)

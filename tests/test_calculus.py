@@ -220,6 +220,15 @@ class TestMatrixFreeStencils:
                     assert H[l, k].tobytes() == H[k, l].tobytes()
 
     @pytest.mark.parametrize("counts", GRIDS)
+    def test_hessian_from_the_gradient_is_bit_equal(self, counts):
+        # a residual hands its gradient field to hessian_field, whose mixed
+        # entries then read its components instead of forming them again
+        grid = unit_grid(counts, n=len(counts))
+        for values in self.fields(grid):
+            u = GridFunction(grid, values)
+            assert hessian_field(u, gradient_field(u)).tobytes() == hessian_field(u).tobytes()
+
+    @pytest.mark.parametrize("counts", GRIDS)
     def test_p2_residual_matches_the_sparse_operators(self, counts):
         grid = unit_grid(counts, n=len(counts))
         first, hessian = oracles.sparse_difference_ops(grid)

@@ -1240,6 +1240,28 @@ def test_benchmark_tracer_targets_resolve():
     assert missing == STALE_TRACER_TARGETS
 
 
+def test_stored_forcing_solve_loads_no_interpolation(tmp_path):
+    # a gridfile: forcing read on the nodes it was stored on is gathered by
+    # index, so the CLI solve of a manufactured check never imports
+    # scipy.interpolate, which only an off-node read needs
+    src = os.path.dirname(os.path.dirname(importlib.import_module("conepde.cli").__file__))
+    out = os.path.join(tmp_path, "out")
+    body = set_entries(BASE_CONFIG.format(outdir=out), "problem.p = 3.0",
+                       "problem.exact = tpower:0.4")
+    assert run(["manufacture", "--config", write_config(tmp_path, body, "m.cfg")]) == 0
+    body = set_entries(body, f"problem.f = gridfile:{os.path.join(out, 'forcing.gf')}",
+                       "problem.dirichlet = tpower:0.4")
+    probe = ("import sys; from conepde import cli; code = cli.run(sys.argv[1:]); "
+             "print(code, 'scipy.interpolate' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe, "solve", "--config",
+                           write_config(tmp_path, body)],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"
+    with open(os.path.join(out, "solve_report.json")) as fh:
+        assert json.load(fh)["converged"]
+
+
 def test_each_module_is_its_own_import():
     # the package re-exports nothing, so importing one module loads only
     # what that module imports: geometry needs numpy alone, and only the

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
 import oracles
 from conepde.calculus import (GridFunction, LogGrid, gradient_field, hessian_field,
@@ -197,6 +198,32 @@ class TestLogForcing:
         prob = PDEProblem(p=4.0, f=gridfunction_field(stored), dirichlet=zero_field)
         for sampled_on in (grid, stored.grid):
             assert np.array_equal(prob.forcing_values(sampled_on), values)
+
+    def test_stored_nodes_read_their_own_bits(self):
+        # a node is read by index: -0.0 stays -0.0, and a node next to an
+        # inf does not read 0 * inf = NaN, as multilinear weights 1 and 0 give
+        grid = unit_grid((9, 7))
+        values = np.random.default_rng(3).standard_normal(grid.shape)
+        values[3, 2] = -0.0
+        values[5, 4] = np.inf
+        sampler = gridfunction_field(GridFunction(grid, values, check_finite=False))
+        assert sampler(grid.t_field, grid.mesh[1:]).tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("stored, sampled", [((9, 9), (13, 11)), ((7, 6, 5), (9, 8, 7))])
+    def test_off_node_samples_match_linear_interpolation(self, stored, sampled):
+        # off the stored nodes the sampler is scipy's multilinear
+        # interpolation; the sampled radial axis reaches below the stored
+        # one, where it extrapolates, and its nodes that a stored axis shares
+        # (a = 0, x = 0, 1/2, 1) are the same floats on both grids
+        n = len(stored)
+        u = GridFunction(unit_grid(stored, n=n),
+                         np.random.default_rng(n).standard_normal(stored))
+        grid = unit_grid(sampled, n=n, t_min=math.exp(-1.3))
+        t, xs = grid.t_field, grid.mesh[1:]
+        interp = RegularGridInterpolator(u.grid.axes, u.values, method="linear",
+                                         bounds_error=False, fill_value=None)
+        want = interp(np.stack([np.log(t), *xs], axis=-1))
+        assert gridfunction_field(u)(t, xs).tobytes() == want.tobytes()
 
 
 def bits(x):

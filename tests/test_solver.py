@@ -602,6 +602,29 @@ class TestReusedFactor:
         assert 2 * factorizations < steps
         assert sum(s.krylov_iterations for s in rep.stages) > 0
 
+    def test_one_factor_is_alive_at_a_time(self, monkeypatch):
+        # a refactorization drops the factor GMRES missed before SuperLU
+        # builds the next, so splu never starts while an earlier factor is
+        # still reachable; each factor is wrapped in a weakref-able proxy
+        class Factor:
+            def __init__(self, lu):
+                self.solve = lu.solve
+
+        factors, alive = [], []
+        splu = spla.splu
+
+        def tracked(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in factors))
+            factor = Factor(splu(*args, **kwargs))
+            factors.append(weakref.ref(factor))
+            return factor
+
+        monkeypatch.setattr(solver.spla, "splu", tracked)
+        grid = LogGrid.build(unit_domain(), (17, 17))
+        _, rep = solve_dirichlet(manufactured_problem(power_of_t_field(-0.9), 4.0), grid)
+        assert rep.converged and sum(s.factorizations for s in rep.stages) == len(factors)
+        assert len(factors) >= 2 and alive == [0] * len(factors)
+
     def test_p2_solve_counts_no_linear_work(self):
         grid = LogGrid.build(unit_domain(), (9, 9))
         prob = manufactured_problem(make_exact_solution(2.0, 2), 2.0)

@@ -25,16 +25,18 @@ and ``samples``, ``solver.max_iter``, the two float ``solver.*`` keys and
 oscillation`` reads its default radii.  Three more cases at p = 3 run on
 the shortest axes, where every node of an axis lies in the reach of a
 face stencil: a ``solve`` and ``verify abp`` on ``grid.nodes = 4,5`` and
-an n = 3 ``solve`` on ``grid.nodes = 3,4,5``.  The last 22 cases, at p = 3,
+an n = 3 ``solve`` on ``grid.nodes = 3,4,5``.  The last 23 cases, at p = 3,
 reach every field-spec kind: six solves set ``problem.f`` and
 ``problem.dirichlet`` to ``zero``, ``constant``, ``tpower``, ``logt``,
-``quadratic``, ``exp`` with a k and ``gridfile:src.gf``, and
+``quadratic``, ``exp`` with a k and ``gridfile:src.gf``, one more reads
+both from ``coarse.gf``, stored on a 9x9 grid, at 17x17, so most of its
+nodes fall between the stored ones and are interpolated, and
 ``manufacture`` and ``convergence-study`` each run with a ``problem.exact``
 of every kind other than ``auto`` (a gridfile one exits 2).  Every
 output except ``*_meta.json`` must be byte-identical, and the exit codes of
 every command, the set of meta files and whether ``output.dir`` exists
 afterwards must agree.  Prints one line per
-case (123 in all) and a summary; exits 1 on any difference.  A file that differs is
+case (124 in all) and a summary; exits 1 on any difference.  A file that differs is
 reported with the largest |old - new| / max(1, |old|) over its numbers
 (JSON values, CSV fields, ``.gf`` lines).  A JSON file whose key set
 changed names the added and removed keys and still compares the numbers
@@ -112,6 +114,9 @@ SETTINGS = [
 FIELDS = [("zero", "constant:0.5"), ("tpower:-1", "tpower:0.5"), ("logt", "logt"),
           ("quadratic", "quadratic"), ("exp:-1,0.5,2", "exp:0.5,1,-1"),
           ("gridfile:src.gf", "gridfile:src.gf")]
+# a field stored at 9x9 read at 17x17, between its nodes
+OFF_NODE = ("problem.f = gridfile:coarse.gf\nproblem.dirichlet = gridfile:coarse.gf\n"
+            "grid.nodes = 17,17\n")
 # a problem.exact of each kind the cases above leave out; a stored field
 # has no derivatives, so its two cases exit 2
 EXACTS = ["zero", "constant:0.5", "tpower:0.5", "logt", "quadratic", "exp:0.5,1,2",
@@ -169,15 +174,18 @@ def cases():
     for f, g in FIELDS:
         yield (f"p=3.0 solve f={f} dirichlet={g}", [["solve"]],
                merged(base, f"problem.f = {f}\nproblem.dirichlet = {g}\n"))
+    yield "p=3.0 solve gridfile 9x9 at 17x17", [["solve"]], merged(base, OFF_NODE)
     for exact in EXACTS:
         for cmd in ("manufacture", "convergence-study"):
             yield f"p=3.0 {cmd} exact={exact}", [[cmd]], merged(base, f"problem.exact = {exact}\n")
 
 
-def run_side(src: str, workdir: str, commands: list, text: str, field: str) -> list:
-    """Runs each command in turn in ``workdir``; returns their exit codes."""
+def run_side(src: str, workdir: str, commands: list, text: str, fields: list) -> list:
+    """Runs each command in turn in ``workdir``, with the stored ``fields``
+    copied in; returns their exit codes."""
     os.makedirs(workdir)
-    shutil.copy(field, os.path.join(workdir, "src.gf"))
+    for field in fields:
+        shutil.copy(field, workdir)
     with open(os.path.join(workdir, "run.cfg"), "w") as fh:
         fh.write(text)
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
@@ -261,14 +269,15 @@ def describe_difference(name: str, old: bytes, new: bytes) -> str:
     return "; ".join(notes + [f"max rel diff {worst:.3g}{shared}"])
 
 
-def write_field(src: str, path: str) -> None:
-    """A seeded random field on the configs' 13x13 grid, the convolve input
-    and the stored verify solution."""
+def write_field(src: str, path: str, nodes: int) -> None:
+    """A seeded random field on a nodes x nodes grid of the configs' domain:
+    at 13x13, the convolve input and the stored verify solution."""
     sys.path.insert(0, os.path.abspath(src))
     from conepde.calculus import GridFunction, LogGrid, write_gridfunction
     from conepde.geometry import ConeDomain
 
-    grid = LogGrid.build(ConeDomain(n=2, base_lo=[0.0], base_hi=[1.0], t_min=0.2), (13, 13))
+    dom = ConeDomain(n=2, base_lo=[0.0], base_hi=[1.0], t_min=0.2)
+    grid = LogGrid.build(dom, (nodes, nodes))
     values = np.random.default_rng(0).standard_normal(grid.shape)
     write_gridfunction(path, GridFunction(grid, values))
 
@@ -280,14 +289,15 @@ def main(argv) -> int:
     old_src, new_src = argv
     differing = files = 0
     with tempfile.TemporaryDirectory() as tmp:
-        field = os.path.join(tmp, "src.gf")
-        write_field(new_src, field)
+        fields = [os.path.join(tmp, "src.gf"), os.path.join(tmp, "coarse.gf")]
+        write_field(new_src, fields[0], 13)
+        write_field(new_src, fields[1], 9)
         all_cases = list(cases())
         for k, (label, cmd, text) in enumerate(all_cases):
             codes, outs = [], []
             for side, src in (("old", old_src), ("new", new_src)):
                 workdir = os.path.join(tmp, side, str(k))
-                codes.append(run_side(src, workdir, cmd, text, field))
+                codes.append(run_side(src, workdir, cmd, text, fields))
                 outs.append(outputs(workdir))
             problems = []
             if codes[0] != codes[1]:

@@ -7,8 +7,9 @@ the unit base with t_min = e^-1) it measures four things.
 
 Grid set-up: on each of SETUP_REPEATS fresh grids, the seconds of its first
 ``gradient_field`` and ``hessian_field`` of the smooth iterate described
-below (``setup_fields``: the first call reads the stencil weights off the
-1D stencil matrices), then of its ``interior_pattern`` (``setup_pattern``,
+below, the Hessian's mixed entries taken from the gradient as a residual
+takes them (``setup_fields``: the first call reads the stencil weights off
+the 1D stencil matrices), then of its ``interior_pattern`` (``setup_pattern``,
 the dissection numbering included).
 
 Assembly: on a fresh grid on which the residual has been evaluated once,
@@ -141,7 +142,7 @@ def measure_assembly(n: int, m: int) -> dict:
     for _ in range(SETUP_REPEATS):
         fresh = GridFunction(unit_grid(n, m), values, check_finite=False)
         setup["setup_fields"].append(
-            seconds(lambda: (gradient_field(fresh), hessian_field(fresh))))
+            seconds(lambda: hessian_field(fresh, gradient_field(fresh))))
         setup["setup_pattern"].append(seconds(lambda: fresh.grid.interior_pattern))
     dissection_s = seconds(lambda: grid.dissection_order)
     row = {"n": n, "nodes": list(grid.shape), "unknowns": math.prod(grid.shape),
