@@ -13,6 +13,8 @@ symbolic/numeric split; Davis, Direct Methods for Sparse Linear Systems,
 SIAM 2006), solved by GMRES on one kept ``splu`` factor, which only a step
 that GMRES cannot finish replaces (a Shamanskii-type inexact Newton step;
 Kelley, Solving Nonlinear Equations with Newton's Method, SIAM 2003).
+The fast diagonalization runs on numpy alone, so scipy's sparse modules
+are imported only at the first p != 2 step (``_bind_sparse``).
 
 The iterate is the flattened field on the full tensor grid.  Its boundary
 values are the Dirichlet data, so the unknowns and the log-chart residual
@@ -30,9 +32,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import solve_banded
 
 from conepde.calculus import GridFunction, LogGrid, first_diff, second_diff
 from conepde.geometry import ConeDomain, exhaustion
@@ -57,6 +56,27 @@ __all__ = [
     "convergence_study",
     "StudyRow",
 ]
+
+
+def _bind_sparse() -> None:
+    """Bind scipy.sparse as ``sp`` and scipy.sparse.linalg as ``spla`` on
+    this module, at the first p != 2 assembly or step: a p = 2 solve needs
+    numpy alone, so a command line that never factorizes does not pay for
+    their import.  A name already bound stays, so a stand-in set on
+    ``spla`` (a tracer's proxy) keeps receiving the calls."""
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    globals().setdefault("sp", scipy.sparse)
+    globals().setdefault("spla", scipy.sparse.linalg)
+
+
+def __getattr__(name: str):
+    # PEP 562: reading conepde.solver.sp or .spla from outside binds them
+    if name in ("sp", "spla"):
+        _bind_sparse()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -170,6 +190,7 @@ def _assemble_jacobian(grid: LogGrid, A: np.ndarray, B: np.ndarray,
     fields with the stencil weights and one gather into CSC data order.
     B keeps its own term on G_0 rather than being added to C_0, which
     would round differently."""
+    _bind_sparse()
     pattern, order = grid.interior_pattern, grid.dissection_order
     pairs = [(k, l) for k in range(grid.n) for l in range(k, grid.n)]
     coeffs = [A[k, l] * (1.0 if k == l else 2.0) for k, l in pairs]
@@ -191,10 +212,10 @@ def _solve_linear(grid: LogGrid, drift: float, rhs: np.ndarray) -> np.ndarray:
     axis, which fast diagonalization inverts exactly (Lynch, Rice & Thomas,
     Numer. Math. 6, 1964): each base axis goes into the orthonormal
     eigenbasis of its symmetric block, every base mode leaves one
-    tridiagonal system along a shifted by the mode's eigenvalue, and all of
-    them are stacked into one banded solve.  Its partial pivoting keeps the
-    solve exact also where |drift| h_a > 2 and the a blocks are not
-    diagonally dominant.
+    tridiagonal system along a shifted by the mode's eigenvalue, and
+    ``_tridiagonal_solve`` eliminates all of them at once.  Its partial
+    pivoting keeps the solve exact also where |drift| h_a > 2 and the a
+    blocks are not diagonally dominant.
     """
     inner = (slice(1, -1),) * grid.n
     r = rhs[inner]
@@ -204,18 +225,58 @@ def _solve_linear(grid: LogGrid, drift: float, rhs: np.ndarray) -> np.ndarray:
         shift = np.add.outer(shift, lam)
     L = (grid.stencil_matrix(0, second_diff)
          + drift * grid.stencil_matrix(0, first_diff))[1:-1, 1:-1]
-    m = L.shape[0]
-    bands = np.zeros((3, shift.size, m))
-    bands[0, :, 1:] = np.diag(L, 1)
-    bands[1] = np.diag(L) + shift.reshape(-1, 1)
-    bands[2, :, :-1] = np.diag(L, -1)
-    x = solve_banded((1, 1), bands.reshape(3, -1), np.moveaxis(r, 0, -1).ravel())
-    x = np.moveaxis(x.reshape(shift.shape + (m,)), -1, 0)
+    x = _tridiagonal_solve(np.diag(L, -1), np.diag(L)[:, None] + shift.ravel(), np.diag(L, 1),
+                           r.reshape(len(L), -1))
+    # stored mode by mode, as the banded solve of the stacked systems returns
+    # them: the products below round by the memory layout of their operand
+    x = np.moveaxis(x.T.copy().reshape(shift.shape + (len(L),)), -1, 0)
     for _, V in grid.base_eigenbases:
         x = np.tensordot(x, V, axes=([1], [1]))
     du = np.zeros(grid.shape)
     du[inner] = x
     return du
+
+
+def _tridiagonal_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                       rhs: np.ndarray) -> np.ndarray:
+    """The solutions x[:, s] of the m x m tridiagonal systems with diagonal
+    ``diag[:, s]``, sub- and superdiagonal ``lower`` and ``upper`` (m - 1
+    entries, shared by every system) and right-hand side ``rhs[:, s]``.
+
+    Gaussian elimination with partial pivoting as LAPACK's dgtsv does it
+    for one right-hand side, row by row for all systems at once, so x is
+    bit-equal to dgtsv's (scipy.linalg.solve_banded at (1, 1)): a row
+    whose |diagonal| is below |lower| swaps with the next, which fills the
+    second superdiagonal, and a row where no system swaps takes the
+    two-update step.  A singular system gives inf or NaN rather than an
+    error.
+    """
+    d, b = np.array(diag, dtype=float), np.array(rhs, dtype=float)
+    du = np.zeros_like(d)
+    du[:-1] = np.reshape(upper, (-1, 1))
+    du2 = np.zeros_like(d)
+    for j, dl in enumerate(lower):
+        if np.abs(d[j]).min() >= abs(dl):
+            fact = dl / d[j]
+            d[j + 1] -= fact * du[j]
+            b[j + 1] -= fact * b[j]
+            continue
+        swap = np.abs(d[j]) < abs(dl)
+        fact = np.where(swap, d[j], dl) / np.where(swap, dl, d[j])
+        d[j], d[j + 1], du[j], du[j + 1], du2[j], b[j], b[j + 1] = (
+            np.where(swap, dl, d[j]),
+            np.where(swap, du[j] - fact * d[j + 1], d[j + 1] - fact * du[j]),
+            np.where(swap, d[j + 1], du[j]),
+            np.where(swap, -fact * du[j + 1], du[j + 1]),
+            np.where(swap, du[j + 1], 0.0),
+            np.where(swap, b[j + 1], b[j]),
+            np.where(swap, b[j] - fact * b[j + 1], b[j + 1] - fact * b[j]))
+    b[-1] /= d[-1]
+    if len(b) > 1:
+        b[-2] = (b[-2] - du[-2] * b[-1]) / d[-2]
+    for j in range(len(b) - 3, -1, -1):
+        b[j] = (b[j] - du[j] * b[j + 1] - du2[j] * b[j + 2]) / d[j]
+    return b
 
 
 # one GMRES cycle per step: its restart length and relative tolerance on
@@ -289,6 +350,7 @@ def _solve_jacobian(J: sp.csc_matrix, rhs: np.ndarray, system: _NewtonSystem) ->
     pivoting, kept on ``system`` and solved directly; a singular factor
     raises RuntimeError.  The missed factor is freed first, so a solve
     never holds two."""
+    _bind_sparse()
     order = system.grid.dissection_order
     b = rhs.ravel()[order]
     du = np.zeros(system.grid.shape)

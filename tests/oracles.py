@@ -5,11 +5,11 @@ in closed form: per-node difference stencils, the grid's difference
 operators as Kronecker-built sparse matrices, the per-point residual algebra,
 the full-grid Newton Jacobian as a sum of weighted grid operators, its
 interior block assembled from the stencils on every call, the recursive
-nested-dissection numbering, the Newton step that factorizes every
-Jacobian afresh, the halving eps continuation that one floor stage
-replaced, the grid-function writer that formats value by value, the
-per-node boundary distance, the all-pairs ball
-supremum of the forcing, and the all-pairs loops of the regularizations,
+nested-dissection numbering, the p = 2 Newton step as one banded LAPACK
+solve, the Newton step that factorizes every Jacobian afresh, the halving
+eps continuation that one floor stage replaced, the grid-function writer
+that formats value by value, the per-node boundary distance, the all-pairs
+ball supremum of the forcing, and the all-pairs loops of the regularizations,
 the doubling diagnostic and the Hoelder seminorm, and the closed-form
 fields written out kind by kind.  Nothing here is imported by the package
 itself.
@@ -22,6 +22,7 @@ import weakref
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
 from conepde import solver
 from conepde.calculus import (GridFunction, first_diff, gradient_field, hessian_field,
@@ -377,6 +378,45 @@ def recursive_dissection_order(grid):
 
     number(np.arange(math.prod(grid.shape)).reshape(grid.shape)[(slice(1, -1),) * grid.n])
     return np.concatenate(order)
+
+
+def stacked_banded_solve(lower, diag, upper, rhs):
+    """``solver._tridiagonal_solve``'s systems stacked into one banded
+    matrix, zero couplings between them, and solved by
+    ``scipy.linalg.solve_banded((1, 1), ...)``, i.e. LAPACK's dgtsv."""
+    m, count = diag.shape
+    bands = np.zeros((3, count, m))
+    bands[0, :, 1:] = upper
+    bands[1] = diag.T
+    bands[2, :, :-1] = lower
+    return solve_banded((1, 1), bands.reshape(3, -1), rhs.T.ravel()).reshape(count, m).T
+
+
+def banded_linear_solve(grid, drift, rhs):
+    """The p = 2 Newton step of ``solver._solve_linear`` with the tridiagonal
+    systems of all base modes built as the bands of one matrix and solved
+    by one ``solve_banded`` call: the reference for its numpy
+    elimination."""
+    inner = (slice(1, -1),) * grid.n
+    r = rhs[inner]
+    shift = np.zeros(())
+    for lam, V in grid.base_eigenbases:
+        r = np.tensordot(r, V, axes=([1], [0]))
+        shift = np.add.outer(shift, lam)
+    L = (grid.stencil_matrix(0, second_diff)
+         + drift * grid.stencil_matrix(0, first_diff))[1:-1, 1:-1]
+    m = L.shape[0]
+    bands = np.zeros((3, shift.size, m))
+    bands[0, :, 1:] = np.diag(L, 1)
+    bands[1] = np.diag(L) + shift.reshape(-1, 1)
+    bands[2, :, :-1] = np.diag(L, -1)
+    x = solve_banded((1, 1), bands.reshape(3, -1), np.moveaxis(r, 0, -1).ravel())
+    x = np.moveaxis(x.reshape(shift.shape + (m,)), -1, 0)
+    for _, V in grid.base_eigenbases:
+        x = np.tensordot(x, V, axes=([1], [1]))
+    du = np.zeros(grid.shape)
+    du[inner] = x
+    return du
 
 
 def refactorized_solve(J, rhs, system):

@@ -1262,11 +1262,43 @@ def test_stored_forcing_solve_loads_no_interpolation(tmp_path):
         assert json.load(fh)["converged"]
 
 
+def test_non_factorizing_commands_load_no_scipy(tmp_path):
+    # every command line is a fresh interpreter; manufacture, a p = 2 solve
+    # in 2D and 3D and verify abp on a stored field factorize nothing, so
+    # none of them imports scipy, and a p = 3 solve binds the sparse
+    # modules at its first Newton step and converges
+    src = os.path.dirname(os.path.dirname(importlib.import_module("conepde.cli").__file__))
+
+    def config(outdir, *entries):
+        return set_entries(BASE_CONFIG.format(outdir=os.path.join(tmp_path, outdir)), *entries)
+
+    stored = os.path.join(tmp_path, "plane", "solution.gf")
+    runs = [(["manufacture"], config("made", "problem.exact = tpower:0.4"), False),
+            (["solve"], config("plane"), False),
+            (["solve"], config("solid", "domain.n = 3", "domain.base = 0,1;0,1",
+                               "grid.nodes = 9,9,9"), False),
+            (["verify", "abp"], config("plane", f"verify.solution = {stored}"), False),
+            (["solve"], config("p3", "problem.p = 3.0", "problem.f = constant:-1"), True)]
+    probe = ("import sys; from conepde import cli; code = cli.run(sys.argv[1:]); "
+             "print(code, [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    for argv, text, factorizes in runs:
+        done = subprocess.run([sys.executable, "-c", probe, *argv, "--config",
+                               write_config(tmp_path, text)],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, check=True)
+        code, loaded = done.stdout.splitlines()[-1].split(" ", 1)
+        assert code == "0", argv
+        assert ("'scipy.sparse.linalg'" in loaded) if factorizes else loaded == "[]", argv
+    for outdir in ("plane", "solid", "p3"):
+        with open(os.path.join(tmp_path, outdir, "solve_report.json")) as fh:
+            assert json.load(fh)["converged"], outdir
+
+
 def test_each_module_is_its_own_import():
     # the package re-exports nothing, so importing one module loads only
-    # what that module imports: geometry needs numpy alone, and only the
-    # solver's sparse linear algebra loads scipy at import.  Each module's
-    # __all__ is the one declaration of its public names
+    # what that module imports: geometry needs numpy alone, and no module,
+    # the solver and the CLI included, loads scipy at import.  Each
+    # module's __all__ is the one declaration of its public names
     src = os.path.dirname(os.path.dirname(importlib.import_module("conepde.geometry").__file__))
 
     def loaded(module):
@@ -1277,7 +1309,7 @@ def test_each_module_is_its_own_import():
                               capture_output=True, text=True, check=True).stdout
 
     assert loaded("geometry") == "['conepde.geometry']\n"
-    for name in ("calculus", "operators", "regularization", "analysis"):
+    for name in ("calculus", "operators", "regularization", "analysis", "solver", "cli"):
         assert "scipy" not in loaded(name), name
     for name in ("geometry", "calculus", "operators", "solver", "regularization", "analysis"):
         module = importlib.import_module(f"conepde.{name}")

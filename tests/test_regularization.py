@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.ndimage import binary_erosion
 
 from conepde.analysis import doubling_diagnostic
 from conepde.calculus import GridFunction, LogGrid, gradient_field
@@ -13,6 +14,7 @@ from conepde.regularization import (
     EnvelopeParams,
     _ball_max,
     _boundary_margin,
+    _box_interior,
     convolution_supersolution_check,
     inf_convolution,
     semiconvexity_check,
@@ -192,6 +194,15 @@ class TestSemiconvexity:
                                                  slack=10.0 * max(grid.h))
         assert ok
         assert min_eig >= bound - 10.0 * max(grid.h)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 7), (9, 6), (3, 4, 5), (6, 5, 7)])
+    @pytest.mark.parametrize("fill", [0.6, 0.9, 1.0])
+    def test_box_interior_is_binary_erosion(self, shape, fill):
+        # the mask reaches the faces, where the box leaves the grid
+        for seed in range(4):
+            mask = np.random.default_rng(seed).random(shape) < fill
+            want = binary_erosion(mask, structure=np.ones((3,) * mask.ndim), border_value=0)
+            assert np.array_equal(_box_interior(mask), want)
 
     def test_bound_tightens_with_delta(self):
         p1 = EnvelopeParams(eps=0.2, delta=0.05, gamma_env=0.01)

@@ -25,7 +25,9 @@ and ``samples``, ``solver.max_iter``, the two float ``solver.*`` keys and
 oscillation`` reads its default radii.  Three more cases at p = 3 run on
 the shortest axes, where every node of an axis lies in the reach of a
 face stencil: a ``solve`` and ``verify abp`` on ``grid.nodes = 4,5`` and
-an n = 3 ``solve`` on ``grid.nodes = 3,4,5``.  The last 23 cases, at p = 3,
+an n = 3 ``solve`` on ``grid.nodes = 3,4,5``.  One ``solve`` at p = 6 on
+a radial step of 1 over a base of width 8 has a p = 2 presolve whose
+radial rows pivot (|n-p| h_a = 4).  The last 23 cases, at p = 3,
 reach every field-spec kind: six solves set ``problem.f`` and
 ``problem.dirichlet`` to ``zero``, ``constant``, ``tpower``, ``logt``,
 ``quadratic``, ``exp`` with a k and ``gridfile:src.gf``, one more reads
@@ -36,7 +38,7 @@ of every kind other than ``auto`` (a gridfile one exits 2).  Every
 output except ``*_meta.json`` must be byte-identical, and the exit codes of
 every command, the set of meta files and whether ``output.dir`` exists
 afterwards must agree.  Prints one line per
-case (124 in all) and a summary; exits 1 on any difference.  A file that differs is
+case (125 in all) and a summary; exits 1 on any difference.  A file that differs is
 reported with the largest |old - new| / max(1, |old|) over its numbers
 (JSON values, CSV fields, ``.gf`` lines).  A JSON file whose key set
 changed names the added and removed keys and still compares the numbers
@@ -86,6 +88,11 @@ SOLID = "domain.n = 3\ndomain.base = 0,1;0,1\ngrid.nodes = 9,9,9\n"
 # the shortest axes: second_diff's face rows span an axis of 3 or 4 nodes
 SHORT = "grid.nodes = 4,5\n"
 SHORT_SOLID = SOLID + "grid.nodes = 3,4,5\n"
+# p = 6 on h_a = 1 over a base of width 8: the presolve's drift n - p = -4
+# gives |n-p| h_a = 4, within the Peclet bound 2(p-1), and the shifted
+# radial diagonals of the lowest base modes fall below |lower|, so rows pivot
+PIVOT = ("problem.p = 6.0\ndomain.t_min = 0.049787068367863944\ndomain.base = 0,8\n"
+         "grid.nodes = 4,13\n")
 # Dirichlet data 0.5 x^2 + a and forcing -x, the cases whose data vary in x
 SLOPED = "problem.dirichlet = poly:0.5,0,2;1,1\nproblem.f = poly:-1,0,1\n"
 # math.log(math.exp(-0.6)) != -0.6, so a centre kept as t = e^a moves
@@ -171,6 +178,7 @@ def cases():
     for argv in (["solve"], ["verify", "abp"]):
         yield f"p=3.0 {' '.join(argv)} 4x5", [argv], merged(base, SHORT)
     yield "p=3.0 solve 3d 3x4x5", [["solve"]], merged(base, SHORT_SOLID)
+    yield "p=6.0 solve pivoting presolve", [["solve"]], merged(base, PIVOT)
     for f, g in FIELDS:
         yield (f"p=3.0 solve f={f} dirichlet={g}", [["solve"]],
                merged(base, f"problem.f = {f}\nproblem.dirichlet = {g}\n"))

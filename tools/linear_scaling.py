@@ -56,6 +56,14 @@ over SOLVE_REPEATS runs (the three alternate), the stages, Newton steps,
 factorizations and GMRES iterations of each, and the max field gap of
 each of the other two to the package's solve, relative to max |u|.
 
+One p = 2 Newton step: ``solver._solve_linear`` on the linear system of
+the p = 3 presolve (drift n - 3) with a random right-hand side, against
+``tests/oracles.banded_linear_solve``, which solves the same tridiagonal
+systems by one ``scipy.linalg.solve_banded`` call.  Per size (the sizes
+above and the 29^3 grid of the benchmark's p = 2 solve) it records the
+median seconds of each over LINEAR_REPEATS calls (the two alternate) and
+whether the two steps are bit-equal.
+
 Every timing is recorded as the median (``<name>_s``) and the min and max
 (``<name>_min_s``, ``<name>_max_s``) over its repeats.  Per dimension it
 records the least-squares exponent in the unknown count of each time, fitted
@@ -94,6 +102,7 @@ from conepde.solver import (_NewtonSystem, _assemble_jacobian,  # noqa: E402
 P, EPS_REG, REPEATS, SOLVE_REPEATS, ASSEMBLY_REPEATS, KAPPA = 3.0, 1e-2, 5, 3, 31, 0.5
 SETUP_REPEATS = 7
 SIZES = ((2, 81), (2, 97), (2, 161), (3, 17), (3, 21), (3, 25))
+LINEAR_SIZES, LINEAR_REPEATS = SIZES + ((3, 29),), 21
 
 
 def unit_grid(n: int, m: int) -> LogGrid:
@@ -189,6 +198,20 @@ def measure(n: int, m: int) -> dict:
     return row
 
 
+def measure_linear(n: int, m: int) -> dict:
+    grid = unit_grid(n, m)
+    rhs = np.random.default_rng(m).standard_normal(grid.shape)
+    times = {"linear": [], "linear_banded": []}
+    for _ in range(LINEAR_REPEATS):
+        times["linear"].append(seconds(solver._solve_linear, grid, n - P, rhs))
+        times["linear_banded"].append(seconds(oracles.banded_linear_solve, grid, n - P, rhs))
+    du = solver._solve_linear(grid, n - P, rhs)
+    row = {"n": n, "nodes": list(grid.shape), "unknowns": math.prod(grid.shape),
+           "bit_equal": du.tobytes() == oracles.banded_linear_solve(grid, n - P, rhs).tobytes()}
+    record(row, times)
+    return row
+
+
 def refactorized(prob, grid) -> tuple:
     """``solve_dirichlet`` with ``tests/oracles.refactorized_solve`` as the
     p != 2 linear solve, which factorizes every Jacobian."""
@@ -265,6 +288,13 @@ def main(argv) -> int:
         print(f"{n}D {m}^{n}: spsolve {row['spsolve_s'] * 1e3:8.1f} ms "
               f"(fill {row['fill_spsolve']:5.1f})  ordered {row['ordered_s'] * 1e3:8.1f} ms "
               f"(fill {row['fill_ordered']:5.1f})  max rel diff {row['max_rel_diff']:.2g}")
+    linear = []
+    for n, m in LINEAR_SIZES:
+        row = measure_linear(n, m)
+        linear.append(row)
+        print(f"{n}D {m}^{n} p = 2 step: numpy {row['linear_s'] * 1e3:6.2f} ms  "
+              f"solve_banded {row['linear_banded_s'] * 1e3:6.2f} ms  "
+              f"bit-equal {row['bit_equal']}")
     solves = []
     for n, m in SIZES:
         row = measure_solve(n, m)
@@ -280,11 +310,14 @@ def main(argv) -> int:
         dim = [r for r in rows if r["n"] == n]
         dim_solves = [r for r in solves if r["n"] == n]
         dim_assembly = [r for r in assembly if r["n"] == n]
+        dim_linear = [r for r in linear if r["n"] == n]
         exponents[f"{n}d"] = {"operator": exponent(dim_assembly, "operator"),
                               "assembly": exponent(dim_assembly, "assembly"),
                               "coo_assembly": exponent(dim_assembly, "coo_assembly"),
                               "spsolve": exponent(dim, "spsolve"),
                               "ordered": exponent(dim, "ordered"),
+                              "linear": exponent(dim_linear, "linear"),
+                              "linear_banded": exponent(dim_linear, "linear_banded"),
                               **{f"solve_{name}": exponent(dim_solves, name)
                                  for name in SOLVES}}
         print(f"{n}D time exponents in unknowns (median fit / min fit): " + ", ".join(
@@ -295,17 +328,18 @@ def main(argv) -> int:
                 "coefficient fields a Newton step reads, and the interior-block assembly "
                 "from them, numeric-only on the grid's kept pattern vs COO from the "
                 "stencils every call; one p = 3 Newton linear solve, full-grid spsolve (COLAMD) vs the "
-                "interior block in nested-dissection order; and one p = 3 manufactured "
+                "interior block in nested-dissection order; one p = 2 Newton step, the "
+                "numpy elimination vs one solve_banded call; and one p = 3 manufactured "
                 "solve (u* = t^0.5), GMRES on the kept splu factor vs a fresh factor "
                 "every Newton step vs the halving eps continuation, every stage run to "
                 "the final tolerance",
         "p": P, "eps_reg": EPS_REG, "repeats": REPEATS, "solve_repeats": SOLVE_REPEATS,
         "assembly_repeats": ASSEMBLY_REPEATS, "setup_repeats": SETUP_REPEATS,
-        "kappa": KAPPA,
+        "linear_repeats": LINEAR_REPEATS, "kappa": KAPPA,
         "nproc": os.cpu_count(), "machine": platform.machine(),
         "python": platform.python_version(), "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "assembly": assembly, "sizes": rows, "solves": solves,
+        "assembly": assembly, "sizes": rows, "linear": linear, "solves": solves,
         "time_exponents": exponents,
     }
     with open(out, "w") as fh:
