@@ -182,12 +182,12 @@ class LogGrid:
         return out.reshape(values.shape)
 
     @cached_property
-    def base_eigenbases(self) -> tuple:
-        """(eigenvalues, orthonormal eigenvectors) per base axis of the
-        interior block of ``second_diff``: its rows and columns at the nodes
-        off both faces, the symmetric tridiagonal [1, -2, 1] / h^2."""
+    def eigenbases(self) -> tuple:
+        """(eigenvalues, orthonormal eigenvectors) per axis of the interior
+        block of ``second_diff``: its rows and columns at the nodes off both
+        faces, the symmetric tridiagonal [1, -2, 1] / h^2."""
         return tuple(np.linalg.eigh(self.stencil_matrix(k, second_diff)[1:-1, 1:-1])
-                     for k in range(1, self.n))
+                     for k in range(self.n))
 
     @cached_property
     def dissection_order(self) -> np.ndarray:

@@ -10,11 +10,16 @@ solve gives the residual and the linear solve of a step: fast
 diagonalization at p = 2, and otherwise the interior Jacobian in the
 grid's nested-dissection order, whose pattern is kept on the grid (the
 symbolic/numeric split; Davis, Direct Methods for Sparse Linear Systems,
-SIAM 2006), solved by GMRES on one kept ``splu`` factor, which only a step
-that GMRES cannot finish replaces (a Shamanskii-type inexact Newton step;
-Kelley, Solving Nonlinear Equations with Newton's Method, SIAM 2003).
-The fast diagonalization runs on numpy alone, so scipy's sparse modules
-are imported only at the first p != 2 step (``_bind_sparse``).
+SIAM 2006), solved by flexible GMRES.  A cold stage preconditions it by the
+fast-diagonalization inverse of the Jacobian's constant-coefficient mean
+(a Newton-Krylov step; Knoll & Keyes, J. Comput. Phys. 193, 2004) and
+factorizes only when that cycle misses; a stage that holds a ``splu``
+factor preconditions by it, and only a step that GMRES cannot finish
+replaces it (a Shamanskii-type inexact Newton step; Kelley, Solving
+Nonlinear Equations with Newton's Method, SIAM 2003).  Both
+diagonalizations and the Krylov cycle run on numpy alone, so scipy.sparse
+is imported at the first p != 2 assembly and scipy.sparse.linalg at the
+first factorization (``_bind``).
 
 The iterate is the flattened field on the full tensor grid.  Its boundary
 values are the Dirichlet data, so the unknowns and the log-chart residual
@@ -27,6 +32,7 @@ grid is rejected rather than run with another scheme.
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -58,24 +64,25 @@ __all__ = [
 ]
 
 
-def _bind_sparse() -> None:
-    """Bind scipy.sparse as ``sp`` and scipy.sparse.linalg as ``spla`` on
-    this module, at the first p != 2 assembly or step: a p = 2 solve needs
-    numpy alone, so a command line that never factorizes does not pay for
-    their import.  A name already bound stays, so a stand-in set on
-    ``spla`` (a tracer's proxy) keeps receiving the calls."""
-    import scipy.sparse
-    import scipy.sparse.linalg
+_SPARSE = {"sp": "scipy.sparse", "spla": "scipy.sparse.linalg"}
 
-    globals().setdefault("sp", scipy.sparse)
-    globals().setdefault("spla", scipy.sparse.linalg)
+
+def _bind(name: str):
+    """The module bound as ``name`` on this module, ``sp`` (scipy.sparse,
+    at the first p != 2 assembly) or ``spla`` (scipy.sparse.linalg, at the
+    first factorization), imported at its first use: a solve that never
+    factorizes does not pay for scipy.sparse.linalg, nor a p = 2 solve for
+    either.  A name already bound stays, so a stand-in set on ``spla`` (a
+    tracer's proxy) keeps receiving the calls."""
+    if name not in globals():
+        globals()[name] = importlib.import_module(_SPARSE[name])
+    return globals()[name]
 
 
 def __getattr__(name: str):
     # PEP 562: reading conepde.solver.sp or .spla from outside binds them
-    if name in ("sp", "spla"):
-        _bind_sparse()
-        return globals()[name]
+    if name in _SPARSE:
+        return _bind(name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -104,7 +111,7 @@ class StageRecord:
     residual_norm: float
     stop_reason: str              # converged (to tol), max_iter or line_search
     factorizations: int           # splu factorizations taken in the stage
-    krylov_iterations: int        # GMRES iterations on the kept factor
+    krylov_iterations: int        # GMRES iterations, on either preconditioner
 
 
 @dataclass
@@ -190,7 +197,7 @@ def _assemble_jacobian(grid: LogGrid, A: np.ndarray, B: np.ndarray,
     fields with the stencil weights and one gather into CSC data order.
     B keeps its own term on G_0 rather than being added to C_0, which
     would round differently."""
-    _bind_sparse()
+    _bind("sp")
     pattern, order = grid.interior_pattern, grid.dissection_order
     pairs = [(k, l) for k in range(grid.n) for l in range(k, grid.n)]
     coeffs = [A[k, l] * (1.0 if k == l else 2.0) for k, l in pairs]
@@ -220,7 +227,7 @@ def _solve_linear(grid: LogGrid, drift: float, rhs: np.ndarray) -> np.ndarray:
     inner = (slice(1, -1),) * grid.n
     r = rhs[inner]
     shift = np.zeros(())
-    for lam, V in grid.base_eigenbases:
+    for lam, V in grid.eigenbases[1:]:
         r = np.tensordot(r, V, axes=([1], [0]))
         shift = np.add.outer(shift, lam)
     L = (grid.stencil_matrix(0, second_diff)
@@ -230,7 +237,7 @@ def _solve_linear(grid: LogGrid, drift: float, rhs: np.ndarray) -> np.ndarray:
     # stored mode by mode, as the banded solve of the stacked systems returns
     # them: the products below round by the memory layout of their operand
     x = np.moveaxis(x.T.copy().reshape(shift.shape + (len(L),)), -1, 0)
-    for _, V in grid.base_eigenbases:
+    for _, V in grid.eigenbases[1:]:
         x = np.tensordot(x, V, axes=([1], [1]))
     du = np.zeros(grid.shape)
     du[inner] = x
@@ -279,9 +286,116 @@ def _tridiagonal_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
     return b
 
 
-# one GMRES cycle per step: its restart length and relative tolerance on
-# the true residual |J du - rhs|_2
-KRYLOV_RESTART, KRYLOV_RTOL = 10, 1e-6
+def _fd_preconditioner(grid: LogGrid, A: np.ndarray, B: np.ndarray, C: np.ndarray):
+    """M^-1 for M = sum_k c_k D2_k + b D1_a on the interior block, the
+    constant-coefficient operator nearest the Jacobian that
+    ``_assemble_jacobian`` builds from the fields A, B and C: c_k is the
+    interior mean of A_kk and b that of B + C_0.  It maps a vector in
+    ``grid.dissection_order`` to one.  There is none (None) unless every
+    c_k > 0 and the sub- and superdiagonal s and u of M's a-block have
+    s u > 0.
+
+    M is inverted by fast diagonalization along every axis (Lynch, Rice &
+    Thomas, Numer. Math. 6, 1964) in ``grid.eigenbases``, so no call solves
+    an eigenproblem.  The base axes go into their bases as in
+    ``_solve_linear``.  The a-block L = c_0 D2_a + b D1_a is tridiagonal
+    Toeplitz, and D^-1 L D with D = diag(r^i), r = sqrt(s / u), is the
+    symmetric one with off-diagonal s / r: an affine function of D2_a's
+    interior block, which has the same eigenvectors.  D is centred on the
+    middle node, and where its condition number r^(m-1) exceeds 1/eps the
+    similarity would lose every digit, so there is no preconditioner."""
+    inner = (slice(1, -1),) * grid.n
+    c = [float(A[k, k][inner].mean()) for k in range(grid.n)]
+    b = float((B + C[0])[inner].mean())
+    w2, w1 = (dict(grid.stencil_weights[s][0][0]) for s in (second_diff, first_diff))
+    sub, sup = c[0] * w2[-1] + b * w1[-1], c[0] * w2[1] + b * w1[1]
+    if not (min(c) > 0.0 and sub * sup > 0.0):
+        return None
+    bases = [V for _, V in grid.eigenbases]
+    lam_a, m = grid.eigenbases[0][0], len(bases[0])
+    log_r = 0.5 * math.log(sub / sup)
+    if abs(log_r) * (m - 1) > -math.log(np.finfo(float).eps):
+        return None
+    # D^-1 L D = alpha D2_a + beta I on the interior, whose diagonal is L's
+    alpha = sub * math.exp(-log_r) / w2[1]
+    lam = alpha * lam_a + (c[0] - alpha) * w2[0]
+    for ck, (lk, _) in zip(c[1:], grid.eigenbases[1:]):
+        lam = np.add.outer(lam, ck * lk)
+    scale = np.exp(log_r * (np.arange(m) - 0.5 * (m - 1))).reshape((m,) + (1,) * (grid.n - 1))
+    order, full = grid.dissection_order, np.zeros(grid.shape)
+
+    def solve(y):
+        full.flat[order] = y
+        x = full[inner] / scale
+        for V in bases:
+            x = np.tensordot(x, V, axes=([0], [0]))
+        x /= lam
+        for V in bases:
+            x = np.tensordot(x, V, axes=([0], [1]))
+        full[inner] = x * scale
+        return full.flat[order]
+
+    return solve
+
+
+# the most GMRES iterations in a step's one cycle, on the fast-diagonalization
+# preconditioner and on a kept factor, and the relative tolerance on the
+# true residual |J du - rhs|_2 that a cycle must meet
+FD_RESTART, KRYLOV_RESTART, KRYLOV_RTOL = 30, 10, 1e-6
+
+
+def _fgmres(J, b: np.ndarray, precondition, restart: int) -> tuple:
+    """One cycle of right-preconditioned flexible GMRES (Saad, SIAM J. Sci.
+    Comput. 14, 1993) for J x = b from x = 0, at most ``restart``
+    iterations: (x, iterations), with x None when the true residual misses
+    |J x - b|_2 <= KRYLOV_RTOL |b|_2.
+
+    Iteration j keeps z_j = precondition(v_j) and x is a combination of the
+    z_j, so each iteration calls ``precondition`` once and x needs no
+    further call.  As in scipy's gmres, the cycle stops when the rotated
+    Hessenberg residual meets the tolerance or the new Krylov vector
+    vanishes (at most eps of its norm before orthogonalization), and a zero
+    pivot of the triangular solve leaves its component of y at 0.  The
+    orthogonalization is classical Gram-Schmidt, twice.  A zero b gives
+    x = 0 in no iteration."""
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros_like(b), 0
+    V, Z = np.empty((restart + 1, b.size)), np.empty((restart, b.size))
+    R = np.zeros((restart, restart))  # the Hessenberg matrix, rotated upper triangular
+    g = np.zeros(restart + 1)
+    g[0], V[0] = beta, b / beta
+    rotations = []
+    for j in range(restart):
+        Z[j] = precondition(V[j])
+        w = J @ Z[j]
+        h, norm = np.zeros(j + 2), np.linalg.norm(w)
+        for _ in range(2):
+            proj = V[:j + 1] @ w
+            w -= proj @ V[:j + 1]
+            h[:j + 1] += proj
+        h[j + 1] = np.linalg.norm(w)
+        breakdown = h[j + 1] <= np.finfo(float).eps * norm
+        if breakdown:
+            h[j + 1] = 0.0
+        else:
+            V[j + 1] = w / h[j + 1]
+        for i, (cs, sn) in enumerate(rotations):
+            h[i], h[i + 1] = cs * h[i] + sn * h[i + 1], cs * h[i + 1] - sn * h[i]
+        rho = math.hypot(h[j], h[j + 1])
+        cs, sn = (h[j] / rho, h[j + 1] / rho) if rho else (1.0, 0.0)
+        rotations.append((cs, sn))
+        R[:j, j], R[j, j] = h[:j], rho
+        g[j], g[j + 1] = cs * g[j], -sn * g[j]
+        if abs(g[j + 1]) <= KRYLOV_RTOL * beta or breakdown:
+            break
+    k = j + 1
+    y = np.zeros(k)
+    for i in range(k - 1, -1, -1):
+        if R[i, i]:
+            y[i] = (g[i] - R[i, i + 1:k] @ y[i + 1:k]) / R[i, i]
+    x = y @ Z[:k]
+    return (x if np.linalg.norm(J @ x - b) <= KRYLOV_RTOL * beta else None), k
 
 
 @dataclass
@@ -291,14 +405,18 @@ class _NewtonSystem:
     presolve keeps) and interior forcing F_log, and the linear solve of a
     step, by ``_solve_linear`` at p == 2 and otherwise by ``_solve_jacobian``
     on the Jacobian assembled from the residual's coefficient fields, with
-    the kept ``splu`` factor ``lu``.  It counts the factorizations taken and
-    the GMRES iterations run.  Only p == 2 reads ``drift``: its residual is
-    sum_k D2_k u + drift D1_a u - F_log; other p take n - p from the grid."""
+    the kept ``splu`` factor ``lu``.  While a cold system (not ``warm``)
+    holds no factor, its steps try the fast-diagonalization preconditioner
+    first; a warm one factorizes at its first step.  It counts the
+    factorizations taken and the GMRES iterations run.  Only p == 2 reads
+    ``drift``: its residual is sum_k D2_k u + drift D1_a u - F_log; other p
+    take n - p from the grid."""
 
     grid: LogGrid
     p: float
     drift: float
     F_log: np.ndarray
+    warm: bool = False
     lu: object = None
     factorizations: int = 0
     krylov_iterations: int = 0
@@ -328,55 +446,47 @@ class _NewtonSystem:
         C = dR/dg and the addition to A's diagonal from the coefficient's
         second-difference term are formed here, so a residual that no step
         reads (a rejected line-search trial, a stage's last iterate) never
-        pays for them."""
+        pays for them, nor for the fast-diagonalization preconditioner."""
         if self.p == 2.0:
             return _solve_linear(self.grid, self.drift, rhs)
         A, B, g, H, eps_reg = lin
         C, dA = gradient_coefficient(g, H, self.p, eps_reg, self.grid.h)
-        return _solve_jacobian(_assemble_jacobian(self.grid, A + dA, B, C), rhs, self)
+        A = A + dA
+        fd = (None if self.warm or self.lu is not None
+              else _fd_preconditioner(self.grid, A, B, C))
+        return _solve_jacobian(_assemble_jacobian(self.grid, A, B, C), rhs, self, fd)
 
 
-def _solve_jacobian(J: sp.csc_matrix, rhs: np.ndarray, system: _NewtonSystem) -> np.ndarray:
+def _solve_jacobian(J: sp.csc_matrix, rhs: np.ndarray, system: _NewtonSystem,
+                    precondition=None) -> np.ndarray:
     """The solution du of J du = rhs for the interior block J from
     ``_assemble_jacobian``; du is zero on the boundary, whose values are
     data.
 
-    With a kept factor M of an earlier Jacobian, one cycle of right-
-    preconditioned GMRES (at most ``KRYLOV_RESTART`` iterations) solves
-    J M^-1 y = rhs and du = M^-1 y; right preconditioning puts the
-    tolerance on the true residual, |J du - rhs|_2 <= KRYLOV_RTOL |rhs|_2.
-    When the cycle misses it, or there is no factor yet, J itself is
-    factorized in its own (nested-dissection) order with SuperLU's partial
-    pivoting, kept on ``system`` and solved directly; a singular factor
-    raises RuntimeError.  The missed factor is freed first, so a solve
-    never holds two."""
-    _bind_sparse()
+    One cycle of right-preconditioned flexible GMRES (``_fgmres``) runs
+    first, on the system's kept factor (at most ``KRYLOV_RESTART``
+    iterations) or, while it holds none, on ``precondition`` (at most
+    ``FD_RESTART``), the fast-diagonalization inverse that a cold system's
+    step passes.  When the cycle misses, or there is no preconditioner, J
+    itself is factorized in its own (nested-dissection) order with
+    SuperLU's partial pivoting, kept on ``system`` and solved directly; a
+    singular factor raises RuntimeError.  The cycle's Krylov basis and the
+    missed factor are freed first, so a solve never holds two factors, nor
+    a factor and a basis."""
     order = system.grid.dissection_order
     b = rhs.ravel()[order]
     du = np.zeros(system.grid.shape)
-    lu = system.lu
-    if lu is not None:
-        def tally(_):
-            system.krylov_iterations += 1
-
-        last = []  # the operator's latest (y, M^-1 y)
-
-        def matvec(y):
-            last[:] = y.copy(), lu.solve(y)
-            return J @ last[1]
-
-        op = spla.LinearOperator(J.shape, matvec=matvec, dtype=float)
-        y, info = spla.gmres(op, b, rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_RESTART,
-                             maxiter=1, callback=tally, callback_type="pr_norm")
-        if info == 0:
-            # gmres checks the true residual at the y it returns, so M^-1 y
-            # is usually the operator's last solve
-            du.flat[order] = (last[1] if last and np.array_equal(last[0], y)
-                              else lu.solve(y))
+    cycle = ((system.lu.solve, KRYLOV_RESTART) if system.lu is not None
+             else (precondition, FD_RESTART))
+    if cycle[0] is not None:
+        x, iterations = _fgmres(J, b, *cycle)
+        system.krylov_iterations += iterations
+        if x is not None:
+            du.flat[order] = x
             return du
     # the missed factor goes before SuperLU builds the next, so one is alive
-    system.lu = lu = None
-    system.lu = spla.splu(J, permc_spec="NATURAL")
+    system.lu = cycle = None
+    system.lu = _bind("spla").splu(J, permc_spec="NATURAL")
     system.factorizations += 1
     du.flat[order] = system.lu.solve(b)
     return du
@@ -435,12 +545,16 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid, cfg: SolverConfig | None = 
     (4 eps before the first, so 2 eps, 4 eps, ...) goes in before it, at
     most 24 per solve.
 
+    The stages after the presolve are cold: their steps take the
+    fast-diagonalization GMRES cycle until one misses and factorizes, and
+    keep that factor for the rest of the solve (``_solve_jacobian``).
+
     An ``initial`` field on the grid's nodes is a warm start: its values,
     with the boundary reset to the Dirichlet data, go through one Newton
-    stage at the floor eps to ``tol``, with no presolve or climb.  When
-    that stage misses ``tol`` the solve goes on exactly as a solve without
-    ``initial`` (a fresh start, a fresh kept factor), and the failed warm
-    stage stays first in the report.
+    stage at the floor eps to ``tol``, with no presolve or climb, which
+    factorizes at its first step.  When that stage misses ``tol`` the
+    solve goes on exactly as a solve without ``initial`` (a fresh start, no
+    factor), and the failed warm stage stays first in the report.
 
     The solve is deterministic; failure to
     converge is reported, never raised.  A radial step beyond the mesh Peclet
@@ -463,7 +577,8 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid, cfg: SolverConfig | None = 
                              f"the nodes of the solve's grid {grid.shape}")
         values = np.array(initial.values, dtype=float)
         values[bmask] = data
-        values, stage = _newton_stage(values, _NewtonSystem(grid, p, grid.n - p, F_log),
+        values, stage = _newton_stage(values, _NewtonSystem(grid, p, grid.n - p, F_log,
+                                                            warm=True),
                                       cfg.eps_reg_floor, cfg.max_iter, cfg.tol)
         stages.append(stage)
         if stage.residual_norm <= cfg.tol:

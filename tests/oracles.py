@@ -6,7 +6,8 @@ operators as Kronecker-built sparse matrices, the per-point residual algebra,
 the full-grid Newton Jacobian as a sum of weighted grid operators, its
 interior block assembled from the stencils on every call, the recursive
 nested-dissection numbering, the p = 2 Newton step as one banded LAPACK
-solve, the Newton step that factorizes every Jacobian afresh, the halving
+solve, the Newton step that factorizes every Jacobian afresh, the kept
+factor's GMRES cycle as scipy's ``gmres`` on a ``LinearOperator``, the halving
 eps continuation that one floor stage replaced, the grid-function writer
 that formats value by value, the per-node boundary distance, the all-pairs
 ball supremum of the forcing, and the all-pairs loops of the regularizations,
@@ -400,7 +401,7 @@ def banded_linear_solve(grid, drift, rhs):
     inner = (slice(1, -1),) * grid.n
     r = rhs[inner]
     shift = np.zeros(())
-    for lam, V in grid.base_eigenbases:
+    for lam, V in grid.eigenbases[1:]:
         r = np.tensordot(r, V, axes=([1], [0]))
         shift = np.add.outer(shift, lam)
     L = (grid.stencil_matrix(0, second_diff)
@@ -412,25 +413,40 @@ def banded_linear_solve(grid, drift, rhs):
     bands[2, :, :-1] = np.diag(L, -1)
     x = solve_banded((1, 1), bands.reshape(3, -1), np.moveaxis(r, 0, -1).ravel())
     x = np.moveaxis(x.reshape(shift.shape + (m,)), -1, 0)
-    for _, V in grid.base_eigenbases:
+    for _, V in grid.eigenbases[1:]:
         x = np.tensordot(x, V, axes=([1], [1]))
     du = np.zeros(grid.shape)
     du[inner] = x
     return du
 
 
-def refactorized_solve(J, rhs, system):
+def refactorized_solve(J, rhs, system, precondition=None):
     """The p != 2 Newton step with a fresh ``splu`` factor of the interior
     block J on every call, in its own order: the reference for
-    ``solver._solve_jacobian``, which reuses a kept factor.  It stores the
-    factor and counts it on ``system``, so a solve's stage records still add
-    up."""
+    ``solver._solve_jacobian``, which reuses a kept factor or takes a
+    fast-diagonalization cycle (``precondition`` is not read).  It stores
+    the factor and counts it on ``system``, so a solve's stage records still
+    add up."""
     order = system.grid.dissection_order
     system.lu = spla.splu(J, permc_spec="NATURAL")
     system.factorizations += 1
     du = np.zeros(system.grid.shape)
     du.flat[order] = system.lu.solve(rhs.ravel()[order])
     return du
+
+
+def scipy_gmres_cycle(J, b, lu):
+    """One cycle of scipy's ``gmres`` (at most ``solver.KRYLOV_RESTART``
+    iterations, relative tolerance ``solver.KRYLOV_RTOL``) on the right-
+    preconditioned operator J M^-1 with M^-1 = ``lu.solve``: (x = M^-1 y,
+    iterations, info), the reference for ``solver._fgmres`` on a kept
+    factor, which is the same method in exact arithmetic."""
+    iterations = []
+    op = spla.LinearOperator(J.shape, matvec=lambda y: J @ lu.solve(y), dtype=float)
+    y, info = spla.gmres(op, b, rtol=solver.KRYLOV_RTOL, atol=0.0,
+                         restart=solver.KRYLOV_RESTART, maxiter=1,
+                         callback=iterations.append, callback_type="pr_norm")
+    return lu.solve(y), len(iterations), info
 
 
 def halving_schedule(prob, grid, cfg=None, eps_start=0.1):

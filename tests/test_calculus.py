@@ -119,11 +119,11 @@ class TestStencils:
             assert res[node] == pytest.approx(oracle, rel=1e-11, abs=1e-12 * scale ** (p / 2))
 
     @pytest.mark.parametrize("m", [3, 4, 9, 29])
-    def test_base_eigenbasis_diagonalizes_interior_stencil(self, m):
-        # orthonormal eigenvectors of the interior second-difference block,
-        # with the DST-I eigenvalues -4 sin^2(j pi / (2 (m - 1))) / h^2
-        grid = unit_grid((5, m, m + 2), n=3)
-        for k, (lam, V) in enumerate(grid.base_eigenbases, start=1):
+    def test_eigenbases_diagonalize_interior_stencils(self, m):
+        # orthonormal eigenvectors of each axis's interior second-difference
+        # block, with the DST-I eigenvalues -4 sin^2(j pi / (2 (m - 1))) / h^2
+        grid = unit_grid((m + 1, m, m + 2), n=3)
+        for k, (lam, V) in enumerate(grid.eigenbases):
             h, size = grid.h[k], grid.shape[k]
             block = grid.stencil_matrix(k, second_diff)[1:-1, 1:-1]
             np.testing.assert_allclose(V @ np.diag(lam) @ V.T, block, rtol=0,

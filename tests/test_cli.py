@@ -1265,30 +1265,40 @@ def test_stored_forcing_solve_loads_no_interpolation(tmp_path):
 def test_non_factorizing_commands_load_no_scipy(tmp_path):
     # every command line is a fresh interpreter; manufacture, a p = 2 solve
     # in 2D and 3D and verify abp on a stored field factorize nothing, so
-    # none of them imports scipy, and a p = 3 solve binds the sparse
-    # modules at its first Newton step and converges
+    # none of them imports scipy; a cold p = 3 solve assembles its Jacobians
+    # with scipy.sparse but takes only fast-diagonalization GMRES cycles, so
+    # it loads no scipy.sparse.linalg, while the warm shifted pair of verify
+    # doubling factorizes at its first step and loads it
     src = os.path.dirname(os.path.dirname(importlib.import_module("conepde.cli").__file__))
 
     def config(outdir, *entries):
         return set_entries(BASE_CONFIG.format(outdir=os.path.join(tmp_path, outdir)), *entries)
 
     stored = os.path.join(tmp_path, "plane", "solution.gf")
-    runs = [(["manufacture"], config("made", "problem.exact = tpower:0.4"), False),
-            (["solve"], config("plane"), False),
+    p3 = ("problem.p = 3.0", "problem.f = constant:-1")
+    stored_p3 = f"verify.solution = {os.path.join(tmp_path, 'p3', 'solution.gf')}"
+    runs = [(["manufacture"], config("made", "problem.exact = tpower:0.4"), set()),
+            (["solve"], config("plane"), set()),
             (["solve"], config("solid", "domain.n = 3", "domain.base = 0,1;0,1",
-                               "grid.nodes = 9,9,9"), False),
-            (["verify", "abp"], config("plane", f"verify.solution = {stored}"), False),
-            (["solve"], config("p3", "problem.p = 3.0", "problem.f = constant:-1"), True)]
+                               "grid.nodes = 9,9,9"), set()),
+            (["verify", "abp"], config("plane", f"verify.solution = {stored}"), set()),
+            (["solve"], config("p3", *p3), {"scipy.sparse"}),
+            (["verify", "doubling"], config("p3", *p3, stored_p3),
+             {"scipy.sparse", "scipy.sparse.linalg"})]
     probe = ("import sys; from conepde import cli; code = cli.run(sys.argv[1:]); "
              "print(code, [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
-    for argv, text, factorizes in runs:
+    for argv, text, sparse in runs:
         done = subprocess.run([sys.executable, "-c", probe, *argv, "--config",
                                write_config(tmp_path, text)],
                               env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True, check=True)
         code, loaded = done.stdout.splitlines()[-1].split(" ", 1)
         assert code == "0", argv
-        assert ("'scipy.sparse.linalg'" in loaded) if factorizes else loaded == "[]", argv
+        if sparse:
+            assert {m for m in ("scipy.sparse", "scipy.sparse.linalg")
+                    if f"'{m}'" in loaded} == sparse, argv
+        else:
+            assert loaded == "[]", argv
     for outdir in ("plane", "solid", "p3"):
         with open(os.path.join(tmp_path, outdir, "solve_report.json")) as fh:
             assert json.load(fh)["converged"], outdir

@@ -3,7 +3,8 @@
     python tools/linear_scaling.py [OUT]
 
 On each grid (2D at 81^2, 97^2 and 161^2; 3D at 17^3, 21^3 and 25^3, over
-the unit base with t_min = e^-1) it measures four things.
+the unit base with t_min = e^-1) it measures four things, and then cold
+3D solves on larger grids.
 
 Grid set-up: on each of SETUP_REPEATS fresh grids, the seconds of its first
 ``gradient_field`` and ``hessian_field`` of the smooth iterate described
@@ -46,8 +47,9 @@ call ``spsolve`` makes), and max |du - du_spsolve| / max |du_spsolve|.
 
 One whole solve: ``solve_dirichlet`` on the p = 3 manufactured problem with
 u* = t^0.5 and the default solver settings, once as the package runs it
-(the p = 2 presolve and one floor eps stage, each step GMRES on the
-solve's kept ``splu`` factor, refactorizing only where that stalls), once
+(the p = 2 presolve and one floor eps stage, each step a GMRES cycle
+preconditioned by fast diagonalization until one misses, then GMRES on a
+kept ``splu`` factor, refactorizing only where that stalls), once
 with ``tests/oracles.refactorized_solve`` patched in, which factorizes
 every Jacobian, and once as ``tests/oracles.halving_schedule``, the
 halving eps continuation from 0.1 down to the floor with every stage run
@@ -63,6 +65,13 @@ systems by one ``scipy.linalg.solve_banded`` call.  Per size (the sizes
 above and the 29^3 grid of the benchmark's p = 2 solve) it records the
 median seconds of each over LINEAR_REPEATS calls (the two alternate) and
 whether the two steps are bit-equal.
+
+Cold 3D solves: the same p = 3 manufactured solve at 25^3, 33^3 and 49^3
+(COLD_SIZES), as the package runs it, and up to 33^3 also with no
+fast-diagonalization preconditioner, so every step is on the kept factor
+(``kept_factor``; a 49^3 factor takes more than 1 GB).  Per size it records
+the median seconds over COLD_REPEATS runs of each, and the Newton steps,
+factorizations, GMRES iterations and max error against u* of each.
 
 Every timing is recorded as the median (``<name>_s``) and the min and max
 (``<name>_min_s``, ``<name>_max_s``) over its repeats.  Per dimension it
@@ -101,6 +110,7 @@ from conepde.solver import (_NewtonSystem, _assemble_jacobian,  # noqa: E402
 
 P, EPS_REG, REPEATS, SOLVE_REPEATS, ASSEMBLY_REPEATS, KAPPA = 3.0, 1e-2, 5, 3, 31, 0.5
 SETUP_REPEATS = 7
+COLD_SIZES, COLD_REPEATS, COLD_FACTOR_MAX = (25, 33, 49), 3, 33
 SIZES = ((2, 81), (2, 97), (2, 161), (3, 17), (3, 21), (3, 25))
 LINEAR_SIZES, LINEAR_REPEATS = SIZES + ((3, 29),), 21
 
@@ -257,6 +267,43 @@ def measure_solve(n: int, m: int) -> dict:
     return row
 
 
+def kept_factor(prob, grid) -> tuple:
+    """``solve_dirichlet`` with no fast-diagonalization preconditioner:
+    every p != 2 step runs on the kept ``splu`` factor."""
+    saved = solver._fd_preconditioner
+    solver._fd_preconditioner = lambda *fields: None
+    try:
+        return solve_dirichlet(prob, grid)
+    finally:
+        solver._fd_preconditioner = saved
+
+
+def measure_cold(m: int) -> dict:
+    grid = unit_grid(3, m)
+    u_star = power_of_t_field(KAPPA)
+    prob = manufactured_problem(u_star, P)
+    exact = exact_solution_values(u_star, grid).values
+    solves = {"cold": solve_dirichlet}
+    if m <= COLD_FACTOR_MAX:
+        solves["kept_factor"] = kept_factor
+    times = {name: [] for name in solves}
+    row = {"n": 3, "nodes": list(grid.shape), "unknowns": math.prod(grid.shape),
+           "interior": int(grid.dissection_order.size)}
+    for _ in range(COLD_REPEATS):
+        for name, solve in solves.items():
+            t0 = time.perf_counter()
+            u, rep = solve(prob, grid)
+            times[name].append(time.perf_counter() - t0)
+            if not rep.converged:
+                raise RuntimeError(f"the {name} solve at {m}^3 did not converge")
+            row[name] = {"newton_steps": sum(s.iterations for s in rep.stages),
+                         "factorizations": sum(s.factorizations for s in rep.stages),
+                         "krylov_iterations": sum(s.krylov_iterations for s in rep.stages),
+                         "max_error": float(np.max(np.abs(u.values - exact)))}
+    record(row, times)
+    return row
+
+
 def exponent(rows: list, name: str) -> dict:
     """The time exponent of ``name`` in the unknown count, fitted to the
     per-size medians and to the per-size minima."""
@@ -305,6 +352,15 @@ def main(argv) -> int:
             f"{row[name]['krylov_iterations']} GMRES iterations)" for name in SOLVES)
             + f"  max rel gaps {row['max_rel_gap_refactorized']:.2g}, "
             f"{row['max_rel_gap_halving_schedule']:.2g}")
+    cold = []
+    for m in COLD_SIZES:
+        row = measure_cold(m)
+        cold.append(row)
+        print(f"3D {m}^3 cold solve: " + "  ".join(
+            f"{name} {row[name + '_s']:7.3f} s ({row[name]['newton_steps']} steps, "
+            f"{row[name]['factorizations']} factorizations, "
+            f"{row[name]['krylov_iterations']} GMRES iterations)"
+            for name in ("cold", "kept_factor") if name in row))
     exponents = {}
     for n in sorted({r["n"] for r in rows}):
         dim = [r for r in rows if r["n"] == n]
@@ -330,17 +386,19 @@ def main(argv) -> int:
                 "stencils every call; one p = 3 Newton linear solve, full-grid spsolve (COLAMD) vs the "
                 "interior block in nested-dissection order; one p = 2 Newton step, the "
                 "numpy elimination vs one solve_banded call; and one p = 3 manufactured "
-                "solve (u* = t^0.5), GMRES on the kept splu factor vs a fresh factor "
+                "solve (u* = t^0.5), as the package runs it vs a fresh factor "
                 "every Newton step vs the halving eps continuation, every stage run to "
-                "the final tolerance",
+                "the final tolerance; and cold 3D p = 3 solves up to 49^3, "
+                "fast-diagonalization GMRES vs every step on the kept splu factor",
         "p": P, "eps_reg": EPS_REG, "repeats": REPEATS, "solve_repeats": SOLVE_REPEATS,
         "assembly_repeats": ASSEMBLY_REPEATS, "setup_repeats": SETUP_REPEATS,
         "linear_repeats": LINEAR_REPEATS, "kappa": KAPPA,
         "nproc": os.cpu_count(), "machine": platform.machine(),
         "python": platform.python_version(), "numpy": np.__version__,
         "scipy": scipy.__version__,
+        "cold_repeats": COLD_REPEATS,
         "assembly": assembly, "sizes": rows, "linear": linear, "solves": solves,
-        "time_exponents": exponents,
+        "cold_solves": cold, "time_exponents": exponents,
     }
     with open(out, "w") as fh:
         json.dump(report, fh, indent=2)

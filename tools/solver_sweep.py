@@ -23,11 +23,13 @@ spikes (a node whose central gradient reads 0 whatever its own value)
 reaches a second discrete solution; the min of u tells such fields apart.
 
 Prints, for each case both sides run, whether the solve converged, its
-stages, Newton steps, seconds and min u, and the max-norm difference of
-the two fields relative to the old field's max norm; then the totals over
-those cases, the labels that only one side runs, how many fields are
-bit-equal and in how many cases the stages and Newton steps match.  Exits
-1 if a case converges on OLD_SRC but not on NEW_SRC.
+stages, Newton steps, factorizations, GMRES iterations, seconds and min u,
+and the max-norm difference of the two fields relative to the old field's
+max norm; then the totals over those cases and the largest of those
+differences, the labels that only one side runs, how many fields are
+bit-equal and in how many cases the stages and Newton steps match.  A
+side whose tool records no factorizations or GMRES iterations shows "-"
+for them.  Exits 1 if a case converges on OLD_SRC but not on NEW_SRC.
 """
 
 import json
@@ -85,12 +87,14 @@ def run_cases(out: str) -> None:
         try:
             u, rep = solve_dirichlet(prob, grid)
         except FloatingPointError as exc:
-            stats.append({"converged": False, "stages": 0, "steps": 0,
-                          "seconds": time.perf_counter() - t0, "min_u": math.nan,
-                          "error": str(exc)})
+            stats.append({"converged": False, "stages": 0, "steps": 0, "factorizations": 0,
+                          "krylov": 0, "seconds": time.perf_counter() - t0,
+                          "min_u": math.nan, "error": str(exc)})
             continue
         stats.append({"converged": rep.converged, "stages": len(rep.stages),
                       "steps": sum(s.iterations for s in rep.stages),
+                      "factorizations": sum(s.factorizations for s in rep.stages),
+                      "krylov": sum(s.krylov_iterations for s in rep.stages),
                       "seconds": time.perf_counter() - t0,
                       "min_u": float(np.min(u.values))})
         fields[f"c{k}"] = u.values
@@ -124,34 +128,41 @@ def main(argv) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         old, new = (run_side(src, os.path.join(tmp, side)) for side, src in zip(("old", "new"), argv))
     labels = [label for label in new if label in old]
-    print(f"{'case':<34} {'old: conv stages steps s min u':>35}   "
-          f"{'new: conv stages steps s min u':>35}   rel diff")
+    head = "conv stages steps fact gmres s min u"
+    print(f"{'case':<34} {'old: ' + head:>47}   {'new: ' + head:>47}   rel diff")
     lost = bit_equal = same_path = 0
+    gaps = []
     for label in labels:
         (a, ref), (b, field) = old[label], new[label]
         if ref is not None and field is not None:
             bit_equal += np.array_equal(ref, field)
         same_path += (a["stages"], a["steps"]) == (b["stages"], b["steps"])
         if a["converged"] and b["converged"]:
-            diff = f"{np.max(np.abs(field - ref)) / np.max(np.abs(ref)):.2e}"
+            gaps.append(np.max(np.abs(field - ref)) / np.max(np.abs(ref)))
+            diff = f"{gaps[-1]:.2e}"
         else:
             diff = "-"
         lost += a["converged"] and not b["converged"]
         row = "   ".join(f"{'yes' if s['converged'] else 'NO':>4} {s['stages']:>6} "
-                         f"{s['steps']:>6} {s['seconds']:>7.2f} {s['min_u']:>8.5f}"
+                         f"{s['steps']:>5} {s.get('factorizations', '-'):>4} "
+                         f"{s.get('krylov', '-'):>5} {s['seconds']:>7.2f} {s['min_u']:>8.5f}"
                          for s in (a, b))
         print(f"{label:<34} {row}   {diff}")
     for side, runs, other in (("old", old, new), ("new", new, old)):
         stats = [s for label, (s, _) in runs.items() if label in other]
+        linear = (f"{sum(s['factorizations'] for s in stats)} factorizations, "
+                  f"{sum(s['krylov'] for s in stats)} GMRES iterations, "
+                  if all("krylov" in s for s in stats) else "")
         print(f"{side}: {sum(s['converged'] for s in stats)} of {len(stats)} converge; "
               f"{sum(s['stages'] for s in stats)} stages, "
-              f"{sum(s['steps'] for s in stats)} Newton steps, "
+              f"{sum(s['steps'] for s in stats)} Newton steps, {linear}"
               f"{sum(s['seconds'] for s in stats):.1f} s")
         only = [label for label in runs if label not in other]
         if only:
             print(f"only on {side}: {len(only)} case(s): {', '.join(only)}")
     print(f"{bit_equal} of {len(labels)} fields bit-equal; stages and Newton steps "
-          f"match in {same_path} of {len(labels)} cases")
+          f"match in {same_path} of {len(labels)} cases; largest rel diff "
+          f"{max(gaps, default=0.0):.2e}")
     if lost:
         print(f"{lost} case(s) converge on OLD_SRC but not on NEW_SRC")
     return 1 if lost else 0
