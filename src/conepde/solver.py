@@ -10,10 +10,12 @@ solve gives the residual and the linear solve of a step: fast
 diagonalization at p = 2, and otherwise the interior Jacobian in the
 grid's nested-dissection order, whose pattern is kept on the grid (the
 symbolic/numeric split; Davis, Direct Methods for Sparse Linear Systems,
-SIAM 2006), solved by flexible GMRES.  A cold stage preconditions it by the
-fast-diagonalization inverse of the Jacobian's constant-coefficient mean
-(a Newton-Krylov step; Knoll & Keyes, J. Comput. Phys. 193, 2004) and
-factorizes only when that cycle misses; a stage that holds a ``splu``
+SIAM 2006), solved by flexible GMRES.  A cold stage preconditions it by
+scaling each row by its node's diffusion and inverting the scaled rows'
+constant-coefficient mean by fast diagonalization (a Newton-Krylov step
+with physics-based preconditioning; Knoll & Keyes, J. Comput. Phys. 193,
+2004), restarts its cycles up to a budget that the grid's shape fixes, and
+factorizes only when they miss; a stage that holds a ``splu``
 factor preconditions by it, and only a step that GMRES cannot finish
 replaces it (a Shamanskii-type inexact Newton step; Kelley, Solving
 Nonlinear Equations with Newton's Method, SIAM 2003).  Both
@@ -287,27 +289,38 @@ def _tridiagonal_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
 
 
 def _fd_preconditioner(grid: LogGrid, A: np.ndarray, B: np.ndarray, C: np.ndarray):
-    """M^-1 for M = sum_k c_k D2_k + b D1_a on the interior block, the
-    constant-coefficient operator nearest the Jacobian that
-    ``_assemble_jacobian`` builds from the fields A, B and C: c_k is the
-    interior mean of A_kk and b that of B + C_0.  It maps a vector in
-    ``grid.dissection_order`` to one.  There is none (None) unless every
-    c_k > 0 and the sub- and superdiagonal s and u of M's a-block have
-    s u > 0.
+    """P y = M^-1 (y / s), an approximate inverse of the Jacobian that
+    ``_assemble_jacobian`` builds from the fields A, B and C, which maps a
+    vector in ``grid.dissection_order`` to one.  Each row is first divided
+    by its node's diffusion s = (sum_k A_kk) / n, and M = sum_k c_k D2_k +
+    b D1_a on the interior block is the constant-coefficient operator
+    nearest the scaled rows: c_k is the interior mean of A_kk / s and b
+    that of (B + C_0) / s.  Where every coefficient field is one positive
+    field times constants, the Jacobian is diag(s) M and P its exact
+    inverse; on zero data, where |grad u|^(p-2) varies by orders of
+    magnitude across the base, the scaled rows stay near one constant
+    operator (physics-based preconditioning; Knoll & Keyes, J. Comput.
+    Phys. 193, 2004).  There is none (None) unless s > 0 at every interior
+    node, every c_k > 0 and the sub- and superdiagonal s_- and s_+ of M's
+    a-block have s_- s_+ > 0.
 
     M is inverted by fast diagonalization along every axis (Lynch, Rice &
     Thomas, Numer. Math. 6, 1964) in ``grid.eigenbases``, so no call solves
     an eigenproblem.  The base axes go into their bases as in
     ``_solve_linear``.  The a-block L = c_0 D2_a + b D1_a is tridiagonal
-    Toeplitz, and D^-1 L D with D = diag(r^i), r = sqrt(s / u), is the
-    symmetric one with off-diagonal s / r: an affine function of D2_a's
+    Toeplitz, and D^-1 L D with D = diag(r^i), r = sqrt(s_- / s_+), is the
+    symmetric one with off-diagonal s_- / r: an affine function of D2_a's
     interior block, which has the same eigenvectors.  D is centred on the
     middle node, and where its condition number r^(m-1) exceeds 1/eps the
     similarity would lose every digit, so there is no preconditioner."""
     inner = (slice(1, -1),) * grid.n
-    c = [float(A[k, k][inner].mean()) for k in range(grid.n)]
-    b = float((B + C[0])[inner].mean())
-    w2, w1 = (dict(grid.stencil_weights[s][0][0]) for s in (second_diff, first_diff))
+    diffusion = np.einsum("kk...->...", A) / grid.n
+    s = diffusion[inner]
+    if not s.min() > 0.0:
+        return None
+    c = [float((A[k, k][inner] / s).mean()) for k in range(grid.n)]
+    b = float(((B + C[0])[inner] / s).mean())
+    w2, w1 = (dict(grid.stencil_weights[st][0][0]) for st in (second_diff, first_diff))
     sub, sup = c[0] * w2[-1] + b * w1[-1], c[0] * w2[1] + b * w1[1]
     if not (min(c) > 0.0 and sub * sup > 0.0):
         return None
@@ -323,9 +336,10 @@ def _fd_preconditioner(grid: LogGrid, A: np.ndarray, B: np.ndarray, C: np.ndarra
         lam = np.add.outer(lam, ck * lk)
     scale = np.exp(log_r * (np.arange(m) - 0.5 * (m - 1))).reshape((m,) + (1,) * (grid.n - 1))
     order, full = grid.dissection_order, np.zeros(grid.shape)
+    s = diffusion.ravel()[order]
 
     def solve(y):
-        full.flat[order] = y
+        full.flat[order] = y / s
         x = full[inner] / scale
         for V in bases:
             x = np.tensordot(x, V, axes=([0], [0]))
@@ -338,64 +352,91 @@ def _fd_preconditioner(grid: LogGrid, A: np.ndarray, B: np.ndarray, C: np.ndarra
     return solve
 
 
-# the most GMRES iterations in a step's one cycle, on the fast-diagonalization
+# the most GMRES iterations in a cycle, on the fast-diagonalization
 # preconditioner and on a kept factor, and the relative tolerance on the
-# true residual |J du - rhs|_2 that a cycle must meet
+# true residual |J du - rhs|_2 that a step must meet
 FD_RESTART, KRYLOV_RESTART, KRYLOV_RTOL = 30, 10, 1e-6
 
 
-def _fgmres(J, b: np.ndarray, precondition, restart: int) -> tuple:
-    """One cycle of right-preconditioned flexible GMRES (Saad, SIAM J. Sci.
-    Comput. 14, 1993) for J x = b from x = 0, at most ``restart``
-    iterations: (x, iterations), with x None when the true residual misses
-    |J x - b|_2 <= KRYLOV_RTOL |b|_2.
+def _fd_cycles(grid: LogGrid) -> int:
+    """The most ``FD_RESTART``-iteration cycles a cold step runs on the
+    fast-diagonalization preconditioner before it factorizes: what one
+    factorization costs in cycles, counted in flops and at least one.  Of N
+    interior unknowns, m_k on axis k, the nested-dissection factor's top
+    separator holds S = N / max_k m_k, and factorizing it densely takes of
+    the order of S^3 flops; a preconditioned iteration takes of the order of
+    N sum_k m_k, the dense products along each axis.  In 2D the ratio is
+    below one cycle at every size; on an m^3 interior it is m^2 / 90, so one
+    cycle up to m = 13 (15^3 nodes), five at 25^3 and ten at 33^3.  The count
+    reads the grid alone, so a solve's ``krylov_iterations`` and
+    ``factorizations`` do not depend on the host."""
+    m = [k - 2 for k in grid.shape]
+    unknowns = math.prod(m)
+    separator = unknowns // max(m)
+    return max(1, separator ** 3 // (FD_RESTART * unknowns * sum(m)))
 
-    Iteration j keeps z_j = precondition(v_j) and x is a combination of the
-    z_j, so each iteration calls ``precondition`` once and x needs no
-    further call.  As in scipy's gmres, the cycle stops when the rotated
-    Hessenberg residual meets the tolerance or the new Krylov vector
-    vanishes (at most eps of its norm before orthogonalization), and a zero
-    pivot of the triangular solve leaves its component of y at 0.  The
-    orthogonalization is classical Gram-Schmidt, twice.  A zero b gives
-    x = 0 in no iteration."""
-    beta = float(np.linalg.norm(b))
-    if beta == 0.0:
-        return np.zeros_like(b), 0
+
+def _fgmres(J, b: np.ndarray, precondition, restart: int, cycles: int = 1) -> tuple:
+    """Right-preconditioned flexible GMRES (Saad, SIAM J. Sci. Comput. 14,
+    1993) for J x = b from x = 0, restarted from the current x after each
+    cycle of at most ``restart`` iterations, at most ``cycles`` cycles:
+    (x, iterations), with x None when the true residual still misses
+    |J x - b|_2 <= KRYLOV_RTOL |b|_2 after the last cycle.
+
+    Iteration j keeps z_j = precondition(v_j) and a cycle's correction is a
+    combination of the z_j, so each iteration calls ``precondition`` once
+    and x needs no further call.  As in scipy's gmres, a cycle stops when
+    its rotated Hessenberg residual meets the tolerance on |b|_2 or the new
+    Krylov vector vanishes (at most eps of its norm before
+    orthogonalization), and a zero pivot of the triangular solve leaves its
+    component of y at 0.  The orthogonalization is classical Gram-Schmidt,
+    twice.  A zero b gives x = 0 in no iteration."""
+    x, norm_b = np.zeros_like(b), float(np.linalg.norm(b))
+    if norm_b == 0.0:
+        return x, 0
+    target = KRYLOV_RTOL * norm_b
     V, Z = np.empty((restart + 1, b.size)), np.empty((restart, b.size))
     R = np.zeros((restart, restart))  # the Hessenberg matrix, rotated upper triangular
     g = np.zeros(restart + 1)
-    g[0], V[0] = beta, b / beta
-    rotations = []
-    for j in range(restart):
-        Z[j] = precondition(V[j])
-        w = J @ Z[j]
-        h, norm = np.zeros(j + 2), np.linalg.norm(w)
-        for _ in range(2):
-            proj = V[:j + 1] @ w
-            w -= proj @ V[:j + 1]
-            h[:j + 1] += proj
-        h[j + 1] = np.linalg.norm(w)
-        breakdown = h[j + 1] <= np.finfo(float).eps * norm
-        if breakdown:
-            h[j + 1] = 0.0
-        else:
-            V[j + 1] = w / h[j + 1]
-        for i, (cs, sn) in enumerate(rotations):
-            h[i], h[i + 1] = cs * h[i] + sn * h[i + 1], cs * h[i + 1] - sn * h[i]
-        rho = math.hypot(h[j], h[j + 1])
-        cs, sn = (h[j] / rho, h[j + 1] / rho) if rho else (1.0, 0.0)
-        rotations.append((cs, sn))
-        R[:j, j], R[j, j] = h[:j], rho
-        g[j], g[j + 1] = cs * g[j], -sn * g[j]
-        if abs(g[j + 1]) <= KRYLOV_RTOL * beta or breakdown:
-            break
-    k = j + 1
-    y = np.zeros(k)
-    for i in range(k - 1, -1, -1):
-        if R[i, i]:
-            y[i] = (g[i] - R[i, i + 1:k] @ y[i + 1:k]) / R[i, i]
-    x = y @ Z[:k]
-    return (x if np.linalg.norm(J @ x - b) <= KRYLOV_RTOL * beta else None), k
+    r, iterations = b, 0
+    for _ in range(cycles):
+        beta = float(np.linalg.norm(r))
+        g[0], V[0] = beta, r / beta
+        rotations = []
+        for j in range(restart):
+            Z[j] = precondition(V[j])
+            w = J @ Z[j]
+            h, norm = np.zeros(j + 2), np.linalg.norm(w)
+            for _ in range(2):
+                proj = V[:j + 1] @ w
+                w -= proj @ V[:j + 1]
+                h[:j + 1] += proj
+            h[j + 1] = np.linalg.norm(w)
+            breakdown = h[j + 1] <= np.finfo(float).eps * norm
+            if breakdown:
+                h[j + 1] = 0.0
+            else:
+                V[j + 1] = w / h[j + 1]
+            for i, (cs, sn) in enumerate(rotations):
+                h[i], h[i + 1] = cs * h[i] + sn * h[i + 1], cs * h[i + 1] - sn * h[i]
+            rho = math.hypot(h[j], h[j + 1])
+            cs, sn = (h[j] / rho, h[j + 1] / rho) if rho else (1.0, 0.0)
+            rotations.append((cs, sn))
+            R[:j, j], R[j, j] = h[:j], rho
+            g[j], g[j + 1] = cs * g[j], -sn * g[j]
+            if abs(g[j + 1]) <= target or breakdown:
+                break
+        k = j + 1
+        iterations += k
+        y = np.zeros(k)
+        for i in range(k - 1, -1, -1):
+            if R[i, i]:
+                y[i] = (g[i] - R[i, i + 1:k] @ y[i + 1:k]) / R[i, i]
+        x += y @ Z[:k]
+        r = b - J @ x
+        if np.linalg.norm(r) <= target:
+            return x, iterations
+    return None, iterations
 
 
 @dataclass
@@ -463,21 +504,21 @@ def _solve_jacobian(J: sp.csc_matrix, rhs: np.ndarray, system: _NewtonSystem,
     ``_assemble_jacobian``; du is zero on the boundary, whose values are
     data.
 
-    One cycle of right-preconditioned flexible GMRES (``_fgmres``) runs
-    first, on the system's kept factor (at most ``KRYLOV_RESTART``
-    iterations) or, while it holds none, on ``precondition`` (at most
-    ``FD_RESTART``), the fast-diagonalization inverse that a cold system's
-    step passes.  When the cycle misses, or there is no preconditioner, J
-    itself is factorized in its own (nested-dissection) order with
-    SuperLU's partial pivoting, kept on ``system`` and solved directly; a
-    singular factor raises RuntimeError.  The cycle's Krylov basis and the
-    missed factor are freed first, so a solve never holds two factors, nor
-    a factor and a basis."""
+    Right-preconditioned flexible GMRES (``_fgmres``) runs first: one
+    cycle of at most ``KRYLOV_RESTART`` iterations on the system's kept
+    factor or, while it holds none, at most ``_fd_cycles(grid)`` restarted
+    cycles of at most ``FD_RESTART`` on ``precondition``, the row-scaled
+    fast-diagonalization inverse that a cold system's step passes.  When
+    GMRES misses, or there is no preconditioner, J itself is factorized in
+    its own (nested-dissection) order with SuperLU's partial pivoting, kept
+    on ``system`` and solved directly; a singular factor raises
+    RuntimeError.  The Krylov basis and the missed factor are freed first,
+    so a solve never holds two factors, nor a factor and a basis."""
     order = system.grid.dissection_order
     b = rhs.ravel()[order]
     du = np.zeros(system.grid.shape)
     cycle = ((system.lu.solve, KRYLOV_RESTART) if system.lu is not None
-             else (precondition, FD_RESTART))
+             else (precondition, FD_RESTART, _fd_cycles(system.grid)))
     if cycle[0] is not None:
         x, iterations = _fgmres(J, b, *cycle)
         system.krylov_iterations += iterations

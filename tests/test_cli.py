@@ -1267,7 +1267,9 @@ def test_non_factorizing_commands_load_no_scipy(tmp_path):
     # in 2D and 3D and verify abp on a stored field factorize nothing, so
     # none of them imports scipy; a cold p = 3 solve assembles its Jacobians
     # with scipy.sparse but takes only fast-diagonalization GMRES cycles, so
-    # it loads no scipy.sparse.linalg, while the warm shifted pair of verify
+    # it loads no scipy.sparse.linalg, nor does the cold zero-data solve of
+    # the verify-2d family (p = 3, t^p f = 0.3) on 41^2, whose row-scaled
+    # preconditioner serves every step; the warm shifted pair of verify
     # doubling factorizes at its first step and loads it
     src = os.path.dirname(os.path.dirname(importlib.import_module("conepde.cli").__file__))
 
@@ -1283,6 +1285,8 @@ def test_non_factorizing_commands_load_no_scipy(tmp_path):
                                "grid.nodes = 9,9,9"), set()),
             (["verify", "abp"], config("plane", f"verify.solution = {stored}"), set()),
             (["solve"], config("p3", *p3), {"scipy.sparse"}),
+            (["solve"], config("zero", "problem.p = 3.0", "problem.f = exp:0.3,-3.0",
+                               "grid.nodes = 41,41"), {"scipy.sparse"}),
             (["verify", "doubling"], config("p3", *p3, stored_p3),
              {"scipy.sparse", "scipy.sparse.linalg"})]
     probe = ("import sys; from conepde import cli; code = cli.run(sys.argv[1:]); "
@@ -1299,7 +1303,7 @@ def test_non_factorizing_commands_load_no_scipy(tmp_path):
                     if f"'{m}'" in loaded} == sparse, argv
         else:
             assert loaded == "[]", argv
-    for outdir in ("plane", "solid", "p3"):
+    for outdir in ("plane", "solid", "p3", "zero"):
         with open(os.path.join(tmp_path, outdir, "solve_report.json")) as fh:
             assert json.load(fh)["converged"], outdir
 

@@ -704,6 +704,22 @@ class TestFastDiagonalization:
         inverse_times_J = np.stack([solve(col) for col in J.T], axis=1)
         assert np.max(np.abs(inverse_times_J - np.eye(len(J)))) <= 1e-12
 
+    @pytest.mark.parametrize("counts, c", [((9, 11), (1.3, 0.7)),
+                                           ((7, 8, 9), (1.3, 0.7, 2.1))])
+    @pytest.mark.parametrize("drift", [-5.0, 5.0])
+    def test_inverts_a_row_scaled_constant_coefficient_block(self, counts, c, drift):
+        # every coefficient field is one varying positive field times
+        # constants, so the Jacobian is diag(s) M with M constant and the
+        # row-scaled preconditioner is its exact inverse
+        grid = LogGrid.build(unit_domain(n=len(counts)), counts)
+        field = np.exp(np.random.default_rng(3).uniform(-2.0, 2.0, grid.shape))
+        A, B, C = constant_coefficients(grid, c, drift)[1]
+        fields = (A * field, B * field, C * field)
+        J = _assemble_jacobian(grid, *fields).toarray()
+        solve = solver._fd_preconditioner(grid, *fields)
+        inverse_times_J = np.stack([solve(col) for col in J.T], axis=1)
+        assert np.max(np.abs(inverse_times_J - np.eye(len(J)))) <= 1e-12
+
     @pytest.mark.parametrize("counts, peclet", [((9, 11), 2.5), ((9, 11), 4.0), ((41, 9), 1.98)])
     @pytest.mark.parametrize("sign", [-1.0, 1.0])
     def test_no_preconditioner_where_the_a_block_loses_its_sign(self, counts, peclet, sign):
@@ -753,6 +769,39 @@ class TestFastDiagonalization:
         assert rep.converged
         assert sum(s.factorizations for s in rep.stages) == 0
         assert sum(s.krylov_iterations for s in rep.stages) > 0
+
+    def test_cold_zero_data_solve_in_3d_factorizes_nothing(self):
+        # |grad u|^(p-2) varies by orders of magnitude across the base, which
+        # the row scaling takes out of the constant-coefficient fit
+        grid = LogGrid.build(unit_domain(n=3), (9, 9, 9))
+        prob = PDEProblem(p=4.0, f=lambda t, xs: np.full_like(np.asarray(t), 0.5),
+                          dirichlet=lambda t, xs: np.zeros_like(np.asarray(t)))
+        _, rep = solve_dirichlet(prob, grid)
+        assert rep.converged
+        assert sum(s.factorizations for s in rep.stages) == 0
+        assert sum(s.krylov_iterations for s in rep.stages) > 0
+
+    @pytest.mark.parametrize("counts, cycles", [((41, 41), 1), ((97, 97), 1), ((257, 257), 1),
+                                                ((12,) * 3, 1), ((14,) * 3, 1), ((15,) * 3, 1),
+                                                ((25,) * 3, 5), ((33,) * 3, 10),
+                                                ((9, 33, 33), 1)])
+    def test_cycle_budget_reads_the_grid_shape(self, counts, cycles):
+        # one cycle wherever a factorization costs less than two in flops,
+        # so on every 2D grid; 3D grids restart from 16^3 nodes on
+        grid = LogGrid.build(unit_domain(n=len(counts)), counts)
+        assert solver._fd_cycles(grid) == cycles
+
+    def test_restarted_cycles_meet_the_tolerance_one_cycle_misses(self):
+        # a diagonal system whose spread one 5-iteration cycle cannot
+        # resolve; cycles restarted from the current iterate meet the
+        # tolerance on the first right-hand side
+        J = np.diag(np.linspace(1.0, 50.0, 50))
+        b = np.random.default_rng(2).standard_normal(50)
+        x, iterations = solver._fgmres(J, b, lambda v: v.copy(), 5)
+        assert x is None and iterations == 5
+        x, iterations = solver._fgmres(J, b, lambda v: v.copy(), 5, cycles=40)
+        assert x is not None and 5 < iterations <= 200
+        assert np.linalg.norm(J @ x - b) <= solver.KRYLOV_RTOL * np.linalg.norm(b)
 
     def test_warm_stage_factorizes_at_its_first_step(self, monkeypatch):
         # a warm system takes no fast-diagonalization cycle
@@ -804,7 +853,9 @@ class TestReusedFactor:
     def test_one_factor_is_alive_at_a_time(self, monkeypatch):
         # a refactorization drops the factor GMRES missed before SuperLU
         # builds the next, so splu never starts while an earlier factor is
-        # still reachable; each factor is wrapped in a weakref-able proxy
+        # still reachable; each factor is wrapped in a weakref-able proxy.
+        # With no fast-diagonalization preconditioner every cold step is on
+        # the factor path, where this solve refactorizes
         class Factor:
             def __init__(self, lu):
                 self.solve = lu.solve
@@ -819,6 +870,7 @@ class TestReusedFactor:
             return factor
 
         monkeypatch.setattr(solver.spla, "splu", tracked)
+        monkeypatch.setattr(solver, "_fd_preconditioner", lambda *fields: None)
         grid = LogGrid.build(unit_domain(), (17, 17))
         _, rep = solve_dirichlet(manufactured_problem(power_of_t_field(-0.9), 4.0), grid)
         assert rep.converged and sum(s.factorizations for s in rep.stages) == len(factors)

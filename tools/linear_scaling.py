@@ -73,6 +73,18 @@ fast-diagonalization preconditioner, so every step is on the kept factor
 the median seconds over COLD_REPEATS runs of each, and the Newton steps,
 factorizations, GMRES iterations and max error against u* of each.
 
+Cold 3D zero-data solves: zero Dirichlet data with f = 0.5 (ZERO_DATA_F)
+at p = 3, 4 and 5 (ZERO_DATA_PS) on 25^3, 33^3 and 49^3 (ZERO_DATA_SIZES),
+as the package runs them.  Each run is a fresh interpreter that imports
+only conepde (ZERO_DATA_PROBE) and reads its peak resident set, VmHWM of
+/proc/self/status (Linux): what ``ru_maxrss`` reads in a process started
+from a small shell.  The child's own ``ru_maxrss`` would not do, since
+Linux carries the parent's peak over fork and exec into it, so every case
+would read this tool's peak.  Per case it records the median, min and max
+seconds and the median peak resident set over COLD_REPEATS runs, with the
+Newton steps, factorizations and GMRES iterations (the same in every run)
+and min u.
+
 Every timing is recorded as the median (``<name>_s``) and the min and max
 (``<name>_min_s``, ``<name>_max_s``) over its repeats.  Per dimension it
 records the least-squares exponent in the unknown count of each time, fitted
@@ -88,6 +100,7 @@ import math
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 
@@ -112,6 +125,33 @@ P, EPS_REG, REPEATS, SOLVE_REPEATS, ASSEMBLY_REPEATS, KAPPA = 3.0, 1e-2, 5, 3, 3
 SETUP_REPEATS = 7
 COLD_SIZES, COLD_REPEATS, COLD_FACTOR_MAX = (25, 33, 49), 3, 33
 SIZES = ((2, 81), (2, 97), (2, 161), (3, 17), (3, 21), (3, 25))
+ZERO_DATA_SIZES, ZERO_DATA_PS, ZERO_DATA_F = (25, 33, 49), (3.0, 4.0, 5.0), 0.5
+# one zero-data solve in a fresh interpreter: argv is SRC, p, nodes per axis, f
+ZERO_DATA_PROBE = """
+import json, math, sys, time
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from conepde.calculus import LogGrid
+from conepde.geometry import ConeDomain
+from conepde.operators import PDEProblem
+from conepde.solver import solve_dirichlet
+p, m, f = float(sys.argv[2]), int(sys.argv[3]), float(sys.argv[4])
+grid = LogGrid.build(ConeDomain(n=3, base_lo=[0.0, 0.0], base_hi=[1.0, 1.0],
+                                t_min=math.exp(-1.0)), (m,) * 3)
+prob = PDEProblem(p=p, f=lambda t, xs: np.full_like(np.asarray(t), f),
+                  dirichlet=lambda t, xs: np.zeros_like(np.asarray(t)))
+t0 = time.perf_counter()
+u, rep = solve_dirichlet(prob, grid)
+seconds = time.perf_counter() - t0
+with open("/proc/self/status") as fh:
+    peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps({"seconds": seconds, "converged": rep.converged,
+                  "newton_steps": sum(s.iterations for s in rep.stages),
+                  "factorizations": sum(s.factorizations for s in rep.stages),
+                  "krylov_iterations": sum(s.krylov_iterations for s in rep.stages),
+                  "min_u": float(np.min(u.values)),
+                  "peak_rss_mb": peak / 1024}))
+"""
 LINEAR_SIZES, LINEAR_REPEATS = SIZES + ((3, 29),), 21
 
 
@@ -304,6 +344,21 @@ def measure_cold(m: int) -> dict:
     return row
 
 
+def measure_zero_data(p: float, m: int) -> dict:
+    runs = [json.loads(subprocess.run(
+        [sys.executable, "-c", ZERO_DATA_PROBE, os.path.join(ROOT, "src"), repr(p), str(m),
+         repr(ZERO_DATA_F)], capture_output=True, text=True, check=True).stdout)
+        for _ in range(COLD_REPEATS)]
+    if not all(run["converged"] for run in runs):
+        raise RuntimeError(f"the zero-data solve at p = {p:g}, {m}^3 did not converge")
+    row = {"n": 3, "p": p, "f": ZERO_DATA_F, "nodes": [m] * 3,
+           **{k: runs[0][k] for k in ("newton_steps", "factorizations", "krylov_iterations",
+                                      "min_u")},
+           "peak_rss_mb": statistics.median(run["peak_rss_mb"] for run in runs)}
+    record(row, {"solve": [run["seconds"] for run in runs]})
+    return row
+
+
 def exponent(rows: list, name: str) -> dict:
     """The time exponent of ``name`` in the unknown count, fitted to the
     per-size medians and to the per-size minima."""
@@ -361,6 +416,15 @@ def main(argv) -> int:
             f"{row[name]['factorizations']} factorizations, "
             f"{row[name]['krylov_iterations']} GMRES iterations)"
             for name in ("cold", "kept_factor") if name in row))
+    zero_data = []
+    for m in ZERO_DATA_SIZES:
+        for p in ZERO_DATA_PS:
+            row = measure_zero_data(p, m)
+            zero_data.append(row)
+            print(f"3D {m}^3 zero data p = {p:g}: {row['solve_s']:7.3f} s "
+                  f"({row['newton_steps']} steps, {row['factorizations']} factorizations, "
+                  f"{row['krylov_iterations']} GMRES iterations, "
+                  f"peak RSS {row['peak_rss_mb']:.0f} MB)")
     exponents = {}
     for n in sorted({r["n"] for r in rows}):
         dim = [r for r in rows if r["n"] == n]
@@ -385,11 +449,13 @@ def main(argv) -> int:
                 "from them, numeric-only on the grid's kept pattern vs COO from the "
                 "stencils every call; one p = 3 Newton linear solve, full-grid spsolve (COLAMD) vs the "
                 "interior block in nested-dissection order; one p = 2 Newton step, the "
-                "numpy elimination vs one solve_banded call; and one p = 3 manufactured "
+                "numpy elimination vs one solve_banded call; one p = 3 manufactured "
                 "solve (u* = t^0.5), as the package runs it vs a fresh factor "
                 "every Newton step vs the halving eps continuation, every stage run to "
-                "the final tolerance; and cold 3D p = 3 solves up to 49^3, "
-                "fast-diagonalization GMRES vs every step on the kept splu factor",
+                "the final tolerance; cold 3D p = 3 solves up to 49^3, "
+                "fast-diagonalization GMRES vs every step on the kept splu factor; and "
+                "cold 3D zero-data solves (f = 0.5) at p = 3, 4 and 5 up to 49^3, each in "
+                "a fresh interpreter with its peak resident set (VmHWM)",
         "p": P, "eps_reg": EPS_REG, "repeats": REPEATS, "solve_repeats": SOLVE_REPEATS,
         "assembly_repeats": ASSEMBLY_REPEATS, "setup_repeats": SETUP_REPEATS,
         "linear_repeats": LINEAR_REPEATS, "kappa": KAPPA,
@@ -398,7 +464,7 @@ def main(argv) -> int:
         "scipy": scipy.__version__,
         "cold_repeats": COLD_REPEATS,
         "assembly": assembly, "sizes": rows, "linear": linear, "solves": solves,
-        "cold_solves": cold, "time_exponents": exponents,
+        "cold_solves": cold, "zero_data_solves": zero_data, "time_exponents": exponents,
     }
     with open(out, "w") as fh:
         json.dump(report, fh, indent=2)
