@@ -35,13 +35,12 @@ class StencilPattern(NamedTuple):
     """The sparsity pattern of a sum of the grid's difference operators
     with node coefficients on the interior block (``LogGrid.interior_pattern``).
 
-    ``weights[t, o]`` is operator t's weight at stencil offset o.  For
-    coefficient columns c (one interior row per node in dissection order,
-    one column per operator), the products ``(c @ weights).ravel()`` taken
-    at ``gather`` are the CSC data for ``indices`` and ``indptr``: the
-    products in boundary columns are left out, the rest come by column,
-    rows ascending.  The arrays are read-only, since every matrix built on
-    them shares them."""
+    ``weights`` are ``LogGrid.interior_taps``' weights.  For coefficient
+    columns c (one interior row per node in dissection order, one column per
+    operator), the products ``(c @ weights).ravel()`` taken at ``gather``
+    are the CSC data for ``indices`` and ``indptr``: the products in
+    boundary columns are left out, the rest come by column, rows ascending.
+    The arrays are read-only, since every matrix built on them shares them."""
 
     weights: np.ndarray
     gather: np.ndarray
@@ -223,15 +222,14 @@ class LogGrid:
         return inner.ravel()[number(inner.shape)]
 
     @cached_property
-    def interior_pattern(self) -> StencilPattern:
-        """The sparsity pattern of sum_t diag(c_t) op_t on the interior
-        block, rows and columns in ``dissection_order``, over the difference
-        operators op_t: the Hessian entries (k, l) with k <= l in row-major
-        order (second differences on the diagonal, D_k D_l off it), then the
-        first differences D_k.  On an interior row each is its 1D bands
-        translated along the grid, so its offsets d stride_k (+ d' stride_l)
-        and weights w_k (w_k w_l) are the bands' own.  It depends on the
-        grid alone, so it is built once per grid; see ``StencilPattern``."""
+    def interior_taps(self) -> tuple:
+        """(offsets, weights), read-only: ``weights[t, o]`` is op_t's weight
+        at the flat offset ``offsets[o]`` (ascending) on an interior row, over
+        the Hessian entries (k, l) with k <= l in row-major order (second
+        differences on the diagonal, D_k D_l off it), then the first
+        differences D_k.  Each is its 1D bands translated along the grid, so
+        its offsets d stride_k (+ d' stride_l) and weights w_k (w_k w_l) are
+        the bands' own.  It depends on the grid alone: built once per grid."""
         strides = [math.prod(self.shape[k + 1:]) for k in range(self.n)]
 
         def band(k, stencil):
@@ -248,6 +246,16 @@ class LogGrid:
         for t, tap in enumerate(taps):
             d, w = zip(*tap)
             weights[t, np.searchsorted(offsets, d)] = w
+        for arr in (offsets, weights):
+            arr.flags.writeable = False
+        return offsets, weights
+
+    @cached_property
+    def interior_pattern(self) -> StencilPattern:
+        """The sparsity pattern of sum_t diag(c_t) op_t over the operators of
+        ``interior_taps`` on the interior block, rows and columns in
+        ``dissection_order``, built at its first read; see ``StencilPattern``."""
+        offsets, weights = self.interior_taps
         order = self.dissection_order
         # boundary nodes keep rank -1: their products are data and are dropped
         rank = np.full(math.prod(self.shape), -1)
@@ -264,7 +272,7 @@ class LogGrid:
         indices = rows[inner].astype(index)
         indptr = np.zeros(order.size + 1, dtype=index)
         np.cumsum(inner.sum(axis=1), out=indptr[1:])
-        for arr in (weights, gather, indices, indptr):
+        for arr in (gather, indices, indptr):
             arr.flags.writeable = False
         return StencilPattern(weights, gather, indices, indptr)
 

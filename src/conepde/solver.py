@@ -7,21 +7,22 @@ the starting field of one Newton stage at the floor eps_reg; the
 operator's coefficient sees spikes (``operators.gradient_powers``), so no
 eps continuation has to steer Newton around them.  One Newton system per
 solve gives the residual and the linear solve of a step: fast
-diagonalization at p = 2, and otherwise the interior Jacobian in the
-grid's nested-dissection order, whose pattern is kept on the grid (the
+diagonalization at p = 2, and otherwise flexible GMRES on the Jacobian as
+a stencil operator in natural order, one slice per stencil offset.  A cold
+stage preconditions it by scaling each row by its node's diffusion and
+inverting the scaled rows' constant-coefficient mean by fast
+diagonalization (a Newton-Krylov step with physics-based preconditioning;
+Knoll & Keyes, J. Comput. Phys. 193, 2004), restarts its cycles up to a
+budget that the grid's shape fixes, and factorizes only when they miss.
+A factorization gathers the operator's products into the interior block
+in the grid's nested-dissection order, on a pattern kept on the grid (the
 symbolic/numeric split; Davis, Direct Methods for Sparse Linear Systems,
-SIAM 2006), solved by flexible GMRES.  A cold stage preconditions it by
-scaling each row by its node's diffusion and inverting the scaled rows'
-constant-coefficient mean by fast diagonalization (a Newton-Krylov step
-with physics-based preconditioning; Knoll & Keyes, J. Comput. Phys. 193,
-2004), restarts its cycles up to a budget that the grid's shape fixes, and
-factorizes only when they miss; a stage that holds a ``splu``
-factor preconditions by it, and only a step that GMRES cannot finish
-replaces it (a Shamanskii-type inexact Newton step; Kelley, Solving
-Nonlinear Equations with Newton's Method, SIAM 2003).  Both
-diagonalizations and the Krylov cycle run on numpy alone, so scipy.sparse
-is imported at the first p != 2 assembly and scipy.sparse.linalg at the
-first factorization (``_bind``).
+SIAM 2006); a stage that holds that ``splu`` factor preconditions by it,
+and only a step that GMRES cannot finish replaces it (a Shamanskii-type
+inexact Newton step; Kelley, Solving Nonlinear Equations with Newton's
+Method, SIAM 2003).  The operator, both diagonalizations and the Krylov
+cycle run on numpy alone, so scipy.sparse and scipy.sparse.linalg are
+imported at the first factorization (``_bind``).
 
 The iterate is the flattened field on the full tensor grid.  Its boundary
 values are the Dirichlet data, so the unknowns and the log-chart residual
@@ -70,12 +71,11 @@ _SPARSE = {"sp": "scipy.sparse", "spla": "scipy.sparse.linalg"}
 
 
 def _bind(name: str):
-    """The module bound as ``name`` on this module, ``sp`` (scipy.sparse,
-    at the first p != 2 assembly) or ``spla`` (scipy.sparse.linalg, at the
-    first factorization), imported at its first use: a solve that never
-    factorizes does not pay for scipy.sparse.linalg, nor a p = 2 solve for
-    either.  A name already bound stays, so a stand-in set on ``spla`` (a
-    tracer's proxy) keeps receiving the calls."""
+    """The module bound as ``name`` on this module, ``sp`` (scipy.sparse)
+    or ``spla`` (scipy.sparse.linalg), imported at its first use, the first
+    factorization: a solve that never factorizes pays for neither.  A name
+    already bound stays, so a stand-in set on ``spla`` (a tracer's proxy)
+    keeps receiving the calls."""
     if name not in globals():
         globals()[name] = importlib.import_module(_SPARSE[name])
     return globals()[name]
@@ -183,33 +183,59 @@ def _check_peclet(grid: LogGrid, p: float) -> None:
                          f"2(p-1) = {bound:.6g}; use at least {need} radial nodes")
 
 
-def _assemble_jacobian(grid: LogGrid, A: np.ndarray, B: np.ndarray,
-                       C: np.ndarray) -> sp.csc_matrix:
-    """Jacobian of the log-chart residual on the interior nodes, rows and
-    columns in ``grid.dissection_order``; boundary values are data, not
-    unknowns.  Its rows are sum_kl A_kl H_kl + sum_k C_k G_k + B G_0: the
-    residual's own difference operators weighted by the coefficient fields
-    that ``operator_terms`` returned with the residual (A, plus the dA of
-    ``gradient_coefficient``, and B) and C, so the block is its exact
-    linearization at that residual's iterate.  Over the pairs k <= l, the
-    pattern's row order, A_kl with k < l enters twice, for H_kl and H_lk.
+@dataclass(frozen=True, eq=False)
+class _StencilOperator:
+    """A Jacobian on the flattened full grid in natural order:
+    ``products[o, i]`` is node i's entry in column i + offsets[o] of
+    ``grid.interior_taps``, 0 on a boundary row.  ``J @ v`` takes one
+    contiguous slice per offset (9 in 2D, 19 in 3D) and sums each row in
+    ascending offset order from +0."""
 
-    The sparsity pattern is fixed for the grid (``grid.interior_pattern``),
-    so a call does only the numeric part: one product of the coefficient
-    fields with the stencil weights and one gather into CSC data order.
-    B keeps its own term on G_0 rather than being added to C_0, which
-    would round differently."""
-    _bind("sp")
-    pattern, order = grid.interior_pattern, grid.dissection_order
+    grid: LogGrid
+    products: np.ndarray
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        offsets = self.grid.interior_taps[0]
+        # the rows from the first to the last interior node, and all they reach
+        s, size = int(offsets[-1]), v.size
+        out, term = np.zeros(size), np.empty(size - 2 * s)
+        for d, row in zip(offsets, self.products):
+            np.multiply(row[s:size - s], v[s + d:size - s + d], out=term)
+            out[s:size - s] += term
+        return out
+
+
+def _jacobian_operator(grid: LogGrid, A: np.ndarray, B: np.ndarray,
+                       C: np.ndarray) -> _StencilOperator:
+    """Jacobian of the log-chart residual on the interior rows: one product
+    of the coefficient fields with the weights of ``grid.interior_taps``.
+    Its rows are sum_kl A_kl H_kl + sum_k C_k G_k + B G_0: the residual's
+    own difference operators weighted by the coefficient fields that
+    ``operator_terms`` returned with the residual (A, plus the dA of
+    ``gradient_coefficient``, and B) and C, so it is the exact
+    linearization at that residual's iterate.  Over the pairs k <= l, the
+    taps' row order, A_kl with k < l enters twice, for H_kl and H_lk.  B
+    keeps its own term on G_0; added to C_0 it would round differently."""
     pairs = [(k, l) for k in range(grid.n) for l in range(k, grid.n)]
     coeffs = [A[k, l] * (1.0 if k == l else 2.0) for k, l in pairs]
     coeffs += [*C, B]
-    # pattern rows: H_kl for k <= l, then G_0 ... G_{n-1}, then G_0 for B
+    # taps rows: H_kl for k <= l, then G_0 ... G_{n-1}, then G_0 for B
     h = len(pairs)
-    weights = pattern.weights[[*range(h + grid.n), h]]
-    data = np.stack([c.ravel()[order] for c in coeffs], axis=1) @ weights
-    return sp.csc_matrix((data.ravel()[pattern.gather], pattern.indices, pattern.indptr),
-                         shape=(order.size, order.size))
+    weights = grid.interior_taps[1][[*range(h + grid.n), h]]
+    products = weights.T @ np.stack([c.ravel() for c in coeffs])
+    products[:, grid.boundary_mask.ravel()] = 0.0
+    return _StencilOperator(grid, products)
+
+
+def _assemble_jacobian(J: _StencilOperator) -> sp.csc_matrix:
+    """The interior block of J in CSC, rows and columns in
+    ``grid.dissection_order``, for a factorization: J's products gathered
+    on the grid's kept pattern (``grid.interior_pattern``)."""
+    grid = J.grid
+    pattern, order = grid.interior_pattern, grid.dissection_order
+    data = J.products[:, order].T.ravel()[pattern.gather]
+    return _bind("sp").csc_matrix((data, pattern.indices, pattern.indptr),
+                                  shape=(order.size, order.size))
 
 
 def _solve_linear(grid: LogGrid, drift: float, rhs: np.ndarray) -> np.ndarray:
@@ -290,8 +316,8 @@ def _tridiagonal_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
 
 def _fd_preconditioner(grid: LogGrid, A: np.ndarray, B: np.ndarray, C: np.ndarray):
     """P y = M^-1 (y / s), an approximate inverse of the Jacobian that
-    ``_assemble_jacobian`` builds from the fields A, B and C, which maps a
-    vector in ``grid.dissection_order`` to one.  Each row is first divided
+    ``_jacobian_operator`` builds from the fields A, B and C, on flattened
+    full-grid vectors that are 0 on the boundary.  Each row is first divided
     by its node's diffusion s = (sum_k A_kk) / n, and M = sum_k c_k D2_k +
     b D1_a on the interior block is the constant-coefficient operator
     nearest the scaled rows: c_k is the interior mean of A_kk / s and b
@@ -335,19 +361,17 @@ def _fd_preconditioner(grid: LogGrid, A: np.ndarray, B: np.ndarray, C: np.ndarra
     for ck, (lk, _) in zip(c[1:], grid.eigenbases[1:]):
         lam = np.add.outer(lam, ck * lk)
     scale = np.exp(log_r * (np.arange(m) - 0.5 * (m - 1))).reshape((m,) + (1,) * (grid.n - 1))
-    order, full = grid.dissection_order, np.zeros(grid.shape)
-    s = diffusion.ravel()[order]
 
     def solve(y):
-        full.flat[order] = y / s
-        x = full[inner] / scale
+        x = y.reshape(grid.shape)[inner] / s / scale
         for V in bases:
             x = np.tensordot(x, V, axes=([0], [0]))
         x /= lam
         for V in bases:
             x = np.tensordot(x, V, axes=([0], [1]))
-        full[inner] = x * scale
-        return full.flat[order]
+        out = np.zeros(grid.shape)
+        out[inner] = x * scale
+        return out.ravel()
 
     return solve
 
@@ -445,11 +469,12 @@ class _NewtonSystem:
     radial drift coefficient ``drift`` (the solve's n - p, which its p = 2
     presolve keeps) and interior forcing F_log, and the linear solve of a
     step, by ``_solve_linear`` at p == 2 and otherwise by ``_solve_jacobian``
-    on the Jacobian assembled from the residual's coefficient fields, with
-    the kept ``splu`` factor ``lu``.  While a cold system (not ``warm``)
-    holds no factor, its steps try the fast-diagonalization preconditioner
-    first; a warm one factorizes at its first step.  It counts the
-    factorizations taken and the GMRES iterations run.  Only p == 2 reads
+    on the stencil operator of the residual's coefficient fields
+    (``_jacobian_operator``), with the kept ``splu`` factor ``lu``.  While a
+    cold system (not ``warm``) holds no factor, its steps try the
+    fast-diagonalization preconditioner first; a warm one factorizes at its
+    first step.  Only a step that factorizes builds a CSC matrix.  It counts
+    the factorizations taken and the GMRES iterations run.  Only p == 2 reads
     ``drift``: its residual is sum_k D2_k u + drift D1_a u - F_log; other p
     take n - p from the grid."""
 
@@ -495,42 +520,50 @@ class _NewtonSystem:
         A = A + dA
         fd = (None if self.warm or self.lu is not None
               else _fd_preconditioner(self.grid, A, B, C))
-        return _solve_jacobian(_assemble_jacobian(self.grid, A, B, C), rhs, self, fd)
+        return _solve_jacobian(_jacobian_operator(self.grid, A, B, C), rhs, self, fd)
 
 
-def _solve_jacobian(J: sp.csc_matrix, rhs: np.ndarray, system: _NewtonSystem,
+def _solve_jacobian(J: _StencilOperator, rhs: np.ndarray, system: _NewtonSystem,
                     precondition=None) -> np.ndarray:
-    """The solution du of J du = rhs for the interior block J from
-    ``_assemble_jacobian``; du is zero on the boundary, whose values are
-    data.
+    """The solution du of J du = rhs for the operator J of
+    ``_jacobian_operator``; ``rhs`` is read on the interior nodes and du is
+    zero on the boundary, whose values are data.
 
-    Right-preconditioned flexible GMRES (``_fgmres``) runs first: one
-    cycle of at most ``KRYLOV_RESTART`` iterations on the system's kept
-    factor or, while it holds none, at most ``_fd_cycles(grid)`` restarted
-    cycles of at most ``FD_RESTART`` on ``precondition``, the row-scaled
-    fast-diagonalization inverse that a cold system's step passes.  When
-    GMRES misses, or there is no preconditioner, J itself is factorized in
-    its own (nested-dissection) order with SuperLU's partial pivoting, kept
-    on ``system`` and solved directly; a singular factor raises
-    RuntimeError.  The Krylov basis and the missed factor are freed first,
-    so a solve never holds two factors, nor a factor and a basis."""
-    order = system.grid.dissection_order
-    b = rhs.ravel()[order]
-    du = np.zeros(system.grid.shape)
-    cycle = ((system.lu.solve, KRYLOV_RESTART) if system.lu is not None
-             else (precondition, FD_RESTART, _fd_cycles(system.grid)))
+    Right-preconditioned flexible GMRES (``_fgmres``) runs first, on
+    full-grid vectors that are 0 on the boundary: one cycle of at most
+    ``KRYLOV_RESTART`` iterations on the system's kept factor (solved at
+    the interior nodes in dissection order) or, while it holds none, at
+    most ``_fd_cycles(grid)`` restarted cycles of at most ``FD_RESTART`` on
+    ``precondition``, the row-scaled fast-diagonalization inverse that a
+    cold system's step passes.  When GMRES misses, or there is no
+    preconditioner, J's interior block (``_assemble_jacobian``) is
+    factorized in its nested-dissection order with SuperLU's partial
+    pivoting, kept on ``system`` and solved directly; a singular factor
+    raises RuntimeError.  The Krylov basis and the missed factor are freed
+    first, so a solve never holds two factors, nor a factor and a basis."""
+    grid = system.grid
+    b = np.where(grid.boundary_mask, 0.0, rhs).ravel()
+    cycle = (((lambda y: _scatter(grid, system.lu.solve(y[grid.dissection_order]))),
+              KRYLOV_RESTART) if system.lu is not None
+             else (precondition, FD_RESTART, _fd_cycles(grid)))
     if cycle[0] is not None:
         x, iterations = _fgmres(J, b, *cycle)
         system.krylov_iterations += iterations
         if x is not None:
-            du.flat[order] = x
-            return du
+            return x.reshape(grid.shape)
     # the missed factor goes before SuperLU builds the next, so one is alive
     system.lu = cycle = None
-    system.lu = _bind("spla").splu(J, permc_spec="NATURAL")
+    system.lu = _bind("spla").splu(_assemble_jacobian(J), permc_spec="NATURAL")
     system.factorizations += 1
-    du.flat[order] = system.lu.solve(b)
-    return du
+    return _scatter(grid, system.lu.solve(b[grid.dissection_order])).reshape(grid.shape)
+
+
+def _scatter(grid: LogGrid, x: np.ndarray) -> np.ndarray:
+    """The flattened full-grid vector with x at the interior nodes in
+    ``grid.dissection_order`` and 0 on the boundary."""
+    out = np.zeros(math.prod(grid.shape))
+    out[grid.dissection_order] = x
+    return out
 
 
 def _newton_stage(values: np.ndarray, system: _NewtonSystem, eps_reg: float,

@@ -4,16 +4,17 @@ They are the pointwise forms of code the package evaluates on whole fields or
 in closed form: per-node difference stencils, the grid's difference
 operators as Kronecker-built sparse matrices, the per-point residual algebra,
 the full-grid Newton Jacobian as a sum of weighted grid operators, its
-interior block assembled from the stencils on every call, the recursive
-nested-dissection numbering, the p = 2 Newton step as one banded LAPACK
-solve, the Newton step that factorizes every Jacobian afresh, the kept
-factor's GMRES cycle as scipy's ``gmres`` on a ``LinearOperator``, the halving
-eps continuation that one floor stage replaced, the grid-function writer
-that formats value by value, the per-node boundary distance, the all-pairs
-ball supremum of the forcing, and the all-pairs loops of the regularizations,
-the doubling diagnostic and the Hoelder seminorm, and the closed-form
-fields written out kind by kind.  Nothing here is imported by the package
-itself.
+interior block assembled from the stencils on every call and from the
+coefficient fields in dissection order, the block recovered from a Jacobian
+operator's action by probing, the recursive nested-dissection numbering,
+the p = 2 Newton step as one banded LAPACK solve, the Newton step that
+factorizes every Jacobian afresh, the preconditioned GMRES cycle as scipy's
+``gmres`` on a ``LinearOperator``, the halving eps continuation that one
+floor stage replaced, the grid-function writer that formats value by value,
+the per-node boundary distance, the all-pairs ball supremum of the forcing,
+and the all-pairs loops of the regularizations, the doubling diagnostic and
+the Hoelder seminorm, and the closed-form fields written out kind by kind.
+Nothing here is imported by the package itself.
 """
 
 import dataclasses
@@ -298,8 +299,9 @@ def full_jacobian(grid, A, B, C):
     coefficient fields A, B, C, in flat node order: identity rows on the
     boundary, and on the interior rows sum_kl diag(A_kl) H_kl +
     sum_k diag(C_k) G_k + diag(B) G_0 over the grid's Hessian and
-    first-difference operators.  Its interior rows and columns are the block
-    ``solver._assemble_jacobian`` returns."""
+    first-difference operators.  Its interior rows are the operator of
+    ``solver._jacobian_operator``, and its interior rows and columns the
+    block ``solver._assemble_jacobian`` gathers from it."""
     first, hessian = sparse_difference_ops(grid)
     terms = [((1.0 if k == l else 2.0) * A[k, l], op) for (k, l), op in hessian.items()]
     terms += list(zip(C, first)) + [(B, first[0])]
@@ -358,6 +360,53 @@ def coo_interior_block(grid, A, B, C):
     inner = cols >= 0
     rows = np.broadcast_to(np.arange(order.size)[:, None], cols.shape)[inner]
     return sp.csc_matrix((data[inner], (rows, cols[inner])), shape=(order.size, order.size))
+
+
+def ordered_interior_block(grid, A, B, C):
+    """The interior block of ``full_jacobian`` in ``grid.dissection_order``,
+    assembled straight from the coefficient fields: the coefficient columns
+    gathered in dissection order, one product with the weights of
+    ``grid.interior_pattern`` and one gather into CSC data order.  It is
+    the reference for ``solver._assemble_jacobian``, which gathers the same
+    products from the natural-order rows of ``solver._jacobian_operator``;
+    the two agree bit for bit."""
+    pattern, order = grid.interior_pattern, grid.dissection_order
+    pairs = [(k, l) for k in range(grid.n) for l in range(k, grid.n)]
+    coeffs = [A[k, l] * (1.0 if k == l else 2.0) for k, l in pairs]
+    coeffs += [*C, B]
+    h = len(pairs)
+    weights = pattern.weights[[*range(h + grid.n), h]]
+    data = np.stack([c.ravel()[order] for c in coeffs], axis=1) @ weights
+    return sp.csc_matrix((data.ravel()[pattern.gather], pattern.indices, pattern.indptr),
+                         shape=(order.size, order.size))
+
+
+def probed_interior_block(J, grid):
+    """The interior block of the operator J (``J @ v`` for a flattened
+    full-grid v), rows and columns in natural order, recovered from J's
+    action alone by Curtis-Powell-Reid probing (J. Inst. Math. Appl. 13,
+    1974): every interior row reaches at most one step either way along
+    each axis, so among the nodes of one colour (i_k mod 3 on every axis) it
+    reaches at most one, and J times that colour's interior indicator reads
+    off the entry.  Each row lists its whole 3^n neighbourhood, structural zeros
+    included."""
+    interior = np.flatnonzero(~grid.boundary_mask.ravel())
+    rank = np.full(math.prod(grid.shape), -1)
+    rank[interior] = np.arange(interior.size)
+    index = np.indices(grid.shape).reshape(grid.n, -1)
+    colour = sum((index[k] % 3) * 3**k for k in range(grid.n))
+    probes = np.stack([J @ np.where((colour == c) & (rank >= 0), 1.0, 0.0)
+                       for c in range(3**grid.n)])
+    rows, cols, data = [], [], []
+    strides = [math.prod(grid.shape[k + 1:]) for k in range(grid.n)]
+    for shift in np.ndindex(*(3,) * grid.n):
+        col = interior + sum((d - 1) * st for d, st in zip(shift, strides))
+        keep = rank[col] >= 0
+        rows.append(rank[interior[keep]])
+        cols.append(rank[col[keep]])
+        data.append(probes[colour[col[keep]], interior[keep]])
+    return sp.csc_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(interior.size, interior.size))
 
 
 def recursive_dissection_order(grid):
@@ -421,32 +470,35 @@ def banded_linear_solve(grid, drift, rhs):
 
 
 def refactorized_solve(J, rhs, system, precondition=None):
-    """The p != 2 Newton step with a fresh ``splu`` factor of the interior
-    block J on every call, in its own order: the reference for
+    """The p != 2 Newton step with a fresh ``splu`` factor on every call of
+    the interior block of the operator J, recovered from J's action
+    (``probed_interior_block``) in natural order: the reference for
     ``solver._solve_jacobian``, which reuses a kept factor or takes a
-    fast-diagonalization cycle (``precondition`` is not read).  It stores
-    the factor and counts it on ``system``, so a solve's stage records still
-    add up."""
-    order = system.grid.dissection_order
-    system.lu = spla.splu(J, permc_spec="NATURAL")
+    fast-diagonalization cycle (``precondition`` is not read).  ``rhs`` is
+    read on the interior nodes and du is zero on the boundary.  It stores
+    the factor and counts it on ``system``, so a solve's stage records
+    still add up."""
+    interior = np.flatnonzero(~system.grid.boundary_mask.ravel())
+    system.lu = spla.splu(probed_interior_block(J, system.grid))
     system.factorizations += 1
     du = np.zeros(system.grid.shape)
-    du.flat[order] = system.lu.solve(rhs.ravel()[order])
+    du.flat[interior] = system.lu.solve(rhs.ravel()[interior])
     return du
 
 
-def scipy_gmres_cycle(J, b, lu):
+def scipy_gmres_cycle(J, b, precondition):
     """One cycle of scipy's ``gmres`` (at most ``solver.KRYLOV_RESTART``
     iterations, relative tolerance ``solver.KRYLOV_RTOL``) on the right-
-    preconditioned operator J M^-1 with M^-1 = ``lu.solve``: (x = M^-1 y,
-    iterations, info), the reference for ``solver._fgmres`` on a kept
+    preconditioned operator J M^-1 with M^-1 = ``precondition``: (x = M^-1
+    y, iterations, info), the reference for ``solver._fgmres`` on a kept
     factor, which is the same method in exact arithmetic."""
     iterations = []
-    op = spla.LinearOperator(J.shape, matvec=lambda y: J @ lu.solve(y), dtype=float)
+    op = spla.LinearOperator((b.size, b.size), matvec=lambda y: J @ precondition(y),
+                             dtype=float)
     y, info = spla.gmres(op, b, rtol=solver.KRYLOV_RTOL, atol=0.0,
                          restart=solver.KRYLOV_RESTART, maxiter=1,
                          callback=iterations.append, callback_type="pr_norm")
-    return lu.solve(y), len(iterations), info
+    return precondition(y), len(iterations), info
 
 
 def halving_schedule(prob, grid, cfg=None, eps_start=0.1):

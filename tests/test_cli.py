@@ -1265,12 +1265,13 @@ def test_stored_forcing_solve_loads_no_interpolation(tmp_path):
 def test_non_factorizing_commands_load_no_scipy(tmp_path):
     # every command line is a fresh interpreter; manufacture, a p = 2 solve
     # in 2D and 3D and verify abp on a stored field factorize nothing, so
-    # none of them imports scipy; a cold p = 3 solve assembles its Jacobians
-    # with scipy.sparse but takes only fast-diagonalization GMRES cycles, so
-    # it loads no scipy.sparse.linalg, nor does the cold zero-data solve of
-    # the verify-2d family (p = 3, t^p f = 0.3) on 41^2, whose row-scaled
-    # preconditioner serves every step; the warm shifted pair of verify
-    # doubling factorizes at its first step and loads it
+    # none of them imports scipy; a cold p = 3 solve applies its Jacobians
+    # as numpy stencil operators and takes only fast-diagonalization GMRES
+    # cycles, so it loads no scipy module either, nor does the cold
+    # zero-data solve of the verify-2d family (p = 3, t^p f = 0.3) on 41^2,
+    # whose row-scaled preconditioner serves every step; the warm shifted
+    # pair of verify doubling factorizes at its first step and loads
+    # scipy.sparse and scipy.sparse.linalg
     src = os.path.dirname(os.path.dirname(importlib.import_module("conepde.cli").__file__))
 
     def config(outdir, *entries):
@@ -1284,9 +1285,9 @@ def test_non_factorizing_commands_load_no_scipy(tmp_path):
             (["solve"], config("solid", "domain.n = 3", "domain.base = 0,1;0,1",
                                "grid.nodes = 9,9,9"), set()),
             (["verify", "abp"], config("plane", f"verify.solution = {stored}"), set()),
-            (["solve"], config("p3", *p3), {"scipy.sparse"}),
+            (["solve"], config("p3", *p3), set()),
             (["solve"], config("zero", "problem.p = 3.0", "problem.f = exp:0.3,-3.0",
-                               "grid.nodes = 41,41"), {"scipy.sparse"}),
+                               "grid.nodes = 41,41"), set()),
             (["verify", "doubling"], config("p3", *p3, stored_p3),
              {"scipy.sparse", "scipy.sparse.linalg"})]
     probe = ("import sys; from conepde import cli; code = cli.run(sys.argv[1:]); "

@@ -22,6 +22,7 @@ from conepde.solver import (
     SolverConfig,
     _NewtonSystem,
     _assemble_jacobian,
+    _jacobian_operator,
     _solve_jacobian,
     _solve_linear,
     convergence_study,
@@ -35,8 +36,9 @@ from conepde.solver import (
     solve_dirichlet,
 )
 from oracles import (banded_linear_solve, coefficient_fields, coo_interior_block,
-                     full_jacobian, halving_schedule, pointwise_residual_log,
-                     refactorized_solve, scipy_gmres_cycle, stacked_banded_solve)
+                     full_jacobian, halving_schedule, ordered_interior_block,
+                     pointwise_residual_log, refactorized_solve, scipy_gmres_cycle,
+                     stacked_banded_solve)
 
 
 def unit_domain(n=2, t_min=math.exp(-1.0)):
@@ -219,6 +221,20 @@ class TestSolveDirichlet:
 DRIFT_IDS = ["2-central", "3-central"]
 
 
+def assembled(grid, fields):
+    """The interior block in dissection order that a factorization gathers
+    from the stencil operator of the coefficient fields."""
+    return _assemble_jacobian(_jacobian_operator(grid, *fields))
+
+
+def interior_columns(grid, J):
+    """(columns, identity): J times the unit vector of every interior node
+    of the flattened full grid, one column per node, and those unit
+    vectors."""
+    unit = np.eye(math.prod(grid.shape))[:, ~grid.boundary_mask.ravel()]
+    return np.stack([J @ e for e in unit.T], axis=1), unit
+
+
 class TestJacobian:
     """The assembled interior block is the exact linearization of the
     residual the Newton solve drives to zero."""
@@ -242,16 +258,15 @@ class TestJacobian:
         # linear and they agree to rounding
         grid, v, w, F_log = self._state(p, n)
         eps = 1e-2
-        order = grid.dissection_order
         system = _NewtonSystem(grid, p, n - p, F_log)
         fields = coefficient_fields(v, grid, p, eps)
-        Jw = _assemble_jacobian(grid, *fields) @ w.ravel()[order]
+        Jw = _jacobian_operator(grid, *fields) @ w.ravel()
         scale = float(np.max(np.abs(Jw)))
         rel = []
         for h in (1e-3, 1e-4, 1e-5):
             fd = (system.residual(v + h * w, eps)[0]
                   - system.residual(v - h * w, eps)[0]) / (2.0 * h)
-            rel.append(float(np.max(np.abs(Jw - fd.ravel()[order]))) / scale)
+            rel.append(float(np.max(np.abs(Jw - fd.ravel()))) / scale)
         assert rel[-1] < 1e-8
         for coarse, fine in zip(rel, rel[1:]):
             # truncation-dominated pairs shrink like h^2; rounding-level ones stay put
@@ -264,7 +279,7 @@ class TestJacobian:
         grid = LogGrid.build(unit_domain(n=n), counts[:n])
         v = np.random.default_rng(seed).standard_normal(grid.shape)
         fields = coefficient_fields(v, grid, p, eps)
-        J = _assemble_jacobian(grid, *fields)
+        J = assembled(grid, fields)
         order = grid.dissection_order
         block = full_jacobian(grid, *fields)[order][:, order].toarray()
         assert J.format == "csc" and J.shape == block.shape
@@ -278,7 +293,7 @@ class TestJacobian:
         grid = LogGrid.build(unit_domain(n=n), counts[:n])
         v = np.random.default_rng(seed).standard_normal(grid.shape)
         fields = coefficient_fields(v, grid, p, eps)
-        J = _assemble_jacobian(grid, *fields)
+        J = assembled(grid, fields)
         ref = coo_interior_block(grid, *fields)
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(J, name), getattr(ref, name)), name
@@ -286,10 +301,8 @@ class TestJacobian:
     def test_pattern_is_shared_and_read_only(self):
         grid = LogGrid.build(unit_domain(), (9, 8))
         rng = np.random.default_rng(4)
-        J1 = _assemble_jacobian(
-            grid, *coefficient_fields(rng.standard_normal(grid.shape), grid, 3.0, 1e-2))
-        J2 = _assemble_jacobian(
-            grid, *coefficient_fields(rng.standard_normal(grid.shape), grid, 4.0, 1e-6))
+        J1 = assembled(grid, coefficient_fields(rng.standard_normal(grid.shape), grid, 3.0, 1e-2))
+        J2 = assembled(grid, coefficient_fields(rng.standard_normal(grid.shape), grid, 4.0, 1e-6))
         pattern = grid.interior_pattern
         for J in (J1, J2):
             assert np.shares_memory(J.indices, pattern.indices)
@@ -301,7 +314,7 @@ class TestJacobian:
     def test_pattern_is_freed_with_the_grid(self):
         # the pattern lives on the grid, so nothing else keeps a grid alive
         grid = LogGrid.build(unit_domain(), (9, 9))
-        _assemble_jacobian(grid, *coefficient_fields(np.ones(grid.shape), grid, 3.0, 1e-2))
+        assembled(grid, coefficient_fields(np.ones(grid.shape), grid, 3.0, 1e-2))
         ref = weakref.ref(grid)
         del grid
         gc.collect()
@@ -428,6 +441,7 @@ class TestFastLinearSolve:
         err_direct = float(np.max(np.abs(direct - exact)))
 
         monkeypatch.setattr(solver.spla, "spsolve", _raise)
+        monkeypatch.setattr(solver, "_jacobian_operator", _raise)
         monkeypatch.setattr(solver, "_assemble_jacobian", _raise)
         u, rep = solve_dirichlet(prob, grid)
         assert rep.converged
@@ -576,7 +590,7 @@ class TestOrderedJacobianSolve:
         lin = system.residual(v, eps)[1]
         fields = coefficient_fields(v, grid, p, eps)
         direct = _direct_solve(full_jacobian(grid, *fields), -res)
-        J = _assemble_jacobian(grid, *fields)
+        J = _jacobian_operator(grid, *fields)
         du = system.step(lin, -res)
         assert system.factorizations == 1 and system.krylov_iterations == 0
         assert np.all(du[grid.boundary_mask] == 0.0)
@@ -585,8 +599,7 @@ class TestOrderedJacobianSolve:
         # and the tolerance holds on the true residual
         du = system.step(lin, -res)
         assert system.factorizations == 1 and system.krylov_iterations >= 1
-        order = grid.dissection_order
-        assert (np.linalg.norm(J @ du.ravel()[order] + res.ravel()[order])
+        assert (np.linalg.norm(J @ du.ravel() + res.ravel())
                 <= solver.KRYLOV_RTOL * np.linalg.norm(res))
 
     def test_singular_factor_raises(self):
@@ -595,9 +608,11 @@ class TestOrderedJacobianSolve:
         grid = LogGrid.build(unit_domain(), (5, 6))
         m = grid.dissection_order.size
         rhs = np.where(grid.boundary_mask, 0.0, 1.0)
+        zero = _jacobian_operator(grid, np.zeros((2, 2) + grid.shape), np.zeros(grid.shape),
+                                  np.zeros((2,) + grid.shape))
         for stale in (None, spla.splu(sp.identity(m, format="csc"))):
             with pytest.raises(RuntimeError):
-                _solve_jacobian(sp.csc_matrix((m, m)), rhs, kept_factor(grid, stale))
+                _solve_jacobian(zero, rhs, kept_factor(grid, stale))
 
     def test_wrong_stale_factor_refactorizes(self):
         # a kept factor of an unrelated diagonal matrix leaves GMRES far from
@@ -611,7 +626,7 @@ class TestOrderedJacobianSolve:
         stale = spla.splu(sp.diags(10.0 ** rng.uniform(-3, 3, m)).tocsc())
         factor = kept_factor(grid, stale)
         fields = coefficient_fields(v, grid, 3.0, 1e-2)
-        du = _solve_jacobian(_assemble_jacobian(grid, *fields), -res, factor)
+        du = _solve_jacobian(_jacobian_operator(grid, *fields), -res, factor)
         assert factor.krylov_iterations == solver.KRYLOV_RESTART
         assert factor.factorizations == 1 and factor.lu is not stale
         direct = _direct_solve(full_jacobian(grid, *fields), -res)
@@ -637,10 +652,11 @@ class TestOrderedJacobianSolve:
         v = 0.8 * grid.mesh[0] + 0.1 * np.sin(3.0 * grid.mesh[1])
         res = rng.standard_normal(grid.shape)
         res[grid.boundary_mask] = 0.0
-        J = _assemble_jacobian(grid, *coefficient_fields(v, grid, 3.0, 1e-2))
+        J = _jacobian_operator(grid, *coefficient_fields(v, grid, 3.0, 1e-2))
         # the factor of a nearby iterate's Jacobian, as a Newton solve keeps it
+        # in dissection order
         nearby = coefficient_fields(v + 0.05 * grid.mesh[1] ** 2, grid, 3.0, 1e-2)
-        lu = spla.splu(_assemble_jacobian(grid, *nearby), permc_spec="NATURAL")
+        lu = spla.splu(ordered_interior_block(grid, *nearby), permc_spec="NATURAL")
         counting = CountingLU(lu)
         factor = kept_factor(grid, counting)
         du = _solve_jacobian(J, -res, factor)
@@ -648,16 +664,22 @@ class TestOrderedJacobianSolve:
         assert factor.krylov_iterations >= 2
         assert counting.calls == factor.krylov_iterations
         order = grid.dissection_order
-        want, iterations, info = scipy_gmres_cycle(J, -res.ravel()[order], lu)
+
+        def factor_solve(y):
+            x = np.zeros(y.size)
+            x[order] = lu.solve(y[order])
+            return x
+
+        want, iterations, info = scipy_gmres_cycle(J, -res.ravel(), factor_solve)
         assert info == 0 and iterations == factor.krylov_iterations
-        assert np.max(np.abs(du.ravel()[order] - want)) <= 1e-9 * np.max(np.abs(want))
+        assert np.max(np.abs(du.ravel() - want)) <= 1e-9 * np.max(np.abs(want))
 
     def test_nonlinear_solve_never_calls_spsolve(self, monkeypatch):
         grid = LogGrid.build(unit_domain(), (17, 17))
         prob = manufactured_problem(power_of_t_field(0.4), 3.0)
         # the same solve with every p != 2 Newton step a full-grid spsolve
         with monkeypatch.context() as m:
-            m.setattr(solver, "_assemble_jacobian", full_jacobian)
+            m.setattr(solver, "_jacobian_operator", full_jacobian)
             m.setattr(solver, "_solve_jacobian", _direct_solve)
             u_direct, rep_direct = solve_dirichlet(prob, grid)
 
@@ -688,6 +710,66 @@ def constant_coefficients(grid, c, b):
     return lin, (A, np.full(shape, 0.25 * b), C)
 
 
+def zero_data_problem(p, f=0.5):
+    return PDEProblem(p=p, f=lambda t, xs: np.full_like(np.asarray(t), f),
+                      dirichlet=lambda t, xs: np.zeros_like(np.asarray(t)))
+
+
+class TestStencilOperator:
+    """A p != 2 step applies its Jacobian as a stencil operator on the
+    flattened full grid in natural order, and only a factorization gathers
+    its products into the interior block in dissection order; the full-grid
+    Jacobian, the assembly from the coefficient fields in dissection order
+    and the step that factorizes every Jacobian afresh are its oracles."""
+
+    @given(n=st.sampled_from([2, 3]), counts=st.lists(st.integers(3, 9), min_size=3, max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_full_jacobian_and_the_ordered_assembly(self, n, counts, seed):
+        grid = LogGrid.build(unit_domain(n=n), counts[:n])
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n) + grid.shape)
+        B = rng.standard_normal(grid.shape)
+        C = rng.standard_normal((n,) + grid.shape)
+        v = rng.standard_normal(math.prod(grid.shape))
+        J = _jacobian_operator(grid, A, B, C)
+        Jv, interior = J @ v, ~grid.boundary_mask.ravel()
+        full = full_jacobian(grid, A, B, C)
+        want = (full @ v)[interior]
+        assert np.all(Jv[~interior] == 0.0)
+        # relative to the rows' sums of |J_ij v_j|: on a single interior row
+        # (3^3 nodes) the terms can cancel to a small fraction of themselves
+        scale = np.max((abs(full) @ np.abs(v))[interior])
+        assert np.max(np.abs(Jv[interior] - want)) <= 1e-14 * scale
+        block, ref = _assemble_jacobian(J), ordered_interior_block(grid, A, B, C)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(block, name).tobytes() == getattr(ref, name).tobytes(), name
+
+    @pytest.mark.parametrize("n, nodes, prob", [
+        (2, 17, manufactured_problem(power_of_t_field(0.5), 3.0)),
+        (3, 9, zero_data_problem(4.0))], ids=["p3-17^2-manufactured", "p4-9^3-zero-data"])
+    def test_cold_steps_build_no_csc(self, monkeypatch, n, nodes, prob):
+        # every step of these cold solves meets its fast-diagonalization
+        # cycle, so none gathers the interior block or numbers the grid in
+        # dissection order; the fields match the solve that factorizes
+        # every Jacobian
+        def no_csc(*args):
+            raise AssertionError("a cold step must not build the interior block")
+
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_solve_jacobian", refactorized_solve)
+            u_fresh, rep_fresh = solve_dirichlet(prob, LogGrid.build(unit_domain(n=n),
+                                                                     (nodes,) * n))
+        monkeypatch.setattr(solver, "_assemble_jacobian", no_csc)
+        grid = LogGrid.build(unit_domain(n=n), (nodes,) * n)
+        u, rep = solve_dirichlet(prob, grid)
+        assert rep.converged and rep_fresh.converged
+        assert sum(s.factorizations for s in rep.stages) == 0
+        assert sum(s.krylov_iterations for s in rep.stages) > 0
+        assert "dissection_order" not in vars(grid) and "interior_pattern" not in vars(grid)
+        scale = float(np.max(np.abs(u_fresh.values)))
+        assert np.max(np.abs(u.values - u_fresh.values)) <= 1e-10 * scale
+
+
 class TestFastDiagonalization:
     """A cold system's step preconditions GMRES by the exact inverse of the
     Jacobian's constant-coefficient mean; the assembled block is its
@@ -699,10 +781,10 @@ class TestFastDiagonalization:
     def test_inverts_the_constant_coefficient_block(self, counts, c, drift):
         grid = LogGrid.build(unit_domain(n=len(counts)), counts)
         fields = constant_coefficients(grid, c, drift)[1]
-        J = _assemble_jacobian(grid, *fields).toarray()
+        columns, unit = interior_columns(grid, _jacobian_operator(grid, *fields))
         solve = solver._fd_preconditioner(grid, *fields)
-        inverse_times_J = np.stack([solve(col) for col in J.T], axis=1)
-        assert np.max(np.abs(inverse_times_J - np.eye(len(J)))) <= 1e-12
+        inverse_times_J = np.stack([solve(col) for col in columns.T], axis=1)
+        assert np.max(np.abs(inverse_times_J - unit)) <= 1e-12
 
     @pytest.mark.parametrize("counts, c", [((9, 11), (1.3, 0.7)),
                                            ((7, 8, 9), (1.3, 0.7, 2.1))])
@@ -715,10 +797,10 @@ class TestFastDiagonalization:
         field = np.exp(np.random.default_rng(3).uniform(-2.0, 2.0, grid.shape))
         A, B, C = constant_coefficients(grid, c, drift)[1]
         fields = (A * field, B * field, C * field)
-        J = _assemble_jacobian(grid, *fields).toarray()
+        columns, unit = interior_columns(grid, _jacobian_operator(grid, *fields))
         solve = solver._fd_preconditioner(grid, *fields)
-        inverse_times_J = np.stack([solve(col) for col in J.T], axis=1)
-        assert np.max(np.abs(inverse_times_J - np.eye(len(J)))) <= 1e-12
+        inverse_times_J = np.stack([solve(col) for col in columns.T], axis=1)
+        assert np.max(np.abs(inverse_times_J - unit)) <= 1e-12
 
     @pytest.mark.parametrize("counts, peclet", [((9, 11), 2.5), ((9, 11), 4.0), ((41, 9), 1.98)])
     @pytest.mark.parametrize("sign", [-1.0, 1.0])
@@ -734,9 +816,8 @@ class TestFastDiagonalization:
         rhs = np.where(grid.boundary_mask, 0.0, 1.0)
         du = system.step(lin, rhs)
         assert (system.factorizations, system.krylov_iterations) == (1, 0)
-        J = _assemble_jacobian(grid, *fields)
-        order = grid.dissection_order
-        assert np.allclose(J @ du.ravel()[order], rhs.ravel()[order], rtol=0, atol=1e-12)
+        J = _jacobian_operator(grid, *fields)
+        assert np.allclose(J @ du.ravel(), rhs.ravel(), rtol=0, atol=1e-12)
 
     def test_zero_rhs_gives_a_zero_step(self):
         grid = LogGrid.build(unit_domain(), (9, 11))
@@ -757,10 +838,9 @@ class TestFastDiagonalization:
                        np.random.default_rng(1).standard_normal(grid.shape))
         du = system.step(lin, rhs)
         assert (system.factorizations, system.krylov_iterations) == (0, 1)
-        J = _assemble_jacobian(grid, *fields)
-        order = grid.dissection_order
-        b = rhs.ravel()[order]
-        assert np.linalg.norm(J @ du.ravel()[order] - b) <= 1e-12 * np.linalg.norm(b)
+        J = _jacobian_operator(grid, *fields)
+        b = rhs.ravel()
+        assert np.linalg.norm(J @ du.ravel() - b) <= 1e-12 * np.linalg.norm(b)
 
     @pytest.mark.parametrize("n, nodes, p", [(2, 33, 3.0), (2, 33, 4.0), (3, 13, 3.0)])
     def test_cold_manufactured_solve_factorizes_nothing(self, n, nodes, p):
@@ -774,9 +854,7 @@ class TestFastDiagonalization:
         # |grad u|^(p-2) varies by orders of magnitude across the base, which
         # the row scaling takes out of the constant-coefficient fit
         grid = LogGrid.build(unit_domain(n=3), (9, 9, 9))
-        prob = PDEProblem(p=4.0, f=lambda t, xs: np.full_like(np.asarray(t), 0.5),
-                          dirichlet=lambda t, xs: np.zeros_like(np.asarray(t)))
-        _, rep = solve_dirichlet(prob, grid)
+        _, rep = solve_dirichlet(zero_data_problem(4.0), grid)
         assert rep.converged
         assert sum(s.factorizations for s in rep.stages) == 0
         assert sum(s.krylov_iterations for s in rep.stages) > 0
@@ -877,11 +955,11 @@ class TestReusedFactor:
         assert len(factors) >= 2 and alive == [0] * len(factors)
 
     def test_first_step_binds_scipy_and_keeps_a_stand_in(self, monkeypatch):
-        # the first p != 2 assembly binds solver.sp and the first
-        # factorization solver.spla; a stand-in already set on spla (the
-        # benchmark tracer's proxy) gets the calls.  A cold solve whose
-        # cycles all meet their tolerance never calls it, and a warm one
-        # factorizes at its first step
+        # the first factorization binds solver.sp and solver.spla; a
+        # stand-in already set on spla (the benchmark tracer's proxy) gets
+        # the calls.  A cold solve whose cycles all meet their tolerance
+        # binds neither and never calls it, and a warm one factorizes at its
+        # first step
         real, calls = solver.spla, []
 
         class StandIn:
@@ -896,9 +974,10 @@ class TestReusedFactor:
         u, rep = solve_dirichlet(prob, grid)
         assert rep.converged and calls == []
         assert sum(s.factorizations for s in rep.stages) == 0
-        assert solver.sp is sp
+        assert "sp" not in vars(solver)
         _, rep = solve_dirichlet(prob, grid, initial=GridFunction(grid, 0.5 * u.values))
         assert rep.converged and rep.stages[0].factorizations >= 1 and "splu" in calls
+        assert vars(solver)["sp"] is sp
 
     def test_p2_solve_counts_no_linear_work(self):
         grid = LogGrid.build(unit_domain(), (9, 9))

@@ -16,7 +16,9 @@ stored random field, ``verify comparison`` and ``doubling`` on the stored
 ``solve`` output of their own config (a case of two commands run in turn),
 the solver-failure paths (``solver.max_iter = 0``), a solve on a radial grid
 too coarse for the mesh Peclet bound, and a 9^3 solve with n = 3 at p = 2
-and 3, which covers the 3D fast linear solve and the 3D presolve.  Fifteen
+and 3, which covers the 3D fast linear solve and the 3D presolve.  A 9^3
+zero-data solve at p = 4 with f = 0.5 follows, a 3D solve whose steps all
+take the fast-diagonalization GMRES cycle and never factorize.  Fifteen
 more cases at p = 3 each give one key that the cases above leave at its
 default another valid value (the ten verify keys ``rho``, ``rhos``, ``p0s``,
 ``alphas``, ``margin``, ``c_ref``, ``slack``, ``bumps``, ``weakform_tol``
@@ -38,7 +40,7 @@ of every kind other than ``auto`` (a gridfile one exits 2).  Every
 output except ``*_meta.json`` must be byte-identical, and the exit codes of
 every command, the set of meta files and whether ``output.dir`` exists
 afterwards must agree.  Prints one line per
-case (125 in all) and a summary; exits 1 on any difference.  A file that differs is
+case (126 in all) and a summary; exits 1 on any difference.  A file that differs is
 reported with the largest |old - new| / max(1, |old|) over its numbers
 (JSON values, CSV fields, ``.gf`` lines).  A JSON file whose key set
 changed names the added and removed keys and still compares the numbers
@@ -85,6 +87,8 @@ FAILING = "solver.max_iter = 0\ndomain.t_min = 0.001\n"
 # h_a = 6.9 breaks the mesh Peclet bound |n-p| h_a <= 2(p-1) unless p = n = 2
 COARSE = "domain.t_min = 1e-6\ngrid.nodes = 3,5\n"
 SOLID = "domain.n = 3\ndomain.base = 0,1;0,1\ngrid.nodes = 9,9,9\n"
+# zero data with f = 0.5: the cold stages' preconditioner serves every step
+ZERO_SOLID = SOLID + "problem.f = constant:0.5\n"
 # the shortest axes: second_diff's face rows span an axis of 3 or 4 nodes
 SHORT = "grid.nodes = 4,5\n"
 SHORT_SOLID = SOLID + "grid.nodes = 3,4,5\n"
@@ -169,6 +173,7 @@ def cases():
         yield f"p={p} solve coarse", [["solve"]], merged(base, COARSE)
         if p != "4.0":
             yield f"p={p} solve 3d", [["solve"]], merged(base, SOLID)
+    yield "p=4.0 solve 3d zero data", [["solve"]], merged(BASE.format(p="4.0"), ZERO_SOLID)
     base = BASE.format(p="3.0")
     for entry, argv in SETTINGS:
         extra = PAIR.format(p="3.0") if argv[-1] in ("comparison", "doubling") else ""

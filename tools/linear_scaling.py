@@ -3,43 +3,58 @@
     python tools/linear_scaling.py [OUT]
 
 On each grid (2D at 81^2, 97^2 and 161^2; 3D at 17^3, 21^3 and 25^3, over
-the unit base with t_min = e^-1) it measures four things, and then cold
-3D solves on larger grids.
+the unit base with t_min = e^-1) it measures four things, and then J·v on
+larger grids, cold 3D solves on larger grids and a cold command line.
 
 Grid set-up: on each of SETUP_REPEATS fresh grids, the seconds of its first
 ``gradient_field`` and ``hessian_field`` of the smooth iterate described
 below, the Hessian's mixed entries taken from the gradient as a residual
 takes them (``setup_fields``: the first call reads the stencil weights off
-the 1D stencil matrices), then of its ``interior_pattern`` (``setup_pattern``,
-the dissection numbering included).
+the 1D stencil matrices), then of its ``interior_taps`` (``setup_taps``, the
+stencil offsets and weights that every p != 2 solve reads) and then of its
+``interior_pattern`` (``setup_pattern``, the CSC pattern that the first
+factorization builds, the dissection numbering included).
 
 Assembly: on a fresh grid on which the residual has been evaluated once,
 the seconds of ``grid.dissection_order`` (the first access numbers the interior) and of
 ``tests/oracles.recursive_dissection_order``, the recursion it replaced.
-A Newton step assembles its Jacobian from the coefficient fields that the
+A Newton step builds its Jacobian from the coefficient fields that the
 residual evaluation of its iterate returned, so the per-step work is timed
 in two columns: ``operator``, one ``operators.divergence_part_field`` call
 (the derivative fields and the coefficient fields A and B, which every
-residual evaluation pays), and ``assembly``, one ``solver._assemble_jacobian``
-call on the coefficient fields (the numeric fill of the kept pattern); the
-field C = dR/dg that only a step forms is in neither.  Their sum is the
-per-step figure of files written when ``_assemble_jacobian`` evaluated the
-operator itself, less C.  The first ``_assemble_jacobian`` call, which also builds
-the grid's ``interior_pattern``, is timed on its own, then ASSEMBLY_REPEATS
-further rounds alternate the operator evaluation, the assembly and
-``tests/oracles.coo_interior_block``, which reads the stencils and converts
-COO to CSC on every call from the same fields.  The Jacobian is the p = 3
+residual evaluation pays), and ``jacobian``, one ``solver._jacobian_operator``
+call on the coefficient fields (the stencil operator's products); the
+field C = dR/dg that only a step forms is in neither.  The first
+``_jacobian_operator`` call, which also builds the grid's ``interior_taps``,
+is timed on its own, then ASSEMBLY_REPEATS further rounds alternate the
+operator evaluation, the Jacobian, ``csc_gather`` (``solver._assemble_jacobian``
+on that operator, the interior block in dissection order that only a
+factorization builds), ``ordered_assembly``
+(``tests/oracles.ordered_interior_block``, the same block assembled straight
+from the fields, as every p != 2 step did before the stencil operator) and
+``coo_assembly`` (``tests/oracles.coo_interior_block``, which reads the
+stencils and converts COO to CSC on every call).  The Jacobian is the p = 3
 one at eps_reg = 1e-2 at the smooth iterate described next.
+
+J·v: at 97^2, 161^2, 33^3 and 49^3 (MATVEC_SIZES), the product of that
+Jacobian with a random vector that is 0 on the boundary, MATVEC_REPEATS
+times each way, alternating: ``csc_matvec``, the interior block from
+``solver._assemble_jacobian`` times the vector's interior in dissection
+order, as GMRES formed J·v before the stencil operator, and
+``stencil_matvec``, the operator of ``solver._jacobian_operator`` times the
+full-grid vector, as GMRES forms it now; with the max |difference| of the
+two over max |J·v|.
 
 One Newton step: the Jacobian of the p = 3 residual at eps_reg = 1e-2 is
 taken at a smooth iterate, the forcing-free solution t^((p-n)/(p-1)) (ln t
 when p = n) plus a small wave, and the Newton system J du = -res is solved
 two ways: ``spsolve`` on the full-grid Jacobian of
 ``tests/oracles.full_jacobian`` (identity boundary rows), with SuperLU's
-default COLAMD order, and ``solver._solve_jacobian`` with no kept factor, so
-it factorizes the interior block from ``solver._assemble_jacobian``, which
-is in the grid's nested-dissection order.  Both matrices and the order are
-built once per grid, outside the timed region.  Per size it records the
+default COLAMD order, and ``solver._solve_jacobian`` with no kept factor or
+preconditioner, so it factorizes the interior block that
+``solver._assemble_jacobian`` gathers in the grid's nested-dissection order
+(the gather is timed with it).  The full-grid matrix, the stencil operator
+and the grid's pattern are built once per grid, outside the timed region.  Per size it records the
 median seconds of each solve over REPEATS runs (the two alternate), the
 fill of each factorization (stored L + U entries over the stored entries of
 the matrix it factorizes; the oracle's is read off ``splu`` with COLAMD, the
@@ -51,7 +66,8 @@ u* = t^0.5 and the default solver settings, once as the package runs it
 preconditioned by fast diagonalization until one misses, then GMRES on a
 kept ``splu`` factor, refactorizing only where that stalls), once
 with ``tests/oracles.refactorized_solve`` patched in, which factorizes
-every Jacobian, and once as ``tests/oracles.halving_schedule``, the
+every Jacobian (the interior block probed from the stencil operator, in
+natural order with COLAMD), and once as ``tests/oracles.halving_schedule``, the
 halving eps continuation from 0.1 down to the floor with every stage run
 to the final tolerance.  Per size it records the median seconds of each
 over SOLVE_REPEATS runs (the three alternate), the stages, Newton steps,
@@ -85,6 +101,15 @@ seconds and the median peak resident set over COLD_REPEATS runs, with the
 Newton steps, factorizations and GMRES iterations (the same in every run)
 and min u.
 
+A cold command line: a fresh interpreter running the CLI's ``solve`` on the
+p = 4 manufactured problem u* = t^0.41 on 97^2 (the solve-2d-nonlinear
+benchmark problem: ``manufacture`` writes the forcing, untimed, and the
+solve reads it with ``problem.f = gridfile:``), COMMAND_LINE_REPEATS times.
+It records the median, min and max wall seconds of the whole command line,
+interpreter start included, the median peak resident set (VmHWM, as above),
+the scipy modules the process loaded, and the solve's Newton steps,
+factorizations and GMRES iterations.
+
 Every timing is recorded as the median (``<name>_s``) and the min and max
 (``<name>_min_s``, ``<name>_max_s``) over its repeats.  Per dimension it
 records the least-squares exponent in the unknown count of each time, fitted
@@ -102,6 +127,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -116,10 +142,11 @@ import oracles  # noqa: E402
 from conepde.calculus import GridFunction, LogGrid, gradient_field, hessian_field  # noqa: E402
 from conepde.geometry import ConeDomain  # noqa: E402
 from conepde.operators import divergence_part_field  # noqa: E402
-from conepde import solver  # noqa: E402
+from conepde import cli, solver  # noqa: E402
 from conepde.solver import (_NewtonSystem, _assemble_jacobian,  # noqa: E402
-                            _solve_jacobian, exact_solution_values, make_exact_solution,
-                            manufactured_problem, power_of_t_field, solve_dirichlet)
+                            _jacobian_operator, _solve_jacobian, exact_solution_values,
+                            make_exact_solution, manufactured_problem, power_of_t_field,
+                            solve_dirichlet)
 
 P, EPS_REG, REPEATS, SOLVE_REPEATS, ASSEMBLY_REPEATS, KAPPA = 3.0, 1e-2, 5, 3, 31, 0.5
 SETUP_REPEATS = 7
@@ -153,6 +180,19 @@ print(json.dumps({"seconds": seconds, "converged": rep.converged,
                   "peak_rss_mb": peak / 1024}))
 """
 LINEAR_SIZES, LINEAR_REPEATS = SIZES + ((3, 29),), 21
+MATVEC_SIZES, MATVEC_REPEATS = ((2, 97), (2, 161), (3, 33), (3, 49)), 40
+COMMAND_LINE_REPEATS, COMMAND_LINE_KAPPA = 5, 0.41
+# one CLI command in a fresh interpreter: argv is SRC, then the CLI's own
+COMMAND_LINE_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from conepde import cli
+code = cli.run(sys.argv[2:])
+with open("/proc/self/status") as fh:
+    peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps({"code": code, "peak_rss_mb": peak / 1024, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
 
 
 def unit_grid(n: int, m: int) -> LogGrid:
@@ -172,10 +212,10 @@ def smooth_iterate(n: int, m: int) -> tuple:
 
 
 def newton_system(n: int, m: int) -> tuple:
-    """(grid, full-grid J, interior block, rhs) of one Newton step at the
+    """(grid, full-grid J, stencil operator, rhs) of one Newton step at the
     smooth iterate."""
     grid, _, res, lin = smooth_iterate(n, m)
-    return grid, oracles.full_jacobian(grid, *lin), _assemble_jacobian(grid, *lin), -res
+    return grid, oracles.full_jacobian(grid, *lin), _jacobian_operator(grid, *lin), -res
 
 
 def record(row: dict, times: dict) -> None:
@@ -197,24 +237,49 @@ def measure_assembly(n: int, m: int) -> dict:
     # the residual has read the grid's stencil weights, which the first
     # assembly would otherwise also pay for
     grid, values, _, lin = smooth_iterate(n, m)
-    setup = {"setup_fields": [], "setup_pattern": []}
+    setup = {"setup_fields": [], "setup_taps": [], "setup_pattern": []}
     for _ in range(SETUP_REPEATS):
         fresh = GridFunction(unit_grid(n, m), values, check_finite=False)
         setup["setup_fields"].append(
             seconds(lambda: hessian_field(fresh, gradient_field(fresh))))
+        setup["setup_taps"].append(seconds(lambda: fresh.grid.interior_taps))
         setup["setup_pattern"].append(seconds(lambda: fresh.grid.interior_pattern))
     dissection_s = seconds(lambda: grid.dissection_order)
     row = {"n": n, "nodes": list(grid.shape), "unknowns": math.prod(grid.shape),
            "interior": int(grid.dissection_order.size), "dissection_s": dissection_s}
     row["dissection_recursive_s"] = seconds(oracles.recursive_dissection_order, grid)
-    row["first_assembly_s"] = seconds(_assemble_jacobian, grid, *lin)
+    row["first_jacobian_s"] = seconds(_jacobian_operator, grid, *lin)
     record(row, setup)
     u = GridFunction(grid, values, check_finite=False)
-    times = {"operator": [], "assembly": [], "coo_assembly": []}
+    J = _jacobian_operator(grid, *lin)
+    times = {"operator": [], "jacobian": [], "csc_gather": [], "ordered_assembly": [],
+             "coo_assembly": []}
     for _ in range(ASSEMBLY_REPEATS):
         times["operator"].append(seconds(divergence_part_field, u, P, EPS_REG))
-        times["assembly"].append(seconds(_assemble_jacobian, grid, *lin))
+        times["jacobian"].append(seconds(_jacobian_operator, grid, *lin))
+        times["csc_gather"].append(seconds(_assemble_jacobian, J))
+        times["ordered_assembly"].append(seconds(oracles.ordered_interior_block, grid, *lin))
         times["coo_assembly"].append(seconds(oracles.coo_interior_block, grid, *lin))
+    record(row, times)
+    return row
+
+
+def measure_matvec(n: int, m: int) -> dict:
+    grid, _, _, lin = smooth_iterate(n, m)
+    J = _jacobian_operator(grid, *lin)
+    block, order = _assemble_jacobian(J), grid.dissection_order
+    x = np.where(grid.boundary_mask, 0.0, np.random.default_rng(m).standard_normal(grid.shape))
+    x = x.ravel()
+    ordered = x[order]
+    times = {"csc_matvec": [], "stencil_matvec": []}
+    for _ in range(MATVEC_REPEATS):
+        times["csc_matvec"].append(seconds(lambda: block @ ordered))
+        times["stencil_matvec"].append(seconds(lambda: J @ x))
+    want = np.zeros(x.size)
+    want[order] = block @ ordered
+    row = {"n": n, "nodes": list(grid.shape), "unknowns": math.prod(grid.shape),
+           "offsets": int(grid.interior_taps[0].size), "block_nnz": int(block.nnz),
+           "max_rel_diff": float(np.max(np.abs(J @ x - want)) / np.max(np.abs(want)))}
     record(row, times)
     return row
 
@@ -226,14 +291,15 @@ def fill(A, permc_spec: str) -> float:
 
 
 def measure(n: int, m: int) -> dict:
-    grid, J, block, rhs = newton_system(n, m)
+    grid, J, op, rhs = newton_system(n, m)
+    block = _assemble_jacobian(op)
     times = {"spsolve": [], "ordered": []}
     for _ in range(REPEATS):
         fresh = _NewtonSystem(grid, P, n - P, np.zeros(grid.shape))  # no kept factor
         t0 = time.perf_counter()
         direct = spla.spsolve(J, rhs.ravel()).reshape(grid.shape)
         t1 = time.perf_counter()
-        du = _solve_jacobian(block, rhs, fresh)
+        du = _solve_jacobian(op, rhs, fresh)
         t2 = time.perf_counter()
         times["spsolve"].append(t1 - t0)
         times["ordered"].append(t2 - t1)
@@ -359,6 +425,44 @@ def measure_zero_data(p: float, m: int) -> dict:
     return row
 
 
+def measure_command_line() -> dict:
+    grid_keys = {"domain.n": 2, "domain.base": "0,1", "domain.t_min": repr(math.exp(-1.0)),
+                 "grid.nodes": "97,97", "problem.p": 4.0}
+    kappa = f"tpower:{COMMAND_LINE_KAPPA!r}"
+    with tempfile.TemporaryDirectory() as work:
+        def config(name, entries):
+            path = os.path.join(work, name)
+            with open(path, "w") as fh:
+                fh.writelines(f"{k} = {v}\n" for k, v in {**grid_keys, **entries,
+                                                          "output.dir": work}.items())
+            return path
+
+        if cli.run(["manufacture", "--config", config("made.cfg", {"problem.exact": kappa})]):
+            raise RuntimeError("manufacture failed")
+        solve = config("solve.cfg", {"problem.f": "gridfile:" + os.path.join(work, "forcing.gf"),
+                                     "problem.dirichlet": kappa})
+        runs, times = [], []
+        for _ in range(COMMAND_LINE_REPEATS):
+            t0 = time.perf_counter()
+            done = subprocess.run([sys.executable, "-c", COMMAND_LINE_PROBE,
+                                   os.path.join(ROOT, "src"), "solve", "--config", solve],
+                                  capture_output=True, text=True, check=True)
+            times.append(time.perf_counter() - t0)
+            runs.append(json.loads(done.stdout.splitlines()[-1]))
+        with open(os.path.join(work, "solve_report.json")) as fh:
+            stages = json.load(fh)["stages"]
+    if any(run["code"] for run in runs):
+        raise RuntimeError("the cold command line failed")
+    row = {"n": 2, "p": 4.0, "kappa": COMMAND_LINE_KAPPA, "nodes": [97, 97],
+           "newton_steps": sum(s["iterations"] for s in stages),
+           "factorizations": sum(s["factorizations"] for s in stages),
+           "krylov_iterations": sum(s["krylov_iterations"] for s in stages),
+           "peak_rss_mb": statistics.median(run["peak_rss_mb"] for run in runs),
+           "scipy_modules": runs[0]["scipy"]}
+    record(row, {"command": times})
+    return row
+
+
 def exponent(rows: list, name: str) -> dict:
     """The time exponent of ``name`` in the unknown count, fitted to the
     per-size medians and to the per-size minima."""
@@ -377,12 +481,21 @@ def main(argv) -> int:
         row = measure_assembly(n, m)
         assembly.append(row)
         print(f"{n}D {m}^{n} set-up: first fields {row['setup_fields_s'] * 1e3:6.2f} ms  "
+              f"taps {row['setup_taps_s'] * 1e3:6.2f} ms  "
               f"pattern {row['setup_pattern_s'] * 1e3:6.2f} ms")
         print(f"{n}D {m}^{n} assembly: dissection {row['dissection_s'] * 1e3:6.2f} ms "
               f"(recursive {row['dissection_recursive_s'] * 1e3:6.2f} ms)  first call "
-              f"{row['first_assembly_s'] * 1e3:6.2f} ms  per step operator "
-              f"{row['operator_s'] * 1e3:6.2f} ms + assembly {row['assembly_s'] * 1e3:6.2f} ms "
-              f"(COO {row['coo_assembly_s'] * 1e3:6.2f} ms)")
+              f"{row['first_jacobian_s'] * 1e3:6.2f} ms  per step operator "
+              f"{row['operator_s'] * 1e3:6.2f} ms + Jacobian {row['jacobian_s'] * 1e3:6.2f} ms "
+              f"(CSC gather {row['csc_gather_s'] * 1e3:6.2f} ms, ordered assembly "
+              f"{row['ordered_assembly_s'] * 1e3:6.2f} ms, "
+              f"COO {row['coo_assembly_s'] * 1e3:6.2f} ms)")
+    matvec = []
+    for n, m in MATVEC_SIZES:
+        row = measure_matvec(n, m)
+        matvec.append(row)
+        print(f"{n}D {m}^{n} J.v: CSC {row['csc_matvec_s'] * 1e3:6.3f} ms  stencil operator "
+              f"{row['stencil_matvec_s'] * 1e3:6.3f} ms  max rel diff {row['max_rel_diff']:.2g}")
     rows = []
     for n, m in SIZES:
         row = measure(n, m)
@@ -425,6 +538,10 @@ def main(argv) -> int:
                   f"({row['newton_steps']} steps, {row['factorizations']} factorizations, "
                   f"{row['krylov_iterations']} GMRES iterations, "
                   f"peak RSS {row['peak_rss_mb']:.0f} MB)")
+    command_line = measure_command_line()
+    print(f"2D 97^2 p = 4 cold command line: {command_line['command_s']:6.3f} s "
+          f"({command_line['factorizations']} factorizations, peak RSS "
+          f"{command_line['peak_rss_mb']:.0f} MB, scipy modules {command_line['scipy_modules']})")
     exponents = {}
     for n in sorted({r["n"] for r in rows}):
         dim = [r for r in rows if r["n"] == n]
@@ -432,7 +549,9 @@ def main(argv) -> int:
         dim_assembly = [r for r in assembly if r["n"] == n]
         dim_linear = [r for r in linear if r["n"] == n]
         exponents[f"{n}d"] = {"operator": exponent(dim_assembly, "operator"),
-                              "assembly": exponent(dim_assembly, "assembly"),
+                              "jacobian": exponent(dim_assembly, "jacobian"),
+                              "csc_gather": exponent(dim_assembly, "csc_gather"),
+                              "ordered_assembly": exponent(dim_assembly, "ordered_assembly"),
                               "coo_assembly": exponent(dim_assembly, "coo_assembly"),
                               "spsolve": exponent(dim, "spsolve"),
                               "ordered": exponent(dim, "ordered"),
@@ -443,11 +562,13 @@ def main(argv) -> int:
         print(f"{n}D time exponents in unknowns (median fit / min fit): " + ", ".join(
             f"{k} {v['median']:.2f}/{v['min']:.2f}" for k, v in exponents[f"{n}d"].items()))
     report = {
-        "what": "a fresh grid's set-up: its first gradient and Hessian fields and its "
-                "interior pattern; the dissection numbering; the p = 3 operator evaluation whose "
-                "coefficient fields a Newton step reads, and the interior-block assembly "
-                "from them, numeric-only on the grid's kept pattern vs COO from the "
-                "stencils every call; one p = 3 Newton linear solve, full-grid spsolve (COLAMD) vs the "
+        "what": "a fresh grid's set-up: its first gradient and Hessian fields, its "
+                "interior stencil taps and its CSC pattern; the dissection numbering; the "
+                "p = 3 operator evaluation whose coefficient fields a Newton step reads, and "
+                "the stencil operator built from them, against the interior block gathered "
+                "from it, assembled straight from the fields and assembled by COO from the "
+                "stencils; J.v on the interior block in CSC vs the stencil operator; one p = 3 "
+                "Newton linear solve, full-grid spsolve (COLAMD) vs the "
                 "interior block in nested-dissection order; one p = 2 Newton step, the "
                 "numpy elimination vs one solve_banded call; one p = 3 manufactured "
                 "solve (u* = t^0.5), as the package runs it vs a fresh factor "
@@ -455,16 +576,20 @@ def main(argv) -> int:
                 "the final tolerance; cold 3D p = 3 solves up to 49^3, "
                 "fast-diagonalization GMRES vs every step on the kept splu factor; and "
                 "cold 3D zero-data solves (f = 0.5) at p = 3, 4 and 5 up to 49^3, each in "
-                "a fresh interpreter with its peak resident set (VmHWM)",
+                "a fresh interpreter with its peak resident set (VmHWM); and one cold "
+                "p = 4 97^2 solve command line in a fresh interpreter, with its peak resident "
+                "set and the scipy modules it loaded",
         "p": P, "eps_reg": EPS_REG, "repeats": REPEATS, "solve_repeats": SOLVE_REPEATS,
         "assembly_repeats": ASSEMBLY_REPEATS, "setup_repeats": SETUP_REPEATS,
-        "linear_repeats": LINEAR_REPEATS, "kappa": KAPPA,
+        "linear_repeats": LINEAR_REPEATS, "matvec_repeats": MATVEC_REPEATS,
+        "command_line_repeats": COMMAND_LINE_REPEATS, "kappa": KAPPA,
         "nproc": os.cpu_count(), "machine": platform.machine(),
         "python": platform.python_version(), "numpy": np.__version__,
         "scipy": scipy.__version__,
         "cold_repeats": COLD_REPEATS,
-        "assembly": assembly, "sizes": rows, "linear": linear, "solves": solves,
-        "cold_solves": cold, "zero_data_solves": zero_data, "time_exponents": exponents,
+        "assembly": assembly, "matvec": matvec, "sizes": rows, "linear": linear,
+        "solves": solves, "cold_solves": cold, "zero_data_solves": zero_data,
+        "cold_command_line": command_line, "time_exponents": exponents,
     }
     with open(out, "w") as fh:
         json.dump(report, fh, indent=2)
