@@ -375,129 +375,209 @@ def quadrature_weights(grid: LogGrid) -> np.ndarray:
     return out
 
 
-# a cell holds at most this many nodes, so one cell pair forms at most
-# 32^2 quotients; an exact batch stacks cell pairs up to _BATCH quotients
-_CELL_NODES, _BATCH = 32, 2**15
+# a cell holds at most this many nodes and a group at most this many cells,
+# as many per axis (sides 3 in 2D, 2 in 3D); an exact batch stacks cell
+# pairs up to _BATCH quotients, and the search bounds the cell pairs of its
+# live groups _CHUNK at a time
+_CELL_NODES, _BATCH, _CHUNK = 9, 2**13, 2**13
 
 
 def _cell_side(n: int) -> int:
-    """The largest cell side b with b^n <= _CELL_NODES (5 in 2D, 3 in 3D)."""
+    """The largest side b with b^n <= _CELL_NODES (3 in 2D, 2 in 3D)."""
     b = 2
     while (b + 1) ** n <= _CELL_NODES:
         b += 1
     return b
 
 
+def _tiles(a: np.ndarray, side: int, **pad) -> np.ndarray:
+    """``a`` split into tiles of ``side`` entries per axis, each axis padded
+    at its end to a multiple of it by ``np.pad`` with ``pad``: one row per
+    tile, the tiles and their entries each in row-major order."""
+    a = np.pad(a, [(0, -m % side) for m in a.shape], **pad)
+    split = [x for m in a.shape for x in (m // side, side)]
+    order = [*range(0, len(split), 2), *range(1, len(split), 2)]
+    return a.reshape(split).transpose(order).reshape(math.prod(split[::2]), -1)
+
+
 def _cells(v: np.ndarray, axes) -> tuple:
-    """The grid split into cells of side ``_cell_side(n)`` (at most the
-    axis length), each axis padded to a multiple of it by repeating its last
-    node, which adds only zero-distance pairs and copies of real pairs.
-    Returns the (cell, node of the cell) arrays of the values and of each
-    axis coordinate, with cells and their nodes in row-major order, and per
-    axis the padded coordinates as a (cells along the axis, side) array.
+    """The grid split into cells of side ``_cell_side(n)`` (``_tiles``), each
+    axis padded by repeating its last node, which adds only zero-distance
+    pairs and copies of real pairs.  Returns the (cell, node of the cell)
+    arrays of the values and of each axis coordinate, and per axis the
+    padded coordinates as a (cells along the axis, side) array.
     """
-    n = len(axes)
-    sides = [min(_cell_side(n), c.size) for c in axes]
-    pad = [(0, -c.size % s) for c, s in zip(axes, sides)]
-    boxes = [np.pad(c, w, mode="edge").reshape(-1, s) for c, w, s in zip(axes, pad, sides)]
-    split = [x for box in boxes for x in box.shape]
-    order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
-    C, B = math.prod(split[::2]), math.prod(sides)
-    cell_v = np.pad(v, pad, mode="edge").reshape(split).transpose(order).reshape(C, B)
-    cell_x = []
-    for k, box in enumerate(boxes):
-        shape = [1] * 2 * n
-        shape[2 * k:2 * k + 2] = box.shape
-        cell_x.append(np.broadcast_to(box.reshape(shape), split).transpose(order).reshape(C, B))
-    return cell_v, cell_x, boxes
+    side = _cell_side(len(axes))
+    cell_x = [_tiles(np.broadcast_to(c.reshape([-1 if j == k else 1 for j in range(v.ndim)]),
+                                     v.shape), side, mode="edge")
+              for k, c in enumerate(axes)]
+    return (_tiles(v, side, mode="edge"), cell_x,
+            [_tiles(c, side, mode="edge") for c in axes])
 
 
-def _cell_bounds(cell_v: np.ndarray, boxes, h2: float, rho: float) -> np.ndarray:
+def _groups(boxes) -> tuple:
+    """The cells of ``_cells`` (with these boxes) grouped ``_cell_side(n)``
+    per axis in the same way, the cell grid padded by an empty cell whose
+    index is the cell count.  Returns the (group, member) cell indices and
+    per axis the first and the last coordinate of every member, padded by
+    the axis's last cell, as two (groups along the axis, side) arrays.
+    """
+    side, counts = _cell_side(len(boxes)), [box.shape[0] for box in boxes]
+    cells = np.arange(math.prod(counts)).reshape(counts)
+    return (_tiles(cells, side, constant_values=cells.size),
+            [_tiles(box[:, 0], side, mode="edge") for box in boxes],
+            [_tiles(box[:, -1], side, mode="edge") for box in boxes])
+
+
+def _gap2(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The squared gap between the intervals [lo, hi] of every pair."""
+    gap = np.maximum(np.maximum(lo[None, :] - hi[:, None], lo[:, None] - hi[None, :]), 0.0)
+    return gap * gap
+
+
+def _bound(rise: np.ndarray, d2: np.ndarray, h2: float, rho: float) -> np.ndarray:
+    """rise / d^rho at d = sqrt(max(d2, h2)), h2 being the squared grid step
+    of the nearest distinct nodes; a relative 1e-12 on top keeps the pruning
+    from resting on ``**`` being monotone to the last ulp.  Works in place
+    on both arrays and returns rise."""
+    np.maximum(d2, h2, out=d2)
+    np.sqrt(d2, out=d2)
+    d2 **= rho
+    rise /= d2
+    rise *= 1.0 + 1e-12
+    return rise
+
+
+def _cell_bounds(top: np.ndarray, bottom: np.ndarray, lo, hi, h2: float,
+                 rho: float) -> np.ndarray:
     """bound[i, j] at least every quotient |v(z) - v(w)| / d(z, w)^rho of a
-    node z of cell i and a node w of cell j at d(z, w) > 0: the largest rise
-    between the cells over the squared gap of their coordinate boxes, summed
-    in axis order, floored at h2 (the smallest squared grid step, that of
-    the nearest distinct nodes) and raised to rho / 2.  A relative 1e-12 on
-    top keeps the pruning from resting on ``**`` being monotone to the last
-    ulp.
+    node z of cell i and a node w of cell j at d(z, w) > 0, for cells with
+    these largest and smallest values and per axis these first and last
+    coordinates: the largest rise between the cells over the squared gap of
+    their coordinate boxes, summed in axis order (``_bound``).  It serves
+    cells and groups alike, so a group's bound is at least the bounds of
+    its member pairs.
     """
-    n = len(boxes)
+    n, C = len(lo), top.size
     d2 = 0.0
-    for k, box in enumerate(boxes):
-        lo, hi = box[:, 0], box[:, -1]
-        gap = np.maximum(np.maximum(lo[None, :] - hi[:, None], lo[:, None] - hi[None, :]), 0.0)
-        d2 = d2 + gap.reshape([box.shape[0] if j == k else 1 for j in range(n)] * 2) ** 2
-    C = cell_v.shape[0]
-    rise = cell_v.max(axis=1)[None, :] - cell_v.min(axis=1)[:, None]
-    dist = np.sqrt(np.maximum(d2.reshape(C, C), h2)) ** rho
-    return np.maximum(rise, rise.T) / dist * (1.0 + 1e-12)
+    for k in range(n):
+        d2 = d2 + _gap2(lo[k], hi[k]).reshape([lo[k].size if j == k else 1 for j in range(n)] * 2)
+    rise = top[None, :] - bottom[:, None]
+    return _bound(np.maximum(rise, rise.T), d2.reshape(C, C), h2, rho)
+
+
+def _max_quotient(vz, vw, xz, xw, h2: float, rho: float, out: np.ndarray) -> float:
+    """The largest quotient |v(z) - v(w)| / d(z, w)^rho of a node z of a row
+    of ``vz`` (coordinates ``xz``, one array per axis) and a node w of the
+    same row of ``vw`` (``xw``), in the (3, rows, z nodes, w nodes) buffer
+    ``out``.  Every quotient is formed as in the all-pairs definition: the
+    squared coordinate gaps summed in axis order, its square root raised to
+    rho.  A zero-distance pair joins a node to itself or its padded copy, so
+    its rise is 0 (the values are finite) and any positive distance leaves
+    it out; h2 changes no other pair's distance."""
+    d, q, g = out
+    for k, (a, b) in enumerate(zip(xz, xw)):
+        gap = g if k else d
+        np.subtract(a[:, :, None], b[:, None, :], out=gap)
+        np.multiply(gap, gap, out=gap)
+        if k:
+            d += gap
+    np.subtract(vw[:, None, :], vz[:, :, None], out=q)
+    np.abs(q, out=q)
+    np.maximum(d, h2, out=d)
+    np.sqrt(d, out=d)
+    # the operator, not np.power: like the oracle's ``** rho`` it takes
+    # numpy's scalar-power fast paths (sqrt at rho = 0.5, twice as fast)
+    d **= rho
+    q /= d
+    return float(q.max())
 
 
 def _hoelder_search(v: np.ndarray, axes, rho: float) -> tuple:
     """The rho-Hoelder seminorm of the values v on the tensor grid with
     these axis coordinates, and the number of node-pair quotients formed.
 
-    Branch and bound over the unordered pairs of cells (``_cells``), self
-    pairs included (Gray & Moore, NIPS 2000).  With the best quotient of
-    the adjacent-node pairs to start from, the cell pairs whose bound
-    (``_cell_bounds``) beats the best quotient found so far are evaluated
-    exactly, largest bound first, in batches of stacked cells, until the
-    next bound does not.  Every quotient is formed as in the all-pairs
-    definition: the squared coordinate gaps summed in axis order, its square
-    root raised to rho, zero-distance pairs left out.  The result is
-    therefore the all-pairs maximum to the bit.
+    A two-level branch and bound (Gray & Moore, NIPS 2000) over the cells
+    of ``_cells`` and their groups (``_groups``).  The best quotient starts
+    from the exact quotients of every group's largest node against every
+    group's smallest.  The unordered group pairs, self pairs included,
+    whose bound (``_cell_bounds``) beats the best found so far are taken
+    largest bound first, _CHUNK cell-pair bounds at a time: each chunk
+    bounds the cell pairs of its groups (i <= j within a self pair, empty
+    cells at -inf) and evaluates those that beat the best exactly
+    (``_max_quotient``), largest bound first, in batches of stacked cells,
+    until the next bound does not.  Every quotient is formed as in the
+    all-pairs definition, so the result is the all-pairs maximum to the bit.
     """
     n = len(axes)
-    best, pairs = 0.0, 0
-    for k, c in enumerate(axes):
-        d = np.sqrt(np.diff(c) ** 2) ** rho
-        q = np.abs(np.diff(v, axis=k)) / d.reshape([-1 if j == k else 1 for j in range(n)])
-        best, pairs = max(best, float(q.max())), pairs + q.size
-
     cell_v, cell_x, boxes = _cells(v, axes)
-    C, B = cell_v.shape
+    B = cell_v.shape[1]
     h2 = min(float(np.min(np.diff(c) ** 2)) for c in axes)
-    bound = _cell_bounds(cell_v, boxes, h2, rho)
+    members, lo, hi = _groups(boxes)
+    top = np.append(cell_v.max(axis=1), -np.inf)[members]
+    bottom = np.append(cell_v.min(axis=1), np.inf)[members]
+    G, K = _cell_side(n), members.shape[1]
+    shape = [c.shape[0] for c in lo]
+
+    # every group's largest node, as (cell, node of the cell), against
+    # every group's smallest
+    groups = members.shape[0]
+    z = members[np.arange(groups), top.argmax(axis=1)]
+    w = members[np.arange(groups), bottom.argmin(axis=1)]
+    z, w = (z, cell_v[z].argmax(axis=1)), (w, cell_v[w].argmin(axis=1))
+    best = _max_quotient(cell_v[z][None], cell_v[w][None], [x[z][None] for x in cell_x],
+                         [x[w][None] for x in cell_x], h2, rho, np.empty((3, 1, groups, groups)))
+    pairs = groups ** 2
+
+    bound = _cell_bounds(top.max(axis=1), bottom.min(axis=1), [c[:, 0] for c in lo],
+                         [c[:, -1] for c in hi], h2, rho)
     live = np.flatnonzero(np.triu(bound > best))
     live = live[np.argsort(-bound.flat[live], kind="stable")]
     live_bound = bound.flat[live]
+    gi, gj = np.divmod(live, groups)
+    # squared gaps between the cells of two groups along each axis, as
+    # (group, group, member, member) blocks
+    blocks = [_gap2(a.ravel(), b.ravel()).reshape(m, G, m, G).transpose(0, 2, 1, 3)
+              for a, b, m in zip(lo, hi, shape)]
+    per_axis = [np.unravel_index(g, shape) for g in (gi, gj)]
+    lower = np.tril(np.ones((K, K), dtype=bool), -1)
+    per = max(1, _CHUNK // (K * K))
     batch = max(1, _BATCH // (B * B))
     bufs = np.empty((3, batch, B, B))
-    semi = 0.0
-    for start in range(0, live.size, batch):
+    for start in range(0, live.size, per):
         if live_bound[start] <= best:
             break
-        i, j = np.divmod(live[start:start + batch], C)
-        d, q, g = bufs[:, :i.size]
-        for k, x in enumerate(cell_x):
-            gap = g if k else d
-            np.subtract(x[i][:, :, None], x[j][:, None, :], out=gap)
-            np.multiply(gap, gap, out=gap)
-            if k:
-                d += gap
-        np.subtract(cell_v[j][:, None, :], cell_v[i][:, :, None], out=q)
-        np.abs(q, out=q)
-        # a zero-distance pair joins a node to itself or its padded copy, so
-        # its rise is 0 (the values are finite) and any positive distance
-        # leaves it out; h2 changes no other pair's distance
-        np.maximum(d, h2, out=d)
-        np.sqrt(d, out=d)
-        # the operator, not np.power: like the oracle's ``** rho`` it takes
-        # numpy's scalar-power fast paths (sqrt at rho = 0.5, twice as fast)
-        d **= rho
-        q /= d
-        top = float(q.max())
-        semi, best, pairs = max(semi, top), max(best, top), pairs + q.size
-    return semi, pairs
+        take = start + np.flatnonzero(live_bound[start:start + per] > best)
+        i, j = gi[take], gj[take]
+        d2 = 0.0
+        for k, blk in enumerate(blocks):
+            d2 = d2 + blk[per_axis[0][k][take], per_axis[1][k][take]].reshape(
+                [-1] + [G if m == k else 1 for m in range(n)] * 2)
+        rise = np.maximum(top[j][:, None, :] - bottom[i][:, :, None],
+                          top[i][:, :, None] - bottom[j][:, None, :])
+        cell_bound = _bound(rise, d2.reshape(-1, K, K), h2, rho)
+        cell_bound[(i == j)[:, None, None] & lower] = -np.inf
+        p, a, b = np.nonzero(cell_bound > best)
+        cell_bound = cell_bound[p, a, b]
+        order = np.argsort(-cell_bound, kind="stable")
+        ci, cj, cell_bound = members[i[p], a][order], members[j[p], b][order], cell_bound[order]
+        for s in range(0, ci.size, batch):
+            if cell_bound[s] <= best:
+                break
+            zc, wc = ci[s:s + batch], cj[s:s + batch]
+            q = _max_quotient(cell_v[zc], cell_v[wc], [x[zc] for x in cell_x],
+                              [x[wc] for x in cell_x], h2, rho, bufs[:, :zc.size])
+            best, pairs = max(best, q), pairs + zc.size * B * B
+    return best, pairs
 
 
 def hoelder_norm(u: GridFunction, rho: float) -> float:
     """sup |u| plus the rho-Hoelder seminorm in the cone metric.
 
     The seminorm is the exact maximum of |u(z) - u(w)| / d(z, w)^rho over
-    all node pairs, found by a branch and bound over cell pairs that forms
-    only the quotients of the cell pairs whose bound can beat the best one
-    found (``_hoelder_search``).
+    all node pairs, found by a branch and bound over groups of cells and
+    their cell pairs that forms only the quotients of the cell pairs whose
+    bound can beat the best one found (``_hoelder_search``).
     """
     if not (0.0 < rho <= 1.0):
         raise ValueError("rho must lie in (0, 1]")

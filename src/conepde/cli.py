@@ -587,8 +587,11 @@ def _verify_comparison(cfg, prob, grid, scfg, seed) -> tuple:
 
 
 def _verify_doubling(cfg, prob, grid, scfg, seed) -> tuple:
+    # the verdict asks M_alpha not to grow along the list, which the
+    # doubling argument gives as alpha grows
     alphas = cfg.read("verify.alphas", NUMBERS, [1.0, 10.0, 100.0, 1000.0],
-                      lambda al: all(a > 0.0 for a in al), "each alpha must be finite and positive")
+                      lambda al: al[0] > 0.0 and all(b > a for a, b in zip(al, al[1:])),
+                      "each alpha must be finite and positive, in strictly increasing order")
     u1, u2 = _shifted_pair(cfg, prob, grid, scfg)
     bound = max(float(np.max(np.abs(u1.values))),
                 float(np.max(np.abs(u2.values))), 1e-6)

@@ -1,8 +1,10 @@
 """Infimal convolution and upper envelope of grid functions.
 
 Both are exact extrema over grid nodes that never visit all node pairs: the
-infimal convolution is one 1D min-plus pass per axis, and the envelope and
-the windowed forcing maximum sweep the index offsets inside a ball on
+infimal convolution is one 1D min-plus pass per axis, each a windowed scan
+of the partners whose penalty can still reach the minimum (``_min_plus``,
+which also finds the doubling diagnostic's partners), and the envelope
+and the windowed forcing maximum sweep the index offsets inside a ball on
 shifted slices (``_offset_slices``).  The pairing distance is the cone
 metric, Euclidean in the log chart (a, x), in which the envelope Hessian
 bound is stated; every kernel reads the node coordinates ``grid.axes``.
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conepde.calculus import GridFunction, hessian_field
 from conepde.operators import PDEProblem, divergence_part_field
@@ -84,14 +87,38 @@ def _min_plus(values: np.ndarray, axis_coords, eps: float) -> tuple:
     axis, last axis first (Felzenszwalb & Huttenlocher, Theory of Computing
     8, 2012); each pass keeps its first minimizer, and reading the passes
     back from axis 0 gives the joint lex-smallest argmin.
+
+    Each pass is a windowed scan.  A partner w whose penalty, added in
+    floating point to the pass's smallest value, exceeds its largest costs
+    more than the node's own candidate f(z) + 0 (rounding is monotone), so
+    it is neither a minimizer nor tied with one.  The pass reads the
+    offsets |w - z| <= reach, the largest offset of any other partner,
+    padded with +inf past the faces.  A window scans shorter rows, which
+    cost more per candidate, so when it would read more than half the axis
+    the pass reads every partner, as the dense scan does.  Either way it
+    keeps the dense scan's minima and first minimizers, bit for bit.
     """
     f = values
     firsts = []
     for axis in reversed(range(values.ndim)):
         c = axis_coords[axis]
-        cand = np.moveaxis(f, axis, -1)[..., None, :] + (c[:, None] - c) ** 2 / (2.0 * eps)
-        f = np.moveaxis(cand.min(axis=-1), -1, axis)
-        firsts.insert(0, np.moveaxis(cand.argmin(axis=-1), -1, axis))
+        m = c.size
+        cost = (c[:, None] - c) ** 2 / (2.0 * eps)
+        i = np.arange(m)
+        reach = int(np.abs(i[:, None] - i)[f.min() + cost <= f.max()].max())
+        g = np.moveaxis(f, axis, -1)
+        if 2 * (2 * reach + 1) > m:
+            cand, start = g[..., None, :] + cost, 0
+        else:
+            cols = i[:, None] + np.arange(-reach, reach + 1)
+            band = np.where((cols >= 0) & (cols < m), cost[i[:, None], cols % m], np.inf)
+            g = np.pad(g, [(0, 0)] * (g.ndim - 1) + [(reach, reach)], constant_values=np.inf)
+            cand, start = sliding_window_view(g, 2 * reach + 1, axis=-1) + band, i - reach
+        # a candidate is never NaN or -0, so the first minimizer's entry is
+        # the minimum to the bit
+        first = cand.argmin(axis=-1)
+        f = np.moveaxis(np.take_along_axis(cand, first[..., None], axis=-1)[..., 0], -1, axis)
+        firsts.insert(0, np.moveaxis(first + start, -1, axis))
     z = tuple(np.indices(values.shape))
     w = ()
     for axis, first in enumerate(firsts):

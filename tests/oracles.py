@@ -12,8 +12,9 @@ factorizes every Jacobian afresh, the preconditioned GMRES cycle as scipy's
 ``gmres`` on a ``LinearOperator``, the halving eps continuation that one
 floor stage replaced, the grid-function writer that formats value by value,
 the per-node boundary distance, the all-pairs ball supremum of the forcing,
-and the all-pairs loops of the regularizations, the doubling diagnostic and
-the Hoelder seminorm, and the closed-form fields written out kind by kind.
+the min-plus passes as dense scans of every partner on the axis, the
+all-pairs loops of the regularizations, the doubling diagnostic and the
+Hoelder seminorm, and the closed-form fields written out kind by kind.
 Nothing here is imported by the package itself.
 """
 
@@ -584,6 +585,25 @@ def ball_sup_forcing(grid, weight_values, p, radius_field, chunk=int(5e6)):
 
 def _pair_d2(pts, start, stop):
     return np.sum((pts[start:stop, None, :] - pts[None, :, :]) ** 2, axis=2)
+
+
+def min_plus(values, axis_coords, eps):
+    """``regularization._min_plus`` as a dense scan: each 1D pass, last
+    axis first, forms the candidate of every partner on its axis and keeps
+    the minimum and the first minimizer; the passes read back from axis 0
+    give the lex-smallest argmin."""
+    f = values
+    firsts = []
+    for axis in reversed(range(values.ndim)):
+        c = axis_coords[axis]
+        cand = np.moveaxis(f, axis, -1)[..., None, :] + (c[:, None] - c) ** 2 / (2.0 * eps)
+        f = np.moveaxis(cand.min(axis=-1), -1, axis)
+        firsts.insert(0, np.moveaxis(cand.argmin(axis=-1), -1, axis))
+    z = tuple(np.indices(values.shape))
+    w = ()
+    for axis, first in enumerate(firsts):
+        w += (first[w + z[axis:]],)
+    return f, w
 
 
 def inf_convolution(u, eps, window=None, chunk=int(5e6)):

@@ -49,7 +49,7 @@ BALL = "need 3 finite numbers a, x..., d with d > 0"
 ADMISSIBLE = BALL + " and d <= K0 d0 + 1 = 3"
 FINITE = "must be finite and positive"
 NONNEGATIVE = "must be finite and at least 0"
-ALPHAS = "each alpha must be finite and positive"
+ALPHAS = "each alpha must be finite and positive, in strictly increasing order"
 
 
 # every numeric key the CLI reads: (key, a command that reads it, its text
@@ -691,6 +691,10 @@ class TestVerifyCommands:
         (["verify", "doubling"], "verify.alphas = 1,0", ALPHAS),
         (["verify", "doubling"], "verify.alphas = -1", ALPHAS),
         (["verify", "doubling"], "verify.alphas = 10,nan", ALPHAS),
+        # M_alpha must not grow along the list, so a decreasing list used
+        # to fail a correct diagnostic with exit 4
+        (["verify", "doubling"], "verify.alphas = 1000,1", ALPHAS),
+        (["verify", "doubling"], "verify.alphas = 10,10", ALPHAS),
         (["verify", "comparison"], "verify.margin = 0", FINITE),
         (["verify", "comparison"], "verify.margin = -0.5", FINITE),
         (["verify", "comparison"], "verify.margin = nan", FINITE),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.ndimage import binary_erosion
 
@@ -15,6 +15,7 @@ from conepde.regularization import (
     _ball_max,
     _boundary_margin,
     _box_interior,
+    _min_plus,
     convolution_supersolution_check,
     inf_convolution,
     semiconvexity_check,
@@ -300,6 +301,44 @@ def test_kernels_match_all_pairs_oracles(case, eps):
     assert diag.M_alpha == M
     assert diag.argmax_pair == (np.unravel_index(zi, grid.shape),
                                 np.unravel_index(wi, grid.shape))
+
+
+@st.composite
+def min_plus_cases(draw):
+    """Values on a 2D or 3D tensor grid of 1-12 nodes per axis whose steps
+    differ across axes, and eps from 1e-6 to 1e3.  The values are noise, a
+    plateau field of a few levels or one constant, where many partners tie,
+    at an offset up to 1e8, where a small penalty vanishes into the last
+    bit of the candidate and ties partners that a bare comparison of the
+    penalty with the value range would tell apart."""
+    n = draw(st.sampled_from([2, 3]))
+    axes = [draw(st.sampled_from([-1.0, 0.0, 2.5])) + draw(st.sampled_from([1e-3, 0.05, 0.3, 1.0]))
+            * np.arange(draw(st.integers(1, 12))) for _ in range(n)]
+    shape = tuple(c.size for c in axes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noise", "plateaus", "constant"]))
+    values = {"noise": rng.standard_normal(shape),
+              "plateaus": rng.integers(0, 3, shape) * draw(st.sampled_from([1e-9, 0.1, 2.0])),
+              "constant": np.full(shape, 0.5)}[kind]
+    offset = draw(st.sampled_from([0.0, -3.0, 1e8]))
+    eps = 10.0 ** draw(st.floats(-6.0, 3.0))
+    return values + offset, axes, eps
+
+
+@given(case=min_plus_cases())
+# a constant 1e8 with eps = 500: a 1e-3 step costs 1e-9, under half an ulp
+# of 1e8, so every partner along axis 0 ties with the node's own candidate
+# and the dense scan keeps the first; a window from the value range (0)
+# alone would keep the node itself
+@example(case=(np.full((4, 3), 1e8), [np.arange(4) * 1e-3, np.arange(3) * 0.05], 500.0))
+def test_windowed_min_plus_matches_the_dense_scan(case):
+    # the values and the lex-first partners bit for bit
+    values, axes, eps = case
+    f, w = _min_plus(values, axes, eps)
+    f_dense, w_dense = oracles.min_plus(values, axes, eps)
+    assert f.tobytes() == f_dense.tobytes()
+    for k, (got, want) in enumerate(zip(w, w_dense)):
+        np.testing.assert_array_equal(got, want, err_msg=f"axis {k}")
 
 
 @given(case=kernel_cases(),

@@ -18,8 +18,13 @@ the solver-failure paths (``solver.max_iter = 0``), a solve on a radial grid
 too coarse for the mesh Peclet bound, and a 9^3 solve with n = 3 at p = 2
 and 3, which covers the 3D fast linear solve and the 3D presolve.  A 9^3
 zero-data solve at p = 4 with f = 0.5 follows, a 3D solve whose steps all
-take the fast-diagonalization GMRES cycle and never factorize.  Fifteen
-more cases at p = 3 each give one key that the cases above leave at its
+take the fast-diagonalization GMRES cycle and never factorize.  Five
+cases at p = 3 follow: ``verify hoelder``, ``verify doubling`` and
+``convolve`` in both directions (at eps = 0.005, where each min-plus pass
+reads a window narrower than its axis) on a stored random 9^3 field, and
+``verify doubling`` on its own solve with ``verify.alphas = 1000,1``, a
+config error since the verdict asks M_alpha not to grow along the list.
+Fifteen more cases at p = 3 each give one key that the cases above leave at its
 default another valid value (the ten verify keys ``rho``, ``rhos``, ``p0s``,
 ``alphas``, ``margin``, ``c_ref``, ``slack``, ``bumps``, ``weakform_tol``
 and ``samples``, ``solver.max_iter``, the two float ``solver.*`` keys and
@@ -40,7 +45,7 @@ of every kind other than ``auto`` (a gridfile one exits 2).  Every
 output except ``*_meta.json`` must be byte-identical, and the exit codes of
 every command, the set of meta files and whether ``output.dir`` exists
 afterwards must agree.  Prints one line per
-case (126 in all) and a summary; exits 1 on any difference.  A file that differs is
+case (131 in all) and a summary; exits 1 on any difference.  A file that differs is
 reported with the largest |old - new| / max(1, |old|) over its numbers
 (JSON values, CSV fields, ``.gf`` lines).  A JSON file whose key set
 changed names the added and removed keys and still compares the numbers
@@ -87,6 +92,8 @@ FAILING = "solver.max_iter = 0\ndomain.t_min = 0.001\n"
 # h_a = 6.9 breaks the mesh Peclet bound |n-p| h_a <= 2(p-1) unless p = n = 2
 COARSE = "domain.t_min = 1e-6\ngrid.nodes = 3,5\n"
 SOLID = "domain.n = 3\ndomain.base = 0,1;0,1\ngrid.nodes = 9,9,9\n"
+# the stored random field on that 9^3 grid
+SOLID_STORED = SOLID + "verify.solution = solid.gf\nconvolve.input = solid.gf\n"
 # zero data with f = 0.5: the cold stages' preconditioner serves every step
 ZERO_SOLID = SOLID + "problem.f = constant:0.5\n"
 # the shortest axes: second_diff's face rows span an axis of 3 or 4 nodes
@@ -175,6 +182,19 @@ def cases():
             yield f"p={p} solve 3d", [["solve"]], merged(base, SOLID)
     yield "p=4.0 solve 3d zero data", [["solve"]], merged(BASE.format(p="4.0"), ZERO_SOLID)
     base = BASE.format(p="3.0")
+    for check in ("hoelder", "doubling"):
+        extra = PAIR.format(p="3.0") if check == "doubling" else ""
+        yield (f"p=3.0 verify {check} 3d stored", [["verify", check]],
+               merged(base, SOLID_STORED + extra))
+    # at eps = 0.005 each min-plus pass reads a window narrower than its axis
+    for direction in ("inf", "sup"):
+        yield (f"p=3.0 convolve {direction} 3d", [["convolve"]],
+               merged(base, SOLID_STORED + "convolve.eps = 0.005\n"
+                      f"convolve.direction = {direction}\n"))
+    # M_alpha must not grow along verify.alphas, so a decreasing list is a
+    # config error (exit 2; a false verdict, exit 4, before it was rejected)
+    yield ("p=3.0 verify doubling alphas 1000,1", [["solve"], ["verify", "doubling"]],
+           merged(base, PAIR.format(p="3.0") + SOLVED + "verify.alphas = 1000,1\n"))
     for entry, argv in SETTINGS:
         extra = PAIR.format(p="3.0") if argv[-1] in ("comparison", "doubling") else ""
         yield f"p=3.0 {' '.join(argv)} {entry}", [argv], merged(base, extra + entry + "\n")
@@ -282,15 +302,16 @@ def describe_difference(name: str, old: bytes, new: bytes) -> str:
     return "; ".join(notes + [f"max rel diff {worst:.3g}{shared}"])
 
 
-def write_field(src: str, path: str, nodes: int) -> None:
-    """A seeded random field on a nodes x nodes grid of the configs' domain:
-    at 13x13, the convolve input and the stored verify solution."""
+def write_field(src: str, path: str, nodes: int, n: int = 2) -> None:
+    """A seeded random field on a grid of ``nodes`` per axis over the
+    configs' domain in n dimensions: at 13x13, the convolve input and the
+    stored verify solution."""
     sys.path.insert(0, os.path.abspath(src))
     from conepde.calculus import GridFunction, LogGrid, write_gridfunction
     from conepde.geometry import ConeDomain
 
-    dom = ConeDomain(n=2, base_lo=[0.0], base_hi=[1.0], t_min=0.2)
-    grid = LogGrid.build(dom, (nodes, nodes))
+    dom = ConeDomain(n=n, base_lo=[0.0] * (n - 1), base_hi=[1.0] * (n - 1), t_min=0.2)
+    grid = LogGrid.build(dom, (nodes,) * n)
     values = np.random.default_rng(0).standard_normal(grid.shape)
     write_gridfunction(path, GridFunction(grid, values))
 
@@ -302,9 +323,10 @@ def main(argv) -> int:
     old_src, new_src = argv
     differing = files = 0
     with tempfile.TemporaryDirectory() as tmp:
-        fields = [os.path.join(tmp, "src.gf"), os.path.join(tmp, "coarse.gf")]
+        fields = [os.path.join(tmp, name) for name in ("src.gf", "coarse.gf", "solid.gf")]
         write_field(new_src, fields[0], 13)
         write_field(new_src, fields[1], 9)
+        write_field(new_src, fields[2], 9, n=3)
         all_cases = list(cases())
         for k, (label, cmd, text) in enumerate(all_cases):
             codes, outs = [], []
