@@ -459,13 +459,13 @@ def _get_solution(cfg: RunConfig, prob: PDEProblem, grid: LogGrid,
 
 def _solve_or_raise(prob, grid, scfg, initial=None):
     """``solve_dirichlet``'s (solution, report); an unconverged solve raises
-    a RuntimeError naming the eps_reg, stop reason and residual of its last
+    a RuntimeError naming the p, stop reason and residual of its last
     stage."""
     u, report = solve_dirichlet(prob, grid, scfg, initial=initial)
     if not report.converged:
         last = report.stages[-1]
-        raise RuntimeError(f"solver failed to converge: the last stage, at eps_reg "
-                           f"{last.eps_reg:g}, stopped on {last.stop_reason} at residual "
+        raise RuntimeError(f"solver failed to converge: the last stage, at p "
+                           f"{last.p:g}, stopped on {last.stop_reason} at residual "
                            f"{last.residual_norm:.3g}")
     return u, report
 

@@ -2,18 +2,19 @@
 floor eps_reg, manufactured problems, a convergence study helper, and the
 domain-exhaustion existence procedure.
 
-For p > 2 a presolve on the p = 2 system with the target's drift gives
-the starting field of one Newton stage at the floor eps_reg; the
+A solve continues in p alone: a p = 2 presolve, then one Newton stage per
+rung of the fixed ladder p_1 < p_1 + 2 < ... < p with p_1 in (2, 4], each
+at the floor eps_reg and started from the field of the rung below it; the
 operator's coefficient sees spikes (``operators.gradient_powers``), so no
 eps continuation has to steer Newton around them.  One Newton system per
-solve gives the residual and the linear solve of a step: fast
+stage gives the residual and the linear solve of a step: fast
 diagonalization at p = 2, and otherwise flexible GMRES on the Jacobian as
 a stencil operator in natural order, one slice per stencil offset.  A cold
-stage preconditions it by scaling each row by its node's diffusion and
-inverting the scaled rows' constant-coefficient mean by fast
+stage preconditions one GMRES cycle by scaling each row by its node's
+diffusion and inverting the scaled rows' constant-coefficient mean by fast
 diagonalization (a Newton-Krylov step with physics-based preconditioning;
-Knoll & Keyes, J. Comput. Phys. 193, 2004), restarts its cycles up to a
-budget that the grid's shape fixes, and factorizes only when they miss.
+Knoll & Keyes, J. Comput. Phys. 193, 2004), and factorizes only when that
+cycle misses.
 A factorization gathers the operator's products into the interior block
 in the grid's nested-dissection order, on a pattern kept on the grid (the
 symbolic/numeric split; Davis, Direct Methods for Sparse Linear Systems,
@@ -108,7 +109,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class StageRecord:
-    eps_reg: float
+    p: float                      # the exponent of the stage's Newton system
     iterations: int
     residual_norm: float
     stop_reason: str              # converged (to tol), max_iter or line_search
@@ -376,45 +377,26 @@ def _fd_preconditioner(grid: LogGrid, A: np.ndarray, B: np.ndarray, C: np.ndarra
     return solve
 
 
-# the most GMRES iterations in a cycle, on the fast-diagonalization
+# the most GMRES iterations in a step's one cycle, on the fast-diagonalization
 # preconditioner and on a kept factor, and the relative tolerance on the
 # true residual |J du - rhs|_2 that a step must meet
 FD_RESTART, KRYLOV_RESTART, KRYLOV_RTOL = 30, 10, 1e-6
 
 
-def _fd_cycles(grid: LogGrid) -> int:
-    """The most ``FD_RESTART``-iteration cycles a cold step runs on the
-    fast-diagonalization preconditioner before it factorizes: what one
-    factorization costs in cycles, counted in flops and at least one.  Of N
-    interior unknowns, m_k on axis k, the nested-dissection factor's top
-    separator holds S = N / max_k m_k, and factorizing it densely takes of
-    the order of S^3 flops; a preconditioned iteration takes of the order of
-    N sum_k m_k, the dense products along each axis.  In 2D the ratio is
-    below one cycle at every size; on an m^3 interior it is m^2 / 90, so one
-    cycle up to m = 13 (15^3 nodes), five at 25^3 and ten at 33^3.  The count
-    reads the grid alone, so a solve's ``krylov_iterations`` and
-    ``factorizations`` do not depend on the host."""
-    m = [k - 2 for k in grid.shape]
-    unknowns = math.prod(m)
-    separator = unknowns // max(m)
-    return max(1, separator ** 3 // (FD_RESTART * unknowns * sum(m)))
+def _fgmres(J, b: np.ndarray, precondition, restart: int) -> tuple:
+    """One cycle of right-preconditioned flexible GMRES (Saad, SIAM J. Sci.
+    Comput. 14, 1993) for J x = b from x = 0, at most ``restart`` iterations:
+    (x, iterations), with x None when the true residual misses
+    |J x - b|_2 <= KRYLOV_RTOL |b|_2.
 
-
-def _fgmres(J, b: np.ndarray, precondition, restart: int, cycles: int = 1) -> tuple:
-    """Right-preconditioned flexible GMRES (Saad, SIAM J. Sci. Comput. 14,
-    1993) for J x = b from x = 0, restarted from the current x after each
-    cycle of at most ``restart`` iterations, at most ``cycles`` cycles:
-    (x, iterations), with x None when the true residual still misses
-    |J x - b|_2 <= KRYLOV_RTOL |b|_2 after the last cycle.
-
-    Iteration j keeps z_j = precondition(v_j) and a cycle's correction is a
-    combination of the z_j, so each iteration calls ``precondition`` once
-    and x needs no further call.  As in scipy's gmres, a cycle stops when
-    its rotated Hessenberg residual meets the tolerance on |b|_2 or the new
-    Krylov vector vanishes (at most eps of its norm before
-    orthogonalization), and a zero pivot of the triangular solve leaves its
-    component of y at 0.  The orthogonalization is classical Gram-Schmidt,
-    twice.  A zero b gives x = 0 in no iteration."""
+    Iteration j keeps z_j = precondition(v_j) and x is a combination of the
+    z_j, so each iteration calls ``precondition`` once and x needs no
+    further call.  As in scipy's gmres, the cycle stops when its rotated
+    Hessenberg residual meets the tolerance on |b|_2 or the new Krylov
+    vector vanishes (at most eps of its norm before orthogonalization), and
+    a zero pivot of the triangular solve leaves its component of y at 0.
+    The orthogonalization is classical Gram-Schmidt, twice.  A zero b gives
+    x = 0 in no iteration."""
     x, norm_b = np.zeros_like(b), float(np.linalg.norm(b))
     if norm_b == 0.0:
         return x, 0
@@ -422,77 +404,72 @@ def _fgmres(J, b: np.ndarray, precondition, restart: int, cycles: int = 1) -> tu
     V, Z = np.empty((restart + 1, b.size)), np.empty((restart, b.size))
     R = np.zeros((restart, restart))  # the Hessenberg matrix, rotated upper triangular
     g = np.zeros(restart + 1)
-    r, iterations = b, 0
-    for _ in range(cycles):
-        beta = float(np.linalg.norm(r))
-        g[0], V[0] = beta, r / beta
-        rotations = []
-        for j in range(restart):
-            Z[j] = precondition(V[j])
-            w = J @ Z[j]
-            h, norm = np.zeros(j + 2), np.linalg.norm(w)
-            for _ in range(2):
-                proj = V[:j + 1] @ w
-                w -= proj @ V[:j + 1]
-                h[:j + 1] += proj
-            h[j + 1] = np.linalg.norm(w)
-            breakdown = h[j + 1] <= np.finfo(float).eps * norm
-            if breakdown:
-                h[j + 1] = 0.0
-            else:
-                V[j + 1] = w / h[j + 1]
-            for i, (cs, sn) in enumerate(rotations):
-                h[i], h[i + 1] = cs * h[i] + sn * h[i + 1], cs * h[i + 1] - sn * h[i]
-            rho = math.hypot(h[j], h[j + 1])
-            cs, sn = (h[j] / rho, h[j + 1] / rho) if rho else (1.0, 0.0)
-            rotations.append((cs, sn))
-            R[:j, j], R[j, j] = h[:j], rho
-            g[j], g[j + 1] = cs * g[j], -sn * g[j]
-            if abs(g[j + 1]) <= target or breakdown:
-                break
-        k = j + 1
-        iterations += k
-        y = np.zeros(k)
-        for i in range(k - 1, -1, -1):
-            if R[i, i]:
-                y[i] = (g[i] - R[i, i + 1:k] @ y[i + 1:k]) / R[i, i]
-        x += y @ Z[:k]
-        r = b - J @ x
-        if np.linalg.norm(r) <= target:
-            return x, iterations
-    return None, iterations
+    g[0], V[0] = norm_b, b / norm_b
+    rotations = []
+    for j in range(restart):
+        Z[j] = precondition(V[j])
+        w = J @ Z[j]
+        h, norm = np.zeros(j + 2), np.linalg.norm(w)
+        for _ in range(2):
+            proj = V[:j + 1] @ w
+            w -= proj @ V[:j + 1]
+            h[:j + 1] += proj
+        h[j + 1] = np.linalg.norm(w)
+        breakdown = h[j + 1] <= np.finfo(float).eps * norm
+        if breakdown:
+            h[j + 1] = 0.0
+        else:
+            V[j + 1] = w / h[j + 1]
+        for i, (cs, sn) in enumerate(rotations):
+            h[i], h[i + 1] = cs * h[i] + sn * h[i + 1], cs * h[i + 1] - sn * h[i]
+        rho = math.hypot(h[j], h[j + 1])
+        cs, sn = (h[j] / rho, h[j + 1] / rho) if rho else (1.0, 0.0)
+        rotations.append((cs, sn))
+        R[:j, j], R[j, j] = h[:j], rho
+        g[j], g[j + 1] = cs * g[j], -sn * g[j]
+        if abs(g[j + 1]) <= target or breakdown:
+            break
+    k = j + 1
+    y = np.zeros(k)
+    for i in range(k - 1, -1, -1):
+        if R[i, i]:
+            y[i] = (g[i] - R[i, i + 1:k] @ y[i + 1:k]) / R[i, i]
+    x += y @ Z[:k]
+    return (x if np.linalg.norm(b - J @ x) <= target else None), k
 
 
 @dataclass
 class _NewtonSystem:
-    """One solve's Newton system: the log-chart residual at exponent p,
-    radial drift coefficient ``drift`` (the solve's n - p, which its p = 2
-    presolve keeps) and interior forcing F_log, and the linear solve of a
-    step, by ``_solve_linear`` at p == 2 and otherwise by ``_solve_jacobian``
-    on the stencil operator of the residual's coefficient fields
-    (``_jacobian_operator``), with the kept ``splu`` factor ``lu``.  While a
-    cold system (not ``warm``) holds no factor, its steps try the
-    fast-diagonalization preconditioner first; a warm one factorizes at its
-    first step.  Only a step that factorizes builds a CSC matrix.  It counts
-    the factorizations taken and the GMRES iterations run.  Only p == 2 reads
-    ``drift``: its residual is sum_k D2_k u + drift D1_a u - F_log; other p
-    take n - p from the grid."""
+    """One Newton system of a solve: the log-chart residual at exponent p,
+    radial drift coefficient ``drift`` (n - p, which a p = 2 presolve keeps
+    from the rung it starts), interior forcing F_log and regularization
+    ``eps_reg``, and the linear solve of a step, by ``_solve_linear`` at
+    p == 2 and otherwise by ``_solve_jacobian`` on the stencil operator of
+    the residual's coefficient fields (``_jacobian_operator``), with the
+    kept ``splu`` factor ``lu``.  While a cold system (not ``warm``) holds
+    no factor, its steps try the fast-diagonalization preconditioner first;
+    a warm one factorizes at its first step.  Only a step that factorizes
+    builds a CSC matrix.  It counts the factorizations taken and the GMRES
+    iterations run.  Only p == 2 reads ``drift``: its residual is
+    sum_k D2_k u + drift D1_a u - F_log; other p take n - p from the grid,
+    and only they read ``eps_reg``."""
 
     grid: LogGrid
     p: float
     drift: float
     F_log: np.ndarray
+    eps_reg: float
     warm: bool = False
     lu: object = None
     factorizations: int = 0
     krylov_iterations: int = 0
 
-    def residual(self, values: np.ndarray, eps_reg: float) -> tuple:
+    def residual(self, values: np.ndarray) -> tuple:
         """(res, lin): the residual at every node, zero on the boundary, and
         its linearization point: the coefficient fields A and B of
-        ``operator_terms`` at ``values``, with the derivative fields g and H
-        and eps_reg, from which a step forms C and dA; None at p == 2, whose step
-        reads no coefficient field."""
+        ``operator_terms`` at ``values``, with the derivative fields g and H,
+        from which a step forms C and dA; None at p == 2, whose step reads
+        no coefficient field."""
         grid = self.grid
         if self.p == 2.0:
             lin = None
@@ -500,8 +477,7 @@ class _NewtonSystem:
             R = R + self.drift * grid.apply_stencil(values, 0, first_diff)
         else:
             R, *lin = divergence_part_field(GridFunction(grid, values, check_finite=False),
-                                            self.p, eps_reg)
-            lin = (*lin, eps_reg)
+                                            self.p, self.eps_reg)
         res = R - self.F_log
         res[grid.boundary_mask] = 0.0
         return res, lin
@@ -515,8 +491,8 @@ class _NewtonSystem:
         pays for them, nor for the fast-diagonalization preconditioner."""
         if self.p == 2.0:
             return _solve_linear(self.grid, self.drift, rhs)
-        A, B, g, H, eps_reg = lin
-        C, dA = gradient_coefficient(g, H, self.p, eps_reg, self.grid.h)
+        A, B, g, H = lin
+        C, dA = gradient_coefficient(g, H, self.p, self.eps_reg, self.grid.h)
         A = A + dA
         fd = (None if self.warm or self.lu is not None
               else _fd_preconditioner(self.grid, A, B, C))
@@ -529,23 +505,22 @@ def _solve_jacobian(J: _StencilOperator, rhs: np.ndarray, system: _NewtonSystem,
     ``_jacobian_operator``; ``rhs`` is read on the interior nodes and du is
     zero on the boundary, whose values are data.
 
-    Right-preconditioned flexible GMRES (``_fgmres``) runs first, on
-    full-grid vectors that are 0 on the boundary: one cycle of at most
+    One cycle of right-preconditioned flexible GMRES (``_fgmres``) runs
+    first, on full-grid vectors that are 0 on the boundary: at most
     ``KRYLOV_RESTART`` iterations on the system's kept factor (solved at
     the interior nodes in dissection order) or, while it holds none, at
-    most ``_fd_cycles(grid)`` restarted cycles of at most ``FD_RESTART`` on
-    ``precondition``, the row-scaled fast-diagonalization inverse that a
-    cold system's step passes.  When GMRES misses, or there is no
-    preconditioner, J's interior block (``_assemble_jacobian``) is
-    factorized in its nested-dissection order with SuperLU's partial
-    pivoting, kept on ``system`` and solved directly; a singular factor
-    raises RuntimeError.  The Krylov basis and the missed factor are freed
-    first, so a solve never holds two factors, nor a factor and a basis."""
+    most ``FD_RESTART`` on ``precondition``, the row-scaled
+    fast-diagonalization inverse that a cold system's step passes.  When
+    the cycle misses, or there is no preconditioner, J's interior block
+    (``_assemble_jacobian``) is factorized in its nested-dissection order
+    with SuperLU's partial pivoting, kept on ``system`` and solved
+    directly; a singular factor raises RuntimeError.  The Krylov basis and
+    the missed factor are freed first, so a solve never holds two factors,
+    nor a factor and a basis."""
     grid = system.grid
     b = np.where(grid.boundary_mask, 0.0, rhs).ravel()
     cycle = (((lambda y: _scatter(grid, system.lu.solve(y[grid.dissection_order]))),
-              KRYLOV_RESTART) if system.lu is not None
-             else (precondition, FD_RESTART, _fd_cycles(grid)))
+              KRYLOV_RESTART) if system.lu is not None else (precondition, FD_RESTART))
     if cycle[0] is not None:
         x, iterations = _fgmres(J, b, *cycle)
         system.krylov_iterations += iterations
@@ -566,16 +541,16 @@ def _scatter(grid: LogGrid, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _newton_stage(values: np.ndarray, system: _NewtonSystem, eps_reg: float,
-                  max_iter: int, target: float) -> tuple:
-    """Damped Newton on ``system`` at one eps_reg stage, run until the
-    residual's max norm is at most ``target``; returns (values, StageRecord).
-    A step reads the linearization that its iterate's residual evaluation
-    returned, and a rejected trial step halves the step length.  The record
-    counts the stage's factorizations and GMRES iterations and names why the
-    stage stopped."""
+def _newton_stage(values: np.ndarray, system: _NewtonSystem, max_iter: int,
+                  target: float) -> tuple:
+    """Damped Newton on ``system``, run until the residual's max norm is at
+    most ``target``; returns (values, StageRecord).  A step reads the
+    linearization that its iterate's residual evaluation returned, and a
+    rejected trial step halves the step length.  The record names the
+    system's p, counts the stage's factorizations and GMRES iterations and
+    names why the stage stopped."""
     start = (system.factorizations, system.krylov_iterations)
-    res, lin = system.residual(values, eps_reg)
+    res, lin = system.residual(values)
     if not np.all(np.isfinite(res)):
         raise FloatingPointError("non-finite value in discrete residual")
     norm = float(np.max(np.abs(res)))
@@ -587,7 +562,7 @@ def _newton_stage(values: np.ndarray, system: _NewtonSystem, eps_reg: float,
         accepted = False
         while lam >= 1e-12:
             trial = values + lam * du
-            tres, tlin = system.residual(trial, eps_reg)
+            tres, tlin = system.residual(trial)
             if np.any(np.isnan(tres)):
                 raise FloatingPointError("NaN in discrete residual")
             tnorm = float(np.max(np.abs(tres)))
@@ -600,7 +575,7 @@ def _newton_stage(values: np.ndarray, system: _NewtonSystem, eps_reg: float,
             break
         values, res, lin, norm = trial, tres, tlin, tnorm
     stop = ("converged" if norm <= target else "max_iter" if accepted else "line_search")
-    return values, StageRecord(eps_reg=eps_reg, iterations=iters, residual_norm=norm,
+    return values, StageRecord(p=system.p, iterations=iters, residual_norm=norm,
                                stop_reason=stop,
                                factorizations=system.factorizations - start[0],
                                krylov_iterations=system.krylov_iterations - start[1])
@@ -611,38 +586,39 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid, cfg: SolverConfig | None = 
     """Solve the Dirichlet problem on the grid; returns (GridFunction, SolveReport).
 
     Boundary values (including the artificial truncation face) are pinned to
-    the problem's Dirichlet sampler.  At p > 2 the p = 2 presolve gives the
-    start of one Newton stage at ``cfg.eps_reg_floor``; every stage runs
-    until the residual's max norm is at most ``cfg.tol``, and the report is
-    converged when the final one is.  A p > 2 stage that misses ``tol``
-    climbs: a stage at the geometric midpoint of it and the one before it
-    (4 eps before the first, so 2 eps, 4 eps, ...) goes in before it, at
-    most 24 per solve.
-
-    The stages after the presolve are cold: their steps take the
-    fast-diagonalization GMRES cycle until one misses and factorizes, and
-    keep that factor for the rest of the solve (``_solve_jacobian``).
+    the problem's Dirichlet sampler.  The solve continues in p alone, up the
+    rungs p, p - 2, p - 4, ... above 2 in ascending order (p itself at
+    p == 2), so the first rung lies in (2, 4] and starts from the p = 2
+    presolve on its drift and forcing.  Rung q is one cold Newton stage at
+    exponent q with forcing t^q f, at ``cfg.eps_reg_floor`` to ``cfg.tol``,
+    from the field the rung below left, met ``tol`` or not (Allgower &
+    Georg, Introduction to Numerical Continuation Methods, SIAM 2003); a
+    stage keeps the factor it takes (``_solve_jacobian``).  Each rung gives
+    one stage record, and the report is converged when the last, at p, is.
 
     An ``initial`` field on the grid's nodes is a warm start: its values,
     with the boundary reset to the Dirichlet data, go through one Newton
-    stage at the floor eps to ``tol``, with no presolve or climb, which
-    factorizes at its first step.  When that stage misses ``tol`` the
-    solve goes on exactly as a solve without ``initial`` (a fresh start, no
-    factor), and the failed warm stage stays first in the report.
+    stage at p to ``tol``, with no presolve or ladder, which factorizes at
+    its first step.  When that stage misses ``tol`` the solve goes on
+    exactly as a solve without ``initial``, and the failed warm stage stays
+    first in the report.
 
     The solve is deterministic; failure to
     converge is reported, never raised.  A radial step beyond the mesh Peclet
-    bound, or an ``initial`` on other nodes, raises ValueError; a forcing
-    t^p f that is not finite at an interior node, or a residual that turns
-    NaN, raises FloatingPointError.
+    bound at p, or an ``initial`` on other nodes, raises ValueError; a
+    forcing t^p f that is not finite at an interior node, or a residual that
+    turns NaN, raises FloatingPointError.
     """
     cfg = cfg or SolverConfig()
     p = prob.p
     _check_peclet(grid, p)
     bmask = grid.boundary_mask
     data = prob.dirichlet_values(grid)[bmask]
-    # the residual lives on the interior, so the forcing on the boundary is never read
-    F_log = prob.log_forcing(grid, interior_only=True)
+
+    def system(q: float, warm: bool = False) -> _NewtonSystem:
+        # the residual lives on the interior, so the forcing on the boundary is never read
+        F_log = replace(prob, p=q).log_forcing(grid, interior_only=True)
+        return _NewtonSystem(grid, q, grid.n - q, F_log, cfg.eps_reg_floor, warm)
 
     stages: list = []
     if initial is not None:
@@ -651,33 +627,23 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid, cfg: SolverConfig | None = 
                              f"the nodes of the solve's grid {grid.shape}")
         values = np.array(initial.values, dtype=float)
         values[bmask] = data
-        values, stage = _newton_stage(values, _NewtonSystem(grid, p, grid.n - p, F_log,
-                                                            warm=True),
-                                      cfg.eps_reg_floor, cfg.max_iter, cfg.tol)
+        values, stage = _newton_stage(values, system(p, warm=True), cfg.max_iter, cfg.tol)
         stages.append(stage)
         if stage.residual_norm <= cfg.tol:
             return GridFunction(grid, values), SolveReport(stages, True, stage.residual_norm)
 
     values = np.zeros(grid.shape)
     values[bmask] = data
-    system = _NewtonSystem(grid, p, grid.n - p, F_log)
-    if p > 2.0:
-        # linearized presolve: the p = 2 system with the target's drift n - p
-        values, _ = _newton_stage(values, replace(system, p=2.0),
-                                  cfg.eps_reg_floor, cfg.max_iter, cfg.tol)
-
-    # climb stages go in before the stalled one, so the floor stays last; a
-    # p = 2 stage reads no eps, so a climb would only redo it
-    queue, i = [cfg.eps_reg_floor], 0
-    while i < len(queue):
-        eps = queue[i]
-        values, stage = _newton_stage(values, system, eps, cfg.max_iter, cfg.tol)
+    rungs = [p]
+    while rungs[0] - 2.0 > 2.0:
+        rungs.insert(0, rungs[0] - 2.0)
+    for q in rungs:
+        rung = system(q)
+        if q == rungs[0] and q > 2.0:
+            # linearized presolve: the p = 2 system with the first rung's drift and forcing
+            values, _ = _newton_stage(values, replace(rung, p=2.0), cfg.max_iter, cfg.tol)
+        values, stage = _newton_stage(values, rung, cfg.max_iter, cfg.tol)
         stages.append(stage)
-        ref = queue[i - 1] if i else 4.0 * eps
-        if stage.residual_norm > cfg.tol and p > 2.0 and len(queue) <= 24 and ref / eps > 1.05:
-            queue.insert(i, math.sqrt(ref * eps))
-        else:
-            i += 1
     norm = stage.residual_norm
     return GridFunction(grid, values), SolveReport(stages, bool(norm <= cfg.tol), norm)
 

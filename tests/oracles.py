@@ -503,12 +503,14 @@ def scipy_gmres_cycle(J, b, precondition):
 
 
 def halving_schedule(prob, grid, cfg=None, eps_start=0.1):
-    """``solver.solve_dirichlet`` along a halving eps continuation: the
+    """``solver.solve_dirichlet`` along a halving eps continuation at p: the
     p = 2 presolve, then stages at eps_start, eps_start / 2, ... down to
     exactly ``cfg.eps_reg_floor``, each run to ``cfg.tol``, where a stage
     that misses tol first inserts the geometric midpoint of it and the
     stage before it (at most 24 per solve): the reference for the solve's
-    one floor stage.  Returns (GridFunction, SolveReport)."""
+    ladder in p.  One Newton system at p serves every stage, with its
+    ``eps_reg`` set per stage, so a kept factor carries over.  Returns
+    (GridFunction, SolveReport)."""
     cfg = cfg or solver.SolverConfig()
     p = prob.p
     solver._check_peclet(grid, p)
@@ -516,18 +518,18 @@ def halving_schedule(prob, grid, cfg=None, eps_start=0.1):
     bmask = grid.boundary_mask
     values[bmask] = prob.dirichlet_values(grid)[bmask]
     system = solver._NewtonSystem(grid, p, grid.n - p,
-                                  prob.log_forcing(grid, interior_only=True))
+                                  prob.log_forcing(grid, interior_only=True), eps_start)
     queue = [cfg.eps_reg_floor]
     if p > 2.0:
         presolve = dataclasses.replace(system, p=2.0)
-        values, _ = solver._newton_stage(values, presolve, eps_start, cfg.max_iter, cfg.tol)
+        values, _ = solver._newton_stage(values, presolve, cfg.max_iter, cfg.tol)
         while eps_start > cfg.eps_reg_floor:
             queue.insert(-1, eps_start)
             eps_start *= 0.5
     stages, prev_eps, insertions, i = [], None, 0, 0
     while i < len(queue):
-        eps = queue[i]
-        values, stage = solver._newton_stage(values, system, eps, cfg.max_iter, cfg.tol)
+        system.eps_reg = eps = queue[i]
+        values, stage = solver._newton_stage(values, system, cfg.max_iter, cfg.tol)
         stages.append(stage)
         norm = stage.residual_norm
         if norm > cfg.tol and p > 2.0:

@@ -499,7 +499,7 @@ class TestSolveCommand:
         with open(os.path.join(out, "solve_report.json")) as fh:
             report = json.load(fh)
         assert report["converged"] is True
-        assert [s["eps_reg"] for s in report["stages"]] == [1e-3]
+        assert [s["p"] for s in report["stages"]] == [3.0]
 
     def test_non_convergence_exits_with_three(self, tmp_path):
         out = os.path.join(tmp_path, "out")
@@ -920,7 +920,7 @@ class TestVerifyCommands:
 
     def test_failed_shifted_solve_names_its_last_stage(self, tmp_path, monkeypatch, capsys):
         # with no Newton step allowed the warm stage fails, the cold solve
-        # after it too, and the error names the floor stage that ended it
+        # after it too, and the error names the p of the stage that ended it
         monkeypatch.chdir(tmp_path)
         grid = LogGrid.build(ConeDomain(n=2, base_lo=[0.0], base_hi=[1.0],
                                         t_min=0.36787944117144233), (13, 13))
@@ -932,12 +932,12 @@ class TestVerifyCommands:
         monkeypatch.setattr("conepde.cli.solve_dirichlet", record.solve)
         assert run(["verify", "comparison", "--config", write_config(tmp_path, body)]) == 3
         assert capsys.readouterr().err.startswith(
-            "solver error: solver failed to converge: the last stage, at eps_reg 1e-06, "
+            "solver error: solver failed to converge: the last stage, at p 3, "
             "stopped on max_iter at residual ")
         (_, report), = record
-        assert [(s.eps_reg, s.iterations, s.stop_reason) for s in report.stages[:1]] == [
-            (1e-6, 0, "max_iter")]
-        assert len(report.stages) > 1 and report.stages[-1].eps_reg == 1e-6
+        assert [(s.p, s.iterations, s.stop_reason) for s in report.stages[:1]] == [
+            (3.0, 0, "max_iter")]
+        assert len(report.stages) > 1 and report.stages[-1].p == 3.0
         assert not os.path.exists("out")
 
     def test_subsolution_from_the_prolonged_solution_is_the_cold_one(self, tmp_path,
@@ -1171,7 +1171,7 @@ class TestReportSchema:
 
     @pytest.mark.parametrize("command, keys, header", [
         (["solve"], {"config_hash": None, "converged": None, "final_residual": None,
-                     "stages": [dict.fromkeys(["eps_reg", "iterations", "residual_norm",
+                     "stages": [dict.fromkeys(["p", "iterations", "residual_norm",
                                                "stop_reason", "factorizations",
                                                "krylov_iterations"])]}, None),
         (["verify", "abp"], {**VERIFY_KEYS, "subsolution": ABP_KEYS,

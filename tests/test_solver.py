@@ -199,14 +199,25 @@ class TestSolveDirichlet:
         fine = LogGrid.build(grid.domain, (4, 5, 5))
         assert solve_dirichlet(prob, fine)[1].converged
 
+    def test_peclet_bound_is_read_at_the_target_p(self):
+        # h_a = 2.7 meets the bound 2(p-1) = 6 of the p = 4 rung, with
+        # |n-p| h_a = 5.4, but not the bound 10 of p = 6, with 10.8
+        grid = LogGrid.build(unit_domain(t_min=math.exp(-5.4)), (3, 5))
+        solver._check_peclet(grid, 4.0)
+        prob = constant_forcing_problem(6.0, 2)
+        with pytest.raises(ValueError, match=r"h_a = 2.7 .* 2\(p-1\) = 10; use at least 4 "):
+            solve_dirichlet(prob, grid)
+        fine = LogGrid.build(grid.domain, (4, 5))
+        assert solve_dirichlet(prob, fine)[1].converged
+
     def test_p_continuation_path(self):
         grid = LogGrid.build(unit_domain(), (13, 13))
         u_star = power_of_t_field((4.0 - 2.0) / (4.0 - 1.0))
         prob = manufactured_problem(u_star, 4.0)
         u, rep = solve_dirichlet(prob, grid)
         assert rep.converged
-        # p stays fixed: after the p = 2 presolve, one stage at the floor
-        assert [s.eps_reg for s in rep.stages] == [SolverConfig().eps_reg_floor]
+        # p = 4 is its own first rung: after the p = 2 presolve, one stage at p
+        assert [s.p for s in rep.stages] == [4.0]
         exact = exact_solution_values(u_star, grid)
         assert np.max(np.abs(u.values - exact.values)) <= 5.0 * max(grid.h) ** 2
 
@@ -258,14 +269,14 @@ class TestJacobian:
         # linear and they agree to rounding
         grid, v, w, F_log = self._state(p, n)
         eps = 1e-2
-        system = _NewtonSystem(grid, p, n - p, F_log)
+        system = _NewtonSystem(grid, p, n - p, F_log, eps)
         fields = coefficient_fields(v, grid, p, eps)
         Jw = _jacobian_operator(grid, *fields) @ w.ravel()
         scale = float(np.max(np.abs(Jw)))
         rel = []
         for h in (1e-3, 1e-4, 1e-5):
-            fd = (system.residual(v + h * w, eps)[0]
-                  - system.residual(v - h * w, eps)[0]) / (2.0 * h)
+            fd = (system.residual(v + h * w)[0]
+                  - system.residual(v - h * w)[0]) / (2.0 * h)
             rel.append(float(np.max(np.abs(Jw - fd.ravel()))) / scale)
         assert rel[-1] < 1e-8
         for coarse, fine in zip(rel, rel[1:]):
@@ -383,10 +394,11 @@ class TestFastLinearSolve:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("p", [2.7, 3.0, 3.3, 6.0])
     def test_presolve_keeps_the_drift(self, monkeypatch, n, p):
-        # the presolve is the solve's system with p set to 2: its drift stays
-        # n - p, and its residual is the p = 2 residual of operator_terms
-        # with that drift coefficient, sum_kl A_kl H_kl + (n - p) g_a, bit
-        # for bit, negative zeros included
+        # the presolve is the first rung's system with p set to 2: its drift
+        # stays n - p_1 (p_1 = 4 at p = 6), and its residual is the p = 2
+        # residual of operator_terms with that drift coefficient,
+        # sum_kl A_kl H_kl + (n - p_1) g_a, bit for bit, negative zeros
+        # included
         systems = []
         stage = solver._newton_stage
 
@@ -398,33 +410,33 @@ class TestFastLinearSolve:
         grid = LogGrid.build(unit_domain(n=n), (9,) * n)
         solve_dirichlet(constant_forcing_problem(p, n), grid, SolverConfig(max_iter=0))
         presolve, *stages = systems
-        assert (presolve.p, presolve.drift) == (2.0, n - p)
-        assert {(s.p, s.drift) for s in stages} == {(p, n - p)}
+        first = p - 2.0 if p > 4.0 else p
+        assert (presolve.p, presolve.drift) == (2.0, n - first)
+        assert [(s.p, s.drift) for s in stages] == [(q, n - q) for q in sorted({first, p})]
         v = np.random.default_rng(n).standard_normal(grid.shape)
         u = GridFunction(grid, v)
         g, H = calculus.gradient_field(u), calculus.hessian_field(u)
         A = operator_terms(g, H, 2.0)[1]
         coef = gradient_powers(g, 2.0)[1]
-        want = np.einsum("kl...,kl...->...", A, H) + (n - p) * coef * g[0] - presolve.F_log
+        want = np.einsum("kl...,kl...->...", A, H) + (n - first) * coef * g[0] - presolve.F_log
         want[grid.boundary_mask] = 0.0
-        got, lin = presolve.residual(v, 1e-2)
+        got, lin = presolve.residual(v)
         assert lin is None
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_failing_p2_solve_runs_one_stage(self):
-        # a p = 2 stage reads no eps, so one that misses tol inserts no
-        # midpoint, which would only redo the same linear system; a failed
-        # warm stage is followed by the one cold stage
+        # a p = 2 solve is one rung, so one that misses tol is one stage; a
+        # failed warm stage is followed by the one cold stage
         grid = LogGrid.build(unit_domain(t_min=0.001), (13, 13))
         cfg = SolverConfig(max_iter=0)
         prob = constant_forcing_problem(2.0, 2)
-        floor_stage = (cfg.eps_reg_floor, 0, "max_iter")
+        floor_stage = (2.0, 0, "max_iter")
         _, rep = solve_dirichlet(prob, grid, cfg)
         assert not rep.converged
-        assert [(s.eps_reg, s.iterations, s.stop_reason) for s in rep.stages] == [floor_stage]
+        assert [(s.p, s.iterations, s.stop_reason) for s in rep.stages] == [floor_stage]
         _, rep = solve_dirichlet(prob, grid, cfg, initial=GridFunction(grid, np.zeros(grid.shape)))
         assert not rep.converged
-        assert ([(s.eps_reg, s.iterations, s.stop_reason) for s in rep.stages]
+        assert ([(s.p, s.iterations, s.stop_reason) for s in rep.stages]
                 == [floor_stage] * 2)
 
     def test_p2_solve_neither_assembles_nor_factorizes(self, monkeypatch):
@@ -435,7 +447,7 @@ class TestFastLinearSolve:
         # the direct solve: one Newton step from the boundary data
         start = np.where(grid.boundary_mask, prob.dirichlet_values(grid), 0.0)
         F_log = prob.log_forcing(grid)
-        res = _NewtonSystem(grid, 2.0, 1.0, F_log).residual(start, 1e-6)[0]
+        res = _NewtonSystem(grid, 2.0, 1.0, F_log, 1e-6).residual(start)[0]
         J = full_jacobian(grid, *coefficient_fields(start, grid, 2.0, 1e-6))
         direct = start + spla.spsolve(J, -res.ravel()).reshape(grid.shape)
         err_direct = float(np.max(np.abs(direct - exact)))
@@ -559,7 +571,7 @@ def _direct_solve(J, rhs, *system_and_preconditioner):
 
 def kept_factor(grid, lu=None):
     """A p = 3, n = 2 Newton system on ``grid`` whose kept factor is ``lu``."""
-    return _NewtonSystem(grid, 3.0, -1.0, np.zeros(grid.shape), lu=lu)
+    return _NewtonSystem(grid, 3.0, -1.0, np.zeros(grid.shape), 1e-2, lu=lu)
 
 
 class TestOrderedJacobianSolve:
@@ -586,8 +598,8 @@ class TestOrderedJacobianSolve:
         res = rng.standard_normal(grid.shape)
         res[grid.boundary_mask] = 0.0
         # a warm system factorizes at its first step
-        system = _NewtonSystem(grid, p, n - p, np.zeros(grid.shape), warm=True)
-        lin = system.residual(v, eps)[1]
+        system = _NewtonSystem(grid, p, n - p, np.zeros(grid.shape), eps, warm=True)
+        lin = system.residual(v)[1]
         fields = coefficient_fields(v, grid, p, eps)
         direct = _direct_solve(full_jacobian(grid, *fields), -res)
         J = _jacobian_operator(grid, *fields)
@@ -697,7 +709,7 @@ class TestOrderedJacobianSolve:
 
 def constant_coefficients(grid, c, b):
     """The constant-coefficient Jacobian sum_k c_k D2_k + b D1_a twice: as
-    the linearization point (A, B, g, H, eps_reg) of a step, A = diag(c),
+    the linearization point (A, B, g, H) of a step, A = diag(c),
     B = b and g = H = 0, where ``gradient_coefficient`` adds nothing, and as
     fields (A, B, C) to assemble, with b split between B and C_0."""
     n, shape = grid.n, grid.shape
@@ -706,7 +718,7 @@ def constant_coefficients(grid, c, b):
         A[k, k] = ck
     C = np.zeros((n,) + shape)
     C[0] = 0.75 * b
-    lin = (A, np.full(shape, float(b)), np.zeros((n,) + shape), np.zeros((n, n) + shape), 1e-2)
+    lin = (A, np.full(shape, float(b)), np.zeros((n,) + shape), np.zeros((n, n) + shape))
     return lin, (A, np.full(shape, 0.25 * b), C)
 
 
@@ -812,7 +824,7 @@ class TestFastDiagonalization:
         grid = LogGrid.build(unit_domain(), counts)
         lin, fields = constant_coefficients(grid, (1.3, 0.7), sign * peclet * 1.3 / grid.h[0])
         assert solver._fd_preconditioner(grid, *fields) is None
-        system = _NewtonSystem(grid, 3.0, -1.0, np.zeros(grid.shape))
+        system = _NewtonSystem(grid, 3.0, -1.0, np.zeros(grid.shape), 1e-2)
         rhs = np.where(grid.boundary_mask, 0.0, 1.0)
         du = system.step(lin, rhs)
         assert (system.factorizations, system.krylov_iterations) == (1, 0)
@@ -822,7 +834,7 @@ class TestFastDiagonalization:
     def test_zero_rhs_gives_a_zero_step(self):
         grid = LogGrid.build(unit_domain(), (9, 11))
         lin = constant_coefficients(grid, (1.3, 0.7), 5.0)[0]
-        system = _NewtonSystem(grid, 3.0, -1.0, np.zeros(grid.shape))
+        system = _NewtonSystem(grid, 3.0, -1.0, np.zeros(grid.shape), 1e-2)
         with np.errstate(all="raise"):
             du = system.step(lin, np.zeros(grid.shape))
         assert np.all(du == 0.0)
@@ -833,7 +845,7 @@ class TestFastDiagonalization:
         # meets its tolerance in one iteration and nothing is factorized
         grid = LogGrid.build(unit_domain(n=3), (7, 8, 9))
         lin, fields = constant_coefficients(grid, (1.3, 0.7, 2.1), -5.0)
-        system = _NewtonSystem(grid, 3.0, -2.0, np.zeros(grid.shape))
+        system = _NewtonSystem(grid, 3.0, -2.0, np.zeros(grid.shape), 1e-2)
         rhs = np.where(grid.boundary_mask, 0.0,
                        np.random.default_rng(1).standard_normal(grid.shape))
         du = system.step(lin, rhs)
@@ -859,26 +871,17 @@ class TestFastDiagonalization:
         assert sum(s.factorizations for s in rep.stages) == 0
         assert sum(s.krylov_iterations for s in rep.stages) > 0
 
-    @pytest.mark.parametrize("counts, cycles", [((41, 41), 1), ((97, 97), 1), ((257, 257), 1),
-                                                ((12,) * 3, 1), ((14,) * 3, 1), ((15,) * 3, 1),
-                                                ((25,) * 3, 5), ((33,) * 3, 10),
-                                                ((9, 33, 33), 1)])
-    def test_cycle_budget_reads_the_grid_shape(self, counts, cycles):
-        # one cycle wherever a factorization costs less than two in flops,
-        # so on every 2D grid; 3D grids restart from 16^3 nodes on
-        grid = LogGrid.build(unit_domain(n=len(counts)), counts)
-        assert solver._fd_cycles(grid) == cycles
-
-    def test_restarted_cycles_meet_the_tolerance_one_cycle_misses(self):
-        # a diagonal system whose spread one 5-iteration cycle cannot
-        # resolve; cycles restarted from the current iterate meet the
-        # tolerance on the first right-hand side
+    def test_one_cycle_misses_where_its_iterations_run_out(self):
+        # a diagonal system whose spread one 5-iteration or 30-iteration
+        # cycle cannot resolve returns no iterate; the cycle is not
+        # restarted, and one of up to 50 iterations meets the tolerance
         J = np.diag(np.linspace(1.0, 50.0, 50))
         b = np.random.default_rng(2).standard_normal(50)
-        x, iterations = solver._fgmres(J, b, lambda v: v.copy(), 5)
-        assert x is None and iterations == 5
-        x, iterations = solver._fgmres(J, b, lambda v: v.copy(), 5, cycles=40)
-        assert x is not None and 5 < iterations <= 200
+        for restart in (5, 30):
+            x, iterations = solver._fgmres(J, b, lambda v: v.copy(), restart)
+            assert x is None and iterations == restart
+        x, iterations = solver._fgmres(J, b, lambda v: v.copy(), 50)
+        assert x is not None and 30 < iterations <= 50
         assert np.linalg.norm(J @ x - b) <= solver.KRYLOV_RTOL * np.linalg.norm(b)
 
     def test_warm_stage_factorizes_at_its_first_step(self, monkeypatch):
@@ -987,13 +990,14 @@ class TestReusedFactor:
 
 
 def record_stage_targets(monkeypatch):
-    """Patch ``solver._newton_stage`` to log (p, eps_reg, target) per call."""
+    """Patch ``solver._newton_stage`` to log (p, eps_reg, target) of the
+    system of every call."""
     calls = []
     stage = solver._newton_stage
 
-    def recording(values, system, eps_reg, max_iter, target):
-        calls.append((system.p, eps_reg, target))
-        return stage(values, system, eps_reg, max_iter, target)
+    def recording(values, system, max_iter, target):
+        calls.append((system.p, system.eps_reg, target))
+        return stage(values, system, max_iter, target)
 
     monkeypatch.setattr(solver, "_newton_stage", recording)
     return calls
@@ -1010,9 +1014,9 @@ def t_power_forcing_problem(p, c=0.3):
 
 
 class TestFloorStage:
-    """A p > 2 solve runs the p = 2 presolve and one stage at the floor eps,
-    to ``cfg.tol``; only a floor stage that misses tol climbs.  The halving
-    eps continuation is the oracle."""
+    """A p > 2 solve runs the p = 2 presolve and one stage at the floor eps
+    per rung of its ladder in p, each to ``cfg.tol``.  The halving eps
+    continuation is the oracle."""
 
     # measured on these cases: at most 0.41 tol (n = 3, p = 6, u* = t^0.5)
     FIELD_GAP_TOLS = 10.0
@@ -1028,39 +1032,109 @@ class TestFloorStage:
         u, rep = solve_dirichlet(prob, grid, cfg)
         ref, rep_ref = halving_schedule(prob, grid, cfg)
         assert rep.converged and rep_ref.converged
-        assert [s.eps_reg for s in rep.stages] == [cfg.eps_reg_floor]
+        assert [s.p for s in rep.stages] == ([4.0, 6.0] if p == 6.0 else [p])
         assert len(rep_ref.stages) > 10
         assert np.max(np.abs(u.values - ref.values)) <= self.FIELD_GAP_TOLS * cfg.tol
         assert (sum(s.iterations for s in rep.stages)
                 < sum(s.iterations for s in rep_ref.stages))
 
-    def test_failed_floor_stage_climbs(self, monkeypatch):
-        # three steps are too few for the floor stage, which then climbs
-        # through 2 eps to 4 eps and comes back down; every stage, and the
-        # presolve, runs to tol
+    @pytest.mark.parametrize("p, ladder", [(2.0, [2.0]), (3.0, [3.0]), (4.0, [4.0]),
+                                           (4.5, [2.5, 4.5]), (5.0, [3.0, 5.0]),
+                                           (6.0, [4.0, 6.0]), (7.0, [3.0, 5.0, 7.0])])
+    def test_stages_are_the_rungs_of_the_ladder(self, monkeypatch, p, ladder):
+        # the rungs p, p - 2, ... above 2 in ascending order, one stage each,
+        # after the presolve of a p > 2 solve; every one at the floor eps
         calls = record_stage_targets(monkeypatch)
         grid = LogGrid.build(unit_domain(), (13, 13))
-        cfg = SolverConfig(max_iter=3)
-        _, rep = solve_dirichlet(constant_forcing_problem(4.0, 2), grid, cfg)
-        assert rep.converged
-        floor = cfg.eps_reg_floor
-        presolve, *stages = calls
-        assert presolve == (2.0, floor, cfg.tol)
-        assert stages == [(4.0, eps, cfg.tol) for eps in (floor, 2 * floor, 4 * floor,
-                                                          2 * floor, floor)]
-        assert [s.stop_reason for s in rep.stages] == ["max_iter"] * 2 + ["converged"] * 3
-        assert rep.stages[-1].residual_norm == rep.final_residual <= cfg.tol
+        cfg = SolverConfig(eps_reg_floor=1e-5)
+        _, rep = solve_dirichlet(constant_forcing_problem(p, 2), grid, cfg)
+        assert [s.p for s in rep.stages] == ladder
+        presolve = [(2.0, 1e-5, cfg.tol)] if p > 2.0 else []
+        assert calls == presolve + [(q, 1e-5, cfg.tol) for q in ladder]
 
-    def test_climb_stops_after_24_stages(self):
-        # one Newton step per stage is too few at p = 6: the climb doubles
-        # eps 24 times, then the stages come back down to the floor
+    def test_failed_rung_hands_its_field_to_the_next(self, monkeypatch):
+        # three steps are too few for the p = 4 rung: it misses tol, is not
+        # retried, and the p = 6 rung starts from the field it left, as it
+        # starts from the presolve's
+        stage = solver._newton_stage
+        runs = []
+
+        def recording(values, system, *args):
+            out, record = stage(values, system, *args)
+            runs.append((system.p, values, out))
+            return out, record
+
+        monkeypatch.setattr(solver, "_newton_stage", recording)
         grid = LogGrid.build(unit_domain(), (13, 13))
-        cfg = SolverConfig(max_iter=1)
+        cfg = SolverConfig(max_iter=3)
         _, rep = solve_dirichlet(constant_forcing_problem(6.0, 2), grid, cfg)
-        eps = [s.eps_reg for s in rep.stages]
-        assert len(eps) == 49 and max(eps) == cfg.eps_reg_floor * 2 ** 24
-        assert eps[:25] == [cfg.eps_reg_floor * 2 ** k for k in range(25)]
-        assert eps[-1] == cfg.eps_reg_floor
+        assert [(s.p, s.iterations, s.stop_reason) for s in rep.stages] == [
+            (4.0, 3, "max_iter"), (6.0, 3, "max_iter")]
+        assert rep.stages[0].residual_norm > cfg.tol
+        assert [q for q, *_ in runs] == [2.0, 4.0, 6.0]
+        (_, _, presolved), (_, start4, left4), (_, start6, _) = runs
+        assert start4 is presolved and start6 is left4
+
+    @pytest.mark.parametrize("max_iter", [0, 1])
+    def test_one_stage_per_rung_however_few_the_steps(self, max_iter):
+        # with too few steps for every rung, a p = 6 solve still stops after
+        # its two rungs, at the floor eps, and the report says it failed
+        grid = LogGrid.build(unit_domain(), (13, 13))
+        cfg = SolverConfig(max_iter=max_iter)
+        _, rep = solve_dirichlet(constant_forcing_problem(6.0, 2), grid, cfg)
+        assert [(s.p, s.iterations, s.stop_reason) for s in rep.stages] == [
+            (4.0, max_iter, "max_iter"), (6.0, max_iter, "max_iter")]
+        assert not rep.converged
+        assert rep.final_residual == rep.stages[-1].residual_norm > cfg.tol
+
+    @pytest.mark.parametrize("p", [4.5, 6.0, 7.0])
+    def test_each_rung_reads_its_own_forcing_and_drift(self, monkeypatch, p):
+        # rung q is a cold system with forcing t^q f and drift n - q at the
+        # floor eps; the presolve takes the first rung's forcing and drift
+        systems = []
+        stage = solver._newton_stage
+
+        def recording(values, system, *args):
+            systems.append(system)
+            return stage(values, system, *args)
+
+        monkeypatch.setattr(solver, "_newton_stage", recording)
+        grid = LogGrid.build(unit_domain(), (9, 9))
+        prob = constant_forcing_problem(p, 2)
+        cfg = SolverConfig(max_iter=0)
+        solve_dirichlet(prob, grid, cfg)
+        presolve, *rungs = systems
+        for rung in rungs:
+            want = dataclasses.replace(prob, p=rung.p).log_forcing(grid, interior_only=True)
+            assert np.array_equal(rung.F_log, want)
+            assert (rung.drift, rung.eps_reg, rung.warm) == (2.0 - rung.p, cfg.eps_reg_floor,
+                                                             False)
+        assert not np.array_equal(rungs[0].F_log, rungs[-1].F_log)
+        assert (presolve.p, presolve.drift) == (2.0, rungs[0].drift)
+        assert np.array_equal(presolve.F_log, rungs[0].F_log)
+
+    def test_p6_steps_do_not_move_with_the_presolve_round_off(self, monkeypatch):
+        # a presolve moved by one ulp at 20 interior nodes leaves the p = 6
+        # solve's Newton steps as they are (from the p = 2 presolve straight
+        # to p = 6 they were 52, and 51, 43 and 268 from three such starts)
+        stage = solver._newton_stage
+        grid = LogGrid.build(unit_domain(), (41, 41))
+        interior = np.flatnonzero(~grid.boundary_mask.ravel())
+        steps = []
+        for seed in (None, 1, 2, 3):
+            def perturbed(values, system, *args, seed=seed):
+                values, record = stage(values, system, *args)
+                if system.p == 2.0 and seed is not None:
+                    nodes = np.random.default_rng(seed).choice(interior, 20, replace=False)
+                    values = values.copy()
+                    values.flat[nodes] = np.nextafter(values.flat[nodes], np.inf)
+                return values, record
+
+            monkeypatch.setattr(solver, "_newton_stage", perturbed)
+            _, rep = solve_dirichlet(constant_forcing_problem(6.0, 2, c=1.0), grid)
+            assert rep.converged
+            steps.append(sum(s.iterations for s in rep.stages))
+        assert len(set(steps)) == 1, steps
 
     @pytest.mark.parametrize("tol", [1.0, 4.0])
     def test_tol_at_least_one_is_every_target(self, monkeypatch, tol):
@@ -1074,23 +1148,23 @@ class TestFloorStage:
 
     def test_set_floor_is_the_one_stage(self, monkeypatch):
         # a floor above the default is the eps of the presolve and of the
-        # one stage, which converges there without a climb
+        # one stage, which converges there
         calls = record_stage_targets(monkeypatch)
         grid = LogGrid.build(unit_domain(), (13, 13))
         cfg = SolverConfig(eps_reg_floor=1e-3)
         _, rep = solve_dirichlet(constant_forcing_problem(4.0, 2), grid, cfg)
         assert rep.converged
         assert calls == [(2.0, 1e-3, cfg.tol), (4.0, 1e-3, cfg.tol)]
-        assert [(s.eps_reg, s.stop_reason) for s in rep.stages] == [(1e-3, "converged")]
+        assert [(s.p, s.stop_reason) for s in rep.stages] == [(4.0, "converged")]
 
     def test_failed_p2_stage_does_not_climb(self):
-        # a p = 2 stage reads no eps, so a climb would only redo it: with no
-        # Newton step allowed the one stage fails and the report says so
+        # a p = 2 solve is one rung: with no Newton step allowed its one
+        # stage fails and the report says so
         grid = LogGrid.build(unit_domain(), (13, 13))
         cfg = SolverConfig(max_iter=0)
         _, rep = solve_dirichlet(constant_forcing_problem(2.0, 2), grid, cfg)
-        assert [(s.eps_reg, s.iterations, s.stop_reason) for s in rep.stages] == [
-            (cfg.eps_reg_floor, 0, "max_iter")]
+        assert [(s.p, s.iterations, s.stop_reason) for s in rep.stages] == [
+            (2.0, 0, "max_iter")]
         assert not rep.converged
         assert rep.final_residual == rep.stages[0].residual_norm > cfg.tol
 
@@ -1112,13 +1186,13 @@ class TestFloorStage:
         prob = constant_forcing_problem(3.0, 2)
         F_log = prob.log_forcing(grid, interior_only=True)
         values = np.zeros(grid.shape)
-        res = _NewtonSystem(grid, 3.0, -1.0, F_log).residual(values, 1e-2)[0]
+        res = _NewtonSystem(grid, 3.0, -1.0, F_log, 1e-2).residual(values)[0]
         norm = float(np.max(np.abs(res)))
         max_iter = SolverConfig().max_iter
-        _, rec = stage(values, _NewtonSystem(grid, 3.0, -1.0, F_log), 1e-2, max_iter,
+        _, rec = stage(values, _NewtonSystem(grid, 3.0, -1.0, F_log, 1e-2), max_iter,
                        (1.0 - 1e-7) * norm)
         assert (rec.iterations, rec.stop_reason) == (1, "converged")
-        _, rec = stage(values, _NewtonSystem(grid, 3.0, -1.0, F_log), 1e-2, max_iter,
+        _, rec = stage(values, _NewtonSystem(grid, 3.0, -1.0, F_log, 1e-2), max_iter,
                        (1.0 - 1e-5) * norm)
         assert (rec.iterations, rec.stop_reason) == (1, "line_search")
 
@@ -1132,8 +1206,8 @@ def raised_forcing(prob, margin=0.5):
 
 
 class TestWarmStart:
-    """An ``initial`` field runs one Newton stage at the floor eps from it,
-    and a solve without one, the cold solve, is its oracle."""
+    """An ``initial`` field runs one Newton stage at p and the floor eps
+    from it, and a solve without one, the cold solve, is its oracle."""
 
     # measured on these cases: at most 0.06 tol
     FIELD_GAP_TOLS = 10.0
@@ -1150,9 +1224,8 @@ class TestWarmStart:
         cold, rep_cold = solve_dirichlet(raised_forcing(prob), grid, cfg)
         warm, rep = solve_dirichlet(raised_forcing(prob), grid, cfg, initial=v)
         assert rep_v.converged and rep_cold.converged and rep.converged
-        # one converged floor stage, and no presolve or schedule
-        assert [(s.eps_reg, s.stop_reason) for s in rep.stages] == [
-            (cfg.eps_reg_floor, "converged")]
+        # one converged stage at p, and no presolve or ladder
+        assert [(s.p, s.stop_reason) for s in rep.stages] == [(p, "converged")]
         assert rep.final_residual == rep.stages[0].residual_norm <= cfg.tol
         assert np.max(np.abs(warm.values - cold.values)) <= self.FIELD_GAP_TOLS * cfg.tol
 
@@ -1192,7 +1265,7 @@ class TestWarmStart:
         u, rep = solve_dirichlet(prob, grid, cfg, initial=start)
         cold, rep_cold = solve_dirichlet(prob, grid, cfg)
         warm, *rest = rep.stages
-        assert (warm.eps_reg, warm.stop_reason) == (cfg.eps_reg_floor, "max_iter")
+        assert (warm.p, warm.stop_reason) == (3.0, "max_iter")
         assert warm.iterations > 0 and warm.residual_norm > cfg.tol
         assert rest == rep_cold.stages
         assert (rep.converged, rep.final_residual) == (True, rep_cold.final_residual)
@@ -1290,20 +1363,20 @@ class TestStopReason:
 
 class StubSystem:
     """A Newton system with no PDE behind it: the residual is values - root,
-    its linearization point is (eps_reg, values), and a step is ``scale``
-    times the exact Newton step, costing one factorization and ``krylov``
-    GMRES iterations.  It logs the eps_reg of every residual call and the
-    linearization point every step reads."""
+    its linearization point is the values, and a step is ``scale`` times
+    the exact Newton step, costing one factorization and ``krylov`` GMRES
+    iterations.  It logs the linearization point every step reads."""
+
+    p = 3.5
 
     def __init__(self, root, scale=1.0, krylov=0):
         self.root, self.scale, self.krylov = np.asarray(root, dtype=float), scale, krylov
         # counts from earlier stages of a solve, which a record must not include
         self.factorizations, self.krylov_iterations = 7, 11
-        self.eps_seen, self.steps_at = [], []
+        self.steps_at = []
 
-    def residual(self, values, eps_reg):
-        self.eps_seen.append(eps_reg)
-        return values - self.root, (eps_reg, values.tolist())
+    def residual(self, values):
+        return values - self.root, values.tolist()
 
     def step(self, lin, rhs):
         self.steps_at.append(lin)
@@ -1313,41 +1386,39 @@ class StubSystem:
 
 
 class TestNewtonStageOnStubSystem:
-    """``_newton_stage`` sees only a residual, a step and two counters, so
-    it runs on a system that is no discretization at all."""
+    """``_newton_stage`` sees only a residual, a step, an exponent and two
+    counters, so it runs on a system that is no discretization at all."""
 
     def test_converged(self):
         system = StubSystem([1.0, -2.0, 0.5], krylov=3)
-        values, rec = solver._newton_stage(np.zeros(3), system, 0.25, 10, 1e-12)
+        values, rec = solver._newton_stage(np.zeros(3), system, 10, 1e-12)
         np.testing.assert_array_equal(values, system.root)
-        assert (rec.eps_reg, rec.iterations, rec.residual_norm) == (0.25, 1, 0.0)
+        assert (rec.p, rec.iterations, rec.residual_norm) == (3.5, 1, 0.0)
         assert rec.stop_reason == "converged"
         assert (rec.factorizations, rec.krylov_iterations) == (1, 3)
-        assert set(system.eps_seen) == {0.25}
 
     def test_met_target_takes_no_step(self):
         system = StubSystem([1e-3])
-        values, rec = solver._newton_stage(np.zeros(1), system, 0.5, 10, 1e-2)
+        values, rec = solver._newton_stage(np.zeros(1), system, 10, 1e-2)
         assert (rec.iterations, rec.stop_reason, rec.residual_norm) == (0, "converged", 1e-3)
         assert (rec.factorizations, rec.krylov_iterations) == (0, 0)
-        assert system.eps_seen == [0.5]
+        assert system.steps_at == []
 
     def test_max_iter(self):
         # half steps are accepted in full and halve the residual each time
         system = StubSystem([4.0, -8.0], scale=0.5, krylov=2)
-        values, rec = solver._newton_stage(np.zeros(2), system, 1e-3, 3, 1e-9)
+        values, rec = solver._newton_stage(np.zeros(2), system, 3, 1e-9)
         np.testing.assert_array_equal(values, [3.5, -7.0])
         assert (rec.iterations, rec.stop_reason, rec.residual_norm) == (3, "max_iter", 1.0)
         assert (rec.factorizations, rec.krylov_iterations) == (3, 6)
         # each step reads the linearization of the iterate it starts from
-        assert system.steps_at == [(1e-3, [0.0, 0.0]), (1e-3, [2.0, -4.0]),
-                                   (1e-3, [3.0, -6.0])]
+        assert system.steps_at == [[0.0, 0.0], [2.0, -4.0], [3.0, -6.0]]
 
     def test_line_search(self):
         # a step away from the root raises the residual at every length
         system = StubSystem([1.0, 2.0], scale=-1.0, krylov=5)
         start = np.zeros(2)
-        values, rec = solver._newton_stage(start, system, 1e-2, 10, 1e-9)
+        values, rec = solver._newton_stage(start, system, 10, 1e-9)
         assert values is start
         assert (rec.iterations, rec.stop_reason, rec.residual_norm) == (1, "line_search", 2.0)
         assert (rec.factorizations, rec.krylov_iterations) == (1, 5)

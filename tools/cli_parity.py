@@ -32,9 +32,10 @@ and ``samples``, ``solver.max_iter``, the two float ``solver.*`` keys and
 oscillation`` reads its default radii.  Three more cases at p = 3 run on
 the shortest axes, where every node of an axis lies in the reach of a
 face stencil: a ``solve`` and ``verify abp`` on ``grid.nodes = 4,5`` and
-an n = 3 ``solve`` on ``grid.nodes = 3,4,5``.  One ``solve`` at p = 6 on
-a radial step of 1 over a base of width 8 has a p = 2 presolve whose
-radial rows pivot (|n-p| h_a = 4).  The last 23 cases, at p = 3,
+an n = 3 ``solve`` on ``grid.nodes = 3,4,5``.  One ``solve`` at p = 4 on
+a radial step of 2.5 over a base of width 8 has a p = 2 presolve whose
+radial rows pivot (|n-p| h_a = 5), and one at p = 6 on the base config
+goes up the ladder in p, through a rung at p = 4.  The last 23 cases, at p = 3,
 reach every field-spec kind: six solves set ``problem.f`` and
 ``problem.dirichlet`` to ``zero``, ``constant``, ``tpower``, ``logt``,
 ``quadratic``, ``exp`` with a k and ``gridfile:src.gf``, one more reads
@@ -45,7 +46,7 @@ of every kind other than ``auto`` (a gridfile one exits 2).  Every
 output except ``*_meta.json`` must be byte-identical, and the exit codes of
 every command, the set of meta files and whether ``output.dir`` exists
 afterwards must agree.  Prints one line per
-case (131 in all) and a summary; exits 1 on any difference.  A file that differs is
+case (132 in all) and a summary; exits 1 on any difference.  A file that differs is
 reported with the largest |old - new| / max(1, |old|) over its numbers
 (JSON values, CSV fields, ``.gf`` lines).  A JSON file whose key set
 changed names the added and removed keys and still compares the numbers
@@ -99,10 +100,10 @@ ZERO_SOLID = SOLID + "problem.f = constant:0.5\n"
 # the shortest axes: second_diff's face rows span an axis of 3 or 4 nodes
 SHORT = "grid.nodes = 4,5\n"
 SHORT_SOLID = SOLID + "grid.nodes = 3,4,5\n"
-# p = 6 on h_a = 1 over a base of width 8: the presolve's drift n - p = -4
-# gives |n-p| h_a = 4, within the Peclet bound 2(p-1), and the shifted
+# p = 4 on h_a = 2.5 over a base of width 8: the presolve's drift n - p = -2
+# gives |n-p| h_a = 5, within the Peclet bound 2(p-1), and the shifted
 # radial diagonals of the lowest base modes fall below |lower|, so rows pivot
-PIVOT = ("problem.p = 6.0\ndomain.t_min = 0.049787068367863944\ndomain.base = 0,8\n"
+PIVOT = ("problem.p = 4.0\ndomain.t_min = 0.0005530843701478336\ndomain.base = 0,8\n"
          "grid.nodes = 4,13\n")
 # Dirichlet data 0.5 x^2 + a and forcing -x, the cases whose data vary in x
 SLOPED = "problem.dirichlet = poly:0.5,0,2;1,1\nproblem.f = poly:-1,0,1\n"
@@ -203,7 +204,8 @@ def cases():
     for argv in (["solve"], ["verify", "abp"]):
         yield f"p=3.0 {' '.join(argv)} 4x5", [argv], merged(base, SHORT)
     yield "p=3.0 solve 3d 3x4x5", [["solve"]], merged(base, SHORT_SOLID)
-    yield "p=6.0 solve pivoting presolve", [["solve"]], merged(base, PIVOT)
+    yield "p=4.0 solve pivoting presolve", [["solve"]], merged(base, PIVOT)
+    yield "p=6.0 solve", [["solve"]], BASE.format(p="6.0")
     for f, g in FIELDS:
         yield (f"p=3.0 solve f={f} dirichlet={g}", [["solve"]],
                merged(base, f"problem.f = {f}\nproblem.dirichlet = {g}\n"))

@@ -90,8 +90,9 @@ the median seconds over COLD_REPEATS runs of each, and the Newton steps,
 factorizations, GMRES iterations and max error against u* of each.
 
 Cold 3D zero-data solves: zero Dirichlet data with f = 0.5 (ZERO_DATA_F)
-at p = 3, 4 and 5 (ZERO_DATA_PS) on 25^3, 33^3 and 49^3 (ZERO_DATA_SIZES),
-as the package runs them.  Each run is a fresh interpreter that imports
+at p = 3, 4, 5 and 6 (ZERO_DATA_PS) on 25^3, 33^3 and 49^3
+(ZERO_DATA_SIZES), as the package runs them: p = 5 and 6 go up the ladder
+in p, through p = 3 and 4.  Each run is a fresh interpreter that imports
 only conepde (ZERO_DATA_PROBE) and reads its peak resident set, VmHWM of
 /proc/self/status (Linux): what ``ru_maxrss`` reads in a process started
 from a small shell.  The child's own ``ru_maxrss`` would not do, since
@@ -152,7 +153,7 @@ P, EPS_REG, REPEATS, SOLVE_REPEATS, ASSEMBLY_REPEATS, KAPPA = 3.0, 1e-2, 5, 3, 3
 SETUP_REPEATS = 7
 COLD_SIZES, COLD_REPEATS, COLD_FACTOR_MAX = (25, 33, 49), 3, 33
 SIZES = ((2, 81), (2, 97), (2, 161), (3, 17), (3, 21), (3, 25))
-ZERO_DATA_SIZES, ZERO_DATA_PS, ZERO_DATA_F = (25, 33, 49), (3.0, 4.0, 5.0), 0.5
+ZERO_DATA_SIZES, ZERO_DATA_PS, ZERO_DATA_F = (25, 33, 49), (3.0, 4.0, 5.0, 6.0), 0.5
 # one zero-data solve in a fresh interpreter: argv is SRC, p, nodes per axis, f
 ZERO_DATA_PROBE = """
 import json, math, sys, time
@@ -207,7 +208,7 @@ def smooth_iterate(n: int, m: int) -> tuple:
     grid = unit_grid(n, m)
     values = exact_solution_values(make_exact_solution(P, n), grid).values
     values = values + 0.05 * np.sin(np.pi * sum(grid.mesh))
-    res = _NewtonSystem(grid, P, n - P, np.zeros(grid.shape)).residual(values, EPS_REG)[0]
+    res = _NewtonSystem(grid, P, n - P, np.zeros(grid.shape), EPS_REG).residual(values)[0]
     return grid, values, res, oracles.coefficient_fields(values, grid, P, EPS_REG)
 
 
@@ -295,7 +296,7 @@ def measure(n: int, m: int) -> dict:
     block = _assemble_jacobian(op)
     times = {"spsolve": [], "ordered": []}
     for _ in range(REPEATS):
-        fresh = _NewtonSystem(grid, P, n - P, np.zeros(grid.shape))  # no kept factor
+        fresh = _NewtonSystem(grid, P, n - P, np.zeros(grid.shape), EPS_REG)  # no kept factor
         t0 = time.perf_counter()
         direct = spla.spsolve(J, rhs.ravel()).reshape(grid.shape)
         t1 = time.perf_counter()
@@ -575,7 +576,7 @@ def main(argv) -> int:
                 "every Newton step vs the halving eps continuation, every stage run to "
                 "the final tolerance; cold 3D p = 3 solves up to 49^3, "
                 "fast-diagonalization GMRES vs every step on the kept splu factor; and "
-                "cold 3D zero-data solves (f = 0.5) at p = 3, 4 and 5 up to 49^3, each in "
+                "cold 3D zero-data solves (f = 0.5) at p = 3, 4, 5 and 6 up to 49^3, each in "
                 "a fresh interpreter with its peak resident set (VmHWM); and one cold "
                 "p = 4 97^2 solve command line in a fresh interpreter, with its peak resident "
                 "set and the scipy modules it loaded",

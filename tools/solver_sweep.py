@@ -1,4 +1,4 @@
-"""Dirichlet solves at p > 3 on two source trees of conepde, side by side.
+"""Dirichlet solves at p >= 3 on two source trees of conepde, side by side.
 
     python tools/solver_sweep.py OLD_SRC NEW_SRC
 
@@ -23,7 +23,8 @@ spikes (a node whose central gradient reads 0 whatever its own value)
 reaches a second discrete solution; the min of u tells such fields apart.
 
 Prints, for each case both sides run, whether the solve converged, its
-stages, Newton steps, factorizations, GMRES iterations, seconds and min u,
+stages (one per rung of the ladder in p, so two at p = 5 and 6 and one
+below; a tree from before the ladder counted eps stages), Newton steps, factorizations, GMRES iterations, seconds and min u,
 and the max-norm difference of the two fields relative to the old field's
 max norm; then the totals over those cases and the largest of those
 differences, the labels that only one side runs, how many fields are
