@@ -588,15 +588,20 @@ def hoelder_norm(u: GridFunction, rho: float) -> float:
 # ---------------------------------------------------------------------------
 # file format
 
+# the first header field of a binary file; a text file's is n, a number
+_BINARY_TAG = "f8le"
+
+
 def write_gridfunction(path, u: GridFunction) -> None:
-    """Text format: one header line
-    n,a_count,x_counts...,a_min,t_min,base_lo,base_hi,...,a_max
-    followed by the row-major values (a-axis slowest), one per line,
-    printed at 17 significant digits for a bit-exact round trip.
+    """Binary format: one text header line
+    f8le,n,a_count,x_counts...,a_min,t_min,base_lo,base_hi,...,a_max
+    followed by the row-major values (a-axis slowest) as little-endian
+    IEEE-754 binary64, exactly 8 bytes per value, so a round trip is
+    bit-exact and two writes of one field are byte-identical.
     """
     grid = u.grid
     dom = grid.domain
-    head = [str(grid.n), str(grid.a.size)]
+    head = [_BINARY_TAG, str(grid.n), str(grid.a.size)]
     head += [str(x.size) for x in grid.xs]
     head.append(f"{grid.a[0]:.17g}")
     head.append(f"{dom.t_min:.17g}")
@@ -604,9 +609,9 @@ def write_gridfunction(path, u: GridFunction) -> None:
         head.append(f"{grid.xs[k][0]:.17g}")
         head.append(f"{grid.xs[k][-1]:.17g}")
     head.append(f"{grid.a[-1]:.17g}")
-    values = u.values.ravel().tolist()
-    with open(path, "w") as fh:
-        fh.write(",".join(head) + "\n" + ("%.17g\n" * len(values)) % tuple(values))
+    with open(path, "wb") as fh:
+        fh.write((",".join(head) + "\n").encode())
+        fh.write(np.ascontiguousarray(u.values, dtype="<f8").tobytes())
 
 
 def _read_header(line: str) -> tuple:
@@ -638,15 +643,25 @@ def _read_header(line: str) -> tuple:
 
 
 def read_gridfunction(path) -> GridFunction:
-    """The field stored at ``path``; a file whose content is rejected raises
-    a ValueError that names the path."""
+    """The field stored at ``path``, in the binary format of
+    ``write_gridfunction`` or, when the header's first field is not the tag
+    ``f8le``, in the text format that preceded it: the header line without
+    the tag, then one value per line.  A file whose content is rejected
+    raises a ValueError that names the path."""
     try:
-        with open(path) as fh:
-            n, counts, a_min, t_min, lo, hi, a_max = _read_header(fh.readline())
-            # one value per line, blank lines skipped: a line holding two
-            # numbers fails to parse rather than reading as two values
-            values = np.array([line for line in fh.read().split("\n") if line.strip()],
-                              dtype=float)
+        with open(path, "rb") as fh:
+            head = fh.readline()
+            payload = fh.read() if head.split(b",", 1)[0] == _BINARY_TAG.encode() else None
+        if payload is None:
+            with open(path) as fh:
+                header = _read_header(fh.readline())
+                # one value per line, blank lines skipped: a line holding two
+                # numbers fails to parse rather than reading as two values
+                values = np.array([line for line in fh.read().split("\n") if line.strip()],
+                                  dtype=float)
+        else:
+            header = _read_header(head.decode().split(",", 1)[1])
+        n, counts, a_min, t_min, lo, hi, a_max = header
         domain = ConeDomain(n=n, base_lo=lo, base_hi=hi, t_min=t_min,
                             t_max=min(math.exp(a_max), 1.0))
         # the header axis endpoints are authoritative so the round trip is exact
@@ -655,8 +670,11 @@ def read_gridfunction(path) -> GridFunction:
             a=np.linspace(a_min, a_max, counts[0]),
             xs=tuple(np.linspace(lo[k], hi[k], counts[1 + k]) for k in range(n - 1)),
         )
-        if values.size != int(np.prod(grid.shape)):
+        if (values.size if payload is None else len(payload) / 8) != math.prod(grid.shape):
             raise ValueError("value count does not match the header grid shape")
+        if payload is not None:
+            # a writable copy in native byte order
+            values = np.frombuffer(payload, "<f8").astype(float)
         return GridFunction(grid, values.reshape(grid.shape))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -112,7 +112,7 @@ class StageRecord:
     p: float                      # the exponent of the stage's Newton system
     iterations: int
     residual_norm: float
-    stop_reason: str              # converged (to tol), max_iter or line_search
+    stop_reason: str              # converged (to tol), max_iter, line_search or short_step
     factorizations: int           # splu factorizations taken in the stage
     krylov_iterations: int        # GMRES iterations, on either preconditioner
 
@@ -542,21 +542,23 @@ def _scatter(grid: LogGrid, x: np.ndarray) -> np.ndarray:
 
 
 def _newton_stage(values: np.ndarray, system: _NewtonSystem, max_iter: int,
-                  target: float) -> tuple:
+                  target: float, min_step: float = 0.0) -> tuple:
     """Damped Newton on ``system``, run until the residual's max norm is at
     most ``target``; returns (values, StageRecord).  A step reads the
     linearization that its iterate's residual evaluation returned, and a
-    rejected trial step halves the step length.  The record names the
-    system's p, counts the stage's factorizations and GMRES iterations and
-    names why the stage stopped."""
+    rejected trial step halves the step length.  A stage whose step is
+    accepted at a length below ``min_step`` stops after that step.  The
+    record names the system's p, counts the stage's factorizations and
+    GMRES iterations and names why the stage stopped."""
     start = (system.factorizations, system.krylov_iterations)
     res, lin = system.residual(values)
     if not np.all(np.isfinite(res)):
         raise FloatingPointError("non-finite value in discrete residual")
     norm = float(np.max(np.abs(res)))
     iters = 0
+    lam = 1.0
     accepted = True
-    while norm > target and iters < max_iter:
+    while norm > target and iters < max_iter and lam >= min_step:
         du = system.step(lin, -res)
         lam = 1.0
         accepted = False
@@ -574,11 +576,17 @@ def _newton_stage(values: np.ndarray, system: _NewtonSystem, max_iter: int,
         if not accepted:
             break
         values, res, lin, norm = trial, tres, tlin, tnorm
-    stop = ("converged" if norm <= target else "max_iter" if accepted else "line_search")
+    stop = ("converged" if norm <= target else "line_search" if not accepted
+            else "short_step" if lam < min_step else "max_iter")
     return values, StageRecord(p=system.p, iterations=iters, residual_norm=norm,
                                stop_reason=stop,
                                factorizations=system.factorizations - start[0],
                                krylov_iterations=system.krylov_iterations - start[1])
+
+
+# a warm start whose Newton step is damped this far is not near the
+# solution, and the cold solve from the presolve is then the cheaper way on
+WARM_MIN_STEP = 0.125
 
 
 def solve_dirichlet(prob: PDEProblem, grid: LogGrid, cfg: SolverConfig | None = None,
@@ -599,7 +607,8 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid, cfg: SolverConfig | None = 
     An ``initial`` field on the grid's nodes is a warm start: its values,
     with the boundary reset to the Dirichlet data, go through one Newton
     stage at p to ``tol``, with no presolve or ladder, which factorizes at
-    its first step.  When that stage misses ``tol`` the solve goes on
+    its first step and stops at its first step accepted at a length below
+    ``WARM_MIN_STEP``.  When that stage misses ``tol`` the solve goes on
     exactly as a solve without ``initial``, and the failed warm stage stays
     first in the report.
 
@@ -627,7 +636,8 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid, cfg: SolverConfig | None = 
                              f"the nodes of the solve's grid {grid.shape}")
         values = np.array(initial.values, dtype=float)
         values[bmask] = data
-        values, stage = _newton_stage(values, system(p, warm=True), cfg.max_iter, cfg.tol)
+        values, stage = _newton_stage(values, system(p, warm=True), cfg.max_iter, cfg.tol,
+                                      WARM_MIN_STEP)
         stages.append(stage)
         if stage.residual_norm <= cfg.tol:
             return GridFunction(grid, values), SolveReport(stages, True, stage.residual_norm)

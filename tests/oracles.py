@@ -10,16 +10,17 @@ operator's action by probing, the recursive nested-dissection numbering,
 the p = 2 Newton step as one banded LAPACK solve, the Newton step that
 factorizes every Jacobian afresh, the preconditioned GMRES cycle as scipy's
 ``gmres`` on a ``LinearOperator``, the halving eps continuation that one
-floor stage replaced, the grid-function writer that formats value by value,
-the per-node boundary distance, the all-pairs ball supremum of the forcing,
-the min-plus passes as dense scans of every partner on the axis, the
-all-pairs loops of the regularizations, the doubling diagnostic and the
+floor stage replaced, the grid-function writers that format and pack value
+by value, the per-node boundary distance, the all-pairs ball supremum of the
+forcing, the min-plus passes as dense scans of every partner on the axis,
+the all-pairs loops of the regularizations, the doubling diagnostic and the
 Hoelder seminorm, and the closed-form fields written out kind by kind.
 Nothing here is imported by the package itself.
 """
 
 import dataclasses
 import math
+import struct
 import weakref
 
 import numpy as np
@@ -545,20 +546,34 @@ def halving_schedule(prob, grid, cfg=None, eps_start=0.1):
 
 
 # ---------------------------------------------------------------------------
-# grid-function text, one value at a time
+# grid-function files, one value at a time
 
-def write_gridfunction_per_value(path, u):
-    """``calculus.write_gridfunction`` formatting each numpy value on its own:
-    the reference for the one format over the whole value list."""
-    grid = u.grid
+def _header(grid):
     head = [str(grid.n), str(grid.a.size)] + [str(x.size) for x in grid.xs]
     head += [f"{grid.a[0]:.17g}", f"{grid.domain.t_min:.17g}"]
     for xs in grid.xs:
         head += [f"{xs[0]:.17g}", f"{xs[-1]:.17g}"]
     head.append(f"{grid.a[-1]:.17g}")
-    lines = [",".join(head)] + [f"{v:.17g}" for v in u.values.ravel()]
+    return ",".join(head)
+
+
+def write_gridfunction_per_value(path, u):
+    """The text format that preceded the binary one, each numpy value
+    formatted on its own at 17 significant digits: the reference for the
+    text files that ``calculus.read_gridfunction`` still reads."""
+    lines = [_header(u.grid)] + [f"{v:.17g}" for v in u.values.ravel()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_gridfunction_binary_per_value(path, u):
+    """``calculus.write_gridfunction`` packing each value on its own: the
+    tagged header line, then ``struct.pack("<d", v)`` per value in row-major
+    order."""
+    with open(path, "wb") as fh:
+        fh.write(("f8le," + _header(u.grid) + "\n").encode())
+        for v in u.values.ravel():
+            fh.write(struct.pack("<d", v))
 
 
 # ---------------------------------------------------------------------------

@@ -627,18 +627,29 @@ class TestFileFormat:
         back = read_gridfunction(path).values
         np.testing.assert_array_equal(back.view(np.int64), field.view(np.int64))
 
+    @pytest.mark.parametrize("write", [write_gridfunction, oracles.write_gridfunction_per_value],
+                             ids=["binary", "text"])
+    def test_edge_floats_read_bit_exact(self, tmp_path, write):
+        # the binary file this package writes and the text file it wrote
+        # before, each read back bit for bit
+        field = np.array(EDGE_FLOATS + (0.1, -1.0 / 3.0, math.pi, 1e-300)).reshape(3, 4)
+        path = os.path.join(tmp_path, "u.gf")
+        write(path, GridFunction(unit_grid((3, 4)), field))
+        back = read_gridfunction(path).values
+        np.testing.assert_array_equal(back.view(np.int64), field.view(np.int64))
+
     @given(values=st.lists(st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)),
                            min_size=12, max_size=12),
            counts=st.sampled_from([(3, 4), (4, 3)]))
     @example(values=list(EDGE_FLOATS) + [math.nan, math.inf, -math.inf, 0.1], counts=(3, 4))
     def test_bytes_match_per_value_writer(self, tmp_path_factory, values, counts):
-        # the one format over the value list writes what formatting each
-        # numpy value on its own wrote, non-finite values included
+        # the one packing of the whole value array writes what packing each
+        # value on its own wrote, non-finite values included
         u = GridFunction(unit_grid(counts),
                          np.array(values).reshape(counts), check_finite=False)
         tmp = tmp_path_factory.mktemp("gf")
         write_gridfunction(os.path.join(tmp, "new.gf"), u)
-        oracles.write_gridfunction_per_value(os.path.join(tmp, "old.gf"), u)
+        oracles.write_gridfunction_binary_per_value(os.path.join(tmp, "old.gf"), u)
         with open(os.path.join(tmp, "new.gf"), "rb") as f1, \
                 open(os.path.join(tmp, "old.gf"), "rb") as f2:
             assert f1.read() == f2.read()
@@ -649,7 +660,8 @@ class TestFileFormat:
                                            ("--1", 1), ("0 0", 2)])
     def test_malformed_value_line_raises(self, tmp_path, bad, span):
         path = os.path.join(tmp_path, "u.gf")
-        write_gridfunction(path, GridFunction(unit_grid((3, 3)), np.zeros((3, 3))))
+        oracles.write_gridfunction_per_value(
+            path, GridFunction(unit_grid((3, 3)), np.zeros((3, 3))))
         with open(path) as fh:
             lines = fh.read().splitlines()
         lines[5:5 + span] = [bad]
@@ -677,6 +689,29 @@ class TestFileFormat:
         path = os.path.join(tmp_path, "u.gf")
         with open(path, "w") as fh:
             fh.write("\n".join([header, *values]) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_gridfunction(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    # (header, payload, the rejection) of a binary file near the valid 3x3
+    # one; a header rejection comes before any payload check
+    @pytest.mark.parametrize("header, payload, message", [
+        ("f8le,2,3,3,-1,0.36787944117144233,0,1,0", bytes(71),
+         "value count does not match the header grid shape"),
+        ("f8le,2,3,3,-1,0.36787944117144233,0,1,0", bytes(73),
+         "value count does not match the header grid shape"),
+        ("f8le,2,3,3,-1,0.36787944117144233,0,1,0",
+         np.array([0.0] * 4 + [math.nan] + [0.0] * 4).astype("<f8").tobytes(),
+         "grid function values must be finite"),
+        ("f8le,2,2,3,-1,0.36787944117144233,0,1,0", bytes(1),
+         "need at least 3 nodes per axis"),
+        ("f8le,2,x,3,-1,0.36787944117144233,0,1,0", bytes(72),
+         "grid-function header field a_count does not parse: 'x'"),
+    ])
+    def test_rejected_binary_file_names_its_path(self, tmp_path, header, payload, message):
+        path = os.path.join(tmp_path, "u.gf")
+        with open(path, "wb") as fh:
+            fh.write(header.encode() + b"\n" + payload)
         with pytest.raises(ValueError) as info:
             read_gridfunction(path)
         assert str(info.value) == f"{path}: {message}"

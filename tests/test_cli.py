@@ -17,6 +17,8 @@ from conepde.geometry import ConeDomain
 from conepde.operators import PDEProblem, constant_field, separable_exponential_field
 from conepde.solver import SolverConfig
 
+import oracles
+
 
 BASE_CONFIG = """
 domain.n = 2
@@ -1169,6 +1171,10 @@ VERIFY_KEYS = dict.fromkeys(["check", "seed", "verdict", "config_hash"])
 class TestReportSchema:
     """The JSON key tree and CSV header of every report on the base grid."""
 
+    # every value of a stage's stop_reason; short_step ends only the warm
+    # stage of a solve with an initial field, which a shifted pair runs
+    STOP_REASONS = {"converged", "max_iter", "line_search", "short_step"}
+
     @pytest.mark.parametrize("command, keys, header", [
         (["solve"], {"config_hash": None, "converged": None, "final_residual": None,
                      "stages": [dict.fromkeys(["p", "iterations", "residual_norm",
@@ -1218,7 +1224,9 @@ class TestReportSchema:
         stem = os.path.join(out, "solve_report" if command == ["solve"]
                             else f"verify_{command[1]}")
         with open(stem + ".json") as fh:
-            assert key_tree(json.load(fh)) == keys
+            report = json.load(fh)
+        assert key_tree(report) == keys
+        assert {s["stop_reason"] for s in report.get("stages", [])} <= self.STOP_REASONS
         if header is not None:
             with open(stem + ".csv") as fh:
                 lines = fh.read().splitlines()
@@ -1242,6 +1250,31 @@ def test_benchmark_tracer_targets_resolve():
     missing = {(module, attr) for module, attr in targets
                if not hasattr(importlib.import_module(module), attr)}
     assert missing == STALE_TRACER_TARGETS
+
+
+def test_parity_tool_compares_gridfunction_values_not_bytes(tmp_path):
+    # a .gf output of the parent tree, in text, and of this tree, in
+    # binary, match when their fields and value bits do, and a value one
+    # ulp off does not
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "cli_parity.py")
+    spec = importlib.util.spec_from_file_location("cli_parity", path)
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    grid = LogGrid.build(ConeDomain(n=2, base_lo=[0.0], base_hi=[1.0], t_min=0.2), (5, 4))
+    values = np.random.default_rng(3).standard_normal(grid.shape)
+    off = values.copy()
+    off[2, 1] = np.nextafter(off[2, 1], np.inf)
+    files = {}
+    for name, write, field in [("text", oracles.write_gridfunction_per_value, values),
+                               ("binary", write_gridfunction, values),
+                               ("off", write_gridfunction, off)]:
+        write(os.path.join(tmp_path, name), GridFunction(grid, field))
+        with open(os.path.join(tmp_path, name), "rb") as fh:
+            files[name] = fh.read()
+    assert files["text"] != files["binary"]
+    assert parity.same_output("u.gf", files["text"], files["binary"])
+    assert not parity.same_output("u.gf", files["text"], files["off"])
+    assert not parity.same_output("u.csv", files["text"], files["binary"])
 
 
 def test_stored_forcing_solve_loads_no_interpolation(tmp_path):

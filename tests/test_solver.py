@@ -995,9 +995,9 @@ def record_stage_targets(monkeypatch):
     calls = []
     stage = solver._newton_stage
 
-    def recording(values, system, max_iter, target):
+    def recording(values, system, max_iter, target, *rest):
         calls.append((system.p, system.eps_reg, target))
-        return stage(values, system, max_iter, target)
+        return stage(values, system, max_iter, target, *rest)
 
     monkeypatch.setattr(solver, "_newton_stage", recording)
     return calls
@@ -1271,6 +1271,24 @@ class TestWarmStart:
         assert (rep.converged, rep.final_residual) == (True, rep_cold.final_residual)
         np.testing.assert_array_equal(u.values, cold.values)
 
+    def test_far_warm_start_gives_up_after_a_short_step(self):
+        # f = -1 at p = 3, 41^2, the shifted pair of ``verify doubling``:
+        # from the solution of f the raised forcing's warm stage damps its
+        # first step below 1/8 and stops there, where it ran 184 Newton
+        # steps with 61 factorizations to tol before; the cold solve that
+        # follows takes 6
+        grid = LogGrid.build(unit_domain(), (41, 41))
+        prob = constant_forcing_problem(3.0, 2, c=-1.0)
+        cfg = SolverConfig()
+        v, rep_v = solve_dirichlet(prob, grid, cfg)
+        warm, rep_w = solve_dirichlet(raised_forcing(prob), grid, cfg, initial=v)
+        cold, rep_c = solve_dirichlet(raised_forcing(prob), grid, cfg)
+        assert rep_v.converged and rep_w.converged and rep_c.converged
+        first, *rest = rep_w.stages
+        assert (first.stop_reason, first.iterations) == ("short_step", 1)
+        assert rest == rep_c.stages
+        assert np.max(np.abs(warm.values - cold.values)) <= self.FIELD_GAP_TOLS * cfg.tol
+
     def test_p4_shifted_subsolutions_agree(self):
         # the pair of ``verify comparison`` on the zero-data problem
         # t^p f = 0.3 at p = 4, 17^2: the warm and the cold subsolution are
@@ -1413,6 +1431,17 @@ class TestNewtonStageOnStubSystem:
         assert (rec.factorizations, rec.krylov_iterations) == (3, 6)
         # each step reads the linearization of the iterate it starts from
         assert system.steps_at == [[0.0, 0.0], [2.0, -4.0], [3.0, -6.0]]
+
+    def test_short_step(self):
+        # a step 20 times too long is accepted at length 1/16, below the
+        # min_step of 1/8, so the stage stops after it; without a min_step
+        # the same steps go on
+        system = StubSystem([4.0, -8.0], scale=20.0)
+        values, rec = solver._newton_stage(np.zeros(2), system, 10, 1e-9, 0.125)
+        np.testing.assert_array_equal(values, [5.0, -10.0])
+        assert (rec.iterations, rec.stop_reason, rec.residual_norm) == (1, "short_step", 2.0)
+        _, rec = solver._newton_stage(np.zeros(2), StubSystem([4.0, -8.0], scale=20.0), 10, 1e-9)
+        assert rec.iterations > 1 and rec.stop_reason != "short_step"
 
     def test_line_search(self):
         # a step away from the root raises the residual at every length

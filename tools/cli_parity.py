@@ -42,16 +42,21 @@ reach every field-spec kind: six solves set ``problem.f`` and
 both from ``coarse.gf``, stored on a 9x9 grid, at 17x17, so most of its
 nodes fall between the stored ones and are interpolated, and
 ``manufacture`` and ``convergence-study`` each run with a ``problem.exact``
-of every kind other than ``auto`` (a gridfile one exits 2).  Every
-output except ``*_meta.json`` must be byte-identical, and the exit codes of
-every command, the set of meta files and whether ``output.dir`` exists
+of every kind other than ``auto`` (a gridfile one exits 2).  The stored
+fields ``src.gf``, ``coarse.gf`` and ``solid.gf`` are written by OLD_SRC's
+writer, so that both trees read them.  Every JSON and CSV output must be
+byte-identical, and every ``.gf`` output value-identical: read by
+NEW_SRC's reader, which reads either file format, both sides' files hold
+the same header fields and the same value bits.  The exit codes of every
+command, the set of meta files and whether ``output.dir`` exists
 afterwards must agree.  Prints one line per
 case (132 in all) and a summary; exits 1 on any difference.  A file that differs is
 reported with the largest |old - new| / max(1, |old|) over its numbers
-(JSON values, CSV fields, ``.gf`` lines).  A JSON file whose key set
-changed names the added and removed keys and still compares the numbers
-both sides share; "structure differs" marks any other change of its
-non-numeric content, which for a CSV or ``.gf`` file ends the comparison.
+(JSON values, CSV fields, ``.gf`` header fields and values).  A JSON file
+whose key set changed names the added and removed keys and still compares
+the numbers both sides share; "structure differs" marks any other change
+of its non-numeric content, which for a CSV file ends the comparison, as
+a different number of ``.gf`` fields does.
 """
 
 import json
@@ -267,8 +272,8 @@ def json_diff(old, new, path: str, keys: dict, pairs: list) -> bool:
 
 
 def split_numbers(data: bytes) -> tuple:
-    """(non-numeric skeleton, numbers) of a CSV or ``.gf`` file: its comma-
-    and line-separated fields with numbers replaced by "#"."""
+    """(non-numeric skeleton, numbers) of a CSV file: its comma- and
+    line-separated fields with numbers replaced by "#"."""
     numbers = []
 
     def field(text):
@@ -281,6 +286,32 @@ def split_numbers(data: bytes) -> tuple:
     return [[field(f) for f in line.split(",")] for line in data.decode().splitlines()], numbers
 
 
+def gridfunction_fields(data: bytes) -> np.ndarray:
+    """The header fields (n, the node counts, a_min, t_min, each base axis's
+    ends and a_max) and then the row-major values of the ``.gf`` file
+    ``data``, in either format, as the imported ``conepde`` reads it."""
+    from conepde.calculus import read_gridfunction
+
+    with tempfile.NamedTemporaryFile(suffix=".gf") as fh:
+        fh.write(data)
+        fh.flush()
+        u = read_gridfunction(fh.name)
+    grid = u.grid
+    ends = [end for xs in grid.xs for end in (xs[0], xs[-1])]
+    head = [grid.n, *grid.shape, grid.a[0], grid.domain.t_min, *ends, grid.a[-1]]
+    return np.concatenate([np.array(head, dtype=float), u.values.ravel()])
+
+
+def same_output(name: str, old: bytes, new: bytes) -> bool:
+    """Whether two outputs named ``name`` agree: a ``.gf`` file in its
+    header fields and the bits of its values, any other file byte for
+    byte."""
+    if not name.endswith(".gf"):
+        return old == new
+    return np.array_equal(gridfunction_fields(old).view(np.int64),
+                          gridfunction_fields(new).view(np.int64))
+
+
 def describe_difference(name: str, old: bytes, new: bytes) -> str:
     notes = []
     if name.endswith(".json"):
@@ -289,6 +320,11 @@ def describe_difference(name: str, old: bytes, new: bytes) -> str:
             notes.append("structure differs")
         notes += [f"{kind} keys {', '.join(sorted(paths))}"
                   for kind, paths in keys.items() if paths]
+    elif name.endswith(".gf"):
+        old_nums, new_nums = gridfunction_fields(old), gridfunction_fields(new)
+        if old_nums.size != new_nums.size:
+            return "structure differs"
+        pairs = list(zip(old_nums.tolist(), new_nums.tolist()))
     else:
         (old_skeleton, old_nums), (new_skeleton, new_nums) = split_numbers(old), split_numbers(new)
         if old_skeleton != new_skeleton:
@@ -304,18 +340,28 @@ def describe_difference(name: str, old: bytes, new: bytes) -> str:
     return "; ".join(notes + [f"max rel diff {worst:.3g}{shared}"])
 
 
-def write_field(src: str, path: str, nodes: int, n: int = 2) -> None:
-    """A seeded random field on a grid of ``nodes`` per axis over the
-    configs' domain in n dimensions: at 13x13, the convolve input and the
-    stored verify solution."""
-    sys.path.insert(0, os.path.abspath(src))
-    from conepde.calculus import GridFunction, LogGrid, write_gridfunction
-    from conepde.geometry import ConeDomain
+# a seeded random field on a grid of NODES per axis over the configs'
+# domain in N dimensions; argv: PATH NODES N
+FIELD = """\
+import sys
+import numpy as np
+from conepde.calculus import GridFunction, LogGrid, write_gridfunction
+from conepde.geometry import ConeDomain
 
-    dom = ConeDomain(n=n, base_lo=[0.0] * (n - 1), base_hi=[1.0] * (n - 1), t_min=0.2)
-    grid = LogGrid.build(dom, (nodes,) * n)
-    values = np.random.default_rng(0).standard_normal(grid.shape)
-    write_gridfunction(path, GridFunction(grid, values))
+path, nodes, n = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+dom = ConeDomain(n=n, base_lo=[0.0] * (n - 1), base_hi=[1.0] * (n - 1), t_min=0.2)
+grid = LogGrid.build(dom, (nodes,) * n)
+values = np.random.default_rng(0).standard_normal(grid.shape)
+write_gridfunction(path, GridFunction(grid, values))
+"""
+
+
+def write_field(src: str, path: str, nodes: int, n: int = 2) -> None:
+    """Writes the seeded random field ``FIELD`` with the writer of the
+    tree ``src``, in an interpreter of its own: at 13x13, the convolve
+    input and the stored verify solution."""
+    subprocess.run([sys.executable, "-c", FIELD, path, str(nodes), str(n)], check=True,
+                   env={**os.environ, "PYTHONPATH": os.path.abspath(src)})
 
 
 def main(argv) -> int:
@@ -323,12 +369,14 @@ def main(argv) -> int:
         print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
         return 2
     old_src, new_src = argv
+    # the .gf outputs of both sides are read by the new tree's reader
+    sys.path.insert(0, os.path.abspath(new_src))
     differing = files = 0
     with tempfile.TemporaryDirectory() as tmp:
         fields = [os.path.join(tmp, name) for name in ("src.gf", "coarse.gf", "solid.gf")]
-        write_field(new_src, fields[0], 13)
-        write_field(new_src, fields[1], 9)
-        write_field(new_src, fields[2], 9, n=3)
+        write_field(old_src, fields[0], 13)
+        write_field(old_src, fields[1], 9)
+        write_field(old_src, fields[2], 9, n=3)
         all_cases = list(cases())
         for k, (label, cmd, text) in enumerate(all_cases):
             codes, outs = [], []
@@ -345,10 +393,10 @@ def main(argv) -> int:
             outs = [out or {} for out in outs]
             if outs[0].keys() != outs[1].keys():
                 problems.append(f"files {sorted(outs[0])} != {sorted(outs[1])}")
-            same = [n for n in outs[0] if n in outs[1] and outs[0][n] == outs[1][n]
-                    and outs[0][n] is not None]
+            shared = [n for n in outs[0] if n in outs[1] and outs[0][n] is not None]
+            same = [n for n in shared if same_output(n, outs[0][n], outs[1][n])]
             problems += [f"{n} differs ({describe_difference(n, outs[0][n], outs[1][n])})"
-                         for n in outs[0] if n in outs[1] and outs[0][n] != outs[1][n]]
+                         for n in shared if n not in same]
             files += len(same)
             differing += bool(problems)
             status = "DIFF" if problems else "ok  "
@@ -356,7 +404,7 @@ def main(argv) -> int:
                   f"{len(same)} identical"
                   + (": " + "; ".join(problems) if problems else ""))
     print(f"{len(all_cases) - differing} of {len(all_cases)} cases match; "
-          f"{files} non-meta files byte-identical")
+          f"{files} non-meta files identical")
     return 1 if differing else 0
 
 
