@@ -9,12 +9,14 @@ operator's coefficient sees spikes (``operators.gradient_powers``), so no
 eps continuation has to steer Newton around them.  One Newton system per
 stage gives the residual and the linear solve of a step: fast
 diagonalization at p = 2, and otherwise flexible GMRES on the Jacobian as
-a stencil operator in natural order, one slice per stencil offset.  A cold
-stage preconditions one GMRES cycle by scaling each row by its node's
+a stencil operator in natural order, one slice per stencil offset.  A stage,
+cold or warm, preconditions one GMRES cycle by scaling each row by its node's
 diffusion and inverting the scaled rows' constant-coefficient mean by fast
 diagonalization (a Newton-Krylov step with physics-based preconditioning;
-Knoll & Keyes, J. Comput. Phys. 193, 2004), and factorizes only when that
-cycle misses.
+Knoll & Keyes, J. Comput. Phys. 193, 2004), to the forcing term that the
+stage picks per step from its residual norms (an inexact Newton step;
+Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996), and factorizes only
+when that cycle misses.
 A factorization gathers the operator's products into the interior block
 in the grid's nested-dissection order, on a pattern kept on the grid (the
 symbolic/numeric split; Davis, Direct Methods for Sparse Linear Systems,
@@ -378,16 +380,28 @@ def _fd_preconditioner(grid: LogGrid, A: np.ndarray, B: np.ndarray, C: np.ndarra
 
 
 # the most GMRES iterations in a step's one cycle, on the fast-diagonalization
-# preconditioner and on a kept factor, and the relative tolerance on the
-# true residual |J du - rhs|_2 that a step must meet
+# preconditioner and on a kept factor, and the smallest forcing term: the
+# tightest relative tolerance on the true residual |J du - rhs|_2 of a step
 FD_RESTART, KRYLOV_RESTART, KRYLOV_RTOL = 30, 10, 1e-6
 
 
-def _fgmres(J, b: np.ndarray, precondition, restart: int) -> tuple:
+def _forcing_term(norm: float, prev_norm: float | None) -> float:
+    """The relative tolerance eta of a Newton step's linear solve, from the
+    residual max norm at its iterate and at the iterate before (None at a
+    stage's first step, which takes 0.1): Eisenstat and Walker's choice 2,
+    0.9 (norm / prev_norm)^2, clipped to [KRYLOV_RTOL, 0.1] (SIAM J. Sci.
+    Comput. 17, 1996).  Their safeguard 0.9 eta_prev^2 can exceed the cap
+    0.1 only where eta_prev > 1/3, never under it, so it is left out."""
+    if prev_norm is None:
+        return 0.1
+    return min(0.1, max(KRYLOV_RTOL, 0.9 * (norm / prev_norm) ** 2))
+
+
+def _fgmres(J, b: np.ndarray, precondition, restart: int, eta: float) -> tuple:
     """One cycle of right-preconditioned flexible GMRES (Saad, SIAM J. Sci.
     Comput. 14, 1993) for J x = b from x = 0, at most ``restart`` iterations:
     (x, iterations), with x None when the true residual misses
-    |J x - b|_2 <= KRYLOV_RTOL |b|_2.
+    |J x - b|_2 <= eta |b|_2.
 
     Iteration j keeps z_j = precondition(v_j) and x is a combination of the
     z_j, so each iteration calls ``precondition`` once and x needs no
@@ -400,7 +414,7 @@ def _fgmres(J, b: np.ndarray, precondition, restart: int) -> tuple:
     x, norm_b = np.zeros_like(b), float(np.linalg.norm(b))
     if norm_b == 0.0:
         return x, 0
-    target = KRYLOV_RTOL * norm_b
+    target = eta * norm_b
     V, Z = np.empty((restart + 1, b.size)), np.empty((restart, b.size))
     R = np.zeros((restart, restart))  # the Hessenberg matrix, rotated upper triangular
     g = np.zeros(restart + 1)
@@ -445,21 +459,20 @@ class _NewtonSystem:
     from the rung it starts), interior forcing F_log and regularization
     ``eps_reg``, and the linear solve of a step, by ``_solve_linear`` at
     p == 2 and otherwise by ``_solve_jacobian`` on the stencil operator of
-    the residual's coefficient fields (``_jacobian_operator``), with the
-    kept ``splu`` factor ``lu``.  While a cold system (not ``warm``) holds
-    no factor, its steps try the fast-diagonalization preconditioner first;
-    a warm one factorizes at its first step.  Only a step that factorizes
-    builds a CSC matrix.  It counts the factorizations taken and the GMRES
-    iterations run.  Only p == 2 reads ``drift``: its residual is
-    sum_k D2_k u + drift D1_a u - F_log; other p take n - p from the grid,
-    and only they read ``eps_reg``."""
+    the residual's coefficient fields (``_jacobian_operator``), to the
+    step's forcing term, with the kept ``splu`` factor ``lu``.  While the
+    system holds no factor, its steps try the fast-diagonalization
+    preconditioner first, from a cold start and a warm one alike.  Only a
+    step that factorizes builds a CSC matrix.  It counts the factorizations
+    taken and the GMRES iterations run.  Only p == 2 reads ``drift``: its
+    residual is sum_k D2_k u + drift D1_a u - F_log; other p take n - p
+    from the grid, and only they read ``eps_reg``."""
 
     grid: LogGrid
     p: float
     drift: float
     F_log: np.ndarray
     eps_reg: float
-    warm: bool = False
     lu: object = None
     factorizations: int = 0
     krylov_iterations: int = 0
@@ -482,36 +495,37 @@ class _NewtonSystem:
         res[grid.boundary_mask] = 0.0
         return res, lin
 
-    def step(self, lin: tuple, rhs: np.ndarray) -> np.ndarray:
+    def step(self, lin: tuple, rhs: np.ndarray, eta: float) -> np.ndarray:
         """The Newton step: du with J du = rhs for the Jacobian at the
-        linearization point ``lin`` from ``residual``, zero on the boundary.
-        C = dR/dg and the addition to A's diagonal from the coefficient's
-        second-difference term are formed here, so a residual that no step
-        reads (a rejected line-search trial, a stage's last iterate) never
-        pays for them, nor for the fast-diagonalization preconditioner."""
+        linearization point ``lin`` from ``residual``, zero on the boundary,
+        to the relative tolerance ``eta`` (exact at p == 2).  C = dR/dg and
+        the addition to A's diagonal from the coefficient's second-difference
+        term are formed here, so a residual that no step reads (a rejected
+        line-search trial, a stage's last iterate) never pays for them, nor
+        for the fast-diagonalization preconditioner."""
         if self.p == 2.0:
             return _solve_linear(self.grid, self.drift, rhs)
         A, B, g, H = lin
         C, dA = gradient_coefficient(g, H, self.p, self.eps_reg, self.grid.h)
         A = A + dA
-        fd = (None if self.warm or self.lu is not None
-              else _fd_preconditioner(self.grid, A, B, C))
-        return _solve_jacobian(_jacobian_operator(self.grid, A, B, C), rhs, self, fd)
+        fd = None if self.lu is not None else _fd_preconditioner(self.grid, A, B, C)
+        return _solve_jacobian(_jacobian_operator(self.grid, A, B, C), rhs, self, eta, fd)
 
 
 def _solve_jacobian(J: _StencilOperator, rhs: np.ndarray, system: _NewtonSystem,
-                    precondition=None) -> np.ndarray:
+                    eta: float, precondition=None) -> np.ndarray:
     """The solution du of J du = rhs for the operator J of
-    ``_jacobian_operator``; ``rhs`` is read on the interior nodes and du is
+    ``_jacobian_operator``, to the relative tolerance ``eta`` on the true
+    residual, or exact; ``rhs`` is read on the interior nodes and du is
     zero on the boundary, whose values are data.
 
     One cycle of right-preconditioned flexible GMRES (``_fgmres``) runs
-    first, on full-grid vectors that are 0 on the boundary: at most
-    ``KRYLOV_RESTART`` iterations on the system's kept factor (solved at
-    the interior nodes in dissection order) or, while it holds none, at
+    first, on full-grid vectors that are 0 on the boundary, to ``eta``: at
+    most ``KRYLOV_RESTART`` iterations on the system's kept factor (solved
+    at the interior nodes in dissection order) or, while it holds none, at
     most ``FD_RESTART`` on ``precondition``, the row-scaled
-    fast-diagonalization inverse that a cold system's step passes.  When
-    the cycle misses, or there is no preconditioner, J's interior block
+    fast-diagonalization inverse that the system's step passes.  When the
+    cycle misses ``eta``, or there is no preconditioner, J's interior block
     (``_assemble_jacobian``) is factorized in its nested-dissection order
     with SuperLU's partial pivoting, kept on ``system`` and solved
     directly; a singular factor raises RuntimeError.  The Krylov basis and
@@ -522,7 +536,7 @@ def _solve_jacobian(J: _StencilOperator, rhs: np.ndarray, system: _NewtonSystem,
     cycle = (((lambda y: _scatter(grid, system.lu.solve(y[grid.dissection_order]))),
               KRYLOV_RESTART) if system.lu is not None else (precondition, FD_RESTART))
     if cycle[0] is not None:
-        x, iterations = _fgmres(J, b, *cycle)
+        x, iterations = _fgmres(J, b, *cycle, eta)
         system.krylov_iterations += iterations
         if x is not None:
             return x.reshape(grid.shape)
@@ -545,21 +559,23 @@ def _newton_stage(values: np.ndarray, system: _NewtonSystem, max_iter: int,
                   target: float, min_step: float = 0.0) -> tuple:
     """Damped Newton on ``system``, run until the residual's max norm is at
     most ``target``; returns (values, StageRecord).  A step reads the
-    linearization that its iterate's residual evaluation returned, and a
-    rejected trial step halves the step length.  A stage whose step is
-    accepted at a length below ``min_step`` stops after that step.  The
-    record names the system's p, counts the stage's factorizations and
-    GMRES iterations and names why the stage stopped."""
+    linearization that its iterate's residual evaluation returned, solves
+    it to the forcing term of ``_forcing_term`` on the residual norms of
+    its iterate and the one before, and a rejected trial step halves the
+    step length.  A stage whose step is accepted at a length below
+    ``min_step`` stops after that step.  The record names the system's p,
+    counts the stage's factorizations and GMRES iterations and names why
+    the stage stopped."""
     start = (system.factorizations, system.krylov_iterations)
     res, lin = system.residual(values)
     if not np.all(np.isfinite(res)):
         raise FloatingPointError("non-finite value in discrete residual")
-    norm = float(np.max(np.abs(res)))
+    norm, prev_norm = float(np.max(np.abs(res))), None
     iters = 0
     lam = 1.0
     accepted = True
     while norm > target and iters < max_iter and lam >= min_step:
-        du = system.step(lin, -res)
+        du = system.step(lin, -res, _forcing_term(norm, prev_norm))
         lam = 1.0
         accepted = False
         while lam >= 1e-12:
@@ -575,7 +591,7 @@ def _newton_stage(values: np.ndarray, system: _NewtonSystem, max_iter: int,
         iters += 1
         if not accepted:
             break
-        values, res, lin, norm = trial, tres, tlin, tnorm
+        values, res, lin, prev_norm, norm = trial, tres, tlin, norm, tnorm
     stop = ("converged" if norm <= target else "line_search" if not accepted
             else "short_step" if lam < min_step else "max_iter")
     return values, StageRecord(p=system.p, iterations=iters, residual_norm=norm,
@@ -600,17 +616,20 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid, cfg: SolverConfig | None = 
     presolve on its drift and forcing.  Rung q is one cold Newton stage at
     exponent q with forcing t^q f, at ``cfg.eps_reg_floor`` to ``cfg.tol``,
     from the field the rung below left, met ``tol`` or not (Allgower &
-    Georg, Introduction to Numerical Continuation Methods, SIAM 2003); a
-    stage keeps the factor it takes (``_solve_jacobian``).  Each rung gives
-    one stage record, and the report is converged when the last, at p, is.
+    Georg, Introduction to Numerical Continuation Methods, SIAM 2003); its
+    steps solve to a forcing term from its residual norms
+    (``_forcing_term``), and a stage keeps the factor it takes
+    (``_solve_jacobian``).  Each rung gives one stage record, and the
+    report is converged when the last, at p, is.
 
     An ``initial`` field on the grid's nodes is a warm start: its values,
     with the boundary reset to the Dirichlet data, go through one Newton
-    stage at p to ``tol``, with no presolve or ladder, which factorizes at
-    its first step and stops at its first step accepted at a length below
-    ``WARM_MIN_STEP``.  When that stage misses ``tol`` the solve goes on
-    exactly as a solve without ``initial``, and the failed warm stage stays
-    first in the report.
+    stage at p to ``tol``, with no presolve or ladder, whose steps take the
+    fast-diagonalization preconditioner as a cold stage's do and which
+    stops at its first step accepted at a length below ``WARM_MIN_STEP``.
+    When that stage misses ``tol`` the solve goes on exactly as a solve
+    without ``initial``, and the failed warm stage stays first in the
+    report.
 
     The solve is deterministic; failure to
     converge is reported, never raised.  A radial step beyond the mesh Peclet
@@ -624,10 +643,10 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid, cfg: SolverConfig | None = 
     bmask = grid.boundary_mask
     data = prob.dirichlet_values(grid)[bmask]
 
-    def system(q: float, warm: bool = False) -> _NewtonSystem:
+    def system(q: float) -> _NewtonSystem:
         # the residual lives on the interior, so the forcing on the boundary is never read
         F_log = replace(prob, p=q).log_forcing(grid, interior_only=True)
-        return _NewtonSystem(grid, q, grid.n - q, F_log, cfg.eps_reg_floor, warm)
+        return _NewtonSystem(grid, q, grid.n - q, F_log, cfg.eps_reg_floor)
 
     stages: list = []
     if initial is not None:
@@ -636,7 +655,7 @@ def solve_dirichlet(prob: PDEProblem, grid: LogGrid, cfg: SolverConfig | None = 
                              f"the nodes of the solve's grid {grid.shape}")
         values = np.array(initial.values, dtype=float)
         values[bmask] = data
-        values, stage = _newton_stage(values, system(p, warm=True), cfg.max_iter, cfg.tol,
+        values, stage = _newton_stage(values, system(p), cfg.max_iter, cfg.tol,
                                       WARM_MIN_STEP)
         stages.append(stage)
         if stage.residual_norm <= cfg.tol:

@@ -471,12 +471,13 @@ def banded_linear_solve(grid, drift, rhs):
     return du
 
 
-def refactorized_solve(J, rhs, system, precondition=None):
+def refactorized_solve(J, rhs, system, eta, precondition=None):
     """The p != 2 Newton step with a fresh ``splu`` factor on every call of
     the interior block of the operator J, recovered from J's action
     (``probed_interior_block``) in natural order: the reference for
     ``solver._solve_jacobian``, which reuses a kept factor or takes a
-    fast-diagonalization cycle (``precondition`` is not read).  ``rhs`` is
+    fast-diagonalization cycle to the forcing term ``eta`` (neither
+    ``eta`` nor ``precondition`` is read).  ``rhs`` is
     read on the interior nodes and du is zero on the boundary.  It stores
     the factor and counts it on ``system``, so a solve's stage records
     still add up."""

@@ -569,6 +569,12 @@ def _direct_solve(J, rhs, *system_and_preconditioner):
     return spla.spsolve(J, rhs.ravel()).reshape(rhs.shape)
 
 
+def pin_forcing_term(monkeypatch):
+    """Solve every p != 2 Newton step to ``solver.KRYLOV_RTOL``, the
+    tolerance a step met before the forcing terms."""
+    monkeypatch.setattr(solver, "_forcing_term", lambda norm, prev_norm: solver.KRYLOV_RTOL)
+
+
 def kept_factor(grid, lu=None):
     """A p = 3, n = 2 Newton system on ``grid`` whose kept factor is ``lu``."""
     return _NewtonSystem(grid, 3.0, -1.0, np.zeros(grid.shape), 1e-2, lu=lu)
@@ -597,19 +603,21 @@ class TestOrderedJacobianSolve:
         v = v + 0.25 * np.sin(sum(f * m for f, m in zip(freq, grid.mesh))) / math.sqrt(n)
         res = rng.standard_normal(grid.shape)
         res[grid.boundary_mask] = 0.0
-        # a warm system factorizes at its first step
-        system = _NewtonSystem(grid, p, n - p, np.zeros(grid.shape), eps, warm=True)
+        # with no fast-diagonalization preconditioner a step factorizes
+        system = _NewtonSystem(grid, p, n - p, np.zeros(grid.shape), eps)
         lin = system.residual(v)[1]
         fields = coefficient_fields(v, grid, p, eps)
         direct = _direct_solve(full_jacobian(grid, *fields), -res)
         J = _jacobian_operator(grid, *fields)
-        du = system.step(lin, -res)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(solver, "_fd_preconditioner", lambda *fields: None)
+            du = system.step(lin, -res, solver.KRYLOV_RTOL)
         assert system.factorizations == 1 and system.krylov_iterations == 0
         assert np.all(du[grid.boundary_mask] == 0.0)
         assert np.max(np.abs(du - direct)) <= 1e-12 * np.max(np.abs(direct))
         # the kept factor of J preconditions GMRES on J itself: no new factor,
         # and the tolerance holds on the true residual
-        du = system.step(lin, -res)
+        du = system.step(lin, -res, solver.KRYLOV_RTOL)
         assert system.factorizations == 1 and system.krylov_iterations >= 1
         assert (np.linalg.norm(J @ du.ravel() + res.ravel())
                 <= solver.KRYLOV_RTOL * np.linalg.norm(res))
@@ -624,7 +632,7 @@ class TestOrderedJacobianSolve:
                                   np.zeros((2,) + grid.shape))
         for stale in (None, spla.splu(sp.identity(m, format="csc"))):
             with pytest.raises(RuntimeError):
-                _solve_jacobian(zero, rhs, kept_factor(grid, stale))
+                _solve_jacobian(zero, rhs, kept_factor(grid, stale), solver.KRYLOV_RTOL)
 
     def test_wrong_stale_factor_refactorizes(self):
         # a kept factor of an unrelated diagonal matrix leaves GMRES far from
@@ -638,7 +646,8 @@ class TestOrderedJacobianSolve:
         stale = spla.splu(sp.diags(10.0 ** rng.uniform(-3, 3, m)).tocsc())
         factor = kept_factor(grid, stale)
         fields = coefficient_fields(v, grid, 3.0, 1e-2)
-        du = _solve_jacobian(_jacobian_operator(grid, *fields), -res, factor)
+        du = _solve_jacobian(_jacobian_operator(grid, *fields), -res, factor,
+                             solver.KRYLOV_RTOL)
         assert factor.krylov_iterations == solver.KRYLOV_RESTART
         assert factor.factorizations == 1 and factor.lu is not stale
         direct = _direct_solve(full_jacobian(grid, *fields), -res)
@@ -671,7 +680,7 @@ class TestOrderedJacobianSolve:
         lu = spla.splu(ordered_interior_block(grid, *nearby), permc_spec="NATURAL")
         counting = CountingLU(lu)
         factor = kept_factor(grid, counting)
-        du = _solve_jacobian(J, -res, factor)
+        du = _solve_jacobian(J, -res, factor, solver.KRYLOV_RTOL)
         assert factor.factorizations == 0 and factor.lu is counting
         assert factor.krylov_iterations >= 2
         assert counting.calls == factor.krylov_iterations
@@ -687,6 +696,9 @@ class TestOrderedJacobianSolve:
         assert np.max(np.abs(du.ravel() - want)) <= 1e-9 * np.max(np.abs(want))
 
     def test_nonlinear_solve_never_calls_spsolve(self, monkeypatch):
+        # every Krylov step at the direct solve's tolerance, so both take
+        # the same Newton steps (forcing terms take fewer here)
+        pin_forcing_term(monkeypatch)
         grid = LogGrid.build(unit_domain(), (17, 17))
         prob = manufactured_problem(power_of_t_field(0.4), 3.0)
         # the same solve with every p != 2 Newton step a full-grid spsolve
@@ -826,7 +838,7 @@ class TestFastDiagonalization:
         assert solver._fd_preconditioner(grid, *fields) is None
         system = _NewtonSystem(grid, 3.0, -1.0, np.zeros(grid.shape), 1e-2)
         rhs = np.where(grid.boundary_mask, 0.0, 1.0)
-        du = system.step(lin, rhs)
+        du = system.step(lin, rhs, solver.KRYLOV_RTOL)
         assert (system.factorizations, system.krylov_iterations) == (1, 0)
         J = _jacobian_operator(grid, *fields)
         assert np.allclose(J @ du.ravel(), rhs.ravel(), rtol=0, atol=1e-12)
@@ -836,7 +848,7 @@ class TestFastDiagonalization:
         lin = constant_coefficients(grid, (1.3, 0.7), 5.0)[0]
         system = _NewtonSystem(grid, 3.0, -1.0, np.zeros(grid.shape), 1e-2)
         with np.errstate(all="raise"):
-            du = system.step(lin, np.zeros(grid.shape))
+            du = system.step(lin, np.zeros(grid.shape), solver.KRYLOV_RTOL)
         assert np.all(du == 0.0)
         assert (system.factorizations, system.krylov_iterations) == (0, 0)
 
@@ -848,7 +860,7 @@ class TestFastDiagonalization:
         system = _NewtonSystem(grid, 3.0, -2.0, np.zeros(grid.shape), 1e-2)
         rhs = np.where(grid.boundary_mask, 0.0,
                        np.random.default_rng(1).standard_normal(grid.shape))
-        du = system.step(lin, rhs)
+        du = system.step(lin, rhs, solver.KRYLOV_RTOL)
         assert (system.factorizations, system.krylov_iterations) == (0, 1)
         J = _jacobian_operator(grid, *fields)
         b = rhs.ravel()
@@ -878,24 +890,50 @@ class TestFastDiagonalization:
         J = np.diag(np.linspace(1.0, 50.0, 50))
         b = np.random.default_rng(2).standard_normal(50)
         for restart in (5, 30):
-            x, iterations = solver._fgmres(J, b, lambda v: v.copy(), restart)
+            x, iterations = solver._fgmres(J, b, lambda v: v.copy(), restart,
+                                           solver.KRYLOV_RTOL)
             assert x is None and iterations == restart
-        x, iterations = solver._fgmres(J, b, lambda v: v.copy(), 50)
+        x, iterations = solver._fgmres(J, b, lambda v: v.copy(), 50, solver.KRYLOV_RTOL)
         assert x is not None and 30 < iterations <= 50
         assert np.linalg.norm(J @ x - b) <= solver.KRYLOV_RTOL * np.linalg.norm(b)
 
-    def test_warm_stage_factorizes_at_its_first_step(self, monkeypatch):
-        # a warm system takes no fast-diagonalization cycle
-        def no_fd(*fields):
-            raise AssertionError("a warm stage must not build the preconditioner")
+    def test_warm_stage_builds_the_preconditioner_and_factorizes_nothing(self, monkeypatch):
+        # a warm stage's steps take fast-diagonalization cycles as a cold
+        # stage's do: every step builds the preconditioner, none factorizes
+        built, fd = [], solver._fd_preconditioner
+
+        def counting(*fields):
+            built.append(fd(*fields))
+            return built[-1]
 
         grid = LogGrid.build(unit_domain(), (17, 17))
         prob = manufactured_problem(power_of_t_field(0.5), 3.0)
         u, _ = solve_dirichlet(prob, grid)
-        monkeypatch.setattr(solver, "_fd_preconditioner", no_fd)
+        monkeypatch.setattr(solver, "_fd_preconditioner", counting)
         _, rep = solve_dirichlet(prob, grid, initial=GridFunction(grid, 0.9 * u.values))
-        assert rep.converged and len(rep.stages) == 1
-        assert rep.stages[0].factorizations >= 1
+        (stage,) = rep.stages
+        assert rep.converged and stage.iterations >= 1
+        assert len(built) == stage.iterations and all(p is not None for p in built)
+        assert stage.factorizations == 0 and stage.krylov_iterations >= stage.iterations
+
+    def test_forcing_terms_cut_gmres_iterations(self, monkeypatch):
+        # the cold p = 4, 97^2 manufactured solve of u* = t^0.41 takes the
+        # Newton steps of the same solve with every step at KRYLOV_RTOL, in
+        # fewer GMRES iterations, and its field stays within 1e-12 of it
+        grid = LogGrid.build(unit_domain(), (97, 97))
+        prob = manufactured_problem(power_of_t_field(0.41), 4.0)
+        u, rep = solve_dirichlet(prob, grid)
+        with monkeypatch.context() as m:
+            pin_forcing_term(m)
+            u_pinned, rep_pinned = solve_dirichlet(prob, grid)
+        assert rep.converged and rep_pinned.converged
+        assert ([s.iterations for s in rep.stages]
+                == [s.iterations for s in rep_pinned.stages])
+        assert (sum(s.krylov_iterations for s in rep.stages)
+                < sum(s.krylov_iterations for s in rep_pinned.stages))
+        assert sum(s.factorizations for s in rep.stages + rep_pinned.stages) == 0
+        scale = float(np.max(np.abs(u_pinned.values)))
+        assert np.max(np.abs(u.values - u_pinned.values)) <= 1e-12 * scale
 
 
 class TestReusedFactor:
@@ -904,6 +942,9 @@ class TestReusedFactor:
 
     @pytest.mark.parametrize("n, nodes, p", [(2, 33, 3.0), (2, 33, 4.0), (3, 13, 3.0)])
     def test_matches_refactorizing_every_step(self, monkeypatch, n, nodes, p):
+        # every Krylov step at the refactorized solve's tolerance, so both
+        # take the same Newton steps (forcing terms take fewer on 33^2, p = 3)
+        pin_forcing_term(monkeypatch)
         grid = LogGrid.build(unit_domain(n=n), (nodes,) * n)
         prob = manufactured_problem(power_of_t_field(0.5), p)
         with monkeypatch.context() as m:
@@ -960,9 +1001,9 @@ class TestReusedFactor:
     def test_first_step_binds_scipy_and_keeps_a_stand_in(self, monkeypatch):
         # the first factorization binds solver.sp and solver.spla; a
         # stand-in already set on spla (the benchmark tracer's proxy) gets
-        # the calls.  A cold solve whose cycles all meet their tolerance
-        # binds neither and never calls it, and a warm one factorizes at its
-        # first step
+        # the calls.  A solve whose cycles all meet their tolerance binds
+        # neither and never calls it, cold or warm, and one with no
+        # fast-diagonalization preconditioner factorizes at its first step
         real, calls = solver.spla, []
 
         class StandIn:
@@ -977,7 +1018,11 @@ class TestReusedFactor:
         u, rep = solve_dirichlet(prob, grid)
         assert rep.converged and calls == []
         assert sum(s.factorizations for s in rep.stages) == 0
+        _, rep = solve_dirichlet(prob, grid, initial=GridFunction(grid, 0.5 * u.values))
+        assert rep.converged and calls == []
+        assert sum(s.factorizations for s in rep.stages) == 0
         assert "sp" not in vars(solver)
+        monkeypatch.setattr(solver, "_fd_preconditioner", lambda *fields: None)
         _, rep = solve_dirichlet(prob, grid, initial=GridFunction(grid, 0.5 * u.values))
         assert rep.converged and rep.stages[0].factorizations >= 1 and "splu" in calls
         assert vars(solver)["sp"] is sp
@@ -1107,8 +1152,7 @@ class TestFloorStage:
         for rung in rungs:
             want = dataclasses.replace(prob, p=rung.p).log_forcing(grid, interior_only=True)
             assert np.array_equal(rung.F_log, want)
-            assert (rung.drift, rung.eps_reg, rung.warm) == (2.0 - rung.p, cfg.eps_reg_floor,
-                                                             False)
+            assert (rung.drift, rung.eps_reg) == (2.0 - rung.p, cfg.eps_reg_floor)
         assert not np.array_equal(rungs[0].F_log, rungs[-1].F_log)
         assert (presolve.p, presolve.drift) == (2.0, rungs[0].drift)
         assert np.array_equal(presolve.F_log, rungs[0].F_log)
@@ -1379,11 +1423,32 @@ class TestStopReason:
         assert {(s.iterations, s.stop_reason) for s in rep.stages} == {(0, "max_iter")}
 
 
+class TestForcingTerm:
+    """Eisenstat and Walker's choice 2 on the residual max norms of a step's
+    iterate and the one before, clipped to [KRYLOV_RTOL, 0.1]."""
+
+    def test_first_step_takes_the_cap(self):
+        assert solver._forcing_term(5.0, None) == 0.1
+
+    def test_squared_norm_ratio(self):
+        assert solver._forcing_term(1.0, 10.0) == pytest.approx(0.009, rel=1e-15)
+        assert solver._forcing_term(3.0, 100.0) == pytest.approx(8.1e-4, rel=1e-15)
+
+    @pytest.mark.parametrize("norm, prev_norm", [(1.0, 2.0), (1.0, 1.0), (2.0, 1.0)])
+    def test_slow_decrease_is_capped(self, norm, prev_norm):
+        assert solver._forcing_term(norm, prev_norm) == 0.1
+
+    @pytest.mark.parametrize("norm, prev_norm", [(1e-4, 1.0), (1e-9, 1.0), (0.0, 1.0)])
+    def test_fast_decrease_is_floored(self, norm, prev_norm):
+        assert solver._forcing_term(norm, prev_norm) == solver.KRYLOV_RTOL
+
+
 class StubSystem:
     """A Newton system with no PDE behind it: the residual is values - root,
     its linearization point is the values, and a step is ``scale`` times
     the exact Newton step, costing one factorization and ``krylov`` GMRES
-    iterations.  It logs the linearization point every step reads."""
+    iterations.  It logs the linearization point every step reads and the
+    forcing term it is given."""
 
     p = 3.5
 
@@ -1391,13 +1456,14 @@ class StubSystem:
         self.root, self.scale, self.krylov = np.asarray(root, dtype=float), scale, krylov
         # counts from earlier stages of a solve, which a record must not include
         self.factorizations, self.krylov_iterations = 7, 11
-        self.steps_at = []
+        self.steps_at, self.etas = [], []
 
     def residual(self, values):
         return values - self.root, values.tolist()
 
-    def step(self, lin, rhs):
+    def step(self, lin, rhs, eta):
         self.steps_at.append(lin)
+        self.etas.append(eta)
         self.factorizations += 1
         self.krylov_iterations += self.krylov
         return self.scale * rhs
@@ -1442,6 +1508,19 @@ class TestNewtonStageOnStubSystem:
         assert (rec.iterations, rec.stop_reason, rec.residual_norm) == (1, "short_step", 2.0)
         _, rec = solver._newton_stage(np.zeros(2), StubSystem([4.0, -8.0], scale=20.0), 10, 1e-9)
         assert rec.iterations > 1 and rec.stop_reason != "short_step"
+
+    def test_forcing_terms_follow_the_residual_norms(self):
+        # a step of 0.9 (0.9999) times the exact one leaves 1/10 (1/10^4)
+        # of the residual: eta is 0.1 at the first step, then
+        # 0.9 (1/10)^2 = 0.009, or 0.9 (1/10^4)^2 clipped up to KRYLOV_RTOL
+        system = StubSystem([4.0, -8.0], scale=0.9)
+        _, rec = solver._newton_stage(np.zeros(2), system, 3, 1e-12)
+        assert (rec.iterations, rec.stop_reason) == (3, "max_iter")
+        assert system.etas == pytest.approx([0.1, 0.009, 0.009], rel=1e-12)
+        system = StubSystem([4.0, -8.0], scale=0.9999)
+        _, rec = solver._newton_stage(np.zeros(2), system, 10, 1e-9)
+        assert (rec.iterations, rec.stop_reason) == (3, "converged")
+        assert system.etas == [0.1, solver.KRYLOV_RTOL, solver.KRYLOV_RTOL]
 
     def test_line_search(self):
         # a step away from the root raises the residual at every length

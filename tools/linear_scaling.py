@@ -4,7 +4,8 @@
 
 On each grid (2D at 81^2, 97^2 and 161^2; 3D at 17^3, 21^3 and 25^3, over
 the unit base with t_min = e^-1) it measures four things, and then J·v on
-larger grids, cold 3D solves on larger grids and a cold command line.
+larger grids, cold 3D solves on larger grids, the warm stage of a 3D
+shifted pair and a cold command line.
 
 Grid set-up: on each of SETUP_REPEATS fresh grids, the seconds of its first
 ``gradient_field`` and ``hessian_field`` of the smooth iterate described
@@ -51,7 +52,8 @@ when p = n) plus a small wave, and the Newton system J du = -res is solved
 two ways: ``spsolve`` on the full-grid Jacobian of
 ``tests/oracles.full_jacobian`` (identity boundary rows), with SuperLU's
 default COLAMD order, and ``solver._solve_jacobian`` with no kept factor or
-preconditioner, so it factorizes the interior block that
+preconditioner (at the smallest forcing term, which a factorization does
+not read), so it factorizes the interior block that
 ``solver._assemble_jacobian`` gathers in the grid's nested-dissection order
 (the gather is timed with it).  The full-grid matrix, the stencil operator
 and the grid's pattern are built once per grid, outside the timed region.  Per size it records the
@@ -63,8 +65,9 @@ call ``spsolve`` makes), and max |du - du_spsolve| / max |du_spsolve|.
 One whole solve: ``solve_dirichlet`` on the p = 3 manufactured problem with
 u* = t^0.5 and the default solver settings, once as the package runs it
 (the p = 2 presolve and one floor eps stage, each step a GMRES cycle
-preconditioned by fast diagonalization until one misses, then GMRES on a
-kept ``splu`` factor, refactorizing only where that stalls), once
+preconditioned by fast diagonalization to its forcing term until one
+misses, then GMRES on a kept ``splu`` factor, refactorizing only where that
+stalls), once
 with ``tests/oracles.refactorized_solve`` patched in, which factorizes
 every Jacobian (the interior block probed from the stencil operator, in
 natural order with COLAMD), and once as ``tests/oracles.halving_schedule``, the
@@ -101,6 +104,19 @@ would read this tool's peak.  Per case it records the median, min and max
 seconds and the median peak resident set over COLD_REPEATS runs, with the
 Newton steps, factorizations and GMRES iterations (the same in every run)
 and min u.
+
+The warm stage of a 3D shifted pair: the warm start of ``verify
+comparison`` and ``verify doubling`` on a stored field.  Zero Dirichlet
+data with t^p f = 0.3 (WARM_PAIR_F) at p = 3 on 33^3 (WARM_PAIR_NODES) is
+solved once, cold; then the forcing raised by 0.5 t^-p (WARM_PAIR_MARGIN),
+as the commands raise it, is solved from that field (``solve_dirichlet``'s
+``initial``) COLD_REPEATS times each way, alternating: as the package runs
+it, each step on the fast-diagonalization preconditioner, and with no
+such preconditioner (``kept_factor``), so the first step factorizes and
+the rest run on that factor, as every warm stage did before.  It records
+the median, min and max seconds of each, the stages, Newton steps,
+factorizations and GMRES iterations of each, and the max field gap of the
+second to the first, relative to max |u|.
 
 A cold command line: a fresh interpreter running the CLI's ``solve`` on the
 p = 4 manufactured problem u* = t^0.41 on 97^2 (the solve-2d-nonlinear
@@ -142,7 +158,8 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 import oracles  # noqa: E402
 from conepde.calculus import GridFunction, LogGrid, gradient_field, hessian_field  # noqa: E402
 from conepde.geometry import ConeDomain  # noqa: E402
-from conepde.operators import divergence_part_field  # noqa: E402
+from conepde.operators import (PDEProblem, constant_field,  # noqa: E402
+                               divergence_part_field, separable_exponential_field)
 from conepde import cli, solver  # noqa: E402
 from conepde.solver import (_NewtonSystem, _assemble_jacobian,  # noqa: E402
                             _jacobian_operator, _solve_jacobian, exact_solution_values,
@@ -180,6 +197,7 @@ print(json.dumps({"seconds": seconds, "converged": rep.converged,
                   "min_u": float(np.min(u.values)),
                   "peak_rss_mb": peak / 1024}))
 """
+WARM_PAIR_NODES, WARM_PAIR_F, WARM_PAIR_MARGIN = 33, 0.3, 0.5
 LINEAR_SIZES, LINEAR_REPEATS = SIZES + ((3, 29),), 21
 MATVEC_SIZES, MATVEC_REPEATS = ((2, 97), (2, 161), (3, 33), (3, 49)), 40
 COMMAND_LINE_REPEATS, COMMAND_LINE_KAPPA = 5, 0.41
@@ -226,6 +244,15 @@ def record(row: dict, times: dict) -> None:
         row[f"{name}_s"] = statistics.median(ts)
         row[f"{name}_min_s"] = min(ts)
         row[f"{name}_max_s"] = max(ts)
+
+
+def solve_counts(rep) -> dict:
+    """The stages, Newton steps, factorizations and GMRES iterations of a
+    solve's report."""
+    return {"stages": len(rep.stages),
+            "newton_steps": sum(s.iterations for s in rep.stages),
+            "factorizations": sum(s.factorizations for s in rep.stages),
+            "krylov_iterations": sum(s.krylov_iterations for s in rep.stages)}
 
 
 def seconds(fn, *args) -> float:
@@ -300,7 +327,7 @@ def measure(n: int, m: int) -> dict:
         t0 = time.perf_counter()
         direct = spla.spsolve(J, rhs.ravel()).reshape(grid.shape)
         t1 = time.perf_counter()
-        du = _solve_jacobian(op, rhs, fresh)
+        du = _solve_jacobian(op, rhs, fresh, solver.KRYLOV_RTOL)
         t2 = time.perf_counter()
         times["spsolve"].append(t1 - t0)
         times["ordered"].append(t2 - t1)
@@ -363,10 +390,7 @@ def measure_solve(n: int, m: int) -> dict:
     for name, rep in reports.items():
         if not rep.converged:
             raise RuntimeError(f"the {name} solve at {m}^{n} did not converge")
-        row[name] = {"stages": len(rep.stages),
-                     "newton_steps": sum(s.iterations for s in rep.stages),
-                     "factorizations": sum(s.factorizations for s in rep.stages),
-                     "krylov_iterations": sum(s.krylov_iterations for s in rep.stages)}
+        row[name] = solve_counts(rep)
     ref = fields["reused"]
     for name in ("refactorized", "halving_schedule"):
         row[f"max_rel_gap_{name}"] = float(np.max(np.abs(fields[name] - ref))
@@ -374,13 +398,13 @@ def measure_solve(n: int, m: int) -> dict:
     return row
 
 
-def kept_factor(prob, grid) -> tuple:
+def kept_factor(prob, grid, initial=None) -> tuple:
     """``solve_dirichlet`` with no fast-diagonalization preconditioner:
     every p != 2 step runs on the kept ``splu`` factor."""
     saved = solver._fd_preconditioner
     solver._fd_preconditioner = lambda *fields: None
     try:
-        return solve_dirichlet(prob, grid)
+        return solve_dirichlet(prob, grid, initial=initial)
     finally:
         solver._fd_preconditioner = saved
 
@@ -408,6 +432,38 @@ def measure_cold(m: int) -> dict:
                          "krylov_iterations": sum(s.krylov_iterations for s in rep.stages),
                          "max_error": float(np.max(np.abs(u.values - exact)))}
     record(row, times)
+    return row
+
+
+def measure_warm_pair() -> dict:
+    grid = unit_grid(3, WARM_PAIR_NODES)
+
+    def problem(c: float) -> PDEProblem:
+        # t^p f = c: f = c t^-p
+        return PDEProblem(p=P, f=separable_exponential_field(c, -P, []),
+                          dirichlet=constant_field(0.0))
+
+    stored, rep = solve_dirichlet(problem(WARM_PAIR_F), grid)
+    if not rep.converged:
+        raise RuntimeError(f"the stored solve at {WARM_PAIR_NODES}^3 did not converge")
+    raised = problem(WARM_PAIR_F + WARM_PAIR_MARGIN)
+    solves = {"warm": solve_dirichlet, "kept_factor": kept_factor}
+    times = {name: [] for name in solves}
+    row = {"n": 3, "p": P, "f": WARM_PAIR_F, "margin": WARM_PAIR_MARGIN,
+           "nodes": list(grid.shape), "unknowns": math.prod(grid.shape)}
+    fields = {}
+    for _ in range(COLD_REPEATS):
+        for name, solve in solves.items():
+            t0 = time.perf_counter()
+            u, rep = solve(raised, grid, initial=stored)
+            times[name].append(time.perf_counter() - t0)
+            if not rep.converged:
+                raise RuntimeError(f"the {name} warm pair at {WARM_PAIR_NODES}^3 did not converge")
+            row[name], fields[name] = solve_counts(rep), u.values
+    record(row, times)
+    ref = fields["warm"]
+    row["max_rel_gap_kept_factor"] = float(np.max(np.abs(fields["kept_factor"] - ref))
+                                           / np.max(np.abs(ref)))
     return row
 
 
@@ -539,6 +595,13 @@ def main(argv) -> int:
                   f"({row['newton_steps']} steps, {row['factorizations']} factorizations, "
                   f"{row['krylov_iterations']} GMRES iterations, "
                   f"peak RSS {row['peak_rss_mb']:.0f} MB)")
+    warm_pair = measure_warm_pair()
+    print(f"3D {WARM_PAIR_NODES}^3 warm pair: " + "  ".join(
+        f"{name} {warm_pair[name + '_s']:7.3f} s ({warm_pair[name]['newton_steps']} steps, "
+        f"{warm_pair[name]['factorizations']} factorizations, "
+        f"{warm_pair[name]['krylov_iterations']} GMRES iterations)"
+        for name in ("warm", "kept_factor"))
+        + f"  max rel gap {warm_pair['max_rel_gap_kept_factor']:.2g}")
     command_line = measure_command_line()
     print(f"2D 97^2 p = 4 cold command line: {command_line['command_s']:6.3f} s "
           f"({command_line['factorizations']} factorizations, peak RSS "
@@ -577,7 +640,9 @@ def main(argv) -> int:
                 "the final tolerance; cold 3D p = 3 solves up to 49^3, "
                 "fast-diagonalization GMRES vs every step on the kept splu factor; and "
                 "cold 3D zero-data solves (f = 0.5) at p = 3, 4, 5 and 6 up to 49^3, each in "
-                "a fresh interpreter with its peak resident set (VmHWM); and one cold "
+                "a fresh interpreter with its peak resident set (VmHWM); the warm stage "
+                "of a 3D p = 3 shifted pair at 33^3 from a stored field, on the "
+                "fast-diagonalization preconditioner vs the kept splu factor; and one cold "
                 "p = 4 97^2 solve command line in a fresh interpreter, with its peak resident "
                 "set and the scipy modules it loaded",
         "p": P, "eps_reg": EPS_REG, "repeats": REPEATS, "solve_repeats": SOLVE_REPEATS,
@@ -590,6 +655,7 @@ def main(argv) -> int:
         "cold_repeats": COLD_REPEATS,
         "assembly": assembly, "matvec": matvec, "sizes": rows, "linear": linear,
         "solves": solves, "cold_solves": cold, "zero_data_solves": zero_data,
+        "warm_pair": warm_pair,
         "cold_command_line": command_line, "time_exponents": exponents,
     }
     with open(out, "w") as fh:
